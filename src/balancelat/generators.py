@@ -18,6 +18,8 @@ def gen_nbp(
     """Uniform dyadic entries: [0,1] by default, [-1,1] with signed=True."""
     if n < 1:
         raise InvalidParams("n must be >= 1")
+    if precision_bits < 1:
+        raise InvalidParams("precision_bits must be >= 1")
     stream = SeededStream(seed)
     scale = 1 << precision_bits
     values = []

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
+    InternalContradiction,
     InvalidParams,
     NotFound,
     PrecisionUnreachable,
@@ -305,7 +306,8 @@ def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
         if reduced.B.column(i).norm_sq() <= 1:
             p = tuple(int(e) for e in transform.U.column(i))
             point = RVector(p)
-            assert ellipsoid.member(point)
+            if not ellipsoid.member(point):
+                raise InternalContradiction("a reduced column of norm <= 1 maps outside E")
             return WellRoundResult("integer-point", point=p)
     gain_sq = lll_min_gain(reduced, cert)
     rounded = Ellipsoid(reduced.B)

@@ -14,13 +14,14 @@ from fractions import Fraction
 
 from .errors import (
     BudgetExceeded,
+    InternalContradiction,
     NotFound,
     PreconditionFailed,
     RankDeficient,
 )
 from .linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
 from .nbp import enumeration_budget
-from .rationals import floor_frac, frac, sqrt_lower
+from .rationals import common_denominator_ints, floor_frac, format_rational, frac, sqrt_lower
 
 LOVASZ_DELTA = Fraction(3, 4)  # yields |bhat_i|^2 <= 2 |bhat_{i+1}|^2 on exit
 
@@ -141,8 +142,10 @@ def lll_reduce(basis: LatticeBasis) -> tuple[LatticeBasis, UnimodularTransform, 
     uinv = RMatrix(uinv_rows)
     transform = UnimodularTransform(u, uinv)
     cert = check_reduction_conditions(reduced)
-    assert cert.size_reduced and cert.lovasz_ok
-    assert basis.B.matmul(u) == reduced
+    if not (cert.size_reduced and cert.lovasz_ok):
+        raise InternalContradiction("LLL output fails the reduction conditions")
+    if basis.B.matmul(u) != reduced:
+        raise InternalContradiction("LLL output differs from the input basis times U")
     return LatticeBasis(reduced), transform, cert
 
 
@@ -181,92 +184,116 @@ def svp_exact_linf(
     """Exact shortest nonzero lattice vector in the max norm.
 
     Returns the coefficient vector y (w.r.t. the *input* basis) minimizing
-    |B y|_inf.  The enumeration region is certified complete: every vector
-    with max norm <= V has Euclidean norm <= sqrt(n) V, and the Gram-Schmidt
-    norms of an LLL-reduced basis bound the coefficients level by level.
-    Ties are broken by smallest Euclidean norm, then lexicographically on y.
+    |B y|_inf.  Ties are broken by smallest Euclidean norm, then
+    lexicographically on y.
+
+    The search runs over an LLL-reduced basis B' = B U (Fincke-Pohst 1985,
+    Schnorr-Euchner 1994).  Level l fixes y'_l given y'_{l+1..n}; the
+    Gram-Schmidt data of B' turn |B' y'|^2 into a sum of per-level squares,
+    so the integers y'_l that keep the partial sum within the radius form an
+    interval around a centre.  The radius^2 starts at n v0^2, where v0 is the
+    smallest max norm among the reduced columns (capped by ``search_bound``),
+    and is clamped to min(n v0^2, n best^2) once a nonzero vector of max
+    norm ``best`` has been seen.  The clamp loses nothing: every vector with
+    max norm <= m has |v|_2^2 <= n m^2, and the optimum's max norm is at most
+    every ``best`` seen and at most v0 (the reduced columns are lattice
+    vectors; if the optimum misses a smaller ``search_bound``, the result is
+    NotFound anyway).  So every vector that ties or beats the optimum lies
+    inside the ball at every point of the search, and the minimum of the key
+    (max norm, |v|_2^2, U y') over the ball is the minimum over the whole
+    lattice, whatever order the ball is visited in.
+
+    Each level visits its interval in zig-zag order, by distance from the
+    centre, so short vectors come early and the radius shrinks sooner; a
+    candidate outside the current radius ends its level, since the rest lie
+    farther out.  All arithmetic is on integers: the reduced basis, the
+    Gram-Schmidt coefficients and norms are scaled over common denominators,
+    and the partial vector sum_{j >= l} y'_j b'_j is carried down the levels,
+    so a leaf costs O(n) integer operations and U y' is formed only for a leaf
+    that ties or beats the incumbent on (max norm, |v|_2^2).
 
     ``search_bound``, when given, must be a promised attainable max norm
     (e.g. 1 for a determinant <= 1 lattice, by Minkowski's theorem); NotFound
-    is raised if the promise fails.
+    is raised if the promise fails.  ``budget`` caps the visited nodes, leaves
+    included; BudgetExceeded reports where the search stood.
     """
     limit = enumeration_budget(budget)
     n = basis.n
     reduced, transform, cert = lll_reduce(basis)
-    bprime = reduced.B
-    norms = [cert.Bhat.column(i).norm_sq() for i in range(n)]
-    mu = cert.Mu  # mu[i][j], i < j
-
-    col_inf = min(bprime.column(j).inf_norm() for j in range(n))
+    columns = reduced.B.columns()
+    col_inf = min(c.inf_norm() for c in columns)
     v0 = col_inf if search_bound is None else min(col_inf, frac(search_bound))
-    radius_sq = n * v0 * v0
 
-    best: list = [None, None, None]  # value, norm_sq, y_input
-    nodes = [0]
+    # Integer encoding.  cols[j] = F b'_j, mu[l][j] = D mu_lj and
+    # gs[l] = E |bhat_l|^2, so a node's weight sum_l (D y'_l + c_l)^2 gs[l],
+    # with c_l = sum_{j > l} mu[l][j] y'_j, is S |B' y'|^2 for S = D^2 E.
+    flat, F = common_denominator_ints(e for c in columns for e in c)
+    cols = [flat[j * n:(j + 1) * n] for j in range(n)]
+    flat, D = common_denominator_ints(e for row in cert.Mu.rows for e in row)
+    mu = [flat[i * n:(i + 1) * n] for i in range(n)]
+    gs, E = common_denominator_ints(cert.Bhat.column(i).norm_sq() for i in range(n))
+    S = D * D * E
+    u_rows = [[int(e) for e in row] for row in transform.U.rows]
+
+    radius = n * v0.numerator**2 * S // v0.denominator**2  # weights are ints
+    best: tuple | None = None  # (F |v|_inf, F^2 |v|_2^2, U y') of the incumbent
+    nodes = 1  # the root
     y = [0] * n
-    centers = [Fraction(0)] * n
 
-    def cur_radius_sq() -> Fraction:
-        return n * best[0] * best[0] if best[0] is not None else radius_sq
-
-    def y_range(level: int, c: Fraction, room: Fraction) -> range:
-        # integers y with (y + c)^2 * norms[level] <= room, i.e.
-        # -sqrt(q) <= y + c <= sqrt(q) with q = room / norms[level]
-        if room < 0:
-            return range(0)
-        q = room / norms[level]
-        approx = sqrt_lower(q, 8)
-
-        def below_upper(yv: int) -> bool:  # y + c <= sqrt(q)
-            u = yv + c
-            return u <= 0 or u * u <= q
-
-        def above_lower(yv: int) -> bool:  # y + c >= -sqrt(q)
-            u = yv + c
-            return u >= 0 or u * u <= q
-
-        # one-sided sqrt makes the seeds conservative, so only a couple of
-        # exact expansion steps are ever needed
-        hi = floor_frac(approx - c)
-        while below_upper(hi + 1):
-            hi += 1
-        lo = -floor_frac(approx + c)
-        while above_lower(lo - 1):
-            lo -= 1
-        return range(lo, hi + 1)
-
-    def consider(yvec: list[int]) -> None:
-        v = bprime.matvec(RVector(yvec))
-        val = v.inf_norm()
-        if best[0] is not None and val > best[0]:
-            return
-        nsq = v.norm_sq()
-        y_in = transform.U.matvec(RVector(yvec))
-        y_in_t = tuple(int(e) for e in y_in)
-        key = (val, nsq, y_in_t)
-        if best[0] is None or key < (best[0], best[1], best[2]):
-            best[0], best[1], best[2] = key
-
-    def descend(level: int, weight: Fraction) -> None:
-        nodes[0] += 1
-        if nodes[0] > limit:
-            raise BudgetExceeded("SVP enumeration exceeded budget")
-        if level < 0:
-            if any(y):
-                consider(list(y))
-            return
-        c = sum(
-            (mu[level, j] * y[j] for j in range(level + 1, n)), Fraction(0)
+    def exceeded() -> BudgetExceeded:
+        bound = v0 if best is None else min(v0, Fraction(best[0], F))
+        radius_sq = n * bound * bound
+        return BudgetExceeded(
+            f"SVP enumeration exceeded budget: {nodes} nodes visited, limit {limit}, "
+            f"dimension {n}, search radius^2 {format_rational(radius_sq)}"
         )
-        for val in y_range(level, c, cur_radius_sq() - weight):
-            y[level] = val
-            contrib = (val + c) ** 2 * norms[level]
-            if weight + contrib <= cur_radius_sq():
-                descend(level - 1, weight + contrib)
+
+    def visit(level: int, weight: int, partial: list[int]) -> None:
+        nonlocal best, nodes, radius
+        c = sum(mu[level][j] * y[j] for j in range(level + 1, n))
+        g = gs[level]
+        # |D y + c| <= t, the largest t with t^2 g <= radius - weight; at 0
+        # bits sqrt_lower is the exact floor square root of an integer
+        t = int(sqrt_lower((radius - weight) // g, 0))
+        lo, hi = -((t + c) // D), (t - c) // D
+        left = -c // D  # floor of the centre -c/D; left <= hi and left + 1 >= lo
+        right = left + 1
+        col = cols[level]
+        while True:
+            if left >= lo and (right > hi or -c - left * D <= right * D + c):
+                yv, left = left, left - 1
+            elif right <= hi:
+                yv, right = right, right + 1
+            else:
+                break
+            d = D * yv + c
+            child = weight + d * d * g
+            if child > radius:  # the radius shrank; later candidates lie farther out
+                break
+            nodes += 1
+            if nodes > limit:
+                raise exceeded()
+            y[level] = yv
+            v = [a + yv * b for a, b in zip(partial, col)]
+            if level:
+                visit(level - 1, child, v)
+                continue
+            inf = max(map(abs, v))
+            if inf == 0 or (best is not None and inf > best[0]):
+                continue
+            nsq = sum(a * a for a in v)
+            if best is not None and (inf, nsq) > best[:2]:
+                continue
+            key = (inf, nsq, tuple(sum(u * yj for u, yj in zip(row, y)) for row in u_rows))
+            if best is None or key < best:
+                best = key
+                radius = min(radius, n * inf * inf * S // (F * F))
         y[level] = 0
 
-    descend(n - 1, Fraction(0))
-    if best[0] is None or (search_bound is not None and best[0] > frac(search_bound)):
+    if nodes > limit:
+        raise exceeded()
+    visit(n - 1, 0, [0] * n)
+    if best is None or (search_bound is not None and Fraction(best[0], F) > frac(search_bound)):
         raise NotFound("no nonzero lattice vector within the promised bound")
     return best[2]
 

@@ -19,6 +19,7 @@ from .errors import (
     BudgetExceeded,
     CoefficientOutOfRange,
     DimensionTooSmall,
+    InternalContradiction,
     InvalidParams,
     ZeroVector,
 )
@@ -30,9 +31,19 @@ BUDGET_ENV = "BALANCELAT_BUDGET"
 
 
 def enumeration_budget(override: int | None = None) -> int:
+    """The node budget of an enumeration: the override, else $BALANCELAT_BUDGET, else 10^8."""
     if override is not None:
         return override
-    return int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
+    raw = os.environ.get(BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise InvalidParams(f"{BUDGET_ENV} must be an integer >= 1, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,8 @@ def brute_force_min(inst: NbpInstance, k: int, budget: int | None = None) -> Nbp
     # negative leading entry, so only sign patterns with first nonzero < 0
     # are enumerated.
     descend(0, 0, False)
-    assert best[1] is not None
+    if best[1] is None:
+        raise InternalContradiction("the enumeration reached no nonzero leaf")
     return verify(inst, best[1], k)
 
 
@@ -268,7 +280,10 @@ def karmarkar_karp(inst: NbpInstance) -> NbpSolution:
         counter += 1
     _, _, residual, vec = heap[0]
     solution = verify(inst, vec, 1)
-    assert solution.error == residual
+    if solution.error != residual:
+        raise InternalContradiction(
+            f"recomputed error {solution.error} differs from the final residual {residual}"
+        )
     return solution
 
 

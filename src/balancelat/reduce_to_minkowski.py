@@ -277,6 +277,8 @@ def minkowski_from_nbp(
     bound with rho*^2 >= the exact quadratic-form value of the returned point
     in the *original* ellipsoid.
     """
+    if precision_bits < 1:
+        raise InvalidParams("precision_bits must be >= 1")
     det = abs(determinant(ellipsoid.A))
     if det > 1:
         raise PreconditionFailed(

@@ -117,7 +117,8 @@ def nbp_via_svp(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> ReductionRes
             details={"rho": rho, "k": k, "branch": "trivial"},
         )
     basis = svp_embedding_basis(inst.a, k, rho)
-    assert determinant(basis.B) == 1
+    if determinant(basis.B) != 1:
+        raise InternalContradiction("the SVP embedding basis does not have determinant 1")
     vec, coeffs = oracle.find(basis)
     if coeffs[n] != 0:
         raise InternalContradiction(

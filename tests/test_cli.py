@@ -195,6 +195,32 @@ class TestCliCommands:
         code = main(["solve", "--algo", "kk", "--input", str(f)])
         assert code == 3
 
+    def test_bad_budget_variable_exit_code(self, tmp_path, capsys, monkeypatch):
+        code, out = self.run(capsys, "gen", "nbp", "--n", "4", "--seed", "3")
+        f = tmp_path / "i.json"
+        f.write_text(out)
+        for value in ("abc", "-5", "0"):
+            monkeypatch.setenv("BALANCELAT_BUDGET", value)
+            code = main(["solve", "--algo", "brute-force", "--input", str(f)])
+            err = capsys.readouterr().err
+            assert code == 3
+            assert "BALANCELAT_BUDGET" in err and "exceeded budget" not in err
+
+    def test_precision_bits_below_one_exit_code(self, tmp_path, capsys):
+        code, out = self.run(capsys, "gen", "ellipsoid", "--n", "2", "--seed", "3")
+        f = tmp_path / "e.json"
+        f.write_text(out)
+        for bits in ("0", "-1"):
+            for argv in (
+                ["gen", "nbp", "--n", "4", "--seed", "1", "--precision-bits", bits],
+                ["reduce", "to-minkowski", "--oracle", "mitm", "--precision-bits", bits,
+                 "--input", str(f)],
+                ["bench", "--sizes", "6", "--seeds", "1", "--algos", "kk",
+                 "--precision-bits", bits],
+            ):
+                assert main(argv) == 3
+                assert "precision_bits must be >= 1" in capsys.readouterr().err
+
     def test_solve_report_byte_reproducible(self, tmp_path, capsys):
         code, out = self.run(capsys, "gen", "nbp", "--n", "5", "--seed", "77")
         f = tmp_path / "i.json"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from balancelat.errors import NotFound
+from balancelat.errors import InternalContradiction, NotFound
 from balancelat.geometry import (
     CubeBody,
     CubeSlabBody,
@@ -106,6 +106,11 @@ class TestWellRound:
         result = well_round(e)
         assert result.branch == "integer-point"
         assert e.member(RVector(result.point))
+
+    def test_integer_point_outside_ellipsoid_raises(self, monkeypatch):
+        monkeypatch.setattr(Ellipsoid, "member", lambda self, x: False)
+        with pytest.raises(InternalContradiction):
+            well_round(Ellipsoid.unit_ball(3))
 
     def test_skewed_ellipsoid_right_branch(self):
         a = RMatrix([[3, 100, 7], [0, 5, 91], [0, 0, 4]])

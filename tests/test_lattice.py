@@ -1,19 +1,23 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from balancelat.errors import NotFound, PreconditionFailed
+from balancelat import lattice
+from balancelat.errors import BudgetExceeded, InternalContradiction, NotFound, PreconditionFailed
 from balancelat.lattice import (
     LatticeBasis,
+    LllCertificate,
     check_reduction_conditions,
     lattice_membership,
     lll_min_gain,
     lll_reduce,
     svp_exact_linf,
 )
-from balancelat.linalg import RMatrix, RVector, determinant
+from balancelat.linalg import RMatrix, RVector, determinant, solve_linear
+from balancelat.rationals import floor_frac
 
 
 def rand_int_basis(rng, n, span=30):
@@ -35,6 +39,32 @@ def skewed_basis(rng, n, span=8):
             rows[i][col] += c * rows[j][col]
         shear = RMatrix(rows)
     return LatticeBasis(base.B.matmul(shear))
+
+
+def box_bounds(basis, search_bound=None):
+    """Coefficient bounds of a box that holds every optimum of the max-norm SVP.
+
+    Every y with |B y|_inf <= v0 has |y_i| <= v0 |row_i(B^-1)|_1, and
+    v0 = min(smallest column max-norm, search_bound) bounds the optimum
+    whenever the optimum keeps the promise.
+    """
+    n = basis.n
+    inv_cols = [solve_linear(basis.B, RVector.unit(n, j)) for j in range(n)]
+    v0 = min(basis.B.column(j).inf_norm() for j in range(n))
+    if search_bound is not None:
+        v0 = min(v0, Fraction(search_bound))
+    return [floor_frac(v0 * sum(abs(c[i]) for c in inv_cols)) for i in range(n)]
+
+
+def box_minimum(basis, search_bound=None):
+    """Minimum of (|B y|_inf, |B y|_2^2, y) over the nonzero y of the box, or None."""
+    keys = []
+    bounds = box_bounds(basis, search_bound)
+    for y in itertools.product(*(range(-b, b + 1) for b in bounds)):
+        if any(y):
+            v = basis.B.matvec(RVector(y))
+            keys.append((v.inf_norm(), v.norm_sq(), y))
+    return min(keys, default=None)
 
 
 class TestLllReduce:
@@ -153,6 +183,52 @@ class TestSvpExactLinf:
         basis = LatticeBasis(RMatrix.diagonal([5, 5]))
         with pytest.raises(NotFound):
             svp_exact_linf(basis, search_bound=1)
+
+    def test_matches_box_minimum(self):
+        rng = random.Random(26)
+        bases = []
+        for n in (2, 3, 4):
+            for denominators in ((1,), (1, 2, 3, 4)):
+                for _ in range(4):
+                    while True:
+                        m = RMatrix([[Fraction(rng.randint(-4, 4), rng.choice(denominators))
+                                      for _ in range(n)] for _ in range(n)])
+                        # near-singular draws give boxes too large to scan quickly
+                        if determinant(m) != 0 and math.prod(
+                            2 * b + 1 for b in box_bounds(LatticeBasis(m))
+                        ) <= 5000:
+                            break
+                    bases.append(LatticeBasis(m))
+        for basis in bases:
+            for bound in (None, Fraction(1), Fraction(5, 2)):
+                expected = box_minimum(basis, bound)
+                if expected is None or (bound is not None and expected[0] > bound):
+                    with pytest.raises(NotFound):
+                        svp_exact_linf(basis, search_bound=bound)
+                else:
+                    assert svp_exact_linf(basis, search_bound=bound) == expected[2]
+
+    def test_ties_break_by_norm_then_input_coefficients(self):
+        # max norm 3 is the minimum, attained by +-(3,0,0) and +-(0,3,0)
+        # (|v|^2 = 9) and by (1,1,3) (|v|^2 = 11); their input coefficients
+        # are (-1,1,0), (1,-1,0), (1,0,0), (-1,0,0) and (0,0,1)
+        basis = LatticeBasis(RMatrix.from_columns(
+            [RVector([0, 3, 0]), RVector([3, 3, 0]), RVector([1, 1, 3])]
+        ))
+        assert box_minimum(basis) == (3, 9, (-1, 0, 0))
+        assert svp_exact_linf(basis) == (-1, 0, 0)
+
+    def test_search_radius_stays_clamped(self):
+        # the identity lattice at n = 6 visits 2255 nodes; an ell-2 ball that
+        # grows past n v0^2 once the first leaf is seen needs 12855
+        svp_exact_linf(LatticeBasis(RMatrix.identity(6)), budget=2500)
+
+    def test_budget_message_reports_the_search(self):
+        with pytest.raises(BudgetExceeded) as info:
+            svp_exact_linf(LatticeBasis(RMatrix.identity(6)), budget=100)
+        message = str(info.value)
+        assert "exceeded budget" in message
+        assert "101 nodes visited, limit 100, dimension 6, search radius^2 6" in message
 
 
 class TestMembership:

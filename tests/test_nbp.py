@@ -2,18 +2,23 @@ import itertools
 import random
 from fractions import Fraction
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balancelat import nbp
 from balancelat.errors import (
     BudgetExceeded,
     CoefficientOutOfRange,
     DimensionTooSmall,
+    InternalContradiction,
     ZeroVector,
 )
 from balancelat.nbp import (
     NbpInstance,
+    NbpSolution,
     brute_force_min,
     instance_inner,
     karmarkar_karp,
@@ -117,6 +122,13 @@ class TestBruteForce:
             brute_force_min(inst, 1, budget=1000)
 
 
+    def test_search_without_nonzero_leaf_raises(self):
+        # no real instance has n = 0; a stand-in gives a search with no leaf
+        empty = SimpleNamespace(n=0, scaled_ints=lambda: ([], 1))
+        with pytest.raises(InternalContradiction):
+            brute_force_min(empty, 1)
+
+
 class TestMitm:
     def test_matches_brute_force_exactly(self):
         rng = random.Random(12)
@@ -184,6 +196,15 @@ class TestKarmarkarKarp:
     def test_cancelling_pair(self):
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 2)])
         assert karmarkar_karp(inst).error == 0
+
+    def test_residual_mismatch_raises(self, monkeypatch):
+        def off_by_one(inst, x, k):
+            sol = verify(inst, x, k)
+            return NbpSolution(sol.x, sol.coeff_bound, sol.error + 1)
+
+        monkeypatch.setattr(nbp, "verify", off_by_one)
+        with pytest.raises(InternalContradiction):
+            karmarkar_karp(NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)]))
 
     def test_single(self):
         inst = NbpInstance.from_values([1])

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from balancelat import reduce_to_nbp
 from balancelat.errors import (
     IncompatibleDimension,
+    InternalContradiction,
     NotPerfectSquare,
     OracleContractViolation,
     ParameterOutOfRange,
@@ -108,6 +110,12 @@ class TestNbpViaSvp:
         assert result.claimed_bound == expected_bound == Fraction(8, 27)
         assert result.solution.error <= expected_bound
         assert max(abs(v) for v in result.solution.x) <= k
+
+    def test_embedding_determinant_checked(self, monkeypatch):
+        monkeypatch.setattr(reduce_to_nbp, "determinant", lambda m: Fraction(2))
+        inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])
+        with pytest.raises(InternalContradiction):
+            nbp_via_svp(inst, 3, exact_svp_oracle())
 
     def test_trivial_branch_threshold(self):
         inst = NbpInstance.from_values([Fraction(1, 3)])
