@@ -1,10 +1,14 @@
-"""Exact-rational LLL reduction, SVP enumeration in the max norm, and the
-operator lower-bound certificate for reduced bases.
+"""LLL reduction, SVP enumeration in the max norm, and the operator
+lower-bound certificate for reduced bases.
 
-All arithmetic is over Fraction, so the reduction certificate (size-reduced
-and the Lovasz condition |bhat_i|^2 <= 2 |bhat_{i+1}|^2) is checked as literal
-inequalities in Q, and the unimodular transform is tracked alongside the swaps
-and size reductions together with its inverse.
+Every result is exact.  LLL and the SVP search run on integers, over common
+denominators of the rational input, and keep the operation order of the
+textbook Fraction algorithms, so they return the same bases and witnesses.
+The reduction certificate (size-reduced and the Lovasz condition
+|bhat_i|^2 <= 2 |bhat_{i+1}|^2) is then re-derived from a fresh Fraction
+Gram-Schmidt and checked as literal inequalities in Q, and the unimodular
+transform, tracked alongside the swaps and size reductions together with its
+inverse, is checked by exact matrix products.
 """
 
 from __future__ import annotations
@@ -21,9 +25,7 @@ from .errors import (
 )
 from .linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
 from .nbp import enumeration_budget
-from .rationals import common_denominator_ints, floor_frac, format_rational, frac, sqrt_lower
-
-LOVASZ_DELTA = Fraction(3, 4)  # yields |bhat_i|^2 <= 2 |bhat_{i+1}|^2 on exit
+from .rationals import common_denominator_ints, format_rational, frac, sqrt_lower
 
 
 @dataclass(frozen=True)
@@ -98,49 +100,78 @@ def lll_reduce(basis: LatticeBasis) -> tuple[LatticeBasis, UnimodularTransform, 
 
     reduced.B = basis.B * U exactly, |det U| = 1, and the certificate's two
     flags are both True.  Uses the standard Lovasz parameter delta = 3/4.
+
+    The reduction runs on integers (de Weger 1987; Cohen, Alg. 2.6.7): the
+    columns are scaled to integers over one common denominator F, which
+    changes no decision, and the search keeps the Gram determinants
+    d_i = |bhat_0|^2 |bhat_1|^2 ... |bhat_{i-1}|^2 and lam_kj = d_{j+1} mu_kj, all integers.
+    A size reduction updates lam in O(k) and a swap updates d and lam in O(n)
+    with exact integer division, so Gram-Schmidt is never recomputed.  The
+    order of operations is the textbook one: b_k is fully size-reduced against
+    b_{k-1}, ..., b_0, each by r = floor(mu_kj + 1/2) when r != 0, before the
+    Lovasz test, so the same basis and U come out as from the Fraction
+    version.  The result is then verified independently over Q: the
+    certificate comes from a fresh Fraction Gram-Schmidt, and B U = B' and
+    U U^-1 = I are checked by exact matrix products.
     """
     n = basis.n
-    cols = [list(basis.B.column(j)) for j in range(n)]
-    u_cols = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
-    uinv_rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    flat, scale = common_denominator_ints(e for row in basis.B.rows for e in row)
+    cols = [flat[j::n] for j in range(n)]  # F b_j
+    u_cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    uinv_rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def col_vec(c):
-        return RVector(c)
+    # integral Gram-Schmidt on the Gram matrix; d[0] = 1 and lam[k][j] for j < k
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            t = sum(a * b for a, b in zip(cols[k], cols[j]))
+            for i in range(j):
+                t = (d[i + 1] * t - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = t
+            else:
+                d[k + 1] = t
 
-    def recompute_gs():
-        b = RMatrix.from_columns([col_vec(c) for c in cols])
-        bhat, mu = gram_schmidt(b)
-        norms = [bhat.column(i).norm_sq() for i in range(n)]
-        # mu rows indexed [i][j] with j < i meaning coefficient of bhat_j in b_i
-        mu_of = [[mu[j, i] for j in range(n)] for i in range(n)]
-        return mu_of, norms
-
-    mu_of, norms = recompute_gs()
     k = 1
     while k < n:
+        lam_k = lam[k]
         for j in range(k - 1, -1, -1):
-            r = floor_frac(mu_of[k][j] + Fraction(1, 2))
+            dj = d[j + 1]
+            r = (2 * lam_k[j] + dj) // (2 * dj)  # floor(mu_kj + 1/2)
             if r != 0:
                 cols[k] = [a - r * b for a, b in zip(cols[k], cols[j])]
                 u_cols[k] = [a - r * b for a, b in zip(u_cols[k], u_cols[j])]
                 # column op on U is the inverse row op on Uinv
                 uinv_rows[j] = [a + r * b for a, b in zip(uinv_rows[j], uinv_rows[k])]
-                for jj in range(j):
-                    mu_of[k][jj] -= r * mu_of[j][jj]
-                mu_of[k][j] -= r
-        if norms[k] >= (LOVASZ_DELTA - mu_of[k][k - 1] ** 2) * norms[k - 1]:
+                lam_j = lam[j]
+                for i in range(j):
+                    lam_k[i] -= r * lam_j[i]
+                lam_k[j] -= r * dj
+        # Lovasz, delta = 3/4: |bhat_k|^2 >= (3/4 - mu_{k,k-1}^2) |bhat_{k-1}|^2,
+        # times 4 d_k d_{k-1}; it yields |bhat_i|^2 <= 2 |bhat_{i+1}|^2 on exit
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam_k[k - 1] ** 2:
             k += 1
-        else:
-            cols[k], cols[k - 1] = cols[k - 1], cols[k]
-            u_cols[k], u_cols[k - 1] = u_cols[k - 1], u_cols[k]
-            uinv_rows[k], uinv_rows[k - 1] = uinv_rows[k - 1], uinv_rows[k]
-            mu_of, norms = recompute_gs()
-            k = max(k - 1, 1)
+            continue
+        cols[k], cols[k - 1] = cols[k - 1], cols[k]
+        u_cols[k], u_cols[k - 1] = u_cols[k - 1], u_cols[k]
+        uinv_rows[k], uinv_rows[k - 1] = uinv_rows[k - 1], uinv_rows[k]
+        # Cohen's SWAP(k); lam[k][k-1] keeps its value
+        q = lam_k[k - 1]
+        d_new = (d[k - 1] * d[k + 1] + q * q) // d[k]
+        for j in range(k - 1):
+            lam_k[j], lam[k - 1][j] = lam[k - 1][j], lam_k[j]
+        for i in range(k + 1, n):
+            lam_i = lam[i]
+            t = lam_i[k]
+            lam_i[k] = (d[k + 1] * lam_i[k - 1] - q * t) // d[k]
+            lam_i[k - 1] = (d_new * t + q * lam_i[k]) // d[k + 1]
+        d[k] = d_new
+        k = max(k - 1, 1)
 
-    reduced = RMatrix.from_columns([col_vec(c) for c in cols])
-    u = RMatrix.from_columns([RVector(c) for c in u_cols])
-    uinv = RMatrix(uinv_rows)
-    transform = UnimodularTransform(u, uinv)
+    reduced = RMatrix([[Fraction(c[i], scale) for c in cols] for i in range(n)])
+    u = RMatrix([[c[i] for c in u_cols] for i in range(n)])
+    transform = UnimodularTransform(u, RMatrix(uinv_rows))
     cert = check_reduction_conditions(reduced)
     if not (cert.size_reduced and cert.lovasz_ok):
         raise InternalContradiction("LLL output fails the reduction conditions")

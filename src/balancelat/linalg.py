@@ -1,19 +1,21 @@
 """Exact rational vectors and matrices.
 
-Everything here is immutable and computes with ``fractions.Fraction`` only,
-so reconstruction identities (B = Bhat * Mu, M * solve(M, v) = v) hold with
+Everything here is immutable and exact over ``fractions.Fraction``, so
+reconstruction identities (B = Bhat * Mu, M * solve(M, v) = v) hold with
 literal equality.  Determinant and linear solve run fraction-free
 (Bareiss elimination on a denominator-cleared integer matrix) to keep
-intermediate entries from blowing up.
+intermediate entries from blowing up, and a matrix product multiplies the
+factors' integer numerators over one common denominator each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import RankDeficient, Singular
-from .rationals import frac, lcm_of
+from .rationals import common_denominator_ints, frac, lcm_of
 
 
 class RVector:
@@ -152,19 +154,14 @@ class RMatrix:
     def matmul(self, other: "RMatrix") -> "RMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        cols = other.ncols
-        return RMatrix(
-            [
-                [
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)),
-                        Fraction(0),
-                    )
-                    for j in range(cols)
-                ]
-                for i in range(self.nrows)
-            ]
-        )
+        # each factor over one common denominator, the products on ints
+        n, k, m = self.nrows, self.ncols, other.ncols
+        a, da = common_denominator_ints(e for row in self.rows for e in row)
+        b, db = common_denominator_ints(e for row in other.rows for e in row)
+        rows = [a[i * k:(i + 1) * k] for i in range(n)]
+        cols = [b[j::m] for j in range(m)]
+        den = da * db
+        return RMatrix([[Fraction(sum(map(mul, r, c)), den) for c in cols] for r in rows])
 
     def scale(self, c) -> "RMatrix":
         c = frac(c)

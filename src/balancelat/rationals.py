@@ -10,12 +10,16 @@ comparison done with it stays a sound inequality over the rationals.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import InvalidParams
 
 Rational = Fraction
+
+MAX_EXPONENT = 10_000  # decimal exponents allowed in parsed rationals
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z")
 
 
 def frac(value) -> Fraction:
@@ -30,7 +34,16 @@ def frac(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", integer, or exact decimal strings ("0.125", "-3.5e-2")."""
+    """Parse "p/q", integer, or exact decimal strings ("0.125", "-3.5e-2").
+
+    Exponents beyond +-MAX_EXPONENT are refused before parsing, because
+    Fraction would compute 10**exp for them.
+    """
+    exp = _EXPONENT.search(text)
+    if exp is not None:
+        digits = exp.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise InvalidParams(f"exponent of {text[:40]!r} exceeds {MAX_EXPONENT} in magnitude")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -118,12 +131,10 @@ def sqrt_lower(x: Fraction, bits: int) -> Fraction:
     if x < 0:
         raise InvalidParams("sqrt of a negative rational")
     scale = 1 << bits
+    # scale sqrt(p/q) = sqrt(p q scale^2) / q, and floor(floor(y) / q) = floor(y / q)
+    # for an integer q >= 1, so m is exactly the floor of scale sqrt(x)
     m = isqrt(x.numerator * x.denominator * scale * scale) // x.denominator
-    r = Fraction(m, scale)
-    # m floors twice; each floor costs at most one grid step
-    while (r + Fraction(1, scale)) ** 2 <= x:
-        r += Fraction(1, scale)
-    return r
+    return Fraction(m, scale)
 
 
 def sqrt_upper(x: Fraction, bits: int) -> Fraction:

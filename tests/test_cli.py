@@ -195,6 +195,13 @@ class TestCliCommands:
         code = main(["solve", "--algo", "kk", "--input", str(f)])
         assert code == 3
 
+    def test_huge_exponent_exit_code(self, tmp_path, capsys):
+        f = tmp_path / "exp.json"
+        f.write_text(json.dumps({"a": ["0.5", "1e999999999"], "n": 2, "precision_bits": 30}))
+        code = main(["solve", "--algo", "kk", "--input", str(f)])
+        assert code == 3
+        assert "exponent" in capsys.readouterr().err
+
     def test_bad_budget_variable_exit_code(self, tmp_path, capsys, monkeypatch):
         code, out = self.run(capsys, "gen", "nbp", "--n", "4", "--seed", "3")
         f = tmp_path / "i.json"

@@ -16,7 +16,7 @@ from balancelat.lattice import (
     lll_reduce,
     svp_exact_linf,
 )
-from balancelat.linalg import RMatrix, RVector, determinant, solve_linear
+from balancelat.linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
 from balancelat.rationals import floor_frac
 
 
@@ -65,6 +65,115 @@ def box_minimum(basis, search_bound=None):
             v = basis.B.matvec(RVector(y))
             keys.append((v.inf_norm(), v.norm_sq(), y))
     return min(keys, default=None)
+
+
+def reference_lll(basis):
+    """The Fraction LLL that rebuilds Gram-Schmidt after every swap.
+
+    Kept as the reference of the integral reduction: same pivots, same
+    roundings floor(mu + 1/2), same Lovasz test with delta = 3/4, so it must
+    return the same (reduced, U, U^-1).
+    """
+    n = basis.n
+    cols = [list(basis.B.column(j)) for j in range(n)]
+    u_cols = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
+    uinv_rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+    def recompute_gs():
+        bhat, mu = gram_schmidt(RMatrix.from_columns([RVector(c) for c in cols]))
+        norms = [bhat.column(i).norm_sq() for i in range(n)]
+        return [[mu[j, i] for j in range(n)] for i in range(n)], norms
+
+    mu_of, norms = recompute_gs()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            r = floor_frac(mu_of[k][j] + Fraction(1, 2))
+            if r != 0:
+                cols[k] = [a - r * b for a, b in zip(cols[k], cols[j])]
+                u_cols[k] = [a - r * b for a, b in zip(u_cols[k], u_cols[j])]
+                uinv_rows[j] = [a + r * b for a, b in zip(uinv_rows[j], uinv_rows[k])]
+                for jj in range(j):
+                    mu_of[k][jj] -= r * mu_of[j][jj]
+                mu_of[k][j] -= r
+        if norms[k] >= (Fraction(3, 4) - mu_of[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            cols[k], cols[k - 1] = cols[k - 1], cols[k]
+            u_cols[k], u_cols[k - 1] = u_cols[k - 1], u_cols[k]
+            uinv_rows[k], uinv_rows[k - 1] = uinv_rows[k - 1], uinv_rows[k]
+            mu_of, norms = recompute_gs()
+            k = max(k - 1, 1)
+    reduced = RMatrix.from_columns([RVector(c) for c in cols])
+    u = RMatrix.from_columns([RVector(c) for c in u_cols])
+    return reduced, u, RMatrix(uinv_rows)
+
+
+def rand_rational_basis(rng, n, span=30, den=12):
+    while True:
+        m = RMatrix(
+            [[Fraction(rng.randint(-span, span), rng.randint(1, den)) for _ in range(n)]
+             for _ in range(n)]
+        )
+        if determinant(m) != 0:
+            return LatticeBasis(m)
+
+
+def assert_matches_reference(basis):
+    reduced, transform, cert = lll_reduce(basis)
+    ref_reduced, ref_u, ref_uinv = reference_lll(basis)
+    assert reduced.B == ref_reduced
+    assert transform.U == ref_u
+    assert transform.Uinv == ref_uinv
+    assert cert == check_reduction_conditions(ref_reduced)
+
+
+class TestLllMatchesReference:
+    """The integral LLL returns what the Fraction reference returns."""
+
+    def test_random_integer_bases(self):
+        rng = random.Random(31)
+        for n in range(2, 11):
+            for _ in range(2 if n <= 6 else 1):
+                assert_matches_reference(rand_int_basis(rng, n))
+
+    def test_random_rational_bases(self):
+        rng = random.Random(32)
+        for n in range(2, 9):
+            assert_matches_reference(rand_rational_basis(rng, n))
+
+    def test_skewed_bases(self):
+        rng = random.Random(33)
+        for n in (3, 5, 7):
+            assert_matches_reference(skewed_basis(rng, n))
+
+    def test_large_span_is_swap_heavy(self):
+        # a knapsack lattice with 15-digit weights: the reference makes 82 swaps
+        rng = random.Random(34)
+        n = 6
+        rows = [[int(i == j) for j in range(n)] for i in range(n - 1)]
+        rows.append([rng.randint(10**14, 10**15) for _ in range(n)])
+        assert_matches_reference(LatticeBasis(RMatrix(rows)))
+
+    def test_rounding_and_lovasz_ties(self):
+        # mu = 1/2 rounds up to 1 and mu = -1/2 rounds to 0, as floor(mu + 1/2);
+        # columns (2,0,0), (1,1,1) meet the Lovasz condition with equality: no swap
+        for basis in (
+            RMatrix([[2, 1], [0, 3]]),
+            RMatrix([[2, -1], [0, 3]]),
+            RMatrix([[2, 3], [0, 1]]),
+            RMatrix([[2, 1, -1], [0, 2, 1], [0, 0, 2]]),
+            RMatrix([[2, 1, 0], [0, 1, 0], [0, 1, 5]]),
+        ):
+            assert_matches_reference(LatticeBasis(basis))
+
+    def test_scaling_changes_nothing(self):
+        rng = random.Random(35)
+        basis = rand_int_basis(rng, 5)
+        reduced, transform, _ = lll_reduce(basis)
+        scaled, scaled_transform, _ = lll_reduce(LatticeBasis(basis.B.scale(Fraction(1, 7))))
+        assert scaled_transform.U == transform.U
+        assert scaled.B == reduced.B.scale(Fraction(1, 7))
 
 
 class TestLllReduce:

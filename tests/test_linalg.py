@@ -125,6 +125,51 @@ class TestSolveLinear:
             solve_linear(m, RVector([1, 1]))
 
 
+def naive_matmul(a: RMatrix, b: RMatrix) -> RMatrix:
+    """Reference product: one Fraction sum per entry."""
+    return RMatrix(
+        [
+            [sum((a[i, k] * b[k, j] for k in range(a.ncols)), Fraction(0)) for j in range(b.ncols)]
+            for i in range(a.nrows)
+        ]
+    )
+
+
+class TestMatmul:
+    def test_mixed_denominators_against_naive(self):
+        rng = random.Random(41)
+        for n in range(1, 7):
+            a = rand_matrix(rng, n, span=50, den=30)
+            b = rand_matrix(rng, n, span=50, den=30)
+            assert a.matmul(b) == naive_matmul(a, b)
+
+    def test_non_square_shapes(self):
+        rng = random.Random(42)
+        for rows, inner, cols in [(1, 4, 1), (4, 1, 4), (2, 5, 3), (5, 2, 1), (3, 3, 6)]:
+            a = RMatrix([[rand_fraction(rng, 20, 15) for _ in range(inner)] for _ in range(rows)])
+            b = RMatrix([[rand_fraction(rng, 20, 15) for _ in range(cols)] for _ in range(inner)])
+            product = a.matmul(b)
+            assert (product.nrows, product.ncols) == (rows, cols)
+            assert product == naive_matmul(a, b)
+
+    def test_one_by_one(self):
+        a = RMatrix([[Fraction(-3, 4)]])
+        b = RMatrix([[Fraction(8, 9)]])
+        assert a.matmul(b) == RMatrix([[Fraction(-2, 3)]])
+        assert RMatrix([[0]]).matmul(b) == RMatrix([[0]])
+
+    def test_integer_and_rational_factors(self):
+        rng = random.Random(43)
+        ints = RMatrix([[rng.randint(-10**12, 10**12) for _ in range(4)] for _ in range(4)])
+        fracs = rand_matrix(rng, 4, span=10**6, den=10**5)
+        assert ints.matmul(fracs) == naive_matmul(ints, fracs)
+        assert fracs.matmul(ints) == naive_matmul(fracs, ints)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            RMatrix.identity(2).matmul(RMatrix.identity(3))
+
+
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 

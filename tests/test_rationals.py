@@ -42,6 +42,14 @@ class TestParsing:
         with pytest.raises(InvalidParams):
             parse_rational("one half")
 
+    def test_exponent_cap(self):
+        assert parse_rational("1e10000") == 10**10000
+        assert parse_rational("-2.5E-10000") == Fraction(-25, 10**10001)
+        assert parse_rational("3e-000004") == Fraction(3, 10**4)
+        for text in ("1e10001", "1e-10001", "1e999999999", "-7.5E+1_000_000", "1e" + "9" * 5000):
+            with pytest.raises(InvalidParams, match="exponent"):
+                parse_rational(text)
+
     def test_decimal_dyadic_roundtrip(self):
         x = Fraction(-1234567, 2**30)
         assert parse_rational(format_decimal_dyadic(x, 30)) == x
@@ -61,6 +69,21 @@ def test_sqrt_bounds_are_one_sided(x):
     hi = sqrt_upper(x, 16)
     assert lo * lo <= x <= hi * hi
     assert hi - lo <= Fraction(2, 2**16) + Fraction(1, 2**15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(nonneg, nonneg.map(lambda y: y * y), st.integers(0, 10**9).map(Fraction)),
+    st.integers(0, 64),
+)
+def test_sqrt_lower_is_the_grid_floor(x, bits):
+    step = Fraction(1, 2**bits)
+    r = sqrt_lower(x, bits)
+    assert r * 2**bits == int(r * 2**bits)  # a multiple of 2^-bits
+    assert r * r <= x < (r + step) ** 2
+    hi = sqrt_upper(x, bits)
+    assert x <= hi * hi
+    assert hi - r <= step
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from balancelat.errors import PreconditionFailed
-from balancelat.geometry import Ellipsoid
+from balancelat.errors import OracleContractViolation, PreconditionFailed
+from balancelat.generators import gen_ellipsoid
+from balancelat.geometry import Ellipsoid, well_round
 from balancelat.linalg import RMatrix, RVector, determinant
 from balancelat.oracles import (
+    adversarial_delta_oracle,
     claimed_delta_oracle,
     kk_delta_oracle,
     mitm_delta_oracle,
@@ -176,3 +178,9 @@ class TestMinkowskiFromNbp:
         e = Ellipsoid(RMatrix.diagonal([2, 2]))  # prod lambda = 1/4 < 1
         with pytest.raises(PreconditionFailed):
             minkowski_from_nbp(e, mitm_delta_oracle())
+
+    def test_adversarial_oracle_is_caught_on_the_rounded_branch(self):
+        e = gen_ellipsoid(2, 16)
+        assert well_round(e).branch == "rounded"
+        with pytest.raises(OracleContractViolation, match="adversarial-delta"):
+            minkowski_from_nbp(e, adversarial_delta_oracle())
