@@ -25,7 +25,7 @@ from .errors import (
 from .lattice import LatticeBasis, LllCertificate, UnimodularTransform, lll_min_gain, lll_reduce
 from .linalg import RMatrix, RVector, determinant, solve_linear
 from .nbp import enumeration_budget
-from .rationals import common_denominator_ints, floor_frac, frac, sqrt_lower, sqrt_upper
+from .rationals import common_denominator_ints, floor_frac, floor_sqrt_div, frac, sqrt_upper
 
 
 class SymmetricConvexBody:
@@ -153,11 +153,6 @@ class CubeSlabBody(SymmetricConvexBody):
         return abs(s) * self._sd <= self._rhs + self._sd * self._suffix[depth]
 
 
-def member(body: SymmetricConvexBody, x: RVector) -> bool:
-    """Exact membership test."""
-    return body.member(x)
-
-
 def minkowski_exact_oracle(
     body: SymmetricConvexBody, budget: int | None = None
 ) -> tuple[int, ...]:
@@ -254,9 +249,6 @@ class Ellipsoid:
         )
         return sqrt_upper(worst, 8)
 
-    def as_body(self) -> SymmetricConvexBody:
-        return SymmetricConvexBody(self.dim, self.member, self.outer_box_radius())
-
     @staticmethod
     def from_axes(axes: Sequence[RVector], lengths: Sequence[Fraction]) -> "Ellipsoid":
         """Build A = diag(1/lambda) V^T from (approximately) orthonormal axes."""
@@ -322,31 +314,35 @@ def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
     )
 
 
-def _rotation_candidates(tau: Fraction, bits: int) -> list[Fraction]:
-    """Rational tan(theta/2) values near the Jacobi rotation for tau."""
-    root = sqrt_lower(tau * tau + 1, bits)
-    if tau >= 0:
-        t = 1 / (tau + root) if tau + root != 0 else Fraction(1)
-    else:
-        t = -1 / (-tau + root) if -tau + root != 0 else Fraction(-1)
-    half_root = sqrt_lower(1 + t * t, bits)
-    u = t / (1 + half_root)
+def _rotation_u(tn: int, td: int, bits: int) -> int:
+    """2^bits u, u = tan(theta/2), of the Jacobi rotation for tau = tn/td, td > 0.
+
+    Equal to rounding 2^bits t / (1 + sqrt_lower(1 + t^2)) half to even, for
+    t = sign(tau) / (|tau| + sqrt_lower(tau^2 + 1)), sign(0) = 1, at `bits`.
+    """
     scale = 1 << bits
-    u = Fraction(round(u * scale), scale)
-    return [u, -u]
+    # 2^bits sqrt_lower(x) for x = tau^2 + 1 = (tn^2 + td^2) / td^2
+    root = floor_sqrt_div(tn * tn + td * td, td, bits)
+    # |t| = t_num / t_den; t_den > 0 because root >= scale
+    t_num, t_den = td * scale, abs(tn) * scale + root * td
+    half = floor_sqrt_div(t_den * t_den + t_num * t_num, t_den, bits)
+    # 2^bits |u| = 4^bits |t| / (2^bits + half)
+    den = t_den * (scale + half)
+    u, rem = divmod(t_num << (2 * bits), den)
+    if 2 * rem > den or (2 * rem == den and u & 1):
+        u += 1
+    return u if tn >= 0 else -u
 
 
-def _apply_rotation(mat: list[list[Fraction]], p: int, q: int, c: Fraction, s: Fraction) -> None:
-    """In-place M <- J^T M J for the Givens rotation J in the (p, q) plane."""
-    n = len(mat)
-    for i in range(n):
-        vp, vq = mat[i][p], mat[i][q]
-        mat[i][p] = c * vp - s * vq
-        mat[i][q] = s * vp + c * vq
-    for j in range(n):
-        vp, vq = mat[p][j], mat[q][j]
-        mat[p][j] = c * vp - s * vq
-        mat[q][j] = s * vp + c * vq
+def _rotate_columns(rows: list[list[int]], p: int, q: int, c: int, s: int, d: int) -> None:
+    """In place rows <- rows J, where J is d I except for [[c, s], [-s, c]] on (p, q)."""
+    others = [j for j in range(len(rows[0])) if j != p and j != q]
+    for row in rows:
+        vp, vq = row[p], row[q]
+        row[p] = c * vp - s * vq
+        row[q] = s * vp + c * vq
+        for j in others:
+            row[j] *= d
 
 
 def axis_extract(
@@ -357,6 +353,16 @@ def axis_extract(
     Diagonalizes A^T A with Jacobi rotations whose (cos, sin) lie exactly on
     the rational unit circle (tan-half-angle parametrization), so the rotation
     product stays exactly orthogonal; only the final output is truncated.
+
+    The iteration is fraction-free and takes no gcd: the rotated Gram matrix
+    is N / dden and the rotation product V / vden, integer matrices over one
+    common denominator each.  With u = U / 2^bits and s = 4^bits, cos and sin
+    are C / D and S / D for C = s - U^2, S = 2 U 2^bits, D = s + U^2: rows and
+    columns p, q are combined with C and S, the others multiplied by D.
+    Decisions compare numerators over one positive denominator and roots are
+    exact floors (floor_sqrt_div) however the rational is written, so every
+    decision, and the output, equals the same iteration's on reduced Fractions.
+
     Certifies, by exact comparison against A^T A:
 
       * reconstruction residual max|sum_i (1/len_i^2) ax_i ax_i^T - A^T A|
@@ -369,52 +375,50 @@ def axis_extract(
     n = ellipsoid.dim
     m = ellipsoid.gram()
     target = Fraction(1, 2**precision_bits)
+    gram, gram_den = common_denominator_ints(m[i, j] for i in range(n) for j in range(n))
     guard = 48
     for _attempt in range(4):
         # the angle grid is much finer than the off-diagonal tolerance so
         # rotations cannot stall just above it
         bits = precision_bits + 2 * guard
-        d = [list(row) for row in m.rows]
-        v = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        off_tol = Fraction(1, 2 ** (precision_bits + guard))
-        rotations = 0
-        max_rotations = 40 * n * n + 40
-        while rotations < max_rotations:
-            p, q, biggest = -1, -1, Fraction(0)
+        scale = 1 << bits
+        d, dden = [gram[i * n : (i + 1) * n] for i in range(n)], gram_den
+        v, vden = [[1 if i == j else 0 for j in range(n)] for i in range(n)], 1
+        tol_bits = precision_bits + guard  # stop once every |d_ij| <= 2^-tol_bits
+        for _rotation in range(40 * n * n + 40):
+            p, q, biggest = -1, -1, 0
             for i in range(n):
                 for j in range(i + 1, n):
                     if abs(d[i][j]) > biggest:
                         p, q, biggest = i, j, abs(d[i][j])
-            if biggest <= off_tol:
+            if biggest << tol_bits <= dden:
                 break
-            tau = (d[q][q] - d[p][p]) / (2 * d[p][q])
-            best_u, best_off = None, None
-            for u in _rotation_candidates(tau, bits):
-                denom = 1 + u * u
-                c = (1 - u * u) / denom
-                s = 2 * u / denom
-                new_off = abs((c * c - s * s) * d[p][q] + c * s * (d[p][p] - d[q][q]))
-                if best_off is None or new_off < best_off:
-                    best_u, best_off = u, new_off
-            denom = 1 + best_u * best_u
-            c = (1 - best_u * best_u) / denom
-            s = 2 * best_u / denom
-            _apply_rotation(d, p, q, c, s)
-            for i in range(n):
-                vp, vq = v[i][p], v[i][q]
-                v[i][p] = c * vp - s * vq
-                v[i][q] = s * vp + c * vq
-            rotations += 1
+            # tau = (d_qq - d_pp) / (2 d_pq), kept as tn / td with td > 0
+            tn, td = d[q][q] - d[p][p], 2 * d[p][q]
+            if td < 0:
+                tn, td = -tn, -td
+            u = _rotation_u(tn, td, bits)
+            c, s, rot_den = scale * scale - u * u, 2 * u * scale, scale * scale + u * u
+            # u leaves N_pq = a + b and -u leaves a - b, for a = (C^2 - S^2) N_pq
+            # and b = C S (N_pp - N_qq); take -u if |a - b| < |a + b|, i.e. a b > 0
+            if (c * c - s * s) * d[p][q] * c * s * (d[p][p] - d[q][q]) > 0:
+                s = -s
+            _rotate_columns(d, p, q, c, s, rot_den)
+            d = [list(col) for col in zip(*d)]  # (N J)^T J = J^T N J: N is symmetric
+            _rotate_columns(d, p, q, c, s, rot_den)
+            _rotate_columns(v, p, q, c, s, rot_den)
+            dden *= rot_den * rot_den
+            vden *= rot_den
         else:
             guard *= 2
             continue
 
         # output truncation: keep |entries| <= 1 by rounding toward zero
-        grid = 1 << bits
         vout = [
-            [Fraction(int(e * grid), grid) for e in row] for row in v
+            [Fraction(e * scale // vden if e >= 0 else -(-e * scale // vden), scale) for e in row]
+            for row in v
         ]
-        ws = [sqrt_lower(d[i][i], bits) for i in range(n)]
+        ws = [Fraction(floor_sqrt_div(d[i][i] * dden, dden, bits), scale) for i in range(n)]
         if any(w <= 0 for w in ws):
             guard *= 2
             continue

@@ -52,7 +52,10 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Canonical string: "p/q", or just "p" when the denominator is 1."""
-    return str(Fraction(x))
+    try:
+        return str(Fraction(x))
+    except ValueError as exc:  # past CPython's int-to-str limit, which parsing shares
+        raise InvalidParams("a rational has too many decimal digits to be written") from exc
 
 
 def format_decimal_dyadic(x: Fraction, bits: int) -> str:
@@ -65,7 +68,7 @@ def format_decimal_dyadic(x: Fraction, bits: int) -> str:
         raise InvalidParams(f"{x} is not dyadic")
     scaled = num * 5**bits * (2**bits // den)
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(bits + 1, "0")
+    digits = format_rational(Fraction(abs(scaled))).rjust(bits + 1, "0")
     if bits == 0:
         return sign + digits
     return f"{sign}{digits[:-bits]}.{digits[-bits:]}"
@@ -101,14 +104,6 @@ def ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def floor_sqrt(x: Fraction) -> int:
-    """Largest integer m with m*m <= x (x >= 0)."""
-    if x < 0:
-        raise InvalidParams("floor_sqrt of a negative rational")
-    # sqrt(p/q) = sqrt(p*q)/q, and floor commutes with the division by q here
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
 def iroot_floor(value: int, n: int) -> int:
     """Largest integer m with m**n <= value (value >= 0, n >= 1)."""
     if value < 0 or n < 1:
@@ -126,15 +121,18 @@ def iroot_floor(value: int, n: int) -> int:
     return lo
 
 
+def floor_sqrt_div(p: int, q: int, bits: int) -> int:
+    """floor(2^bits sqrt(p) / q) for integers p >= 0 and q >= 1, coprime or not."""
+    if p < 0 or q < 1:
+        raise InvalidParams("sqrt of a negative rational")
+    # floor(floor(y) / q) = floor(y / q) for an integer q >= 1
+    return isqrt(p << (2 * bits)) // q
+
+
 def sqrt_lower(x: Fraction, bits: int) -> Fraction:
     """Dyadic r <= sqrt(x) with sqrt(x) - r <= 2^-bits."""
-    if x < 0:
-        raise InvalidParams("sqrt of a negative rational")
-    scale = 1 << bits
-    # scale sqrt(p/q) = sqrt(p q scale^2) / q, and floor(floor(y) / q) = floor(y / q)
-    # for an integer q >= 1, so m is exactly the floor of scale sqrt(x)
-    m = isqrt(x.numerator * x.denominator * scale * scale) // x.denominator
-    return Fraction(m, scale)
+    # sqrt(p/q) = sqrt(p q) / q
+    return Fraction(floor_sqrt_div(x.numerator * x.denominator, x.denominator, bits), 1 << bits)
 
 
 def sqrt_upper(x: Fraction, bits: int) -> Fraction:

@@ -202,6 +202,19 @@ class TestCliCommands:
         assert code == 3
         assert "exponent" in capsys.readouterr().err
 
+    def test_unwritable_rational_exit_code(self, tmp_path, capsys):
+        # parses (exponent within the cap) but has more decimal digits than
+        # CPython will convert back to a string
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps({"columns": [["1e5000", "0"], ["0", "1"]], "n": 2}))
+        code = main(["lll", "--input", str(f)])
+        assert code == 3
+        assert "decimal digits" in capsys.readouterr().err
+        # dyadic entries of about 0.7 * precision_bits digits
+        code = main(["gen", "nbp", "--n", "2", "--seed", "1", "--precision-bits", "20000"])
+        assert code == 3
+        assert "decimal digits" in capsys.readouterr().err
+
     def test_bad_budget_variable_exit_code(self, tmp_path, capsys, monkeypatch):
         code, out = self.run(capsys, "gen", "nbp", "--n", "4", "--seed", "3")
         f = tmp_path / "i.json"

@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from balancelat.errors import InternalContradiction, NotFound
+from balancelat.errors import InternalContradiction, NotFound, PrecisionUnreachable
+from balancelat.generators import gen_ellipsoid
 from balancelat.geometry import (
     CubeBody,
     CubeSlabBody,
     Ellipsoid,
     SymmetricConvexBody,
+    _rotation_u,
     axis_extract,
-    member,
     minkowski_exact_oracle,
     well_round,
 )
@@ -34,7 +36,7 @@ def rational_rotation(rng, n):
 
 class TestMember:
     def test_unit_cube_contains_origin(self):
-        assert member(CubeBody(2, 1), RVector([0, 0]))
+        assert CubeBody(2, 1).member(RVector([0, 0]))
 
     def test_ellipsoid_boundary(self):
         e = Ellipsoid(RMatrix.identity(2).scale(2))
@@ -188,3 +190,223 @@ class TestAxisExtract:
         e = Ellipsoid(RMatrix.diagonal([Fraction(1, 3), 5, 1]))
         _, lengths = axis_extract(e, precision_bits=64)
         assert lengths == sorted(lengths)
+
+
+def _ref_sqrt_lower(x, bits):
+    scale = 1 << bits
+    return Fraction(isqrt(x.numerator * x.denominator * scale * scale) // x.denominator, scale)
+
+
+def _ref_rotation_candidates(tau, bits):
+    root = _ref_sqrt_lower(tau * tau + 1, bits)
+    if tau >= 0:
+        t = 1 / (tau + root) if tau + root != 0 else Fraction(1)
+    else:
+        t = -1 / (-tau + root) if -tau + root != 0 else Fraction(-1)
+    half_root = _ref_sqrt_lower(1 + t * t, bits)
+    u = t / (1 + half_root)
+    scale = 1 << bits
+    u = Fraction(round(u * scale), scale)
+    return [u, -u]
+
+
+def _ref_apply_rotation(mat, p, q, c, s):
+    n = len(mat)
+    for i in range(n):
+        vp, vq = mat[i][p], mat[i][q]
+        mat[i][p] = c * vp - s * vq
+        mat[i][q] = s * vp + c * vq
+    for j in range(n):
+        vp, vq = mat[p][j], mat[q][j]
+        mat[p][j] = c * vp - s * vq
+        mat[q][j] = s * vp + c * vq
+
+
+def reference_axis_extract(ellipsoid, precision_bits=128):
+    """The Jacobi iteration on reduced Fractions, as it was before the integer one.
+
+    Kept as the reference of the fraction-free iteration: same pivot scan,
+    stop test, angle rule, u / -u choice, truncation and certificate, so it
+    must return equal axes and lengths.
+    """
+    n = ellipsoid.dim
+    m = ellipsoid.gram()
+    target = Fraction(1, 2**precision_bits)
+    guard = 48
+    for _attempt in range(4):
+        bits = precision_bits + 2 * guard
+        d = [list(row) for row in m.rows]
+        v = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        off_tol = Fraction(1, 2 ** (precision_bits + guard))
+        rotations = 0
+        max_rotations = 40 * n * n + 40
+        while rotations < max_rotations:
+            p, q, biggest = -1, -1, Fraction(0)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if abs(d[i][j]) > biggest:
+                        p, q, biggest = i, j, abs(d[i][j])
+            if biggest <= off_tol:
+                break
+            tau = (d[q][q] - d[p][p]) / (2 * d[p][q])
+            best_u, best_off = None, None
+            for u in _ref_rotation_candidates(tau, bits):
+                denom = 1 + u * u
+                c = (1 - u * u) / denom
+                s = 2 * u / denom
+                new_off = abs((c * c - s * s) * d[p][q] + c * s * (d[p][p] - d[q][q]))
+                if best_off is None or new_off < best_off:
+                    best_u, best_off = u, new_off
+            denom = 1 + best_u * best_u
+            c = (1 - best_u * best_u) / denom
+            s = 2 * best_u / denom
+            _ref_apply_rotation(d, p, q, c, s)
+            for i in range(n):
+                vp, vq = v[i][p], v[i][q]
+                v[i][p] = c * vp - s * vq
+                v[i][q] = s * vp + c * vq
+            rotations += 1
+        else:
+            guard *= 2
+            continue
+        grid = 1 << bits
+        vout = [[Fraction(int(e * grid), grid) for e in row] for row in v]
+        ws = [_ref_sqrt_lower(d[i][i], bits) for i in range(n)]
+        if any(w <= 0 for w in ws):
+            guard *= 2
+            continue
+        vmat = RMatrix(vout)
+        recon = vmat.matmul(RMatrix.diagonal([w * w for w in ws])).matmul(vmat.transpose())
+        residual = max(abs(recon[i, j] - m[i, j]) for i in range(n) for j in range(n))
+        gram_v = vmat.transpose().matmul(vmat)
+        defect = max(
+            abs(gram_v[i, j] - (1 if i == j else 0)) for i in range(n) for j in range(n)
+        )
+        if residual <= target and defect <= target:
+            axes = [vmat.column(i) for i in range(n)]
+            lengths = [1 / w for w in ws]
+            order = sorted(range(n), key=lambda i: lengths[i])
+            return [axes[i] for i in order], [lengths[i] for i in order]
+        guard *= 2
+    raise PrecisionUnreachable(f"axis extraction failed to certify 2^-{precision_bits} residual")
+
+
+def assert_axes_match_reference(e, precision_bits=128):
+    axes, lengths = axis_extract(e, precision_bits)
+    ref_axes, ref_lengths = reference_axis_extract(e, precision_bits)
+    assert lengths == ref_lengths
+    assert axes == ref_axes
+
+
+def rounded_draws(n, count):
+    """The first `count` gen_ellipsoid seeds whose well-rounding is the rounded branch."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        result = well_round(gen_ellipsoid(n, seed))
+        if result.branch == "rounded":
+            out.append(result.rounded)
+        seed += 1
+    return out
+
+
+class TestAxisExtractMatchesReference:
+    """The integer Jacobi iteration returns what the Fraction reference returns."""
+
+    @pytest.mark.parametrize("n, count", [(2, 4), (3, 4), (4, 1)])
+    def test_rounded_gen_ellipsoids(self, n, count):
+        for e in rounded_draws(n, count):
+            assert_axes_match_reference(e)
+
+    def test_rational_rotation_ellipsoids(self):
+        rng = random.Random(36)
+        for n in (2, 3, 3, 4):
+            rot = rational_rotation(rng, n)
+            diag = RMatrix.diagonal(
+                [Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(n)]
+            )
+            assert_axes_match_reference(Ellipsoid(diag.matmul(rot.transpose())), 80)
+
+    def test_diagonal_needs_no_rotation(self):
+        e = Ellipsoid(RMatrix.diagonal([Fraction(1, 3), 5, Fraction(7, 2)]))
+        assert_axes_match_reference(e)
+        axes, _ = axis_extract(e)
+        assert sorted(tuple(ax) for ax in axes) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+    def test_repeated_eigenvalues(self):
+        rng = random.Random(37)
+        for lengths in ([2, 2, 1], [1, 1, 1], [3, 1, 3, 1]):
+            rot = rational_rotation(rng, len(lengths))
+            diag = RMatrix.diagonal([Fraction(1, l) for l in lengths])
+            assert_axes_match_reference(Ellipsoid(diag.matmul(rot.transpose())))
+
+    def test_pivot_ties_and_zero_tau(self):
+        # equal off-diagonal magnitudes tie the pivot scan, and equal diagonal
+        # entries give tau = 0, where u and -u leave equal off-diagonal entries
+        a, b = Fraction(5, 4), Fraction(3, 4)
+        assert_axes_match_reference(Ellipsoid(RMatrix([[a, b], [b, a]])))
+        assert_axes_match_reference(Ellipsoid(RMatrix([[a, b, b], [b, a, b], [b, b, a]])))
+
+    def test_minus_u_candidate(self):
+        # d_qq - d_pp is about 2^-100, so tau is below the 2^-97 angle grid of
+        # precision_bits = 1 and the rounded u overshoots: -u leaves the
+        # smaller off-diagonal entry
+        y = Fraction(isqrt(3 << 200), 1 << 101)
+        assert_axes_match_reference(Ellipsoid(RMatrix([[1, Fraction(1, 2)], [0, y]])), 1)
+
+    def test_stop_exactly_at_tolerance(self):
+        # the off-diagonal entry is exactly 2^-(precision_bits + 48), so no
+        # rotation is made
+        e = Ellipsoid(RMatrix([[1, Fraction(1, 2**49)], [0, 1]]))
+        assert_axes_match_reference(e, 1)
+        axes, _ = axis_extract(e, 1)
+        assert sorted(tuple(ax) for ax in axes) == [(0, 1), (1, 0)]
+
+    @pytest.mark.parametrize("precision_bits", [1, 64, 128])
+    def test_precision_bits(self, precision_bits):
+        rng = random.Random(38)
+        e = Ellipsoid(RMatrix([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]))
+        assert_axes_match_reference(e, precision_bits)
+        assert_axes_match_reference(rounded_draws(3, 1)[0], precision_bits)
+
+
+class TestRotationU:
+    """_rotation_u equals the Fraction candidate rule on (unreduced) tau."""
+
+    @staticmethod
+    def check(tn, td, bits):
+        ref = _ref_rotation_candidates(Fraction(tn, td), bits)[0]
+        assert Fraction(_rotation_u(tn, td, bits), 1 << bits) == ref
+        return ref
+
+    def test_random_tau(self):
+        rng = random.Random(39)
+        for _ in range(300):
+            tn = rng.randint(-(2**40), 2**40)
+            td = rng.randint(1, 2**40)
+            k = rng.randint(1, 2**20)  # unreduced numerator and denominator
+            self.check(tn * k, td * k, rng.choice([0, 1, 3, 16, 64, 224]))
+
+    def test_zero_and_negative_tau(self):
+        for bits in (0, 5, 128):
+            assert self.check(0, 7, bits) >= 0  # tau = 0 takes the positive branch
+            assert self.check(-3, 2, bits) == -self.check(3, 2, bits)
+            assert self.check(-(10**30), 1, bits) == -self.check(10**30, 1, bits)
+
+    def test_round_half_even_ties(self):
+        # at bits = 0, tau = 0 gives u = 1/2 exactly, which rounds to 0
+        assert self.check(0, 1, 0) == 0
+        ties = []
+        for bits in range(4):
+            for tn in range(-40, 41):
+                for td in range(1, 20):
+                    tau = Fraction(tn, td)
+                    scale = 1 << bits
+                    root = _ref_sqrt_lower(tau * tau + 1, bits)
+                    t = 1 / (tau + root) if tau >= 0 else -1 / (-tau + root)
+                    exact = t / (1 + _ref_sqrt_lower(1 + t * t, bits)) * scale
+                    if exact.denominator == 2:
+                        ties.append((tn, td, bits, exact))
+                        self.check(tn, td, bits)
+        # ties rounded both down and up to the even neighbour are covered
+        assert {abs(ex).numerator // 2 % 2 for *_, ex in ties} == {0, 1}

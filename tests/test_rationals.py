@@ -9,7 +9,7 @@ from balancelat.rationals import (
     ceil_frac,
     common_denominator_ints,
     floor_frac,
-    floor_sqrt,
+    floor_sqrt_div,
     format_decimal_dyadic,
     format_rational,
     format_scientific,
@@ -87,10 +87,15 @@ def test_sqrt_lower_is_the_grid_floor(x, bits):
 
 
 @settings(max_examples=200, deadline=None)
-@given(nonneg)
-def test_floor_sqrt(x):
-    m = floor_sqrt(x)
-    assert m * m <= x < (m + 1) * (m + 1)
+@given(nonneg, st.integers(1, 10**6), st.integers(0, 64))
+def test_floor_sqrt(x, k, bits):
+    # floor(2^bits sqrt(p) / q), also on p and q that are not coprime
+    p, q = x.numerator * k, x.denominator * k
+    m = floor_sqrt_div(p, q, bits)
+    assert m * m * q * q <= p * 4**bits < (m + 1) * (m + 1) * q * q
+    # floor(2^bits sqrt(p / q)) = floor_sqrt_div(p q, q, bits)
+    m = floor_sqrt_div(p * q, q, bits)
+    assert m * m <= x * 4**bits < (m + 1) * (m + 1)
 
 
 @settings(max_examples=100, deadline=None)
