@@ -2,7 +2,8 @@
 
 All commands are deterministic given (seed, input, params); timing is only
 recorded with --timing so reports stay byte-reproducible by default.
-Exit codes: 0 success, 2 an exact bound comparison failed, 3 invalid input.
+Exit codes: 0 success, 2 an exact bound comparison failed, 3 invalid input
+or a usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import io
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import generators, serialize
 from .errors import BalanceLatError, BudgetExceeded, InvalidParams, OracleContractViolation
@@ -22,6 +23,7 @@ from .lattice import lll_reduce
 from .linalg import determinant
 from .nbp import (
     NbpInstance,
+    NbpSolution,
     brute_force_min,
     karmarkar_karp,
     mitm_min,
@@ -35,6 +37,7 @@ from .oracles import (
     exact_svp_oracle,
     kk_delta_oracle,
     lll_svp_oracle,
+    lll_svp_rho,
     mitm_delta_oracle,
     pigeonhole_delta_oracle,
 )
@@ -42,10 +45,11 @@ from .rationals import format_rational, format_scientific
 from .reduce_to_minkowski import minkowski_from_nbp
 from .reduce_to_nbp import (
     ReductionResult,
-    nbp_from_minkowski_full,
-    nbp_from_svp_full,
+    minkowski_bounded_oracle,
+    nbp_full_pipeline,
     nbp_via_minkowski,
     nbp_via_svp,
+    svp_bounded_oracle,
 )
 
 EXIT_OK = 0
@@ -90,79 +94,72 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solve_named(
-    inst: NbpInstance, algo: str, args: argparse.Namespace
-) -> tuple[dict, Optional[Fraction], Optional[Fraction], str]:
-    """Run a solver/reduction; returns (solution doc, error, claimed bound, formula)."""
-    k = args.k
-    if algo == "brute-force":
-        sol = brute_force_min(inst, k)
-        return serialize.solution_to_doc(sol), sol.error, None, "brute-force"
-    if algo == "mitm":
-        sol = mitm_min(inst, k)
-        return serialize.solution_to_doc(sol), sol.error, None, "mitm"
-    if algo == "kk":
-        sol = karmarkar_karp(inst)
-        return serialize.solution_to_doc(sol), sol.error, None, "karmarkar-karp"
-    if algo == "pigeonhole":
-        pigeons = args.pigeons if args.pigeons else inst.n**3
-        sol = pigeonhole_solve(inst, pigeons)
-        return (
-            serialize.solution_to_doc(sol),
-            sol.error,
-            pigeonhole_bound(pigeons),
-            "pigeonhole",
+def _audit(result: ReductionResult) -> tuple[NbpSolution, Optional[Fraction], str]:
+    return result.solution, result.claimed_bound, result.formula
+
+
+def _pigeonhole(inst: NbpInstance, pigeons: int) -> tuple[NbpSolution, Fraction, str]:
+    return pigeonhole_solve(inst, pigeons), pigeonhole_bound(pigeons), "pigeonhole"
+
+
+# Every name a command accepts, mapped to the call it makes.  The solve and
+# bench calls take (instance, args) and return (solution, claimed bound or
+# None, formula); the to-nbp calls take the same and return a
+# ReductionResult; the to-minkowski calls build the balancing oracle.  Each
+# call names library functions in its body, so they are looked up in this
+# module when it runs and are never stored here: wrappers installed on the
+# module's attributes (perfbench's tracer) then see every call.
+CALLS: dict[str, dict[str, Callable]] = {
+    "solve": {
+        "brute-force": lambda inst, a: (brute_force_min(inst, a.k), None, "brute-force"),
+        "mitm": lambda inst, a: (mitm_min(inst, a.k), None, "mitm"),
+        "pigeonhole": lambda inst, a: _pigeonhole(inst, a.pigeons or inst.n**3),
+        "kk": lambda inst, a: (karmarkar_karp(inst), None, "karmarkar-karp"),
+    },
+    "to-nbp": {
+        "exact-mink": lambda inst, a: nbp_via_minkowski(inst, a.k, exact_minkowski_oracle()),
+        "exact-svp": lambda inst, a: nbp_via_svp(inst, a.k, exact_svp_oracle()),
+        "lll": lambda inst, a: nbp_via_svp(inst, a.k, lll_svp_oracle(inst.n + 1)),
+    },
+    "to-nbp --full": {
+        "exact-mink": lambda inst, a: nbp_full_pipeline(
+            inst, Fraction(1), lambda k: minkowski_bounded_oracle(k, exact_minkowski_oracle())
+        ),
+        "exact-svp": lambda inst, a: nbp_full_pipeline(
+            inst, Fraction(1), lambda k: svp_bounded_oracle(k, lambda dim: exact_svp_oracle())
+        ),
+        "lll": lambda inst, a: nbp_full_pipeline(
+            inst, lll_svp_rho(inst.n + 1), lambda k: svp_bounded_oracle(k, lll_svp_oracle)
+        ),
+    },
+    "to-minkowski": {
+        "mitm": lambda: mitm_delta_oracle(),
+        "kk": lambda: kk_delta_oracle(),
+        "pigeonhole": lambda: pigeonhole_delta_oracle(),
+    },
+}
+CALLS["bench"] = {
+    **CALLS["solve"],
+    "reduce-mink": lambda inst, a: _audit(
+        nbp_via_minkowski(
+            inst, a.k, adversarial_minkowski_oracle() if a.adversarial else exact_minkowski_oracle()
         )
-    if algo == "reduce-to-nbp":
-        result = _run_to_nbp(inst, args.oracle, k, args.full)
-        return (
-            serialize.solution_to_doc(result.solution),
-            result.solution.error,
-            result.claimed_bound,
-            result.formula,
-        )
-    raise InvalidParams(f"unknown algorithm {algo!r}")
-
-
-def _run_to_nbp(inst: NbpInstance, oracle_name: str, k: int, full: bool) -> ReductionResult:
-    if oracle_name == "exact-mink":
-        oracle = exact_minkowski_oracle()
-        if full:
-            return nbp_from_minkowski_full(inst, oracle)
-        return nbp_via_minkowski(inst, k, oracle)
-    if oracle_name == "exact-svp":
-        if full:
-            return nbp_from_svp_full(inst, lambda dim: exact_svp_oracle())
-        return nbp_via_svp(inst, k, exact_svp_oracle())
-    if oracle_name == "lll":
-        if full:
-            return nbp_from_svp_full(inst, lll_svp_oracle)
-        return nbp_via_svp(inst, k, lll_svp_oracle(inst.n + 1))
-    raise InvalidParams(f"unknown oracle {oracle_name!r}")
-
-
-def _delta_oracle(name: str):
-    if name == "mitm":
-        return mitm_delta_oracle()
-    if name == "kk":
-        return kk_delta_oracle()
-    if name == "pigeonhole":
-        return pigeonhole_delta_oracle()
-    raise InvalidParams(f"unknown delta oracle {name!r}")
+    ),
+}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     raw = _read_input(args.input)
     inst = serialize.instance_from_doc(serialize.loads(raw))
     start = time.monotonic()
-    solution_doc, error, bound, formula = _solve_named(inst, args.algo, args)
+    sol, bound, formula = CALLS["solve"][args.algo](inst, args)
     elapsed_ms = int((time.monotonic() - start) * 1000)
-    satisfied = True if bound is None else error <= bound
+    satisfied = bound is None or sol.error <= bound
     report = {
         "command": ["solve", "--algo", args.algo],
         "input_digest": _digest(raw),
-        "solution": solution_doc,
-        "achieved_error": format_rational(error),
+        "solution": serialize.solution_to_doc(sol),
+        "achieved_error": format_rational(sol.error),
         "claimed_bound": _fmt_opt(bound),
         "bound_satisfied": satisfied,
         "formula": formula,
@@ -175,7 +172,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_reduce_to_nbp(args: argparse.Namespace) -> int:
     raw = _read_input(args.input)
     inst = serialize.instance_from_doc(serialize.loads(raw))
-    result = _run_to_nbp(inst, args.oracle, args.k, args.full)
+    result = CALLS["to-nbp --full" if args.full else "to-nbp"][args.oracle](inst, args)
     doc = {
         "solution": serialize.solution_to_doc(result.solution),
         "audit": {
@@ -191,7 +188,7 @@ def cmd_reduce_to_nbp(args: argparse.Namespace) -> int:
 def cmd_reduce_to_minkowski(args: argparse.Namespace) -> int:
     raw = _read_input(args.input)
     ellipsoid = serialize.ellipsoid_from_doc(serialize.loads(raw))
-    oracle = _delta_oracle(args.oracle)
+    oracle = CALLS["to-minkowski"][args.oracle]()
     result = minkowski_from_nbp(
         ellipsoid, oracle, Q_override=args.Q, precision_bits=args.precision_bits
     )
@@ -234,39 +231,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_BOUND_VIOLATION
 
 
-def _bench_cell(
-    inst: NbpInstance, algo: str, args: argparse.Namespace
-) -> tuple[Optional[Fraction], Optional[Fraction], str]:
-    try:
-        if algo == "pigeonhole":
-            pigeons = inst.n**3
-            sol = pigeonhole_solve(inst, pigeons)
-            return sol.error, pigeonhole_bound(pigeons), "ok"
-        if algo == "kk":
-            return karmarkar_karp(inst).error, None, "ok"
-        if algo == "mitm":
-            return mitm_min(inst, args.k).error, None, "ok"
-        if algo == "brute-force":
-            return brute_force_min(inst, args.k).error, None, "ok"
-        if algo == "reduce-mink":
-            oracle = (
-                adversarial_minkowski_oracle() if args.adversarial else exact_minkowski_oracle()
-            )
-            result = nbp_via_minkowski(inst, args.k, oracle)
-            status = "ok" if result.bound_satisfied else "bound-violation"
-            return result.solution.error, result.claimed_bound, status
-        raise InvalidParams(f"unknown bench algorithm {algo!r}")
-    except BudgetExceeded:
-        return None, None, "budget-exceeded"
-    except OracleContractViolation:
-        return None, None, "bound-violation"
-    except BalanceLatError as exc:
-        return None, None, f"error: {exc}"
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = sorted(int(s) for s in args.sizes.split(",") if s)
+    try:
+        sizes = sorted(int(s) for s in args.sizes.split(",") if s)
+    except ValueError:
+        raise InvalidParams(f"--sizes takes comma-separated integers, got {args.sizes!r}") from None
     algos = sorted(a for a in args.algos.split(",") if a)
+    unknown = [a for a in algos if a not in CALLS["bench"]]
+    if unknown:
+        raise InvalidParams(f"unknown bench algorithm {unknown[0]!r}")
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(
@@ -277,7 +250,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for seed in range(args.seeds):
             inst = generators.gen_nbp(n, seed, args.precision_bits, args.signed)
             for algo in algos:
-                error, bound, status = _bench_cell(inst, algo, args)
+                error = bound = None
+                try:
+                    sol, bound, _ = CALLS["bench"][algo](inst, args)
+                    error = sol.error
+                    status = "ok" if bound is None or error <= bound else "bound-violation"
+                except BudgetExceeded:
+                    status = "budget-exceeded"
+                except OracleContractViolation:
+                    status = "bound-violation"
+                except BalanceLatError as exc:
+                    status = f"error: {exc}"
                 if status == "bound-violation":
                     any_violation = True
                 ratio = (
@@ -321,15 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_solve = sub.add_parser("solve", help="run a solver or reduction on an instance")
-    p_solve.add_argument("--algo", required=True,
-                         choices=["brute-force", "mitm", "pigeonhole", "kk", "reduce-to-nbp"])
+    p_solve.add_argument("--algo", required=True, choices=CALLS["solve"])
     p_solve.add_argument("--input", default="-")
     p_solve.add_argument("--k", type=int, default=1)
     p_solve.add_argument("--pigeons", type=int, default=None)
-    p_solve.add_argument("--oracle", default="exact-mink",
-                         choices=["exact-mink", "exact-svp", "lll"])
-    p_solve.add_argument("--full", action="store_true",
-                         help="run the full self-reduction pipeline")
     p_solve.add_argument("--timing", action="store_true")
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
@@ -338,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_sub = p_reduce.add_subparsers(dest="direction", required=True)
 
     p_tonbp = reduce_sub.add_parser("to-nbp", help="solve NBP with a Minkowski/SVP oracle")
-    p_tonbp.add_argument("--oracle", required=True, choices=["exact-mink", "exact-svp", "lll"])
+    p_tonbp.add_argument("--oracle", required=True, choices=CALLS["to-nbp"])
     p_tonbp.add_argument("--k", type=int, default=1)
     p_tonbp.add_argument("--full", action="store_true")
     p_tonbp.add_argument("--input", default="-")
@@ -346,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tonbp.set_defaults(func=cmd_reduce_to_nbp)
 
     p_tomink = reduce_sub.add_parser("to-minkowski", help="find integer ellipsoid points with an NBP oracle")
-    p_tomink.add_argument("--oracle", required=True, choices=["mitm", "kk", "pigeonhole"])
+    p_tomink.add_argument("--oracle", required=True, choices=CALLS["to-minkowski"])
     p_tomink.add_argument("--Q", type=int, default=None, help="power-of-two range override")
     p_tomink.add_argument("--precision-bits", type=int, default=128)
     p_tomink.add_argument("--input", default="-")
@@ -368,21 +346,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", required=True, help="comma-separated dimensions")
     p_bench.add_argument("--seeds", type=int, default=5)
     p_bench.add_argument("--algos", required=True,
-                         help="comma-separated: pigeonhole,kk,mitm,brute-force,reduce-mink")
+                         help="comma-separated: " + ",".join(CALLS["bench"]))
     p_bench.add_argument("--k", type=int, default=1)
     p_bench.add_argument("--precision-bits", type=int, default=30)
     p_bench.add_argument("--signed", action="store_true")
     p_bench.add_argument("--adversarial", action="store_true",
                          help="use a contract-violating oracle (failure-path demo)")
     p_bench.add_argument("--out", default=None)
-    p_bench.set_defaults(func=cmd_bench)
+    # bench has no --pigeons: its pigeonhole cells run solve's call with n^3
+    p_bench.set_defaults(func=cmd_bench, pigeons=None)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:
         return args.func(args)
     except OracleContractViolation as exc:

@@ -33,6 +33,8 @@ def gen_basis(n: int, seed: int, span: int = 99) -> LatticeBasis:
     """Random integer basis, resampled deterministically until full rank."""
     if n < 1:
         raise InvalidParams("n must be >= 1")
+    if span < 1:
+        raise InvalidParams("span must be >= 1")
     stream = SeededStream(seed)
     while True:
         m = RMatrix(

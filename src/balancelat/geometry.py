@@ -256,10 +256,6 @@ class Ellipsoid:
         a = RMatrix.diagonal([1 / frac(l) for l in lengths]).matmul(v.transpose())
         return Ellipsoid(a, axes=axes, lengths=lengths, orth_tolerance=Fraction(1, 2**20))
 
-    @staticmethod
-    def unit_ball(n: int) -> "Ellipsoid":
-        return Ellipsoid(RMatrix.identity(n))
-
 
 class WellRoundResult:
     """Outcome of well_round: an integer point, or a rounded ellipsoid."""

@@ -223,6 +223,37 @@ def _cleared_int_rows(m: RMatrix) -> tuple[list[list[int]], int]:
     return rows, scale
 
 
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Triangularize the leading n x n block of the int rows ``a`` in place.
+
+    Fraction-free (Bareiss) elimination: every division is exact, and
+    a[n-1][n-1] ends as the determinant of the row-permuted block.  Columns
+    past n (a right-hand side) are eliminated along.  Returns the sign of the
+    row permutation, or 0 when a pivot column is zero on and below the
+    diagonal, so the block is singular.
+    """
+    sign = 1
+    prev = 1
+    width = len(a[0])
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        akk = a[k][k]
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            aik = row_i[k]
+            for j in range(k + 1, width):
+                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = akk
+    return sign
+
+
 def determinant(m: RMatrix) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square():
@@ -231,25 +262,7 @@ def determinant(m: RMatrix) -> Fraction:
     if n == 0:
         return Fraction(1)
     a, scale = _cleared_int_rows(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return Fraction(_bareiss(a, n) * a[n - 1][n - 1], scale)
 
 
 def solve_linear(m: RMatrix, v: RVector) -> RVector:
@@ -259,25 +272,8 @@ def solve_linear(m: RMatrix, v: RVector) -> RVector:
     n = m.nrows
     if v.dim != n:
         raise ValueError("dimension mismatch")
-    aug = RMatrix([list(m.rows[i]) + [v[i]] for i in range(n)])
-    a, _ = _cleared_int_rows(aug)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                raise Singular("coefficient matrix is singular")
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n + 1):
-                a[i][j] = (a[i][j] * akk - aik * a[k][j]) // prev
-            a[i][k] = 0
-        prev = akk
-    if a[n - 1][n - 1] == 0:
+    a, _ = _cleared_int_rows(RMatrix([list(m.rows[i]) + [v[i]] for i in range(n)]))
+    if _bareiss(a, n) == 0 or a[n - 1][n - 1] == 0:
         raise Singular("coefficient matrix is singular")
     # back substitution over Fractions on the triangularized integer system
     x = [Fraction(0)] * n

@@ -9,6 +9,7 @@ to parallelize with a deterministic reduce.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import os
 from dataclasses import dataclass
@@ -175,8 +176,6 @@ def mitm_min(inst: NbpInstance, k: int, budget: int | None = None) -> NbpSolutio
     left = _half_sums(left_ints, k)
     right = _half_sums(right_ints, k)
 
-    import bisect
-
     left_sorted = sorted(s for s, _ in left)
     min_abs_nonzero_left = min(
         (abs(s) for s, x in left if any(x)), default=None
@@ -212,7 +211,7 @@ def mitm_min(inst: NbpInstance, k: int, budget: int | None = None) -> NbpSolutio
         hits = [table[t] for t in targets if t in table]
         if hits:
             return verify(inst, x_l + min(hits), k)
-    raise AssertionError("optimal error lost between passes")
+    raise InternalContradiction("optimal error lost between passes")
 
 
 def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:

@@ -100,10 +100,6 @@ def floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def iroot_floor(value: int, n: int) -> int:
     """Largest integer m with m**n <= value (value >= 0, n >= 1)."""
     if value < 0 or n < 1:

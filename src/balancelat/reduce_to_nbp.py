@@ -394,9 +394,7 @@ def full_self_reduction(
     return result
 
 
-def minkowski_bounded_oracle(
-    k: int, oracle: MinkowskiOracle, budget: int | None = None
-) -> BoundedNbpOracle:
+def minkowski_bounded_oracle(k: int, oracle: MinkowskiOracle) -> BoundedNbpOracle:
     """Bounded balancing oracle realized by cube-slab Minkowski calls."""
     rho = oracle.rho
 
@@ -446,13 +444,20 @@ def _fallback_threshold(n: int) -> float:
     return max(2.0, log_n / (48 * math.log2(max(2.0, log_n))))
 
 
-def nbp_from_minkowski_full(
+def nbp_full_pipeline(
     inst: NbpInstance,
-    oracle: MinkowskiOracle,
+    rho: Fraction,
+    bounded: Callable[[int], BoundedNbpOracle],
     r_schedule: Optional[Sequence[int]] = None,
 ) -> ReductionResult:
-    """Full pipeline: Minkowski oracle -> bounded oracle -> sign vector."""
-    rho = oracle.rho
+    """Full pipeline: rho-approximate oracle -> bounded oracle -> sign vector.
+
+    ``bounded(k)`` is the balancing oracle with coefficients in {-k..k} that
+    a rho-approximate Minkowski or max-norm SVP oracle realizes
+    (minkowski_bounded_oracle, svp_bounded_oracle); the self-reduction runs
+    it at k = max(1, ceil(3 rho)).  At large rho Karmarkar-Karp answers
+    instead, with the trivial bound 1.
+    """
     if float(rho) >= _fallback_threshold(inst.n):
         sol = karmarkar_karp(inst)
         return ReductionResult(
@@ -462,31 +467,7 @@ def nbp_from_minkowski_full(
             details={"rho": rho, "reason": "rho above threshold"},
         )
     k = max(1, math.ceil(3 * rho))
-    bounded = minkowski_bounded_oracle(k, oracle)
-    result = full_self_reduction(inst, k, bounded, r_schedule)
-    result.details["k"] = k
-    result.details["rho"] = rho
-    return result
-
-
-def nbp_from_svp_full(
-    inst: NbpInstance,
-    oracle_family: Callable[[int], SvpInfOracle],
-    r_schedule: Optional[Sequence[int]] = None,
-) -> ReductionResult:
-    """Full pipeline: max-norm SVP oracle -> bounded oracle -> sign vector."""
-    rho = oracle_family(inst.n + 1).rho
-    if float(rho) >= _fallback_threshold(inst.n):
-        sol = karmarkar_karp(inst)
-        return ReductionResult(
-            sol,
-            Fraction(1),
-            "karmarkar-karp-fallback",
-            details={"rho": rho, "reason": "rho above threshold"},
-        )
-    k = max(1, math.ceil(3 * rho))
-    bounded = svp_bounded_oracle(k, oracle_family)
-    result = full_self_reduction(inst, k, bounded, r_schedule)
+    result = full_self_reduction(inst, k, bounded(k), r_schedule)
     result.details["k"] = k
     result.details["rho"] = rho
     return result

@@ -7,6 +7,8 @@ any implementation in any language reproduces the same corpus byte for byte.
 
 from __future__ import annotations
 
+from .errors import InvalidParams
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -46,6 +48,8 @@ class SeededStream:
 
     def next_int(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], by rejection on the covering power of two."""
+        if hi < lo:
+            raise InvalidParams(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
         bits = (span - 1).bit_length() if span > 1 else 1
         while True:

@@ -1,7 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 
+import pytest
+
 from balancelat.cli import main
+from balancelat.errors import InvalidParams
 from balancelat.generators import gen_basis, gen_ellipsoid, gen_nbp
 from balancelat.linalg import determinant
 from balancelat.rng import SeededStream, splitmix64
@@ -13,6 +17,21 @@ from balancelat.serialize import (
     instance_from_doc,
     instance_to_doc,
 )
+
+
+@pytest.fixture
+def bounded_draws(monkeypatch):
+    """Fail instead of hanging once a seeded stream has drawn 10 000 words."""
+    next_word = SeededStream.next_word
+    drawn = [0]
+
+    def bounded(self):
+        drawn[0] += 1
+        if drawn[0] > 10_000:
+            raise RuntimeError("the seeded stream kept drawing")
+        return next_word(self)
+
+    monkeypatch.setattr(SeededStream, "next_word", bounded)
 
 
 class TestRng:
@@ -35,6 +54,10 @@ class TestRng:
         vals = [s.next_int(-3, 3) for _ in range(200)]
         assert set(vals) == set(range(-3, 4))
 
+    def test_empty_int_range_raises(self, bounded_draws):
+        with pytest.raises(InvalidParams):
+            SeededStream(7).next_int(3, -3)
+
 
 class TestGenerators:
     def test_nbp_deterministic(self):
@@ -51,6 +74,12 @@ class TestGenerators:
     def test_basis_full_rank(self):
         basis = gen_basis(4, 2)
         assert determinant(basis.B) != 0
+
+    def test_basis_span_below_one_raises(self, bounded_draws):
+        # span 0 draws only zero matrices, a negative span an empty range
+        for span in (0, -3):
+            with pytest.raises(InvalidParams):
+                gen_basis(3, 1, span)
 
     def test_ellipsoid_volume_hypothesis(self):
         for seed in range(5):
@@ -259,13 +288,40 @@ class TestCliCommands:
         f = tmp_path / "i.json"
         f.write_text(out)
         code, out = self.run(
-            capsys, "solve", "--algo", "reduce-to-nbp", "--oracle", "exact-mink",
-            "--k", "1", "--input", str(f),
+            capsys, "reduce", "to-nbp", "--oracle", "exact-mink", "--k", "1",
+            "--input", str(f),
         )
         assert code == 0
-        report = json.loads(out)
-        assert report["bound_satisfied"] is True
-        assert report["claimed_bound"] == "3/16"
+        audit = json.loads(out)["audit"]
+        assert audit["claimed_bound"] == "3/16"
+        assert Fraction(audit["achieved_error"]) <= Fraction(audit["claimed_bound"])
+
+    def test_usage_error_exit_code(self, capsys):
+        for argv in (
+            ["solve", "--algo", "nope"],
+            ["solve", "--algo", "kk", "--oracle", "lll"],
+            ["solve", "--algo", "kk", "--full"],
+            ["frobnicate"],
+        ):
+            assert main(argv) == 3
+            assert "error:" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_bench_bad_sizes_exit_code(self, capsys):
+        assert main(["bench", "--sizes", "a", "--algos", "kk"]) == 3
+        captured = capsys.readouterr()
+        assert "--sizes" in captured.err and captured.out == ""
+
+    def test_bench_unknown_algorithm_exit_code(self, capsys):
+        assert main(["bench", "--sizes", "6", "--seeds", "1", "--algos", "kk,nope"]) == 3
+        captured = capsys.readouterr()
+        assert "unknown bench algorithm 'nope'" in captured.err and captured.out == ""
+
+    def test_gen_basis_span_below_one_exit_code(self, capsys, bounded_draws):
+        for span in ("0", "-3"):
+            assert main(["gen", "basis", "--n", "3", "--seed", "1", "--span", span]) == 3
+            assert "span must be >= 1" in capsys.readouterr().err
 
     def test_bench_error_regimes(self, capsys):
         # KK's achieved error beats the pigeonhole *guarantee* in the median
@@ -292,3 +348,67 @@ class TestCliCommands:
             capsys, "solve", "--algo", "pigeonhole", "--input", str(f)
         )
         assert json.loads(solve_out)["achieved_error"] == row[3]
+
+
+# Exit code and stdout sha256 of CLI paths that the benchmark corpus does not
+# run, recorded before solve, bench and reduce shared one dispatch table.
+# {name} in an argv stands for the document ``gen`` writes from GOLDEN_INPUTS.
+GOLDEN_INPUTS = {
+    "nbp8": ["nbp", "--n", "8", "--seed", "3"],
+    "nbp9": ["nbp", "--n", "9", "--seed", "5", "--signed"],
+    "nbp16": ["nbp", "--n", "16", "--seed", "5", "--signed"],
+    "point-ellipsoid": ["ellipsoid", "--n", "2", "--seed", "1"],  # integer-point branch
+    "rounded-ellipsoid": ["ellipsoid", "--n", "2", "--seed", "16"],  # pipeline branch
+}
+GOLDEN = [
+    ("bench --sizes 6,7 --seeds 2 --algos reduce-mink", 0,
+     "9a5b059e6ad4a4c823a04ad664516792608254308c84d9cd71b113df61b1a15e"),
+    ("bench --sizes 6,7 --seeds 2 --algos reduce-mink --adversarial", 2,
+     "f8969f1e2f49d9d14d35fee91b1f9ae2a7eec8b0e2bc3fe37b2e7a4c26a8a8fc"),
+    ("bench --sizes 8,10 --seeds 1 --algos brute-force,kk,mitm,pigeonhole --k 2", 0,
+     "22fd33250a4c5de7b9f77436354c3ccd74de89f6c5ea194d5b1af839171b18b7"),
+    ("solve --algo pigeonhole --pigeons 100 --input {nbp8}", 0,
+     "be477480af37ced94f57a21725920b9211dd1525f37b574986fbddb527a08c97"),
+    ("reduce to-nbp --oracle exact-svp --k 2 --input {nbp9}", 0,
+     "e2c2c8715d9cdf92b5106c3bd04f15047b64f543f3894475359d1ac48327d0b5"),
+    ("reduce to-nbp --oracle exact-svp --k 2 --full --input {nbp9}", 0,
+     "8529c4731f2fd49ee719040549461bdeb4e524f5e14d8151949aaa27100820b4"),
+    ("reduce to-nbp --oracle exact-svp --k 2 --full --input {nbp16}", 0,
+     "f86b26237ccb3bdd4c1df08d6a9922816d77db3fbdfaf451a3d131890f5a62ed"),
+    ("reduce to-nbp --oracle lll --k 2 --input {nbp9}", 0,
+     "2de3c34c5f1731e44a745d15aea54e025419c1911f35ac69199853235d10433b"),
+    ("reduce to-nbp --oracle lll --k 2 --input {nbp16}", 0,
+     "bb7ec928b4e4d20b42a55cdddac2217a7bba840d23a413074a5fcad79aa853a8"),
+    ("reduce to-nbp --oracle lll --k 2 --full --input {nbp9}", 0,  # Karmarkar-Karp fallback
+     "557e1d83ce74743d19ad5f31610fcf45676c822006a14eea7abe8b420ef8ec4a"),
+    ("reduce to-minkowski --oracle kk --input {point-ellipsoid}", 0,
+     "c71e61c1335a1e393d6c84c84e8a4f0a68b4d494ce70f0ba03c7027dc8d2f0c3"),
+    ("reduce to-minkowski --oracle mitm --input {point-ellipsoid}", 0,
+     "c71e61c1335a1e393d6c84c84e8a4f0a68b4d494ce70f0ba03c7027dc8d2f0c3"),
+    ("reduce to-minkowski --oracle pigeonhole --input {point-ellipsoid}", 0,
+     "c71e61c1335a1e393d6c84c84e8a4f0a68b4d494ce70f0ba03c7027dc8d2f0c3"),
+    ("reduce to-minkowski --oracle kk --input {rounded-ellipsoid}", 3,  # delta = 1 is too weak
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("reduce to-minkowski --oracle mitm --Q 16 --input {rounded-ellipsoid}", 0,
+     "7e5f310f5432e69f1c8f472d7340705e0f7a31d7bec18fc17cd54664e1eef14b"),
+    ("reduce to-minkowski --oracle pigeonhole --input {rounded-ellipsoid}", 0,
+     "09e916be37bcfd4f9264e473caba168ac4025d29b0f6a7fbb0e351057cb8442f"),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, argv in GOLDEN_INPUTS.items():
+        paths[name] = str(workdir / f"{name}.json")
+        if main(["gen", *argv, "--out", paths[name]]) != 0:
+            raise RuntimeError(f"gen {name} failed")
+    return paths
+
+
+@pytest.mark.parametrize("line, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_cli_report(line, code, digest, golden_inputs, capsys):
+    argv = [arg.format(**golden_inputs) for arg in line.split()]
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -99,7 +99,7 @@ class TestMinkowskiOracle:
 
 class TestWellRound:
     def test_unit_ball_returns_unit_vector(self):
-        result = well_round(Ellipsoid.unit_ball(3))
+        result = well_round(Ellipsoid(RMatrix.identity(3)))
         assert result.branch == "integer-point"
         assert sorted(abs(v) for v in result.point) == [0, 0, 1]
 
@@ -112,7 +112,7 @@ class TestWellRound:
     def test_integer_point_outside_ellipsoid_raises(self, monkeypatch):
         monkeypatch.setattr(Ellipsoid, "member", lambda self, x: False)
         with pytest.raises(InternalContradiction):
-            well_round(Ellipsoid.unit_ball(3))
+            well_round(Ellipsoid(RMatrix.identity(3)))
 
     def test_skewed_ellipsoid_right_branch(self):
         a = RMatrix([[3, 100, 7], [0, 5, 91], [0, 0, 4]])

@@ -145,6 +145,13 @@ class TestMitm:
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 2)])
         assert mitm_min(inst, 1).error == 0
 
+    def test_witness_lost_between_passes_raises(self, monkeypatch):
+        # half-sums that can be read only once leave the witness pass empty
+        half_sums = nbp._half_sums
+        monkeypatch.setattr(nbp, "_half_sums", lambda ints, k: iter(half_sums(ints, k)))
+        with pytest.raises(InternalContradiction):
+            mitm_min(NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)]), 1)
+
     def test_single_coordinate_k2(self):
         inst = NbpInstance.from_values([Fraction(1, 4)])
         assert mitm_min(inst, 2).error == Fraction(1, 4)

@@ -153,7 +153,7 @@ class TestGeneralizedNbp:
 
 class TestMinkowskiFromNbp:
     def test_unit_ball_left_branch(self):
-        result = minkowski_from_nbp(Ellipsoid.unit_ball(2), mitm_delta_oracle())
+        result = minkowski_from_nbp(Ellipsoid(RMatrix.identity(2)), mitm_delta_oracle())
         assert result.branch == "integer-point"
         assert result.rho_star == 1
         assert result.rho_star_sq <= 1

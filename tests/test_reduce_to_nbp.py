@@ -25,11 +25,12 @@ from balancelat.reduce_to_nbp import (
     default_halving_schedule,
     full_self_reduction,
     halve_coefficients,
-    nbp_from_minkowski_full,
-    nbp_from_svp_full,
+    minkowski_bounded_oracle,
+    nbp_full_pipeline,
     nbp_via_minkowski,
     nbp_via_svp,
     represent_small_coeffs,
+    svp_bounded_oracle,
     svp_embedding_basis,
 )
 
@@ -274,7 +275,8 @@ class TestFullPipelines:
     def test_minkowski_full_exact(self):
         rng = random.Random(53)
         inst = dyadic_instance(rng, 16, bits=20)
-        result = nbp_from_minkowski_full(inst, exact_minkowski_oracle())
+        oracle = exact_minkowski_oracle()
+        result = nbp_full_pipeline(inst, oracle.rho, lambda k: minkowski_bounded_oracle(k, oracle))
         assert result.formula == "full-self-reduction"
         assert result.details["k"] == 3
         assert any(result.solution.x)
@@ -286,13 +288,15 @@ class TestFullPipelines:
         inst = dyadic_instance(rng, 16, bits=12)
         oracle = exact_minkowski_oracle()
         oracle.rho = Fraction(16)
-        result = nbp_from_minkowski_full(inst, oracle)
+        result = nbp_full_pipeline(inst, oracle.rho, lambda k: minkowski_bounded_oracle(k, oracle))
         assert result.formula == "karmarkar-karp-fallback"
 
     def test_svp_full_exact(self):
         rng = random.Random(55)
         inst = dyadic_instance(rng, 16, bits=20)
-        result = nbp_from_svp_full(inst, lambda dim: exact_svp_oracle())
+        result = nbp_full_pipeline(
+            inst, Fraction(1), lambda k: svp_bounded_oracle(k, lambda dim: exact_svp_oracle())
+        )
         assert result.formula == "full-self-reduction"
         assert max(abs(v) for v in result.solution.x) <= 1
         assert result.solution.error <= result.claimed_bound
