@@ -98,8 +98,9 @@ def _audit(result: ReductionResult) -> tuple[NbpSolution, Optional[Fraction], st
     return result.solution, result.claimed_bound, result.formula
 
 
-def _pigeonhole(inst: NbpInstance, pigeons: int) -> tuple[NbpSolution, Fraction, str]:
-    return pigeonhole_solve(inst, pigeons), pigeonhole_bound(pigeons), "pigeonhole"
+def _pigeonhole(inst: NbpInstance, pigeons: Optional[int]) -> tuple[NbpSolution, Fraction, str]:
+    N = inst.n**3 if pigeons is None else pigeons  # 0 is refused, not read as the default
+    return pigeonhole_solve(inst, N), pigeonhole_bound(N), "pigeonhole"
 
 
 # Every name a command accepts, mapped to the call it makes.  The solve and
@@ -113,7 +114,7 @@ CALLS: dict[str, dict[str, Callable]] = {
     "solve": {
         "brute-force": lambda inst, a: (brute_force_min(inst, a.k), None, "brute-force"),
         "mitm": lambda inst, a: (mitm_min(inst, a.k), None, "mitm"),
-        "pigeonhole": lambda inst, a: _pigeonhole(inst, a.pigeons or inst.n**3),
+        "pigeonhole": lambda inst, a: _pigeonhole(inst, a.pigeons),
         "kk": lambda inst, a: (karmarkar_karp(inst), None, "karmarkar-karp"),
     },
     "to-nbp": {
@@ -172,6 +173,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_reduce_to_nbp(args: argparse.Namespace) -> int:
     raw = _read_input(args.input)
     inst = serialize.instance_from_doc(serialize.loads(raw))
+    if args.full and args.k is not None:
+        print("note: --full runs at k = max(1, ceil(3*rho)); --k is ignored", file=sys.stderr)
+    args.k = 1 if args.k is None else args.k
     result = CALLS["to-nbp --full" if args.full else "to-nbp"][args.oracle](inst, args)
     doc = {
         "solution": serialize.solution_to_doc(result.solution),
@@ -236,6 +240,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sizes = sorted(int(s) for s in args.sizes.split(",") if s)
     except ValueError:
         raise InvalidParams(f"--sizes takes comma-separated integers, got {args.sizes!r}") from None
+    if args.seeds < 1:
+        raise InvalidParams(f"--seeds must be >= 1, got {args.seeds}")
     algos = sorted(a for a in args.algos.split(",") if a)
     unknown = [a for a in algos if a not in CALLS["bench"]]
     if unknown:
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tonbp = reduce_sub.add_parser("to-nbp", help="solve NBP with a Minkowski/SVP oracle")
     p_tonbp.add_argument("--oracle", required=True, choices=CALLS["to-nbp"])
-    p_tonbp.add_argument("--k", type=int, default=1)
+    p_tonbp.add_argument("--k", type=int, default=None, help="default 1; --full picks its own")
     p_tonbp.add_argument("--full", action="store_true")
     p_tonbp.add_argument("--input", default="-")
     p_tonbp.add_argument("--out", default=None)

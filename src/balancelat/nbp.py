@@ -9,7 +9,6 @@ to parallelize with a deterministic reduce.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import os
 from dataclasses import dataclass
@@ -147,23 +146,45 @@ def brute_force_min(inst: NbpInstance, k: int, budget: int | None = None) -> Nbp
     return verify(inst, best[1], k)
 
 
-def _half_sums(ints: Sequence[int], k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All (sum, x) pairs over x in {-k..k}^m, in lexicographic order of x."""
-    items = [(0, ())]
+def _half_sums(ints: Sequence[int], k: int) -> list[int]:
+    """<a, x> for each x in {-k..k}^m, in lex order: index i's base-(2k+1) digits are x + k."""
+    sums = [0]
     for a in ints:
-        # expanding prefixes in order with v ascending keeps items in lex order
-        items = [
-            (s + v * a, x + (v,)) for s, x in items for v in range(-k, k + 1)
-        ]
-    return items
+        steps = [v * a for v in range(-k, k + 1)]
+        sums = [s + d for s in sums for d in steps]
+    return sums
+
+
+def _decode(index: int, m: int, k: int) -> tuple[int, ...]:
+    """The x in {-k..k}^m at position index of _half_sums."""
+    return tuple((index // (2 * k + 1) ** (m - 1 - j)) % (2 * k + 1) - k for j in range(m))
+
+
+def _closest_gap(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """min |x - y| over x in xs and y in ys, both sorted and nonempty, by one merge."""
+    best, i, j = abs(xs[0] - ys[0]), 0, 0
+    while best and i < len(xs) and j < len(ys):
+        d = xs[i] - ys[j]
+        if d < 0:
+            d = -d
+            i += 1
+        else:
+            j += 1
+        if d < best:
+            best = d
+    return best
 
 
 def mitm_min(inst: NbpInstance, k: int, budget: int | None = None) -> NbpSolution:
     """Exact minimum by meet-in-the-middle; agrees with brute_force_min.
 
-    Coordinates split into halves; left partial sums are sorted and each right
-    sum binary-searches its closest complements.  A second pass recovers the
-    lexicographically smallest witness of the optimal error.
+    Each half of the coordinates (the left has ceil(n/2)) is a flat int list
+    of sums (_half_sums) with its zero vector in the middle.  The value pass
+    merges the sorted nonzero left sums with the sorted negated right sums,
+    and meets the zero left half with the nonzero right ones apart.  The
+    witness pass scans left indices in order against a dict from each right
+    sum to its smallest index; the first hit is the lexicographically
+    smallest optimal x, and only it is decoded.
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
@@ -172,45 +193,20 @@ def mitm_min(inst: NbpInstance, k: int, budget: int | None = None) -> NbpSolutio
     if (2 * k + 1) ** nl > limit:
         raise BudgetExceeded(f"(2k+1)^ceil(n/2) exceeds budget {limit}")
     ints, den = inst.scaled_ints()
-    left_ints, right_ints = ints[:nl], ints[nl:]
-    left = _half_sums(left_ints, k)
-    right = _half_sums(right_ints, k)
-
-    left_sorted = sorted(s for s, _ in left)
-    min_abs_nonzero_left = min(
-        (abs(s) for s, x in left if any(x)), default=None
-    )
-
-    best: int | None = None
-    for s_r, x_r in right:
-        if any(x_r):
-            idx = bisect.bisect_left(left_sorted, -s_r)
-            for j in (idx - 1, idx):
-                if 0 <= j < len(left_sorted):
-                    cand = abs(left_sorted[j] + s_r)
-                    if best is None or cand < best:
-                        best = cand
-        elif min_abs_nonzero_left is not None:
-            if best is None or min_abs_nonzero_left < best:
-                best = min_abs_nonzero_left
-    if best is None:
-        # n == 0 cannot happen (instances have n >= 1); left always has nonzero x
-        raise InvalidParams("empty search space")
-
-    # witness pass: lexicographically smallest x achieving the optimum
-    min_xr: dict[int, tuple[int, ...]] = {}
-    min_xr_nonzero: dict[int, tuple[int, ...]] = {}
-    for s_r, x_r in right:
-        if s_r not in min_xr:
-            min_xr[s_r] = x_r
-        if any(x_r) and s_r not in min_xr_nonzero:
-            min_xr_nonzero[s_r] = x_r
-    for s_l, x_l in left:
-        targets = {best - s_l, -best - s_l}
-        table = min_xr if any(x_l) else min_xr_nonzero
-        hits = [table[t] for t in targets if t in table]
+    left, right = _half_sums(ints[:nl], k), _half_sums(ints[nl:], k)
+    zl, zr = len(left) // 2, len(right) // 2  # the zero vectors: every digit is k
+    best = _closest_gap(sorted(left[:zl] + left[zl + 1:]), sorted(-s for s in right))
+    if zr:  # the zero left half against the nonzero right halves
+        best = min(best, min(map(abs, right[:zr] + right[zr + 1:])))
+    first = dict(zip(reversed(right), range(len(right) - 1, -1, -1)))
+    for i, s in enumerate(left):
+        hits = [first[t] for t in {best - s, -best - s} if t in first]
+        # x = 0 is no answer.  zr is hit only if no right half before it sums
+        # to 0, and then none after it does either (y and -y straddle zr).
+        if i == zl and zr in hits:
+            hits.remove(zr)
         if hits:
-            return verify(inst, x_l + min(hits), k)
+            return verify(inst, _decode(i, nl, k) + _decode(min(hits), inst.n - nl, k), k)
     raise InternalContradiction("optimal error lost between passes")
 
 
@@ -220,6 +216,10 @@ def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
     The N+1 candidate sums over the first m = ceil(log2(N+1)) coordinates all
     lie in [-m, m], so two of them differ by at most 2m/N; their encoding
     difference is the returned sign vector.  Default N = n^3.
+
+    Pigeon t is the int ((sum_t - lo) << m) | t, with lo the sum of the
+    negative entries, so the sorted ints are in (sum, t) order.  The pair is
+    the first smallest adjacent gap of that order.
     """
     if N is None:
         N = inst.n**3
@@ -229,24 +229,18 @@ def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
     if m > inst.n:
         raise DimensionTooSmall(f"need {m} coordinates, instance has {inst.n}")
     ints, den = inst.scaled_ints()
-    # sums[t] = sum of a_j over set bits of t, via lowest-set-bit recurrence
-    sums = [0] * (N + 1)
-    for t in range(1, N + 1):
-        low = t & -t
-        sums[t] = sums[t & (t - 1)] + ints[low.bit_length() - 1]
-    order = sorted(range(N + 1), key=lambda t: (sums[t], t))
-    best_gap = None
-    best_pair = None
-    for idx in range(N):
-        t1, t2 = order[idx], order[idx + 1]
-        gap = sums[t2] - sums[t1]
-        if best_gap is None or gap < best_gap:
-            best_gap = gap
-            best_pair = (t1, t2)
-    t_lo, t_hi = best_pair
-    x = [0] * inst.n
+    lo = sum(a for a in ints[:m] if a < 0)
+    packed = [-lo << m]
     for j in range(m):
-        x[j] = ((t_hi >> j) & 1) - ((t_lo >> j) & 1)
+        # pigeons 2^j .. 2^(j+1)-1 (those up to N) are the ones below plus bit j
+        step = (ints[j] << m) + (1 << j)
+        packed += [p + step for p in packed[: N + 1 - len(packed)]]
+    packed.sort()
+    keys = [p >> m for p in packed]
+    gaps = [b - a for a, b in zip(keys, keys[1:])]
+    idx = gaps.index(min(gaps))  # the first smallest gap
+    t_lo, t_hi = packed[idx] % (1 << m), packed[idx + 1] % (1 << m)
+    x = [((t_hi >> j) & 1) - ((t_lo >> j) & 1) for j in range(m)] + [0] * (inst.n - m)
     return verify(inst, x, 1)
 
 
@@ -258,27 +252,27 @@ def pigeonhole_bound(N: int) -> Fraction:
 def karmarkar_karp(inst: NbpInstance) -> NbpSolution:
     """Largest differencing method with sign reconstruction.
 
-    Repeatedly replaces the two largest absolute values by their nonnegative
-    difference, carrying a signed combination vector per heap element; the
-    surviving combination is the returned x and its recomputed inner product
-    equals the final residual exactly.
+    Repeatedly replaces the two largest |a_i| by their difference, on a heap
+    of (-|a_i|*den, id) with ids in insertion order to break ties.  Each
+    merge is recorded as (larger, smaller); one top-down pass over that tree
+    signs the leaves, and the recomputed error must equal the final residual.
     """
-    heap = []
-    for i, ai in enumerate(inst.a):
-        value = abs(ai)
-        vec = [0] * inst.n
-        vec[i] = 1 if ai >= 0 else -1
-        # max-heap on value; insertion index breaks ties deterministically
-        heapq.heappush(heap, (-value, i, value, vec))
-    counter = inst.n
+    ints, den = inst.scaled_ints()
+    n = inst.n
+    heap = [(-abs(v), i) for i, v in enumerate(ints)]
+    heapq.heapify(heap)
+    merges: list[tuple[int, int]] = []  # node n + c is merges[c][0] - merges[c][1]
     while len(heap) > 1:
-        _, _, v1, x1 = heapq.heappop(heap)
-        _, _, v2, x2 = heapq.heappop(heap)
-        vec = [a - b for a, b in zip(x1, x2)]
-        heapq.heappush(heap, (-(v1 - v2), counter, v1 - v2, vec))
-        counter += 1
-    _, _, residual, vec = heap[0]
-    solution = verify(inst, vec, 1)
+        key1, larger = heapq.heappop(heap)
+        key2, smaller = heap[0]
+        heapq.heapreplace(heap, (key1 - key2, n + len(merges)))
+        merges.append((larger, smaller))
+    residual = Fraction(-heap[0][0], den)
+    sign = [1] * (n + len(merges))
+    for node, (larger, smaller) in reversed(list(enumerate(merges, n))):
+        sign[larger], sign[smaller] = sign[node], -sign[node]
+    x = [sign[i] if v >= 0 else -sign[i] for i, v in enumerate(ints)]
+    solution = verify(inst, x, 1)
     if solution.error != residual:
         raise InternalContradiction(
             f"recomputed error {solution.error} differs from the final residual {residual}"

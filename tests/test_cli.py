@@ -318,6 +318,40 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert "unknown bench algorithm 'nope'" in captured.err and captured.out == ""
 
+    def test_pigeons_below_one_exit_code(self, tmp_path, capsys):
+        # 0 is refused like -5, not read as the default n^3
+        f = tmp_path / "i.json"
+        f.write_text(self.run(capsys, "gen", "nbp", "--n", "16", "--seed", "0")[1])
+        for pigeons in ("0", "-5"):
+            assert main(["solve", "--algo", "pigeonhole", "--pigeons", pigeons,
+                         "--input", str(f)]) == 3
+            captured = capsys.readouterr()
+            assert "pigeon count must be >= 1" in captured.err and captured.out == ""
+
+    def test_bench_seeds_below_one_exit_code(self, capsys):
+        for seeds in ("0", "-2"):
+            assert main(["bench", "--sizes", "6", "--seeds", seeds, "--algos", "kk"]) == 3
+            captured = capsys.readouterr()
+            assert "--seeds must be >= 1" in captured.err and captured.out == ""
+
+    def test_full_pipeline_says_it_ignores_k(self, tmp_path, capsys):
+        f = tmp_path / "i.json"
+        f.write_text(self.run(capsys, "gen", "nbp", "--n", "9", "--seed", "5", "--signed")[1])
+        argv = ["reduce", "to-nbp", "--oracle", "exact-svp", "--full", "--input", str(f)]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert main(argv + ["--k", "7"]) == 0
+        with_k = capsys.readouterr()
+        assert with_k.out == plain.out
+        assert "k = max(1, ceil(3*rho)); --k is ignored" in with_k.err
+        # without --full the default k stays 1
+        assert main(["reduce", "to-nbp", "--oracle", "exact-svp", "--input", str(f)]) == 0
+        default_out = capsys.readouterr().out
+        assert main(["reduce", "to-nbp", "--oracle", "exact-svp", "--k", "1",
+                     "--input", str(f)]) == 0
+        assert capsys.readouterr().out == default_out
+
     def test_gen_basis_span_below_one_exit_code(self, capsys, bounded_draws):
         for span in ("0", "-3"):
             assert main(["gen", "basis", "--n", "3", "--seed", "1", "--span", span]) == 3

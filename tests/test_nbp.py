@@ -1,3 +1,5 @@
+import bisect
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -35,6 +37,106 @@ def dyadic_instance(rng, n, bits=30, signed=True):
         u = Fraction(rng.randrange(2**bits), 2**bits)
         vals.append(2 * u - 1 if signed else u)
     return NbpInstance.from_values(vals)
+
+
+def small_int_instance(rng, n, span=3):
+    """Entries j/span with |j| <= span: many equal sums, so many ties."""
+    return NbpInstance.from_values([Fraction(rng.randint(-span, span), span) for _ in range(n)])
+
+
+# The three solvers as they were on (sum, tuple) pairs, a Fraction heap and
+# a key= sort, kept as the reference of the integer versions: the same
+# witnesses and tie-breaks, so they must return equal NbpSolutions.
+
+
+def _reference_half_sums(ints, k):
+    items = [(0, ())]
+    for a in ints:
+        items = [(s + v * a, x + (v,)) for s, x in items for v in range(-k, k + 1)]
+    return items
+
+
+def reference_mitm(inst, k):
+    nl = (inst.n + 1) // 2
+    ints, den = inst.scaled_ints()
+    left = _reference_half_sums(ints[:nl], k)
+    right = _reference_half_sums(ints[nl:], k)
+    left_sorted = sorted(s for s, _ in left)
+    min_abs_nonzero_left = min((abs(s) for s, x in left if any(x)), default=None)
+    best = None
+    for s_r, x_r in right:
+        if any(x_r):
+            idx = bisect.bisect_left(left_sorted, -s_r)
+            for j in (idx - 1, idx):
+                if 0 <= j < len(left_sorted):
+                    cand = abs(left_sorted[j] + s_r)
+                    if best is None or cand < best:
+                        best = cand
+        elif min_abs_nonzero_left is not None:
+            if best is None or min_abs_nonzero_left < best:
+                best = min_abs_nonzero_left
+    min_xr, min_xr_nonzero = {}, {}
+    for s_r, x_r in right:
+        if s_r not in min_xr:
+            min_xr[s_r] = x_r
+        if any(x_r) and s_r not in min_xr_nonzero:
+            min_xr_nonzero[s_r] = x_r
+    for s_l, x_l in left:
+        targets = {best - s_l, -best - s_l}
+        table = min_xr if any(x_l) else min_xr_nonzero
+        hits = [table[t] for t in targets if t in table]
+        if hits:
+            return verify(inst, x_l + min(hits), k)
+    raise InternalContradiction("optimal error lost between passes")
+
+
+def reference_pigeonhole(inst, N=None):
+    if N is None:
+        N = inst.n**3
+    m = N.bit_length()
+    ints, den = inst.scaled_ints()
+    sums = [0] * (N + 1)
+    for t in range(1, N + 1):
+        low = t & -t
+        sums[t] = sums[t & (t - 1)] + ints[low.bit_length() - 1]
+    order = sorted(range(N + 1), key=lambda t: (sums[t], t))
+    best_gap = best_pair = None
+    for idx in range(N):
+        t1, t2 = order[idx], order[idx + 1]
+        gap = sums[t2] - sums[t1]
+        if best_gap is None or gap < best_gap:
+            best_gap, best_pair = gap, (t1, t2)
+    t_lo, t_hi = best_pair
+    x = [0] * inst.n
+    for j in range(m):
+        x[j] = ((t_hi >> j) & 1) - ((t_lo >> j) & 1)
+    return verify(inst, x, 1)
+
+
+def reference_kk(inst):
+    heap = []
+    for i, ai in enumerate(inst.a):
+        vec = [0] * inst.n
+        vec[i] = 1 if ai >= 0 else -1
+        heapq.heappush(heap, (-abs(ai), i, abs(ai), vec))
+    counter = inst.n
+    while len(heap) > 1:
+        _, _, v1, x1 = heapq.heappop(heap)
+        _, _, v2, x2 = heapq.heappop(heap)
+        heapq.heappush(heap, (-(v1 - v2), counter, v1 - v2, [a - b for a, b in zip(x1, x2)]))
+        counter += 1
+    _, _, residual, vec = heap[0]
+    solution = verify(inst, vec, 1)
+    assert solution.error == residual
+    return solution
+
+
+def random_instances(seed, count, max_n):
+    """Dyadic and tie-heavy small-integer instances of dimension 1..max_n."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, max_n)
+        yield dyadic_instance(rng, n, bits=12) if i % 2 else small_int_instance(rng, n)
 
 
 def exhaustive_min(inst, k):
@@ -146,11 +248,31 @@ class TestMitm:
         assert mitm_min(inst, 1).error == 0
 
     def test_witness_lost_between_passes_raises(self, monkeypatch):
-        # half-sums that can be read only once leave the witness pass empty
-        half_sums = nbp._half_sums
-        monkeypatch.setattr(nbp, "_half_sums", lambda ints, k: iter(half_sums(ints, k)))
+        # a value pass that claims a cancellation the instance lacks leaves the
+        # witness pass empty: only the excluded pair of zero halves sums to 0
+        monkeypatch.setattr(nbp, "_closest_gap", lambda xs, ys: 0)
         with pytest.raises(InternalContradiction):
             mitm_min(NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)]), 1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_reference(self, k):
+        for inst in random_instances(20 + k, 60, 10 if k == 1 else 8):
+            assert mitm_min(inst, k) == reference_mitm(inst, k)
+
+    def test_optimum_needs_zero_left_half(self):
+        # left sums are 0, +-1/2, +-1, +-3/2 and right sums 0, +-1/8: the only
+        # optimum, 1/8, pairs the zero left half with a nonzero right half
+        inst = NbpInstance.from_values([Fraction(1), Fraction(1, 2), Fraction(1, 8)])
+        sol = mitm_min(inst, 1)
+        assert sol == reference_mitm(inst, 1) == NbpSolution((0, 0, -1), 1, Fraction(1, 8))
+
+    def test_zero_sums_besides_the_zero_vectors(self):
+        # zero entries give nonzero halves of sum 0 on both sides
+        for values in ([0, 0], [0, Fraction(1, 2)], [Fraction(1, 2), 0], [0, 0, 0, 1],
+                       [Fraction(1, 3), Fraction(-1, 3), Fraction(1, 5)]):
+            inst = NbpInstance.from_values(values)
+            for k in (1, 2):
+                assert mitm_min(inst, k) == reference_mitm(inst, k) == brute_force_min(inst, k)
 
     def test_single_coordinate_k2(self):
         inst = NbpInstance.from_values([Fraction(1, 4)])
@@ -183,6 +305,18 @@ class TestPigeonhole:
         sol = pigeonhole_solve(inst)
         assert sol.error <= pigeonhole_bound(16**3)
 
+    def test_matches_reference(self):
+        # pigeon counts of every form, not only 2^m - 1
+        rng = random.Random(23)
+        for inst in random_instances(24, 60, 10):
+            for N in {1, 2, 3, rng.randint(1, 2**inst.n - 1), 2**inst.n - 1}:
+                if N.bit_length() <= inst.n:
+                    assert pigeonhole_solve(inst, N) == reference_pigeonhole(inst, N)
+
+    def test_default_pigeons_match_reference(self):
+        inst = dyadic_instance(random.Random(25), 16, bits=30)
+        assert pigeonhole_solve(inst) == reference_pigeonhole(inst)
+
     def test_dimension_too_small(self):
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])
         with pytest.raises(DimensionTooSmall):
@@ -212,6 +346,17 @@ class TestKarmarkarKarp:
         monkeypatch.setattr(nbp, "verify", off_by_one)
         with pytest.raises(InternalContradiction):
             karmarkar_karp(NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)]))
+
+    def test_matches_reference(self):
+        for inst in random_instances(26, 80, 40):
+            assert karmarkar_karp(inst) == reference_kk(inst)
+
+    def test_zero_and_equal_entries_match_reference(self):
+        for values in ([0], [0, 0], [0, Fraction(1, 2)], [Fraction(1, 2)] * 5,
+                       [Fraction(-1, 2), Fraction(1, 2), 0, Fraction(-1, 2), 0],
+                       [1, 1, Fraction(1, 2), Fraction(1, 2), 0, -1]):
+            inst = NbpInstance.from_values(values)
+            assert karmarkar_karp(inst) == reference_kk(inst)
 
     def test_single(self):
         inst = NbpInstance.from_values([1])
