@@ -3,7 +3,12 @@
 All commands are deterministic given (seed, input, params); timing is only
 recorded with --timing so reports stay byte-reproducible by default.
 Exit codes: 0 success, 2 an exact bound comparison failed, 3 invalid input
-or a usage error.
+(a malformed document, an unreadable path) or a usage error.
+
+The argument parser is built once, at import, as PARSER; every main call
+parses into a fresh Namespace, so nothing carries over between calls in one
+process.  The subcommands' choices come from CALLS, which maps each name a
+command accepts to the call it makes.
 """
 
 from __future__ import annotations
@@ -106,9 +111,10 @@ def _pigeonhole(inst: NbpInstance, pigeons: Optional[int]) -> tuple[NbpSolution,
 # Every name a command accepts, mapped to the call it makes.  The solve and
 # bench calls take (instance, args) and return (solution, claimed bound or
 # None, formula); the to-nbp calls take the same and return a
-# ReductionResult; the to-minkowski calls build the balancing oracle.  Each
-# call names library functions in its body, so they are looked up in this
-# module when it runs and are never stored here: wrappers installed on the
+# ReductionResult; the to-minkowski calls build the balancing oracle.  The
+# parser is built from these keys once, but each call still names library
+# functions inside its lambda, so they are looked up in this module when it
+# runs and are never stored here or in the parser: wrappers installed on the
 # module's attributes (perfbench's tracer) then see every call.
 CALLS: dict[str, dict[str, Callable]] = {
     "solve": {
@@ -292,6 +298,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--input", default="-")
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", default=None)
+
     parser = argparse.ArgumentParser(
         prog="balancelat",
         description="Number balancing, lattice reduction, and oracle reductions "
@@ -299,56 +310,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate a seeded instance/basis/ellipsoid")
+    p_gen = sub.add_parser("gen", parents=[writes],
+                           help="generate a seeded instance/basis/ellipsoid")
     p_gen.add_argument("kind", choices=["nbp", "basis", "ellipsoid"])
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--precision-bits", type=int, default=30)
     p_gen.add_argument("--signed", action="store_true", help="entries in [-1,1] instead of [0,1]")
     p_gen.add_argument("--span", type=int, default=99, help="basis entry magnitude")
-    p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_solve = sub.add_parser("solve", help="run a solver or reduction on an instance")
+    p_solve = sub.add_parser("solve", parents=[reads, writes],
+                             help="run a solver or reduction on an instance")
     p_solve.add_argument("--algo", required=True, choices=CALLS["solve"])
-    p_solve.add_argument("--input", default="-")
     p_solve.add_argument("--k", type=int, default=1)
     p_solve.add_argument("--pigeons", type=int, default=None)
     p_solve.add_argument("--timing", action="store_true")
-    p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_reduce = sub.add_parser("reduce", help="oracle reductions")
     reduce_sub = p_reduce.add_subparsers(dest="direction", required=True)
 
-    p_tonbp = reduce_sub.add_parser("to-nbp", help="solve NBP with a Minkowski/SVP oracle")
+    p_tonbp = reduce_sub.add_parser("to-nbp", parents=[reads, writes],
+                                    help="solve NBP with a Minkowski/SVP oracle")
     p_tonbp.add_argument("--oracle", required=True, choices=CALLS["to-nbp"])
     p_tonbp.add_argument("--k", type=int, default=None, help="default 1; --full picks its own")
     p_tonbp.add_argument("--full", action="store_true")
-    p_tonbp.add_argument("--input", default="-")
-    p_tonbp.add_argument("--out", default=None)
     p_tonbp.set_defaults(func=cmd_reduce_to_nbp)
 
-    p_tomink = reduce_sub.add_parser("to-minkowski", help="find integer ellipsoid points with an NBP oracle")
+    p_tomink = reduce_sub.add_parser("to-minkowski", parents=[reads, writes],
+                                     help="find integer ellipsoid points with an NBP oracle")
     p_tomink.add_argument("--oracle", required=True, choices=CALLS["to-minkowski"])
     p_tomink.add_argument("--Q", type=int, default=None, help="power-of-two range override")
     p_tomink.add_argument("--precision-bits", type=int, default=128)
-    p_tomink.add_argument("--input", default="-")
-    p_tomink.add_argument("--out", default=None)
     p_tomink.set_defaults(func=cmd_reduce_to_minkowski)
 
-    p_lll = sub.add_parser("lll", help="LLL-reduce a basis, tracking the unimodular transform")
-    p_lll.add_argument("--input", default="-")
-    p_lll.add_argument("--out", default=None)
+    p_lll = sub.add_parser("lll", parents=[reads, writes],
+                           help="LLL-reduce a basis, tracking the unimodular transform")
     p_lll.set_defaults(func=cmd_lll)
 
-    p_verify = sub.add_parser("verify", help="re-verify a solution against its instance")
+    p_verify = sub.add_parser("verify", parents=[writes],
+                              help="re-verify a solution against its instance")
     p_verify.add_argument("--instance", required=True)
     p_verify.add_argument("--solution", required=True)
-    p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="seeded sweep; CSV per (n, seed, algorithm)")
+    p_bench = sub.add_parser("bench", parents=[writes],
+                             help="seeded sweep; CSV per (n, seed, algorithm)")
     p_bench.add_argument("--sizes", required=True, help="comma-separated dimensions")
     p_bench.add_argument("--seeds", type=int, default=5)
     p_bench.add_argument("--algos", required=True,
@@ -358,16 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--signed", action="store_true")
     p_bench.add_argument("--adversarial", action="store_true",
                          help="use a contract-violating oracle (failure-path demo)")
-    p_bench.add_argument("--out", default=None)
     # bench has no --pigeons: its pigeonhole cells run solve's call with n^3
     p_bench.set_defaults(func=cmd_bench, pigeons=None)
 
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:
@@ -378,7 +388,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BalanceLatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an --input, --instance, --solution or --out path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -22,7 +22,7 @@ from .errors import (
     PrecisionUnreachable,
     RankDeficient,
 )
-from .lattice import LatticeBasis, LllCertificate, UnimodularTransform, lll_min_gain, lll_reduce
+from .lattice import LatticeBasis, UnimodularTransform, lll_min_gain, lll_reduce
 from .linalg import RMatrix, RVector, determinant, solve_linear
 from .nbp import enumeration_budget
 from .rationals import common_denominator_ints, floor_frac, floor_sqrt_div, frac, sqrt_upper
@@ -206,6 +206,8 @@ class Ellipsoid:
         lengths: Optional[Sequence[Fraction]] = None,
         orth_tolerance: Optional[Fraction] = None,
     ) -> None:
+        if A.ncols < 1:
+            raise InvalidParams("ellipsoid dimension must be >= 1")
         if not A.is_square():
             raise RankDeficient("ellipsoid matrix must be square")
         if determinant(A) == 0:
@@ -267,14 +269,12 @@ class WellRoundResult:
         transform: Optional[UnimodularTransform] = None,
         rounded: Optional[Ellipsoid] = None,
         min_gain_sq: Optional[Fraction] = None,
-        certificate: Optional[LllCertificate] = None,
     ) -> None:
         self.branch = branch
         self.point = point
         self.transform = transform
         self.rounded = rounded
         self.min_gain_sq = min_gain_sq
-        self.certificate = certificate
 
 
 def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
@@ -301,13 +301,7 @@ def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
     rounded = Ellipsoid(reduced.B)
     # transform maps E -> E': y = U^{-1} x, so its forward matrix is Uinv
     t = UnimodularTransform(transform.Uinv, transform.U)
-    return WellRoundResult(
-        "rounded",
-        transform=t,
-        rounded=rounded,
-        min_gain_sq=gain_sq,
-        certificate=cert,
-    )
+    return WellRoundResult("rounded", transform=t, rounded=rounded, min_gain_sq=gain_sq)
 
 
 def _rotation_u(tn: int, td: int, bits: int) -> int:

@@ -4,8 +4,15 @@ Each handle carries its claimed guarantee parameters, and every call is
 re-verified against the claim with exact arithmetic: a violation raises
 OracleContractViolation rather than silently degrading downstream bounds.
 The factories wire the exact enumeration oracles from the geometry and
-lattice modules; LLL-approximate and adversarial variants exist so tests and
-benchmarks can exercise the failure paths.
+lattice modules, the LLL-approximate SVP oracle, and an adversarial
+Minkowski oracle that the CLI's ``bench --adversarial`` runs to show the
+failure path.
+
+The two balancing handles share one reply check (a sign-vector oracle is
+the k = 1 case of the bounded one).  The four handle types still stay
+separate classes, each with its own ``find``/``solve``, because the
+benchmark's tracer wraps those four methods by name; merging them waits
+until the library owns its work counters.
 """
 
 from __future__ import annotations
@@ -63,6 +70,35 @@ class SvpInfOracle:
         return x, coeffs
 
 
+def _checked_balance(
+    name: str,
+    inst: NbpInstance,
+    reply: Sequence[int],
+    k: int,
+    bound: Callable[[int], Fraction],
+) -> tuple[int, ...]:
+    """Re-verify a balancing oracle's reply x to ``inst``.
+
+    x must have n coefficients in {-k..k}, not all zero, and
+    |<a, x>| <= bound(n); a reply that breaks any of these raises
+    OracleContractViolation naming the oracle.
+    """
+    x = tuple(int(v) for v in reply)
+    if len(x) != inst.n:
+        raise OracleContractViolation(f"{name}: dimension mismatch")
+    if not any(x):
+        raise OracleContractViolation(f"{name}: returned the zero vector")
+    if max(abs(v) for v in x) > k:
+        raise OracleContractViolation(f"{name}: coefficient exceeds {k}")
+    err = abs(instance_inner(inst, x))
+    claimed = bound(inst.n)
+    if err > claimed:
+        raise OracleContractViolation(
+            f"{name}: error {err} exceeds the claimed bound {claimed} at n={inst.n}"
+        )
+    return x
+
+
 @dataclass
 class BoundedNbpOracle:
     """Balancing oracle with coefficients in {-k..k} and a per-dimension guarantee."""
@@ -73,20 +109,7 @@ class BoundedNbpOracle:
     name: str = "bounded-nbp"
 
     def solve(self, inst: NbpInstance) -> tuple[int, ...]:
-        x = tuple(int(v) for v in self.solver(inst))
-        if len(x) != inst.n:
-            raise OracleContractViolation(f"{self.name}: dimension mismatch")
-        if not any(x):
-            raise OracleContractViolation(f"{self.name}: returned the zero vector")
-        if max(abs(v) for v in x) > self.k:
-            raise OracleContractViolation(f"{self.name}: coefficient exceeds {self.k}")
-        err = abs(instance_inner(inst, x))
-        bound = self.guarantee(inst.n)
-        if err > bound:
-            raise OracleContractViolation(
-                f"{self.name}: error {err} exceeds guarantee {bound} at n={inst.n}"
-            )
-        return x
+        return _checked_balance(self.name, inst, self.solver(inst), self.k, self.guarantee)
 
 
 @dataclass
@@ -98,20 +121,7 @@ class NbpDeltaOracle:
     name: str = "nbp-delta"
 
     def solve(self, inst: NbpInstance) -> tuple[int, ...]:
-        x = tuple(int(v) for v in self.solver(inst))
-        if len(x) != inst.n:
-            raise OracleContractViolation(f"{self.name}: dimension mismatch")
-        if not any(x):
-            raise OracleContractViolation(f"{self.name}: returned the zero vector")
-        if max(abs(v) for v in x) > 1:
-            raise OracleContractViolation(f"{self.name}: not a sign vector")
-        err = abs(instance_inner(inst, x))
-        bound = self.delta(inst.n)
-        if err > bound:
-            raise OracleContractViolation(
-                f"{self.name}: error {err} exceeds delta {bound} at n={inst.n}"
-            )
-        return x
+        return _checked_balance(self.name, inst, self.solver(inst), 1, self.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -160,36 +170,11 @@ def mitm_exact_guarantee(k: int) -> Callable[[int], Fraction]:
     return lambda d: Fraction(2 * d * k, (k + 1) ** d - 1)
 
 
-def mitm_bounded_oracle(k: int, budget: int | None = None) -> BoundedNbpOracle:
-    return BoundedNbpOracle(
-        k=k,
-        guarantee=mitm_exact_guarantee(k),
-        solver=lambda inst: mitm_min(inst, k, budget).x,
-        name=f"exact-mitm(k={k})",
-    )
-
-
 def mitm_delta_oracle(budget: int | None = None) -> NbpDeltaOracle:
     return NbpDeltaOracle(
         delta=mitm_exact_guarantee(1),
         solver=lambda inst: mitm_min(inst, 1, budget).x,
         name="exact-mitm-delta",
-    )
-
-
-def claimed_delta_oracle(
-    delta: Callable[[int], Fraction], budget: int | None = None, name: str = "claimed-mitm"
-) -> NbpDeltaOracle:
-    """Exact solver with a caller-supplied claimed guarantee.
-
-    The claim need not be worst-case sound; it is re-verified on every call,
-    which is how the paper's canonical f(n) = 2^-n oracle is represented at
-    desk scale.
-    """
-    return NbpDeltaOracle(
-        delta=delta,
-        solver=lambda inst: mitm_min(inst, 1, budget).x,
-        name=name,
     )
 
 
@@ -213,15 +198,6 @@ def pigeonhole_delta_oracle(pigeons: Callable[[int], int] | None = None) -> NbpD
         delta=delta,
         solver=lambda inst: pigeonhole_solve(inst, pigeons(inst.n)).x,
         name="pigeonhole-delta",
-    )
-
-
-def adversarial_delta_oracle() -> NbpDeltaOracle:
-    """Claims the paper's 2^-n guarantee but just returns e_1; for failure-path tests."""
-    return NbpDeltaOracle(
-        delta=lambda d: Fraction(1, 2**d),
-        solver=lambda inst: (1,) + (0,) * (inst.n - 1),
-        name="adversarial-delta",
     )
 
 

@@ -11,7 +11,7 @@ reporting a certified dilation factor rho*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -258,7 +258,6 @@ class MinkowskiFromNbpResult:
     x: tuple[int, ...]
     rho_star: Fraction  # certified: x in rho_star * E exactly
     rho_star_sq: Fraction  # the exact quadratic-form value at x
-    details: dict = field(default_factory=dict)
 
 
 def minkowski_from_nbp(
@@ -287,13 +286,9 @@ def minkowski_from_nbp(
     rounded = well_round(ellipsoid)
     if rounded.branch == "integer-point":
         x = rounded.point
-        q = ellipsoid.quad(RVector(x))
-        return MinkowskiFromNbpResult(
-            "integer-point", x, Fraction(1), q, details={"well_round": "integer-point"}
-        )
+        return MinkowskiFromNbpResult("integer-point", x, Fraction(1), ellipsoid.quad(RVector(x)))
 
-    inner = rounded.rounded
-    axes, lengths = axis_extract(inner, precision_bits)
+    axes, lengths = axis_extract(rounded.rounded, precision_bits)
     gi = GeneralizedInstance.create(axes, lengths)
     gen = generalized_nbp(gi, oracle, Q_override)
     y = RVector(gen.x)
@@ -311,19 +306,4 @@ def minkowski_from_nbp(
     if not any(x_tuple):
         raise InternalContradiction("unimodular image of a nonzero vector vanished")
     q = ellipsoid.quad(x_out)
-    rho_star = sqrt_upper(q, 64)
-    return MinkowskiFromNbpResult(
-        "pipeline",
-        x_tuple,
-        rho_star,
-        q,
-        details={
-            "rho_axis": rho_axis,
-            "axis_sq": axis_sq,
-            "Q": gen.Q,
-            "deltas": gen.deltas,
-            "bounds": gen.bounds,
-            "lengths": lengths,
-            "rounded_quad": inner.quad(y),
-        },
-    )
+    return MinkowskiFromNbpResult("pipeline", x_tuple, sqrt_upper(q, 64), q)

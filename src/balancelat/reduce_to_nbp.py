@@ -448,7 +448,6 @@ def nbp_full_pipeline(
     inst: NbpInstance,
     rho: Fraction,
     bounded: Callable[[int], BoundedNbpOracle],
-    r_schedule: Optional[Sequence[int]] = None,
 ) -> ReductionResult:
     """Full pipeline: rho-approximate oracle -> bounded oracle -> sign vector.
 
@@ -467,7 +466,7 @@ def nbp_full_pipeline(
             details={"rho": rho, "reason": "rho above threshold"},
         )
     k = max(1, math.ceil(3 * rho))
-    result = full_self_reduction(inst, k, bounded(k), r_schedule)
+    result = full_self_reduction(inst, k, bounded(k))
     result.details["k"] = k
     result.details["rho"] = rho
     return result

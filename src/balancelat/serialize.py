@@ -33,7 +33,7 @@ def instance_from_doc(doc: dict) -> NbpInstance:
     try:
         n = int(doc["n"])
         values = [parse_rational(s) for s in doc["a"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed instance document: {exc}") from exc
     if len(values) != n:
         raise InvalidParams("instance length disagrees with n")
@@ -55,7 +55,7 @@ def solution_from_doc(doc: dict) -> tuple[list[int], int, Fraction]:
             int(doc["k"]),
             parse_rational(doc["error"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed solution document: {exc}") from exc
 
 
@@ -75,7 +75,7 @@ def basis_from_doc(doc: dict) -> LatticeBasis:
         cols = [
             RVector([parse_rational(s) for s in col]) for col in doc["columns"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed basis document: {exc}") from exc
     if len(cols) != n or any(c.dim != n for c in cols):
         raise InvalidParams("basis shape disagrees with n")
@@ -119,7 +119,7 @@ def ellipsoid_from_doc(doc: dict) -> Ellipsoid:
         if axes is None:
             raise InvalidParams("ellipsoid document needs A or axes+lengths")
         return Ellipsoid.from_axes(axes, lengths)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed ellipsoid document: {exc}") from exc
 
 

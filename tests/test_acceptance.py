@@ -25,13 +25,7 @@ from balancelat.nbp import (
     pigeonhole_bound,
     pigeonhole_solve,
 )
-from balancelat.oracles import (
-    claimed_delta_oracle,
-    exact_minkowski_oracle,
-    exact_svp_oracle,
-    mitm_bounded_oracle,
-    mitm_delta_oracle,
-)
+from balancelat.oracles import exact_minkowski_oracle, exact_svp_oracle, mitm_delta_oracle
 from balancelat.reduce_to_minkowski import (
     extended_range_balance,
     minkowski_from_nbp,
@@ -45,6 +39,7 @@ from balancelat.reduce_to_nbp import (
     svp_embedding_basis,
 )
 from balancelat.rng import SeededStream
+from oracle_helpers import claimed_delta_oracle, mitm_bounded_oracle
 
 # criterion 12 regression constant, frozen at bring-up (max observed
 # rho*/n^4.5 was ~20.5 on the fixed seeds below)

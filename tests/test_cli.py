@@ -1,10 +1,17 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from balancelat.cli import main
+import balancelat
+from balancelat import cli
+from balancelat.cli import CALLS, main
 from balancelat.errors import InvalidParams
 from balancelat.generators import gen_basis, gen_ellipsoid, gen_nbp
 from balancelat.linalg import determinant
@@ -109,6 +116,22 @@ class TestSerialize:
         back = ellipsoid_from_doc(ellipsoid_to_doc(e))
         assert back.A == e.A
         assert back.lengths == e.lengths
+
+
+TO_MINKOWSKI = ["reduce", "to-minkowski", "--oracle", "kk"]
+# (case id, command, input document, message on standard error)
+BAD_DOCUMENTS = [
+    ("instance-n-not-an-integer", ["solve", "--algo", "kk"],
+     {"n": "x", "precision_bits": 30, "a": ["0.5"]}, "malformed instance document"),
+    ("basis-n-not-an-integer", ["lll"], {"n": "x", "columns": [["1"]]},
+     "malformed basis document"),
+    ("ellipsoid-n-not-an-integer", TO_MINKOWSKI, {"n": "x", "A": [["1"]]},
+     "malformed ellipsoid document"),
+    ("ellipsoid-ragged-rows", TO_MINKOWSKI, {"n": 2, "A": [["1", "0"], ["0"]]},
+     "malformed ellipsoid document: ragged rows"),
+    ("ellipsoid-dimension-0", TO_MINKOWSKI, {"n": 0, "A": []},
+     "ellipsoid dimension must be >= 1"),
+]
 
 
 class TestCliCommands:
@@ -357,6 +380,29 @@ class TestCliCommands:
             assert main(["gen", "basis", "--n", "3", "--seed", "1", "--span", span]) == 3
             assert "span must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc, message", [b[1:] for b in BAD_DOCUMENTS],
+                             ids=[b[0] for b in BAD_DOCUMENTS])
+    def test_malformed_document_exit_code(self, command, doc, message, tmp_path, capsys):
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        assert main(command + ["--input", str(f)]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_malformed_solution_exit_code(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        inst.write_text(self.run(capsys, "gen", "nbp", "--n", "2", "--seed", "1")[1])
+        sol = tmp_path / "s.json"
+        sol.write_text(json.dumps({"x": ["a", 1], "k": 1, "error": "0"}))
+        assert main(["verify", "--instance", str(inst), "--solution", str(sol)]) == 3
+        captured = capsys.readouterr()
+        assert "malformed solution document" in captured.err and captured.out == ""
+
+    def test_directory_input_exit_code(self, tmp_path, capsys):
+        assert main(["lll", "--input", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert "Is a directory" in captured.err and captured.out == ""
+
     def test_bench_error_regimes(self, capsys):
         # KK's achieved error beats the pigeonhole *guarantee* in the median
         # (the achieved pigeonhole min-gap at N = n^3 is far below both)
@@ -382,6 +428,80 @@ class TestCliCommands:
             capsys, "solve", "--algo", "pigeonhole", "--input", str(f)
         )
         assert json.loads(solve_out)["achieved_error"] == row[3]
+
+
+def fresh_run(argv):
+    """Exit code and stdout of the CLI in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(balancelat.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "balancelat.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout
+
+
+# the flag that takes each command's CALLS keys; bench takes a list, checked below
+CHOICE_FLAGS = {
+    "solve": ["solve", "--algo"],
+    "to-nbp": ["reduce", "to-nbp", "--oracle"],
+    "to-nbp --full": ["reduce", "to-nbp", "--full", "--oracle"],
+    "to-minkowski": ["reduce", "to-minkowski", "--oracle"],
+}
+SUBCOMMANDS = ["gen", "solve", "reduce", "reduce to-nbp", "reduce to-minkowski", "lll",
+               "verify", "bench"]
+
+
+class TestSharedParser:
+    def test_main_builds_no_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        f = tmp_path / "i.json"
+        assert main(["gen", "nbp", "--n", "4", "--seed", "1", "--out", str(f)]) == 0
+        assert main(["solve", "--algo", "kk", "--input", str(f)]) == 0
+        assert main(["solve", "--algo", "nope"]) == 3
+        assert main(["reduce", "to-nbp", "--help"]) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys):
+        f, g = tmp_path / "i16.json", tmp_path / "i9.json"
+        assert main(["gen", "nbp", "--n", "16", "--seed", "5", "--out", str(f)]) == 0
+        assert main(["gen", "nbp", "--n", "9", "--seed", "5", "--signed", "--out", str(g)]) == 0
+        solve = ["solve", "--algo", "pigeonhole", "--input", str(f)]
+        assert main(solve + ["--timing", "--pigeons", "100"]) == 0
+        capsys.readouterr()
+        assert main(solve) == 0
+        after = capsys.readouterr().out
+        assert json.loads(after)["wall_time_ms"] is None
+        assert (0, after) == fresh_run(solve)
+
+        to_nbp = ["reduce", "to-nbp", "--oracle", "exact-svp", "--input", str(g)]
+        assert main(to_nbp + ["--full", "--k", "2"]) == 0
+        capsys.readouterr()
+        assert main(to_nbp) == 0
+        assert (0, capsys.readouterr().out) == fresh_run(to_nbp)
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help_exits_0(self, command, capsys):
+        assert main(command.split() + ["--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: balancelat {command} ")
+
+    @pytest.mark.parametrize("command, name", [(c, n) for c in CHOICE_FLAGS for n in CALLS[c]])
+    def test_calls_key_is_a_choice(self, command, name):
+        args = cli.PARSER.parse_args(CHOICE_FLAGS[command] + [name])
+        assert (args.algo if command == "solve" else args.oracle) == name
+
+    def test_bench_runs_every_calls_key(self, capsys):
+        assert set(CALLS) == set(CHOICE_FLAGS) | {"bench"}
+        # n = 10 is the smallest size whose n^3 pigeons fit in 2^n subsets
+        argv = ["bench", "--sizes", "10", "--seeds", "1", "--algos", ",".join(CALLS["bench"])]
+        assert main(argv) == 0
+        rows = [r.split(",") for r in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert sorted((r[2], r[-1]) for r in rows) == sorted((a, "ok") for a in CALLS["bench"])
 
 
 # Exit code and stdout sha256 of CLI paths that the benchmark corpus does not

@@ -7,12 +7,7 @@ from balancelat.errors import OracleContractViolation, PreconditionFailed
 from balancelat.generators import gen_ellipsoid
 from balancelat.geometry import Ellipsoid, well_round
 from balancelat.linalg import RMatrix, RVector, determinant
-from balancelat.oracles import (
-    adversarial_delta_oracle,
-    claimed_delta_oracle,
-    kk_delta_oracle,
-    mitm_delta_oracle,
-)
+from balancelat.oracles import kk_delta_oracle, mitm_delta_oracle
 from balancelat.reduce_to_minkowski import (
     GeneralizedInstance,
     extended_range_balance,
@@ -20,6 +15,7 @@ from balancelat.reduce_to_minkowski import (
     minkowski_from_nbp,
     multi_vector_balance,
 )
+from oracle_helpers import adversarial_delta_oracle, claimed_delta_oracle
 
 
 def rand_unit_vector(rng, n, bits=16):

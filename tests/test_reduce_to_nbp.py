@@ -18,7 +18,6 @@ from balancelat.oracles import (
     exact_minkowski_oracle,
     exact_svp_oracle,
     lll_svp_oracle,
-    mitm_bounded_oracle,
 )
 from balancelat.reduce_to_nbp import (
     balancing_body,
@@ -33,6 +32,7 @@ from balancelat.reduce_to_nbp import (
     svp_bounded_oracle,
     svp_embedding_basis,
 )
+from oracle_helpers import mitm_bounded_oracle
 
 
 def dyadic_instance(rng, n, bits=30, signed=True):
