@@ -140,9 +140,9 @@ CALLS: dict[str, dict[str, Callable]] = {
         ),
     },
     "to-minkowski": {
-        "mitm": lambda: mitm_delta_oracle(),
-        "kk": lambda: kk_delta_oracle(),
-        "pigeonhole": lambda: pigeonhole_delta_oracle(),
+        "mitm": mitm_delta_oracle,
+        "kk": kk_delta_oracle,
+        "pigeonhole": pigeonhole_delta_oracle,
     },
 }
 CALLS["bench"] = {

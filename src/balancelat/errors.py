@@ -22,7 +22,7 @@ class CoefficientOutOfRange(BalanceLatError):
 
 
 class BudgetExceeded(BalanceLatError):
-    """An enumeration would visit more states than the configured budget."""
+    """An enumeration would visit more nodes than the configured budget."""
 
 
 class DimensionTooSmall(BalanceLatError):

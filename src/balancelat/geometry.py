@@ -2,11 +2,13 @@
 ellipsoid well-rounding.
 
 Bodies are membership predicates over exact rationals plus an outer box
-radius.  Structured bodies (cubes, cube-slab intersections) additionally
-expose a sound prefix-feasibility test so the integer-point search can prune
-subtrees; pruning never changes which point is returned because it only
-discards prefixes that provably admit no member, and the search visits
-candidates in lexicographic order.
+radius.  The integer-point search asks a body for the range of values the
+next coordinate may take, given the integer partial sum of the prefix over
+the body's ``prefix_weights``: a generic body answers with its integer box,
+and the cube-slab body answers box cap slab in closed form.  A range only
+drops values that provably admit no member, and the search visits values in
+ascending order, so the lexicographically smallest point is returned either
+way.
 """
 
 from __future__ import annotations
@@ -66,9 +68,18 @@ class SymmetricConvexBody:
         """Largest integer coordinate magnitude any member can have."""
         return floor_frac(self.outer_box_radius)
 
-    def prefix_feasible(self, prefix: Sequence[int], depth: int) -> bool:
-        """Sound pruning hook: False only if no member extends this prefix."""
-        return True
+    def prefix_weights(self) -> tuple[int, ...]:
+        """Integer weights w; the search passes sum_{i < depth} x_i w_i to prefix_feasible."""
+        return (0,) * self.dim
+
+    def prefix_feasible(self, s: int, depth: int) -> tuple[int, int]:
+        """Range [lo, hi] of coordinate ``depth`` after a prefix with partial sum s.
+
+        Sound: no member extends the prefix with a value outside the range
+        (empty when lo > hi).  A generic body only knows its integer box.
+        """
+        m = self.int_box_limit()
+        return -m, m
 
 
 class CubeBody(SymmetricConvexBody):
@@ -93,17 +104,17 @@ class CubeBody(SymmetricConvexBody):
     def dilate(self, rho) -> "CubeBody":
         return CubeBody(self.dim, frac(rho) * self.radius, self.open_box)
 
-    def prefix_feasible(self, prefix: Sequence[int], depth: int) -> bool:
-        limit = self.int_box_limit()
-        return all(abs(v) <= limit for v in prefix[:depth])
-
 
 class CubeSlabBody(SymmetricConvexBody):
     """An open cube intersected with the slab |<a, x>| <= bound.
 
     This is the body shape used when reducing balancing to Minkowski's
-    problem; it supports fast integer prefix pruning via suffix bounds on the
-    attainable inner product.
+    problem.  Over a common denominator, a = A / den with integer A, and
+    |<a, x>| <= bound becomes |sum x_i A_i| * sd <= rhs with integers
+    sd = bound's denominator and rhs = bound's numerator * den.  After a
+    prefix with partial sum s, coordinate d may take v only if
+    |s + v A_d| <= reach[d] = (rhs + sd * suffix[d+1]) // sd, where suffix[j]
+    is the most that coordinates j.. can still cancel inside the box.
     """
 
     def __init__(self, a: RVector, slab_bound, box_radius, open_box: bool = True) -> None:
@@ -112,15 +123,15 @@ class CubeSlabBody(SymmetricConvexBody):
         self.box_radius = frac(box_radius)
         self.open_box = open_box
         super().__init__(a.dim, self._slab_member, self.box_radius)
-        self._ints, self._den = common_denominator_ints(a)
-        limit = self.int_box_limit()
+        ints, den = common_denominator_ints(a)
+        self._ints = tuple(ints)
+        self._limit = limit = self.int_box_limit()
         n = a.dim
-        self._suffix = [0] * (n + 1)
+        suffix = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
-            self._suffix[i] = self._suffix[i + 1] + limit * abs(self._ints[i])
-        # |sum x_i a_i| <= slab  <=>  |sum x_i A_i| * sd <= sn * den
-        self._rhs = self.slab_bound.numerator * self._den
-        self._sd = self.slab_bound.denominator
+            suffix[i] = suffix[i + 1] + limit * abs(ints[i])
+        rhs, sd = self.slab_bound.numerator * den, self.slab_bound.denominator
+        self._reach = [(rhs + sd * suffix[d + 1]) // sd for d in range(n)]
 
     def _slab_member(self, x: RVector) -> bool:
         if self.open_box:
@@ -142,15 +153,21 @@ class CubeSlabBody(SymmetricConvexBody):
             self.a, rho * self.slab_bound, rho * self.box_radius, self.open_box
         )
 
-    def prefix_feasible(self, prefix: Sequence[int], depth: int) -> bool:
-        limit = self.int_box_limit()
-        s = 0
-        for i in range(depth):
-            v = prefix[i]
-            if abs(v) > limit:
-                return False
-            s += v * self._ints[i]
-        return abs(s) * self._sd <= self._rhs + self._sd * self._suffix[depth]
+    def prefix_weights(self) -> tuple[int, ...]:
+        return self._ints
+
+    def prefix_feasible(self, s: int, depth: int) -> tuple[int, int]:
+        """Box cap slab: the v in [-m, m] with |s + v A_depth| <= reach[depth]."""
+        m, r, a = self._limit, self._reach[depth], self._ints[depth]
+        if a > 0:
+            lo, hi = -((r + s) // a), (r - s) // a
+        elif a < 0:
+            lo, hi = -((r - s) // -a), (r + s) // -a
+        elif -r <= s <= r:
+            return -m, m
+        else:
+            return 1, 0
+        return max(lo, -m), min(hi, m)
 
 
 def minkowski_exact_oracle(
@@ -158,37 +175,47 @@ def minkowski_exact_oracle(
 ) -> tuple[int, ...]:
     """Lexicographically smallest nonzero integer point of the body.
 
-    Realizes an exact (rho = 1) Minkowski oracle by depth-first search over
-    the integer box; structured bodies prune via prefix_feasible.  Raises
-    NotFound when the body contains no nonzero integer point (e.g. an open
-    body whose volume promise fails).
+    Realizes an exact (rho = 1) Minkowski oracle by an iterative depth-first
+    search.  The integer partial sum over ``body.prefix_weights()`` is carried
+    down the levels; each expanded node makes one ``body.prefix_feasible``
+    call for the range of its coordinate and visits that range in ascending
+    order.  Every nonzero leaf is confirmed with ``body.member``.  ``budget``
+    (default ``enumeration_budget()``) caps the expanded nodes, the root
+    included; BudgetExceeded says where the search stood.  Raises NotFound
+    when the body holds no nonzero integer point (e.g. an open body whose
+    volume promise fails).
     """
     limit = enumeration_budget(budget)
     n = body.dim
-    m = body.int_box_limit()
-    if (2 * m + 1) ** n > limit:
-        raise BudgetExceeded(f"(2m+1)^n = {(2 * m + 1) ** n} exceeds budget {limit}")
-    prefix = [0] * n
-
-    def descend(depth: int) -> Optional[tuple[int, ...]]:
-        if depth == n:
-            x = tuple(prefix)
-            if any(x) and body.member(RVector(x)):
-                return x
-            return None
-        for v in range(-m, m + 1):
-            prefix[depth] = v
-            if body.prefix_feasible(prefix, depth + 1):
-                found = descend(depth + 1)
-                if found is not None:
-                    return found
-        prefix[depth] = 0
-        return None
-
-    found = descend(0)
-    if found is None:
-        raise NotFound("no nonzero integer point in the body")
-    return found
+    w = body.prefix_weights()
+    x = [0] * n  # the path; x[d] runs up to top[d]
+    top = [0] * n
+    sums = [0] * n  # sums[d] = sum_{i < d} x_i w_i
+    nodes = 0
+    depth = 0
+    while True:
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceeded(
+                f"Minkowski enumeration exceeded budget: {nodes} nodes visited, "
+                f"limit {limit}, dimension {n}, depth {depth}"
+            )
+        x[depth], top[depth] = body.prefix_feasible(sums[depth], depth)
+        while True:  # move to the next node to expand
+            v = x[depth]
+            if v > top[depth]:
+                if depth == 0:
+                    raise NotFound("no nonzero integer point in the body")
+                depth -= 1
+                x[depth] += 1
+            elif depth + 1 == n:
+                if any(x) and body.member(RVector(x)):
+                    return tuple(x)
+                x[depth] += 1
+            else:
+                sums[depth + 1] = sums[depth] + v * w[depth]
+                depth += 1
+                break
 
 
 class Ellipsoid:

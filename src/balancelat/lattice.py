@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import (
     BudgetExceeded,
     InternalContradiction,
+    InvalidParams,
     NotFound,
     PreconditionFailed,
     RankDeficient,
@@ -35,6 +36,8 @@ class LatticeBasis:
     B: RMatrix
 
     def __post_init__(self):
+        if not self.B.rows:
+            raise InvalidParams("basis dimension must be >= 1")
         if not self.B.is_square():
             raise RankDeficient("basis matrix must be square")
         if determinant(self.B) == 0:

@@ -128,22 +128,20 @@ class NbpDeltaOracle:
 # standard realizations
 
 
-def exact_minkowski_oracle(budget: int | None = None) -> MinkowskiOracle:
+def exact_minkowski_oracle() -> MinkowskiOracle:
     """rho = 1, realized by the exact integer-point enumeration."""
     return MinkowskiOracle(
-        rho=Fraction(1),
-        solver=lambda body: minkowski_exact_oracle(body, budget),
-        name="exact-minkowski",
+        rho=Fraction(1), solver=minkowski_exact_oracle, name="exact-minkowski"
     )
 
 
-def exact_svp_oracle(budget: int | None = None) -> SvpInfOracle:
+def exact_svp_oracle() -> SvpInfOracle:
     """rho = 1 for det <= 1 lattices (Minkowski guarantees attainability)."""
 
     def solve(basis: LatticeBasis) -> RVector:
         if abs(determinant(basis.B)) > 1:
             raise PreconditionFailed("exact SVP oracle requires det <= 1")
-        y = svp_exact_linf(basis, search_bound=Fraction(1), budget=budget)
+        y = svp_exact_linf(basis, search_bound=Fraction(1))
         return basis.B.matvec(RVector(y))
 
     return SvpInfOracle(rho=Fraction(1), solver=solve, name="exact-svp-linf")
@@ -170,10 +168,10 @@ def mitm_exact_guarantee(k: int) -> Callable[[int], Fraction]:
     return lambda d: Fraction(2 * d * k, (k + 1) ** d - 1)
 
 
-def mitm_delta_oracle(budget: int | None = None) -> NbpDeltaOracle:
+def mitm_delta_oracle() -> NbpDeltaOracle:
     return NbpDeltaOracle(
         delta=mitm_exact_guarantee(1),
-        solver=lambda inst: mitm_min(inst, 1, budget).x,
+        solver=lambda inst: mitm_min(inst, 1).x,
         name="exact-mitm-delta",
     )
 
@@ -187,16 +185,16 @@ def kk_delta_oracle() -> NbpDeltaOracle:
     )
 
 
-def pigeonhole_delta_oracle(pigeons: Callable[[int], int] | None = None) -> NbpDeltaOracle:
-    pigeons = pigeons or (lambda d: d**3)
+def pigeonhole_delta_oracle() -> NbpDeltaOracle:
+    """Pigeonhole over N = d^3 subsets, which guarantees 2 bitlen(N) / N."""
 
     def delta(d: int) -> Fraction:
-        n_pigeons = pigeons(d)
+        n_pigeons = d**3
         return Fraction(2 * n_pigeons.bit_length(), n_pigeons)
 
     return NbpDeltaOracle(
         delta=delta,
-        solver=lambda inst: pigeonhole_solve(inst, pigeons(inst.n)).x,
+        solver=lambda inst: pigeonhole_solve(inst, inst.n**3).x,
         name="pigeonhole-delta",
     )
 

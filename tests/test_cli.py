@@ -131,6 +131,7 @@ BAD_DOCUMENTS = [
      "malformed ellipsoid document: ragged rows"),
     ("ellipsoid-dimension-0", TO_MINKOWSKI, {"n": 0, "A": []},
      "ellipsoid dimension must be >= 1"),
+    ("basis-dimension-0", ["lll"], {"n": 0, "columns": []}, "basis dimension must be >= 1"),
 ]
 
 
@@ -179,6 +180,18 @@ class TestCliCommands:
         doc = json.loads(out)
         assert doc["audit"]["formula"] == "minkowski-to-nbp"
         assert doc["audit"]["claimed_bound"] == "3/16"
+
+    def test_exact_mink_searches_past_the_box_size(self, tmp_path, capsys):
+        # the box holds 7^12 > 10^8 points; the pruned search needs far fewer nodes
+        f = tmp_path / "i.json"
+        f.write_text(self.run(capsys, "gen", "nbp", "--n", "12", "--seed", "0", "--signed")[1])
+        code, out = self.run(
+            capsys, "reduce", "to-nbp", "--oracle", "exact-mink", "--k", "3", "--input", str(f)
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert max(abs(v) for v in doc["solution"]["x"]) <= 3
+        assert Fraction(doc["audit"]["achieved_error"]) <= Fraction(doc["audit"]["claimed_bound"])
 
     def test_reduce_to_minkowski(self, tmp_path, capsys):
         code, out = self.run(capsys, "gen", "ellipsoid", "--n", "2", "--seed", "3")

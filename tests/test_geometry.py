@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from balancelat.errors import InternalContradiction, NotFound, PrecisionUnreachable
+from balancelat.errors import BudgetExceeded, InternalContradiction, NotFound, PrecisionUnreachable
 from balancelat.generators import gen_ellipsoid
 from balancelat.geometry import (
     CubeBody,
@@ -17,6 +17,8 @@ from balancelat.geometry import (
     well_round,
 )
 from balancelat.linalg import RMatrix, RVector, determinant
+from balancelat.nbp import NbpInstance, mitm_min
+from balancelat.rationals import common_denominator_ints
 
 
 def rational_rotation(rng, n):
@@ -95,6 +97,147 @@ class TestMinkowskiOracle:
                     minkowski_exact_oracle(generic)
                 continue
             assert fast == minkowski_exact_oracle(generic)
+
+
+def reference_minkowski(body):
+    """The recursive search the exact oracle ran before closed-form slab ranges.
+
+    Tries every value of [-m, m] at each level and keeps a child when the
+    cube-slab prefix test (re-summing the prefix) admits it; generic bodies
+    admit every child.  Returns (point or None, expanded nodes), where a
+    node is expanded when its children are tried.
+    """
+    n = body.dim
+    m = body.int_box_limit()
+    prefix = [0] * n
+    nodes = [0]
+    if isinstance(body, CubeSlabBody):
+        ints, den = common_denominator_ints(body.a)
+        rhs, sd = body.slab_bound.numerator * den, body.slab_bound.denominator
+        suffix = [sum(m * abs(v) for v in ints[d:]) for d in range(n + 1)]
+
+        def feasible(depth):
+            s = 0
+            for i in range(depth):
+                if abs(prefix[i]) > m:
+                    return False
+                s += prefix[i] * ints[i]
+            return abs(s) * sd <= rhs + sd * suffix[depth]
+    else:
+        def feasible(depth):
+            return True
+
+    def descend(depth):
+        if depth == n:
+            x = tuple(prefix)
+            return x if any(x) and body.member(RVector(x)) else None
+        nodes[0] += 1
+        for v in range(-m, m + 1):
+            prefix[depth] = v
+            if feasible(depth + 1):
+                found = descend(depth + 1)
+                if found is not None:
+                    return found
+        prefix[depth] = 0
+        return None
+
+    return descend(0), nodes[0]
+
+
+def searched(body, monkeypatch):
+    """minkowski_exact_oracle's point (None on NotFound) and its expanded nodes."""
+    calls = [0]
+    ranges = type(body).prefix_feasible
+
+    def counted(self, s, depth):
+        calls[0] += 1
+        return ranges(self, s, depth)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(type(body), "prefix_feasible", counted)
+        try:
+            return minkowski_exact_oracle(body), calls[0]
+        except NotFound:
+            return None, calls[0]
+
+
+def slab_draws(seed):
+    """Cube-slab bodies, n = 1-8 and box limit m = 1-3, with slab bounds at,
+    just above and just below the optimum min |<a, x>| over the box.
+
+    Boxes are open and closed, with integral and non-integral radii; entries
+    include zeros, negatives and repeats (some negated)."""
+    rng = random.Random(seed)
+    for n in range(1, 9):
+        for m in (1, 2, 3):
+            if (2 * m + 1) ** n > 20_000:
+                continue
+            for open_box in (True, False):
+                for radius in (Fraction(m + open_box), Fraction(2 * m + 1, 2)):
+                    a = []
+                    for _ in range(n):
+                        roll = rng.random()
+                        if roll < 0.07:
+                            a.append(Fraction(0))
+                        elif roll < 0.17 and a:
+                            a.append(rng.choice((1, -1)) * rng.choice(a))
+                        else:
+                            q = rng.choice((7, 1024, 2**20))
+                            a.append(Fraction(rng.randint(-q, q), q))
+                    opt = mitm_min(NbpInstance.from_values(a), m).error
+                    eps = Fraction(1, 10**6)
+                    for bound in (opt, opt + eps, opt - eps):
+                        body = CubeSlabBody(RVector(a), bound, radius, open_box)
+                        assert body.int_box_limit() == m
+                        yield body
+
+
+class TestMinkowskiMatchesReference:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_slab_bodies(self, seed, monkeypatch):
+        for body in slab_draws(seed):
+            assert searched(body, monkeypatch) == reference_minkowski(body), (
+                body.a, body.slab_bound, body.box_radius, body.open_box)
+
+    def test_generic_bodies(self, monkeypatch):
+        rng = random.Random(35)
+        for n, radius in ((1, Fraction(3)), (3, Fraction(5, 2)), (4, Fraction(1))):
+            a = RVector([Fraction(rng.randint(-9, 9), 10) for _ in range(n)])
+            slab = CubeSlabBody(a, Fraction(1, 10), radius, open_box=False)
+            generic = SymmetricConvexBody(n, slab.member, radius)
+            assert searched(generic, monkeypatch) == reference_minkowski(generic)
+        cube = CubeBody(3, Fraction(3, 2))
+        assert searched(cube, monkeypatch) == reference_minkowski(cube) == ((-1, -1, -1), 3)
+
+
+class TestMinkowskiBudget:
+    def body(self):
+        a = RVector([Fraction(v, 1024) for v in (1000, -731, 517, 389, -251, 97)])
+        return CubeSlabBody(a, Fraction(6, 4**5), Fraction(4), open_box=True)
+
+    def test_passes_at_exactly_the_nodes_it_needs(self, monkeypatch):
+        point, nodes = searched(self.body(), monkeypatch)
+        assert point is not None and nodes > 1
+        assert minkowski_exact_oracle(self.body(), budget=nodes) == point
+
+    def test_one_node_short_names_where_it_stopped(self, monkeypatch):
+        _, nodes = searched(self.body(), monkeypatch)
+        with pytest.raises(BudgetExceeded) as info:
+            minkowski_exact_oracle(self.body(), budget=nodes - 1)
+        message = str(info.value)
+        assert message.startswith(
+            f"Minkowski enumeration exceeded budget: {nodes} nodes visited, "
+            f"limit {nodes - 1}, dimension 6, depth ")
+        assert 0 <= int(message.rsplit(" ", 1)[1]) < 6
+
+    def test_budget_counts_nodes_not_the_box(self):
+        # the box holds 7^6 points, more than the budget; the pruned search needs fewer nodes
+        assert minkowski_exact_oracle(self.body(), budget=7**5)
+
+    def test_environment_budget(self, monkeypatch):
+        monkeypatch.setenv("BALANCELAT_BUDGET", "1")
+        with pytest.raises(BudgetExceeded, match="2 nodes visited, limit 1, dimension 6"):
+            minkowski_exact_oracle(self.body())
 
 
 class TestWellRound:
