@@ -5,10 +5,10 @@ Every result is exact.  LLL and the SVP search run on integers, over common
 denominators of the rational input, and keep the operation order of the
 textbook Fraction algorithms, so they return the same bases and witnesses.
 The reduction certificate (size-reduced and the Lovasz condition
-|bhat_i|^2 <= 2 |bhat_{i+1}|^2) is then re-derived from a fresh Fraction
-Gram-Schmidt and checked as literal inequalities in Q, and the unimodular
-transform, tracked alongside the swaps and size reductions together with its
-inverse, is checked by exact matrix products.
+|bhat_i|^2 <= 2 |bhat_{i+1}|^2) is then re-derived from a fresh integral
+Gram-Schmidt of the output basis as literal integer inequalities, and the
+unimodular transform, tracked alongside the swaps and size reductions together
+with its inverse, is checked by exact matrix products.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
 from .nbp import enumeration_budget
-from .rationals import common_denominator_ints, format_rational, frac, sqrt_lower
+from .rationals import format_rational, frac, lcm_of, sqrt_lower
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,11 @@ class LatticeBasis:
 
 @dataclass(frozen=True)
 class UnimodularTransform:
-    """Integer matrix with determinant +-1, carried with its exact inverse."""
+    """Integer matrix with determinant +-1, carried with its exact inverse.
+
+    Checking that U and Uinv are integral and U Uinv = I is enough: then
+    det U and det Uinv are integers with product 1, so |det U| = 1.
+    """
 
     U: RMatrix
     Uinv: RMatrix
@@ -59,8 +63,8 @@ class UnimodularTransform:
         n = self.U.ncols
         if any(e.denominator != 1 for row in self.U.rows for e in row):
             raise PreconditionFailed("unimodular matrix must be integral")
-        if abs(determinant(self.U)) != 1:
-            raise PreconditionFailed("unimodular matrix must have det +-1")
+        if any(e.denominator != 1 for row in self.Uinv.rows for e in row):
+            raise PreconditionFailed("inverse of a unimodular matrix must be integral")
         if self.U.matmul(self.Uinv) != RMatrix.identity(n):
             raise PreconditionFailed("inverse does not match")
 
@@ -78,24 +82,31 @@ class UnimodularTransform:
 
 @dataclass(frozen=True)
 class LllCertificate:
-    """Gram-Schmidt data of a reduced basis plus the two condition flags."""
+    """Integral Gram-Schmidt data of a basis plus the two condition flags.
 
-    Bhat: RMatrix
-    Mu: RMatrix
+    ``scale``, ``d`` and ``lam`` are the F, d and lam of ``linalg.gram_schmidt``:
+    |bhat_i|^2 = d_{i+1} / (d_i F^2) and mu_kj = lam[k][j] / d_{j+1}.
+    """
+
+    scale: int
+    d: tuple[int, ...]
+    lam: tuple[tuple[int, ...], ...]
     size_reduced: bool
     lovasz_ok: bool
 
 
 def check_reduction_conditions(basis: RMatrix) -> LllCertificate:
-    """Evaluate both reduction conditions exactly on the given basis."""
-    bhat, mu = gram_schmidt(basis)
+    """Evaluate both reduction conditions exactly on the given basis.
+
+    On a fresh integral Gram-Schmidt of ``basis`` both are integer inequalities:
+    |mu_kj| <= 1/2 is 2 |lam_kj| <= d_{j+1}, and the factor-2 Lovasz condition
+    |bhat_i|^2 <= 2 |bhat_{i+1}|^2 is d_{i+1}^2 <= 2 d_i d_{i+2}.
+    """
+    _, scale, d, lam = gram_schmidt(basis)
     n = basis.ncols
-    size_ok = all(
-        abs(mu[i, j]) <= Fraction(1, 2) for i in range(n) for j in range(i + 1, n)
-    )
-    norms = [bhat.column(i).norm_sq() for i in range(n)]
-    lovasz_ok = all(norms[i] <= 2 * norms[i + 1] for i in range(n - 1))
-    return LllCertificate(bhat, mu, size_ok, lovasz_ok)
+    size_ok = all(2 * abs(lam[k][j]) <= d[j + 1] for k in range(n) for j in range(k))
+    lovasz_ok = all(d[i + 1] ** 2 <= 2 * d[i] * d[i + 2] for i in range(n - 1))
+    return LllCertificate(scale, tuple(d), tuple(map(tuple, lam)), size_ok, lovasz_ok)
 
 
 def lll_reduce(basis: LatticeBasis) -> tuple[LatticeBasis, UnimodularTransform, LllCertificate]:
@@ -104,37 +115,22 @@ def lll_reduce(basis: LatticeBasis) -> tuple[LatticeBasis, UnimodularTransform, 
     reduced.B = basis.B * U exactly, |det U| = 1, and the certificate's two
     flags are both True.  Uses the standard Lovasz parameter delta = 3/4.
 
-    The reduction runs on integers (de Weger 1987; Cohen, Alg. 2.6.7): the
-    columns are scaled to integers over one common denominator F, which
-    changes no decision, and the search keeps the Gram determinants
-    d_i = |bhat_0|^2 |bhat_1|^2 ... |bhat_{i-1}|^2 and lam_kj = d_{j+1} mu_kj, all integers.
-    A size reduction updates lam in O(k) and a swap updates d and lam in O(n)
-    with exact integer division, so Gram-Schmidt is never recomputed.  The
-    order of operations is the textbook one: b_k is fully size-reduced against
-    b_{k-1}, ..., b_0, each by r = floor(mu_kj + 1/2) when r != 0, before the
-    Lovasz test, so the same basis and U come out as from the Fraction
-    version.  The result is then verified independently over Q: the
-    certificate comes from a fresh Fraction Gram-Schmidt, and B U = B' and
-    U U^-1 = I are checked by exact matrix products.
+    The reduction runs on integers (de Weger 1987; Cohen, Alg. 2.6.7): it
+    takes ``linalg.gram_schmidt`` of the columns over their common denominator
+    F, which changes no decision, once, and keeps its d_i and lam_kj up to
+    date: a size reduction updates lam in O(k) and a swap updates d and lam in
+    O(n) with exact integer division.  The order of operations is the textbook
+    one: b_k is fully size-reduced against b_{k-1}, ..., b_0, each by
+    r = floor(mu_kj + 1/2) when r != 0, before the Lovasz test, so the same
+    basis and U come out as from the Fraction version.  The result is then
+    verified independently of that state: the certificate comes from a fresh
+    integral Gram-Schmidt of the output basis, and B U = B' and U U^-1 = I
+    are checked by exact matrix products.
     """
     n = basis.n
-    flat, scale = common_denominator_ints(e for row in basis.B.rows for e in row)
-    cols = [flat[j::n] for j in range(n)]  # F b_j
+    cols, scale, d, lam = gram_schmidt(basis.B)  # cols[j] = F b_j
     u_cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     uinv_rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    # integral Gram-Schmidt on the Gram matrix; d[0] = 1 and lam[k][j] for j < k
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for k in range(n):
-        for j in range(k + 1):
-            t = sum(a * b for a, b in zip(cols[k], cols[j]))
-            for i in range(j):
-                t = (d[i + 1] * t - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = t
-            else:
-                d[k + 1] = t
 
     k = 1
     while k < n:
@@ -187,8 +183,8 @@ def lll_min_gain(basis: LatticeBasis, cert: LllCertificate | None = None) -> Fra
     """Certified squared-gain lower bound 2^(-3n) for a reduced basis.
 
     Requires the basis to be LLL reduced with |b_i|^2 >= 1 for all columns.
-    The certificate re-verifies the intermediate inequality
-    |bhat_k|^2 >= 2^(-n) for every k before certifying that
+    The certificate re-verifies |bhat_k|^2 >= 2^(-n), on its integers
+    2^n d_{k+1} >= d_k F^2, for every k before certifying that
     |B x|_2^2 >= 2^(-3n) |x|_2^2 for all x.  The squared form is returned
     because 2^(-3n/2) itself is irrational for odd n; callers that need the
     unsquared gain may take any rational r with r^2 <= the returned value.
@@ -201,9 +197,9 @@ def lll_min_gain(basis: LatticeBasis, cert: LllCertificate | None = None) -> Fra
     for i in range(n):
         if basis.B.column(i).norm_sq() < 1:
             raise PreconditionFailed(f"column {i} has squared norm < 1")
-    bound = Fraction(1, 2**n)
+    f2 = cert.scale**2
     for k in range(n):
-        if cert.Bhat.column(k).norm_sq() < bound:
+        if 2**n * cert.d[k + 1] < cert.d[k] * f2:
             raise PreconditionFailed(
                 f"Gram-Schmidt vector {k} violates the 2^(-n) lower bound"
             )
@@ -254,22 +250,24 @@ def svp_exact_linf(
     limit = enumeration_budget(budget)
     n = basis.n
     reduced, transform, cert = lll_reduce(basis)
-    columns = reduced.B.columns()
-    col_inf = min(c.inf_norm() for c in columns)
-    v0 = col_inf if search_bound is None else min(col_inf, frac(search_bound))
 
-    # Integer encoding.  cols[j] = F b'_j, mu[l][j] = D mu_lj and
-    # gs[l] = E |bhat_l|^2, so a node's weight sum_l (D y'_l + c_l)^2 gs[l],
-    # with c_l = sum_{j > l} mu[l][j] y'_j, is S |B' y'|^2 for S = D^2 E.
-    flat, F = common_denominator_ints(e for c in columns for e in c)
-    cols = [flat[j * n:(j + 1) * n] for j in range(n)]
-    flat, D = common_denominator_ints(e for row in cert.Mu.rows for e in row)
-    mu = [flat[i * n:(i + 1) * n] for i in range(n)]
-    gs, E = common_denominator_ints(cert.Bhat.column(i).norm_sq() for i in range(n))
+    # Integer encoding over the certificate: cols[j] = F b'_j, and for
+    # D = lcm(d_1..d_n), E = lcm(d_0..d_{n-1}) the integers mu[l][j] = D mu_lj
+    # = D lam[j][l] / d_{l+1} and gs[l] = E F^2 |bhat_l|^2 = E d_{l+1} / d_l make a
+    # node's weight sum_l (D y'_l + c_l)^2 gs[l], c_l = sum_{j > l} mu[l][j] y'_j,
+    # equal to S F^2 |B' y'|^2 for S = D^2 E.
+    F, d, lam = cert.scale, cert.d, cert.lam
+    flat = [e.numerator * (F // e.denominator) for row in reduced.B.rows for e in row]
+    cols = [flat[j::n] for j in range(n)]
+    D, E = lcm_of(d[1:]), lcm_of(d[:n])
+    mu = [[lam[j][l] * (D // d[l + 1]) if j > l else 0 for j in range(n)] for l in range(n)]
+    gs = [d[l + 1] * (E // d[l]) for l in range(n)]
     S = D * D * E
     u_rows = [[int(e) for e in row] for row in transform.U.rows]
+    col_inf = Fraction(min(max(map(abs, c)) for c in cols), F)
+    v0 = col_inf if search_bound is None else min(col_inf, frac(search_bound))
 
-    radius = n * v0.numerator**2 * S // v0.denominator**2  # weights are ints
+    radius = n * S * (v0.numerator * F) ** 2 // v0.denominator**2  # weights are ints
     best: tuple | None = None  # (F |v|_inf, F^2 |v|_2^2, U y') of the incumbent
     nodes = 1  # the root
     y = [0] * n
@@ -321,7 +319,7 @@ def svp_exact_linf(
             key = (inf, nsq, tuple(sum(u * yj for u, yj in zip(row, y)) for row in u_rows))
             if best is None or key < best:
                 best = key
-                radius = min(radius, n * inf * inf * S // (F * F))
+                radius = min(radius, n * inf * inf * S)
         y[level] = 0
 
     if nodes > limit:

@@ -1,11 +1,11 @@
 """Exact rational vectors and matrices.
 
 Everything here is immutable and exact over ``fractions.Fraction``, so
-reconstruction identities (B = Bhat * Mu, M * solve(M, v) = v) hold with
-literal equality.  Determinant and linear solve run fraction-free
-(Bareiss elimination on a denominator-cleared integer matrix) to keep
-intermediate entries from blowing up, and a matrix product multiplies the
-factors' integer numerators over one common denominator each.
+identities such as M * solve(M, v) = v hold with literal equality.
+Gram-Schmidt, determinant and linear solve run fraction-free on
+denominator-cleared integers (de Weger's recurrence, Bareiss elimination),
+and a matrix product multiplies the factors' integer numerators over one
+common denominator each.
 """
 
 from __future__ import annotations
@@ -76,9 +76,6 @@ class RVector:
     def inf_norm(self) -> Fraction:
         return max((abs(a) for a in self.entries), default=Fraction(0))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
     def _check_dim(self, other: "RVector") -> None:
         if len(self.entries) != len(other.entries):
             raise ValueError("dimension mismatch")
@@ -137,9 +134,6 @@ class RMatrix:
     def column(self, j: int) -> RVector:
         return RVector(row[j] for row in self.rows)
 
-    def columns(self) -> list[RVector]:
-        return [self.column(j) for j in range(self.ncols)]
-
     def transpose(self) -> "RMatrix":
         return RMatrix(zip(*self.rows)) if self.rows else RMatrix([])
 
@@ -187,29 +181,34 @@ class RMatrix:
         return RMatrix([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def gram_schmidt(basis: RMatrix) -> tuple[RMatrix, RMatrix]:
-    """Orthogonalize the columns b_1..b_n of ``basis``.
+def gram_schmidt(basis: RMatrix) -> tuple[list[list[int]], int, list[int], list[list[int]]]:
+    """Integral Gram-Schmidt of the columns b_j (de Weger 1987; Cohen, Alg. 2.6.7).
 
-    Returns (Bhat, Mu) with Bhat's columns pairwise orthogonal, Mu unit upper
-    triangular, and basis = Bhat * Mu exactly.  Mu[i][j] is the projection
-    coefficient <b_j, bhat_i> / |bhat_i|^2 for i < j.
+    Returns integers (c, F, d, lam): c_j = F b_j over the common denominator F
+    of the entries, the Gram determinants d_0 = 1, d_i = det(<c_k, c_l>)_{k,l<i},
+    and lam[k][j] = d_{j+1} mu_kj for j < k (zero elsewhere), where
+    mu_kj = <b_k, bhat_j> / |bhat_j|^2; so |bhat_i|^2 = d_{i+1} / (d_i F^2).
+    Every division is exact.  Raises RankDeficient when some d_{k+1} = 0.
     """
     if not basis.is_square():
         raise RankDeficient("basis matrix must be square")
     n = basis.ncols
-    cols = basis.columns()
-    hat: list[RVector] = []
-    mu = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for j in range(n):
-        v = cols[j]
-        for i in range(j):
-            coeff = cols[j].dot(hat[i]) / hat[i].norm_sq()
-            mu[i][j] = coeff
-            v = v - hat[i].scale(coeff)
-        if v.is_zero():
-            raise RankDeficient(f"column {j} is dependent on earlier columns")
-        hat.append(v)
-    return RMatrix.from_columns(hat), RMatrix(mu)
+    flat, scale = common_denominator_ints(e for row in basis.rows for e in row)
+    cols = [flat[j::n] for j in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            t = sum(map(mul, cols[k], cols[j]))
+            for i in range(j):
+                t = (d[i + 1] * t - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = t
+            elif t == 0:
+                raise RankDeficient(f"column {k} is dependent on earlier columns")
+            else:
+                d[k + 1] = t
+    return cols, scale, d, lam
 
 
 def _cleared_int_rows(m: RMatrix) -> tuple[list[list[int]], int]:

@@ -6,18 +6,26 @@ from fractions import Fraction
 import pytest
 
 from balancelat import lattice
-from balancelat.errors import BudgetExceeded, InternalContradiction, NotFound, PreconditionFailed
+from balancelat.errors import (
+    BudgetExceeded,
+    InternalContradiction,
+    NotFound,
+    PreconditionFailed,
+    RankDeficient,
+)
 from balancelat.lattice import (
     LatticeBasis,
     LllCertificate,
+    UnimodularTransform,
     check_reduction_conditions,
     lattice_membership,
     lll_min_gain,
     lll_reduce,
     svp_exact_linf,
 )
-from balancelat.linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
+from balancelat.linalg import RMatrix, RVector, determinant, solve_linear
 from balancelat.rationals import floor_frac
+from test_linalg import reference_gram_schmidt
 
 
 def rand_int_basis(rng, n, span=30):
@@ -80,7 +88,7 @@ def reference_lll(basis):
     uinv_rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
     def recompute_gs():
-        bhat, mu = gram_schmidt(RMatrix.from_columns([RVector(c) for c in cols]))
+        bhat, mu = reference_gram_schmidt(RMatrix.from_columns([RVector(c) for c in cols]))
         norms = [bhat.column(i).norm_sq() for i in range(n)]
         return [[mu[j, i] for j in range(n)] for i in range(n)], norms
 
@@ -213,6 +221,69 @@ class TestLllReduce:
         assert transform.U.matmul(transform.Uinv) == RMatrix.identity(n)
 
 
+class TestReductionCertificate:
+    """Both conditions are checked as integer inequalities, bounds included."""
+
+    @staticmethod
+    def flags(columns):
+        cert = check_reduction_conditions(RMatrix.from_columns([RVector(c) for c in columns]))
+        return cert.size_reduced, cert.lovasz_ok
+
+    def test_size_reduction_bound(self):
+        # mu_10 = +-1/2 exactly is size-reduced; mu_10 = +-101/200 is not
+        assert self.flags([(2, 0), (1, 3)]) == (True, True)
+        assert self.flags([(2, 0), (-1, 3)]) == (True, True)
+        assert self.flags([(200, 0), (101, 300)]) == (False, True)
+        assert self.flags([(200, 0), (-101, 300)]) == (False, True)
+        assert self.flags([(200, 0), (99, 300)]) == (True, True)
+        # a pair below the diagonal other than (1, 0)
+        assert self.flags([(2, 0, 0), (0, 2, 0), (1, 0, 5)]) == (True, True)
+        assert self.flags([(200, 0, 0), (0, 200, 0), (101, 0, 300)]) == (False, True)
+        assert self.flags([(1, 0, 0), (0, 200, 0), (0, 101, 300)]) == (False, True)
+
+    def test_lovasz_bound(self):
+        # |bhat_0|^2 = 4 = 2 |bhat_1|^2: d_1^2 = 16 = 2 d_0 d_2 is accepted;
+        # shrinking b_1 a little breaks the condition
+        assert self.flags([(2, 0, 0), (1, 1, 1), (0, 1, -1)]) == (True, True)
+        assert check_reduction_conditions(RMatrix([[2, 1, 0], [0, 1, 1], [0, 1, -1]])).d == (
+            1, 4, 8, 16)
+        assert self.flags([(2, 0, 0), (1, Fraction(99, 100), 1), (0, 1, -1)]) == (True, False)
+        # the same at a later pair, |bhat_1|^2 = 4 = 2 |bhat_2|^2, where
+        # d_2^2 = 16 = 2 d_1 d_3 with d_1 != 1
+        e0, e3 = (1, 0, 0, 0), (0, 0, 1, -1)
+        assert self.flags([e0, (0, 2, 0, 0), (0, 1, 1, 1), e3]) == (True, True)
+        assert self.flags([e0, (0, 2, 0, 0), (0, 1, 1, Fraction(99, 100)), e3]) == (True, False)
+        # in two dimensions: 4 <= 2 * 9, but 9 > 2 * 4
+        assert self.flags([(2, 0), (0, 3)]) == (True, True)
+        assert self.flags([(3, 0), (0, 2)]) == (True, False)
+
+    def test_dependent_basis_rejected(self):
+        with pytest.raises(RankDeficient):
+            check_reduction_conditions(RMatrix([[1, 2, 3], [0, 1, 1], [0, 0, 0]]))
+
+
+class TestUnimodularTransform:
+    def test_non_integral_inverse_refused(self):
+        # U = [2] is integral and U U^-1 = I, but det U = 2
+        with pytest.raises(PreconditionFailed):
+            UnimodularTransform(RMatrix([[2]]), RMatrix([[Fraction(1, 2)]]))
+
+    def test_non_integral_matrix_refused(self):
+        with pytest.raises(PreconditionFailed):
+            UnimodularTransform(RMatrix([[Fraction(1, 2)]]), RMatrix([[2]]))
+
+    def test_wrong_inverse_refused(self):
+        with pytest.raises(PreconditionFailed):
+            UnimodularTransform(RMatrix([[1, 1], [0, 1]]), RMatrix([[1, 1], [0, 1]]))
+
+    def test_valid_pair_accepted(self):
+        u = RMatrix([[2, 1], [1, 1]])
+        uinv = RMatrix([[1, -1], [-1, 2]])
+        t = UnimodularTransform(u, uinv)
+        x = RVector([3, -4])
+        assert t.apply_inverse(t.apply(x)) == x
+
+
 class TestMinGain:
     def test_identity_certificate(self):
         basis = LatticeBasis(RMatrix.identity(2))
@@ -242,6 +313,20 @@ class TestMinGain:
         basis = LatticeBasis(RMatrix([[1, 100], [0, 1]]))
         with pytest.raises(PreconditionFailed):
             lll_min_gain(basis)
+
+    def test_gram_schmidt_bound_read_from_the_certificate(self):
+        # On a reduced basis with |b_i|^2 >= 1 the bound |bhat_k|^2 >= 2^(-n)
+        # always holds, so these certificates are made up to reach it: over
+        # F = 4, 2^n d_{k+1} >= d_k F^2 holds with equality for d = (1, 4, 16)
+        # (|bhat_0|^2 = |bhat_1|^2 = 1/4) and fails at d_1 = 3.
+        basis = LatticeBasis(RMatrix.identity(2))
+        zero = ((0, 0), (0, 0))
+        at_bound = LllCertificate(4, (1, 4, 16), zero, True, True)
+        assert lll_min_gain(basis, at_bound) == Fraction(1, 64)
+        with pytest.raises(PreconditionFailed):
+            lll_min_gain(basis, LllCertificate(4, (1, 3, 16), zero, True, True))
+        with pytest.raises(PreconditionFailed):
+            lll_min_gain(basis, LllCertificate(4, (1, 4, 15), zero, True, True))
 
 
 class TestSvpExactLinf:

@@ -36,39 +36,121 @@ def cofactor_det(m: RMatrix) -> Fraction:
     return total
 
 
+def reference_gram_schmidt(basis: RMatrix) -> tuple[RMatrix, RMatrix]:
+    """The Fraction Gram-Schmidt that the integral one replaced.
+
+    Returns (Bhat, Mu) with Bhat's columns pairwise orthogonal, Mu unit upper
+    triangular, and basis = Bhat * Mu exactly.  Mu[i][j] is the projection
+    coefficient <b_j, bhat_i> / |bhat_i|^2 for i < j.
+    """
+    if not basis.is_square():
+        raise RankDeficient("basis matrix must be square")
+    n = basis.ncols
+    cols = [basis.column(j) for j in range(n)]
+    hat: list[RVector] = []
+    mu = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        v = cols[j]
+        for i in range(j):
+            coeff = cols[j].dot(hat[i]) / hat[i].norm_sq()
+            mu[i][j] = coeff
+            v = v - hat[i].scale(coeff)
+        if not any(v):
+            raise RankDeficient(f"column {j} is dependent on earlier columns")
+        hat.append(v)
+    return RMatrix.from_columns(hat), RMatrix(mu)
+
+
+def assert_matches_reference_gs(b: RMatrix) -> None:
+    """The integral data are the reference's Bhat norms and Mu, scaled."""
+    cols, f, d, lam = gram_schmidt(b)
+    bhat, mu = reference_gram_schmidt(b)
+    n = b.ncols
+    assert d[0] == 1 and len(d) == n + 1
+    assert [[Fraction(e, f) for e in c] for c in cols] == [list(b.column(j)) for j in range(n)]
+    for i in range(n):
+        assert Fraction(d[i + 1], d[i] * f * f) == bhat.column(i).norm_sq()
+        for j in range(i + 1, n):
+            assert Fraction(lam[j][i], d[i + 1]) == mu[i, j]
+        assert lam[i][i:] == [0] * (n - i)
+
+
 class TestGramSchmidt:
     def test_identity_is_fixed_point(self):
         eye = RMatrix.identity(3)
-        bhat, mu = gram_schmidt(eye)
+        bhat, mu = reference_gram_schmidt(eye)
         assert bhat == eye
         assert mu == eye
+        cols, f, d, lam = gram_schmidt(eye)
+        assert (f, d) == (1, [1, 1, 1, 1])
+        assert cols == [list(eye.column(j)) for j in range(3)]
+        assert lam == [[0] * 3 for _ in range(3)]
 
     def test_forced_two_dim_case(self):
         # columns (1,0) and (1,1)
         b = RMatrix([[1, 1], [0, 1]])
-        bhat, mu = gram_schmidt(b)
+        bhat, mu = reference_gram_schmidt(b)
         assert bhat.column(0) == RVector([1, 0])
         assert bhat.column(1) == RVector([0, 1])
         assert mu[0, 1] == 1
+        _, f, d, lam = gram_schmidt(b)
+        assert (f, d) == (1, [1, 1, 1])  # |bhat_0|^2 = |bhat_1|^2 = 1
+        assert lam[1][0] == 1  # d_1 mu_10
+
+    def test_common_denominator(self):
+        # columns (1/2, 0) and (1/3, 1/3) over F = 6: (3, 0) and (2, 2)
+        b = RMatrix([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(1, 3)]])
+        cols, f, d, lam = gram_schmidt(b)
+        assert (cols, f) == ([[3, 0], [2, 2]], 6)
+        assert d == [1, 9, 36]  # det of the Gram matrix [[9, 6], [6, 8]]
+        assert lam[1][0] == 6
+        assert_matches_reference_gs(b)
 
     def test_reconstruction_random(self):
         rng = random.Random(401)
         for _ in range(10):
             b = rand_nonsingular(rng, 4)
-            bhat, mu = gram_schmidt(b)
+            bhat, mu = reference_gram_schmidt(b)
             assert bhat.matmul(mu) == b
             # pairwise orthogonality and unit diagonal, exactly
-            cols = bhat.columns()
+            cols = [bhat.column(j) for j in range(4)]
             for i in range(4):
                 assert mu[i, i] == 1
                 for j in range(i + 1, 4):
                     assert cols[i].dot(cols[j]) == 0
                     assert mu[j, i] == 0
+            assert_matches_reference_gs(b)
+
+    def test_matches_reference_on_integer_bases(self):
+        rng = random.Random(406)
+        for n in range(1, 11):
+            for _ in range(3):
+                while True:
+                    b = RMatrix([[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
+                    if determinant(b) != 0:
+                        break
+                assert_matches_reference_gs(b)
+
+    def test_matches_reference_on_mixed_denominator_bases(self):
+        rng = random.Random(407)
+        for n in range(1, 11):
+            for _ in range(2):
+                assert_matches_reference_gs(rand_nonsingular(rng, n))
 
     def test_rank_deficient_rejected(self):
-        b = RMatrix([[1, 2], [2, 4]])
+        for b in (
+            RMatrix([[1, 2], [2, 4]]),
+            RMatrix([[1, 0, 1], [0, 1, 1], [0, 0, 0]]),  # b_2 = b_0 + b_1
+            RMatrix([[0]]),
+        ):
+            with pytest.raises(RankDeficient):
+                gram_schmidt(b)
+            with pytest.raises(RankDeficient):
+                reference_gram_schmidt(b)
+
+    def test_non_square_rejected(self):
         with pytest.raises(RankDeficient):
-            gram_schmidt(b)
+            gram_schmidt(RMatrix([[1, 0]]))
 
 
 class TestDeterminant:
@@ -178,11 +260,14 @@ small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 def test_gram_schmidt_reconstructs_whenever_it_succeeds(rows):
     m = RMatrix(rows)
     try:
-        bhat, mu = gram_schmidt(m)
+        bhat, mu = reference_gram_schmidt(m)
     except RankDeficient:
         assert determinant(m) == 0
+        with pytest.raises(RankDeficient):
+            gram_schmidt(m)
         return
     assert bhat.matmul(mu) == m
+    assert_matches_reference_gs(m)
 
 
 @settings(max_examples=40, deadline=None)

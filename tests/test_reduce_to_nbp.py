@@ -11,8 +11,9 @@ from balancelat.errors import (
     OracleContractViolation,
     ParameterOutOfRange,
 )
+from balancelat.generators import gen_nbp
 from balancelat.linalg import RVector, determinant
-from balancelat.nbp import NbpInstance, brute_force_min
+from balancelat.nbp import NbpInstance, brute_force_min, verify
 from balancelat.oracles import (
     adversarial_minkowski_oracle,
     exact_minkowski_oracle,
@@ -90,6 +91,26 @@ class TestNbpViaMinkowski:
         inst = dyadic_instance(rng, 4, bits=10)
         with pytest.raises(OracleContractViolation):
             nbp_via_minkowski(inst, 1, adversarial_minkowski_oracle())
+
+
+class TestExactRoutesAgree:
+    def test_svp_and_minkowski_routes_on_the_same_instances(self):
+        """The exact SVP route (Theorem 9, at rho = 1) and the exact Minkowski
+        route (Theorem 5) each meet their own bound on the same seeded
+        instances, both answers re-verify, and neither beats the optimum."""
+        svp_oracle, mink_oracle = exact_svp_oracle(), exact_minkowski_oracle()
+        for n in range(2, 7):
+            for k in (1, 2, 3):
+                for seed in range(5):
+                    inst = gen_nbp(n, seed=9000 + 100 * n + 10 * k + seed, signed=True)
+                    optimum = brute_force_min(inst, k).error
+                    svp = nbp_via_svp(inst, k, svp_oracle)
+                    mink = nbp_via_minkowski(inst, k, mink_oracle)
+                    assert svp.claimed_bound == 2 * n * k * Fraction(1, k) ** n
+                    assert mink.claimed_bound == n * Fraction(1, k + 1) ** (n - 1)
+                    for result in (svp, mink):
+                        assert verify(inst, result.solution.x, k) == result.solution
+                        assert optimum <= result.solution.error <= result.claimed_bound
 
 
 class TestNbpViaSvp:

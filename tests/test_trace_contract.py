@@ -6,10 +6,13 @@ breaks ``perfbench/run.py --trace 1``; these tests catch that without
 running the benchmark.  They read perfbench/ and never change it.
 """
 
+import contextlib
 import importlib
+import io
 import pkgutil
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -64,3 +67,33 @@ def test_install_wraps_every_boundary_and_uninstall_restores_it(tracing):
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert changed == []
+
+
+@pytest.mark.parametrize("workload", ["solve", "lattice", "to-nbp", "to-minkowski"])
+def test_smallest_ops_leave_no_designated_boundary_silent(tracing, workload, tmp_path):
+    """``--trace 1`` exits 1 when a designated boundary records no call.
+
+    Catches, for example, a certificate that stops calling ``gram_schmidt``.
+    One op per op kind and id tag (to-minkowski's natural and rounded
+    ellipsoids share a kind but take different branches), the smallest, runs
+    under an installed tracer; every boundary designated for the workload
+    must record a call.
+    """
+    workloads = importlib.import_module("workloads")
+    from balancelat import cli, generators, geometry
+
+    lib = SimpleNamespace(cli=cli, generators=generators, geometry=geometry)
+    smallest = {}
+    for op in workloads.build(workload, 1, lib, tmp_path):
+        key = (op.kind, op.id.split("/")[0])
+        if key not in smallest or op.size < smallest[key].size:
+            smallest[key] = op
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for op in smallest.values():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(op.argv + ["--out", str(tmp_path / "report")]) == 0, op.id
+    finally:
+        tracer.uninstall()
+    assert tracer.silent_boundaries(workload) == []
