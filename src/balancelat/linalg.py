@@ -217,7 +217,7 @@ def _cleared_int_rows(m: RMatrix) -> tuple[list[list[int]], int]:
     scale = 1
     for row in m.rows:
         den = lcm_of(e.denominator for e in row) if row else 1
-        rows.append([int(e * den) for e in row])
+        rows.append([e.numerator * (den // e.denominator) for e in row])
         scale *= den
     return rows, scale
 

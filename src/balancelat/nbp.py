@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import heapq
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -28,6 +31,7 @@ from .rationals import common_denominator_ints
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV = "BALANCELAT_BUDGET"
+TAIL_TABLE = 3**6  # brute_force_min: the most tail sums one leaf of its recursion scans
 
 
 def enumeration_budget(override: int | None = None) -> int:
@@ -100,7 +104,11 @@ def brute_force_min(inst: NbpInstance, k: int, budget: int | None = None) -> Nbp
     Returns the lexicographically smallest minimizer.  The search runs over
     integer-scaled entries with interval pruning; pruning only discards
     subtrees that are provably >= the incumbent, and equal-error leaves found
-    later lose ties anyway, so the lexicographic contract is preserved.
+    later lose ties anyway, so the lexicographic contract is preserved.  The
+    recursion stops t coordinates early, with (2k+1)^t <= TAIL_TABLE: each
+    of its leaves scans the tail's sums in lexicographic order (_half_sums),
+    first for any tail that beats the incumbent and only then for the first
+    smallest |s + tail|.
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
@@ -109,37 +117,46 @@ def brute_force_min(inst: NbpInstance, k: int, budget: int | None = None) -> Nbp
         raise BudgetExceeded(f"(2k+1)^n = {(2 * k + 1) ** inst.n} exceeds budget {limit}")
     ints, den = inst.scaled_ints()
     n = inst.n
+    t = 0
+    while t < n and (2 * k + 1) ** (t + 1) <= TAIL_TABLE:
+        t += 1
+    head = n - t
+    table = _half_sums(ints[head:], k)
+    # Minimizers come in +-pairs and the lexicographically smallest one has a
+    # negative leading entry, so only sign patterns with first nonzero < 0
+    # are enumerated: after an all-zero prefix, the table's first half.
+    tables = (table[: len(table) // 2], table)
     # suffix[i] = k * sum of |a_j| for j >= i, scaled
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + k * abs(ints[i])
 
     best: list = [None, None]  # [error_int, witness]
-    prefix = [0] * n
+    prefix = [0] * head
 
     def descend(i: int, s: int, nonzero_seen: bool) -> None:
-        if i == n:
-            if nonzero_seen:
-                err = abs(s)
-                if best[0] is None or err < best[0]:
-                    best[0] = err
-                    best[1] = tuple(prefix)
-            return
         if best[0] is not None and abs(s) - suffix[i] >= best[0]:
             # nothing below can beat the incumbent, and equal-error leaves
             # found later lose the lexicographic tie anyway
             return
-        lo = -k
-        hi = 0 if not nonzero_seen else k
+        if i == head:
+            row = tables[nonzero_seen]
+            if best[0] is not None:
+                # a tail beats the incumbent exactly when lo < tail < hi
+                lo, hi = -s - best[0], best[0] - s
+                if not [v for v in row if lo < v < hi]:
+                    return
+            errs = [abs(s + v) for v in row]
+            if errs:
+                best[0] = min(errs)
+                best[1] = tuple(prefix) + _decode(errs.index(best[0]), t, k)
+            return
         ai = ints[i]
-        for v in range(lo, hi + 1):
+        for v in range(-k, (k if nonzero_seen else 0) + 1):
             prefix[i] = v
             descend(i + 1, s + v * ai, nonzero_seen or v != 0)
         prefix[i] = 0
 
-    # Minimizers come in +-pairs and the lexicographically smallest one has a
-    # negative leading entry, so only sign patterns with first nonzero < 0
-    # are enumerated.
     descend(0, 0, False)
     if best[1] is None:
         raise InternalContradiction("the enumeration reached no nonzero leaf")
@@ -160,31 +177,63 @@ def _decode(index: int, m: int, k: int) -> tuple[int, ...]:
     return tuple((index // (2 * k + 1) ** (m - 1 - j)) % (2 * k + 1) - k for j in range(m))
 
 
-def _closest_gap(xs: Sequence[int], ys: Sequence[int]) -> int:
-    """min |x - y| over x in xs and y in ys, both sorted and nonempty, by one merge."""
-    best, i, j = abs(xs[0] - ys[0]), 0, 0
-    while best and i < len(xs) and j < len(ys):
-        d = xs[i] - ys[j]
-        if d < 0:
-            d = -d
-            i += 1
-        else:
-            j += 1
-        if d < best:
-            best = d
-    return best
+def _sorted_half(ints: Sequence[int], k: int, b: int) -> list[int]:
+    """The packed ints (<a, x> << b) + i for x in {-k..k}^m, sorted.
+
+    i < 2^b is the index of x in lex order (as in _half_sums), so equal sums
+    sit in lex order of x.  Coordinates are added last to first, each as the
+    new leading digit of i: a level is 2k+1 shifted copies of the sorted
+    level below, and one sort merges these runs in linear time.
+    """
+    level, width = [0], 1
+    for a in reversed(ints):
+        steps = [((v * a) << b) + (v + k) * width for v in range(-k, k + 1)]
+        level = [p + d for d in steps for p in level]
+        level.sort()
+        width *= 2 * k + 1
+    return level
+
+
+def _closest_pairs(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, set]:
+    """min |x - y| over x in xs and y in ys, both sorted and nonempty, and
+    the distinct value pairs (x, y) at that gap, by one merge.
+
+    The walk meets every such pair, at the first copies of x and y.  It
+    stops at gap 0, where the pairs are the values common to both lists.
+    """
+    best, pairs = abs(xs[0] - ys[0]) + 1, set()
+    rest = iter(ys)
+    y = next(rest)
+    try:
+        for x in xs:
+            while y < x:
+                if x - y <= best:
+                    if x - y < best:
+                        best, pairs = x - y, set()
+                    pairs.add((x, y))
+                y = next(rest)
+            if y - x <= best:
+                if y == x:
+                    return 0, {(v, v) for v in set(xs).intersection(ys)}
+                if y - x < best:
+                    best, pairs = y - x, set()
+                pairs.add((x, y))
+    except StopIteration:  # the ys ran out below x: no later x comes closer
+        pass
+    return best, pairs
 
 
 def mitm_min(inst: NbpInstance, k: int, budget: int | None = None) -> NbpSolution:
     """Exact minimum by meet-in-the-middle; agrees with brute_force_min.
 
-    Each half of the coordinates (the left has ceil(n/2)) is a flat int list
-    of sums (_half_sums) with its zero vector in the middle.  The value pass
-    merges the sorted nonzero left sums with the sorted negated right sums,
-    and meets the zero left half with the nonzero right ones apart.  The
-    witness pass scans left indices in order against a dict from each right
-    sum to its smallest index; the first hit is the lexicographically
-    smallest optimal x, and only it is decoded.
+    The left half of the coordinates (ceil(n/2) of them) is one sorted list
+    of packed (<a, x> << b) + i, the right half the same for -<a, y>
+    (_sorted_half).  One merge of the nonzero left sums with the negated
+    right sums gives the optimum and its value pairs; the zero left half
+    meets the nonzero right halves nearest to 0, the neighbours of the zero
+    right half.  The first entry of each value, found by bisect, is its
+    lexicographically smallest half, and the smallest pair of indices over
+    all optimal value pairs is the lexicographically smallest optimal x.
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
@@ -193,21 +242,29 @@ def mitm_min(inst: NbpInstance, k: int, budget: int | None = None) -> NbpSolutio
     if (2 * k + 1) ** nl > limit:
         raise BudgetExceeded(f"(2k+1)^ceil(n/2) exceeds budget {limit}")
     ints, den = inst.scaled_ints()
-    left, right = _half_sums(ints[:nl], k), _half_sums(ints[nl:], k)
+    b = ((2 * k + 1) ** nl).bit_length()
+    left = _sorted_half(ints[:nl], k, b)
+    right = _sorted_half([-a for a in ints[nl:]], k, b)
     zl, zr = len(left) // 2, len(right) // 2  # the zero vectors: every digit is k
-    best = _closest_gap(sorted(left[:zl] + left[zl + 1:]), sorted(-s for s in right))
-    if zr:  # the zero left half against the nonzero right halves
-        best = min(best, min(map(abs, right[:zr] + right[zr + 1:])))
-    first = dict(zip(reversed(right), range(len(right) - 1, -1, -1)))
-    for i, s in enumerate(left):
-        hits = [first[t] for t in {best - s, -best - s} if t in first]
-        # x = 0 is no answer.  zr is hit only if no right half before it sums
-        # to 0, and then none after it does either (y and -y straddle zr).
-        if i == zl and zr in hits:
-            hits.remove(zr)
-        if hits:
-            return verify(inst, _decode(i, nl, k) + _decode(min(hits), inst.n - nl, k), k)
-    raise InternalContradiction("optimal error lost between passes")
+    xs = [p >> b for p in left]
+    del xs[bisect_left(left, zl)]  # x = 0 is no answer
+    best, pairs = _closest_pairs(xs, [p >> b for p in right])
+    # the zero left half against the nonzero right halves: those nearest to 0
+    # sit next to the zero right half, and the halves come in +-pairs
+    z = bisect_left(right, zr)
+    gap = min((abs(p >> b) for p in right[max(z - 1, 0):z] + right[z + 1:z + 2]), default=None)
+    if gap is not None and gap <= best:
+        if gap < best:
+            best, pairs = gap, set()
+        pairs |= {(0, gap), (0, -gap)}
+    if not pairs:
+        raise InternalContradiction("optimal error lost between passes")
+    mask = (1 << b) - 1
+    i, j = min(
+        (left[bisect_left(left, x << b)] & mask, right[bisect_left(right, y << b)] & mask)
+        for x, y in pairs
+    )
+    return verify(inst, _decode(i, nl, k) + _decode(j, inst.n - nl, k), k)
 
 
 def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
@@ -217,9 +274,11 @@ def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
     lie in [-m, m], so two of them differ by at most 2m/N; their encoding
     difference is the returned sign vector.  Default N = n^3.
 
-    Pigeon t is the int ((sum_t - lo) << m) | t, with lo the sum of the
-    negative entries, so the sorted ints are in (sum, t) order.  The pair is
-    the first smallest adjacent gap of that order.
+    Pigeon t is the int (sum_t << w) + t with w = m + 1, so sorted ints are
+    in (sum, t) order.  The pigeons are built one bit of t at a time, from
+    the top bit down, and sorted after each bit: the pigeons so far plus a
+    shifted copy, so each sort merges two sorted runs.  The pair is the
+    first smallest adjacent gap of that order.
     """
     if N is None:
         N = inst.n**3
@@ -229,17 +288,25 @@ def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
     if m > inst.n:
         raise DimensionTooSmall(f"need {m} coordinates, instance has {inst.n}")
     ints, den = inst.scaled_ints()
-    lo = sum(a for a in ints[:m] if a < 0)
-    packed = [-lo << m]
-    for j in range(m):
-        # pigeons 2^j .. 2^(j+1)-1 (those up to N) are the ones below plus bit j
-        step = (ints[j] << m) + (1 << j)
-        packed += [p + step for p in packed[: N + 1 - len(packed)]]
-    packed.sort()
-    keys = [p >> m for p in packed]
-    gaps = [b - a for a, b in zip(keys, keys[1:])]
-    idx = gaps.index(min(gaps))  # the first smallest gap
-    t_lo, t_hi = packed[idx] % (1 << m), packed[idx + 1] % (1 << m)
+    w, half = m + 1, 1 << m
+    packed, top = [0], 0
+    for j in range(m - 1, -1, -1):
+        # packed holds the t <= N with bits 0..j clear, and top the largest
+        # of them; each t gains bit j, except top when bit j of N is 0
+        step = (ints[j] << w) + (1 << j)
+        shifted = [p + step for p in packed]
+        if N >> j & 1:
+            top += step
+        else:
+            del shifted[bisect_left(shifted, top + step)]
+        packed += shifted
+        packed.sort()
+    # Adjacent differences are (gap << w) + (t2 - t1) with |t2 - t1| < half,
+    # so a difference is below limit exactly when its gap is the smallest.
+    diffs = list(map(sub, packed[1:], packed))
+    limit = ((min(diffs) + half) >> w << w) + half
+    idx = next(compress(count(), map(limit.__gt__, diffs)))  # the first smallest gap
+    t_lo, t_hi = packed[idx] % half, packed[idx + 1] % half
     x = [((t_hi >> j) & 1) - ((t_lo >> j) & 1) for j in range(m)] + [0] * (inst.n - m)
     return verify(inst, x, 1)
 

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balancelat.errors import RankDeficient, Singular
-from balancelat.linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
+from balancelat.linalg import (
+    RMatrix,
+    RVector,
+    _cleared_int_rows,
+    determinant,
+    gram_schmidt,
+    solve_linear,
+)
 
 
 def rand_fraction(rng, span=9, den=8):
@@ -182,6 +189,14 @@ class TestDeterminant:
     def test_singular_is_zero(self):
         m = RMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         assert determinant(m) == 0
+
+    def test_cleared_rows_on_mixed_denominators(self):
+        # each row is scaled by the lcm of its denominators; the scales multiply
+        m = RMatrix([[Fraction(1, 6), Fraction(-3, 4), 2],
+                     [Fraction(5, 9), 0, Fraction(-1, 3)],
+                     [7, -1, 0]])
+        assert _cleared_int_rows(m) == ([[2, -9, 24], [5, 0, -3], [7, -1, 0]], 12 * 9)
+        assert determinant(m) == cofactor_det(m) == Fraction(7, 12)
 
 
 class TestSolveLinear:

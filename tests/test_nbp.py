@@ -44,9 +44,35 @@ def small_int_instance(rng, n, span=3):
     return NbpInstance.from_values([Fraction(rng.randint(-span, span), span) for _ in range(n)])
 
 
-# The three solvers as they were on (sum, tuple) pairs, a Fraction heap and
-# a key= sort, kept as the reference of the integer versions: the same
-# witnesses and tie-breaks, so they must return equal NbpSolutions.
+# The solvers as they were, kept as the references of the current ones: the
+# same witnesses and tie-breaks, so they must return equal NbpSolutions.
+# MITM and pigeonhole on (sum, tuple) pairs and a key= sort, KK on a Fraction
+# heap, and brute force as a pruned recursion down to every leaf.
+
+
+def reference_brute_force(inst, k):
+    ints, den = inst.scaled_ints()
+    n = inst.n
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + k * abs(ints[i])
+    best = [None, None]
+    prefix = [0] * n
+
+    def descend(i, s, nonzero_seen):
+        if i == n:
+            if nonzero_seen and (best[0] is None or abs(s) < best[0]):
+                best[0], best[1] = abs(s), tuple(prefix)
+            return
+        if best[0] is not None and abs(s) - suffix[i] >= best[0]:
+            return
+        for v in range(-k, (k if nonzero_seen else 0) + 1):
+            prefix[i] = v
+            descend(i + 1, s + v * ints[i], nonzero_seen or v != 0)
+        prefix[i] = 0
+
+    descend(0, 0, False)
+    return verify(inst, best[1], k)
 
 
 def _reference_half_sums(ints, k):
@@ -248,9 +274,9 @@ class TestMitm:
         assert mitm_min(inst, 1).error == 0
 
     def test_witness_lost_between_passes_raises(self, monkeypatch):
-        # a value pass that claims a cancellation the instance lacks leaves the
-        # witness pass empty: only the excluded pair of zero halves sums to 0
-        monkeypatch.setattr(nbp, "_closest_gap", lambda xs, ys: 0)
+        # a merge that claims a cancellation the instance lacks, with no value
+        # pair to show for it, leaves the witness search empty
+        monkeypatch.setattr(nbp, "_closest_pairs", lambda xs, ys: (0, set()))
         with pytest.raises(InternalContradiction):
             mitm_min(NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)]), 1)
 
@@ -369,6 +395,69 @@ class TestKarmarkarKarp:
         for _ in range(20):
             inst = dyadic_instance(rng, rng.randint(1, 8), bits=16)
             assert karmarkar_karp(inst).error >= brute_force_min(inst, 1).error
+
+
+def tie_heavy_instances(seed):
+    """All-zero, all-equal, +-pair and 2-5-bit instances: many equal sums."""
+    rng = random.Random(seed)
+    for n in range(1, 9):
+        yield NbpInstance.from_values([0] * n)
+        yield NbpInstance.from_values([Fraction(rng.randint(-4, 4), 4)] * n)
+        pairs = [Fraction(rng.randint(1, 4), 4) * rng.choice((-1, 1)) for _ in range(n // 2)]
+        values = pairs + [-v for v in pairs] + [0] * (n % 2)
+        rng.shuffle(values)
+        yield NbpInstance.from_values(values)
+        for bits in (2, 3, 4, 5):
+            yield NbpInstance.from_values(
+                [Fraction(rng.randint(-(2**bits), 2**bits), 2**bits) for _ in range(n)]
+            )
+
+
+class TestTieHeavy:
+    """Every exact solver against its reference where ties are everywhere."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_exact_solvers_match_references(self, k):
+        for inst in tie_heavy_instances(30 + k):
+            if (2 * k + 1) ** inst.n <= 10**5:
+                assert brute_force_min(inst, k) == reference_brute_force(inst, k)
+            assert mitm_min(inst, k) == reference_mitm(inst, k)
+
+    def test_pigeonhole_matches_reference(self):
+        rng = random.Random(33)
+        for inst in tie_heavy_instances(33):
+            for N in {1, 2, 3, rng.randint(1, 2**inst.n - 1), 2**inst.n - 1}:
+                if N.bit_length() <= inst.n:
+                    assert pigeonhole_solve(inst, N) == reference_pigeonhole(inst, N)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_only_the_zero_left_half_reaches_the_optimum(self, k):
+        # every nonzero left sum is at least 1/4 from 0 and every right sum
+        # within 3/32 of it, so the optimum 1/32 needs the zero left half
+        inst = NbpInstance.from_values([1, Fraction(3, 4), Fraction(1, 32)])
+        expected = NbpSolution((0, 0, -1), k, Fraction(1, 32))
+        assert mitm_min(inst, k) == brute_force_min(inst, k) == reference_mitm(inst, k) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_several_right_halves_sum_to_zero(self, k):
+        # no nonzero left half sums to a multiple of 1/3 (mod 4, 5 and 7 each
+        # coefficient would be 0), while every right half (-j, j, v) sums to 0
+        inst = NbpInstance.from_values(
+            [Fraction(1, 4), Fraction(1, 5), Fraction(1, 7), Fraction(1, 3), Fraction(1, 3), 0]
+        )
+        expected = NbpSolution((0, 0, 0, -k, k, -k), k, Fraction(0))
+        assert mitm_min(inst, k) == brute_force_min(inst, k) == reference_mitm(inst, k) == expected
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_mitm_all_zero_witness(self, n):
+        # reduce to-minkowski truncates its instances to all zeros at these sizes
+        assert mitm_min(NbpInstance.from_values([0] * n), 1) == NbpSolution((-1,) * n, 1, 0)
+
+    @pytest.mark.parametrize("n", [16, 36, 64])
+    def test_pigeonhole_all_zero_witness(self, n):
+        # pigeons 0 and 1 are the first pair at gap 0
+        sol = pigeonhole_solve(NbpInstance.from_values([0] * n), n**3)
+        assert sol == NbpSolution((1,) + (0,) * (n - 1), 1, 0)
 
 
 @settings(max_examples=30, deadline=None)
