@@ -199,9 +199,7 @@ def cmd_reduce_to_minkowski(args: argparse.Namespace) -> int:
     raw = _read_input(args.input)
     ellipsoid = serialize.ellipsoid_from_doc(serialize.loads(raw))
     oracle = CALLS["to-minkowski"][args.oracle]()
-    result = minkowski_from_nbp(
-        ellipsoid, oracle, Q_override=args.Q, precision_bits=args.precision_bits
-    )
+    result = minkowski_from_nbp(ellipsoid, oracle, Q_override=args.Q)
     doc = {
         "x": list(result.x),
         "rho_star": format_rational(result.rho_star),
@@ -342,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      help="find integer ellipsoid points with an NBP oracle")
     p_tomink.add_argument("--oracle", required=True, choices=CALLS["to-minkowski"])
     p_tomink.add_argument("--Q", type=int, default=None, help="power-of-two range override")
-    p_tomink.add_argument("--precision-bits", type=int, default=128)
     p_tomink.set_defaults(func=cmd_reduce_to_minkowski)
 
     p_lll = sub.add_parser("lll", parents=[reads, writes],

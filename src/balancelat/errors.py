@@ -49,10 +49,6 @@ class NotFound(BalanceLatError):
     """No nonzero integer point exists in the searched region."""
 
 
-class PrecisionUnreachable(BalanceLatError):
-    """Iterative approximation failed to certify the requested precision."""
-
-
 class OracleContractViolation(BalanceLatError):
     """An oracle returned a result that fails its own claimed guarantee."""
 

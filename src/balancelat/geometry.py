@@ -1,5 +1,5 @@
 """Symmetric convex bodies, ellipsoids, the exact Minkowski oracle, and
-ellipsoid well-rounding.
+ellipsoid well-rounding with the axis form read off its LLL certificate.
 
 Bodies are membership predicates over exact rationals plus an outer box
 radius.  The integer-point search asks a body for the range of values the
@@ -21,13 +21,13 @@ from .errors import (
     InternalContradiction,
     InvalidParams,
     NotFound,
-    PrecisionUnreachable,
+    PreconditionFailed,
     RankDeficient,
 )
-from .lattice import LatticeBasis, UnimodularTransform, lll_min_gain, lll_reduce
+from .lattice import LatticeBasis, LllCertificate, UnimodularTransform, lll_min_gain, lll_reduce
 from .linalg import RMatrix, RVector, determinant, solve_linear
 from .nbp import enumeration_budget
-from .rationals import common_denominator_ints, floor_frac, floor_sqrt_div, frac, sqrt_upper
+from .rationals import common_denominator_ints, floor_frac, frac, sqrt_upper
 
 
 class SymmetricConvexBody:
@@ -296,12 +296,14 @@ class WellRoundResult:
         transform: Optional[UnimodularTransform] = None,
         rounded: Optional[Ellipsoid] = None,
         min_gain_sq: Optional[Fraction] = None,
+        cert: Optional[LllCertificate] = None,
     ) -> None:
         self.branch = branch
         self.point = point
         self.transform = transform
         self.rounded = rounded
         self.min_gain_sq = min_gain_sq
+        self.cert = cert
 
 
 def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
@@ -312,7 +314,9 @@ def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
     columns have norm > 1 and E' = {x : |(AU) x|^2 <= 1} together with the
     2^(-3n) quadratic-form certificate bounds every point of E' by
     |x|_2^2 <= 2^(3n) (branch "rounded").  transform.apply maps E to E';
-    transform.apply_inverse maps E' back to E.
+    transform.apply_inverse maps E' back to E.  The rounded branch also
+    carries the LLL certificate of AU, from which axis_extract reads the axis
+    form of E'.
     """
     basis = LatticeBasis(ellipsoid.A)
     n = basis.n
@@ -328,132 +332,32 @@ def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
     rounded = Ellipsoid(reduced.B)
     # transform maps E -> E': y = U^{-1} x, so its forward matrix is Uinv
     t = UnimodularTransform(transform.Uinv, transform.U)
-    return WellRoundResult("rounded", transform=t, rounded=rounded, min_gain_sq=gain_sq)
-
-
-def _rotation_u(tn: int, td: int, bits: int) -> int:
-    """2^bits u, u = tan(theta/2), of the Jacobi rotation for tau = tn/td, td > 0.
-
-    Equal to rounding 2^bits t / (1 + sqrt_lower(1 + t^2)) half to even, for
-    t = sign(tau) / (|tau| + sqrt_lower(tau^2 + 1)), sign(0) = 1, at `bits`.
-    """
-    scale = 1 << bits
-    # 2^bits sqrt_lower(x) for x = tau^2 + 1 = (tn^2 + td^2) / td^2
-    root = floor_sqrt_div(tn * tn + td * td, td, bits)
-    # |t| = t_num / t_den; t_den > 0 because root >= scale
-    t_num, t_den = td * scale, abs(tn) * scale + root * td
-    half = floor_sqrt_div(t_den * t_den + t_num * t_num, t_den, bits)
-    # 2^bits |u| = 4^bits |t| / (2^bits + half)
-    den = t_den * (scale + half)
-    u, rem = divmod(t_num << (2 * bits), den)
-    if 2 * rem > den or (2 * rem == den and u & 1):
-        u += 1
-    return u if tn >= 0 else -u
-
-
-def _rotate_columns(rows: list[list[int]], p: int, q: int, c: int, s: int, d: int) -> None:
-    """In place rows <- rows J, where J is d I except for [[c, s], [-s, c]] on (p, q)."""
-    others = [j for j in range(len(rows[0])) if j != p and j != q]
-    for row in rows:
-        vp, vq = row[p], row[q]
-        row[p] = c * vp - s * vq
-        row[q] = s * vp + c * vq
-        for j in others:
-            row[j] *= d
-
-
-def axis_extract(
-    ellipsoid: Ellipsoid, precision_bits: int = 128
-) -> tuple[list[RVector], list[Fraction]]:
-    """Rational principal axes and lengths of the ellipsoid, certified.
-
-    Diagonalizes A^T A with Jacobi rotations whose (cos, sin) lie exactly on
-    the rational unit circle (tan-half-angle parametrization), so the rotation
-    product stays exactly orthogonal; only the final output is truncated.
-
-    The iteration is fraction-free and takes no gcd: the rotated Gram matrix
-    is N / dden and the rotation product V / vden, integer matrices over one
-    common denominator each.  With u = U / 2^bits and s = 4^bits, cos and sin
-    are C / D and S / D for C = s - U^2, S = 2 U 2^bits, D = s + U^2: rows and
-    columns p, q are combined with C and S, the others multiplied by D.
-    Decisions compare numerators over one positive denominator and roots are
-    exact floors (floor_sqrt_div) however the rational is written, so every
-    decision, and the output, equals the same iteration's on reduced Fractions.
-
-    Certifies, by exact comparison against A^T A:
-
-      * reconstruction residual max|sum_i (1/len_i^2) ax_i ax_i^T - A^T A|
-        <= 2^-precision_bits;
-      * orthonormality defect max|V^T V - I| <= 2^-precision_bits.
-
-    Lengths are returned ascending.  Raises PrecisionUnreachable when the
-    iteration cannot certify.
-    """
-    n = ellipsoid.dim
-    m = ellipsoid.gram()
-    target = Fraction(1, 2**precision_bits)
-    gram, gram_den = common_denominator_ints(m[i, j] for i in range(n) for j in range(n))
-    guard = 48
-    for _attempt in range(4):
-        # the angle grid is much finer than the off-diagonal tolerance so
-        # rotations cannot stall just above it
-        bits = precision_bits + 2 * guard
-        scale = 1 << bits
-        d, dden = [gram[i * n : (i + 1) * n] for i in range(n)], gram_den
-        v, vden = [[1 if i == j else 0 for j in range(n)] for i in range(n)], 1
-        tol_bits = precision_bits + guard  # stop once every |d_ij| <= 2^-tol_bits
-        for _rotation in range(40 * n * n + 40):
-            p, q, biggest = -1, -1, 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if abs(d[i][j]) > biggest:
-                        p, q, biggest = i, j, abs(d[i][j])
-            if biggest << tol_bits <= dden:
-                break
-            # tau = (d_qq - d_pp) / (2 d_pq), kept as tn / td with td > 0
-            tn, td = d[q][q] - d[p][p], 2 * d[p][q]
-            if td < 0:
-                tn, td = -tn, -td
-            u = _rotation_u(tn, td, bits)
-            c, s, rot_den = scale * scale - u * u, 2 * u * scale, scale * scale + u * u
-            # u leaves N_pq = a + b and -u leaves a - b, for a = (C^2 - S^2) N_pq
-            # and b = C S (N_pp - N_qq); take -u if |a - b| < |a + b|, i.e. a b > 0
-            if (c * c - s * s) * d[p][q] * c * s * (d[p][p] - d[q][q]) > 0:
-                s = -s
-            _rotate_columns(d, p, q, c, s, rot_den)
-            d = [list(col) for col in zip(*d)]  # (N J)^T J = J^T N J: N is symmetric
-            _rotate_columns(d, p, q, c, s, rot_den)
-            _rotate_columns(v, p, q, c, s, rot_den)
-            dden *= rot_den * rot_den
-            vden *= rot_den
-        else:
-            guard *= 2
-            continue
-
-        # output truncation: keep |entries| <= 1 by rounding toward zero
-        vout = [
-            [Fraction(e * scale // vden if e >= 0 else -(-e * scale // vden), scale) for e in row]
-            for row in v
-        ]
-        ws = [Fraction(floor_sqrt_div(d[i][i] * dden, dden, bits), scale) for i in range(n)]
-        if any(w <= 0 for w in ws):
-            guard *= 2
-            continue
-        vmat = RMatrix(vout)
-        recon = vmat.matmul(RMatrix.diagonal([w * w for w in ws])).matmul(vmat.transpose())
-        residual = max(
-            abs(recon[i, j] - m[i, j]) for i in range(n) for j in range(n)
-        )
-        gram_v = vmat.transpose().matmul(vmat)
-        defect = max(
-            abs(gram_v[i, j] - (1 if i == j else 0)) for i in range(n) for j in range(n)
-        )
-        if residual <= target and defect <= target:
-            axes = [vmat.column(i) for i in range(n)]
-            lengths = [1 / w for w in ws]
-            order = sorted(range(n), key=lambda i: lengths[i])
-            return [axes[i] for i in order], [lengths[i] for i in order]
-        guard *= 2
-    raise PrecisionUnreachable(
-        f"axis extraction failed to certify 2^-{precision_bits} residual"
+    return WellRoundResult(
+        "rounded", transform=t, rounded=rounded, min_gain_sq=gain_sq, cert=cert
     )
+
+
+def axis_extract(cert: LllCertificate) -> tuple[list[RVector], list[Fraction], list[Fraction]]:
+    """The axis form of E' = {x : |B' x|^2 <= 1}, read off the LLL certificate of B'.
+
+    Gram-Schmidt writes B' x = sum_i bhat_i (x_i + sum_{j > i} mu_ji x_j), so
+    |B' x|^2 = sum_i |bhat_i|^2 <a_i, x>^2 exactly for a_i = e_i + sum_{j > i}
+    mu_ji e_j.  The axes need not be orthogonal.  Size reduction gives
+    |mu_ji| <= 1/2, so every a_i lies in [-1, 1]^n, and lambda_i =
+    sqrt_upper(1 / |bhat_i|^2) >= 1 / |bhat_i| gives prod lambda_i >=
+    1 / |det B'|.  mu_ji = lam[j][i] / d_{i+1} and |bhat_i|^2 = d_{i+1} /
+    (d_i F^2) come from the certificate's integers, so no Gram-Schmidt runs.
+
+    Returns (axes, lengths, norms_sq) sorted by ascending length, where
+    norms_sq holds the |bhat_i|^2 of each axis.
+    """
+    if not cert.size_reduced:
+        raise PreconditionFailed("the axis form needs a size-reduced basis")
+    d, lam, f2 = cert.d, cert.lam, cert.scale**2
+    n = len(d) - 1
+    axes = [RVector([Fraction(lam[j][i], d[i + 1]) if j > i else int(j == i) for j in range(n)])
+            for i in range(n)]
+    norms_sq = [Fraction(d[i + 1], d[i] * f2) for i in range(n)]
+    lengths = [sqrt_upper(1 / w, 64) for w in norms_sq]
+    order = sorted(range(n), key=lengths.__getitem__)
+    return [axes[i] for i in order], [lengths[i] for i in order], [norms_sq[i] for i in order]

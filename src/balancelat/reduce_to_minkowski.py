@@ -5,8 +5,9 @@ at once (via cascaded discretization, whose proof yields an exactly testable
 divisibility invariant), extending the coefficient range from {-1,0,1} to
 {-Q..Q} (via powers-of-two replication), and the generalized form with
 per-vector scales lambda_i.  The pipeline composes these with ellipsoid
-well-rounding and axis extraction to realize an approximate Minkowski oracle,
-reporting a certified dilation factor rho*.
+well-rounding, whose LLL certificate yields the axis form of the rounded
+ellipsoid (Gram-Schmidt axes, which need not be orthogonal), to realize an
+approximate Minkowski oracle, reporting a certified dilation factor rho*.
 """
 
 from __future__ import annotations
@@ -264,20 +265,19 @@ def minkowski_from_nbp(
     ellipsoid: Ellipsoid,
     oracle: NbpDeltaOracle,
     Q_override: Optional[int] = None,
-    precision_bits: int = 128,
 ) -> MinkowskiFromNbpResult:
     """Find a nonzero integer point of rho* E using a balancing oracle.
 
     Requires prod lambda_i >= 1, checked exactly as |det A| <= 1.  Well-round
-    first: an integer point of E ends it with rho* = 1; otherwise extract
-    rational axes of the rounded ellipsoid, run the generalized balancing on
-    (axes, lengths), verify membership in the axis form, and map the point
-    back through the unimodular transform.  rho* is a certified dyadic upper
-    bound with rho*^2 >= the exact quadratic-form value of the returned point
-    in the *original* ellipsoid.
+    first: an integer point of E ends it with rho* = 1; otherwise read the
+    axis form of the rounded ellipsoid E' = {y : |B' y|^2 <= 1} off its LLL
+    certificate (axis_extract), run the generalized balancing on (axes,
+    lengths), check the form exactly at the balanced point, sum_i |bhat_i|^2
+    <a_i, y>^2 = |B' y|^2, and map the point back through the unimodular
+    transform.  rho* is a certified dyadic upper bound with rho*^2 >= the
+    exact quadratic-form value of the returned point in the *original*
+    ellipsoid.
     """
-    if precision_bits < 1:
-        raise InvalidParams("precision_bits must be >= 1")
     det = abs(determinant(ellipsoid.A))
     if det > 1:
         raise PreconditionFailed(
@@ -288,18 +288,15 @@ def minkowski_from_nbp(
         x = rounded.point
         return MinkowskiFromNbpResult("integer-point", x, Fraction(1), ellipsoid.quad(RVector(x)))
 
-    axes, lengths = axis_extract(rounded.rounded, precision_bits)
+    axes, lengths, norms_sq = axis_extract(rounded.cert)
     gi = GeneralizedInstance.create(axes, lengths)
     gen = generalized_nbp(gi, oracle, Q_override)
     y = RVector(gen.x)
 
-    # membership in the axis form, checked before un-transforming
-    axis_sq = sum(
-        ((ax.dot(y) / ln) ** 2 for ax, ln in zip(axes, lengths)), Fraction(0)
-    )
-    rho_axis = sqrt_upper(axis_sq, 64)
-    if axis_sq > rho_axis * rho_axis:
-        raise InternalContradiction("certified axis-form dilation is not an upper bound")
+    # the axis form is the rounded ellipsoid's quadratic form, checked before un-transforming
+    axis_sq = sum((w * ax.dot(y) ** 2 for ax, w in zip(axes, norms_sq)), Fraction(0))
+    if axis_sq != rounded.rounded.quad(y):
+        raise InternalContradiction("the axis form differs from the rounded ellipsoid")
 
     x_out = rounded.transform.apply_inverse(y)
     x_tuple = tuple(int(e) for e in x_out)

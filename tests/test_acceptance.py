@@ -310,7 +310,7 @@ def test_criterion_12_theorem3_end_to_end():
         oracle = mitm_delta_oracle()
         branches = set()
         for n, e in _pipeline_ellipsoids():
-            result = minkowski_from_nbp(e, oracle, Q_override=2**8, precision_bits=96)
+            result = minkowski_from_nbp(e, oracle, Q_override=2**8)
             branches.add(result.branch)
             assert any(result.x)
             assert all(isinstance(v, int) for v in result.x)

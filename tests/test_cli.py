@@ -198,8 +198,7 @@ class TestCliCommands:
         f = tmp_path / "e.json"
         f.write_text(out)
         code, out = self.run(
-            capsys, "reduce", "to-minkowski", "--oracle", "mitm", "--Q", "256",
-            "--precision-bits", "80", "--input", str(f),
+            capsys, "reduce", "to-minkowski", "--oracle", "mitm", "--Q", "256", "--input", str(f),
         )
         assert code == 0
         doc = json.loads(out)
@@ -291,15 +290,10 @@ class TestCliCommands:
             assert code == 3
             assert "BALANCELAT_BUDGET" in err and "exceeded budget" not in err
 
-    def test_precision_bits_below_one_exit_code(self, tmp_path, capsys):
-        code, out = self.run(capsys, "gen", "ellipsoid", "--n", "2", "--seed", "3")
-        f = tmp_path / "e.json"
-        f.write_text(out)
+    def test_precision_bits_below_one_exit_code(self, capsys):
         for bits in ("0", "-1"):
             for argv in (
                 ["gen", "nbp", "--n", "4", "--seed", "1", "--precision-bits", bits],
-                ["reduce", "to-minkowski", "--oracle", "mitm", "--precision-bits", bits,
-                 "--input", str(f)],
                 ["bench", "--sizes", "6", "--seeds", "1", "--algos", "kk",
                  "--precision-bits", bits],
             ):
@@ -337,6 +331,7 @@ class TestCliCommands:
             ["solve", "--algo", "nope"],
             ["solve", "--algo", "kk", "--oracle", "lll"],
             ["solve", "--algo", "kk", "--full"],
+            ["reduce", "to-minkowski", "--oracle", "mitm", "--precision-bits", "80"],
             ["frobnicate"],
         ):
             assert main(argv) == 3

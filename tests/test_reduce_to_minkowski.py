@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from balancelat.errors import OracleContractViolation, PreconditionFailed
+from balancelat import linalg, reduce_to_minkowski
+from balancelat.errors import InternalContradiction, OracleContractViolation, PreconditionFailed
 from balancelat.generators import gen_ellipsoid
 from balancelat.geometry import Ellipsoid, well_round
 from balancelat.linalg import RMatrix, RVector, determinant
@@ -161,9 +163,7 @@ class TestMinkowskiFromNbp:
         lengths = [Fraction(5, 7), Fraction(7, 5)]
         e = Ellipsoid.from_axes(axes, lengths)
         assert abs(determinant(e.A)) == 1  # prod lambda = 1
-        result = minkowski_from_nbp(
-            e, mitm_delta_oracle(), Q_override=2**8, precision_bits=96
-        )
+        result = minkowski_from_nbp(e, mitm_delta_oracle(), Q_override=2**8)
         assert result.branch == "pipeline"
         assert any(result.x)
         # certified membership in rho* E, exactly
@@ -180,3 +180,60 @@ class TestMinkowskiFromNbp:
         assert well_round(e).branch == "rounded"
         with pytest.raises(OracleContractViolation, match="adversarial-delta"):
             minkowski_from_nbp(e, adversarial_delta_oracle())
+
+    @pytest.mark.parametrize("seed, x, rho_star", [
+        (16, (-511, -511), Fraction(15400235740020933061073, 2**64)),
+        (20, (0, -511), Fraction(11014302366443154441987, 2**64)),
+    ], ids=["gen16", "gen20"])
+    def test_pipeline_on_nonzero_truncated_entries(self, monkeypatch, seed, x, rho_star):
+        # at Q = 4096 some entries survive truncation to the grid, so x depends
+        # on the axis form; at the default Q every truncated entry is 0
+        nonzero, balanced = [], []
+        truncate, balance = reduce_to_minkowski._truncate_to_grid, multi_vector_balance
+
+        def counted_truncate(value, grid):
+            out = truncate(value, grid)
+            nonzero.append(out != 0)
+            return out
+
+        def kept_balance(*args):
+            balanced.append(balance(*args))
+            return balanced[-1]
+
+        monkeypatch.setattr(reduce_to_minkowski, "_truncate_to_grid", counted_truncate)
+        monkeypatch.setattr(reduce_to_minkowski, "multi_vector_balance", kept_balance)
+        e = gen_ellipsoid(2, seed)
+        result = minkowski_from_nbp(e, mitm_delta_oracle(), Q_override=4096)
+        assert result.branch == "pipeline"
+        assert any(nonzero)
+        (inner,) = balanced
+        for disc in inner.discretized:
+            assert disc.dot(RVector(inner.x)) == 0
+        assert e.quad(RVector(result.x)) == result.rho_star_sq <= result.rho_star**2
+        assert (result.x, result.rho_star) == (x, rho_star)
+
+    def test_axis_form_reuses_the_lll_certificate(self, monkeypatch):
+        calls = []
+        original = linalg.gram_schmidt
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("balancelat") and getattr(module, "gram_schmidt", None) is original:
+                monkeypatch.setattr(module, "gram_schmidt", counted)
+        result = minkowski_from_nbp(gen_ellipsoid(2, 16), mitm_delta_oracle())
+        assert result.branch == "pipeline"
+        assert len(calls) == 2  # the LLL set-up and the certificate
+
+    def test_axis_form_mismatch_raises(self, monkeypatch):
+        extract = reduce_to_minkowski.axis_extract
+
+        def doubled(cert):
+            axes, lengths, norms_sq = extract(cert)
+            return axes, lengths, [2 * w for w in norms_sq]
+
+        monkeypatch.setattr(reduce_to_minkowski, "axis_extract", doubled)
+        with pytest.raises(InternalContradiction, match="axis form"):
+            minkowski_from_nbp(gen_ellipsoid(2, 16), mitm_delta_oracle())
