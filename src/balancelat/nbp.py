@@ -1,10 +1,13 @@
 """Number balancing instances, solutions, and the four baseline solvers.
 
 An instance is a vector a in [-1,1]^n; a solution is a nonzero integer vector
-x with |x_i| <= k whose quality is the exact rational |<a,x>|.  The exact
-solvers (full enumeration and meet-in-the-middle) break ties by returning the
-lexicographically smallest witness, so they are directly comparable and safe
-to parallelize with a deterministic reduce.
+x with |x_i| <= k whose quality is the exact rational |<a,x>|.  An instance
+holds its entries as integers over one denominator, computed once (restrict
+reduces its parent's pair by their gcd); every solver, verify and
+instance_inner works on them.  The exact solvers (full enumeration and
+meet-in-the-middle) break ties by returning the lexicographically smallest
+witness, so they are directly comparable and safe to parallelize with a
+deterministic reduce.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 import heapq
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
-from operator import sub
+from math import gcd
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -52,28 +56,54 @@ def enumeration_budget(override: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class NbpInstance:
-    """A balancing instance: n numbers in [-1, 1]."""
+    """A balancing instance: n numbers in [-1, 1], a_i = ints[i] / den.
+
+    (ints, den) is the least common denominator form of a, computed once at
+    construction; restrict divides the parent's pair by its gcd instead.
+    """
 
     n: int
     a: RVector
+    ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.a.dim != self.n:
+        if self.a.dim != self.n:
             raise InvalidParams("instance dimension mismatch")
-        if any(abs(e) > 1 for e in self.a):
+        self._set_ints(*common_denominator_ints(self.a))
+
+    def _set_ints(self, ints: Sequence[int], den: int) -> None:
+        if not ints:
+            raise InvalidParams("instance dimension mismatch")
+        if any(abs(p) > den for p in ints):
             raise InvalidParams("instance entries must lie in [-1, 1]")
+        for name, value in (("n", len(ints)), ("ints", tuple(ints)), ("den", den)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_values(values: Iterable) -> "NbpInstance":
         v = RVector(values)
         return NbpInstance(v.dim, v)
 
-    def scaled_ints(self) -> tuple[list[int], int]:
-        """Entries as integers over a common denominator (for fast search)."""
-        return common_denominator_ints(self.a)
+    @staticmethod
+    def from_ints(ints: Sequence[int], den: int) -> "NbpInstance":
+        """The instance with entries ints[i] / den, for den >= 1."""
+        return NbpInstance._reduced(RVector(Fraction(p, den) for p in ints), ints, den)
 
     def restrict(self, indices: Sequence[int]) -> "NbpInstance":
-        return NbpInstance.from_values([self.a[i] for i in indices])
+        sub = RVector(self.a[i] for i in indices)
+        return NbpInstance._reduced(sub, [self.ints[i] for i in indices], self.den)
+
+    @staticmethod
+    def _reduced(a: RVector, ints: Sequence[int], den: int) -> "NbpInstance":
+        """The instance a = ints / den, with the pair divided by its gcd.  For
+        divisors g_i of den, lcm(den / g_i) = den / gcd(g_i), so this is the
+        least common denominator form that __post_init__ computes."""
+        g = gcd(den, *ints)
+        inst = object.__new__(NbpInstance)
+        object.__setattr__(inst, "a", a)
+        inst._set_ints([p // g for p in ints], den // g)
+        return inst
 
 
 @dataclass(frozen=True)
@@ -94,7 +124,7 @@ def verify(inst: NbpInstance, x: Sequence[int], k: int) -> NbpSolution:
         raise ZeroVector("solution vector is zero")
     if any(abs(v) > k for v in xs):
         raise CoefficientOutOfRange(f"|x|_inf exceeds declared bound {k}")
-    error = abs(sum((ai * xi for ai, xi in zip(inst.a, xs)), Fraction(0)))
+    error = abs(Fraction(sum(map(mul, inst.ints, xs)), inst.den))
     return NbpSolution(xs, k, error)
 
 
@@ -115,8 +145,7 @@ def brute_force_min(inst: NbpInstance, k: int, budget: int | None = None) -> Nbp
     limit = enumeration_budget(budget)
     if (2 * k + 1) ** inst.n > limit:
         raise BudgetExceeded(f"(2k+1)^n = {(2 * k + 1) ** inst.n} exceeds budget {limit}")
-    ints, den = inst.scaled_ints()
-    n = inst.n
+    ints, n = inst.ints, inst.n
     t = 0
     while t < n and (2 * k + 1) ** (t + 1) <= TAIL_TABLE:
         t += 1
@@ -241,7 +270,7 @@ def mitm_min(inst: NbpInstance, k: int, budget: int | None = None) -> NbpSolutio
     nl = (inst.n + 1) // 2
     if (2 * k + 1) ** nl > limit:
         raise BudgetExceeded(f"(2k+1)^ceil(n/2) exceeds budget {limit}")
-    ints, den = inst.scaled_ints()
+    ints = inst.ints
     b = ((2 * k + 1) ** nl).bit_length()
     left = _sorted_half(ints[:nl], k, b)
     right = _sorted_half([-a for a in ints[nl:]], k, b)
@@ -287,7 +316,7 @@ def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
     m = N.bit_length()  # = ceil(log2(N+1)) for N >= 1
     if m > inst.n:
         raise DimensionTooSmall(f"need {m} coordinates, instance has {inst.n}")
-    ints, den = inst.scaled_ints()
+    ints = inst.ints
     w, half = m + 1, 1 << m
     packed, top = [0], 0
     for j in range(m - 1, -1, -1):
@@ -324,8 +353,7 @@ def karmarkar_karp(inst: NbpInstance) -> NbpSolution:
     merge is recorded as (larger, smaller); one top-down pass over that tree
     signs the leaves, and the recomputed error must equal the final residual.
     """
-    ints, den = inst.scaled_ints()
-    n = inst.n
+    ints, n = inst.ints, inst.n
     heap = [(-abs(v), i) for i, v in enumerate(ints)]
     heapq.heapify(heap)
     merges: list[tuple[int, int]] = []  # node n + c is merges[c][0] - merges[c][1]
@@ -334,7 +362,7 @@ def karmarkar_karp(inst: NbpInstance) -> NbpSolution:
         key2, smaller = heap[0]
         heapq.heapreplace(heap, (key1 - key2, n + len(merges)))
         merges.append((larger, smaller))
-    residual = Fraction(-heap[0][0], den)
+    residual = Fraction(-heap[0][0], inst.den)
     sign = [1] * (n + len(merges))
     for node, (larger, smaller) in reversed(list(enumerate(merges, n))):
         sign[larger], sign[smaller] = sign[node], -sign[node]
@@ -348,5 +376,5 @@ def karmarkar_karp(inst: NbpInstance) -> NbpSolution:
 
 
 def instance_inner(inst: NbpInstance, x: Sequence[int]) -> Fraction:
-    """Exact <a, x> for an integer vector."""
-    return sum((ai * int(xi) for ai, xi in zip(inst.a, x)), Fraction(0))
+    """Exact <a, x> for an integer vector, summed on the instance's integers."""
+    return Fraction(sum(map(mul, inst.ints, map(int, x))), inst.den)

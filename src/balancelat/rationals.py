@@ -105,7 +105,7 @@ def iroot_floor(value: int, n: int) -> int:
     if value < 0 or n < 1:
         raise InvalidParams("iroot_floor needs value >= 0 and n >= 1")
     if value in (0, 1) or n == 1:
-        return value if n == 1 else value
+        return value
     hi = 1 << (value.bit_length() // n + 1)
     lo = 0
     while lo + 1 < hi:

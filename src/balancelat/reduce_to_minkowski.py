@@ -93,15 +93,16 @@ def multi_vector_balance(
     inst = NbpInstance.from_values([e / 2 for e in c])
     x = oracle.solve(inst)
 
+    xv = RVector(x)
     for i, d in enumerate(discretized):
-        inner = d.dot(RVector(x))
+        inner = d.dot(xv)
         if inner != 0:
             raise InternalContradiction(
                 f"divisibility invariant failed for vector {i}: <a~_i, x> = {inner}"
             )
     bounds = [2 * n * n * deltas[i] for i in range(k)]
     for i, v in enumerate(vectors):
-        if abs(v.dot(RVector(x))) > bounds[i]:
+        if abs(v.dot(xv)) > bounds[i]:
             raise InternalContradiction(
                 f"final bound failed for vector {i}"
             )
@@ -160,9 +161,10 @@ def extended_range_balance(
     if max(abs(v) for v in x) > Q:
         raise InternalContradiction("recombined coefficient exceeds Q")
     bounds = []
+    xv, yv = RVector(x), RVector(y)
     for i, v in enumerate(vectors):
-        inner_x = v.dot(RVector(x))
-        inner_y = inflated[i].dot(RVector(y))
+        inner_x = v.dot(xv)
+        inner_y = inflated[i].dot(yv)
         if inner_x != Q * inner_y:
             raise InternalContradiction(
                 f"recombination identity failed for vector {i}"

@@ -25,7 +25,7 @@ from .errors import (
 from .geometry import CubeSlabBody
 from .lattice import LatticeBasis
 from .linalg import RMatrix, RVector, determinant
-from .nbp import NbpInstance, NbpSolution, instance_inner, karmarkar_karp, verify
+from .nbp import NbpInstance, NbpSolution, karmarkar_karp, verify
 from .oracles import BoundedNbpOracle, MinkowskiOracle, SvpInfOracle
 from .rationals import frac
 
@@ -200,7 +200,11 @@ def halve_coefficients(
     out_k = max(r - 1, k - r)
     g_m = oracle.guarantee(m)
     bound = 2 * m * g_m
-    formula = "halve-coefficients"
+
+    def outcome(branch: str, x: Sequence[int], **details) -> HalveOutcome:
+        solution = verify(inst, x, out_k)
+        details = {"k": k, "r": r, **details}
+        return HalveOutcome(ReductionResult(solution, bound, "halve-coefficients", details), branch)
 
     block_vectors: list[tuple[int, ...]] = []
     for block in range(m):
@@ -209,82 +213,50 @@ def halve_coefficients(
         x_sub = oracle.solve(sub)
         x_full = (0,) * lo + x_sub + (0,) * (n - lo - m)
         if max(abs(v) for v in x_sub) <= r - 1:
-            return HalveOutcome(
-                ReductionResult(
-                    verify(inst, x_full, out_k),
-                    bound,
-                    formula,
-                    details={"k": k, "r": r, "block": block},
-                ),
-                "small-coefficients",
-            )
-        block_vectors.append(x_full)
+            return outcome("small-coefficients", x_full, block=block)
+        block_vectors.append(x_sub)
 
-    # x_l = sum_i i * x_{l,i} with disjoint {-1,0,1} layers per magnitude
-    layers: list[list[tuple[int, ...]]] = []
-    alphas: list[list[Fraction]] = []
-    b_values: list[Fraction] = []
-    for block, x_full in enumerate(block_vectors):
-        lv = []
-        av = []
-        for mag in range(1, k + 1):
-            layer = tuple(
-                (1 if v == mag else -1 if v == -mag else 0) for v in x_full
-            )
-            lv.append(layer)
-            av.append(instance_inner(inst, layer))
-        layers.append(lv)
-        alphas.append(av)
-        b_values.append(sum(av[r - 1 :], Fraction(0)))
+    # x_l = sum_i i * x_{l,i} with disjoint {-1,0,1} layers x_{l,i} = the signs
+    # of x_l's entries of magnitude i; alpha_{l,i} = <a, x_{l,i}> = sums[l][i-1] / den
+    sums: list[list[int]] = []
+    for block, x_sub in enumerate(block_vectors):
+        layer_sums = [0] * k
+        for p, v in zip(inst.ints[block * m : (block + 1) * m], x_sub):
+            if v:
+                layer_sums[abs(v) - 1] += p if v > 0 else -p
+        sums.append(layer_sums)
+    # b_l = alpha_{l,r} + ... + alpha_{l,k}, the value of the layers of magnitude >= r
+    b_ints = [sum(layer_sums[r - 1 :]) for layer_sums in sums]
+    b_values = [Fraction(b, inst.den) for b in b_ints]
 
     for block, b in enumerate(b_values):
         if abs(b) <= g_m:
             combined = [0] * n
-            for mag in range(r, k + 1):
-                for i, v in enumerate(layers[block][mag - 1]):
-                    combined[i] += v
-            return HalveOutcome(
-                ReductionResult(
-                    verify(inst, combined, out_k),
-                    bound,
-                    formula,
-                    details={"k": k, "r": r, "block": block},
-                ),
-                "small-block-value",
-            )
+            for i, v in enumerate(block_vectors[block], block * m):
+                if abs(v) >= r:
+                    combined[i] = 1 if v > 0 else -1
+            return outcome("small-block-value", combined, block=block)
 
     # balance the block values; they satisfy |b_l| <= m, so scale into [-1,1]
-    b_inst = NbpInstance.from_values([b / m for b in b_values])
+    b_inst = NbpInstance.from_ints(b_ints, inst.den * m)
     y = oracle.solve(b_inst)
     x = [0] * n
     for block in range(m):
         if y[block] == 0:
             continue
-        lam = represent_small_coeffs(alphas[block], r, y[block])
-        for mag in range(1, k + 1):
-            coeff = lam[mag - 1]
-            if coeff == 0:
-                continue
-            for i, v in enumerate(layers[block][mag - 1]):
-                x[i] += coeff * v
+        lam = represent_small_coeffs(sums[block], r, y[block])  # alpha_l scaled by den
+        for i, v in enumerate(block_vectors[block], block * m):
+            if v:
+                x[i] = lam[abs(v) - 1] * (1 if v > 0 else -1)
     if not any(x):
         raise InternalContradiction(
             "recombined vector vanished although all block values were large"
         )
-    solution = verify(inst, x, out_k)
-    if solution.error > bound:
-        raise InternalContradiction(
-            f"recombined error {solution.error} exceeds tracked bound {bound}"
-        )
-    return HalveOutcome(
-        ReductionResult(
-            solution,
-            bound,
-            formula,
-            details={"k": k, "r": r, "block_errors": b_values},
-        ),
-        "recombined",
-    )
+    recombined = outcome("recombined", x, block_errors=b_values)
+    error = recombined.result.solution.error
+    if error > bound:
+        raise InternalContradiction(f"recombined error {error} exceeds tracked bound {bound}")
+    return recombined
 
 
 def default_halving_schedule(k: int) -> list[int]:

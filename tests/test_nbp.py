@@ -1,6 +1,7 @@
 import bisect
 import heapq
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -11,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balancelat import nbp
+from balancelat.cli import main
 from balancelat.errors import (
     BudgetExceeded,
     CoefficientOutOfRange,
     DimensionTooSmall,
     InternalContradiction,
+    InvalidParams,
     ZeroVector,
 )
 from balancelat.nbp import (
@@ -29,6 +32,7 @@ from balancelat.nbp import (
     pigeonhole_solve,
     verify,
 )
+from balancelat.rationals import common_denominator_ints
 
 
 def dyadic_instance(rng, n, bits=30, signed=True):
@@ -51,7 +55,7 @@ def small_int_instance(rng, n, span=3):
 
 
 def reference_brute_force(inst, k):
-    ints, den = inst.scaled_ints()
+    ints, den = inst.ints, inst.den
     n = inst.n
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -84,7 +88,7 @@ def _reference_half_sums(ints, k):
 
 def reference_mitm(inst, k):
     nl = (inst.n + 1) // 2
-    ints, den = inst.scaled_ints()
+    ints, den = inst.ints, inst.den
     left = _reference_half_sums(ints[:nl], k)
     right = _reference_half_sums(ints[nl:], k)
     left_sorted = sorted(s for s, _ in left)
@@ -120,7 +124,7 @@ def reference_pigeonhole(inst, N=None):
     if N is None:
         N = inst.n**3
     m = N.bit_length()
-    ints, den = inst.scaled_ints()
+    ints, den = inst.ints, inst.den
     sums = [0] * (N + 1)
     for t in range(1, N + 1):
         low = t & -t
@@ -200,6 +204,87 @@ class TestVerify:
             verify(inst, (2,), 1)
 
 
+def mixed_instance(rng, n):
+    """Entries p/q over assorted denominators, so that restrict's gcd has work to do."""
+    vals = []
+    for _ in range(n):
+        q = rng.choice([1, 2, 3, 4, 6, 12, 2**30, 3**7 * 5, rng.randint(1, 10**6)])
+        vals.append(Fraction(rng.randint(-q, q), q))
+    return NbpInstance.from_values(vals)
+
+
+class TestIntegerForm:
+    """Each instance's (ints, den), computed once, and the sums taken on it."""
+
+    def test_pair_is_the_common_denominator_form(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            inst = mixed_instance(rng, rng.randint(1, 12))
+            ints, den = common_denominator_ints(inst.a)
+            assert inst.ints == tuple(ints) and inst.den == den
+
+    def test_restrict_equals_from_values(self):
+        rng = random.Random(62)
+        for _ in range(200):
+            inst = mixed_instance(rng, rng.randint(1, 12))
+            idx = [rng.randrange(inst.n) for _ in range(rng.randint(1, inst.n))]
+            sub = inst.restrict(idx)
+            ref = NbpInstance.from_values([inst.a[i] for i in idx])
+            assert (sub.n, sub.a, sub.ints, sub.den) == (ref.n, ref.a, ref.ints, ref.den)
+
+    def test_restrict_reduces_by_the_gcd(self):
+        inst = NbpInstance.from_values([Fraction(1, 3), Fraction(1, 4), Fraction(-1, 2)])
+        assert (inst.ints, inst.den) == ((4, 3, -6), 12)
+        sub = inst.restrict([1, 2])
+        assert (sub.ints, sub.den) == ((1, -2), 4)
+        assert (inst.restrict([2]).ints, inst.restrict([2]).den) == ((-1,), 2)
+
+    def test_from_ints_equals_from_values(self):
+        rng = random.Random(63)
+        for _ in range(200):
+            den = rng.randint(1, 10**4)
+            ints = [rng.randint(-den, den) for _ in range(rng.randint(1, 8))]
+            got = NbpInstance.from_ints(ints, den)
+            ref = NbpInstance.from_values([Fraction(p, den) for p in ints])
+            assert (got.n, got.a, got.ints, got.den) == (ref.n, ref.a, ref.ints, ref.den)
+
+    def test_inner_products_equal_the_fraction_sum(self):
+        rng = random.Random(64)
+        for _ in range(200):
+            inst = mixed_instance(rng, rng.randint(1, 12))
+            k = rng.randint(1, 5)
+            x = [rng.randint(-k, k) for _ in range(inst.n)]
+            x[rng.randrange(inst.n)] = k  # nonzero
+            textbook = sum((ai * xi for ai, xi in zip(inst.a, x)), Fraction(0))
+            assert instance_inner(inst, x) == textbook
+            assert verify(inst, x, k).error == abs(textbook)
+
+    @pytest.mark.parametrize(
+        "bad", [1 + Fraction(1, 2**30), -1 - Fraction(1, 2**30), Fraction(3, 2)]
+    )
+    def test_entry_just_outside_the_range_raises(self, bad):
+        with pytest.raises(InvalidParams, match=r"\[-1, 1\]"):
+            NbpInstance.from_values([Fraction(1, 2), bad])
+        with pytest.raises(InvalidParams, match=r"\[-1, 1\]"):
+            NbpInstance.from_ints([1, bad.numerator], bad.denominator)
+
+    def test_unit_entries_are_accepted(self):
+        inst = NbpInstance.from_values([1, -1, 0])
+        assert (inst.ints, inst.den) == ((1, -1, 0), 1)
+
+    def test_entry_just_outside_the_range_exits_3(self, tmp_path, capsys):
+        f = tmp_path / "i.json"
+        f.write_text(json.dumps({"n": 2, "a": ["0.5", str(1 + Fraction(1, 2**30))]}))
+        assert main(["solve", "--algo", "kk", "--input", str(f)]) == 3
+        assert "[-1, 1]" in capsys.readouterr().err
+
+    def test_empty_instance_raises(self):
+        with pytest.raises(InvalidParams):
+            NbpInstance.from_values([])
+        with pytest.raises(InvalidParams):
+            NbpInstance.from_values([Fraction(1, 2)]).restrict([])
+
+
 class TestBruteForce:
     def test_equal_pair_cancels(self):
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 2)])
@@ -252,7 +337,7 @@ class TestBruteForce:
 
     def test_search_without_nonzero_leaf_raises(self):
         # no real instance has n = 0; a stand-in gives a search with no leaf
-        empty = SimpleNamespace(n=0, scaled_ints=lambda: ([], 1))
+        empty = SimpleNamespace(n=0, ints=(), den=1)
         with pytest.raises(InternalContradiction):
             brute_force_min(empty, 1)
 

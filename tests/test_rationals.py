@@ -104,6 +104,17 @@ def test_iroot_floor(value, n):
     assert m**n <= value < (m + 1) ** n
 
 
+@pytest.mark.parametrize("n", [2, 3, 7])
+@pytest.mark.parametrize("value", [0, 1])
+def test_iroot_floor_of_zero_and_one(value, n):
+    assert iroot_floor(value, n) == value
+
+
+@pytest.mark.parametrize("value", [0, 1, 2, 10**30 + 7])
+def test_iroot_floor_first_root_is_the_value(value):
+    assert iroot_floor(value, 1) == value
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),

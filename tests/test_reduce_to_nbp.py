@@ -1,9 +1,12 @@
 import random
+import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from balancelat import reduce_to_nbp
+from balancelat import nbp, oracles, reduce_to_nbp
+from balancelat.cli import main
 from balancelat.errors import (
     IncompatibleDimension,
     InternalContradiction,
@@ -328,3 +331,91 @@ class TestFullPipelines:
         for n in range(8, 17):
             assert n * Fraction(1, 3) ** (n - 1) <= Fraction(1, 2**n)
         assert 7 * Fraction(1, 3) ** 6 > Fraction(1, 2**7)
+
+
+def reference_halve(inst, k, r, oracle):
+    """halve_coefficients with full-length {-1,0,1} layers and Fraction sums,
+    the way the paper states it; returns (branch, x)."""
+    n, m = inst.n, isqrt(inst.n)
+    inner = lambda x: sum((ai * xi for ai, xi in zip(inst.a, x)), Fraction(0))
+    blocks = []
+    for lo in range(0, n, m):
+        x_sub = oracle.solve(NbpInstance.from_values(inst.a[lo : lo + m]))
+        x_full = (0,) * lo + x_sub + (0,) * (n - lo - m)
+        if max(map(abs, x_sub)) <= r - 1:
+            return "small-coefficients", x_full
+        blocks.append(x_full)
+    layers = [
+        [tuple((v == mag) - (v == -mag) for v in x_full) for mag in range(1, k + 1)]
+        for x_full in blocks
+    ]
+    b_values = [sum(map(inner, lv[r - 1 :]), Fraction(0)) for lv in layers]
+    for lv, b in zip(layers, b_values):
+        if abs(b) <= oracle.guarantee(m):
+            return "small-block-value", tuple(map(sum, zip(*lv[r - 1 :])))
+    y = oracle.solve(NbpInstance.from_values([b / m for b in b_values]))
+    x = [0] * n
+    for lv, j in zip(layers, y):
+        if j:
+            lam = represent_small_coeffs(list(map(inner, lv)), r, j)
+            for coeff, layer in zip(lam, lv):
+                x = [xi + coeff * v for xi, v in zip(x, layer)]
+    return "recombined", tuple(x)
+
+
+def test_halve_coefficients_matches_the_fraction_layers():
+    branches = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        n, k = rng.choice([4, 9, 16]), rng.randint(2, 4)
+        r, bits = rng.randint(1, k - 1), rng.choice([3, 6, 12])
+        inst = NbpInstance.from_values(
+            [Fraction(rng.randint(-(2**bits), 2**bits), 2**bits) for _ in range(n)]
+        )
+        oracle = mitm_bounded_oracle(k)
+        outcome = halve_coefficients(inst, k, r, oracle)
+        branch, x = reference_halve(inst, k, r, oracle)
+        assert (outcome.branch, outcome.result.solution.x) == (branch, x)
+        branches.add(branch)
+    assert branches == {"small-coefficients", "small-block-value", "recombined"}
+
+
+def test_instance_integers_are_computed_once_per_constructed_instance(
+    monkeypatch, tmp_path, capsys
+):
+    """Over one `reduce to-nbp --oracle exact-mink --full` run at n = 36, only
+    the constructor scales entries to integers: restrict, the solvers, verify
+    and instance_inner read the stored pair."""
+    original = nbp.common_denominator_ints
+    callers, seen = [], []
+
+    def counted(*args):
+        frame = sys._getframe(1)
+        callers.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+        return original(*args)
+
+    def count(owner, name):
+        wrapped = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append(name)
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    assert main(["gen", "nbp", "--n", "36", "--seed", "5"]) == 0
+    f = tmp_path / "i.json"
+    f.write_text(capsys.readouterr().out)
+    monkeypatch.setattr(nbp, "common_denominator_ints", counted)
+    count(NbpInstance, "__init__")
+    count(NbpInstance, "restrict")
+    for module in (nbp, reduce_to_nbp, oracles):
+        for name in ("verify", "instance_inner"):
+            if hasattr(module, name):
+                count(module, name)
+    code = main(["reduce", "to-nbp", "--oracle", "exact-mink", "--full", "--input", str(f)])
+    assert code == 0, capsys.readouterr().err
+    assert callers == [("__post_init__", "__init__")]
+    assert seen.count("__init__") == 1  # the input instance; restrict builds none
+    assert seen.count("restrict") == 6  # one round of sqrt(36) blocks
+    assert seen.count("instance_inner") >= 6 and seen.count("verify") >= 1
