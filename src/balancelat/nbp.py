@@ -7,7 +7,8 @@ reduces its parent's pair by their gcd); every solver, verify and
 instance_inner works on them.  The exact solvers (full enumeration and
 meet-in-the-middle) break ties by returning the lexicographically smallest
 witness, so they are directly comparable and safe to parallelize with a
-deterministic reduce.
+deterministic reduce.  Meet-in-the-middle searches only the nonzero entries;
+brute force enumerates every coordinate and stays the independent check.
 """
 
 from __future__ import annotations
@@ -255,45 +256,64 @@ def _closest_pairs(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, set]:
 def mitm_min(inst: NbpInstance, k: int, budget: int | None = None) -> NbpSolution:
     """Exact minimum by meet-in-the-middle; agrees with brute_force_min.
 
-    The left half of the coordinates (ceil(n/2) of them) is one sorted list
-    of packed (<a, x> << b) + i, the right half the same for -<a, y>
-    (_sorted_half).  One merge of the nonzero left sums with the negated
-    right sums gives the optimum and its value pairs; the zero left half
-    meets the nonzero right halves nearest to 0, the neighbours of the zero
-    right half.  The first entry of each value, found by bisect, is its
-    lexicographically smallest half, and the smallest pair of indices over
-    all optimal value pairs is the lexicographically smallest optimal x.
+    The search runs on the support S = {i : a_i != 0}.  The left half of S
+    (ceil(|S|/2) coordinates) is one sorted list of packed (<a, x> << b) + i,
+    the right half the same for -<a, y> (_sorted_half).  The first entry of
+    a value, found by bisect, is its lexicographically smallest half, and
+    the smallest pair of indices over the optimal value pairs is the
+    lexicographically smallest optimal point of S.
+
+    If some a_i is 0, the optimum is 0 and the optimal x are the nonzero
+    (x_Z, y) with <a_S, y> = 0.  The constraint leaves x_Z free, so the
+    smallest x has x_Z = -k and y the smallest zero-sum point of {-k..k}^S,
+    y = 0 included: the value pairs are the values common to both lists.
+    Otherwise one merge of the nonzero left sums with the negated right sums
+    gives the optimum and its value pairs; the zero left half meets the
+    nonzero right halves nearest to 0, the neighbours of the zero right half.
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
     limit = enumeration_budget(budget)
-    nl = (inst.n + 1) // 2
+    support = [i for i, a in enumerate(inst.ints) if a]
+    nl = (len(support) + 1) // 2
     if (2 * k + 1) ** nl > limit:
-        raise BudgetExceeded(f"(2k+1)^ceil(n/2) exceeds budget {limit}")
-    ints = inst.ints
+        raise BudgetExceeded(
+            f"(2k+1)^ceil(|S|/2) exceeds budget {limit} on the support, |S| = {len(support)}"
+        )
+    x = [-k] * inst.n
+    if not support:
+        return verify(inst, x, k)
+    ints = [inst.ints[i] for i in support]
     b = ((2 * k + 1) ** nl).bit_length()
     left = _sorted_half(ints[:nl], k, b)
     right = _sorted_half([-a for a in ints[nl:]], k, b)
-    zl, zr = len(left) // 2, len(right) // 2  # the zero vectors: every digit is k
-    xs = [p >> b for p in left]
-    del xs[bisect_left(left, zl)]  # x = 0 is no answer
-    best, pairs = _closest_pairs(xs, [p >> b for p in right])
-    # the zero left half against the nonzero right halves: those nearest to 0
-    # sit next to the zero right half, and the halves come in +-pairs
-    z = bisect_left(right, zr)
-    gap = min((abs(p >> b) for p in right[max(z - 1, 0):z] + right[z + 1:z + 2]), default=None)
-    if gap is not None and gap <= best:
-        if gap < best:
-            best, pairs = gap, set()
-        pairs |= {(0, gap), (0, -gap)}
-    if not pairs:
-        raise InternalContradiction("optimal error lost between passes")
+    if len(support) < inst.n:
+        # the right half is the shorter one
+        pairs = {(v, v) for v in {p >> b for p in right}.intersection(p >> b for p in left)}
+    else:
+        zl, zr = len(left) // 2, len(right) // 2  # the zero vectors: every digit is k
+        xs = [p >> b for p in left]
+        del xs[bisect_left(left, zl)]  # x = 0 is no answer
+        best, pairs = _closest_pairs(xs, [p >> b for p in right])
+        # the zero left half against the nonzero right halves: those nearest to
+        # 0 sit next to the zero right half, and the halves come in +-pairs
+        z = bisect_left(right, zr)
+        gap = min((abs(p >> b) for p in right[max(z - 1, 0):z] + right[z + 1:z + 2]),
+                  default=None)
+        if gap is not None and gap <= best:
+            if gap < best:
+                best, pairs = gap, set()
+            pairs |= {(0, gap), (0, -gap)}
+        if not pairs:
+            raise InternalContradiction("optimal error lost between passes")
     mask = (1 << b) - 1
     i, j = min(
-        (left[bisect_left(left, x << b)] & mask, right[bisect_left(right, y << b)] & mask)
-        for x, y in pairs
+        (left[bisect_left(left, u << b)] & mask, right[bisect_left(right, w << b)] & mask)
+        for u, w in pairs
     )
-    return verify(inst, _decode(i, nl, k) + _decode(j, inst.n - nl, k), k)
+    for pos, v in zip(support, _decode(i, nl, k) + _decode(j, len(support) - nl, k)):
+        x[pos] = v
+    return verify(inst, x, k)
 
 
 def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
@@ -307,7 +327,8 @@ def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
     in (sum, t) order.  The pigeons are built one bit of t at a time, from
     the top bit down, and sorted after each bit: the pigeons so far plus a
     shifted copy, so each sort merges two sorted runs.  The pair is the
-    first smallest adjacent gap of that order.
+    first smallest adjacent gap of that order.  When the first m entries
+    are all 0 that pair is t = 0, 1, and e_1 is returned without pigeons.
     """
     if N is None:
         N = inst.n**3
@@ -317,6 +338,10 @@ def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
     if m > inst.n:
         raise DimensionTooSmall(f"need {m} coordinates, instance has {inst.n}")
     ints = inst.ints
+    if not any(ints[:m]):
+        # every pigeon sum is 0, so (sum, t) order is t order and the first
+        # pair at the smallest gap is t = 0, 1
+        return verify(inst, [1] + [0] * (inst.n - 1), 1)
     w, half = m + 1, 1 << m
     packed, top = [0], 0
     for j in range(m - 1, -1, -1):

@@ -8,12 +8,16 @@ per-vector scales lambda_i.  The pipeline composes these with ellipsoid
 well-rounding, whose LLL certificate yields the axis form of the rounded
 ellipsoid (Gram-Schmidt axes, which need not be orthogonal), to realize an
 approximate Minkowski oracle, reporting a certified dilation factor rho*.
+The balancing layers take each vector's integers over its common
+denominator once; truncation, the summed instance and every check are
+integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InternalContradiction, InvalidParams, PreconditionFailed
@@ -21,27 +25,20 @@ from .geometry import Ellipsoid, axis_extract, well_round
 from .linalg import RVector, determinant
 from .nbp import NbpInstance
 from .oracles import NbpDeltaOracle
-from .rationals import frac, nth_root_upper, sqrt_upper
-
-
-def _truncate_to_grid(value: Fraction, grid: Fraction) -> Fraction:
-    """Largest-magnitude multiple of grid with |result| <= |value| (toward zero).
-
-    Truncation toward zero keeps discretized entries inside [-1, 1] for
-    signed inputs, which the divisibility argument needs; rounding toward
-    -infinity would let negative entries overshoot the unit range.
-    """
-    q = abs(value) / grid
-    m = q.numerator // q.denominator
-    out = m * grid
-    return -out if value < 0 else out
+from .rationals import common_denominator_ints, frac, lcm_of, nth_root_upper, sqrt_upper
 
 
 @dataclass
 class MultiBalanceResult:
     x: tuple[int, ...]
     bounds: list[Fraction]  # per-vector exact bounds 2 n^2 delta_i
-    discretized: list[RVector]
+    scales: list[Fraction]  # a~_i = scales[i] * multiples[i]
+    multiples: list[list[int]]
+
+    @property
+    def discretized(self) -> list[RVector]:
+        """The truncated, scaled vectors a~_i, built on demand."""
+        return [RVector(s * e for e in m) for m, s in zip(self.multiples, self.scales)]
 
 
 def multi_vector_balance(
@@ -55,6 +52,13 @@ def multi_vector_balance(
     delta_j, and summed; one oracle call on (half of) the sum balances them
     all.  The proof's chain forces <a~_i, x> = 0 exactly for every i, which
     is re-verified, as is each final bound.
+
+    Everything runs on integers.  With a_i = ints / den and grid p / q, the
+    truncation toward zero (which keeps signed entries inside [-1, 1], as
+    the divisibility argument needs) is m = sign * (|e| q // (p den)), and
+    a~_i = scale_i * m_i with scale_i = prod_{j<i} delta_j * grid_i != 0, so
+    <a~_i, x> = 0 exactly when <m_i, x> = 0.  The sum c is taken over the
+    scales' common denominator L, and the instance is c / 2L.
     """
     k = len(vectors)
     if k == 0 or k != len(deltas):
@@ -67,7 +71,8 @@ def multi_vector_balance(
     deltas = [frac(d) for d in deltas]
     if any(d <= 0 or d > Fraction(1, 2) for d in deltas):
         raise PreconditionFailed("every delta_i must lie in (0, 1/2]")
-    if any(abs(e) > 1 for v in vectors for e in v):
+    pairs = [common_denominator_ints(v) for v in vectors]
+    if any(abs(e) > den for ints, den in pairs for e in ints):
         raise InvalidParams("vector entries must lie in [-1, 1]")
     product = Fraction(1)
     for d in deltas:
@@ -77,36 +82,31 @@ def multi_vector_balance(
             f"prod delta_i = {product} < oracle guarantee {oracle.delta(n)}"
         )
 
-    discretized: list[RVector] = []
+    multiples, scales = [], []
     prefix = Fraction(1)
-    for i in range(k):
-        grid = 2 * n * deltas[i]
-        discretized.append(
-            RVector([prefix * _truncate_to_grid(e, grid) for e in vectors[i]])
-        )
-        prefix *= deltas[i]
-
-    c = discretized[0]
-    for d in discretized[1:]:
-        c = c + d
+    for (ints, den), d in zip(pairs, deltas):
+        grid = 2 * n * d
+        q, step = grid.denominator, grid.numerator * den
+        multiples.append([e * q // step if e >= 0 else -(-e * q // step) for e in ints])
+        scales.append(prefix * grid)
+        prefix *= d
+    L = lcm_of(s.denominator for s in scales)
+    weights = [s.numerator * (L // s.denominator) for s in scales]
+    c = [sum(map(mul, weights, column)) for column in zip(*multiples)]
     # |c| < 2 entrywise, so half of it is a valid instance
-    inst = NbpInstance.from_values([e / 2 for e in c])
-    x = oracle.solve(inst)
+    x = oracle.solve(NbpInstance.from_ints(c, 2 * L))
 
-    xv = RVector(x)
-    for i, d in enumerate(discretized):
-        inner = d.dot(xv)
+    for i, (m, scale) in enumerate(zip(multiples, scales)):
+        inner = sum(map(mul, m, x))
         if inner != 0:
             raise InternalContradiction(
-                f"divisibility invariant failed for vector {i}: <a~_i, x> = {inner}"
+                f"divisibility invariant failed for vector {i}: <a~_i, x> = {scale * inner}"
             )
-    bounds = [2 * n * n * deltas[i] for i in range(k)]
-    for i, v in enumerate(vectors):
-        if abs(v.dot(xv)) > bounds[i]:
-            raise InternalContradiction(
-                f"final bound failed for vector {i}"
-            )
-    return MultiBalanceResult(x, bounds, discretized)
+    bounds = [2 * n * n * d for d in deltas]
+    for i, ((ints, den), bound) in enumerate(zip(pairs, bounds)):
+        if abs(Fraction(sum(map(mul, ints, x)), den)) > bound:
+            raise InternalContradiction(f"final bound failed for vector {i}")
+    return MultiBalanceResult(x, bounds, scales, multiples)
 
 
 @dataclass
@@ -128,7 +128,9 @@ def extended_range_balance(
     Replicates each coordinate at scales 2^-1 .. 2^-log(Q), balances the
     inflated instance with signs, and recombines x_j = Q sum_l 2^-l y_{jl}.
     The recombination identity <a_i, x> = Q <b_i, y> is exact and re-verified;
-    x vanishes only if y does (signed sums of distinct powers of two).
+    x vanishes only if y does (signed sums of distinct powers of two).  With
+    a_i = ints / den, entry (j, l) of b_i is (e_j << (log Q - l)) / (den << log Q),
+    so both sides of the identity are integer sums over den.
     """
     if Q < 2 or Q & (Q - 1) != 0:
         raise PreconditionFailed("Q must be a power of two, >= 2")
@@ -137,17 +139,17 @@ def extended_range_balance(
     if k == 0:
         raise InvalidParams("need at least one vector")
     n = vectors[0].dim
+    if any(v.dim != n for v in vectors):
+        raise InvalidParams("vectors must share one dimension")
     inner_dim = n * levels
 
-    inflated = []
-    for v in vectors:
-        entries = []
-        for j in range(n):
-            for level in range(1, levels + 1):
-                entries.append(v[j] / 2**level)
-        inflated.append(RVector(entries))
-
-    result = multi_vector_balance(inflated, deltas, oracle)
+    pairs = [common_denominator_ints(v) for v in vectors]
+    inflated = [[e << (levels - level) for e in ints for level in range(1, levels + 1)]
+                for ints, _ in pairs]
+    result = multi_vector_balance(
+        [RVector(Fraction(e, den << levels) for e in b) for b, (_, den) in zip(inflated, pairs)],
+        deltas, oracle,
+    )
     y = result.x
     x = []
     for j in range(n):
@@ -161,16 +163,14 @@ def extended_range_balance(
     if max(abs(v) for v in x) > Q:
         raise InternalContradiction("recombined coefficient exceeds Q")
     bounds = []
-    xv, yv = RVector(x), RVector(y)
-    for i, v in enumerate(vectors):
-        inner_x = v.dot(xv)
-        inner_y = inflated[i].dot(yv)
-        if inner_x != Q * inner_y:
+    for i, ((ints, den), b) in enumerate(zip(pairs, inflated)):
+        inner_x = sum(map(mul, ints, x))
+        if inner_x != sum(map(mul, b, y)):
             raise InternalContradiction(
                 f"recombination identity failed for vector {i}"
             )
         bound = frac(deltas[i]) * Q * 2 * inner_dim**2
-        if abs(inner_x) > bound:
+        if abs(Fraction(inner_x, den)) > bound:
             raise InternalContradiction(f"range-extended bound failed for vector {i}")
         bounds.append(bound)
     return RangeBalanceResult(x, y, bounds, inner_dim)

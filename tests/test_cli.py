@@ -205,6 +205,17 @@ class TestCliCommands:
         assert doc["branch"] in ("integer-point", "pipeline")
         assert any(doc["x"])
 
+    def test_reduce_to_minkowski_mitm_at_the_default_q(self, tmp_path, capsys):
+        # n = 3 takes Q = 4096: 36 oracle coordinates, of which MITM searches
+        # the 9 nonzero ones
+        code, out = self.run(capsys, "gen", "ellipsoid", "--n", "3", "--seed", "41")
+        f = tmp_path / "e.json"
+        f.write_text(out)
+        code, out = self.run(capsys, "reduce", "to-minkowski", "--oracle", "mitm", "--input", str(f))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["branch"] == "pipeline" and doc["x"] == [511, 0, -1022]
+
     def test_lll_command(self, tmp_path, capsys):
         code, out = self.run(capsys, "gen", "basis", "--n", "4", "--seed", "2")
         f = tmp_path / "b.json"

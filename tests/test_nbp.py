@@ -545,6 +545,127 @@ class TestTieHeavy:
         assert sol == NbpSolution((1,) + (0,) * (n - 1), 1, 0)
 
 
+def zero_entry_instances(seed, k):
+    """Instances with zero entries: all zero, one nonzero entry, a support
+    whose only zero sum in {-k..k}^S is y = 0, and random mixes."""
+    rng = random.Random(seed)
+    for n in range(1, 9):
+        yield NbpInstance.from_values([0] * n)
+        if n > 1:
+            one = [0] * n
+            one[rng.randrange(n)] = Fraction(rng.randint(1, 8), 8) * rng.choice((-1, 1))
+            yield NbpInstance.from_values(one)
+        # digits of base 2k+1: a balanced base-(2k+1) expansion is unique
+        s = rng.randint(1, n - 1) if n > 1 else 0
+        values = [Fraction((2 * k + 1) ** j, (2 * k + 1) ** s) for j in range(s)]
+        values += [0] * (n - s)
+        rng.shuffle(values)
+        yield NbpInstance.from_values(values)
+        for bits in (2, 4):
+            values = [Fraction(rng.randint(-(2**bits), 2**bits), 2**bits) for _ in range(n)]
+            values[rng.randrange(n)] = 0
+            yield NbpInstance.from_values(values)
+
+
+def first_zero_sum_on_support(inst, k):
+    """x_Z = -k and x_S the first zero sum of {-k..k}^S in lex order, by a scan."""
+    support = [i for i, a in enumerate(inst.ints) if a]
+    for y in itertools.product(range(-k, k + 1), repeat=len(support)):
+        if sum(inst.ints[i] * v for i, v in zip(support, y)) == 0:
+            x = [-k] * inst.n
+            for i, v in zip(support, y):
+                x[i] = v
+            return verify(inst, x, k)
+
+
+class TestMitmOnSupport:
+    """mitm_min on instances with zero entries searches only the support."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_entries_match_references(self, k):
+        for inst in zero_entry_instances(40 + k, k):
+            expected = reference_mitm(inst, k)
+            assert mitm_min(inst, k) == expected
+            assert expected.error == 0 and expected.x[inst.ints.index(0)] == -k
+            if (2 * k + 1) ** inst.n <= 10**5:
+                assert reference_brute_force(inst, k) == brute_force_min(inst, k) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_support_without_nonzero_zero_sum(self, k):
+        values = [0, Fraction(1, (2 * k + 1) ** 2), 0, Fraction(1, 2 * k + 1), 1, 0]
+        inst = NbpInstance.from_values(values)
+        expected = NbpSolution((-k, 0, -k, 0, 0, -k), k, Fraction(0))
+        assert mitm_min(inst, k) == reference_mitm(inst, k) == brute_force_min(inst, k) == expected
+
+    def test_budget_counts_the_support(self):
+        # 8 nonzero entries of 20 need 3^4 = 81 half sums; the full
+        # coordinates would need 3^10
+        rng = random.Random(44)
+        values = [0] * 20
+        for i in rng.sample(range(20), 8):
+            values[i] = Fraction(rng.randint(1, 2**12), 2**12) * rng.choice((-1, 1))
+        inst = NbpInstance.from_values(values)
+        assert mitm_min(inst, 1, budget=81) == first_zero_sum_on_support(inst, 1)
+        with pytest.raises(BudgetExceeded, match=r"\|S\| = 8"):
+            mitm_min(inst, 1, budget=80)
+
+    def test_halves_cover_only_the_support(self, monkeypatch):
+        covered = []
+        original = nbp._sorted_half
+
+        def counted(ints, k, b):
+            covered.append(len(ints))
+            return original(ints, k, b)
+
+        monkeypatch.setattr(nbp, "_sorted_half", counted)
+        assert mitm_min(NbpInstance.from_values([0] * 12), 1).x == (-1,) * 12
+        assert covered == []
+        for inst in zero_entry_instances(45, 2):
+            covered.clear()
+            assert mitm_min(inst, 2) == first_zero_sum_on_support(inst, 2)
+            support = sum(1 for a in inst.ints if a)
+            assert covered == ([] if support == 0 else [(support + 1) // 2, support // 2])
+
+
+def pigeon_counts(n):
+    """N = 1, 2^j - 1, 2^j and n^3, those that n coordinates can hold."""
+    counts = {1, n**3} | {2**j - 1 for j in range(1, n + 1)} | {2**j for j in range(n)}
+    return sorted(N for N in counts if N.bit_length() <= n)
+
+
+class TestPigeonholeZeroPrefix:
+    """pigeonhole_solve against its reference where the first m entries are 0."""
+
+    @pytest.mark.parametrize("n", [3, 6, 10, 12])
+    def test_zero_prefix_with_nonzero_tail(self, n):
+        rng = random.Random(50 + n)
+        for N in pigeon_counts(n):
+            m = N.bit_length()
+            tail = [Fraction(rng.randint(1, 2**10), 2**10) * rng.choice((-1, 1)) for _ in range(n - m)]
+            inst = NbpInstance.from_values([0] * m + tail)
+            expected = NbpSolution((1,) + (0,) * (n - 1), 1, Fraction(0))
+            assert pigeonhole_solve(inst, N) == reference_pigeonhole(inst, N) == expected
+
+    @pytest.mark.parametrize("n", [3, 6, 10, 12])
+    def test_partly_zero_prefix(self, n):
+        rng = random.Random(60 + n)
+        for N in pigeon_counts(n):
+            m = N.bit_length()
+            for _ in range(3):
+                values = [Fraction(rng.randint(-4, 4), 4) for _ in range(n)]
+                values[rng.randrange(m)] = Fraction(rng.choice((-1, 1)), 2)  # one nonzero in the prefix
+                if m > 1:
+                    values[rng.randrange(m)] = 0
+                inst = NbpInstance.from_values(values)
+                assert pigeonhole_solve(inst, N) == reference_pigeonhole(inst, N)
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_all_zero(self, n):
+        for N in pigeon_counts(n):
+            inst = NbpInstance.from_values([0] * n)
+            assert pigeonhole_solve(inst, N) == reference_pigeonhole(inst, N)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(

@@ -1,15 +1,23 @@
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from balancelat import linalg, reduce_to_minkowski
-from balancelat.errors import InternalContradiction, OracleContractViolation, PreconditionFailed
+from balancelat.errors import (
+    InternalContradiction,
+    InvalidParams,
+    OracleContractViolation,
+    PreconditionFailed,
+)
 from balancelat.generators import gen_ellipsoid
 from balancelat.geometry import Ellipsoid, well_round
 from balancelat.linalg import RMatrix, RVector, determinant
+from balancelat.nbp import NbpInstance
 from balancelat.oracles import kk_delta_oracle, mitm_delta_oracle
+from balancelat.rationals import nth_root_upper
 from balancelat.reduce_to_minkowski import (
     GeneralizedInstance,
     extended_range_balance,
@@ -27,6 +35,122 @@ def rand_unit_vector(rng, n, bits=16):
 def paper_oracle():
     """The canonical f(d) = 2^-d claim, re-verified per call."""
     return claimed_delta_oracle(lambda d: Fraction(1, 2**d), name="paper-form-mitm")
+
+
+# The Fraction balancing layers as they were, kept as the references of the
+# integer ones: the same truncation, sum, oracle call and checks, entry by
+# entry on Fractions.
+
+
+def _reference_truncate(value, grid):
+    q = abs(value) / grid
+    out = (q.numerator // q.denominator) * grid
+    return -out if value < 0 else out
+
+
+def reference_multi_vector_balance(vectors, deltas, oracle):
+    n = vectors[0].dim
+    discretized, prefix = [], Fraction(1)
+    for v, d in zip(vectors, deltas):
+        grid = 2 * n * d
+        discretized.append(RVector([prefix * _reference_truncate(e, grid) for e in v]))
+        prefix *= d
+    c = discretized[0]
+    for d in discretized[1:]:
+        c = c + d
+    x = oracle.solve(NbpInstance.from_values([e / 2 for e in c]))
+    xv = RVector(x)
+    for d in discretized:
+        if d.dot(xv) != 0:
+            raise InternalContradiction("divisibility invariant failed")
+    bounds = [2 * n * n * d for d in deltas]
+    for v, bound in zip(vectors, bounds):
+        if abs(v.dot(xv)) > bound:
+            raise InternalContradiction("final bound failed")
+    return x, bounds, discretized
+
+
+def reference_extended_range_balance(vectors, deltas, Q, oracle):
+    levels = Q.bit_length() - 1
+    n = vectors[0].dim
+    inflated = [RVector([v[j] / 2**level for j in range(n) for level in range(1, levels + 1)])
+                for v in vectors]
+    y, _, discretized = reference_multi_vector_balance(inflated, deltas, oracle)
+    x = tuple(sum((Q >> level) * y[j * levels + level - 1] for level in range(1, levels + 1))
+              for j in range(n))
+    bounds = []
+    for v, b, d in zip(vectors, inflated, deltas):
+        if v.dot(RVector(x)) != Q * b.dot(RVector(y)):
+            raise InternalContradiction("recombination identity failed")
+        bounds.append(d * Q * 2 * (n * levels) ** 2)
+    return x, y, bounds, discretized
+
+
+def multi_cases():
+    """(vectors, deltas) for multi_vector_balance with the exact MITM oracle:
+    1-3 vectors, n = 9-12, the first grid below 1 and some entries negative
+    multiples of it exactly."""
+    oracle = mitm_delta_oracle()
+    for seed in range(24):
+        rng = random.Random(300 + seed)
+        n, k = 9 + seed % 4, 1 + seed % 3
+        deltas = [oracle.delta(n) * 2 ** (k - 1)] + [Fraction(1, 2)] * (k - 1)
+        grid = 2 * n * deltas[0]
+        vectors = [rand_unit_vector(rng, n) for _ in range(k)]
+        on_grid = list(vectors[0])
+        for j in rng.sample(range(n), 3):
+            on_grid[j] = -rng.randint(0, int(1 / grid)) * grid
+        yield [RVector(on_grid)] + vectors[1:], deltas
+
+
+def range_cases():
+    """(vectors, deltas, Q) for extended_range_balance with the exact MITM
+    oracle: 1-3 vectors, n = 2-3, Q = 16, 256 and 4096, with delta_i = the
+    k-th root of the guarantee, as generalized_nbp sets it for lambda = 1.
+    The cells left out have supports of 20 coordinates or more."""
+    oracle = mitm_delta_oracle()
+    for Q in (16, 256, 4096):
+        for n in (2, 3):
+            for k in (1, 2, 3):
+                if (Q, n, k) in ((256, 3, 1), (4096, 2, 1), (4096, 3, 1), (4096, 3, 2)):
+                    continue
+                root = nth_root_upper(oracle.delta(n * (Q.bit_length() - 1)), k, bits=64)
+                for seed in (0, 1):
+                    rng = random.Random(Q + 10 * n + k + 100 * seed)
+                    yield [rand_unit_vector(rng, n) for _ in range(k)], [root] * k, Q
+
+
+class TestIntegerLayersMatchReference:
+    def test_multi_vector_balance(self):
+        nonzero = 0
+        for vectors, deltas in multi_cases():
+            oracle = mitm_delta_oracle()
+            result = multi_vector_balance(vectors, deltas, oracle)
+            x, bounds, discretized = reference_multi_vector_balance(vectors, deltas, oracle)
+            assert (result.x, result.bounds, result.discretized) == (x, bounds, discretized)
+            nonzero += any(v != 0 for v in discretized[0])
+        assert nonzero >= 12
+
+    def test_extended_range_balance(self, monkeypatch):
+        inner = []
+        balance = multi_vector_balance
+
+        def kept_balance(*args):
+            inner.append(balance(*args))
+            return inner[-1]
+
+        monkeypatch.setattr(reduce_to_minkowski, "multi_vector_balance", kept_balance)
+        nonzero_at_4096 = 0
+        for vectors, deltas, Q in range_cases():
+            oracle = mitm_delta_oracle()
+            inner.clear()
+            result = extended_range_balance(vectors, deltas, Q, oracle)
+            x, y, bounds, discretized = reference_extended_range_balance(vectors, deltas, Q, oracle)
+            assert (result.x, result.y, result.bounds) == (x, y, bounds)
+            assert inner[0].discretized == discretized
+            if Q == 4096:
+                nonzero_at_4096 += any(v != 0 for d in discretized for v in d)
+        assert nonzero_at_4096 >= 4
 
 
 class TestMultiVectorBalance:
@@ -113,6 +237,45 @@ class TestExtendedRangeBalance:
                 [RVector([Fraction(1, 2), 0])], [Fraction(1, 2)], 3, paper_oracle()
             )
 
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_vectors_must_share_one_dimension(self, length):
+        vectors = [RVector([Fraction(1, 2)] * 4), RVector([Fraction(1, 3)] * length)]
+        with pytest.raises(InvalidParams, match="share one dimension"):
+            extended_range_balance(vectors, [Fraction(1, 2)] * 2, 4, paper_oracle())
+
+
+def unchecked_oracle(x):
+    """An oracle handle claiming delta = 1/8 that returns x as it is, unchecked."""
+    return SimpleNamespace(delta=lambda d: Fraction(1, 8), solve=lambda inst: x)
+
+
+class TestChecksStillRaise:
+    """Replies that skip the oracle contract reach the layers' own checks."""
+
+    def test_divisibility(self):
+        # grid 2 * 2 * 1/8 = 1/2, so a~ = (1/2, 0) and <a~, e_1> != 0
+        with pytest.raises(InternalContradiction, match="divisibility"):
+            multi_vector_balance([RVector([Fraction(1, 2), 0])], [Fraction(1, 8)],
+                                 unchecked_oracle((1, 0)))
+
+    def test_final_bound(self):
+        # grid 1 truncates a to 0, so any x is divisible; |<a, x>| = 9/2 > 2
+        with pytest.raises(InternalContradiction, match="final bound"):
+            multi_vector_balance([RVector([Fraction(1, 2), 0])], [Fraction(1, 4)],
+                                 unchecked_oracle((9, 0)))
+
+    def test_recombined_range_and_bound(self, monkeypatch):
+        def balanced(y):
+            return lambda vectors, deltas, oracle: SimpleNamespace(x=y)
+
+        vectors, deltas = [RVector([Fraction(1, 2), 0])], [Fraction(1, 2**20)]
+        monkeypatch.setattr(reduce_to_minkowski, "multi_vector_balance", balanced((5, 5, 0, 0)))
+        with pytest.raises(InternalContradiction, match="exceeds Q"):
+            extended_range_balance(vectors, deltas, 4, paper_oracle())
+        monkeypatch.setattr(reduce_to_minkowski, "multi_vector_balance", balanced((1, 0, 0, 0)))
+        with pytest.raises(InternalContradiction, match="range-extended bound"):
+            extended_range_balance(vectors, deltas, 4, paper_oracle())
+
 
 class TestGeneralizedNbp:
     def test_boundary_product_one(self):
@@ -181,32 +344,30 @@ class TestMinkowskiFromNbp:
         with pytest.raises(OracleContractViolation, match="adversarial-delta"):
             minkowski_from_nbp(e, adversarial_delta_oracle())
 
-    @pytest.mark.parametrize("seed, x, rho_star", [
-        (16, (-511, -511), Fraction(15400235740020933061073, 2**64)),
-        (20, (0, -511), Fraction(11014302366443154441987, 2**64)),
-    ], ids=["gen16", "gen20"])
-    def test_pipeline_on_nonzero_truncated_entries(self, monkeypatch, seed, x, rho_star):
+    @pytest.mark.parametrize("n, seed, Q, x, rho_star", [
+        (2, 16, 4096, (-511, -511), Fraction(15400235740020933061073, 2**64)),
+        (2, 20, 4096, (0, -511), Fraction(11014302366443154441987, 2**64)),
+        (3, 41, None, (511, 0, -1022), Fraction(9609054602283951320245, 2**63)),
+        (3, 60, None, (-1022, -511, -511), Fraction(20504041219240915850527, 2**64)),
+    ], ids=["gen16", "gen20", "n3-gen41", "n3-gen60"])
+    def test_pipeline_on_nonzero_truncated_entries(self, monkeypatch, n, seed, Q, x, rho_star):
         # at Q = 4096 some entries survive truncation to the grid, so x depends
-        # on the axis form; at the default Q every truncated entry is 0
-        nonzero, balanced = [], []
-        truncate, balance = reduce_to_minkowski._truncate_to_grid, multi_vector_balance
-
-        def counted_truncate(value, grid):
-            out = truncate(value, grid)
-            nonzero.append(out != 0)
-            return out
+        # on the axis form; at Q = 256 (the default at n = 2) every truncated
+        # entry is 0.  At n = 3 the default Q is 4096, and the oracle's MITM
+        # runs on the instance's 9 nonzero entries of 36
+        balanced = []
+        balance = multi_vector_balance
 
         def kept_balance(*args):
             balanced.append(balance(*args))
             return balanced[-1]
 
-        monkeypatch.setattr(reduce_to_minkowski, "_truncate_to_grid", counted_truncate)
         monkeypatch.setattr(reduce_to_minkowski, "multi_vector_balance", kept_balance)
-        e = gen_ellipsoid(2, seed)
-        result = minkowski_from_nbp(e, mitm_delta_oracle(), Q_override=4096)
+        e = gen_ellipsoid(n, seed)
+        result = minkowski_from_nbp(e, mitm_delta_oracle(), Q_override=Q)
         assert result.branch == "pipeline"
-        assert any(nonzero)
         (inner,) = balanced
+        assert any(v != 0 for disc in inner.discretized for v in disc)
         for disc in inner.discretized:
             assert disc.dot(RVector(inner.x)) == 0
         assert e.quad(RVector(result.x)) == result.rho_star_sq <= result.rho_star**2
