@@ -5,15 +5,16 @@ Bodies are membership predicates over exact rationals plus an outer box
 radius.  The integer-point search asks a body for the range of values the
 next coordinate may take, given the integer partial sum of the prefix over
 the body's ``prefix_weights``: a generic body answers with its integer box,
-and the cube-slab body answers box cap slab in closed form.  A range only
-drops values that provably admit no member, and the search visits values in
-ascending order, so the lexicographically smallest point is returned either
-way.
+and the cube-slab body, built on an NbpInstance, answers box cap slab in
+closed form from the instance's integers.  A range only drops values that
+provably admit no member, and the search visits values in ascending order,
+so the lexicographically smallest point is returned either way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -25,9 +26,9 @@ from .errors import (
     RankDeficient,
 )
 from .lattice import LatticeBasis, LllCertificate, UnimodularTransform, lll_min_gain, lll_reduce
-from .linalg import RMatrix, RVector, determinant, solve_linear
-from .nbp import enumeration_budget
-from .rationals import common_denominator_ints, floor_frac, frac, sqrt_upper
+from .linalg import RMatrix, RVector, determinant
+from .nbp import NbpInstance, enumeration_budget
+from .rationals import floor_frac, frac, sqrt_upper
 
 
 class SymmetricConvexBody:
@@ -38,14 +39,12 @@ class SymmetricConvexBody:
         dim: int,
         membership: Callable[[RVector], bool],
         outer_box_radius: Fraction,
-        volume_promise: Optional[Fraction] = None,
     ) -> None:
         if dim < 1:
             raise InvalidParams("body dimension must be >= 1")
         self.dim = dim
         self._membership = membership
         self.outer_box_radius = frac(outer_box_radius)
-        self.volume_promise = volume_promise
 
     def member(self, x: RVector) -> bool:
         if x.dim != self.dim:
@@ -61,7 +60,6 @@ class SymmetricConvexBody:
             self.dim,
             lambda x: self.member(x.scale(inv)),
             rho * self.outer_box_radius,
-            self.volume_promise,
         )
 
     def int_box_limit(self) -> int:
@@ -106,27 +104,25 @@ class CubeBody(SymmetricConvexBody):
 
 
 class CubeSlabBody(SymmetricConvexBody):
-    """An open cube intersected with the slab |<a, x>| <= bound.
+    """An open cube intersected with the slab |<a, x>| <= bound, for an instance a.
 
     This is the body shape used when reducing balancing to Minkowski's
-    problem.  Over a common denominator, a = A / den with integer A, and
-    |<a, x>| <= bound becomes |sum x_i A_i| * sd <= rhs with integers
-    sd = bound's denominator and rhs = bound's numerator * den.  After a
-    prefix with partial sum s, coordinate d may take v only if
-    |s + v A_d| <= reach[d] = (rhs + sd * suffix[d+1]) // sd, where suffix[j]
-    is the most that coordinates j.. can still cancel inside the box.
+    problem.  With the instance's a = A / den, |<a, x>| <= bound becomes
+    |sum x_i A_i| * sd <= rhs with integers sd = bound's denominator and
+    rhs = bound's numerator * den.  After a prefix with partial sum s,
+    coordinate d may take v only if |s + v A_d| <= reach[d] =
+    (rhs + sd * suffix[d+1]) // sd, where suffix[j] is the most that
+    coordinates j.. can still cancel inside the box.
     """
 
-    def __init__(self, a: RVector, slab_bound, box_radius, open_box: bool = True) -> None:
-        self.a = a
+    def __init__(self, inst: NbpInstance, slab_bound, box_radius, open_box: bool = True) -> None:
+        self.inst = inst
         self.slab_bound = frac(slab_bound)
         self.box_radius = frac(box_radius)
         self.open_box = open_box
-        super().__init__(a.dim, self._slab_member, self.box_radius)
-        ints, den = common_denominator_ints(a)
-        self._ints = tuple(ints)
+        super().__init__(inst.n, self._slab_member, self.box_radius)
+        ints, den, n = inst.ints, inst.den, inst.n
         self._limit = limit = self.int_box_limit()
-        n = a.dim
         suffix = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
             suffix[i] = suffix[i + 1] + limit * abs(ints[i])
@@ -139,7 +135,7 @@ class CubeSlabBody(SymmetricConvexBody):
                 return False
         elif not all(abs(e) <= self.box_radius for e in x):
             return False
-        return abs(self.a.dot(x)) <= self.slab_bound
+        return abs(sum(map(mul, self.inst.ints, x))) <= self.slab_bound * self.inst.den
 
     def int_box_limit(self) -> int:
         r = self.box_radius
@@ -150,15 +146,15 @@ class CubeSlabBody(SymmetricConvexBody):
     def dilate(self, rho) -> "CubeSlabBody":
         rho = frac(rho)
         return CubeSlabBody(
-            self.a, rho * self.slab_bound, rho * self.box_radius, self.open_box
+            self.inst, rho * self.slab_bound, rho * self.box_radius, self.open_box
         )
 
     def prefix_weights(self) -> tuple[int, ...]:
-        return self._ints
+        return self.inst.ints
 
     def prefix_feasible(self, s: int, depth: int) -> tuple[int, int]:
         """Box cap slab: the v in [-m, m] with |s + v A_depth| <= reach[depth]."""
-        m, r, a = self._limit, self._reach[depth], self._ints[depth]
+        m, r, a = self._limit, self._reach[depth], self.inst.ints[depth]
         if a > 0:
             lo, hi = -((r + s) // a), (r - s) // a
         elif a < 0:
@@ -183,7 +179,7 @@ def minkowski_exact_oracle(
     (default ``enumeration_budget()``) caps the expanded nodes, the root
     included; BudgetExceeded says where the search stood.  Raises NotFound
     when the body holds no nonzero integer point (e.g. an open body whose
-    volume promise fails).
+    volume bound fails).
     """
     limit = enumeration_budget(budget)
     n = body.dim
@@ -268,15 +264,6 @@ class Ellipsoid:
 
     def member(self, x: RVector) -> bool:
         return self.quad(x) <= 1
-
-    def outer_box_radius(self) -> Fraction:
-        """Rational R with E contained in [-R, R]^n (rows of A^{-1})."""
-        n = self.dim
-        inv_cols = [solve_linear(self.A, RVector.unit(n, i)) for i in range(n)]
-        worst = max(
-            sum((inv_cols[j][i] ** 2 for j in range(n)), Fraction(0)) for i in range(n)
-        )
-        return sqrt_upper(worst, 8)
 
     @staticmethod
     def from_axes(axes: Sequence[RVector], lengths: Sequence[Fraction]) -> "Ellipsoid":

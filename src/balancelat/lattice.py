@@ -68,11 +68,6 @@ class UnimodularTransform:
         if self.U.matmul(self.Uinv) != RMatrix.identity(n):
             raise PreconditionFailed("inverse does not match")
 
-    @staticmethod
-    def identity(n: int) -> "UnimodularTransform":
-        eye = RMatrix.identity(n)
-        return UnimodularTransform(eye, eye)
-
     def apply(self, x: RVector) -> RVector:
         return self.U.matvec(x)
 

@@ -81,10 +81,6 @@ class RVector:
             raise ValueError("dimension mismatch")
 
     @staticmethod
-    def zero(n: int) -> "RVector":
-        return RVector([0] * n)
-
-    @staticmethod
     def unit(n: int, i: int) -> "RVector":
         return RVector([1 if j == i else 0 for j in range(n)])
 
@@ -127,9 +123,6 @@ class RMatrix:
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def row(self, i: int) -> RVector:
-        return RVector(self.rows[i])
 
     def column(self, j: int) -> RVector:
         return RVector(row[j] for row in self.rows)

@@ -2,13 +2,15 @@
 
 An instance is a vector a in [-1,1]^n; a solution is a nonzero integer vector
 x with |x_i| <= k whose quality is the exact rational |<a,x>|.  An instance
-holds its entries as integers over one denominator, computed once (restrict
-reduces its parent's pair by their gcd); every solver, verify and
-instance_inner works on them.  The exact solvers (full enumeration and
-meet-in-the-middle) break ties by returning the lexicographically smallest
-witness, so they are directly comparable and safe to parallelize with a
-deterministic reduce.  Meet-in-the-middle searches only the nonzero entries;
-brute force enumerates every coordinate and stays the independent check.
+is its entries as integers over one denominator, in lowest terms: outside
+values are scaled once (from_values), and from_ints and restrict reduce a
+pair by its gcd.  Every solver, verify and instance_inner works on them,
+and so do the cube-slab body and the balancing layers that take instances.
+The exact solvers (full enumeration and meet-in-the-middle) break ties by
+returning the lexicographically smallest witness, so they are directly
+comparable and safe to parallelize with a deterministic reduce.
+Meet-in-the-middle searches only the nonzero entries; brute force
+enumerates every coordinate and stays the independent check.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import heapq
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd
@@ -59,52 +61,45 @@ def enumeration_budget(override: int | None = None) -> int:
 class NbpInstance:
     """A balancing instance: n numbers in [-1, 1], a_i = ints[i] / den.
 
-    (ints, den) is the least common denominator form of a, computed once at
-    construction; restrict divides the parent's pair by its gcd instead.
+    (ints, den) is in lowest terms, gcd(den, *ints) = 1, so it is the least
+    common denominator form of a and equal instances have equal pairs.
     """
 
-    n: int
-    a: RVector
-    ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
+    ints: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
-        if self.a.dim != self.n:
-            raise InvalidParams("instance dimension mismatch")
-        self._set_ints(*common_denominator_ints(self.a))
-
-    def _set_ints(self, ints: Sequence[int], den: int) -> None:
-        if not ints:
-            raise InvalidParams("instance dimension mismatch")
-        if any(abs(p) > den for p in ints):
+        if not self.ints:
+            raise InvalidParams("an instance needs at least one entry")
+        if self.den < 1:
+            raise InvalidParams("instance denominator must be >= 1")
+        if gcd(self.den, *self.ints) != 1:
+            raise InvalidParams("instance (ints, den) must be in lowest terms")
+        if any(abs(p) > self.den for p in self.ints):
             raise InvalidParams("instance entries must lie in [-1, 1]")
-        for name, value in (("n", len(ints)), ("ints", tuple(ints)), ("den", den)):
-            object.__setattr__(self, name, value)
+
+    @property
+    def n(self) -> int:
+        return len(self.ints)
+
+    @property
+    def a(self) -> RVector:
+        """The entries as exact Fractions."""
+        return RVector(Fraction(p, self.den) for p in self.ints)
 
     @staticmethod
     def from_values(values: Iterable) -> "NbpInstance":
-        v = RVector(values)
-        return NbpInstance(v.dim, v)
+        ints, den = common_denominator_ints(RVector(values))  # RVector type-checks outside input
+        return NbpInstance(tuple(ints), den)
 
     @staticmethod
     def from_ints(ints: Sequence[int], den: int) -> "NbpInstance":
-        """The instance with entries ints[i] / den, for den >= 1."""
-        return NbpInstance._reduced(RVector(Fraction(p, den) for p in ints), ints, den)
+        """The instance with entries ints[i] / den, for den >= 1, in lowest terms."""
+        g = gcd(den, *ints) or 1  # den = 0 is refused by the constructor
+        return NbpInstance(tuple(p // g for p in ints), den // g)
 
     def restrict(self, indices: Sequence[int]) -> "NbpInstance":
-        sub = RVector(self.a[i] for i in indices)
-        return NbpInstance._reduced(sub, [self.ints[i] for i in indices], self.den)
-
-    @staticmethod
-    def _reduced(a: RVector, ints: Sequence[int], den: int) -> "NbpInstance":
-        """The instance a = ints / den, with the pair divided by its gcd.  For
-        divisors g_i of den, lcm(den / g_i) = den / gcd(g_i), so this is the
-        least common denominator form that __post_init__ computes."""
-        g = gcd(den, *ints)
-        inst = object.__new__(NbpInstance)
-        object.__setattr__(inst, "a", a)
-        inst._set_ints([p // g for p in ints], den // g)
-        return inst
+        return NbpInstance.from_ints([self.ints[i] for i in indices], self.den)
 
 
 @dataclass(frozen=True)
@@ -329,11 +324,15 @@ def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
     shifted copy, so each sort merges two sorted runs.  The pair is the
     first smallest adjacent gap of that order.  When the first m entries
     are all 0 that pair is t = 0, 1, and e_1 is returned without pigeons.
+    More than enumeration_budget() pigeons are refused up front.
     """
     if N is None:
         N = inst.n**3
     if N < 1:
         raise InvalidParams("pigeon count must be >= 1")
+    limit = enumeration_budget()
+    if N + 1 > limit:
+        raise BudgetExceeded(f"N + 1 = {N + 1} pigeons exceeds budget {limit}")
     m = N.bit_length()  # = ceil(log2(N+1)) for N >= 1
     if m > inst.n:
         raise DimensionTooSmall(f"need {m} coordinates, instance has {inst.n}")

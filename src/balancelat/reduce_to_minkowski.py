@@ -8,9 +8,9 @@ per-vector scales lambda_i.  The pipeline composes these with ellipsoid
 well-rounding, whose LLL certificate yields the axis form of the rounded
 ellipsoid (Gram-Schmidt axes, which need not be orthogonal), to realize an
 approximate Minkowski oracle, reporting a certified dilation factor rho*.
-The balancing layers take each vector's integers over its common
-denominator once; truncation, the summed instance and every check are
-integer arithmetic.
+The balancing layers take each vector as an NbpInstance, so they read its
+integers over its common denominator; truncation, the inflated vectors, the
+summed instance and every check are integer arithmetic.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 from .errors import InternalContradiction, InvalidParams, PreconditionFailed
 from .geometry import Ellipsoid, axis_extract, well_round
 from .linalg import RVector, determinant
-from .nbp import NbpInstance
+from .nbp import NbpInstance, instance_inner
 from .oracles import NbpDeltaOracle
-from .rationals import common_denominator_ints, frac, lcm_of, nth_root_upper, sqrt_upper
+from .rationals import frac, lcm_of, nth_root_upper, sqrt_upper
 
 
 @dataclass
@@ -42,7 +42,7 @@ class MultiBalanceResult:
 
 
 def multi_vector_balance(
-    vectors: Sequence[RVector],
+    vectors: Sequence[NbpInstance],
     deltas: Sequence[Fraction],
     oracle: NbpDeltaOracle,
 ) -> MultiBalanceResult:
@@ -63,17 +63,14 @@ def multi_vector_balance(
     k = len(vectors)
     if k == 0 or k != len(deltas):
         raise InvalidParams("need matching nonempty vectors and deltas")
-    n = vectors[0].dim
-    if any(v.dim != n for v in vectors):
+    n = vectors[0].n
+    if any(v.n != n for v in vectors):
         raise InvalidParams("vectors must share one dimension")
     if n < 2:
         raise PreconditionFailed("multi-vector balancing needs dimension >= 2")
     deltas = [frac(d) for d in deltas]
     if any(d <= 0 or d > Fraction(1, 2) for d in deltas):
         raise PreconditionFailed("every delta_i must lie in (0, 1/2]")
-    pairs = [common_denominator_ints(v) for v in vectors]
-    if any(abs(e) > den for ints, den in pairs for e in ints):
-        raise InvalidParams("vector entries must lie in [-1, 1]")
     product = Fraction(1)
     for d in deltas:
         product *= d
@@ -84,10 +81,10 @@ def multi_vector_balance(
 
     multiples, scales = [], []
     prefix = Fraction(1)
-    for (ints, den), d in zip(pairs, deltas):
+    for v, d in zip(vectors, deltas):
         grid = 2 * n * d
-        q, step = grid.denominator, grid.numerator * den
-        multiples.append([e * q // step if e >= 0 else -(-e * q // step) for e in ints])
+        q, step = grid.denominator, grid.numerator * v.den
+        multiples.append([e * q // step if e >= 0 else -(-e * q // step) for e in v.ints])
         scales.append(prefix * grid)
         prefix *= d
     L = lcm_of(s.denominator for s in scales)
@@ -103,8 +100,8 @@ def multi_vector_balance(
                 f"divisibility invariant failed for vector {i}: <a~_i, x> = {scale * inner}"
             )
     bounds = [2 * n * n * d for d in deltas]
-    for i, ((ints, den), bound) in enumerate(zip(pairs, bounds)):
-        if abs(Fraction(sum(map(mul, ints, x)), den)) > bound:
+    for i, (v, bound) in enumerate(zip(vectors, bounds)):
+        if abs(instance_inner(v, x)) > bound:
             raise InternalContradiction(f"final bound failed for vector {i}")
     return MultiBalanceResult(x, bounds, scales, multiples)
 
@@ -118,7 +115,7 @@ class RangeBalanceResult:
 
 
 def extended_range_balance(
-    vectors: Sequence[RVector],
+    vectors: Sequence[NbpInstance],
     deltas: Sequence[Fraction],
     Q: int,
     oracle: NbpDeltaOracle,
@@ -130,7 +127,7 @@ def extended_range_balance(
     The recombination identity <a_i, x> = Q <b_i, y> is exact and re-verified;
     x vanishes only if y does (signed sums of distinct powers of two).  With
     a_i = ints / den, entry (j, l) of b_i is (e_j << (log Q - l)) / (den << log Q),
-    so both sides of the identity are integer sums over den.
+    built as an instance without Fractions.
     """
     if Q < 2 or Q & (Q - 1) != 0:
         raise PreconditionFailed("Q must be a power of two, >= 2")
@@ -138,19 +135,19 @@ def extended_range_balance(
     k = len(vectors)
     if k == 0:
         raise InvalidParams("need at least one vector")
-    n = vectors[0].dim
-    if any(v.dim != n for v in vectors):
+    n = vectors[0].n
+    if any(v.n != n for v in vectors):
         raise InvalidParams("vectors must share one dimension")
     inner_dim = n * levels
 
-    pairs = [common_denominator_ints(v) for v in vectors]
-    inflated = [[e << (levels - level) for e in ints for level in range(1, levels + 1)]
-                for ints, _ in pairs]
-    result = multi_vector_balance(
-        [RVector(Fraction(e, den << levels) for e in b) for b, (_, den) in zip(inflated, pairs)],
-        deltas, oracle,
-    )
-    y = result.x
+    inflated = [
+        NbpInstance.from_ints(
+            [e << (levels - level) for e in v.ints for level in range(1, levels + 1)],
+            v.den << levels,
+        )
+        for v in vectors
+    ]
+    y = multi_vector_balance(inflated, deltas, oracle).x
     x = []
     for j in range(n):
         acc = 0
@@ -163,14 +160,14 @@ def extended_range_balance(
     if max(abs(v) for v in x) > Q:
         raise InternalContradiction("recombined coefficient exceeds Q")
     bounds = []
-    for i, ((ints, den), b) in enumerate(zip(pairs, inflated)):
-        inner_x = sum(map(mul, ints, x))
-        if inner_x != sum(map(mul, b, y)):
+    for i, (v, b) in enumerate(zip(vectors, inflated)):
+        inner_x = instance_inner(v, x)
+        if inner_x != Q * instance_inner(b, y):
             raise InternalContradiction(
                 f"recombination identity failed for vector {i}"
             )
         bound = frac(deltas[i]) * Q * 2 * inner_dim**2
-        if abs(Fraction(inner_x, den)) > bound:
+        if abs(inner_x) > bound:
             raise InternalContradiction(f"range-extended bound failed for vector {i}")
         bounds.append(bound)
     return RangeBalanceResult(x, y, bounds, inner_dim)
@@ -180,17 +177,15 @@ def extended_range_balance(
 class GeneralizedInstance:
     """Vectors a_1..a_k in [-1,1]^n with scales 0 < lambda_1 <= ... <= lambda_k."""
 
-    vectors: tuple[RVector, ...]
+    vectors: tuple[NbpInstance, ...]
     lambdas: tuple[Fraction, ...]
 
     def __post_init__(self):
         if not self.vectors or len(self.vectors) != len(self.lambdas):
             raise InvalidParams("need matching vectors and lambdas")
-        n = self.vectors[0].dim
-        if any(v.dim != n for v in self.vectors):
+        n = self.vectors[0].n
+        if any(v.n != n for v in self.vectors):
             raise InvalidParams("vectors must share one dimension")
-        if any(abs(e) > 1 for v in self.vectors for e in v):
-            raise InvalidParams("vector entries must lie in [-1, 1]")
         if any(l <= 0 for l in self.lambdas):
             raise InvalidParams("lambdas must be positive")
         if list(self.lambdas) != sorted(self.lambdas):
@@ -203,11 +198,14 @@ class GeneralizedInstance:
 
     @property
     def n(self) -> int:
-        return self.vectors[0].dim
+        return self.vectors[0].n
 
     @staticmethod
     def create(vectors: Sequence[RVector], lambdas: Sequence) -> "GeneralizedInstance":
-        return GeneralizedInstance(tuple(vectors), tuple(frac(l) for l in lambdas))
+        """The instance of the vectors' entries; each must lie in [-1, 1]."""
+        return GeneralizedInstance(
+            tuple(NbpInstance.from_values(v) for v in vectors), tuple(frac(l) for l in lambdas)
+        )
 
 
 @dataclass
@@ -216,7 +214,6 @@ class GeneralizedResult:
     bounds: list[Fraction]
     deltas: list[Fraction]
     Q: int
-    root_upper: Fraction
 
 
 def generalized_nbp(
@@ -252,7 +249,7 @@ def generalized_nbp(
     if any(d <= 0 for d in deltas):
         raise PreconditionFailed("computed delta_i is not positive")
     result = extended_range_balance(gi.vectors, deltas, Q, oracle)
-    return GeneralizedResult(result.x, result.bounds, deltas, Q, root)
+    return GeneralizedResult(result.x, result.bounds, deltas, Q)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .geometry import CubeSlabBody
 from .lattice import LatticeBasis
-from .linalg import RMatrix, RVector, determinant
+from .linalg import RMatrix, determinant
 from .nbp import NbpInstance, NbpSolution, karmarkar_karp, verify
 from .oracles import BoundedNbpOracle, MinkowskiOracle, SvpInfOracle
 from .rationals import frac
@@ -44,7 +44,7 @@ class ReductionResult:
         return self.solution.error <= self.claimed_bound
 
 
-def balancing_body(a: RVector, k: int, rho) -> CubeSlabBody:
+def balancing_body(inst: NbpInstance, k: int, rho) -> CubeSlabBody:
     """The cube-slab body whose Minkowski point balances a with coefficients <= k.
 
     K = {x in (-(k+1)/rho, (k+1)/rho)^n : |<a,x>| <= delta} with
@@ -52,11 +52,9 @@ def balancing_body(a: RVector, k: int, rho) -> CubeSlabBody:
     vol(K) >= 2^n.
     """
     rho = frac(rho)
-    n = a.dim
+    n = inst.n
     delta = n * (rho / (k + 1)) ** (n - 1)
-    body = CubeSlabBody(a, delta, Fraction(k + 1) / rho, open_box=True)
-    body.volume_promise = Fraction(2**n)
-    return body
+    return CubeSlabBody(inst, delta, Fraction(k + 1) / rho, open_box=True)
 
 
 def nbp_via_minkowski(inst: NbpInstance, k: int, oracle: MinkowskiOracle) -> ReductionResult:
@@ -68,7 +66,7 @@ def nbp_via_minkowski(inst: NbpInstance, k: int, oracle: MinkowskiOracle) -> Red
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
-    body = balancing_body(inst.a, k, oracle.rho)
+    body = balancing_body(inst, k, oracle.rho)
     x = oracle.find(body)
     bound = oracle.rho * body.slab_bound
     solution = verify(inst, x, k)
@@ -80,17 +78,17 @@ def nbp_via_minkowski(inst: NbpInstance, k: int, oracle: MinkowskiOracle) -> Red
     )
 
 
-def svp_embedding_basis(a: RVector, k: int, rho) -> LatticeBasis:
+def svp_embedding_basis(inst: NbpInstance, k: int, rho) -> LatticeBasis:
     """The (n+1) x (n+1) determinant-1 embedding of the balancing instance."""
     rho = frac(rho)
-    n = a.dim
+    n = inst.n
     scale = (Fraction(k) / rho) ** n
     rows = []
     for i in range(n):
         row = [Fraction(0)] * (n + 1)
         row[i] = rho / k
         rows.append(row)
-    last = [scale * a[i] / (2 * n * k) for i in range(n)] + [scale]
+    last = [scale * p / (2 * n * k * inst.den) for p in inst.ints] + [scale]
     rows.append(last)
     return LatticeBasis(RMatrix(rows))
 
@@ -116,7 +114,7 @@ def nbp_via_svp(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> ReductionRes
             "svp-to-nbp",
             details={"rho": rho, "k": k, "branch": "trivial"},
         )
-    basis = svp_embedding_basis(inst.a, k, rho)
+    basis = svp_embedding_basis(inst, k, rho)
     if determinant(basis.B) != 1:
         raise InternalContradiction("the SVP embedding basis does not have determinant 1")
     vec, coeffs = oracle.find(basis)

@@ -122,7 +122,7 @@ def test_criterion_05_theorem9_embedding():
             for k in range(1, 5):
                 for rho in (Fraction(1), Fraction(3, 2)):
                     a = gen_nbp(n, seed=500 + 10 * n + k, precision_bits=30, signed=True)
-                    basis = svp_embedding_basis(a.a, k, rho)
+                    basis = svp_embedding_basis(a, k, rho)
                     assert determinant(basis.B) == 1
                     oracle = exact_svp_oracle()
                     oracle.rho = rho
@@ -203,7 +203,9 @@ def test_criterion_08_lemma11_divisibility():
                 gen_nbp(n, seed=8000 + 100 * n + 10 * k + i, precision_bits=30, signed=True).a
                 for i in range(k)
             ]
-            result = multi_vector_balance(vectors, deltas, oracle)
+            result = multi_vector_balance(
+                [NbpInstance.from_values(v) for v in vectors], deltas, oracle
+            )
             xv = RVector(result.x)
             for i in range(k):
                 assert result.discretized[i].dot(xv) == 0
@@ -227,7 +229,9 @@ def test_criterion_09_lemma12_range_extension():
                 gen_nbp(n, seed=9000 + Q + i, precision_bits=30, signed=True).a
                 for i in range(k)
             ]
-            result = extended_range_balance(vectors, deltas, Q, oracle)
+            result = extended_range_balance(
+                [NbpInstance.from_values(v) for v in vectors], deltas, Q, oracle
+            )
             assert result.inner_dim == inner
             assert any(result.x)
             assert max(abs(v) for v in result.x) <= Q

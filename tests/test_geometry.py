@@ -52,7 +52,7 @@ class TestMember:
     def test_theorem5_style_body(self):
         a = RVector([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
         delta = Fraction(3) * Fraction(1, 3) ** 2  # n (rho/(k+1))^(n-1)
-        body = CubeSlabBody(a, delta, Fraction(3))
+        body = CubeSlabBody(NbpInstance.from_values(a), delta, Fraction(3))
         x = RVector([1, -1, 0])
         assert abs(a.dot(x)) == Fraction(1, 6) <= delta
         assert body.member(x)
@@ -60,7 +60,7 @@ class TestMember:
     def test_symmetry(self):
         rng = random.Random(31)
         a = RVector([Fraction(rng.randint(-8, 8), 9) for _ in range(4)])
-        body = CubeSlabBody(a, Fraction(1, 3), Fraction(2))
+        body = CubeSlabBody(NbpInstance.from_values(a), Fraction(1, 3), Fraction(2))
         for _ in range(50):
             x = RVector([Fraction(rng.randint(-20, 20), 10) for _ in range(4)])
             assert body.member(x) == body.member(-x)
@@ -79,7 +79,7 @@ class TestMinkowskiOracle:
         for n in (4, 5, 6):
             a = RVector([2 * Fraction(rng.randrange(2**20), 2**20) - 1 for _ in range(n)])
             delta = n * Fraction(1, 2) ** (n - 1)  # k = 1, rho = 1
-            body = CubeSlabBody(a, delta, Fraction(2))
+            body = CubeSlabBody(NbpInstance.from_values(a), delta, Fraction(2))
             x = minkowski_exact_oracle(body)
             assert any(x)
             assert body.member(RVector(x))
@@ -92,7 +92,7 @@ class TestMinkowskiOracle:
             n = 4
             a = RVector([Fraction(rng.randint(-15, 15), 16) for _ in range(n)])
             delta = Fraction(1, 3)
-            structured = CubeSlabBody(a, delta, Fraction(2))
+            structured = CubeSlabBody(NbpInstance.from_values(a), delta, Fraction(2))
             generic = SymmetricConvexBody(n, structured.member, Fraction(2))
             try:
                 fast = minkowski_exact_oracle(structured)
@@ -116,7 +116,7 @@ def reference_minkowski(body):
     prefix = [0] * n
     nodes = [0]
     if isinstance(body, CubeSlabBody):
-        ints, den = common_denominator_ints(body.a)
+        ints, den = common_denominator_ints(body.inst.a)
         rhs, sd = body.slab_bound.numerator * den, body.slab_bound.denominator
         suffix = [sum(m * abs(v) for v in ints[d:]) for d in range(n + 1)]
 
@@ -191,7 +191,7 @@ def slab_draws(seed):
                     opt = mitm_min(NbpInstance.from_values(a), m).error
                     eps = Fraction(1, 10**6)
                     for bound in (opt, opt + eps, opt - eps):
-                        body = CubeSlabBody(RVector(a), bound, radius, open_box)
+                        body = CubeSlabBody(NbpInstance.from_values(a), bound, radius, open_box)
                         assert body.int_box_limit() == m
                         yield body
 
@@ -201,13 +201,13 @@ class TestMinkowskiMatchesReference:
     def test_slab_bodies(self, seed, monkeypatch):
         for body in slab_draws(seed):
             assert searched(body, monkeypatch) == reference_minkowski(body), (
-                body.a, body.slab_bound, body.box_radius, body.open_box)
+                body.inst, body.slab_bound, body.box_radius, body.open_box)
 
     def test_generic_bodies(self, monkeypatch):
         rng = random.Random(35)
         for n, radius in ((1, Fraction(3)), (3, Fraction(5, 2)), (4, Fraction(1))):
             a = RVector([Fraction(rng.randint(-9, 9), 10) for _ in range(n)])
-            slab = CubeSlabBody(a, Fraction(1, 10), radius, open_box=False)
+            slab = CubeSlabBody(NbpInstance.from_values(a), Fraction(1, 10), radius, open_box=False)
             generic = SymmetricConvexBody(n, slab.member, radius)
             assert searched(generic, monkeypatch) == reference_minkowski(generic)
         cube = CubeBody(3, Fraction(3, 2))
@@ -217,7 +217,8 @@ class TestMinkowskiMatchesReference:
 class TestMinkowskiBudget:
     def body(self):
         a = RVector([Fraction(v, 1024) for v in (1000, -731, 517, 389, -251, 97)])
-        return CubeSlabBody(a, Fraction(6, 4**5), Fraction(4), open_box=True)
+        inst = NbpInstance.from_values(a)
+        return CubeSlabBody(inst, Fraction(6, 4**5), Fraction(4), open_box=True)
 
     def test_passes_at_exactly_the_nodes_it_needs(self, monkeypatch):
         point, nodes = searched(self.body(), monkeypatch)

@@ -32,6 +32,8 @@ from balancelat.nbp import (
     pigeonhole_solve,
     verify,
 )
+from balancelat.geometry import CubeSlabBody
+from balancelat.linalg import RVector
 from balancelat.rationals import common_denominator_ints
 
 
@@ -214,7 +216,7 @@ def mixed_instance(rng, n):
 
 
 class TestIntegerForm:
-    """Each instance's (ints, den), computed once, and the sums taken on it."""
+    """Each instance's (ints, den), its one constructor, and the sums taken on it."""
 
     def test_pair_is_the_common_denominator_form(self):
         rng = random.Random(61)
@@ -283,6 +285,44 @@ class TestIntegerForm:
             NbpInstance.from_values([])
         with pytest.raises(InvalidParams):
             NbpInstance.from_values([Fraction(1, 2)]).restrict([])
+
+    @pytest.mark.parametrize(
+        "ints, den", [((2, 4), 8), ((1,), 0), ((1,), -2), ((), 1), ((3,), 2)]
+    )
+    def test_constructor_takes_only_lowest_terms_in_range(self, ints, den):
+        with pytest.raises(InvalidParams):
+            NbpInstance(ints, den)
+
+    def test_from_ints_refuses_a_zero_denominator(self):
+        with pytest.raises(InvalidParams):
+            NbpInstance.from_ints([0, 0], 0)
+
+    def test_every_path_gives_one_instance(self):
+        rng = random.Random(65)
+        for _ in range(200):
+            den = rng.randint(1, 10**4)
+            ints = [rng.randint(-den, den) for _ in range(rng.randint(1, 8))]
+            wide = NbpInstance.from_ints(ints + [den], den)
+            forms = (
+                NbpInstance.from_values([Fraction(p, den) for p in ints]),
+                NbpInstance.from_ints(ints, den),
+                NbpInstance.from_ints([3 * p for p in ints], 3 * den),
+                wide.restrict(range(len(ints))),
+            )
+            assert len(set(forms)) == 1 and len({hash(f) for f in forms}) == 1
+            assert NbpInstance.from_values(forms[0].a) == forms[0]
+
+    def test_slab_member_equals_the_fraction_test(self):
+        rng = random.Random(66)
+        for i in range(300):
+            inst = mixed_instance(rng, rng.randint(1, 6))
+            x = RVector([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(inst.n)])
+            inner = abs(inst.a.dot(x))
+            # on the slab's edge, just inside it, and anywhere
+            bound = (inner, inner + Fraction(1, 10**9), Fraction(rng.randint(0, 20), 7))[i % 3]
+            body = CubeSlabBody(inst, bound, 3, open_box=rng.random() < 0.5)
+            in_box = all(abs(e) < 3 if body.open_box else abs(e) <= 3 for e in x)
+            assert body.member(x) == (in_box and inner <= bound)
 
 
 class TestBruteForce:
@@ -432,6 +472,21 @@ class TestPigeonhole:
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])
         with pytest.raises(DimensionTooSmall):
             pigeonhole_solve(inst, 100)
+
+    def test_pigeons_over_the_budget_are_refused(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("BALANCELAT_BUDGET", "1000")
+        inst = dyadic_instance(random.Random(26), 12, bits=20)
+        assert pigeonhole_solve(inst, 999) == reference_pigeonhole(inst, 999)
+        with pytest.raises(BudgetExceeded, match="exceeds budget"):
+            pigeonhole_solve(inst, 1000)
+        assert main(["gen", "nbp", "--n", "12", "--seed", "26"]) == 0
+        f = tmp_path / "i.json"
+        f.write_text(capsys.readouterr().out)
+        argv = ["solve", "--algo", "pigeonhole", "--input", str(f), "--pigeons"]
+        assert main(argv + ["999"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["1000"]) == 3
+        assert "exceeds budget" in capsys.readouterr().err
 
 
 class TestKarmarkarKarp:

@@ -15,7 +15,7 @@ from balancelat.errors import (
 from balancelat.generators import gen_ellipsoid
 from balancelat.geometry import Ellipsoid, well_round
 from balancelat.linalg import RMatrix, RVector, determinant
-from balancelat.nbp import NbpInstance
+from balancelat.nbp import NbpInstance, instance_inner
 from balancelat.oracles import kk_delta_oracle, mitm_delta_oracle
 from balancelat.rationals import nth_root_upper
 from balancelat.reduce_to_minkowski import (
@@ -30,6 +30,10 @@ from oracle_helpers import adversarial_delta_oracle, claimed_delta_oracle
 
 def rand_unit_vector(rng, n, bits=16):
     return RVector([2 * Fraction(rng.randrange(2**bits), 2**bits) - 1 for _ in range(n)])
+
+
+def instances(vectors):
+    return [NbpInstance.from_values(v) for v in vectors]
 
 
 def paper_oracle():
@@ -125,7 +129,7 @@ class TestIntegerLayersMatchReference:
         nonzero = 0
         for vectors, deltas in multi_cases():
             oracle = mitm_delta_oracle()
-            result = multi_vector_balance(vectors, deltas, oracle)
+            result = multi_vector_balance(instances(vectors), deltas, oracle)
             x, bounds, discretized = reference_multi_vector_balance(vectors, deltas, oracle)
             assert (result.x, result.bounds, result.discretized) == (x, bounds, discretized)
             nonzero += any(v != 0 for v in discretized[0])
@@ -144,7 +148,7 @@ class TestIntegerLayersMatchReference:
         for vectors, deltas, Q in range_cases():
             oracle = mitm_delta_oracle()
             inner.clear()
-            result = extended_range_balance(vectors, deltas, Q, oracle)
+            result = extended_range_balance(instances(vectors), deltas, Q, oracle)
             x, y, bounds, discretized = reference_extended_range_balance(vectors, deltas, Q, oracle)
             assert (result.x, result.y, result.bounds) == (x, y, bounds)
             assert inner[0].discretized == discretized
@@ -160,7 +164,7 @@ class TestMultiVectorBalance:
         a = rand_unit_vector(rng, n)
         oracle = mitm_delta_oracle()
         delta = oracle.delta(n)
-        result = multi_vector_balance([a], [delta], oracle)
+        result = multi_vector_balance(instances([a]), [delta], oracle)
         assert any(result.x)
         assert max(abs(v) for v in result.x) <= 1
         assert abs(a.dot(RVector(result.x))) <= 2 * n * n * delta
@@ -170,7 +174,7 @@ class TestMultiVectorBalance:
         n = 9
         vectors = [rand_unit_vector(rng, n) for _ in range(2)]
         deltas = [Fraction(1, 4), Fraction(1, 2)]
-        result = multi_vector_balance(vectors, deltas, mitm_delta_oracle())
+        result = multi_vector_balance(instances(vectors), deltas, mitm_delta_oracle())
         for v, d, bound in zip(vectors, deltas, result.bounds):
             assert bound == 2 * n * n * d
             assert abs(v.dot(RVector(result.x))) <= bound
@@ -183,7 +187,7 @@ class TestMultiVectorBalance:
         vals = [Fraction(1, 3)] * 2 + [Fraction(i, 11) for i in range(2, 9)]
         a = RVector(vals)
         oracle = mitm_delta_oracle()
-        result = multi_vector_balance([a], [Fraction(1, 4)], oracle)
+        result = multi_vector_balance(instances([a]), [Fraction(1, 4)], oracle)
         assert abs(a.dot(RVector(result.x))) <= 2 * n * n * Fraction(1, 4)
 
     def test_precondition_checks(self):
@@ -191,11 +195,11 @@ class TestMultiVectorBalance:
         a = rand_unit_vector(rng, 4)
         oracle = mitm_delta_oracle()
         with pytest.raises(PreconditionFailed):
-            multi_vector_balance([a], [Fraction(2, 3)], oracle)  # delta > 1/2
+            multi_vector_balance(instances([a]), [Fraction(2, 3)], oracle)  # delta > 1/2
         with pytest.raises(PreconditionFailed):
-            multi_vector_balance([a], [Fraction(1, 1000)], oracle)  # prod too small
+            multi_vector_balance(instances([a]), [Fraction(1, 1000)], oracle)  # prod too small
         with pytest.raises(PreconditionFailed):
-            multi_vector_balance([RVector([1])], [Fraction(1, 2)], oracle)  # dim 1
+            multi_vector_balance(instances([[1]]), [Fraction(1, 2)], oracle)  # dim 1
 
 
 class TestExtendedRangeBalance:
@@ -203,7 +207,7 @@ class TestExtendedRangeBalance:
         rng = random.Random(64)
         n = 4
         vectors = [rand_unit_vector(rng, n)]
-        result = extended_range_balance(vectors, [Fraction(1, 2)], 2, paper_oracle())
+        result = extended_range_balance(instances(vectors), [Fraction(1, 2)], 2, paper_oracle())
         assert result.inner_dim == n
         assert result.x == result.y  # x_j = 2 * (y_j1 / 2)
 
@@ -211,7 +215,7 @@ class TestExtendedRangeBalance:
         rng = random.Random(65)
         n, Q = 3, 4
         vectors = [rand_unit_vector(rng, n)]
-        result = extended_range_balance(vectors, [Fraction(1, 2)], Q, paper_oracle())
+        result = extended_range_balance(instances(vectors), [Fraction(1, 2)], Q, paper_oracle())
         levels = 2
         for j in range(n):
             acc = sum(
@@ -226,7 +230,7 @@ class TestExtendedRangeBalance:
         n, Q = 2, 2**8
         vectors = [rand_unit_vector(rng, n) for _ in range(2)]
         deltas = [Fraction(1, 32), Fraction(1, 16)]
-        result = extended_range_balance(vectors, deltas, Q, mitm_delta_oracle())
+        result = extended_range_balance(instances(vectors), deltas, Q, mitm_delta_oracle())
         assert result.inner_dim == 16
         for v, d in zip(vectors, deltas):
             assert abs(v.dot(RVector(result.x))) <= d * Q * 2 * 16**2
@@ -234,12 +238,12 @@ class TestExtendedRangeBalance:
     def test_q_must_be_power_of_two(self):
         with pytest.raises(PreconditionFailed):
             extended_range_balance(
-                [RVector([Fraction(1, 2), 0])], [Fraction(1, 2)], 3, paper_oracle()
+                instances([[Fraction(1, 2), 0]]), [Fraction(1, 2)], 3, paper_oracle()
             )
 
     @pytest.mark.parametrize("length", [3, 5])
     def test_vectors_must_share_one_dimension(self, length):
-        vectors = [RVector([Fraction(1, 2)] * 4), RVector([Fraction(1, 3)] * length)]
+        vectors = instances([[Fraction(1, 2)] * 4, [Fraction(1, 3)] * length])
         with pytest.raises(InvalidParams, match="share one dimension"):
             extended_range_balance(vectors, [Fraction(1, 2)] * 2, 4, paper_oracle())
 
@@ -255,20 +259,20 @@ class TestChecksStillRaise:
     def test_divisibility(self):
         # grid 2 * 2 * 1/8 = 1/2, so a~ = (1/2, 0) and <a~, e_1> != 0
         with pytest.raises(InternalContradiction, match="divisibility"):
-            multi_vector_balance([RVector([Fraction(1, 2), 0])], [Fraction(1, 8)],
+            multi_vector_balance(instances([[Fraction(1, 2), 0]]), [Fraction(1, 8)],
                                  unchecked_oracle((1, 0)))
 
     def test_final_bound(self):
         # grid 1 truncates a to 0, so any x is divisible; |<a, x>| = 9/2 > 2
         with pytest.raises(InternalContradiction, match="final bound"):
-            multi_vector_balance([RVector([Fraction(1, 2), 0])], [Fraction(1, 4)],
+            multi_vector_balance(instances([[Fraction(1, 2), 0]]), [Fraction(1, 4)],
                                  unchecked_oracle((9, 0)))
 
     def test_recombined_range_and_bound(self, monkeypatch):
         def balanced(y):
             return lambda vectors, deltas, oracle: SimpleNamespace(x=y)
 
-        vectors, deltas = [RVector([Fraction(1, 2), 0])], [Fraction(1, 2**20)]
+        vectors, deltas = instances([[Fraction(1, 2), 0]]), [Fraction(1, 2**20)]
         monkeypatch.setattr(reduce_to_minkowski, "multi_vector_balance", balanced((5, 5, 0, 0)))
         with pytest.raises(InternalContradiction, match="exceeds Q"):
             extended_range_balance(vectors, deltas, 4, paper_oracle())
@@ -289,7 +293,7 @@ class TestGeneralizedNbp:
         inner_dim = n * 8
         for v, d, bound in zip(gi.vectors, result.deltas, result.bounds):
             assert bound == 2 * inner_dim**2 * result.Q * d
-            assert abs(v.dot(RVector(result.x))) <= bound
+            assert abs(instance_inner(v, result.x)) <= bound
 
     def test_single_vector_small_q(self):
         gi = GeneralizedInstance.create([RVector([Fraction(1, 3)])], [1])

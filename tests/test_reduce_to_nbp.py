@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from balancelat import nbp, oracles, reduce_to_nbp
+from balancelat import nbp, oracles, rationals, reduce_to_nbp
 from balancelat.cli import main
 from balancelat.errors import (
     IncompatibleDimension,
@@ -50,13 +50,13 @@ def dyadic_instance(rng, n, bits=30, signed=True):
 class TestBalancingBody:
     def test_paper_delta_formula(self):
         # n = 3, k = 2, rho = 1: delta = 3 * (1/3)^2 = 1/3
-        body = balancing_body(RVector([Fraction(1, 2)] * 3), 2, 1)
+        body = balancing_body(NbpInstance.from_values([Fraction(1, 2)] * 3), 2, 1)
         assert body.slab_bound == Fraction(1, 3)
         assert body.box_radius == 3
 
     def test_volume_promise_brute_check(self):
         # tiny n: lower-bound the volume by counting grid cells inside
-        body = balancing_body(RVector([Fraction(1, 2), Fraction(1, 3)]), 1, 1)
+        body = balancing_body(NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)]), 1, 1)
         steps = 40
         cell = Fraction(2 * body.box_radius, steps)
         count = 0
@@ -121,7 +121,7 @@ class TestNbpViaSvp:
         for n in (2, 3, 5):
             for k in (1, 3):
                 for rho in (Fraction(1), Fraction(3, 2)):
-                    a = RVector([Fraction(1, i + 2) for i in range(n)])
+                    a = NbpInstance.from_values([Fraction(1, i + 2) for i in range(n)])
                     basis = svp_embedding_basis(a, k, rho)
                     assert determinant(basis.B) == 1
 
@@ -380,18 +380,19 @@ def test_halve_coefficients_matches_the_fraction_layers():
     assert branches == {"small-coefficients", "small-block-value", "recombined"}
 
 
-def test_instance_integers_are_computed_once_per_constructed_instance(
-    monkeypatch, tmp_path, capsys
-):
-    """Over one `reduce to-nbp --oracle exact-mink --full` run at n = 36, only
-    the constructor scales entries to integers: restrict, the solvers, verify
-    and instance_inner read the stored pair."""
-    original = nbp.common_denominator_ints
+def test_instance_integers_are_computed_only_from_outside_values(monkeypatch, tmp_path, capsys):
+    """Entries are scaled to integers only where outside values come in,
+    NbpInstance.from_values.  Over one `reduce to-nbp --oracle exact-mink
+    --full` run at n = 36 that is the input instance, once: the body,
+    restrict, the solvers, verify and instance_inner read the stored pair.
+    Over a rounded-branch `reduce to-minkowski --oracle pigeonhole` run the
+    balancing layers and the bodies make no call of their own."""
+    original = rationals.common_denominator_ints
     callers, seen = [], []
 
     def counted(*args):
         frame = sys._getframe(1)
-        callers.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+        callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
         return original(*args)
 
     def count(owner, name):
@@ -406,16 +407,33 @@ def test_instance_integers_are_computed_once_per_constructed_instance(
     assert main(["gen", "nbp", "--n", "36", "--seed", "5"]) == 0
     f = tmp_path / "i.json"
     f.write_text(capsys.readouterr().out)
-    monkeypatch.setattr(nbp, "common_denominator_ints", counted)
+    assert main(["gen", "ellipsoid", "--n", "3", "--seed", "41"]) == 0
+    e = tmp_path / "e.json"
+    e.write_text(capsys.readouterr().out)
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "common_denominator_ints", None)
+        if name.startswith("balancelat") and bound is original:
+            monkeypatch.setattr(module, "common_denominator_ints", counted)
     count(NbpInstance, "__init__")
     count(NbpInstance, "restrict")
+    count(NbpInstance, "from_ints")
     for module in (nbp, reduce_to_nbp, oracles):
         for name in ("verify", "instance_inner"):
             if hasattr(module, name):
                 count(module, name)
     code = main(["reduce", "to-nbp", "--oracle", "exact-mink", "--full", "--input", str(f)])
     assert code == 0, capsys.readouterr().err
-    assert callers == [("__post_init__", "__init__")]
-    assert seen.count("__init__") == 1  # the input instance; restrict builds none
+    assert callers == [("balancelat.nbp", "from_values")]
     assert seen.count("restrict") == 6  # one round of sqrt(36) blocks
+    # every instance passes the one constructor: the input, the six blocks
+    # and the block-value instance, the last seven through from_ints
+    assert seen.count("from_ints") == 7 and seen.count("__init__") == 8
     assert seen.count("instance_inner") >= 6 and seen.count("verify") >= 1
+
+    callers.clear()
+    code = main(["reduce", "to-minkowski", "--oracle", "pigeonhole", "--input", str(e)])
+    assert code == 0, capsys.readouterr().err
+    assert '"branch": "pipeline"' in capsys.readouterr().out
+    assert ("balancelat.nbp", "from_values") in callers
+    layers = ("balancelat.reduce_to_minkowski", "balancelat.geometry")
+    assert not [c for c in callers if c[0] in layers]
