@@ -1,14 +1,16 @@
 """Symmetric convex bodies, ellipsoids, the exact Minkowski oracle, and
 ellipsoid well-rounding with the axis form read off its LLL certificate.
 
-Bodies are membership predicates over exact rationals plus an outer box
-radius.  The integer-point search asks a body for the range of values the
-next coordinate may take, given the integer partial sum of the prefix over
-the body's ``prefix_weights``: a generic body answers with its integer box,
-and the cube-slab body, built on an NbpInstance, answers box cap slab in
-closed form from the instance's integers.  A range only drops values that
-provably admit no member, and the search visits values in ascending order,
-so the lexicographically smallest point is returned either way.
+A body is a membership predicate over exact rationals plus an outer box
+radius, and answers ``contains`` for integer points: a generic body by its
+predicate, the cube-slab body, built on an NbpInstance, by integer tests on
+the instance's integers.  The integer-point search asks a body for the range
+of values the next coordinate may take, given the integer partial sum of the
+prefix over the body's ``prefix_weights``: a generic body answers with its
+integer box, and the cube-slab body answers box cap slab in closed form.  A
+range only drops values that provably admit no member, and the search visits
+values in ascending order, so the lexicographically smallest point is
+returned either way.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ class SymmetricConvexBody:
             rho * self.outer_box_radius,
         )
 
+    def contains(self, x: Sequence[int]) -> bool:
+        """Membership of the integer point x."""
+        return self.member(RVector(x))
+
     def int_box_limit(self) -> int:
         """Largest integer coordinate magnitude any member can have."""
         return floor_frac(self.outer_box_radius)
@@ -112,7 +118,8 @@ class CubeSlabBody(SymmetricConvexBody):
     rhs = bound's numerator * den.  After a prefix with partial sum s,
     coordinate d may take v only if |s + v A_d| <= reach[d] =
     (rhs + sd * suffix[d+1]) // sd, where suffix[j] is the most that
-    coordinates j.. can still cancel inside the box.
+    coordinates j.. can still cancel inside the box.  ``contains`` tests an
+    integer point against the integer box limit and the integer slab.
     """
 
     def __init__(self, inst: NbpInstance, slab_bound, box_radius, open_box: bool = True) -> None:
@@ -126,8 +133,9 @@ class CubeSlabBody(SymmetricConvexBody):
         suffix = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
             suffix[i] = suffix[i + 1] + limit * abs(ints[i])
-        rhs, sd = self.slab_bound.numerator * den, self.slab_bound.denominator
-        self._reach = [(rhs + sd * suffix[d + 1]) // sd for d in range(n)]
+        self._rhs = rhs = self.slab_bound.numerator * den
+        self._sd = sd = self.slab_bound.denominator
+        self._steps = [(limit, (rhs + sd * suffix[d + 1]) // sd, ints[d]) for d in range(n)]
 
     def _slab_member(self, x: RVector) -> bool:
         if self.open_box:
@@ -136,6 +144,13 @@ class CubeSlabBody(SymmetricConvexBody):
         elif not all(abs(e) <= self.box_radius for e in x):
             return False
         return abs(sum(map(mul, self.inst.ints, x))) <= self.slab_bound * self.inst.den
+
+    def contains(self, x: Sequence[int]) -> bool:
+        if len(x) != self.dim:
+            raise InvalidParams("dimension mismatch")
+        m = self._limit
+        return (-m <= min(x) and max(x) <= m
+                and abs(sum(map(mul, self.inst.ints, x))) * self._sd <= self._rhs)
 
     def int_box_limit(self) -> int:
         r = self.box_radius
@@ -154,7 +169,7 @@ class CubeSlabBody(SymmetricConvexBody):
 
     def prefix_feasible(self, s: int, depth: int) -> tuple[int, int]:
         """Box cap slab: the v in [-m, m] with |s + v A_depth| <= reach[depth]."""
-        m, r, a = self._limit, self._reach[depth], self.inst.ints[depth]
+        m, r, a = self._steps[depth]
         if a > 0:
             lo, hi = -((r + s) // a), (r - s) // a
         elif a < 0:
@@ -163,7 +178,7 @@ class CubeSlabBody(SymmetricConvexBody):
             return -m, m
         else:
             return 1, 0
-        return max(lo, -m), min(hi, m)
+        return (lo if lo > -m else -m), (hi if hi < m else m)
 
 
 def minkowski_exact_oracle(
@@ -175,7 +190,7 @@ def minkowski_exact_oracle(
     search.  The integer partial sum over ``body.prefix_weights()`` is carried
     down the levels; each expanded node makes one ``body.prefix_feasible``
     call for the range of its coordinate and visits that range in ascending
-    order.  Every nonzero leaf is confirmed with ``body.member``.  ``budget``
+    order.  Every nonzero leaf is confirmed with ``body.contains``.  ``budget``
     (default ``enumeration_budget()``) caps the expanded nodes, the root
     included; BudgetExceeded says where the search stood.  Raises NotFound
     when the body holds no nonzero integer point (e.g. an open body whose
@@ -205,7 +220,7 @@ def minkowski_exact_oracle(
                 depth -= 1
                 x[depth] += 1
             elif depth + 1 == n:
-                if any(x) and body.member(RVector(x)):
+                if any(x) and body.contains(x):
                     return tuple(x)
                 x[depth] += 1
             else:

@@ -38,10 +38,12 @@ class MinkowskiOracle:
 
     def find(self, body: SymmetricConvexBody) -> tuple[int, ...]:
         x = tuple(int(v) for v in self.solver(body))
+        if len(x) != body.dim:
+            raise OracleContractViolation(f"{self.name}: dimension mismatch")
         if not any(x):
             raise OracleContractViolation(f"{self.name}: returned the zero vector")
         dilated = body if self.rho == 1 else body.dilate(self.rho)
-        if not dilated.member(RVector(x)):
+        if not dilated.contains(x):
             raise OracleContractViolation(
                 f"{self.name}: point is not in the {self.rho}-dilated body"
             )
@@ -58,6 +60,8 @@ class SvpInfOracle:
 
     def find(self, basis: LatticeBasis) -> tuple[RVector, tuple[int, ...]]:
         x = self.solver(basis)
+        if x.dim != basis.n:
+            raise OracleContractViolation(f"{self.name}: dimension mismatch")
         coeffs = lattice_membership(basis, x)
         if coeffs is None:
             raise OracleContractViolation(f"{self.name}: vector is not a lattice point")

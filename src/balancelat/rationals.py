@@ -58,15 +58,14 @@ def format_rational(x: Fraction) -> str:
         raise InvalidParams("a rational has too many decimal digits to be written") from exc
 
 
-def format_decimal_dyadic(x: Fraction, bits: int) -> str:
-    """Exact decimal string of a dyadic rational p/2^bits.
+def format_decimal_dyadic(p: int, q: int, bits: int) -> str:
+    """Exact decimal string, with bits digits after the point, of p/q = m/2^bits.
 
     Dyadic rationals always terminate in decimal, so this loses nothing.
     """
-    num, den = x.numerator, x.denominator
-    if den & (den - 1) != 0:
-        raise InvalidParams(f"{x} is not dyadic")
-    scaled = num * 5**bits * (2**bits // den)
+    if (p << bits) % q:
+        raise InvalidParams(f"{p}/{q} is not a multiple of 2^-{bits}")
+    scaled = p * 10**bits // q
     sign = "-" if scaled < 0 else ""
     digits = format_rational(Fraction(abs(scaled))).rjust(bits + 1, "0")
     if bits == 0:

@@ -20,12 +20,13 @@ from .rationals import format_decimal_dyadic, format_rational, parse_rational
 
 
 def instance_to_doc(inst: NbpInstance, precision_bits: int = 30) -> dict:
-    entries = []
-    for e in inst.a:
-        if (1 << precision_bits) % e.denominator == 0:
-            entries.append(format_decimal_dyadic(e, precision_bits))
+    """Each entry as a decimal when it is a multiple of 2^-precision_bits, else as "p/q"."""
+    den, entries = inst.den, []
+    for p in inst.ints:
+        if (p << precision_bits) % den == 0:
+            entries.append(format_decimal_dyadic(p, den, precision_bits))
         else:
-            entries.append(format_rational(e))
+            entries.append(format_rational(Fraction(p, den)))
     return {"n": inst.n, "precision_bits": precision_bits, "a": entries}
 
 

@@ -15,6 +15,7 @@ from balancelat.cli import CALLS, main
 from balancelat.errors import InvalidParams
 from balancelat.generators import gen_basis, gen_ellipsoid, gen_nbp
 from balancelat.linalg import determinant
+from balancelat.nbp import NbpInstance
 from balancelat.rng import SeededStream, splitmix64
 from balancelat.serialize import (
     basis_from_doc,
@@ -106,6 +107,39 @@ class TestSerialize:
         assert instance_from_doc(doc) == inst
         # decimal strings are exact
         assert all("/" not in s for s in doc["a"])
+
+    # `gen nbp --n 3 --seed 7` entries as written when each entry was a Fraction
+    GEN_NBP_ENTRIES = {
+        (1, False): ["0.0", "0.0", "0.5"],
+        (1, True): ["-1.0", "-1.0", "0.0"],
+        (30, False): ["0.389829748310148715972900390625", "0.016788293607532978057861328125",
+                      "0.900760680437088012695312500000"],
+        (30, True): ["-0.220340503379702568054199218750", "-0.966423412784934043884277343750",
+                     "0.801521360874176025390625000000"],
+        (64, False): [
+            "0.3898297483912715721810458846530167420496582053601741790771484375",
+            "0.0167882945281561961250321735050761162710841745138168334960937500",
+            "0.9007606806068834405217329863724273764091776683926582336425781250"],
+        (64, True): [
+            "-0.2203405032174568556379082306939665159006835892796516418457031250",
+            "-0.9664234109436876077499356529898477674578316509723663330078125000",
+            "0.8015213612137668810434659727448547528183553367853164672851562500"],
+    }
+
+    @pytest.mark.parametrize("bits, signed", sorted(GEN_NBP_ENTRIES))
+    def test_gen_nbp_documents_are_pinned(self, bits, signed, capsys):
+        argv = ["gen", "nbp", "--n", "3", "--seed", "7", "--precision-bits", str(bits)]
+        assert main(argv + ["--signed"] * signed) == 0
+        doc = {"n": 3, "precision_bits": bits, "a": self.GEN_NBP_ENTRIES[bits, signed]}
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_entries_off_the_dyadic_grid_keep_the_fraction_form(self):
+        a = [Fraction(1, 3), Fraction(1, 2), 0, Fraction(-5, 6), Fraction(1, 8), -1]
+        inst = NbpInstance.from_values(a)
+        doc = instance_to_doc(inst, 2)
+        assert doc == {"n": 6, "precision_bits": 2,
+                       "a": ["1/3", "0.50", "0.00", "-5/6", "1/8", "-1.00"]}
+        assert instance_from_doc(doc) == inst
 
     def test_basis_roundtrip(self):
         basis = gen_basis(3, 5)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from balancelat.errors import (
     BudgetExceeded,
     InternalContradiction,
+    InvalidParams,
     NotFound,
     PreconditionFailed,
 )
@@ -212,6 +214,53 @@ class TestMinkowskiMatchesReference:
             assert searched(generic, monkeypatch) == reference_minkowski(generic)
         cube = CubeBody(3, Fraction(3, 2))
         assert searched(cube, monkeypatch) == reference_minkowski(cube) == ((-1, -1, -1), 3)
+
+
+def box_points(n, m, rng, cap=50):
+    """Every integer point of [-m, m]^n, or cap random ones when it holds more."""
+    if (2 * m + 1) ** n <= cap:
+        return list(product(range(-m, m + 1), repeat=n))
+    return [tuple(rng.randint(-m, m) for _ in range(n)) for _ in range(cap)]
+
+
+class TestContains:
+    """``contains(x)``, the integer test, agrees with ``member(RVector(x))``."""
+
+    def test_slab_bodies_agree_with_the_fraction_test(self):
+        # each box one step past its integer limit, plus the search's point
+        # (on the slab's edge when the bound is the optimum), its double and
+        # its neighbours one step away along each axis
+        rng = random.Random(36)
+        for body in slab_draws(1):
+            try:
+                edge = minkowski_exact_oracle(body)
+            except NotFound:
+                edge = (0,) * body.dim
+            near = [edge, tuple(2 * v for v in edge)]
+            for i, step in product(range(body.dim), (-1, 1)):
+                near.append(edge[:i] + (edge[i] + step,) + edge[i + 1:])
+            for dilated in (body, body.dilate(2), body.dilate(Fraction(3, 2))):
+                points = box_points(body.dim, dilated.int_box_limit() + 1, rng) + near
+                for x in points:
+                    assert dilated.contains(x) == dilated.member(RVector(x)), (
+                        body.inst, dilated.slab_bound, dilated.box_radius, body.open_box, x)
+
+    def test_generic_bodies_use_the_predicate(self):
+        slab = CubeSlabBody(NbpInstance.from_values([Fraction(1, 2), Fraction(-1, 3)]),
+                            Fraction(1, 6), Fraction(2), open_box=False)
+        generic = SymmetricConvexBody(2, slab.member, Fraction(2))
+        cube = CubeBody(2, Fraction(3, 2), open_box=True)
+        for x in product(range(-3, 4), repeat=2):
+            assert generic.contains(x) == slab.member(RVector(x)) == slab.contains(x)
+            assert cube.contains(x) == cube.member(RVector(x)) == (max(map(abs, x)) <= 1)
+
+    def test_wrong_length_is_refused(self):
+        slab = CubeSlabBody(NbpInstance.from_values([Fraction(1, 2)] * 3),
+                            Fraction(1), Fraction(2))
+        for body in (slab, CubeBody(3, 1)):
+            for x in ((0, 0), (1, -1, 0, 0)):
+                with pytest.raises(InvalidParams, match="dimension mismatch"):
+                    body.contains(x)
 
 
 class TestMinkowskiBudget:

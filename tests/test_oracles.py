@@ -61,9 +61,11 @@ VIOLATIONS = [
     ("delta-zero", "stub-delta", nbp_call(delta), (0, 0, 0)),
     ("delta-coefficient-above-1", "stub-delta", nbp_call(delta), (2, -2, 0)),
     ("delta-error-above-bound", "stub-delta", nbp_call(delta), (1, 0, 0)),
+    ("svp-wrong-length", "stub-svp", svp_call, (2, -2, 0)),
     ("svp-not-a-lattice-point", "stub-svp", svp_call, (1, 0)),
     ("svp-zero", "stub-svp", svp_call, (0, 0)),
     ("svp-max-norm-above-rho", "stub-svp", svp_call, (4, 2)),
+    ("minkowski-wrong-length", "stub-minkowski", minkowski_call, (2, -2, 0)),
     ("minkowski-zero", "stub-minkowski", minkowski_call, (0, 0)),
     ("minkowski-outside-dilated-body", "stub-minkowski", minkowski_call, (3, -1)),
 ]

@@ -51,8 +51,13 @@ class TestParsing:
 
     def test_decimal_dyadic_roundtrip(self):
         x = Fraction(-1234567, 2**30)
-        assert parse_rational(format_decimal_dyadic(x, 30)) == x
-        assert parse_rational(format_decimal_dyadic(Fraction(0), 4)) == 0
+        assert parse_rational(format_decimal_dyadic(-1234567, 2**30, 30)) == x
+        assert parse_rational(format_decimal_dyadic(0, 1, 4)) == 0
+        # the pair need not be in lowest terms, and p/q must be a multiple of 2^-bits
+        assert format_decimal_dyadic(6, 12, 1) == "0.5"
+        for p, q in ((1, 8), (1, 3)):
+            with pytest.raises(InvalidParams, match="not a multiple"):
+                format_decimal_dyadic(p, q, 2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from balancelat import nbp, oracles, rationals, reduce_to_nbp
+from balancelat import geometry, nbp, oracles, rationals, reduce_to_nbp
 from balancelat.cli import main
 from balancelat.errors import (
     IncompatibleDimension,
@@ -437,3 +437,34 @@ def test_instance_integers_are_computed_only_from_outside_values(monkeypatch, tm
     assert ("balancelat.nbp", "from_values") in callers
     layers = ("balancelat.reduce_to_minkowski", "balancelat.geometry")
     assert not [c for c in callers if c[0] in layers]
+
+
+def test_minkowski_points_are_tested_on_integers(monkeypatch, tmp_path, capsys):
+    """The exact Minkowski search confirms its leaves, and MinkowskiOracle.find
+    re-checks the reply, on the point's integers: over one `reduce to-nbp
+    --oracle exact-mink --full` run at n = 36 neither builds an RVector."""
+    guarded = {geometry.minkowski_exact_oracle.__code__, oracles.MinkowskiOracle.find.__code__}
+    original_init, original_find = RVector.__init__, oracles.MinkowskiOracle.find
+    inside, finds = [], []
+
+    def counted_init(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in guarded:
+                inside.append(frame.f_code.co_name)
+                break
+            frame = frame.f_back
+        original_init(self, *args, **kwargs)
+
+    def counted_find(self, body):
+        finds.append(body.dim)
+        return original_find(self, body)
+
+    assert main(["gen", "nbp", "--n", "36", "--seed", "5"]) == 0
+    f = tmp_path / "i.json"
+    f.write_text(capsys.readouterr().out)
+    monkeypatch.setattr(RVector, "__init__", counted_init)
+    monkeypatch.setattr(oracles.MinkowskiOracle, "find", counted_find)
+    code = main(["reduce", "to-nbp", "--oracle", "exact-mink", "--full", "--input", str(f)])
+    assert code == 0, capsys.readouterr().err
+    assert finds and inside == []

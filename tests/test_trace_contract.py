@@ -8,6 +8,7 @@ running the benchmark.  They read perfbench/ and never change it.
 
 import contextlib
 import importlib
+import importlib.util
 import io
 import pkgutil
 import sys
@@ -19,6 +20,19 @@ import pytest
 import balancelat
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_tracing():
+    """perfbench/tracing.py as a module of its own, read from the file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = load_tracing()
+# (boundary or counter name, module, attribute path) of every wrapped call
+BOUNDARIES = [row[:3] for row in TRACING.SPANS + TRACING.COUNTS]
 
 
 def import_every_module():
@@ -49,6 +63,17 @@ def tracing(monkeypatch):
 
 def test_every_boundary_resolves(tracing):
     tracing.Tracer()  # raises RuntimeError naming a boundary that no longer exists
+
+
+@pytest.mark.parametrize("mod, path", [b[1:] for b in BOUNDARIES], ids=[b[0] for b in BOUNDARIES])
+def test_boundary_names_a_function_of_the_package(mod, path):
+    """Each boundary is a function defined under its own name, so a rename
+    or a merge fails here with the boundary named."""
+    owner = importlib.import_module(f"balancelat.{mod}")
+    for attr in path.split("."):
+        assert attr in vars(owner), f"balancelat.{mod} has no {path}"
+        owner = vars(owner)[attr]
+    assert callable(owner) and owner.__qualname__ == path
 
 
 def test_install_wraps_every_boundary_and_uninstall_restores_it(tracing):
