@@ -61,11 +61,11 @@ def _random_rotation(stream: SeededStream, n: int, sweeps: int = 2) -> RMatrix:
 
 
 def gen_ellipsoid(n: int, seed: int, length_bits: int = 8) -> Ellipsoid:
-    """Random rational ellipsoid with prod(lengths) >= 1 by construction.
+    """Random rational ellipsoid with |det A| <= 1 by construction.
 
     Axis lengths are dyadic in [1/2, 2] except the last, which is bumped to a
     dyadic upper bound of the reciprocal of the rest; the axes come from an
-    exactly orthogonal rational rotation, so the attached axis form is exact.
+    exactly orthogonal rational rotation, so |det A| = 1 / prod(lengths) exactly.
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")

@@ -230,48 +230,27 @@ def minkowski_exact_oracle(
 
 
 class Ellipsoid:
-    """E = {x : |A x|_2^2 <= 1} for a full-rank rational matrix A.
+    """E = {x : |A x|_2^2 <= 1} for a full-rank square rational matrix A.
 
     Membership is the exact quadratic-form inequality x^T A^T A x <= 1.
-    An axis form (orthonormal-within-tolerance axes a_i with lengths
-    lambda_i) may be attached by the caller.
+    ``det`` is det A, from the elimination that checks full rank; with axis
+    lengths lambda_i, prod lambda_i = 1 / |det A|.
     """
 
-    def __init__(
-        self,
-        A: RMatrix,
-        axes: Optional[Sequence[RVector]] = None,
-        lengths: Optional[Sequence[Fraction]] = None,
-        orth_tolerance: Optional[Fraction] = None,
-    ) -> None:
+    def __init__(self, A: RMatrix) -> None:
         if A.ncols < 1:
             raise InvalidParams("ellipsoid dimension must be >= 1")
         if not A.is_square():
             raise RankDeficient("ellipsoid matrix must be square")
-        if determinant(A) == 0:
+        det = determinant(A)
+        if det == 0:
             raise RankDeficient("ellipsoid matrix must be full rank")
         self.A = A
-        self.axes = list(axes) if axes is not None else None
-        self.lengths = [frac(v) for v in lengths] if lengths is not None else None
-        if (self.axes is None) != (self.lengths is None):
-            raise InvalidParams("axis form needs both axes and lengths")
-        if self.axes is not None:
-            if any(v <= 0 for v in self.lengths):
-                raise InvalidParams("axis lengths must be positive")
-            tol = frac(orth_tolerance) if orth_tolerance is not None else Fraction(0)
-            n = self.dim
-            for i in range(n):
-                for j in range(i, n):
-                    want = Fraction(1) if i == j else Fraction(0)
-                    if abs(self.axes[i].dot(self.axes[j]) - want) > tol:
-                        raise InvalidParams("axes are not orthonormal within tolerance")
+        self.det = det
 
     @property
     def dim(self) -> int:
         return self.A.ncols
-
-    def gram(self) -> RMatrix:
-        return self.A.transpose().matmul(self.A)
 
     def quad(self, x: RVector) -> Fraction:
         """The exact value |A x|_2^2."""
@@ -282,10 +261,25 @@ class Ellipsoid:
 
     @staticmethod
     def from_axes(axes: Sequence[RVector], lengths: Sequence[Fraction]) -> "Ellipsoid":
-        """Build A = diag(1/lambda) V^T from (approximately) orthonormal axes."""
+        """The ellipsoid with axes a_i and lengths lambda_i: A = diag(1/lambda) V^T.
+
+        Refuses (InvalidParams), before any division, axes that are not n
+        vectors of dimension n for n lengths, a length <= 0, and axes that
+        are not orthonormal within 2^-20.
+        """
+        lengths = [frac(l) for l in lengths]
+        n = len(lengths)
+        if len(axes) != n or any(ax.dim != n for ax in axes):
+            raise InvalidParams("axis form needs n axes of dimension n for n lengths")
+        if any(l <= 0 for l in lengths):
+            raise InvalidParams("axis lengths must be positive")
+        tol = Fraction(1, 2**20)
+        for i in range(n):
+            for j in range(i, n):
+                if abs(axes[i].dot(axes[j]) - int(i == j)) > tol:
+                    raise InvalidParams("axes are not orthonormal within tolerance")
         v = RMatrix.from_columns(list(axes))
-        a = RMatrix.diagonal([1 / frac(l) for l in lengths]).matmul(v.transpose())
-        return Ellipsoid(a, axes=axes, lengths=lengths, orth_tolerance=Fraction(1, 2**20))
+        return Ellipsoid(RMatrix.diagonal([1 / l for l in lengths]).matmul(v.transpose()))
 
 
 class WellRoundResult:

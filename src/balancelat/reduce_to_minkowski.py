@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalContradiction, InvalidParams, PreconditionFailed
 from .geometry import Ellipsoid, axis_extract, well_round
-from .linalg import RVector, determinant
+from .linalg import RVector
 from .nbp import NbpInstance, instance_inner
 from .oracles import NbpDeltaOracle
 from .rationals import frac, lcm_of, nth_root_upper, sqrt_upper
@@ -162,6 +162,7 @@ def extended_range_balance(
     bounds = []
     for i, (v, b) in enumerate(zip(vectors, inflated)):
         inner_x = instance_inner(v, x)
+        # holds for every y: Q <b_i, y> = sum_j a_ij sum_l (Q >> l) y_jl = sum_j a_ij x_j
         if inner_x != Q * instance_inner(b, y):
             raise InternalContradiction(
                 f"recombination identity failed for vector {i}"
@@ -277,8 +278,7 @@ def minkowski_from_nbp(
     exact quadratic-form value of the returned point in the *original*
     ellipsoid.
     """
-    det = abs(determinant(ellipsoid.A))
-    if det > 1:
+    if abs(ellipsoid.det) > 1:
         raise PreconditionFailed(
             "prod lambda_i = 1/|det A| < 1; the volume hypothesis fails"
         )

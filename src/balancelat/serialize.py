@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
 
 from .errors import InvalidParams
 from .geometry import Ellipsoid
@@ -17,6 +16,13 @@ from .lattice import LatticeBasis, UnimodularTransform
 from .linalg import RMatrix, RVector
 from .nbp import NbpInstance, NbpSolution
 from .rationals import format_decimal_dyadic, format_rational, parse_rational
+
+
+def json_int(v, field: str, kind: str) -> int:
+    """v if it is a JSON integer; a bool, float or string is refused, never truncated."""
+    if type(v) is not int:
+        raise InvalidParams(f"malformed {kind} document: {field} must be an integer")
+    return v
 
 
 def instance_to_doc(inst: NbpInstance, precision_bits: int = 30) -> dict:
@@ -32,7 +38,7 @@ def instance_to_doc(inst: NbpInstance, precision_bits: int = 30) -> dict:
 
 def instance_from_doc(doc: dict) -> NbpInstance:
     try:
-        n = int(doc["n"])
+        n = json_int(doc["n"], "n", "instance")
         values = [parse_rational(s) for s in doc["a"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed instance document: {exc}") from exc
@@ -52,8 +58,8 @@ def solution_to_doc(sol: NbpSolution) -> dict:
 def solution_from_doc(doc: dict) -> tuple[list[int], int, Fraction]:
     try:
         return (
-            [int(v) for v in doc["x"]],
-            int(doc["k"]),
+            [json_int(v, "x", "solution") for v in doc["x"]],
+            json_int(doc["k"], "k", "solution"),
             parse_rational(doc["error"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -72,7 +78,7 @@ def basis_to_doc(basis: LatticeBasis) -> dict:
 
 def basis_from_doc(doc: dict) -> LatticeBasis:
     try:
-        n = int(doc["n"])
+        n = json_int(doc["n"], "n", "basis")
         cols = [
             RVector([parse_rational(s) for s in col]) for col in doc["columns"]
         ]
@@ -91,34 +97,24 @@ def transform_to_doc(t: UnimodularTransform) -> dict:
 
 
 def ellipsoid_to_doc(e: Ellipsoid) -> dict:
-    doc: dict[str, Any] = {
-        "n": e.dim,
-        "A": [[format_rational(v) for v in row] for row in e.A.rows],
-    }
-    if e.axes is not None:
-        doc["axes"] = [[format_rational(v) for v in ax] for ax in e.axes]
-        doc["lengths"] = [format_rational(v) for v in e.lengths]
-    return doc
+    return {"n": e.dim, "A": [[format_rational(v) for v in row] for row in e.A.rows]}
 
 
 def ellipsoid_from_doc(doc: dict) -> Ellipsoid:
+    """The ellipsoid of the document's A; ``axes`` and ``lengths`` are read only without A."""
     try:
-        n = int(doc["n"])
-        axes = lengths = None
-        if "axes" in doc and "lengths" in doc:
-            axes = [RVector([parse_rational(v) for v in ax]) for ax in doc["axes"]]
-            lengths = [parse_rational(v) for v in doc["lengths"]]
+        n = json_int(doc["n"], "n", "ellipsoid")
         if "A" in doc:
             a = RMatrix([[parse_rational(v) for v in row] for row in doc["A"]])
             if a.nrows != n:
                 raise InvalidParams("ellipsoid shape disagrees with n")
-            if axes is not None:
-                return Ellipsoid(
-                    a, axes=axes, lengths=lengths, orth_tolerance=Fraction(1, 2**20)
-                )
             return Ellipsoid(a)
-        if axes is None:
+        if "axes" not in doc or "lengths" not in doc:
             raise InvalidParams("ellipsoid document needs A or axes+lengths")
+        lengths = [parse_rational(v) for v in doc["lengths"]]
+        if len(lengths) != n:
+            raise InvalidParams("ellipsoid shape disagrees with n")
+        axes = [RVector([parse_rational(v) for v in ax]) for ax in doc["axes"]]
         return Ellipsoid.from_axes(axes, lengths)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed ellipsoid document: {exc}") from exc

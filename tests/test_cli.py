@@ -14,7 +14,7 @@ from balancelat import cli
 from balancelat.cli import CALLS, main
 from balancelat.errors import InvalidParams
 from balancelat.generators import gen_basis, gen_ellipsoid, gen_nbp
-from balancelat.linalg import determinant
+from balancelat.linalg import RMatrix, determinant
 from balancelat.nbp import NbpInstance
 from balancelat.rng import SeededStream, splitmix64
 from balancelat.serialize import (
@@ -90,14 +90,11 @@ class TestGenerators:
                 gen_basis(3, 1, span)
 
     def test_ellipsoid_volume_hypothesis(self):
+        # prod(lengths) >= 1 reads |det A| <= 1; det is the one elimination's value
         for seed in range(5):
             e = gen_ellipsoid(3, seed)
-            prod = Fraction(1)
-            for l in e.lengths:
-                prod *= l
-            assert prod >= 1
-            assert abs(determinant(e.A)) == 1 / prod
-            assert e.lengths == sorted(e.lengths)
+            assert e.det == determinant(e.A)
+            assert 0 < abs(e.det) <= 1
 
 
 class TestSerialize:
@@ -147,9 +144,42 @@ class TestSerialize:
 
     def test_ellipsoid_roundtrip(self):
         e = gen_ellipsoid(2, 1)
-        back = ellipsoid_from_doc(ellipsoid_to_doc(e))
-        assert back.A == e.A
-        assert back.lengths == e.lengths
+        doc = ellipsoid_to_doc(e)
+        assert sorted(doc) == ["A", "n"]
+        back = ellipsoid_from_doc(doc)
+        assert back.A == e.A and back.det == e.det
+
+    # the A strings `gen ellipsoid` wrote when it also wrote the axis form
+    GEN_ELLIPSOID_A = {
+        (2, 3): [["211476556032/190817314085", "228225253376/190817314085"],
+                 ["-114112626688/254017953145", "105738278016/254017953145"]],
+        (3, 41): [
+            ["557480984739009768482304/543845065636094569692665",
+             "381332501393329353654272/543845065636094569692665",
+             "28693513678148730880/23023145373714579963"],
+            ["-15253718213302126823734771712/25814054572430124498561059825",
+             "17712497145795956640694704384/25814054572430124498561059825",
+             "36420002774185399566336/364270861108165166140705"],
+            ["-3839311568140730252366512128/12585499916095825823141869025",
+             "-12308487223391748019974848512/37756499748287477469425607075",
+             "77134505896423027491584/177598249010030703776785"]],
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(GEN_ELLIPSOID_A))
+    def test_gen_ellipsoid_documents_are_pinned(self, n, seed, capsys):
+        assert main(["gen", "ellipsoid", "--n", str(n), "--seed", str(seed)]) == 0
+        doc = {"n": n, "A": self.GEN_ELLIPSOID_A[n, seed]}
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_axis_form_is_read_only_without_a(self):
+        # axes (3/5, 4/5), (-4/5, 3/5) with lengths 1/2 and 2
+        axes, lengths = [["3/5", "4/5"], ["-4/5", "3/5"]], ["1/2", "2"]
+        e = ellipsoid_from_doc({"n": 2, "axes": axes, "lengths": lengths})
+        assert e.A == RMatrix([[Fraction(6, 5), Fraction(8, 5)], [Fraction(-2, 5), Fraction(3, 10)]])
+        # beside A, the axes are not read, so axes that are not orthonormal pass
+        doc = {"n": 2, "A": [["1", "0"], ["0", "1"]], "axes": [["1", "1"], ["1", "1"]],
+               "lengths": ["0", "1"]}
+        assert ellipsoid_from_doc(doc).A == RMatrix.identity(2)
 
 
 TO_MINKOWSKI = ["reduce", "to-minkowski", "--oracle", "kk"]
@@ -166,6 +196,37 @@ BAD_DOCUMENTS = [
     ("ellipsoid-dimension-0", TO_MINKOWSKI, {"n": 0, "A": []},
      "ellipsoid dimension must be >= 1"),
     ("basis-dimension-0", ["lll"], {"n": 0, "columns": []}, "basis dimension must be >= 1"),
+    # a JSON n that is not an integer is refused, not truncated to one
+    ("instance-n-fractional", ["solve", "--algo", "kk"],
+     {"n": 2.5, "precision_bits": 30, "a": ["0.5", "0.5"]}, "n must be an integer"),
+    ("instance-n-bool", ["solve", "--algo", "kk"],
+     {"n": True, "precision_bits": 30, "a": ["0.5"]}, "n must be an integer"),
+    ("basis-n-fractional", ["lll"], {"n": 2.5, "columns": [["1", "0"], ["0", "1"]]},
+     "malformed basis document: n must be an integer"),
+    ("basis-n-bool", ["lll"], {"n": True, "columns": [["1"]]},
+     "malformed basis document: n must be an integer"),
+    ("ellipsoid-n-fractional", TO_MINKOWSKI, {"n": 2.5, "A": [["1", "0"], ["0", "1"]]},
+     "malformed ellipsoid document: n must be an integer"),
+    ("ellipsoid-n-bool", TO_MINKOWSKI, {"n": True, "A": [["1"]]},
+     "malformed ellipsoid document: n must be an integer"),
+    # documents without A: the axis form is checked before A is built from it
+    ("ellipsoid-zero-length", TO_MINKOWSKI,
+     {"n": 2, "axes": [["1", "0"], ["0", "1"]], "lengths": ["0", "1"]},
+     "axis lengths must be positive"),
+    ("ellipsoid-negative-length", TO_MINKOWSKI,
+     {"n": 2, "axes": [["1", "0"], ["0", "1"]], "lengths": ["2", "-1/2"]},
+     "axis lengths must be positive"),
+    ("ellipsoid-axes-disagree-with-n", TO_MINKOWSKI,
+     {"n": 3, "axes": [["1", "0"], ["0", "1"]], "lengths": ["1", "1"]},
+     "ellipsoid shape disagrees with n"),
+    ("ellipsoid-axes-disagree-with-lengths", TO_MINKOWSKI,
+     {"n": 2, "axes": [["1", "0", "0"], ["0", "1", "0"]], "lengths": ["1", "1"]},
+     "axis form needs n axes of dimension n for n lengths"),
+    ("ellipsoid-axes-not-orthonormal", TO_MINKOWSKI,
+     {"n": 2, "axes": [["1", "0"], ["1", "1"]], "lengths": ["1", "1"]},
+     "axes are not orthonormal within tolerance"),
+    ("ellipsoid-no-matrix", TO_MINKOWSKI, {"n": 2, "axes": [["1", "0"], ["0", "1"]]},
+     "ellipsoid document needs A or axes+lengths"),
 ]
 
 
@@ -442,11 +503,19 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
-    def test_malformed_solution_exit_code(self, tmp_path, capsys):
+    # x = e_1 with k = 1 and error 1/2 verifies; each row spoils one field
+    @pytest.mark.parametrize("x, k", [
+        (["a", 0, 0, 0], 1), ([1.9, 0, 0, 0], 1), ([True, 0, 0, 0], 1), (["1", 0, 0, 0], 1),
+        ([1, 0, 0, 0], 1.5),
+    ], ids=["x-not-a-number", "x-float", "x-bool", "x-string", "k-float"])
+    def test_malformed_solution_exit_code(self, x, k, tmp_path, capsys):
         inst = tmp_path / "i.json"
-        inst.write_text(self.run(capsys, "gen", "nbp", "--n", "2", "--seed", "1")[1])
+        inst.write_text(json.dumps({"n": 4, "precision_bits": 2, "a": ["0.5", "0.25", "0", "1"]}))
         sol = tmp_path / "s.json"
-        sol.write_text(json.dumps({"x": ["a", 1], "k": 1, "error": "0"}))
+        sol.write_text(json.dumps({"x": [1, 0, 0, 0], "k": 1, "error": "1/2"}))
+        assert main(["verify", "--instance", str(inst), "--solution", str(sol)]) == 0
+        capsys.readouterr()
+        sol.write_text(json.dumps({"x": x, "k": k, "error": "1/2"}))
         assert main(["verify", "--instance", str(inst), "--solution", str(sol)]) == 3
         captured = capsys.readouterr()
         assert "malformed solution document" in captured.err and captured.out == ""

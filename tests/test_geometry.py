@@ -386,7 +386,8 @@ class TestAxisExtract:
             axes, _, norms_sq = axis_extract(result.cert)
             recon = [[sum(w * ax[i] * ax[j] for ax, w in zip(axes, norms_sq)) for j in range(3)]
                      for i in range(3)]
-            assert RMatrix(recon) == result.rounded.gram()
+            b = result.rounded.A
+            assert RMatrix(recon) == b.transpose().matmul(b)
 
     def test_lengths_sorted_ascending(self):
         # Gram-Schmidt lengths 1/2, 1, 1/2, 1/4: the three lists move together,

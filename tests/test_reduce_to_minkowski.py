@@ -279,6 +279,20 @@ class TestChecksStillRaise:
         monkeypatch.setattr(reduce_to_minkowski, "multi_vector_balance", balanced((1, 0, 0, 0)))
         with pytest.raises(InternalContradiction, match="range-extended bound"):
             extended_range_balance(vectors, deltas, 4, paper_oracle())
+        monkeypatch.setattr(reduce_to_minkowski, "multi_vector_balance", balanced((0, 0, 0, 0)))
+        with pytest.raises(InternalContradiction, match="recombined vector vanished"):
+            extended_range_balance(vectors, deltas, 4, paper_oracle())
+
+    def test_unimodular_image_vanished(self, monkeypatch):
+        # a transform that maps the balanced point to 0 is not unimodular
+        def collapsed(ellipsoid):
+            result = well_round(ellipsoid)
+            result.transform = SimpleNamespace(apply_inverse=lambda y: RVector([0] * y.dim))
+            return result
+
+        monkeypatch.setattr(reduce_to_minkowski, "well_round", collapsed)
+        with pytest.raises(InternalContradiction, match="unimodular image"):
+            minkowski_from_nbp(gen_ellipsoid(2, 16), mitm_delta_oracle())
 
 
 class TestGeneralizedNbp:
