@@ -25,7 +25,6 @@ from typing import Callable, Optional
 from . import generators, serialize
 from .errors import BalanceLatError, BudgetExceeded, InvalidParams, OracleContractViolation
 from .lattice import lll_reduce
-from .linalg import determinant
 from .nbp import (
     NbpInstance,
     NbpSolution,
@@ -218,8 +217,8 @@ def cmd_lll(args: argparse.Namespace) -> int:
         "transform": serialize.transform_to_doc(transform),
         "size_reduced": cert.size_reduced,
         "lovasz_ok": cert.lovasz_ok,
-        "det_input": format_rational(determinant(basis.B)),
-        "det_reduced": format_rational(determinant(reduced.B)),
+        "det_input": format_rational(basis.det),
+        "det_reduced": format_rational(reduced.det),
     }
     _write_output(serialize.dumps(doc), args.out)
     return EXIT_OK

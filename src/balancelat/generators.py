@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidParams
+from .errors import InvalidParams, RankDeficient
 from .geometry import Ellipsoid
 from .lattice import LatticeBasis
-from .linalg import RMatrix, determinant
+from .linalg import RMatrix
 from .nbp import NbpInstance
 from .rng import SeededStream
 
@@ -37,11 +37,11 @@ def gen_basis(n: int, seed: int, span: int = 99) -> LatticeBasis:
         raise InvalidParams("span must be >= 1")
     stream = SeededStream(seed)
     while True:
-        m = RMatrix(
-            [[stream.next_int(-span, span) for _ in range(n)] for _ in range(n)]
-        )
-        if determinant(m) != 0:
-            return LatticeBasis(m)
+        rows = [[stream.next_int(-span, span) for _ in range(n)] for _ in range(n)]
+        try:
+            return LatticeBasis(RMatrix(rows))
+        except RankDeficient:
+            pass
 
 
 def _random_rotation(stream: SeededStream, n: int, sweeps: int = 2) -> RMatrix:

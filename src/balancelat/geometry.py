@@ -1,5 +1,6 @@
 """Symmetric convex bodies, ellipsoids, the exact Minkowski oracle, and
 ellipsoid well-rounding with the axis form read off its LLL certificate.
+An ellipsoid is built on a LatticeBasis, so it reads det A and eliminates nothing.
 
 A body is a membership predicate over exact rationals plus an outer box
 radius, and answers ``contains`` for integer points: a generic body by its
@@ -25,10 +26,9 @@ from .errors import (
     InvalidParams,
     NotFound,
     PreconditionFailed,
-    RankDeficient,
 )
 from .lattice import LatticeBasis, LllCertificate, UnimodularTransform, lll_min_gain, lll_reduce
-from .linalg import RMatrix, RVector, determinant
+from .linalg import RMatrix, RVector
 from .nbp import NbpInstance, enumeration_budget
 from .rationals import floor_frac, frac, sqrt_upper
 
@@ -230,23 +230,17 @@ def minkowski_exact_oracle(
 
 
 class Ellipsoid:
-    """E = {x : |A x|_2^2 <= 1} for a full-rank square rational matrix A.
+    """E = {x : |A x|_2^2 <= 1} for A = basis.B, square and full rank.
 
     Membership is the exact quadratic-form inequality x^T A^T A x <= 1.
-    ``det`` is det A, from the elimination that checks full rank; with axis
-    lengths lambda_i, prod lambda_i = 1 / |det A|.
+    ``det`` is the basis's det A; with axis lengths lambda_i, prod lambda_i =
+    1 / |det A|.
     """
 
-    def __init__(self, A: RMatrix) -> None:
-        if A.ncols < 1:
-            raise InvalidParams("ellipsoid dimension must be >= 1")
-        if not A.is_square():
-            raise RankDeficient("ellipsoid matrix must be square")
-        det = determinant(A)
-        if det == 0:
-            raise RankDeficient("ellipsoid matrix must be full rank")
-        self.A = A
-        self.det = det
+    def __init__(self, basis: LatticeBasis) -> None:
+        self.basis = basis
+        self.A = basis.B
+        self.det = basis.det
 
     @property
     def dim(self) -> int:
@@ -278,8 +272,8 @@ class Ellipsoid:
             for j in range(i, n):
                 if abs(axes[i].dot(axes[j]) - int(i == j)) > tol:
                     raise InvalidParams("axes are not orthonormal within tolerance")
-        v = RMatrix.from_columns(list(axes))
-        return Ellipsoid(RMatrix.diagonal([1 / l for l in lengths]).matmul(v.transpose()))
+        vt = RMatrix.from_columns(list(axes)).transpose()
+        return Ellipsoid(LatticeBasis(RMatrix.diagonal([1 / l for l in lengths]).matmul(vt)))
 
 
 class WellRoundResult:
@@ -305,18 +299,17 @@ class WellRoundResult:
 def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
     """Either an integer point of E, or a unimodular rounding of E.
 
-    LLL-reduces the columns of A.  A reduced column of norm <= 1 yields the
-    integer point U e_i (branch "integer-point").  Otherwise all reduced
+    LLL-reduces the basis of E, the columns of A.  A reduced column of norm
+    <= 1 yields the integer point U e_i (branch "integer-point").  Otherwise all reduced
     columns have norm > 1 and E' = {x : |(AU) x|^2 <= 1} together with the
     2^(-3n) quadratic-form certificate bounds every point of E' by
     |x|_2^2 <= 2^(3n) (branch "rounded").  transform.apply maps E to E';
     transform.apply_inverse maps E' back to E.  The rounded branch also
     carries the LLL certificate of AU, from which axis_extract reads the axis
-    form of E'.
+    form of E'.  E' is built on the reduced basis, so nothing is eliminated here.
     """
-    basis = LatticeBasis(ellipsoid.A)
-    n = basis.n
-    reduced, transform, cert = lll_reduce(basis)
+    n = ellipsoid.dim
+    reduced, transform, cert = lll_reduce(ellipsoid.basis)
     for i in range(n):
         if reduced.B.column(i).norm_sq() <= 1:
             p = tuple(int(e) for e in transform.U.column(i))
@@ -325,7 +318,7 @@ def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
                 raise InternalContradiction("a reduced column of norm <= 1 maps outside E")
             return WellRoundResult("integer-point", point=p)
     gain_sq = lll_min_gain(reduced, cert)
-    rounded = Ellipsoid(reduced.B)
+    rounded = Ellipsoid(reduced)
     # transform maps E -> E': y = U^{-1} x, so its forward matrix is Uinv
     t = UnimodularTransform(transform.Uinv, transform.U)
     return WellRoundResult(

@@ -8,12 +8,13 @@ The reduction certificate (size-reduced and the Lovasz condition
 |bhat_i|^2 <= 2 |bhat_{i+1}|^2) is then re-derived from a fresh integral
 Gram-Schmidt of the output basis as literal integer inequalities, and the
 unimodular transform, tracked alongside the swaps and size reductions together
-with its inverse, is checked by exact matrix products.
+with its inverse, is checked by exact matrix products.  A LatticeBasis is
+eliminated once, when built, and every determinant check reads its ``det``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -31,16 +32,18 @@ from .rationals import format_rational, frac, lcm_of, sqrt_lower
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Full-rank basis; columns of B generate the lattice."""
+    """Full-rank basis; columns of B generate the lattice; det = det B, eliminated once."""
 
     B: RMatrix
+    det: Fraction = field(init=False, compare=False)
 
     def __post_init__(self):
         if not self.B.rows:
             raise InvalidParams("basis dimension must be >= 1")
         if not self.B.is_square():
             raise RankDeficient("basis matrix must be square")
-        if determinant(self.B) == 0:
+        object.__setattr__(self, "det", determinant(self.B))
+        if self.det == 0:
             raise RankDeficient("basis matrix is singular")
 
     @property
@@ -174,19 +177,17 @@ def lll_reduce(basis: LatticeBasis) -> tuple[LatticeBasis, UnimodularTransform, 
     return LatticeBasis(reduced), transform, cert
 
 
-def lll_min_gain(basis: LatticeBasis, cert: LllCertificate | None = None) -> Fraction:
+def lll_min_gain(basis: LatticeBasis, cert: LllCertificate) -> Fraction:
     """Certified squared-gain lower bound 2^(-3n) for a reduced basis.
 
     Requires the basis to be LLL reduced with |b_i|^2 >= 1 for all columns.
-    The certificate re-verifies |bhat_k|^2 >= 2^(-n), on its integers
+    Its certificate ``cert`` re-verifies |bhat_k|^2 >= 2^(-n), on its integers
     2^n d_{k+1} >= d_k F^2, for every k before certifying that
     |B x|_2^2 >= 2^(-3n) |x|_2^2 for all x.  The squared form is returned
     because 2^(-3n/2) itself is irrational for odd n; callers that need the
     unsquared gain may take any rational r with r^2 <= the returned value.
     """
     n = basis.n
-    if cert is None:
-        cert = check_reduction_conditions(basis.B)
     if not (cert.size_reduced and cert.lovasz_ok):
         raise PreconditionFailed("basis is not LLL reduced")
     for i in range(n):

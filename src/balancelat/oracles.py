@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from .errors import OracleContractViolation, PreconditionFailed
 from .geometry import SymmetricConvexBody, minkowski_exact_oracle
 from .lattice import LatticeBasis, lattice_membership, lll_reduce, svp_exact_linf
-from .linalg import RVector, determinant
+from .linalg import RVector
 from .nbp import NbpInstance, instance_inner, karmarkar_karp, mitm_min, pigeonhole_solve
 
 
@@ -143,7 +143,7 @@ def exact_svp_oracle() -> SvpInfOracle:
     """rho = 1 for det <= 1 lattices (Minkowski guarantees attainability)."""
 
     def solve(basis: LatticeBasis) -> RVector:
-        if abs(determinant(basis.B)) > 1:
+        if abs(basis.det) > 1:
             raise PreconditionFailed("exact SVP oracle requires det <= 1")
         y = svp_exact_linf(basis, search_bound=Fraction(1))
         return basis.B.matvec(RVector(y))

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .geometry import CubeSlabBody
 from .lattice import LatticeBasis
-from .linalg import RMatrix, determinant
+from .linalg import RMatrix
 from .nbp import NbpInstance, NbpSolution, karmarkar_karp, verify
 from .oracles import BoundedNbpOracle, MinkowskiOracle, SvpInfOracle
 from .rationals import frac
@@ -115,7 +115,7 @@ def nbp_via_svp(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> ReductionRes
             details={"rho": rho, "k": k, "branch": "trivial"},
         )
     basis = svp_embedding_basis(inst, k, rho)
-    if determinant(basis.B) != 1:
+    if basis.det != 1:
         raise InternalContradiction("the SVP embedding basis does not have determinant 1")
     vec, coeffs = oracle.find(basis)
     if coeffs[n] != 0:

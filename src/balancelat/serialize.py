@@ -25,6 +25,13 @@ def json_int(v, field: str, kind: str) -> int:
     return v
 
 
+def json_list(v, field: str, kind: str) -> list:
+    """v if it is a JSON array; a string is refused, never read character by character."""
+    if type(v) is not list:
+        raise InvalidParams(f"malformed {kind} document: {field} must be a list")
+    return v
+
+
 def instance_to_doc(inst: NbpInstance, precision_bits: int = 30) -> dict:
     """Each entry as a decimal when it is a multiple of 2^-precision_bits, else as "p/q"."""
     den, entries = inst.den, []
@@ -39,7 +46,7 @@ def instance_to_doc(inst: NbpInstance, precision_bits: int = 30) -> dict:
 def instance_from_doc(doc: dict) -> NbpInstance:
     try:
         n = json_int(doc["n"], "n", "instance")
-        values = [parse_rational(s) for s in doc["a"]]
+        values = [parse_rational(s) for s in json_list(doc["a"], "a", "instance")]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed instance document: {exc}") from exc
     if len(values) != n:
@@ -58,7 +65,7 @@ def solution_to_doc(sol: NbpSolution) -> dict:
 def solution_from_doc(doc: dict) -> tuple[list[int], int, Fraction]:
     try:
         return (
-            [json_int(v, "x", "solution") for v in doc["x"]],
+            [json_int(v, "x", "solution") for v in json_list(doc["x"], "x", "solution")],
             json_int(doc["k"], "k", "solution"),
             parse_rational(doc["error"]),
         )
@@ -80,7 +87,8 @@ def basis_from_doc(doc: dict) -> LatticeBasis:
     try:
         n = json_int(doc["n"], "n", "basis")
         cols = [
-            RVector([parse_rational(s) for s in col]) for col in doc["columns"]
+            RVector([parse_rational(s) for s in json_list(col, "each column", "basis")])
+            for col in json_list(doc["columns"], "columns", "basis")
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed basis document: {exc}") from exc
@@ -104,17 +112,21 @@ def ellipsoid_from_doc(doc: dict) -> Ellipsoid:
     """The ellipsoid of the document's A; ``axes`` and ``lengths`` are read only without A."""
     try:
         n = json_int(doc["n"], "n", "ellipsoid")
+        if n < 1:
+            raise InvalidParams("ellipsoid dimension must be >= 1")
         if "A" in doc:
-            a = RMatrix([[parse_rational(v) for v in row] for row in doc["A"]])
+            a = RMatrix([[parse_rational(v) for v in json_list(row, "each row of A", "ellipsoid")]
+                         for row in json_list(doc["A"], "A", "ellipsoid")])
             if a.nrows != n:
                 raise InvalidParams("ellipsoid shape disagrees with n")
-            return Ellipsoid(a)
+            return Ellipsoid(LatticeBasis(a))
         if "axes" not in doc or "lengths" not in doc:
             raise InvalidParams("ellipsoid document needs A or axes+lengths")
-        lengths = [parse_rational(v) for v in doc["lengths"]]
+        lengths = [parse_rational(v) for v in json_list(doc["lengths"], "lengths", "ellipsoid")]
         if len(lengths) != n:
             raise InvalidParams("ellipsoid shape disagrees with n")
-        axes = [RVector([parse_rational(v) for v in ax]) for ax in doc["axes"]]
+        axes = [RVector([parse_rational(v) for v in json_list(ax, "each axis", "ellipsoid")])
+                for ax in json_list(doc["axes"], "axes", "ellipsoid")]
         return Ellipsoid.from_axes(axes, lengths)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed ellipsoid document: {exc}") from exc

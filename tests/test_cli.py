@@ -227,6 +227,25 @@ BAD_DOCUMENTS = [
      "axes are not orthonormal within tolerance"),
     ("ellipsoid-no-matrix", TO_MINKOWSKI, {"n": 2, "axes": [["1", "0"], ["0", "1"]]},
      "ellipsoid document needs A or axes+lengths"),
+    # a string where a list belongs is refused, not read character by character
+    ("basis-columns-a-string", ["lll"], {"n": 1, "columns": "7"},
+     "malformed basis document: columns must be a list"),
+    ("basis-column-a-string", ["lll"], {"n": 1, "columns": ["7"]},
+     "malformed basis document: each column must be a list"),
+    ("instance-a-a-string", ["solve", "--algo", "kk"], {"n": 2, "precision_bits": 2, "a": "11"},
+     "malformed instance document: a must be a list"),
+    ("ellipsoid-row-a-string", TO_MINKOWSKI, {"n": 1, "A": ["1"]},
+     "malformed ellipsoid document: each row of A must be a list"),
+    ("ellipsoid-a-a-string", TO_MINKOWSKI, {"n": 1, "A": "1"},
+     "malformed ellipsoid document: A must be a list"),
+    ("ellipsoid-axes-a-string", TO_MINKOWSKI, {"n": 1, "axes": "1", "lengths": ["1"]},
+     "malformed ellipsoid document: axes must be a list"),
+    ("ellipsoid-axis-a-string", TO_MINKOWSKI, {"n": 1, "axes": ["1"], "lengths": ["1"]},
+     "malformed ellipsoid document: each axis must be a list"),
+    ("ellipsoid-lengths-a-string", TO_MINKOWSKI, {"n": 1, "axes": [["1"]], "lengths": "1"},
+     "malformed ellipsoid document: lengths must be a list"),
+    ("ellipsoid-axes-dimension-0", TO_MINKOWSKI, {"n": 0, "axes": [], "lengths": []},
+     "ellipsoid dimension must be >= 1"),
 ]
 
 
@@ -506,8 +525,8 @@ class TestCliCommands:
     # x = e_1 with k = 1 and error 1/2 verifies; each row spoils one field
     @pytest.mark.parametrize("x, k", [
         (["a", 0, 0, 0], 1), ([1.9, 0, 0, 0], 1), ([True, 0, 0, 0], 1), (["1", 0, 0, 0], 1),
-        ([1, 0, 0, 0], 1.5),
-    ], ids=["x-not-a-number", "x-float", "x-bool", "x-string", "k-float"])
+        ([1, 0, 0, 0], 1.5), ("1000", 1),
+    ], ids=["x-not-a-number", "x-float", "x-bool", "x-string", "k-float", "x-a-string"])
     def test_malformed_solution_exit_code(self, x, k, tmp_path, capsys):
         inst = tmp_path / "i.json"
         inst.write_text(json.dumps({"n": 4, "precision_bits": 2, "a": ["0.5", "0.25", "0", "1"]}))

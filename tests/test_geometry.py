@@ -47,7 +47,7 @@ class TestMember:
         assert CubeBody(2, 1).member(RVector([0, 0]))
 
     def test_ellipsoid_boundary(self):
-        e = Ellipsoid(RMatrix.identity(2).scale(2))
+        e = Ellipsoid(LatticeBasis(RMatrix.identity(2).scale(2)))
         assert e.member(RVector([Fraction(1, 2), 0]))
         assert not e.member(RVector([Fraction(1, 2), Fraction(1, 100)]))
 
@@ -296,12 +296,12 @@ class TestMinkowskiBudget:
 
 class TestWellRound:
     def test_unit_ball_returns_unit_vector(self):
-        result = well_round(Ellipsoid(RMatrix.identity(3)))
+        result = well_round(Ellipsoid(LatticeBasis(RMatrix.identity(3))))
         assert result.branch == "integer-point"
         assert sorted(abs(v) for v in result.point) == [0, 0, 1]
 
     def test_short_axis_gives_integer_point(self):
-        e = Ellipsoid(RMatrix.diagonal([Fraction(1, 10), 10]))
+        e = Ellipsoid(LatticeBasis(RMatrix.diagonal([Fraction(1, 10), 10])))
         result = well_round(e)
         assert result.branch == "integer-point"
         assert e.member(RVector(result.point))
@@ -309,11 +309,11 @@ class TestWellRound:
     def test_integer_point_outside_ellipsoid_raises(self, monkeypatch):
         monkeypatch.setattr(Ellipsoid, "member", lambda self, x: False)
         with pytest.raises(InternalContradiction):
-            well_round(Ellipsoid(RMatrix.identity(3)))
+            well_round(Ellipsoid(LatticeBasis(RMatrix.identity(3))))
 
     def test_skewed_ellipsoid_right_branch(self):
         a = RMatrix([[3, 100, 7], [0, 5, 91], [0, 0, 4]])
-        e = Ellipsoid(a)
+        e = Ellipsoid(LatticeBasis(a))
         result = well_round(e)
         assert result.branch == "rounded"
         n = 3
@@ -328,7 +328,7 @@ class TestWellRound:
 
     def test_transform_orientation(self):
         a = RMatrix([[3, 100], [0, 5]])
-        e = Ellipsoid(a)
+        e = Ellipsoid(LatticeBasis(a))
         result = well_round(e)
         if result.branch != "rounded":
             pytest.skip("left branch")
@@ -367,7 +367,7 @@ class TestAxisExtract:
     def test_two_by_two_hand_oracle(self):
         # LLL size-reduces (1, 4) against (2, 0) to b1 = (-1, 4): bhat_0 = (2, 0),
         # mu_10 = -1/2, bhat_1 = (0, 4), so |B' y|^2 = 4 (y0 - y1/2)^2 + 16 y1^2
-        result = well_round(Ellipsoid(RMatrix([[2, 1], [0, 4]])))
+        result = well_round(Ellipsoid(LatticeBasis(RMatrix([[2, 1], [0, 4]]))))
         assert result.branch == "rounded"
         assert result.rounded.A == RMatrix([[2, -1], [0, 4]])
         axes, lengths, norms_sq = axis_extract(result.cert)
@@ -382,7 +382,7 @@ class TestAxisExtract:
             rot = rational_rotation(rng, 3)
             diag = RMatrix.diagonal([Fraction(rng.randint(9, 40), rng.randint(1, 4))
                                      for _ in range(3)])
-            result = well_round(Ellipsoid(diag.matmul(rot.transpose())))
+            result = well_round(Ellipsoid(LatticeBasis(diag.matmul(rot.transpose()))))
             axes, _, norms_sq = axis_extract(result.cert)
             recon = [[sum(w * ax[i] * ax[j] for ax, w in zip(axes, norms_sq)) for j in range(3)]
                      for i in range(3)]
@@ -476,12 +476,13 @@ class TestAxisExtractMatchesReference:
             diag = RMatrix.diagonal(
                 [Fraction(rng.randint(9, 40), rng.randint(1, 4)) for _ in range(n)]
             )
-            assert_axes_match_reference(Ellipsoid(diag.matmul(rot.transpose())))
+            a = diag.matmul(rot.transpose())
+            assert_axes_match_reference(Ellipsoid(LatticeBasis(a)))
 
     def test_diagonal_needs_no_rotation(self):
         # orthogonal columns: the axes are coordinate axes of B' (LLL swaps the
         # last two columns), in ascending length
-        e = Ellipsoid(RMatrix.diagonal([2, 8, 4]))
+        e = Ellipsoid(LatticeBasis(RMatrix.diagonal([2, 8, 4])))
         assert_axes_match_reference(e)
         axes, lengths, _ = axis_extract(well_round(e).cert)
         assert axes == [RVector.unit(3, 2), RVector.unit(3, 1), RVector.unit(3, 0)]
@@ -493,4 +494,5 @@ class TestAxisExtractMatchesReference:
         for lengths in ([2, 2, 1], [1, 1, 1], [3, 1, 3, 1]):
             rot = rational_rotation(rng, len(lengths))
             diag = RMatrix.diagonal([Fraction(3, l) for l in lengths])
-            assert_axes_match_reference(Ellipsoid(diag.matmul(rot.transpose())))
+            a = diag.matmul(rot.transpose())
+            assert_axes_match_reference(Ellipsoid(LatticeBasis(a)))

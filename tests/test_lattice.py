@@ -220,6 +220,39 @@ class TestLllReduce:
         n = transform.U.ncols
         assert transform.U.matmul(transform.Uinv) == RMatrix.identity(n)
 
+    def test_stale_gram_schmidt_fails_the_reduction_conditions(self, monkeypatch):
+        # the loop's Gram-Schmidt reports the d and lam of the identity, so it
+        # neither size-reduces nor swaps; the fresh certificate catches that
+        original, calls = lattice.gram_schmidt, []
+
+        def stale(m):
+            calls.append(m)
+            cols, scale, d, lam = original(m)
+            if len(calls) == 1:
+                _, _, d, lam = original(RMatrix.identity(m.ncols))
+            return cols, scale, d, lam
+
+        monkeypatch.setattr(lattice, "gram_schmidt", stale)
+        with pytest.raises(InternalContradiction, match="fails the reduction conditions"):
+            lll_reduce(LatticeBasis(RMatrix([[1, 100], [0, 1]])))
+
+    def test_gram_schmidt_of_another_basis_differs_from_b_times_u(self, monkeypatch):
+        # the loop reduces 2B; the output is reduced, but it is not B U
+        original = lattice.gram_schmidt
+        monkeypatch.setattr(lattice, "gram_schmidt", lambda m: original(m.scale(2)))
+        with pytest.raises(InternalContradiction, match="differs from the input basis times U"):
+            lll_reduce(LatticeBasis(RMatrix([[1, 100], [0, 1]])))
+
+    def test_the_basis_carries_its_determinant(self):
+        rng = random.Random(24)
+        for n in (2, 3, 4):
+            basis = skewed_basis(rng, n)
+            reduced, _, _ = lll_reduce(basis)
+            assert basis.det == determinant(basis.B)
+            assert reduced.det == determinant(reduced.B) and abs(reduced.det) == abs(basis.det)
+        # det is derived, so two bases of one matrix compare equal
+        assert LatticeBasis(RMatrix.identity(2)) == LatticeBasis(RMatrix.identity(2))
+
 
 class TestReductionCertificate:
     """Both conditions are checked as integer inequalities, bounds included."""
@@ -287,7 +320,7 @@ class TestUnimodularTransform:
 class TestMinGain:
     def test_identity_certificate(self):
         basis = LatticeBasis(RMatrix.identity(2))
-        gain_sq = lll_min_gain(basis)
+        gain_sq = lll_min_gain(basis, check_reduction_conditions(basis.B))
         assert gain_sq == Fraction(1, 64)  # 2^(-3n) with n = 2
 
     def test_sampled_quadratic_inequality(self):
@@ -307,12 +340,12 @@ class TestMinGain:
     def test_short_column_rejected(self):
         basis = LatticeBasis(RMatrix.diagonal([Fraction(1, 2), 4]))
         with pytest.raises(PreconditionFailed):
-            lll_min_gain(basis)
+            lll_min_gain(basis, check_reduction_conditions(basis.B))
 
     def test_unreduced_rejected(self):
         basis = LatticeBasis(RMatrix([[1, 100], [0, 1]]))
         with pytest.raises(PreconditionFailed):
-            lll_min_gain(basis)
+            lll_min_gain(basis, check_reduction_conditions(basis.B))
 
     def test_gram_schmidt_bound_read_from_the_certificate(self):
         # On a reduced basis with |b_i|^2 >= 1 the bound |bhat_k|^2 >= 2^(-n)

@@ -14,6 +14,7 @@ from balancelat.errors import (
 )
 from balancelat.generators import gen_ellipsoid
 from balancelat.geometry import Ellipsoid, well_round
+from balancelat.lattice import LatticeBasis
 from balancelat.linalg import RMatrix, RVector, determinant
 from balancelat.nbp import NbpInstance, instance_inner
 from balancelat.oracles import kk_delta_oracle, mitm_delta_oracle
@@ -332,7 +333,8 @@ class TestGeneralizedNbp:
 
 class TestMinkowskiFromNbp:
     def test_unit_ball_left_branch(self):
-        result = minkowski_from_nbp(Ellipsoid(RMatrix.identity(2)), mitm_delta_oracle())
+        e = Ellipsoid(LatticeBasis(RMatrix.identity(2)))
+        result = minkowski_from_nbp(e, mitm_delta_oracle())
         assert result.branch == "integer-point"
         assert result.rho_star == 1
         assert result.rho_star_sq <= 1
@@ -352,7 +354,7 @@ class TestMinkowskiFromNbp:
         assert result.rho_star_sq <= result.rho_star**2
 
     def test_volume_hypothesis_checked(self):
-        e = Ellipsoid(RMatrix.diagonal([2, 2]))  # prod lambda = 1/4 < 1
+        e = Ellipsoid(LatticeBasis(RMatrix.diagonal([2, 2])))  # prod lambda = 1/4 < 1
         with pytest.raises(PreconditionFailed):
             minkowski_from_nbp(e, mitm_delta_oracle())
 

@@ -2,10 +2,11 @@ import random
 import sys
 from fractions import Fraction
 from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 
-from balancelat import geometry, nbp, oracles, rationals, reduce_to_nbp
+from balancelat import geometry, linalg, nbp, oracles, rationals, reduce_to_nbp
 from balancelat.cli import main
 from balancelat.errors import (
     IncompatibleDimension,
@@ -13,9 +14,11 @@ from balancelat.errors import (
     NotPerfectSquare,
     OracleContractViolation,
     ParameterOutOfRange,
+    PreconditionFailed,
 )
 from balancelat.generators import gen_nbp
-from balancelat.linalg import RVector, determinant
+from balancelat.lattice import LatticeBasis
+from balancelat.linalg import RMatrix, RVector, determinant
 from balancelat.nbp import NbpInstance, brute_force_min, verify
 from balancelat.oracles import (
     adversarial_minkowski_oracle,
@@ -137,10 +140,30 @@ class TestNbpViaSvp:
         assert max(abs(v) for v in result.solution.x) <= k
 
     def test_embedding_determinant_checked(self, monkeypatch):
-        monkeypatch.setattr(reduce_to_nbp, "determinant", lambda m: Fraction(2))
+        # a faulty embedding: a real basis, but of determinant 2
+        det2 = LatticeBasis(RMatrix.diagonal([2, 1, 1]))
+        monkeypatch.setattr(reduce_to_nbp, "svp_embedding_basis", lambda inst, k, rho: det2)
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])
-        with pytest.raises(InternalContradiction):
+        with pytest.raises(InternalContradiction, match="does not have determinant 1"):
             nbp_via_svp(inst, 3, exact_svp_oracle())
+
+    def test_exact_oracle_refuses_determinant_above_one(self):
+        with pytest.raises(PreconditionFailed, match="requires det <= 1"):
+            exact_svp_oracle().find(LatticeBasis(RMatrix.diagonal([2, 1, 1])))
+
+    # Faulty oracle replies, past the handle's own re-verification: each
+    # reaches one of nbp_via_svp's checks on a = (1/2, 1/3), k = 3, where
+    # the bound is 2nk (1/k)^n = 4/3.
+    @pytest.mark.parametrize("coeffs, message", [
+        ((0, 0, 1), "below the trivial threshold"),  # y_{n+1} != 0
+        ((0, 0, 0), "recovered coefficient vector is zero"),
+        ((3, 3, 0), "exceeds the proven bound 4/3"),  # error 1/2 * 3 + 1/3 * 3 = 5/2
+    ])
+    def test_faulty_replies_are_caught(self, coeffs, message):
+        oracle = SimpleNamespace(rho=Fraction(1), find=lambda basis: (None, coeffs))
+        inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])
+        with pytest.raises(InternalContradiction, match=message):
+            nbp_via_svp(inst, 3, oracle)
 
     def test_trivial_branch_threshold(self):
         inst = NbpInstance.from_values([Fraction(1, 3)])
@@ -468,3 +491,58 @@ def test_minkowski_points_are_tested_on_integers(monkeypatch, tmp_path, capsys):
     code = main(["reduce", "to-nbp", "--oracle", "exact-mink", "--full", "--input", str(f)])
     assert code == 0, capsys.readouterr().err
     assert finds and inside == []
+
+
+def test_each_basis_is_eliminated_once(monkeypatch, tmp_path, capsys):
+    """`determinant` runs once per constructed basis, in LatticeBasis: twice
+    per `lll` op (input and reduced), twice per exact-SVP oracle call (the
+    embedding and its LLL output; `--k 2` at n = 5 and `--full` at n = 16)
+    and twice per `reduce to-minkowski` op (A and its LLL output) on either
+    branch.  Every determinant check reads the carried det."""
+    original = linalg.determinant
+    callers = []
+
+    def counted(m):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(m)
+
+    def write(name, *argv):
+        assert main(["gen", *argv]) == 0
+        f = tmp_path / name
+        f.write_text(capsys.readouterr().out)
+        return str(f)
+
+    basis = write("b.json", "basis", "--n", "4", "--seed", "2")
+    small = write("i5.json", "nbp", "--n", "5", "--seed", "5")
+    inst = write("i16.json", "nbp", "--n", "16", "--seed", "5")
+    natural = write("e2.json", "ellipsoid", "--n", "2", "--seed", "3")
+    rounded = write("e3.json", "ellipsoid", "--n", "3", "--seed", "41")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("balancelat") and getattr(module, "determinant", None) is original:
+            monkeypatch.setattr(module, "determinant", counted)
+    finds = []
+    original_find = oracles.SvpInfOracle.find
+
+    def counted_find(self, b):
+        finds.append(b.n)
+        return original_find(self, b)
+
+    monkeypatch.setattr(oracles.SvpInfOracle, "find", counted_find)
+
+    def eliminations(*argv):
+        callers.clear()
+        assert main(list(argv)) == 0, capsys.readouterr().err
+        return capsys.readouterr().out, callers[:]
+
+    _, seen = eliminations("lll", "--input", basis)
+    assert seen == ["__post_init__"] * 2
+    for path, flag in ((small, ["--k", "2"]), (inst, ["--full"])):
+        finds.clear()
+        _, seen = eliminations("reduce", "to-nbp", "--oracle", "exact-svp", *flag,
+                               "--input", path)
+        assert len(finds) == 1 and seen == ["__post_init__"] * 2
+    for path, branch in ((natural, "integer-point"), (rounded, "pipeline")):
+        out, seen = eliminations("reduce", "to-minkowski", "--oracle", "pigeonhole",
+                                 "--input", path)
+        assert f'"branch": "{branch}"' in out
+        assert seen == ["__post_init__"] * 2
