@@ -4,18 +4,23 @@ lower-bound certificate for reduced bases.
 Every result is exact.  LLL and the SVP search run on integers, over common
 denominators of the rational input, and keep the operation order of the
 textbook Fraction algorithms, so they return the same bases and witnesses.
-The reduction certificate (size-reduced and the Lovasz condition
-|bhat_i|^2 <= 2 |bhat_{i+1}|^2) is then re-derived from a fresh integral
-Gram-Schmidt of the output basis as literal integer inequalities, and the
-unimodular transform, tracked alongside the swaps and size reductions together
-with its inverse, is checked by exact matrix products.  A LatticeBasis is
-eliminated once, when built, and every determinant check reads its ``det``.
+Both read the integral Gram-Schmidt data d_i and lam_kj (de Weger 1987;
+Cohen, Alg. 2.6.7): LLL keeps them up to date, and the SVP search weighs each
+node by the integer d_l |pi_l(p)|^2 of its partial vector p, so its operands
+stay near the size of the d_i.  The reduction certificate (size-reduced and
+the Lovasz condition |bhat_i|^2 <= 2 |bhat_{i+1}|^2) is then re-derived from
+a fresh integral Gram-Schmidt of the output basis as literal integer
+inequalities, and the unimodular transform, tracked alongside the swaps and
+size reductions together with its inverse, is checked by exact matrix
+products.  A LatticeBasis is eliminated once, when built, and every
+determinant check reads its ``det``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     BudgetExceeded,
@@ -27,7 +32,7 @@ from .errors import (
 )
 from .linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
 from .nbp import enumeration_budget
-from .rationals import format_rational, frac, lcm_of, sqrt_lower
+from .rationals import floor_frac, format_rational, frac, sqrt_lower
 
 
 @dataclass(frozen=True)
@@ -232,38 +237,46 @@ def svp_exact_linf(
     Each level visits its interval in zig-zag order, by distance from the
     centre, so short vectors come early and the radius shrinks sooner; a
     candidate outside the current radius ends its level, since the rest lie
-    farther out.  All arithmetic is on integers: the reduced basis, the
-    Gram-Schmidt coefficients and norms are scaled over common denominators,
-    and the partial vector sum_{j >= l} y'_j b'_j is carried down the levels,
-    so a leaf costs O(n) integer operations and U y' is formed only for a leaf
-    that ties or beats the incumbent on (max norm, |v|_2^2).
+    farther out.  All arithmetic is on integers, from the integral
+    Gram-Schmidt data of the LLL certificate (de Weger 1987; Cohen, Alg.
+    2.6.7).  A node at level l with partial vector p = sum_{j >= l} y'_j c_j,
+    c_j = F b'_j, has the integer weight W_l = d_l |pi_l(p)|^2 (the Gram
+    determinant of c_0..c_{l-1}, p), and d_{l+1} W_l = d_l W_{l+1} + T_l^2
+    for T_l = d_{l+1} y'_l + sum_{j > l} lam[j][l] y'_j.  With R = n (F m)^2
+    for the radius's max norm m, the ball test W_l <= R d_l reads
+    T_l^2 <= R d_l d_{l+1} - d_l W_{l+1}, which gives the level's interval and
+    its zig-zag by |T_l|: each test is the textbook one times a positive
+    integer.  p is carried down the levels, so a leaf costs O(n) integer
+    operations, and U y' is formed only for a leaf that ties or beats the
+    incumbent on (max norm, |v|_2^2).
 
     ``search_bound``, when given, must be a promised attainable max norm
     (e.g. 1 for a determinant <= 1 lattice, by Minkowski's theorem); NotFound
-    is raised if the promise fails.  ``budget`` caps the visited nodes, leaves
-    included; BudgetExceeded reports where the search stood.
+    is raised if the promise fails, and a negative bound is refused.
+    ``budget`` caps the visited nodes, leaves included; BudgetExceeded
+    reports where the search stood.
     """
+    if search_bound is not None and frac(search_bound) < 0:
+        raise InvalidParams("search bound must be >= 0")
     limit = enumeration_budget(budget)
     n = basis.n
     reduced, transform, cert = lll_reduce(basis)
 
-    # Integer encoding over the certificate: cols[j] = F b'_j, and for
-    # D = lcm(d_1..d_n), E = lcm(d_0..d_{n-1}) the integers mu[l][j] = D mu_lj
-    # = D lam[j][l] / d_{l+1} and gs[l] = E F^2 |bhat_l|^2 = E d_{l+1} / d_l make a
-    # node's weight sum_l (D y'_l + c_l)^2 gs[l], c_l = sum_{j > l} mu[l][j] y'_j,
-    # equal to S F^2 |B' y'|^2 for S = D^2 E.
     F, d, lam = cert.scale, cert.d, cert.lam
     flat = [e.numerator * (F // e.denominator) for row in reduced.B.rows for e in row]
-    cols = [flat[j::n] for j in range(n)]
-    D, E = lcm_of(d[1:]), lcm_of(d[:n])
-    mu = [[lam[j][l] * (D // d[l + 1]) if j > l else 0 for j in range(n)] for l in range(n)]
-    gs = [d[l + 1] * (E // d[l]) for l in range(n)]
-    S = D * D * E
+    cols = [flat[j::n] for j in range(n)]  # c_j = F b'_j
+    # lam_col[l][j] = lam[j][l] for j > l; y'_j = 0 for j <= l on entering level l
+    lam_col = [[lam[j][l] if j > l else 0 for j in range(n)] for l in range(n)]
     u_rows = [[int(e) for e in row] for row in transform.U.rows]
     col_inf = Fraction(min(max(map(abs, c)) for c in cols), F)
     v0 = col_inf if search_bound is None else min(col_inf, frac(search_bound))
 
-    radius = n * S * (v0.numerator * F) ** 2 // v0.denominator**2  # weights are ints
+    def level_caps(R: Fraction) -> list[int]:
+        # floor(R d_l d_{l+1}): T_l^2 <= it - d_l W_{l+1} is exactly W_l <= R d_l
+        return [floor_frac(R * d[l] * d[l + 1]) for l in range(n)]
+
+    R = n * (F * v0) ** 2
+    cap = level_caps(R)
     best: tuple | None = None  # (F |v|_inf, F^2 |v|_2^2, U y') of the incumbent
     nodes = 1  # the root
     y = [0] * n
@@ -277,26 +290,26 @@ def svp_exact_linf(
         )
 
     def visit(level: int, weight: int, partial: list[int]) -> None:
-        nonlocal best, nodes, radius
-        c = sum(mu[level][j] * y[j] for j in range(level + 1, n))
-        g = gs[level]
-        # |D y + c| <= t, the largest t with t^2 g <= radius - weight; at 0
-        # bits sqrt_lower is the exact floor square root of an integer
-        t = int(sqrt_lower((radius - weight) // g, 0))
-        lo, hi = -((t + c) // D), (t - c) // D
-        left = -c // D  # floor of the centre -c/D; left <= hi and left + 1 >= lo
+        nonlocal best, nodes, R, cap
+        s = sum(map(mul, lam_col[level], y))
+        dn = d[level + 1]
+        dw = d[level] * weight  # d_l W_{l+1}
+        # |T| <= t, the largest t with t^2 <= cap - d_l W_{l+1}; at 0 bits
+        # sqrt_lower is the exact floor square root of an integer
+        t = int(sqrt_lower(cap[level] - dw, 0))
+        lo, hi = -((t + s) // dn), (t - s) // dn
+        left = -s // dn  # floor of the centre -s/d_{l+1}; left <= hi and left + 1 >= lo
         right = left + 1
         col = cols[level]
         while True:
-            if left >= lo and (right > hi or -c - left * D <= right * D + c):
+            if left >= lo and (right > hi or -s - left * dn <= right * dn + s):
                 yv, left = left, left - 1
             elif right <= hi:
                 yv, right = right, right + 1
             else:
                 break
-            d = D * yv + c
-            child = weight + d * d * g
-            if child > radius:  # the radius shrank; later candidates lie farther out
+            T = dn * yv + s
+            if T * T > cap[level] - dw:  # the radius shrank; later candidates lie farther out
                 break
             nodes += 1
             if nodes > limit:
@@ -304,18 +317,19 @@ def svp_exact_linf(
             y[level] = yv
             v = [a + yv * b for a, b in zip(partial, col)]
             if level:
-                visit(level - 1, child, v)
+                visit(level - 1, (dw + T * T) // dn, v)
                 continue
             inf = max(map(abs, v))
             if inf == 0 or (best is not None and inf > best[0]):
                 continue
-            nsq = sum(a * a for a in v)
+            nsq = (dw + T * T) // dn  # W_0 = |v|^2, as d_0 = 1
             if best is not None and (inf, nsq) > best[:2]:
                 continue
             key = (inf, nsq, tuple(sum(u * yj for u, yj in zip(row, y)) for row in u_rows))
             if best is None or key < best:
                 best = key
-                radius = min(radius, n * inf * inf * S)
+                R = min(R, n * inf * inf)
+                cap = level_caps(R)
         y[level] = 0
 
     if nodes > limit:

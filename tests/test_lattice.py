@@ -9,10 +9,12 @@ from balancelat import lattice
 from balancelat.errors import (
     BudgetExceeded,
     InternalContradiction,
+    InvalidParams,
     NotFound,
     PreconditionFailed,
     RankDeficient,
 )
+from balancelat.generators import gen_nbp
 from balancelat.lattice import (
     LatticeBasis,
     LllCertificate,
@@ -25,6 +27,7 @@ from balancelat.lattice import (
 )
 from balancelat.linalg import RMatrix, RVector, determinant, solve_linear
 from balancelat.rationals import floor_frac
+from balancelat.reduce_to_nbp import svp_embedding_basis
 from test_linalg import reference_gram_schmidt
 
 
@@ -445,10 +448,44 @@ class TestSvpExactLinf:
         assert box_minimum(basis) == (3, 9, (-1, 0, 0))
         assert svp_exact_linf(basis) == (-1, 0, 0)
 
+    def assert_visits(self, basis, nodes, search_bound=None):
+        svp_exact_linf(basis, search_bound=search_bound, budget=nodes)
+        with pytest.raises(BudgetExceeded, match=f"exceeded budget: {nodes} nodes visited,"):
+            svp_exact_linf(basis, search_bound=search_bound, budget=nodes - 1)
+
     def test_search_radius_stays_clamped(self):
         # the identity lattice at n = 6 visits 2255 nodes; an ell-2 ball that
         # grows past n v0^2 once the first leaf is seen needs 12855
-        svp_exact_linf(LatticeBasis(RMatrix.identity(6)), budget=2500)
+        self.assert_visits(LatticeBasis(RMatrix.identity(6)), 2255)
+
+    @pytest.mark.parametrize("n, k, nodes", [(7, 2, 1085), (5, 3, 25), (6, 3, 54)])
+    def test_node_counts_on_det_one_embeddings_are_pinned(self, n, k, nodes):
+        # the exact count pins the visit order: every node, in the same order
+        basis = svp_embedding_basis(gen_nbp(n, 1, signed=True), k, 1)
+        self.assert_visits(basis, nodes, search_bound=1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_det_one_embeddings_match_box_minimum(self, n, k):
+        # a diagonal block with one dense last row, as nbp_via_svp builds it
+        for seed in (1, 2, 3):
+            basis = svp_embedding_basis(gen_nbp(n, seed, signed=True), k, 1)
+            expected = box_minimum(basis, 1)
+            assert expected[0] <= 1  # Minkowski: det 1 promises max norm <= 1
+            assert svp_exact_linf(basis, search_bound=1) == expected[2]
+
+    def test_negative_search_bound_is_refused_before_reduction(self, monkeypatch):
+        basis = LatticeBasis(RMatrix.identity(4))
+
+        def no_reduction(_basis):
+            pytest.fail("lll_reduce ran")
+
+        monkeypatch.setattr(lattice, "lll_reduce", no_reduction)
+        with pytest.raises(InvalidParams, match="search bound"):
+            svp_exact_linf(basis, search_bound=-1)
+        monkeypatch.undo()
+        with pytest.raises(NotFound):
+            svp_exact_linf(basis, search_bound=0)
 
     def test_budget_message_reports_the_search(self):
         with pytest.raises(BudgetExceeded) as info:

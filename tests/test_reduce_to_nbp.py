@@ -386,21 +386,46 @@ def reference_halve(inst, k, r, oracle):
     return "recombined", tuple(x)
 
 
+def random_halving_case(seed):
+    """(inst, k, r) with n in {4, 9, 16}, 2 <= k <= 4 and 0 < r < k."""
+    rng = random.Random(seed)
+    n, k = rng.choice([4, 9, 16]), rng.randint(2, 4)
+    r, bits = rng.randint(1, k - 1), rng.choice([3, 6, 12])
+    inst = NbpInstance.from_values(
+        [Fraction(rng.randint(-(2**bits), 2**bits), 2**bits) for _ in range(n)]
+    )
+    return inst, k, r
+
+
 def test_halve_coefficients_matches_the_fraction_layers():
     branches = set()
     for seed in range(40):
-        rng = random.Random(seed)
-        n, k = rng.choice([4, 9, 16]), rng.randint(2, 4)
-        r, bits = rng.randint(1, k - 1), rng.choice([3, 6, 12])
-        inst = NbpInstance.from_values(
-            [Fraction(rng.randint(-(2**bits), 2**bits), 2**bits) for _ in range(n)]
-        )
+        inst, k, r = random_halving_case(seed)
         oracle = mitm_bounded_oracle(k)
         outcome = halve_coefficients(inst, k, r, oracle)
         branch, x = reference_halve(inst, k, r, oracle)
         assert (outcome.branch, outcome.result.solution.x) == (branch, x)
         branches.add(branch)
     assert branches == {"small-coefficients", "small-block-value", "recombined"}
+
+
+@pytest.mark.parametrize("coeff, message", [
+    pytest.param(0, "recombined vector vanished", id="zero"),
+    pytest.param(3, "recombined error 867/256 exceeds tracked bound", id="full-magnitude"),
+])
+def test_faulty_recombination_is_caught(monkeypatch, coeff, message):
+    # case 37 (n = 16, k = 4, r = 1) takes the recombined branch; a lower layer
+    # that returns zero coefficients, or coefficients of full magnitude
+    # out_k = 3 that keep |x|_inf <= out_k, reaches each of the two checks
+    inst, k, r = random_halving_case(37)
+    assert max(r - 1, k - r) == 3
+    oracle = mitm_bounded_oracle(k)
+    assert halve_coefficients(inst, k, r, oracle).branch == "recombined"
+    monkeypatch.setattr(
+        reduce_to_nbp, "represent_small_coeffs", lambda alphas, r, j: [coeff] * len(alphas)
+    )
+    with pytest.raises(InternalContradiction, match=message):
+        halve_coefficients(inst, k, r, oracle)
 
 
 def test_instance_integers_are_computed_only_from_outside_values(monkeypatch, tmp_path, capsys):
