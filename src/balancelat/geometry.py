@@ -1,24 +1,28 @@
-"""Symmetric convex bodies, ellipsoids, the exact Minkowski oracle, and
-ellipsoid well-rounding with the axis form read off its LLL certificate.
-An ellipsoid is built on a LatticeBasis, so it reads det A and eliminates nothing.
+"""The cube-slab body, ellipsoids, the exact Minkowski oracle, and ellipsoid
+well-rounding with the axis form read off its LLL certificate.
 
-A body is a membership predicate over exact rationals plus an outer box
-radius, and answers ``contains`` for integer points: a generic body by its
-predicate, the cube-slab body, built on an NbpInstance, by integer tests on
-the instance's integers.  The integer-point search asks a body for the range
-of values the next coordinate may take, given the integer partial sum of the
-prefix over the body's ``prefix_weights``: a generic body answers with its
-integer box, and the cube-slab body answers box cap slab in closed form.  A
-range only drops values that provably admit no member, and the search visits
-values in ascending order, so the lexicographically smallest point is
-returned either way.
+The cube-slab body is the one body that the reduction from balancing to
+Minkowski's problem asks about: the open cube (-r, r)^n cut by the slab
+|<a, x>| <= delta, built on an NbpInstance.  It tests integer points on the
+instance's integers.  The integer-point search carries the integer partial
+sum of the prefix over those integers and asks the body for the range of
+values the next coordinate may take: box cap slab, in closed form.  A range
+only drops values that provably admit no member, and the search visits
+values in ascending order, so it returns the lexicographically smallest
+point.
+
+An ellipsoid is built on a LatticeBasis, so it reads det A and eliminates
+nothing.  The reduction from Minkowski's problem to balancing well-rounds
+it and builds no body.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -30,90 +34,14 @@ from .errors import (
 from .lattice import LatticeBasis, LllCertificate, UnimodularTransform, lll_min_gain, lll_reduce
 from .linalg import RMatrix, RVector
 from .nbp import NbpInstance, enumeration_budget
-from .rationals import floor_frac, frac, sqrt_upper
+from .rationals import frac, sqrt_upper
 
 
-class SymmetricConvexBody:
-    """A symmetric convex body given by an exact membership predicate."""
+class CubeSlabBody:
+    """The open cube (-r, r)^n cut by the slab |<a, x>| <= bound, for an instance a.
 
-    def __init__(
-        self,
-        dim: int,
-        membership: Callable[[RVector], bool],
-        outer_box_radius: Fraction,
-    ) -> None:
-        if dim < 1:
-            raise InvalidParams("body dimension must be >= 1")
-        self.dim = dim
-        self._membership = membership
-        self.outer_box_radius = frac(outer_box_radius)
-
-    def member(self, x: RVector) -> bool:
-        if x.dim != self.dim:
-            raise InvalidParams("dimension mismatch")
-        return bool(self._membership(x))
-
-    def dilate(self, rho) -> "SymmetricConvexBody":
-        rho = frac(rho)
-        if rho <= 0:
-            raise InvalidParams("dilation factor must be positive")
-        inv = 1 / rho
-        return SymmetricConvexBody(
-            self.dim,
-            lambda x: self.member(x.scale(inv)),
-            rho * self.outer_box_radius,
-        )
-
-    def contains(self, x: Sequence[int]) -> bool:
-        """Membership of the integer point x."""
-        return self.member(RVector(x))
-
-    def int_box_limit(self) -> int:
-        """Largest integer coordinate magnitude any member can have."""
-        return floor_frac(self.outer_box_radius)
-
-    def prefix_weights(self) -> tuple[int, ...]:
-        """Integer weights w; the search passes sum_{i < depth} x_i w_i to prefix_feasible."""
-        return (0,) * self.dim
-
-    def prefix_feasible(self, s: int, depth: int) -> tuple[int, int]:
-        """Range [lo, hi] of coordinate ``depth`` after a prefix with partial sum s.
-
-        Sound: no member extends the prefix with a value outside the range
-        (empty when lo > hi).  A generic body only knows its integer box.
-        """
-        m = self.int_box_limit()
-        return -m, m
-
-
-class CubeBody(SymmetricConvexBody):
-    """The cube [-r, r]^n, open or closed."""
-
-    def __init__(self, dim: int, radius, open_box: bool = False) -> None:
-        self.radius = frac(radius)
-        self.open_box = open_box
-        super().__init__(dim, self._cube_member, self.radius)
-
-    def _cube_member(self, x: RVector) -> bool:
-        if self.open_box:
-            return all(abs(e) < self.radius for e in x)
-        return all(abs(e) <= self.radius for e in x)
-
-    def int_box_limit(self) -> int:
-        r = self.radius
-        if self.open_box and r.denominator == 1:
-            return int(r) - 1
-        return floor_frac(r)
-
-    def dilate(self, rho) -> "CubeBody":
-        return CubeBody(self.dim, frac(rho) * self.radius, self.open_box)
-
-
-class CubeSlabBody(SymmetricConvexBody):
-    """An open cube intersected with the slab |<a, x>| <= bound, for an instance a.
-
-    This is the body shape used when reducing balancing to Minkowski's
-    problem.  With the instance's a = A / den, |<a, x>| <= bound becomes
+    This is the body the reduction from balancing to Minkowski's problem
+    asks about.  With the instance's a = A / den, |<a, x>| <= bound becomes
     |sum x_i A_i| * sd <= rhs with integers sd = bound's denominator and
     rhs = bound's numerator * den.  After a prefix with partial sum s,
     coordinate d may take v only if |s + v A_d| <= reach[d] =
@@ -122,14 +50,13 @@ class CubeSlabBody(SymmetricConvexBody):
     integer point against the integer box limit and the integer slab.
     """
 
-    def __init__(self, inst: NbpInstance, slab_bound, box_radius, open_box: bool = True) -> None:
+    def __init__(self, inst: NbpInstance, slab_bound, box_radius) -> None:
         self.inst = inst
+        self.dim = n = inst.n
         self.slab_bound = frac(slab_bound)
         self.box_radius = frac(box_radius)
-        self.open_box = open_box
-        super().__init__(inst.n, self._slab_member, self.box_radius)
-        ints, den, n = inst.ints, inst.den, inst.n
-        self._limit = limit = self.int_box_limit()
+        ints, den = inst.ints, inst.den
+        self._limit = limit = math.ceil(self.box_radius) - 1  # largest integer inside (-r, r)
         suffix = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
             suffix[i] = suffix[i + 1] + limit * abs(ints[i])
@@ -137,15 +64,8 @@ class CubeSlabBody(SymmetricConvexBody):
         self._sd = sd = self.slab_bound.denominator
         self._steps = [(limit, (rhs + sd * suffix[d + 1]) // sd, ints[d]) for d in range(n)]
 
-    def _slab_member(self, x: RVector) -> bool:
-        if self.open_box:
-            if not all(abs(e) < self.box_radius for e in x):
-                return False
-        elif not all(abs(e) <= self.box_radius for e in x):
-            return False
-        return abs(sum(map(mul, self.inst.ints, x))) <= self.slab_bound * self.inst.den
-
     def contains(self, x: Sequence[int]) -> bool:
+        """Membership of the integer point x."""
         if len(x) != self.dim:
             raise InvalidParams("dimension mismatch")
         m = self._limit
@@ -153,22 +73,22 @@ class CubeSlabBody(SymmetricConvexBody):
                 and abs(sum(map(mul, self.inst.ints, x))) * self._sd <= self._rhs)
 
     def int_box_limit(self) -> int:
-        r = self.box_radius
-        if self.open_box and r.denominator == 1:
-            return int(r) - 1
-        return floor_frac(r)
+        """Largest integer coordinate magnitude any member can have."""
+        return self._limit
 
     def dilate(self, rho) -> "CubeSlabBody":
         rho = frac(rho)
-        return CubeSlabBody(
-            self.inst, rho * self.slab_bound, rho * self.box_radius, self.open_box
-        )
-
-    def prefix_weights(self) -> tuple[int, ...]:
-        return self.inst.ints
+        if rho <= 0:
+            raise InvalidParams("dilation factor must be positive")
+        return CubeSlabBody(self.inst, rho * self.slab_bound, rho * self.box_radius)
 
     def prefix_feasible(self, s: int, depth: int) -> tuple[int, int]:
-        """Box cap slab: the v in [-m, m] with |s + v A_depth| <= reach[depth]."""
+        """Range [lo, hi] of coordinate ``depth`` after a prefix with partial sum s.
+
+        Box cap slab: the v in [-m, m] with |s + v A_depth| <= reach[depth].
+        Sound: no member extends the prefix with a value outside the range
+        (empty when lo > hi).
+        """
         m, r, a = self._steps[depth]
         if a > 0:
             lo, hi = -((r + s) // a), (r - s) // a
@@ -181,24 +101,22 @@ class CubeSlabBody(SymmetricConvexBody):
         return (lo if lo > -m else -m), (hi if hi < m else m)
 
 
-def minkowski_exact_oracle(
-    body: SymmetricConvexBody, budget: int | None = None
-) -> tuple[int, ...]:
-    """Lexicographically smallest nonzero integer point of the body.
+def minkowski_exact_oracle(body: CubeSlabBody, budget: int | None = None) -> tuple[int, ...]:
+    """Lexicographically smallest nonzero integer point of the cube-slab body.
 
     Realizes an exact (rho = 1) Minkowski oracle by an iterative depth-first
-    search.  The integer partial sum over ``body.prefix_weights()`` is carried
+    search.  The integer partial sum over the instance's integers is carried
     down the levels; each expanded node makes one ``body.prefix_feasible``
     call for the range of its coordinate and visits that range in ascending
     order.  Every nonzero leaf is confirmed with ``body.contains``.  ``budget``
     (default ``enumeration_budget()``) caps the expanded nodes, the root
     included; BudgetExceeded says where the search stood.  Raises NotFound
-    when the body holds no nonzero integer point (e.g. an open body whose
-    volume bound fails).
+    when the body holds no nonzero integer point (e.g. when its volume bound
+    fails).
     """
     limit = enumeration_budget(budget)
     n = body.dim
-    w = body.prefix_weights()
+    w = body.inst.ints
     x = [0] * n  # the path; x[d] runs up to top[d]
     top = [0] * n
     sums = [0] * n  # sums[d] = sum_{i < d} x_i w_i
@@ -276,37 +194,30 @@ class Ellipsoid:
         return Ellipsoid(LatticeBasis(RMatrix.diagonal([1 / l for l in lengths]).matmul(vt)))
 
 
+@dataclass
 class WellRoundResult:
     """Outcome of well_round: an integer point, or a rounded ellipsoid."""
 
-    def __init__(
-        self,
-        branch: str,
-        point: Optional[tuple[int, ...]] = None,
-        transform: Optional[UnimodularTransform] = None,
-        rounded: Optional[Ellipsoid] = None,
-        min_gain_sq: Optional[Fraction] = None,
-        cert: Optional[LllCertificate] = None,
-    ) -> None:
-        self.branch = branch
-        self.point = point
-        self.transform = transform
-        self.rounded = rounded
-        self.min_gain_sq = min_gain_sq
-        self.cert = cert
+    branch: str
+    point: Optional[tuple[int, ...]] = None
+    transform: Optional[UnimodularTransform] = None
+    rounded: Optional[Ellipsoid] = None
+    min_gain_sq: Optional[Fraction] = None
+    cert: Optional[LllCertificate] = None
 
 
 def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
     """Either an integer point of E, or a unimodular rounding of E.
 
-    LLL-reduces the basis of E, the columns of A.  A reduced column of norm
-    <= 1 yields the integer point U e_i (branch "integer-point").  Otherwise all reduced
-    columns have norm > 1 and E' = {x : |(AU) x|^2 <= 1} together with the
-    2^(-3n) quadratic-form certificate bounds every point of E' by
-    |x|_2^2 <= 2^(3n) (branch "rounded").  transform.apply maps E to E';
-    transform.apply_inverse maps E' back to E.  The rounded branch also
-    carries the LLL certificate of AU, from which axis_extract reads the axis
-    form of E'.  E' is built on the reduced basis, so nothing is eliminated here.
+    LLL-reduces the basis of E, the columns of A, to AU.  A reduced column
+    of norm <= 1 yields the integer point U e_i (branch "integer-point").
+    Otherwise all reduced columns have norm > 1 and E' = {y : |(AU) y|^2 <= 1}
+    together with the 2^(-3n) quadratic-form certificate bounds every point
+    of E' by |y|_2^2 <= 2^(3n) (branch "rounded").  The transform is LLL's
+    own: x = U y, transform.apply, maps E' back to E.  The rounded branch
+    also carries the LLL certificate of AU, from which axis_extract reads the
+    axis form of E'.  E' is built on the reduced basis, so nothing is
+    eliminated here.
     """
     n = ellipsoid.dim
     reduced, transform, cert = lll_reduce(ellipsoid.basis)
@@ -317,13 +228,8 @@ def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
             if not ellipsoid.member(point):
                 raise InternalContradiction("a reduced column of norm <= 1 maps outside E")
             return WellRoundResult("integer-point", point=p)
-    gain_sq = lll_min_gain(reduced, cert)
-    rounded = Ellipsoid(reduced)
-    # transform maps E -> E': y = U^{-1} x, so its forward matrix is Uinv
-    t = UnimodularTransform(transform.Uinv, transform.U)
-    return WellRoundResult(
-        "rounded", transform=t, rounded=rounded, min_gain_sq=gain_sq, cert=cert
-    )
+    return WellRoundResult("rounded", transform=transform, rounded=Ellipsoid(reduced),
+                           min_gain_sq=lll_min_gain(reduced, cert), cert=cert)
 
 
 def axis_extract(cert: LllCertificate) -> tuple[list[RVector], list[Fraction], list[Fraction]]:

@@ -79,9 +79,6 @@ class UnimodularTransform:
     def apply(self, x: RVector) -> RVector:
         return self.U.matvec(x)
 
-    def apply_inverse(self, x: RVector) -> RVector:
-        return self.Uinv.matvec(x)
-
 
 @dataclass(frozen=True)
 class LllCertificate:

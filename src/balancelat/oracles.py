@@ -1,12 +1,14 @@
 """Oracle handles and their standard realizations.
 
 Each handle carries its claimed guarantee parameters, and every call is
-re-verified against the claim with exact arithmetic: a violation raises
+re-verified against the claim with exact arithmetic: a reply with an entry
+that is not an integer, or one that breaks the claim, raises
 OracleContractViolation rather than silently degrading downstream bounds.
-The factories wire the exact enumeration oracles from the geometry and
-lattice modules, the LLL-approximate SVP oracle, and an adversarial
-Minkowski oracle that the CLI's ``bench --adversarial`` runs to show the
-failure path.
+A Minkowski oracle is asked about one kind of body, the cube-slab body of
+the balancing reduction.  The factories wire the exact enumeration oracles
+from the geometry and lattice modules, the LLL-approximate SVP oracle, and
+an adversarial Minkowski oracle that the CLI's ``bench --adversarial`` runs
+to show the failure path.
 
 The two balancing handles share one reply check (a sign-vector oracle is
 the k = 1 case of the bounded one).  The four handle types still stay
@@ -22,10 +24,20 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import OracleContractViolation, PreconditionFailed
-from .geometry import SymmetricConvexBody, minkowski_exact_oracle
+from .geometry import CubeSlabBody, minkowski_exact_oracle
 from .lattice import LatticeBasis, lattice_membership, lll_reduce, svp_exact_linf
 from .linalg import RVector
 from .nbp import NbpInstance, instance_inner, karmarkar_karp, mitm_min, pigeonhole_solve
+
+
+def _integer_reply(name: str, reply: Sequence) -> tuple[int, ...]:
+    """An oracle's reply as ints; a reply with an entry that is not an
+    integer raises OracleContractViolation naming the oracle."""
+    reply = tuple(reply)
+    x = tuple(int(v) for v in reply)
+    if x != reply:
+        raise OracleContractViolation(f"{name}: reply entries must be integers")
+    return x
 
 
 @dataclass
@@ -33,11 +45,11 @@ class MinkowskiOracle:
     """rho-approximate Minkowski oracle: finds points of (rho K) cap Z^n \\ {0}."""
 
     rho: Fraction
-    solver: Callable[[SymmetricConvexBody], Sequence[int]]
+    solver: Callable[[CubeSlabBody], Sequence[int]]
     name: str = "minkowski"
 
-    def find(self, body: SymmetricConvexBody) -> tuple[int, ...]:
-        x = tuple(int(v) for v in self.solver(body))
+    def find(self, body: CubeSlabBody) -> tuple[int, ...]:
+        x = _integer_reply(self.name, self.solver(body))
         if len(x) != body.dim:
             raise OracleContractViolation(f"{self.name}: dimension mismatch")
         if not any(x):
@@ -83,11 +95,11 @@ def _checked_balance(
 ) -> tuple[int, ...]:
     """Re-verify a balancing oracle's reply x to ``inst``.
 
-    x must have n coefficients in {-k..k}, not all zero, and
+    x must have n integer coefficients in {-k..k}, not all zero, and
     |<a, x>| <= bound(n); a reply that breaks any of these raises
     OracleContractViolation naming the oracle.
     """
-    x = tuple(int(v) for v in reply)
+    x = _integer_reply(name, reply)
     if len(x) != inst.n:
         raise OracleContractViolation(f"{name}: dimension mismatch")
     if not any(x):
@@ -206,7 +218,7 @@ def pigeonhole_delta_oracle() -> NbpDeltaOracle:
 def adversarial_minkowski_oracle() -> MinkowskiOracle:
     """Claims rho = 1 but returns a far-away integer point."""
 
-    def solve(body: SymmetricConvexBody) -> tuple[int, ...]:
+    def solve(body: CubeSlabBody) -> tuple[int, ...]:
         far = body.int_box_limit() + 5
         return (far,) + (0,) * (body.dim - 1)
 

@@ -297,7 +297,7 @@ def minkowski_from_nbp(
     if axis_sq != rounded.rounded.quad(y):
         raise InternalContradiction("the axis form differs from the rounded ellipsoid")
 
-    x_out = rounded.transform.apply_inverse(y)
+    x_out = rounded.transform.apply(y)
     x_tuple = tuple(int(e) for e in x_out)
     if not any(x_tuple):
         raise InternalContradiction("unimodular image of a nonzero vector vanished")

@@ -52,9 +52,11 @@ def balancing_body(inst: NbpInstance, k: int, rho) -> CubeSlabBody:
     vol(K) >= 2^n.
     """
     rho = frac(rho)
+    if rho <= 0:
+        raise InvalidParams("rho must be positive")
     n = inst.n
     delta = n * (rho / (k + 1)) ** (n - 1)
-    return CubeSlabBody(inst, delta, Fraction(k + 1) / rho, open_box=True)
+    return CubeSlabBody(inst, delta, Fraction(k + 1) / rho)
 
 
 def nbp_via_minkowski(inst: NbpInstance, k: int, oracle: MinkowskiOracle) -> ReductionResult:
@@ -81,6 +83,8 @@ def nbp_via_minkowski(inst: NbpInstance, k: int, oracle: MinkowskiOracle) -> Red
 def svp_embedding_basis(inst: NbpInstance, k: int, rho) -> LatticeBasis:
     """The (n+1) x (n+1) determinant-1 embedding of the balancing instance."""
     rho = frac(rho)
+    if rho <= 0:
+        raise InvalidParams("rho must be positive")
     n = inst.n
     scale = (Fraction(k) / rho) ** n
     rows = []

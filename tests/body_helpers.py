@@ -1,0 +1,31 @@
+"""Test-side references for the cube-slab body.
+
+``slab_member`` is the body's membership test over exact Fractions, against
+which the library's integer test ``contains`` and the pruned Minkowski
+search are checked.  ``open_cube`` builds a plain cube as a cube-slab body.
+"""
+
+import math
+from fractions import Fraction
+
+from balancelat.geometry import CubeSlabBody
+from balancelat.linalg import RVector
+from balancelat.nbp import NbpInstance
+
+
+def slab_member(body, x):
+    """x lies in the open box (-r, r)^n and |<a, x>| <= the slab bound, in Fractions."""
+    x = RVector(x)
+    return (all(abs(e) < body.box_radius for e in x)
+            and abs(body.inst.a.dot(x)) <= body.slab_bound)
+
+
+def open_cube(n, radius):
+    """The open cube (-radius, radius)^n as a cube-slab body.
+
+    It is built on the all-ones instance with slab bound n * m, for the box's
+    integer limit m; no point of the box exceeds that bound, so the slab
+    never cuts.
+    """
+    radius = Fraction(radius)
+    return CubeSlabBody(NbpInstance.from_values([1] * n), n * (math.ceil(radius) - 1), radius)

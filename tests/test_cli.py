@@ -652,6 +652,7 @@ GOLDEN_INPUTS = {
     "nbp8": ["nbp", "--n", "8", "--seed", "3"],
     "nbp9": ["nbp", "--n", "9", "--seed", "5", "--signed"],
     "nbp16": ["nbp", "--n", "16", "--seed", "5", "--signed"],
+    "nbp4": ["nbp", "--n", "4", "--seed", "1", "--signed"],
     "point-ellipsoid": ["ellipsoid", "--n", "2", "--seed", "1"],  # integer-point branch
     "rounded-ellipsoid": ["ellipsoid", "--n", "2", "--seed", "16"],  # pipeline branch
 }
@@ -676,6 +677,8 @@ GOLDEN = [
      "bb7ec928b4e4d20b42a55cdddac2217a7bba840d23a413074a5fcad79aa853a8"),
     ("reduce to-nbp --oracle lll --k 2 --full --input {nbp9}", 0,  # Karmarkar-Karp fallback
      "557e1d83ce74743d19ad5f31610fcf45676c822006a14eea7abe8b420ef8ec4a"),
+    ("reduce to-nbp --oracle lll --k 3 --input {nbp4}", 0,  # embedding branch: the LLL oracle runs
+     "dcc32b9d8d77bd4ea2bb95a504926a446e17005791b1d1fb0ef5a41cb4a88e7f"),
     ("reduce to-minkowski --oracle kk --input {point-ellipsoid}", 0,
      "c71e61c1335a1e393d6c84c84e8a4f0a68b4d494ce70f0ba03c7027dc8d2f0c3"),
     ("reduce to-minkowski --oracle mitm --input {point-ellipsoid}", 0,

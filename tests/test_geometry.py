@@ -13,10 +13,8 @@ from balancelat.errors import (
 )
 from balancelat.generators import gen_basis, gen_ellipsoid
 from balancelat.geometry import (
-    CubeBody,
     CubeSlabBody,
     Ellipsoid,
-    SymmetricConvexBody,
     axis_extract,
     minkowski_exact_oracle,
     well_round,
@@ -24,7 +22,8 @@ from balancelat.geometry import (
 from balancelat.lattice import LatticeBasis, check_reduction_conditions, lll_reduce
 from balancelat.linalg import RMatrix, RVector, determinant
 from balancelat.nbp import NbpInstance, mitm_min
-from balancelat.rationals import common_denominator_ints, sqrt_upper
+from balancelat.rationals import sqrt_upper
+from body_helpers import open_cube, slab_member
 
 
 def rational_rotation(rng, n):
@@ -44,7 +43,8 @@ def rational_rotation(rng, n):
 
 class TestMember:
     def test_unit_cube_contains_origin(self):
-        assert CubeBody(2, 1).member(RVector([0, 0]))
+        cube = open_cube(2, Fraction(3, 2))
+        assert cube.contains((0, 0)) and slab_member(cube, (0, 0))
 
     def test_ellipsoid_boundary(self):
         e = Ellipsoid(LatticeBasis(RMatrix.identity(2).scale(2)))
@@ -55,26 +55,27 @@ class TestMember:
         a = RVector([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
         delta = Fraction(3) * Fraction(1, 3) ** 2  # n (rho/(k+1))^(n-1)
         body = CubeSlabBody(NbpInstance.from_values(a), delta, Fraction(3))
-        x = RVector([1, -1, 0])
-        assert abs(a.dot(x)) == Fraction(1, 6) <= delta
-        assert body.member(x)
+        x = (1, -1, 0)
+        assert abs(a.dot(RVector(x))) == Fraction(1, 6) <= delta
+        assert body.contains(x) and slab_member(body, x)
 
     def test_symmetry(self):
         rng = random.Random(31)
         a = RVector([Fraction(rng.randint(-8, 8), 9) for _ in range(4)])
         body = CubeSlabBody(NbpInstance.from_values(a), Fraction(1, 3), Fraction(2))
         for _ in range(50):
-            x = RVector([Fraction(rng.randint(-20, 20), 10) for _ in range(4)])
-            assert body.member(x) == body.member(-x)
+            x = [rng.randint(-2, 2) for _ in range(4)]
+            assert body.contains(x) == body.contains([-v for v in x])
 
 
 class TestMinkowskiOracle:
     def test_closed_cube_lexicographic(self):
-        assert minkowski_exact_oracle(CubeBody(2, 1)) == (-1, -1)
+        # the cube [-1, 1]^2 is the open cube of radius 3/2
+        assert minkowski_exact_oracle(open_cube(2, Fraction(3, 2))) == (-1, -1)
 
     def test_open_cube_has_no_point(self):
         with pytest.raises(NotFound):
-            minkowski_exact_oracle(CubeBody(2, 1, open_box=True))
+            minkowski_exact_oracle(open_cube(2, 1))
 
     def test_result_is_always_member(self):
         rng = random.Random(32)
@@ -84,7 +85,7 @@ class TestMinkowskiOracle:
             body = CubeSlabBody(NbpInstance.from_values(a), delta, Fraction(2))
             x = minkowski_exact_oracle(body)
             assert any(x)
-            assert body.member(RVector(x))
+            assert slab_member(body, x)
             assert max(abs(v) for v in x) <= 1
             assert abs(a.dot(RVector(x))) <= delta
 
@@ -94,49 +95,45 @@ class TestMinkowskiOracle:
             n = 4
             a = RVector([Fraction(rng.randint(-15, 15), 16) for _ in range(n)])
             delta = Fraction(1, 3)
-            structured = CubeSlabBody(NbpInstance.from_values(a), delta, Fraction(2))
-            generic = SymmetricConvexBody(n, structured.member, Fraction(2))
+            body = CubeSlabBody(NbpInstance.from_values(a), delta, Fraction(2))
             try:
-                fast = minkowski_exact_oracle(structured)
+                fast = minkowski_exact_oracle(body)
             except NotFound:
-                with pytest.raises(NotFound):
-                    minkowski_exact_oracle(generic)
-                continue
-            assert fast == minkowski_exact_oracle(generic)
+                fast = None
+            assert fast == reference_minkowski(body, prune=False)[0]
 
 
-def reference_minkowski(body):
+def reference_minkowski(body, prune=True):
     """The recursive search the exact oracle ran before closed-form slab ranges.
 
     Tries every value of [-m, m] at each level and keeps a child when the
-    cube-slab prefix test (re-summing the prefix) admits it; generic bodies
-    admit every child.  Returns (point or None, expanded nodes), where a
-    node is expanded when its children are tried.
+    cube-slab prefix test (re-summing the prefix) admits it; with
+    prune=False it admits every child, a search by the predicate alone.
+    Leaves take the Fraction test ``slab_member``.  Returns (point or None,
+    expanded nodes), where a node is expanded when its children are tried.
     """
     n = body.dim
     m = body.int_box_limit()
     prefix = [0] * n
     nodes = [0]
-    if isinstance(body, CubeSlabBody):
-        ints, den = common_denominator_ints(body.inst.a)
-        rhs, sd = body.slab_bound.numerator * den, body.slab_bound.denominator
-        suffix = [sum(m * abs(v) for v in ints[d:]) for d in range(n + 1)]
+    ints, den = body.inst.ints, body.inst.den
+    rhs, sd = body.slab_bound.numerator * den, body.slab_bound.denominator
+    suffix = [sum(m * abs(v) for v in ints[d:]) for d in range(n + 1)]
 
-        def feasible(depth):
-            s = 0
-            for i in range(depth):
-                if abs(prefix[i]) > m:
-                    return False
-                s += prefix[i] * ints[i]
-            return abs(s) * sd <= rhs + sd * suffix[depth]
-    else:
-        def feasible(depth):
+    def feasible(depth):
+        if not prune:
             return True
+        s = 0
+        for i in range(depth):
+            if abs(prefix[i]) > m:
+                return False
+            s += prefix[i] * ints[i]
+        return abs(s) * sd <= rhs + sd * suffix[depth]
 
     def descend(depth):
         if depth == n:
             x = tuple(prefix)
-            return x if any(x) and body.member(RVector(x)) else None
+            return x if any(x) and slab_member(body, x) else None
         nodes[0] += 1
         for v in range(-m, m + 1):
             prefix[depth] = v
@@ -171,31 +168,30 @@ def slab_draws(seed):
     """Cube-slab bodies, n = 1-8 and box limit m = 1-3, with slab bounds at,
     just above and just below the optimum min |<a, x>| over the box.
 
-    Boxes are open and closed, with integral and non-integral radii; entries
-    include zeros, negatives and repeats (some negated)."""
+    Boxes are open, with integral and non-integral radii; entries include
+    zeros, negatives and repeats (some negated)."""
     rng = random.Random(seed)
     for n in range(1, 9):
         for m in (1, 2, 3):
             if (2 * m + 1) ** n > 20_000:
                 continue
-            for open_box in (True, False):
-                for radius in (Fraction(m + open_box), Fraction(2 * m + 1, 2)):
-                    a = []
-                    for _ in range(n):
-                        roll = rng.random()
-                        if roll < 0.07:
-                            a.append(Fraction(0))
-                        elif roll < 0.17 and a:
-                            a.append(rng.choice((1, -1)) * rng.choice(a))
-                        else:
-                            q = rng.choice((7, 1024, 2**20))
-                            a.append(Fraction(rng.randint(-q, q), q))
-                    opt = mitm_min(NbpInstance.from_values(a), m).error
-                    eps = Fraction(1, 10**6)
-                    for bound in (opt, opt + eps, opt - eps):
-                        body = CubeSlabBody(NbpInstance.from_values(a), bound, radius, open_box)
-                        assert body.int_box_limit() == m
-                        yield body
+            for radius in (Fraction(m + 1), Fraction(2 * m + 1, 2)):
+                a = []
+                for _ in range(n):
+                    roll = rng.random()
+                    if roll < 0.07:
+                        a.append(Fraction(0))
+                    elif roll < 0.17 and a:
+                        a.append(rng.choice((1, -1)) * rng.choice(a))
+                    else:
+                        q = rng.choice((7, 1024, 2**20))
+                        a.append(Fraction(rng.randint(-q, q), q))
+                opt = mitm_min(NbpInstance.from_values(a), m).error
+                eps = Fraction(1, 10**6)
+                for bound in (opt, opt + eps, opt - eps):
+                    body = CubeSlabBody(NbpInstance.from_values(a), bound, radius)
+                    assert body.int_box_limit() == m
+                    yield body
 
 
 class TestMinkowskiMatchesReference:
@@ -203,16 +199,16 @@ class TestMinkowskiMatchesReference:
     def test_slab_bodies(self, seed, monkeypatch):
         for body in slab_draws(seed):
             assert searched(body, monkeypatch) == reference_minkowski(body), (
-                body.inst, body.slab_bound, body.box_radius, body.open_box)
+                body.inst, body.slab_bound, body.box_radius)
 
     def test_generic_bodies(self, monkeypatch):
+        # the pruned search finds the point that the predicate alone finds
         rng = random.Random(35)
-        for n, radius in ((1, Fraction(3)), (3, Fraction(5, 2)), (4, Fraction(1))):
+        for n, radius in ((1, Fraction(7, 2)), (3, Fraction(5, 2)), (4, Fraction(3, 2))):
             a = RVector([Fraction(rng.randint(-9, 9), 10) for _ in range(n)])
-            slab = CubeSlabBody(NbpInstance.from_values(a), Fraction(1, 10), radius, open_box=False)
-            generic = SymmetricConvexBody(n, slab.member, radius)
-            assert searched(generic, monkeypatch) == reference_minkowski(generic)
-        cube = CubeBody(3, Fraction(3, 2))
+            slab = CubeSlabBody(NbpInstance.from_values(a), Fraction(1, 10), radius)
+            assert searched(slab, monkeypatch)[0] == reference_minkowski(slab, prune=False)[0]
+        cube = open_cube(3, Fraction(3, 2))
         assert searched(cube, monkeypatch) == reference_minkowski(cube) == ((-1, -1, -1), 3)
 
 
@@ -224,7 +220,7 @@ def box_points(n, m, rng, cap=50):
 
 
 class TestContains:
-    """``contains(x)``, the integer test, agrees with ``member(RVector(x))``."""
+    """``contains(x)``, the integer test, agrees with the Fraction test ``slab_member``."""
 
     def test_slab_bodies_agree_with_the_fraction_test(self):
         # each box one step past its integer limit, plus the search's point
@@ -242,22 +238,18 @@ class TestContains:
             for dilated in (body, body.dilate(2), body.dilate(Fraction(3, 2))):
                 points = box_points(body.dim, dilated.int_box_limit() + 1, rng) + near
                 for x in points:
-                    assert dilated.contains(x) == dilated.member(RVector(x)), (
-                        body.inst, dilated.slab_bound, dilated.box_radius, body.open_box, x)
+                    assert dilated.contains(x) == slab_member(dilated, x), (
+                        body.inst, dilated.slab_bound, dilated.box_radius, x)
 
-    def test_generic_bodies_use_the_predicate(self):
-        slab = CubeSlabBody(NbpInstance.from_values([Fraction(1, 2), Fraction(-1, 3)]),
-                            Fraction(1, 6), Fraction(2), open_box=False)
-        generic = SymmetricConvexBody(2, slab.member, Fraction(2))
-        cube = CubeBody(2, Fraction(3, 2), open_box=True)
-        for x in product(range(-3, 4), repeat=2):
-            assert generic.contains(x) == slab.member(RVector(x)) == slab.contains(x)
-            assert cube.contains(x) == cube.member(RVector(x)) == (max(map(abs, x)) <= 1)
+    @pytest.mark.parametrize("rho", [0, -1, Fraction(-1, 2)])
+    def test_dilation_must_be_positive(self, rho):
+        with pytest.raises(InvalidParams, match="must be positive"):
+            open_cube(2, 2).dilate(rho)
 
     def test_wrong_length_is_refused(self):
         slab = CubeSlabBody(NbpInstance.from_values([Fraction(1, 2)] * 3),
                             Fraction(1), Fraction(2))
-        for body in (slab, CubeBody(3, 1)):
+        for body in (slab, open_cube(3, Fraction(3, 2))):
             for x in ((0, 0), (1, -1, 0, 0)):
                 with pytest.raises(InvalidParams, match="dimension mismatch"):
                     body.contains(x)
@@ -267,7 +259,7 @@ class TestMinkowskiBudget:
     def body(self):
         a = RVector([Fraction(v, 1024) for v in (1000, -731, 517, 389, -251, 97)])
         inst = NbpInstance.from_values(a)
-        return CubeSlabBody(inst, Fraction(6, 4**5), Fraction(4), open_box=True)
+        return CubeSlabBody(inst, Fraction(6, 4**5), Fraction(4))
 
     def test_passes_at_exactly_the_nodes_it_needs(self, monkeypatch):
         point, nodes = searched(self.body(), monkeypatch)
@@ -332,9 +324,10 @@ class TestWellRound:
         result = well_round(e)
         if result.branch != "rounded":
             pytest.skip("left branch")
-        # A * transform.apply_inverse gives exactly the rounded form matrix
-        u = result.transform.Uinv  # maps E' coordinates back to E
-        assert a.matmul(u) == result.rounded.A
+        # A U is exactly the rounded form matrix: x = U y maps E' back to E
+        assert a.matmul(result.transform.U) == result.rounded.A
+        y = RVector([1, -2])
+        assert e.quad(result.transform.apply(y)) == result.rounded.quad(y)
 
 
 def seeded_bases(n):

@@ -35,6 +35,7 @@ from balancelat.nbp import (
 from balancelat.geometry import CubeSlabBody
 from balancelat.linalg import RVector
 from balancelat.rationals import common_denominator_ints
+from body_helpers import slab_member
 
 
 def dyadic_instance(rng, n, bits=30, signed=True):
@@ -316,13 +317,13 @@ class TestIntegerForm:
         rng = random.Random(66)
         for i in range(300):
             inst = mixed_instance(rng, rng.randint(1, 6))
-            x = RVector([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(inst.n)])
-            inner = abs(inst.a.dot(x))
+            x = [rng.randint(-4, 4) for _ in range(inst.n)]
+            inner = abs(inst.a.dot(RVector(x)))
             # on the slab's edge, just inside it, and anywhere
             bound = (inner, inner + Fraction(1, 10**9), Fraction(rng.randint(0, 20), 7))[i % 3]
-            body = CubeSlabBody(inst, bound, 3, open_box=rng.random() < 0.5)
-            in_box = all(abs(e) < 3 if body.open_box else abs(e) <= 3 for e in x)
-            assert body.member(x) == (in_box and inner <= bound)
+            body = CubeSlabBody(inst, bound, rng.choice((3, Fraction(5, 2))))
+            in_box = all(abs(e) < body.box_radius for e in x)
+            assert body.contains(x) == slab_member(body, x) == (in_box and inner <= bound)
 
 
 class TestBruteForce:

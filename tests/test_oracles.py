@@ -10,16 +10,20 @@ from fractions import Fraction
 import pytest
 
 from balancelat.errors import OracleContractViolation
-from balancelat.geometry import CubeBody
 from balancelat.lattice import LatticeBasis
 from balancelat.linalg import RMatrix, RVector
 from balancelat.nbp import NbpInstance
 from balancelat.oracles import BoundedNbpOracle, MinkowskiOracle, NbpDeltaOracle, SvpInfOracle
+from balancelat.reduce_to_nbp import balancing_body
+from body_helpers import open_cube
 
 INST = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)])
 BOUND = Fraction(1, 3)  # claimed for every dimension
 EVEN_LATTICE = LatticeBasis(RMatrix.diagonal([2, 2]))  # 2Z^2, det 4
-UNIT_CUBE = CubeBody(2, 1)
+UNIT_CUBE = open_cube(2, Fraction(3, 2))  # [-1, 1]^2; its 2-dilation holds [-2, 2]^2
+# a = (1/2, 1/2, 1/5), k = 1, rho = 1: (1, -1, 0) balances a exactly and lies in the body
+HALVES = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 2), Fraction(1, 5)])
+HALVES_BODY = balancing_body(HALVES, 1, 1)
 
 
 def bounded(reply):
@@ -35,8 +39,8 @@ def svp(reply):
     return SvpInfOracle(rho=Fraction(2), solver=lambda basis: RVector(reply), name="stub-svp")
 
 
-def minkowski(reply):
-    return MinkowskiOracle(rho=Fraction(2), solver=lambda body: reply, name="stub-minkowski")
+def minkowski(reply, rho=2):
+    return MinkowskiOracle(rho=Fraction(rho), solver=lambda body: reply, name="stub-minkowski")
 
 
 def nbp_call(make):
@@ -49,6 +53,14 @@ def svp_call(reply):
 
 def minkowski_call(reply):
     return minkowski(reply).find(UNIT_CUBE)
+
+
+def halves_delta_call(reply):
+    return delta(reply).solve(HALVES)
+
+
+def halves_minkowski_call(reply):
+    return minkowski(reply, rho=1).find(HALVES_BODY)
 
 
 # (case id, oracle name, call on a stubbed reply, refused reply)
@@ -68,6 +80,10 @@ VIOLATIONS = [
     ("minkowski-wrong-length", "stub-minkowski", minkowski_call, (2, -2, 0)),
     ("minkowski-zero", "stub-minkowski", minkowski_call, (0, 0)),
     ("minkowski-outside-dilated-body", "stub-minkowski", minkowski_call, (3, -1)),
+    # replies that int() truncates to (1, -1, 0), which is accepted
+    ("delta-non-integer", "stub-delta", halves_delta_call, (1.7, -1.2, 0)),
+    ("minkowski-non-integer", "stub-minkowski", halves_minkowski_call,
+     (Fraction(3, 2), Fraction(-3, 2), 0.9)),
 ]
 
 
@@ -87,3 +103,10 @@ def test_replies_at_the_limits_are_accepted():
     assert delta((0, 0, 1)).solve(INST) == (0, 0, 1)
     assert svp((2, -2)).find(EVEN_LATTICE) == (RVector([2, -2]), (1, -1))
     assert minkowski((2, -2)).find(UNIT_CUBE) == (2, -2)
+
+
+def test_integer_and_integral_fraction_replies_are_accepted_as_ints():
+    for reply in ((1, -1, 0), (Fraction(1), Fraction(-1), Fraction(0))):
+        for x in (halves_delta_call(reply), halves_minkowski_call(reply),
+                  bounded(reply).solve(HALVES)):
+            assert x == (1, -1, 0) and all(type(v) is int for v in x)

@@ -288,7 +288,7 @@ class TestChecksStillRaise:
         # a transform that maps the balanced point to 0 is not unimodular
         def collapsed(ellipsoid):
             result = well_round(ellipsoid)
-            result.transform = SimpleNamespace(apply_inverse=lambda y: RVector([0] * y.dim))
+            result.transform = SimpleNamespace(apply=lambda y: RVector([0] * y.dim))
             return result
 
         monkeypatch.setattr(reduce_to_minkowski, "well_round", collapsed)

@@ -11,6 +11,7 @@ from balancelat.cli import main
 from balancelat.errors import (
     IncompatibleDimension,
     InternalContradiction,
+    InvalidParams,
     NotPerfectSquare,
     OracleContractViolation,
     ParameterOutOfRange,
@@ -39,6 +40,7 @@ from balancelat.reduce_to_nbp import (
     svp_bounded_oracle,
     svp_embedding_basis,
 )
+from body_helpers import slab_member
 from oracle_helpers import mitm_bounded_oracle
 
 
@@ -69,11 +71,18 @@ class TestBalancingBody:
                     [-body.box_radius + cell * (i + Fraction(1, 2)),
                      -body.box_radius + cell * (j + Fraction(1, 2))]
                 )
-                if body.member(x):
+                if slab_member(body, x):
                     count += 1
         # vol >= 2^n = 4; the midpoint grid may overcount slightly, so only
         # sanity-check the promise is plausible, not tight
         assert count * cell * cell > 2
+
+    @pytest.mark.parametrize("rho", [0, -1])
+    def test_rho_must_be_positive(self, rho):
+        inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])
+        for build in (balancing_body, svp_embedding_basis):
+            with pytest.raises(InvalidParams, match="rho must be positive"):
+                build(inst, 2, rho)
 
 
 class TestNbpViaMinkowski:
