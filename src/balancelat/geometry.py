@@ -221,9 +221,10 @@ def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
     """
     n = ellipsoid.dim
     reduced, transform, cert = lll_reduce(ellipsoid.basis)
+    b = reduced.B
     for i in range(n):
-        if reduced.B.column(i).norm_sq() <= 1:
-            p = tuple(int(e) for e in transform.U.column(i))
+        if sum(row[i] ** 2 for row in b.ints) <= b.den**2:
+            p = tuple(row[i] for row in transform.U.ints)
             point = RVector(p)
             if not ellipsoid.member(point):
                 raise InternalContradiction("a reduced column of norm <= 1 maps outside E")

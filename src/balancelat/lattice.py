@@ -1,18 +1,20 @@
 """LLL reduction, SVP enumeration in the max norm, and the operator
 lower-bound certificate for reduced bases.
 
-Every result is exact.  LLL and the SVP search run on integers, over common
-denominators of the rational input, and keep the operation order of the
-textbook Fraction algorithms, so they return the same bases and witnesses.
-Both read the integral Gram-Schmidt data d_i and lam_kj (de Weger 1987;
-Cohen, Alg. 2.6.7): LLL keeps them up to date, and the SVP search weighs each
-node by the integer d_l |pi_l(p)|^2 of its partial vector p, so its operands
-stay near the size of the d_i.  The reduction certificate (size-reduced and
-the Lovasz condition |bhat_i|^2 <= 2 |bhat_{i+1}|^2) is then re-derived from
-a fresh integral Gram-Schmidt of the output basis as literal integer
-inequalities, and the unimodular transform, tracked alongside the swaps and
-size reductions together with its inverse, is checked by exact matrix
-products.  A LatticeBasis is eliminated once, when built, and every
+Every result is exact.  A basis matrix is held as integer rows over one
+denominator (``RMatrix.ints``, ``RMatrix.den``), and LLL and the SVP search
+read those integers directly; they keep the operation order of the textbook
+Fraction algorithms, so they return the same bases and witnesses.  Both read
+the integral Gram-Schmidt data d_i and lam_kj (de Weger 1987; Cohen, Alg.
+2.6.7): LLL keeps them up to date, and the SVP search weighs each node by the
+integer d_l |pi_l(p)|^2 of its partial vector p, so its operands stay near
+the size of the d_i.  The reduction certificate (size-reduced and the Lovasz
+condition |bhat_i|^2 <= 2 |bhat_{i+1}|^2) is then re-derived from a fresh
+integral Gram-Schmidt of the output basis as literal integer inequalities,
+and the unimodular transform, tracked alongside the swaps and size
+reductions together with its inverse, is checked by exact integer matrix
+products: integrality is denominator 1, and B U = B' and U U^-1 = I compare
+integer forms.  A LatticeBasis is eliminated once, when built, and every
 determinant check reads its ``det``.
 """
 
@@ -43,7 +45,7 @@ class LatticeBasis:
     det: Fraction = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not self.B.rows:
+        if not self.B.ints:
             raise InvalidParams("basis dimension must be >= 1")
         if not self.B.is_square():
             raise RankDeficient("basis matrix must be square")
@@ -60,8 +62,9 @@ class LatticeBasis:
 class UnimodularTransform:
     """Integer matrix with determinant +-1, carried with its exact inverse.
 
-    Checking that U and Uinv are integral and U Uinv = I is enough: then
-    det U and det Uinv are integers with product 1, so |det U| = 1.
+    Checking that U and Uinv are integral (denominator 1) and U Uinv = I is
+    enough: then det U and det Uinv are integers with product 1, so
+    |det U| = 1.
     """
 
     U: RMatrix
@@ -69,9 +72,9 @@ class UnimodularTransform:
 
     def __post_init__(self):
         n = self.U.ncols
-        if any(e.denominator != 1 for row in self.U.rows for e in row):
+        if self.U.den != 1:
             raise PreconditionFailed("unimodular matrix must be integral")
-        if any(e.denominator != 1 for row in self.Uinv.rows for e in row):
+        if self.Uinv.den != 1:
             raise PreconditionFailed("inverse of a unimodular matrix must be integral")
         if self.U.matmul(self.Uinv) != RMatrix.identity(n):
             raise PreconditionFailed("inverse does not match")
@@ -168,9 +171,9 @@ def lll_reduce(basis: LatticeBasis) -> tuple[LatticeBasis, UnimodularTransform, 
         d[k] = d_new
         k = max(k - 1, 1)
 
-    reduced = RMatrix([[Fraction(c[i], scale) for c in cols] for i in range(n)])
-    u = RMatrix([[c[i] for c in u_cols] for i in range(n)])
-    transform = UnimodularTransform(u, RMatrix(uinv_rows))
+    reduced = RMatrix.from_ints(zip(*cols), scale)
+    u = RMatrix.from_ints(zip(*u_cols))
+    transform = UnimodularTransform(u, RMatrix.from_ints(uinv_rows))
     cert = check_reduction_conditions(reduced)
     if not (cert.size_reduced and cert.lovasz_ok):
         raise InternalContradiction("LLL output fails the reduction conditions")
@@ -192,8 +195,9 @@ def lll_min_gain(basis: LatticeBasis, cert: LllCertificate) -> Fraction:
     n = basis.n
     if not (cert.size_reduced and cert.lovasz_ok):
         raise PreconditionFailed("basis is not LLL reduced")
+    b = basis.B
     for i in range(n):
-        if basis.B.column(i).norm_sq() < 1:
+        if sum(row[i] ** 2 for row in b.ints) < b.den**2:
             raise PreconditionFailed(f"column {i} has squared norm < 1")
     f2 = cert.scale**2
     for k in range(n):
@@ -259,12 +263,11 @@ def svp_exact_linf(
     n = basis.n
     reduced, transform, cert = lll_reduce(basis)
 
-    F, d, lam = cert.scale, cert.d, cert.lam
-    flat = [e.numerator * (F // e.denominator) for row in reduced.B.rows for e in row]
-    cols = [flat[j::n] for j in range(n)]  # c_j = F b'_j
+    F, d, lam = cert.scale, cert.d, cert.lam  # F = reduced.B.den
+    cols = [list(c) for c in zip(*reduced.B.ints)]  # c_j = F b'_j
     # lam_col[l][j] = lam[j][l] for j > l; y'_j = 0 for j <= l on entering level l
     lam_col = [[lam[j][l] if j > l else 0 for j in range(n)] for l in range(n)]
-    u_rows = [[int(e) for e in row] for row in transform.U.rows]
+    u_rows = transform.U.ints
     col_inf = Fraction(min(max(map(abs, c)) for c in cols), F)
     v0 = col_inf if search_bound is None else min(col_inf, frac(search_bound))
 

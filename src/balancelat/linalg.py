@@ -1,20 +1,23 @@
 """Exact rational vectors and matrices.
 
-Everything here is immutable and exact over ``fractions.Fraction``, so
-identities such as M * solve(M, v) = v hold with literal equality.
-Gram-Schmidt, determinant and linear solve run fraction-free on
-denominator-cleared integers (de Weger's recurrence, Bareiss elimination),
-and a matrix product multiplies the factors' integer numerators over one
-common denominator each.
+Everything here is immutable and exact, so identities such as
+M * solve(M, v) = v hold with literal equality.  A vector holds
+``fractions.Fraction`` entries; a matrix holds integer rows over one
+denominator in lowest terms, and every matrix kernel runs on those integers:
+a product is one integer product over the product of the denominators,
+Gram-Schmidt is de Weger's integral recurrence, and determinant and linear
+solve are Bareiss elimination with fraction-free back substitution.
+Fractions are built only for a vector result or a Fraction view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import RankDeficient, Singular
+from .errors import InvalidParams, RankDeficient, Singular
 from .rationals import common_denominator_ints, frac, lcm_of
 
 
@@ -86,36 +89,70 @@ class RVector:
 
 
 class RMatrix:
-    """Immutable rectangular matrix over the exact rationals (row major)."""
+    """Immutable rectangular matrix over the exact rationals (row major).
 
-    __slots__ = ("rows",)
+    Held as integer rows ``ints`` over one denominator ``den >= 1`` in lowest
+    terms: gcd(den, every entry) = 1.  The form is canonical, so two matrices
+    are equal exactly when their ``(ints, den)`` are.  ``RMatrix(rows)`` takes
+    outside values and coerces each through ``frac`` once;
+    ``RMatrix.from_ints(rows, den)`` takes integer rows.  ``rows`` is a
+    Fraction view, built on demand for documents and tests.
+    """
+
+    __slots__ = ("ints", "den")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
-        data = tuple(tuple(frac(e) for e in row) for row in rows)
-        if data and any(len(r) != len(data[0]) for r in data):
+        data = [[frac(e) for e in row] for row in rows]
+        den = lcm_of(e.denominator for row in data for e in row)
+        # den is the lcm of lowest-terms denominators, so the form is in lowest terms
+        self._set([[e.numerator * (den // e.denominator) for e in row] for row in data], den)
+
+    @classmethod
+    def from_ints(cls, rows: Iterable[Iterable[int]], den: int = 1) -> "RMatrix":
+        """The matrix rows / den of integer rows; divides out the common gcd."""
+        if den < 1:
+            raise InvalidParams("matrix denominator must be >= 1")
+        rows = [list(row) for row in rows]
+        if den > 1:
+            g = gcd(den, *(e for row in rows for e in row))
+            if g > 1:
+                rows = [[e // g for e in row] for row in rows]
+                den //= g
+        m = cls.__new__(cls)
+        m._set(rows, den)
+        return m
+
+    def _set(self, rows: list[list[int]], den: int) -> None:
+        if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", data)
+        object.__setattr__(self, "ints", tuple(map(tuple, rows)))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RMatrix is immutable")
 
     @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(Fraction(e, den) for e in row) for row in self.ints)
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.ints[0]) if self.ints else 0
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.ints[i][j], self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RMatrix) and self.rows == other.rows
+        return isinstance(other, RMatrix) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.ints, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
@@ -125,38 +162,35 @@ class RMatrix:
         return self.nrows == self.ncols
 
     def column(self, j: int) -> RVector:
-        return RVector(row[j] for row in self.rows)
+        den = self.den
+        return RVector(Fraction(row[j], den) for row in self.ints)
 
     def transpose(self) -> "RMatrix":
-        return RMatrix(zip(*self.rows)) if self.rows else RMatrix([])
+        return RMatrix.from_ints(zip(*self.ints), self.den)
 
     def matvec(self, v: RVector) -> RVector:
         if v.dim != self.ncols:
             raise ValueError("dimension mismatch")
-        return RVector(
-            sum((row[j] * v[j] for j in range(self.ncols)), Fraction(0))
-            for row in self.rows
-        )
+        x, dv = common_denominator_ints(v.entries)
+        den = self.den * dv
+        return RVector(Fraction(sum(map(mul, row, x)), den) for row in self.ints)
 
     def matmul(self, other: "RMatrix") -> "RMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        # each factor over one common denominator, the products on ints
-        n, k, m = self.nrows, self.ncols, other.ncols
-        a, da = common_denominator_ints(e for row in self.rows for e in row)
-        b, db = common_denominator_ints(e for row in other.rows for e in row)
-        rows = [a[i * k:(i + 1) * k] for i in range(n)]
-        cols = [b[j::m] for j in range(m)]
-        den = da * db
-        return RMatrix([[Fraction(sum(map(mul, r, c)), den) for c in cols] for r in rows])
+        cols = list(zip(*other.ints))
+        product = [[sum(map(mul, r, c)) for c in cols] for r in self.ints]
+        return RMatrix.from_ints(product, self.den * other.den)
 
     def scale(self, c) -> "RMatrix":
         c = frac(c)
-        return RMatrix([[c * e for e in row] for row in self.rows])
+        return RMatrix.from_ints(
+            [[c.numerator * e for e in row] for row in self.ints], self.den * c.denominator
+        )
 
     @staticmethod
     def identity(n: int) -> "RMatrix":
-        return RMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return RMatrix.from_ints([[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def from_columns(cols: Sequence[RVector]) -> "RMatrix":
@@ -169,16 +203,17 @@ class RMatrix:
 
     @staticmethod
     def diagonal(values) -> "RMatrix":
-        vals = [frac(v) for v in values]
+        vals, den = common_denominator_ints([frac(v) for v in values])
         n = len(vals)
-        return RMatrix([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return RMatrix.from_ints([[v if i == j else 0 for j in range(n)] for i, v in enumerate(vals)],
+                                 den)
 
 
 def gram_schmidt(basis: RMatrix) -> tuple[list[list[int]], int, list[int], list[list[int]]]:
     """Integral Gram-Schmidt of the columns b_j (de Weger 1987; Cohen, Alg. 2.6.7).
 
-    Returns integers (c, F, d, lam): c_j = F b_j over the common denominator F
-    of the entries, the Gram determinants d_0 = 1, d_i = det(<c_k, c_l>)_{k,l<i},
+    Returns integers (c, F, d, lam): c_j = F b_j over the matrix's denominator
+    F = basis.den, the Gram determinants d_0 = 1, d_i = det(<c_k, c_l>)_{k,l<i},
     and lam[k][j] = d_{j+1} mu_kj for j < k (zero elsewhere), where
     mu_kj = <b_k, bhat_j> / |bhat_j|^2; so |bhat_i|^2 = d_{i+1} / (d_i F^2).
     Every division is exact.  Raises RankDeficient when some d_{k+1} = 0.
@@ -186,8 +221,7 @@ def gram_schmidt(basis: RMatrix) -> tuple[list[list[int]], int, list[int], list[
     if not basis.is_square():
         raise RankDeficient("basis matrix must be square")
     n = basis.ncols
-    flat, scale = common_denominator_ints(e for row in basis.rows for e in row)
-    cols = [flat[j::n] for j in range(n)]
+    cols = [list(c) for c in zip(*basis.ints)]
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for k in range(n):
@@ -201,18 +235,7 @@ def gram_schmidt(basis: RMatrix) -> tuple[list[list[int]], int, list[int], list[
                 raise RankDeficient(f"column {k} is dependent on earlier columns")
             else:
                 d[k + 1] = t
-    return cols, scale, d, lam
-
-
-def _cleared_int_rows(m: RMatrix) -> tuple[list[list[int]], int]:
-    """Multiply each row by its denominator lcm; return rows and the product of scales."""
-    rows = []
-    scale = 1
-    for row in m.rows:
-        den = lcm_of(e.denominator for e in row) if row else 1
-        rows.append([e.numerator * (den // e.denominator) for e in row])
-        scale *= den
-    return rows, scale
+    return cols, basis.den, d, lam
 
 
 def _bareiss(a: list[list[int]], n: int) -> int:
@@ -247,31 +270,36 @@ def _bareiss(a: list[list[int]], n: int) -> int:
 
 
 def determinant(m: RMatrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: Bareiss on the integer rows, over den^n."""
     if not m.is_square():
         raise ValueError("determinant needs a square matrix")
     n = m.nrows
     if n == 0:
         return Fraction(1)
-    a, scale = _cleared_int_rows(m)
-    return Fraction(_bareiss(a, n) * a[n - 1][n - 1], scale)
+    a = [list(row) for row in m.ints]
+    return Fraction(_bareiss(a, n) * a[n - 1][n - 1], m.den**n)
 
 
 def solve_linear(m: RMatrix, v: RVector) -> RVector:
-    """Solve m * x = v exactly; raises Singular when det(m) = 0."""
+    """Solve m * x = v exactly; raises Singular when det(m) = 0.
+
+    With m = A / den and v = w / dv, Bareiss triangularizes [A | den w];
+    its last pivot D is +-det A, so every D x_i dv is an integer and back
+    substitution runs on ints with exact division.
+    """
     if not m.is_square():
         raise ValueError("solve_linear needs a square matrix")
     n = m.nrows
     if v.dim != n:
         raise ValueError("dimension mismatch")
-    a, _ = _cleared_int_rows(RMatrix([list(m.rows[i]) + [v[i]] for i in range(n)]))
+    w, dv = common_denominator_ints(v.entries)
+    a = [list(row) + [m.den * wi] for row, wi in zip(m.ints, w)]
     if _bareiss(a, n) == 0 or a[n - 1][n - 1] == 0:
         raise Singular("coefficient matrix is singular")
-    # back substitution over Fractions on the triangularized integer system
-    x = [Fraction(0)] * n
+    D = a[n - 1][n - 1]
+    x = [0] * n  # x[i] = D times the solution of A x = den w
     for i in range(n - 1, -1, -1):
-        rhs = Fraction(a[i][n])
-        for j in range(i + 1, n):
-            rhs -= a[i][j] * x[j]
-        x[i] = rhs / a[i][i]
-    return RVector(x)
+        row = a[i]
+        x[i] = (D * row[n] - sum(map(mul, row[i + 1:n], x[i + 1:]))) // row[i]
+    den = D * dv
+    return RVector(Fraction(e, den) for e in x)

@@ -106,6 +106,13 @@ def multi_vector_balance(
     return MultiBalanceResult(x, bounds, scales, multiples)
 
 
+def _range_levels(Q: int) -> int:
+    """log2 Q of a coefficient range Q, which must be a power of two >= 2."""
+    if Q < 2 or Q & (Q - 1) != 0:
+        raise PreconditionFailed("Q must be a power of two, >= 2")
+    return Q.bit_length() - 1
+
+
 @dataclass
 class RangeBalanceResult:
     x: tuple[int, ...]
@@ -129,9 +136,7 @@ def extended_range_balance(
     a_i = ints / den, entry (j, l) of b_i is (e_j << (log Q - l)) / (den << log Q),
     built as an instance without Fractions.
     """
-    if Q < 2 or Q & (Q - 1) != 0:
-        raise PreconditionFailed("Q must be a power of two, >= 2")
-    levels = Q.bit_length() - 1  # log2 Q
+    levels = _range_levels(Q)
     k = len(vectors)
     if k == 0:
         raise InvalidParams("need at least one vector")
@@ -233,9 +238,7 @@ def generalized_nbp(
     n = gi.n
     k = len(gi.vectors)
     Q = Q_override if Q_override is not None else 2 ** (4 * n)
-    if Q < 2 or Q & (Q - 1) != 0:
-        raise PreconditionFailed("Q must be a power of two, >= 2")
-    levels = Q.bit_length() - 1
+    levels = _range_levels(Q)
     inner_dim = n * levels
     f_inner = oracle.delta(inner_dim)
     lambda_product = Fraction(1)
@@ -268,20 +271,23 @@ def minkowski_from_nbp(
 ) -> MinkowskiFromNbpResult:
     """Find a nonzero integer point of rho* E using a balancing oracle.
 
-    Requires prod lambda_i >= 1, checked exactly as |det A| <= 1.  Well-round
-    first: an integer point of E ends it with rho* = 1; otherwise read the
-    axis form of the rounded ellipsoid E' = {y : |B' y|^2 <= 1} off its LLL
-    certificate (axis_extract), run the generalized balancing on (axes,
-    lengths), check the form exactly at the balanced point, sum_i |bhat_i|^2
-    <a_i, y>^2 = |B' y|^2, and map the point back through the unimodular
-    transform.  rho* is a certified dyadic upper bound with rho*^2 >= the
-    exact quadratic-form value of the returned point in the *original*
-    ellipsoid.
+    Requires prod lambda_i >= 1, checked exactly as |det A| <= 1, and a
+    ``Q_override``, when given, that is a power of two >= 2; both are
+    checked before either branch is taken.  Well-round first: an integer
+    point of E ends it with rho* = 1; otherwise read the axis form of the
+    rounded ellipsoid E' = {y : |B' y|^2 <= 1} off its LLL certificate
+    (axis_extract), run the generalized balancing on (axes, lengths), check
+    the form exactly at the balanced point, sum_i |bhat_i|^2 <a_i, y>^2 =
+    |B' y|^2, and map the point back through the unimodular transform.  rho*
+    is a certified dyadic upper bound with rho*^2 >= the exact
+    quadratic-form value of the returned point in the *original* ellipsoid.
     """
     if abs(ellipsoid.det) > 1:
         raise PreconditionFailed(
             "prod lambda_i = 1/|det A| < 1; the volume hypothesis fails"
         )
+    if Q_override is not None:
+        _range_levels(Q_override)  # refused on either branch, before well-rounding
     rounded = well_round(ellipsoid)
     if rounded.branch == "integer-point":
         x = rounded.point

@@ -27,7 +27,7 @@ from .lattice import LatticeBasis
 from .linalg import RMatrix
 from .nbp import NbpInstance, NbpSolution, karmarkar_karp, verify
 from .oracles import BoundedNbpOracle, MinkowskiOracle, SvpInfOracle
-from .rationals import frac
+from .rationals import common_denominator_ints, frac
 
 
 @dataclass
@@ -87,14 +87,11 @@ def svp_embedding_basis(inst: NbpInstance, k: int, rho) -> LatticeBasis:
         raise InvalidParams("rho must be positive")
     n = inst.n
     scale = (Fraction(k) / rho) ** n
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * (n + 1)
-        row[i] = rho / k
-        rows.append(row)
-    last = [scale * p / (2 * n * k * inst.den) for p in inst.ints] + [scale]
-    rows.append(last)
-    return LatticeBasis(RMatrix(rows))
+    # diagonal rho/k, then the last row scale p_i / (2nk den) and scale, over one denominator
+    (d, t, s), den = common_denominator_ints([rho / k, scale / (2 * n * k * inst.den), scale])
+    rows = [[d if j == i else 0 for j in range(n + 1)] for i in range(n)]
+    rows.append([t * p for p in inst.ints] + [s])
+    return LatticeBasis(RMatrix.from_ints(rows, den))
 
 
 def nbp_via_svp(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> ReductionResult:

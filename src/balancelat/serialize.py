@@ -99,8 +99,8 @@ def basis_from_doc(doc: dict) -> LatticeBasis:
 
 def transform_to_doc(t: UnimodularTransform) -> dict:
     return {
-        "U": [[int(e) for e in row] for row in t.U.rows],
-        "U_inverse": [[int(e) for e in row] for row in t.Uinv.rows],
+        "U": [list(row) for row in t.U.ints],
+        "U_inverse": [list(row) for row in t.Uinv.ints],
     }
 
 

@@ -330,6 +330,20 @@ class TestCliCommands:
         doc = json.loads(out)
         assert doc["branch"] == "pipeline" and doc["x"] == [511, 0, -1022]
 
+    @pytest.mark.parametrize("n, seed, branch", [(2, 3, "integer-point"), (3, 41, "pipeline")])
+    def test_reduce_to_minkowski_bad_q_exit_code(self, n, seed, branch, tmp_path, capsys):
+        # --Q is checked before well-rounding, so it is refused on either branch
+        f = tmp_path / "e.json"
+        f.write_text(self.run(capsys, "gen", "ellipsoid", "--n", str(n), "--seed", str(seed))[1])
+        argv = ["reduce", "to-minkowski", "--oracle", "mitm", "--input", str(f)]
+        code, out = self.run(capsys, *argv, "--Q", "16")
+        assert code == 0 and json.loads(out)["branch"] == branch
+        for q in ("0", "-4", "3"):
+            assert main([*argv, "--Q", q]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Q must be a power of two, >= 2" in captured.err
+
     def test_lll_command(self, tmp_path, capsys):
         code, out = self.run(capsys, "gen", "basis", "--n", "4", "--seed", "2")
         f = tmp_path / "b.json"

@@ -507,3 +507,37 @@ class TestMembership:
     def test_non_member(self):
         basis = LatticeBasis(RMatrix.diagonal([2, 2]))
         assert lattice_membership(basis, RVector([1, 1])) is None
+
+
+def test_lll_and_svp_paths_never_build_the_fraction_view(monkeypatch, tmp_path, capsys):
+    """An `lll` op and an exact-SVP `reduce to-nbp` op run every check on the
+    integer form: with ``RMatrix.rows`` raising, both still exit 0 and write
+    the same reports."""
+    from balancelat.cli import main
+
+    def write(name, *argv):
+        assert main(["gen", *argv]) == 0
+        f = tmp_path / name
+        f.write_text(capsys.readouterr().out)
+        return str(f)
+
+    ops = [
+        ["reduce", "to-nbp", "--oracle", "exact-svp", "--k", "2",
+         "--input", write("i5.json", "nbp", "--n", "5", "--seed", "5")],
+        ["lll", "--input", write("b4.json", "basis", "--n", "4", "--seed", "2")],
+    ]
+
+    def reports():
+        out = []
+        for argv in ops:
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    expected = reports()
+
+    def no_view(self):
+        raise AssertionError("the Fraction view of an RMatrix was built")
+
+    monkeypatch.setattr(RMatrix, "rows", property(no_view))
+    assert reports() == expected

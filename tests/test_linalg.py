@@ -1,19 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balancelat.errors import RankDeficient, Singular
-from balancelat.linalg import (
-    RMatrix,
-    RVector,
-    _cleared_int_rows,
-    determinant,
-    gram_schmidt,
-    solve_linear,
-)
+from balancelat.errors import InvalidParams, RankDeficient, Singular
+from balancelat.linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
 
 
 def rand_fraction(rng, span=9, den=8):
@@ -190,12 +184,12 @@ class TestDeterminant:
         m = RMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         assert determinant(m) == 0
 
-    def test_cleared_rows_on_mixed_denominators(self):
-        # each row is scaled by the lcm of its denominators; the scales multiply
+    def test_mixed_denominators(self):
+        # one denominator for the whole matrix: lcm(6, 4, 9, 3) = 36, det over 36^3
         m = RMatrix([[Fraction(1, 6), Fraction(-3, 4), 2],
                      [Fraction(5, 9), 0, Fraction(-1, 3)],
                      [7, -1, 0]])
-        assert _cleared_int_rows(m) == ([[2, -9, 24], [5, 0, -3], [7, -1, 0]], 12 * 9)
+        assert m.den == 36
         assert determinant(m) == cofactor_det(m) == Fraction(7, 12)
 
 
@@ -222,14 +216,27 @@ class TestSolveLinear:
             solve_linear(m, RVector([1, 1]))
 
 
-def naive_matmul(a: RMatrix, b: RMatrix) -> RMatrix:
+# Fraction references for the integer kernels: each reads the Fraction view
+# ``rows`` and computes entry by entry in Fraction arithmetic.
+
+
+def ref_matmul(a: RMatrix, b: RMatrix) -> RMatrix:
     """Reference product: one Fraction sum per entry."""
-    return RMatrix(
-        [
-            [sum((a[i, k] * b[k, j] for k in range(a.ncols)), Fraction(0)) for j in range(b.ncols)]
-            for i in range(a.nrows)
-        ]
-    )
+    cols = list(zip(*b.rows))
+    return RMatrix([[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in cols]
+                    for r in a.rows])
+
+
+def ref_matvec(m: RMatrix, v: RVector) -> RVector:
+    return RVector(sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in m.rows)
+
+
+def ref_transpose(m: RMatrix) -> RMatrix:
+    return RMatrix(zip(*m.rows))
+
+
+def ref_scale(m: RMatrix, c: Fraction) -> RMatrix:
+    return RMatrix([[c * e for e in r] for r in m.rows])
 
 
 class TestMatmul:
@@ -238,7 +245,7 @@ class TestMatmul:
         for n in range(1, 7):
             a = rand_matrix(rng, n, span=50, den=30)
             b = rand_matrix(rng, n, span=50, den=30)
-            assert a.matmul(b) == naive_matmul(a, b)
+            assert a.matmul(b) == ref_matmul(a, b)
 
     def test_non_square_shapes(self):
         rng = random.Random(42)
@@ -247,7 +254,7 @@ class TestMatmul:
             b = RMatrix([[rand_fraction(rng, 20, 15) for _ in range(cols)] for _ in range(inner)])
             product = a.matmul(b)
             assert (product.nrows, product.ncols) == (rows, cols)
-            assert product == naive_matmul(a, b)
+            assert product == ref_matmul(a, b)
 
     def test_one_by_one(self):
         a = RMatrix([[Fraction(-3, 4)]])
@@ -259,8 +266,8 @@ class TestMatmul:
         rng = random.Random(43)
         ints = RMatrix([[rng.randint(-10**12, 10**12) for _ in range(4)] for _ in range(4)])
         fracs = rand_matrix(rng, 4, span=10**6, den=10**5)
-        assert ints.matmul(fracs) == naive_matmul(ints, fracs)
-        assert fracs.matmul(ints) == naive_matmul(fracs, ints)
+        assert ints.matmul(fracs) == ref_matmul(ints, fracs)
+        assert fracs.matmul(ints) == ref_matmul(fracs, ints)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -299,3 +306,58 @@ def test_solve_roundtrip_or_singular(rows, rhs):
         assert determinant(m) == 0
         return
     assert m.matvec(x) == v
+
+
+def rand_rect(rng, rows, cols, span=40, den=30):
+    return RMatrix([[rand_fraction(rng, span, den) for _ in range(cols)] for _ in range(rows)])
+
+
+class TestIntegerForm:
+    def test_lowest_terms(self):
+        rng = random.Random(408)
+        for _ in range(20):
+            m = rand_rect(rng, rng.randint(1, 5), rng.randint(1, 5))
+            assert m.den >= 1
+            assert gcd(m.den, *(e for r in m.ints for e in r)) == 1
+            assert m.rows == tuple(tuple(Fraction(e, m.den) for e in r) for r in m.ints)
+            assert RMatrix(m.rows) == m and RMatrix.from_ints(m.ints, m.den) == m
+
+    def test_kernels_match_the_fraction_reference(self):
+        rng = random.Random(409)
+        for _ in range(30):
+            r, k, c = (rng.randint(1, 5) for _ in range(3))
+            a, b = rand_rect(rng, r, k), rand_rect(rng, k, c)
+            v = RVector([rand_fraction(rng, 40, 30) for _ in range(k)])
+            f = rand_fraction(rng, 40, 30)
+            assert a.matmul(b) == ref_matmul(a, b)
+            assert a.matvec(v) == ref_matvec(a, v)
+            assert a.transpose() == ref_transpose(a)
+            assert a.scale(f) == ref_scale(a, f)
+
+    def test_determinant_and_solve_on_mixed_denominators(self):
+        rng = random.Random(410)
+        for n in range(1, 6):
+            for _ in range(4):
+                m = rand_rect(rng, n, n)
+                assert determinant(m) == cofactor_det(m)
+                if determinant(m) != 0:
+                    v = RVector([rand_fraction(rng, 40, 30) for _ in range(n)])
+                    assert m.matvec(solve_linear(m, v)) == v
+
+    def test_equal_forms_are_equal(self):
+        a = RMatrix([[Fraction(1, 2), 1]])
+        b = RMatrix.from_ints([[2, 4]], 4)
+        assert (b.ints, b.den) == (((1, 2),), 2)
+        assert a == b and hash(a) == hash(b)
+        assert RMatrix.from_ints([[3, 0], [0, 3]], 3) == RMatrix.identity(2)
+
+    def test_from_ints_refuses_a_denominator_below_one(self):
+        for den in (0, -1):
+            with pytest.raises(InvalidParams):
+                RMatrix.from_ints([[1]], den)
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="ragged rows"):
+            RMatrix([[1, 2], [3]])
+        with pytest.raises(ValueError, match="ragged rows"):
+            RMatrix.from_ints([[1, 2], [3]], 2)
