@@ -155,6 +155,8 @@ CALLS["bench"] = {
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.k < 1:  # refused for every algorithm, also those that ignore k
+        raise InvalidParams(f"--k must be >= 1, got {args.k}")
     raw = _read_input(args.input)
     inst = serialize.instance_from_doc(serialize.loads(raw))
     start = time.monotonic()
@@ -245,6 +247,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InvalidParams(f"--sizes takes comma-separated integers, got {args.sizes!r}") from None
     if args.seeds < 1:
         raise InvalidParams(f"--seeds must be >= 1, got {args.seeds}")
+    if args.k < 1:
+        raise InvalidParams(f"--k must be >= 1, got {args.k}")
     algos = sorted(a for a in args.algos.split(",") if a)
     unknown = [a for a in algos if a not in CALLS["bench"]]
     if unknown:

@@ -7,9 +7,13 @@ Minkowski's problem asks about: the open cube (-r, r)^n cut by the slab
 instance's integers.  The integer-point search carries the integer partial
 sum of the prefix over those integers and asks the body for the range of
 values the next coordinate may take: box cap slab, in closed form.  A range
-only drops values that provably admit no member, and the search visits
-values in ascending order, so it returns the lexicographically smallest
-point.
+only drops values that provably admit no member.  The search stops t
+coordinates early, with (2m+1)^t <= MINKOWSKI_TAIL_TABLE for the box's
+integer limit m: one sorted table of the tail's sums (Horowitz and
+Sahni's meet-in-the-middle) answers each head leaf with at most two
+bisects.  The head is visited in ascending order and each leaf takes its
+smallest fitting tail, so the search returns the lexicographically
+smallest point.
 
 An ellipsoid is built on a LatticeBasis, so it reads det A and eliminates
 nothing.  The reduction from Minkowski's problem to balancing well-rounds
@@ -19,6 +23,7 @@ it and builds no body.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -33,8 +38,10 @@ from .errors import (
 )
 from .lattice import LatticeBasis, LllCertificate, UnimodularTransform, lll_min_gain, lll_reduce
 from .linalg import RMatrix, RVector
-from .nbp import NbpInstance, enumeration_budget
+from .nbp import NbpInstance, _decode, _sorted_half, enumeration_budget
 from .rationals import frac, sqrt_upper
+
+MINKOWSKI_TAIL_TABLE = 3**5  # minkowski_exact_oracle: the most tail sums its sorted table holds
 
 
 class CubeSlabBody:
@@ -46,8 +53,10 @@ class CubeSlabBody:
     rhs = bound's numerator * den.  After a prefix with partial sum s,
     coordinate d may take v only if |s + v A_d| <= reach[d] =
     (rhs + sd * suffix[d+1]) // sd, where suffix[j] is the most that
-    coordinates j.. can still cancel inside the box.  ``contains`` tests an
-    integer point against the integer box limit and the integer slab.
+    coordinates j.. can still cancel inside the box; reach[n-1] is
+    slab_reach = rhs // sd, the largest |<A, x>| the slab admits.
+    ``contains`` tests an integer point against the integer box limit and
+    the integer slab.
     """
 
     def __init__(self, inst: NbpInstance, slab_bound, box_radius) -> None:
@@ -62,6 +71,7 @@ class CubeSlabBody:
             suffix[i] = suffix[i + 1] + limit * abs(ints[i])
         self._rhs = rhs = self.slab_bound.numerator * den
         self._sd = sd = self.slab_bound.denominator
+        self.slab_reach = rhs // sd
         self._steps = [(limit, (rhs + sd * suffix[d + 1]) // sd, ints[d]) for d in range(n)]
 
     def contains(self, x: Sequence[int]) -> bool:
@@ -105,21 +115,39 @@ def minkowski_exact_oracle(body: CubeSlabBody, budget: int | None = None) -> tup
     """Lexicographically smallest nonzero integer point of the cube-slab body.
 
     Realizes an exact (rho = 1) Minkowski oracle by an iterative depth-first
-    search.  The integer partial sum over the instance's integers is carried
-    down the levels; each expanded node makes one ``body.prefix_feasible``
-    call for the range of its coordinate and visits that range in ascending
-    order.  Every nonzero leaf is confirmed with ``body.contains``.  ``budget``
-    (default ``enumeration_budget()``) caps the expanded nodes, the root
-    included; BudgetExceeded says where the search stood.  Raises NotFound
-    when the body holds no nonzero integer point (e.g. when its volume bound
-    fails).
+    search over the head, the first n - t coordinates, with (2m+1)^t <=
+    MINKOWSKI_TAIL_TABLE for the box's integer limit m.  The integer partial
+    sum over the instance's integers is carried down the levels; each
+    expanded head node makes one ``body.prefix_feasible`` call for the range
+    of its coordinate and visits that range in ascending order.  The tail's
+    sums are one sorted table of packed (sum << b) + index (_sorted_half,
+    built once per call).  At a head leaf with partial sum s, a bisect finds
+    the first tail with s + tail >= -body.slab_reach and, if that one fits,
+    a second the end of those with |s + tail| <= body.slab_reach; the
+    smallest index among them is the leaf's lexicographically smallest
+    completion, the zero tail excluded after the all-zero head.  The point
+    is confirmed with ``body.contains``; a refusal is InternalContradiction.
+
+    ``budget`` (default ``enumeration_budget()``) caps the nodes: expanded
+    head nodes, the root included, and tail probes, one per head leaf.
+    BudgetExceeded says where the search stood.  Raises NotFound when the
+    body holds no nonzero integer point (e.g. when its volume bound fails).
     """
     limit = enumeration_budget(budget)
-    n = body.dim
+    n, m = body.dim, body.int_box_limit()
     w = body.inst.ints
+    t = 0
+    while t < n and (2 * m + 1) ** (t + 1) <= MINKOWSKI_TAIL_TABLE:
+        t += 1
+    head = n - t
+    size = (2 * m + 1) ** t
+    b = size.bit_length()
+    mask, zero = (1 << b) - 1, size // 2  # the zero tail: every digit is m
+    table = _sorted_half(w[head:], m, b)
+    reach = body.slab_reach
     x = [0] * n  # the path; x[d] runs up to top[d]
-    top = [0] * n
-    sums = [0] * n  # sums[d] = sum_{i < d} x_i w_i
+    top = [0] * head
+    sums = [0] * (head + 1)  # sums[d] = sum_{i < d} x_i w_i
     nodes = 0
     depth = 0
     while True:
@@ -129,17 +157,29 @@ def minkowski_exact_oracle(body: CubeSlabBody, budget: int | None = None) -> tup
                 f"Minkowski enumeration exceeded budget: {nodes} nodes visited, "
                 f"limit {limit}, dimension {n}, depth {depth}"
             )
-        x[depth], top[depth] = body.prefix_feasible(sums[depth], depth)
-        while True:  # move to the next node to expand
+        if depth == head:  # a tail probe
+            s = sums[head]
+            lo, end = bisect_left(table, (-reach - s) << b), (reach - s + 1) << b
+            if lo < len(table) and table[lo] < end:  # some tail fits the slab
+                tails = [p & mask for p in table[lo:bisect_left(table, end, lo)]
+                         if p != zero or any(x[:head])]  # the zero point is no answer
+                if tails:
+                    x[head:] = _decode(min(tails), t, m)
+                    if not body.contains(x):
+                        raise InternalContradiction("a tail table completion is not in the body")
+                    return tuple(x)
+            if depth == 0:
+                raise NotFound("no nonzero integer point in the body")
+            depth -= 1
+            x[depth] += 1
+        else:
+            x[depth], top[depth] = body.prefix_feasible(sums[depth], depth)
+        while True:  # move to the next node to visit
             v = x[depth]
             if v > top[depth]:
                 if depth == 0:
                     raise NotFound("no nonzero integer point in the body")
                 depth -= 1
-                x[depth] += 1
-            elif depth + 1 == n:
-                if any(x) and body.contains(x):
-                    return tuple(x)
                 x[depth] += 1
             else:
                 sums[depth + 1] = sums[depth] + v * w[depth]

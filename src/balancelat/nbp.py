@@ -38,7 +38,9 @@ from .rationals import common_denominator_ints
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV = "BALANCELAT_BUDGET"
-TAIL_TABLE = 3**6  # brute_force_min: the most tail sums one leaf of its recursion scans
+# brute_force_min: the most tail sums one leaf of its recursion scans.  The
+# Minkowski search has its own, smaller bound, geometry.MINKOWSKI_TAIL_TABLE.
+TAIL_TABLE = 3**6
 
 
 def enumeration_budget(override: int | None = None) -> int:
@@ -208,7 +210,9 @@ def _sorted_half(ints: Sequence[int], k: int, b: int) -> list[int]:
     i < 2^b is the index of x in lex order (as in _half_sums), so equal sums
     sit in lex order of x.  Coordinates are added last to first, each as the
     new leading digit of i: a level is 2k+1 shifted copies of the sorted
-    level below, and one sort merges these runs in linear time.
+    level below, and one sort merges these runs in linear time.  mitm_min
+    builds its two halves with it, and geometry.minkowski_exact_oracle its
+    tail table.
     """
     level, width = [0], 1
     for a in reversed(ints):

@@ -504,6 +504,19 @@ class TestCliCommands:
             captured = capsys.readouterr()
             assert "--seeds must be >= 1" in captured.err and captured.out == ""
 
+    def test_k_below_one_exit_code(self, tmp_path, capsys):
+        f = tmp_path / "i.json"
+        f.write_text(self.run(capsys, "gen", "nbp", "--n", "6", "--seed", "1")[1])
+        for k in ("0", "-3"):
+            for algo in ("brute-force", "mitm", "pigeonhole", "kk"):
+                assert main(["solve", "--algo", algo, "--k", k, "--input", str(f)]) == 3
+                captured = capsys.readouterr()
+                assert "--k must be >= 1" in captured.err and captured.out == ""
+            assert main(["bench", "--sizes", "3", "--seeds", "1", "--algos", "mitm,kk",
+                         "--k", k]) == 3
+            captured = capsys.readouterr()
+            assert "--k must be >= 1" in captured.err and captured.out == ""
+
     def test_full_pipeline_says_it_ignores_k(self, tmp_path, capsys):
         f = tmp_path / "i.json"
         f.write_text(self.run(capsys, "gen", "nbp", "--n", "9", "--seed", "5", "--signed")[1])

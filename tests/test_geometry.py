@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from balancelat import geometry
 from balancelat.errors import (
     BudgetExceeded,
     InternalContradiction,
@@ -13,6 +14,7 @@ from balancelat.errors import (
 )
 from balancelat.generators import gen_basis, gen_ellipsoid
 from balancelat.geometry import (
+    MINKOWSKI_TAIL_TABLE,
     CubeSlabBody,
     Ellipsoid,
     axis_extract,
@@ -110,10 +112,17 @@ def reference_minkowski(body, prune=True):
     cube-slab prefix test (re-summing the prefix) admits it; with
     prune=False it admits every child, a search by the predicate alone.
     Leaves take the Fraction test ``slab_member``.  Returns (point or None,
-    expanded nodes), where a node is expanded when its children are tried.
+    nodes).  The nodes are counted as the library counts them: the head is
+    the first n - t coordinates, for the largest t <= n with (2m+1)^t <=
+    MINKOWSKI_TAIL_TABLE, and a node is a head node whose children are
+    tried or a head leaf reached (where the library probes its tail table).
     """
     n = body.dim
     m = body.int_box_limit()
+    t = 0
+    while t < n and (2 * m + 1) ** (t + 1) <= MINKOWSKI_TAIL_TABLE:
+        t += 1
+    head = n - t
     prefix = [0] * n
     nodes = [0]
     ints, den = body.inst.ints, body.inst.den
@@ -131,10 +140,11 @@ def reference_minkowski(body, prune=True):
         return abs(s) * sd <= rhs + sd * suffix[depth]
 
     def descend(depth):
+        if depth <= head:
+            nodes[0] += 1
         if depth == n:
             x = tuple(prefix)
             return x if any(x) and slab_member(body, x) else None
-        nodes[0] += 1
         for v in range(-m, m + 1):
             prefix[depth] = v
             if feasible(depth + 1):
@@ -147,21 +157,30 @@ def reference_minkowski(body, prune=True):
     return descend(0), nodes[0]
 
 
-def searched(body, monkeypatch):
-    """minkowski_exact_oracle's point (None on NotFound) and its expanded nodes."""
-    calls = [0]
-    ranges = type(body).prefix_feasible
+def searched(body):
+    """minkowski_exact_oracle's point (None on NotFound) and its nodes: the
+    least budget that it does not exceed, found by bisection."""
 
-    def counted(self, s, depth):
-        calls[0] += 1
-        return ranges(self, s, depth)
-
-    with monkeypatch.context() as patched:
-        patched.setattr(type(body), "prefix_feasible", counted)
+    def run(budget):
         try:
-            return minkowski_exact_oracle(body), calls[0]
+            return minkowski_exact_oracle(body, budget=budget)
         except NotFound:
-            return None, calls[0]
+            return None
+
+    lo, hi = 0, 1  # every search exceeds budget 0
+    while True:
+        try:
+            point = run(hi)
+            break
+        except BudgetExceeded:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            point, hi = run(mid), mid
+        except BudgetExceeded:
+            lo = mid
+    return point, hi
 
 
 def slab_draws(seed):
@@ -196,20 +215,21 @@ def slab_draws(seed):
 
 class TestMinkowskiMatchesReference:
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_slab_bodies(self, seed, monkeypatch):
+    def test_slab_bodies(self, seed):
         for body in slab_draws(seed):
-            assert searched(body, monkeypatch) == reference_minkowski(body), (
+            assert searched(body) == reference_minkowski(body), (
                 body.inst, body.slab_bound, body.box_radius)
 
-    def test_generic_bodies(self, monkeypatch):
+    def test_generic_bodies(self):
         # the pruned search finds the point that the predicate alone finds
         rng = random.Random(35)
         for n, radius in ((1, Fraction(7, 2)), (3, Fraction(5, 2)), (4, Fraction(3, 2))):
             a = RVector([Fraction(rng.randint(-9, 9), 10) for _ in range(n)])
             slab = CubeSlabBody(NbpInstance.from_values(a), Fraction(1, 10), radius)
-            assert searched(slab, monkeypatch)[0] == reference_minkowski(slab, prune=False)[0]
+            assert searched(slab)[0] == reference_minkowski(slab, prune=False)[0]
+        # 3^3 tails fit the table, so the root is the one head leaf and its probe the one node
         cube = open_cube(3, Fraction(3, 2))
-        assert searched(cube, monkeypatch) == reference_minkowski(cube) == ((-1, -1, -1), 3)
+        assert searched(cube) == reference_minkowski(cube) == ((-1, -1, -1), 1)
 
 
 def box_points(n, m, rng, cap=50):
@@ -261,13 +281,13 @@ class TestMinkowskiBudget:
         inst = NbpInstance.from_values(a)
         return CubeSlabBody(inst, Fraction(6, 4**5), Fraction(4))
 
-    def test_passes_at_exactly_the_nodes_it_needs(self, monkeypatch):
-        point, nodes = searched(self.body(), monkeypatch)
+    def test_passes_at_exactly_the_nodes_it_needs(self):
+        point, nodes = reference_minkowski(self.body())
         assert point is not None and nodes > 1
         assert minkowski_exact_oracle(self.body(), budget=nodes) == point
 
-    def test_one_node_short_names_where_it_stopped(self, monkeypatch):
-        _, nodes = searched(self.body(), monkeypatch)
+    def test_one_node_short_names_where_it_stopped(self):
+        _, nodes = reference_minkowski(self.body())
         with pytest.raises(BudgetExceeded) as info:
             minkowski_exact_oracle(self.body(), budget=nodes - 1)
         message = str(info.value)
@@ -275,6 +295,16 @@ class TestMinkowskiBudget:
             f"Minkowski enumeration exceeded budget: {nodes} nodes visited, "
             f"limit {nodes - 1}, dimension 6, depth ")
         assert 0 <= int(message.rsplit(" ", 1)[1]) < 6
+
+    def test_budget_runs_out_on_a_tail_probe(self):
+        # m = 3 and 7^2 <= MINKOWSKI_TAIL_TABLE < 7^3 leave a head of 4
+        # coordinates; a search ends on the probe that finds its point, so
+        # one node short it stops there, at depth 4
+        assert 7**2 <= MINKOWSKI_TAIL_TABLE < 7**3
+        _, nodes = reference_minkowski(self.body())
+        with pytest.raises(BudgetExceeded, match=f"^Minkowski enumeration exceeded budget: "
+                           f"{nodes} nodes visited, limit {nodes - 1}, dimension 6, depth 4$"):
+            minkowski_exact_oracle(self.body(), budget=nodes - 1)
 
     def test_budget_counts_nodes_not_the_box(self):
         # the box holds 7^6 points, more than the budget; the pruned search needs fewer nodes
@@ -284,6 +314,109 @@ class TestMinkowskiBudget:
         monkeypatch.setenv("BALANCELAT_BUDGET", "1")
         with pytest.raises(BudgetExceeded, match="2 nodes visited, limit 1, dimension 6"):
             minkowski_exact_oracle(self.body())
+
+
+def matches_reference(body):
+    """The search's point and nodes agree with the pruned reference, and its
+    point with the unpruned one; returns the point."""
+    point, nodes = searched(body)
+    assert (point, nodes) == reference_minkowski(body), (body.inst, body.slab_bound)
+    assert point == reference_minkowski(body, prune=False)[0], (body.inst, body.slab_bound)
+    return point
+
+
+def slab_body(values, bound, radius):
+    return CubeSlabBody(NbpInstance.from_values(values), Fraction(bound), Fraction(radius))
+
+
+class TestMinkowskiTailTable:
+    """The edges of the split between the searched head and the tail table."""
+
+    def test_whole_point_in_the_table(self):
+        # m = 1 and n <= 5: the head is empty, the root's probe is the one node
+        rng = random.Random(37)
+        for n in range(1, 6):
+            a = [Fraction(rng.randint(-63, 63), 64) for _ in range(n)]
+            body = slab_body(a, Fraction(1, 16), 2)
+            assert searched(body)[1] == 1
+            matches_reference(body)
+
+    def test_no_tail_when_the_box_is_wide(self):
+        # 2m + 1 = 399 > MINKOWSKI_TAIL_TABLE: t = 0, every head leaf is a whole point
+        assert 399 > MINKOWSKI_TAIL_TABLE
+        body = slab_body([Fraction(1, 3), Fraction(1, 2)], Fraction(1, 6), 200)
+        assert body.int_box_limit() == 199
+        assert matches_reference(body) == (-199, 133)
+        body = slab_body([Fraction(1, 3)], Fraction(1, 6), 200)
+        assert matches_reference(body) is None
+
+    def test_zero_head_with_only_the_zero_tail(self):
+        # m = 1, n = 7: a head of 2, and tails whose nonzero sums all exceed
+        # the slab bound; the zero head's probe must skip the zero tail
+        values = [Fraction(1, 2), Fraction(1, 3)] + [Fraction(1, 2**j) for j in range(3, 8)]
+        assert matches_reference(slab_body(values, Fraction(1, 2**9), 2)) is None
+
+    def test_zero_head_with_a_nonzero_tail(self):
+        # no tail cancels a nonzero head, so the answer's head is zero
+        values = [Fraction(1), Fraction(1, 2)] + [Fraction(1, 2**j) for j in range(3, 8)]
+        body = slab_body(values, Fraction(1, 2**7), 2)
+        assert matches_reference(body) == (0, 0, -1, 1, 1, 1, 1)
+
+    def test_zero_entries_inside_the_tail(self):
+        rng = random.Random(38)
+        for _ in range(20):
+            n = rng.randint(4, 8)
+            a = [Fraction(rng.randint(-31, 31), 32) for _ in range(n)]
+            for i in rng.sample(range(max(n - 5, 0), n), 2):
+                a[i] = Fraction(0)
+            matches_reference(slab_body(a, Fraction(rng.randint(0, 4), 64), 2))
+
+    def test_box_limit_zero(self):
+        body = slab_body([Fraction(1, 2)] * 4, 1, 1)
+        assert body.int_box_limit() == 0
+        with pytest.raises(NotFound):
+            minkowski_exact_oracle(body)
+        assert searched(body) == reference_minkowski(body) == (None, 1)
+
+    def test_degenerate_bodies_hold_no_point(self):
+        # a negative slab bound or a box radius <= 0: every tail sum lies
+        # below the slab's window, or the table is empty
+        for bound, radius in ((-1, 2), (-1, 1), (1, 0), (1, Fraction(-3, 2))):
+            assert matches_reference(slab_body([Fraction(1, 2)] * 3, bound, radius)) is None
+
+    def test_table_built_at_most_once_per_search(self, monkeypatch):
+        built = []
+        original = geometry._sorted_half
+
+        def counted(ints, k, b):
+            built.append(len(ints))
+            return original(ints, k, b)
+
+        monkeypatch.setattr(geometry, "_sorted_half", counted)
+        for body in slab_draws(1):
+            built.clear()
+            try:
+                minkowski_exact_oracle(body)
+            except NotFound:
+                pass
+            assert len(built) <= 1
+
+    def test_wrong_table_completion_is_a_contradiction(self, monkeypatch):
+        # min |<a, x>| over the box is 1/6 > 1/10: no point, until the table
+        # reads one nonzero tail's sum as 0
+        body = slab_body([Fraction(1, 2), Fraction(1, 3)], Fraction(1, 10), 2)
+        with pytest.raises(NotFound):
+            minkowski_exact_oracle(body)
+        original = geometry._sorted_half
+
+        def one_wrong_sum(ints, k, b):
+            table = original(ints, k, b)
+            wrong = table[0] & ((1 << b) - 1)  # the smallest sum's tail, not the zero tail
+            return sorted(table[1:] + [wrong])
+
+        monkeypatch.setattr(geometry, "_sorted_half", one_wrong_sum)
+        with pytest.raises(InternalContradiction, match="not in the body"):
+            minkowski_exact_oracle(body)
 
 
 class TestWellRound:
