@@ -180,8 +180,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_reduce_to_nbp(args: argparse.Namespace) -> int:
     raw = _read_input(args.input)
     inst = serialize.instance_from_doc(serialize.loads(raw))
-    if args.full and args.k is not None:
-        print("note: --full runs at k = max(1, ceil(3*rho)); --k is ignored", file=sys.stderr)
     args.k = 1 if args.k is None else args.k
     result = CALLS["to-nbp --full" if args.full else "to-nbp"][args.oracle](inst, args)
     doc = {
@@ -335,8 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tonbp = reduce_sub.add_parser("to-nbp", parents=[reads, writes],
                                     help="solve NBP with a Minkowski/SVP oracle")
     p_tonbp.add_argument("--oracle", required=True, choices=CALLS["to-nbp"])
-    p_tonbp.add_argument("--k", type=int, default=None, help="default 1; --full picks its own")
-    p_tonbp.add_argument("--full", action="store_true")
+    k_or_full = p_tonbp.add_mutually_exclusive_group()
+    # default None, not 1: argparse lets a value that `is` the default pass the group,
+    # so --full --k 1 would go unrefused
+    k_or_full.add_argument("--k", type=int, default=None, help="default 1")
+    k_or_full.add_argument("--full", action="store_true", help="picks k = max(1, ceil(3*rho))")
     p_tonbp.set_defaults(func=cmd_reduce_to_nbp)
 
     p_tomink = reduce_sub.add_parser("to-minkowski", parents=[reads, writes],

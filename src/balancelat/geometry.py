@@ -16,8 +16,9 @@ smallest fitting tail, so the search returns the lexicographically
 smallest point.
 
 An ellipsoid is built on a LatticeBasis, so it reads det A and eliminates
-nothing.  The reduction from Minkowski's problem to balancing well-rounds
-it and builds no body.
+nothing; its form |A x|^2 is evaluated at integer tuples on A's integer
+rows.  The reduction from Minkowski's problem to balancing well-rounds it
+and builds no body.
 """
 
 from __future__ import annotations
@@ -190,9 +191,9 @@ def minkowski_exact_oracle(body: CubeSlabBody, budget: int | None = None) -> tup
 class Ellipsoid:
     """E = {x : |A x|_2^2 <= 1} for A = basis.B, square and full rank.
 
-    Membership is the exact quadratic-form inequality x^T A^T A x <= 1.
-    ``det`` is the basis's det A; with axis lengths lambda_i, prod lambda_i =
-    1 / |det A|.
+    An integer point x lies in E when quad(x) <= 1, the exact quadratic
+    form evaluated on A's integer rows.  ``det`` is the basis's det A; with
+    axis lengths lambda_i, prod lambda_i = 1 / |det A|.
     """
 
     def __init__(self, basis: LatticeBasis) -> None:
@@ -204,12 +205,15 @@ class Ellipsoid:
     def dim(self) -> int:
         return self.A.ncols
 
-    def quad(self, x: RVector) -> Fraction:
-        """The exact value |A x|_2^2."""
-        return self.A.matvec(x).norm_sq()
+    def quad(self, x: Sequence[int]) -> Fraction:
+        """The exact value |A x|_2^2 at the integer point x.
 
-    def member(self, x: RVector) -> bool:
-        return self.quad(x) <= 1
+        With A = ints / den it is sum_r (ints_r . x)^2 / den^2: integer
+        arithmetic and one Fraction.
+        """
+        if len(x) != self.dim:
+            raise InvalidParams("dimension mismatch")
+        return Fraction(sum(sum(map(mul, row, x)) ** 2 for row in self.A.ints), self.A.den**2)
 
     @staticmethod
     def from_axes(axes: Sequence[RVector], lengths: Sequence[Fraction]) -> "Ellipsoid":
@@ -265,8 +269,7 @@ def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
     for i in range(n):
         if sum(row[i] ** 2 for row in b.ints) <= b.den**2:
             p = tuple(row[i] for row in transform.U.ints)
-            point = RVector(p)
-            if not ellipsoid.member(point):
+            if ellipsoid.quad(p) > 1:
                 raise InternalContradiction("a reduced column of norm <= 1 maps outside E")
             return WellRoundResult("integer-point", point=p)
     return WellRoundResult("rounded", transform=transform, rounded=Ellipsoid(reduced),

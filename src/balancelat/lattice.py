@@ -14,7 +14,8 @@ integral Gram-Schmidt of the output basis as literal integer inequalities,
 and the unimodular transform, tracked alongside the swaps and size
 reductions together with its inverse, is checked by exact integer matrix
 products: integrality is denominator 1, and B U = B' and U U^-1 = I compare
-integer forms.  A LatticeBasis is eliminated once, when built, and every
+integer forms.  The transform maps integer tuples to integer tuples on U's
+integer rows.  A LatticeBasis is eliminated once, when built, and every
 determinant check reads its ``det``.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from typing import Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -79,8 +81,11 @@ class UnimodularTransform:
         if self.U.matmul(self.Uinv) != RMatrix.identity(n):
             raise PreconditionFailed("inverse does not match")
 
-    def apply(self, x: RVector) -> RVector:
-        return self.U.matvec(x)
+    def apply(self, y: Sequence[int]) -> tuple[int, ...]:
+        """The integer point U y, on U's integer rows."""
+        if len(y) != self.U.ncols:
+            raise InvalidParams("dimension mismatch")
+        return tuple(sum(map(mul, row, y)) for row in self.U.ints)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,11 @@ denominator in lowest terms, and every matrix kernel runs on those integers:
 a product is one integer product over the product of the denominators,
 Gram-Schmidt is de Weger's integral recurrence, and determinant and linear
 solve are Bareiss elimination with fraction-free back substitution.
-Fractions are built only for a vector result or a Fraction view.
+Fractions are built only for a vector result or a Fraction view.  An integer
+point is a plain int tuple, not an RVector: the ellipsoid form and the
+unimodular transform evaluate it on a matrix's ``ints`` directly.  RVector
+keeps what the library runs on it: documents' vectors, the axis form, the
+SVP oracle's reply, and ``matvec`` / ``solve_linear`` across them.
 """
 
 from __future__ import annotations
@@ -54,27 +58,9 @@ class RVector:
     def __repr__(self) -> str:
         return f"RVector([{', '.join(str(e) for e in self.entries)}])"
 
-    def __add__(self, other: "RVector") -> "RVector":
-        self._check_dim(other)
-        return RVector(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other: "RVector") -> "RVector":
-        self._check_dim(other)
-        return RVector(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self) -> "RVector":
-        return RVector(-a for a in self.entries)
-
-    def scale(self, c) -> "RVector":
-        c = frac(c)
-        return RVector(c * a for a in self.entries)
-
     def dot(self, other: "RVector") -> Fraction:
         self._check_dim(other)
         return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
-
-    def norm_sq(self) -> Fraction:
-        return self.dot(self)
 
     def inf_norm(self) -> Fraction:
         return max((abs(a) for a in self.entries), default=Fraction(0))
@@ -82,10 +68,6 @@ class RVector:
     def _check_dim(self, other: "RVector") -> None:
         if len(self.entries) != len(other.entries):
             raise ValueError("dimension mismatch")
-
-    @staticmethod
-    def unit(n: int, i: int) -> "RVector":
-        return RVector([1 if j == i else 0 for j in range(n)])
 
 
 class RMatrix:
@@ -181,12 +163,6 @@ class RMatrix:
         cols = list(zip(*other.ints))
         product = [[sum(map(mul, r, c)) for c in cols] for r in self.ints]
         return RMatrix.from_ints(product, self.den * other.den)
-
-    def scale(self, c) -> "RMatrix":
-        c = frac(c)
-        return RMatrix.from_ints(
-            [[c.numerator * e for e in row] for row in self.ints], self.den * c.denominator
-        )
 
     @staticmethod
     def identity(n: int) -> "RMatrix":

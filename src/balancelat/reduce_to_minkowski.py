@@ -35,11 +35,6 @@ class MultiBalanceResult:
     scales: list[Fraction]  # a~_i = scales[i] * multiples[i]
     multiples: list[list[int]]
 
-    @property
-    def discretized(self) -> list[RVector]:
-        """The truncated, scaled vectors a~_i, built on demand."""
-        return [RVector(s * e for e in m) for m, s in zip(self.multiples, self.scales)]
-
 
 def multi_vector_balance(
     vectors: Sequence[NbpInstance],
@@ -281,6 +276,9 @@ def minkowski_from_nbp(
     |B' y|^2, and map the point back through the unimodular transform.  rho*
     is a certified dyadic upper bound with rho*^2 >= the exact
     quadratic-form value of the returned point in the *original* ellipsoid.
+    Points are integer tuples throughout: y is the balancer's, both forms
+    and x = U y are evaluated on integer rows (Ellipsoid.quad,
+    UnimodularTransform.apply).
     """
     if abs(ellipsoid.det) > 1:
         raise PreconditionFailed(
@@ -291,21 +289,19 @@ def minkowski_from_nbp(
     rounded = well_round(ellipsoid)
     if rounded.branch == "integer-point":
         x = rounded.point
-        return MinkowskiFromNbpResult("integer-point", x, Fraction(1), ellipsoid.quad(RVector(x)))
+        return MinkowskiFromNbpResult("integer-point", x, Fraction(1), ellipsoid.quad(x))
 
     axes, lengths, norms_sq = axis_extract(rounded.cert)
     gi = GeneralizedInstance.create(axes, lengths)
-    gen = generalized_nbp(gi, oracle, Q_override)
-    y = RVector(gen.x)
+    y = generalized_nbp(gi, oracle, Q_override).x
 
     # the axis form is the rounded ellipsoid's quadratic form, checked before un-transforming
-    axis_sq = sum((w * ax.dot(y) ** 2 for ax, w in zip(axes, norms_sq)), Fraction(0))
+    axis_sq = sum(w * sum(map(mul, ax, y)) ** 2 for ax, w in zip(axes, norms_sq))
     if axis_sq != rounded.rounded.quad(y):
         raise InternalContradiction("the axis form differs from the rounded ellipsoid")
 
-    x_out = rounded.transform.apply(y)
-    x_tuple = tuple(int(e) for e in x_out)
-    if not any(x_tuple):
+    x = rounded.transform.apply(y)
+    if not any(x):
         raise InternalContradiction("unimodular image of a nonzero vector vanished")
-    q = ellipsoid.quad(x_out)
-    return MinkowskiFromNbpResult("pipeline", x_tuple, sqrt_upper(q, 64), q)
+    q = ellipsoid.quad(x)
+    return MinkowskiFromNbpResult("pipeline", x, sqrt_upper(q, 64), q)

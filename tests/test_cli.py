@@ -517,17 +517,18 @@ class TestCliCommands:
             captured = capsys.readouterr()
             assert "--k must be >= 1" in captured.err and captured.out == ""
 
-    def test_full_pipeline_says_it_ignores_k(self, tmp_path, capsys):
+    def test_full_pipeline_refuses_k(self, tmp_path, capsys):
         f = tmp_path / "i.json"
         f.write_text(self.run(capsys, "gen", "nbp", "--n", "9", "--seed", "5", "--signed")[1])
-        argv = ["reduce", "to-nbp", "--oracle", "exact-svp", "--full", "--input", str(f)]
-        assert main(argv) == 0
-        plain = capsys.readouterr()
-        assert plain.err == ""
-        assert main(argv + ["--k", "7"]) == 0
-        with_k = capsys.readouterr()
-        assert with_k.out == plain.out
-        assert "k = max(1, ceil(3*rho)); --k is ignored" in with_k.err
+        argv = ["reduce", "to-nbp", "--oracle", "exact-svp", "--input", str(f)]
+        assert main(argv + ["--full"]) == 0
+        assert capsys.readouterr().err == ""
+        # --full picks k = max(1, ceil(3*rho)) itself, so an explicit --k is a usage error
+        for k in ("7", "1"):
+            for line in (argv + ["--full", "--k", k], argv + ["--k", k, "--full"]):
+                assert main(line) == 3
+                captured = capsys.readouterr()
+                assert "not allowed with argument" in captured.err and captured.out == ""
         # without --full the default k stays 1
         assert main(["reduce", "to-nbp", "--oracle", "exact-svp", "--input", str(f)]) == 0
         default_out = capsys.readouterr().out
@@ -648,7 +649,7 @@ class TestSharedParser:
         assert (0, after) == fresh_run(solve)
 
         to_nbp = ["reduce", "to-nbp", "--oracle", "exact-svp", "--input", str(g)]
-        assert main(to_nbp + ["--full", "--k", "2"]) == 0
+        assert main(to_nbp + ["--full"]) == 0
         capsys.readouterr()
         assert main(to_nbp) == 0
         assert (0, capsys.readouterr().out) == fresh_run(to_nbp)
@@ -694,15 +695,15 @@ GOLDEN = [
      "be477480af37ced94f57a21725920b9211dd1525f37b574986fbddb527a08c97"),
     ("reduce to-nbp --oracle exact-svp --k 2 --input {nbp9}", 0,
      "e2c2c8715d9cdf92b5106c3bd04f15047b64f543f3894475359d1ac48327d0b5"),
-    ("reduce to-nbp --oracle exact-svp --k 2 --full --input {nbp9}", 0,
+    ("reduce to-nbp --oracle exact-svp --full --input {nbp9}", 0,
      "8529c4731f2fd49ee719040549461bdeb4e524f5e14d8151949aaa27100820b4"),
-    ("reduce to-nbp --oracle exact-svp --k 2 --full --input {nbp16}", 0,
+    ("reduce to-nbp --oracle exact-svp --full --input {nbp16}", 0,
      "f86b26237ccb3bdd4c1df08d6a9922816d77db3fbdfaf451a3d131890f5a62ed"),
     ("reduce to-nbp --oracle lll --k 2 --input {nbp9}", 0,
      "2de3c34c5f1731e44a745d15aea54e025419c1911f35ac69199853235d10433b"),
     ("reduce to-nbp --oracle lll --k 2 --input {nbp16}", 0,
      "bb7ec928b4e4d20b42a55cdddac2217a7bba840d23a413074a5fcad79aa853a8"),
-    ("reduce to-nbp --oracle lll --k 2 --full --input {nbp9}", 0,  # Karmarkar-Karp fallback
+    ("reduce to-nbp --oracle lll --full --input {nbp9}", 0,  # Karmarkar-Karp fallback
      "557e1d83ce74743d19ad5f31610fcf45676c822006a14eea7abe8b420ef8ec4a"),
     ("reduce to-nbp --oracle lll --k 3 --input {nbp4}", 0,  # embedding branch: the LLL oracle runs
      "dcc32b9d8d77bd4ea2bb95a504926a446e17005791b1d1fb0ef5a41cb4a88e7f"),

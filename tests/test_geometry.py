@@ -26,6 +26,7 @@ from balancelat.linalg import RMatrix, RVector, determinant
 from balancelat.nbp import NbpInstance, mitm_min
 from balancelat.rationals import sqrt_upper
 from body_helpers import open_cube, slab_member
+from linalg_helpers import integer_points, norm_sq, scale, sub, unit
 
 
 def rational_rotation(rng, n):
@@ -49,9 +50,9 @@ class TestMember:
         assert cube.contains((0, 0)) and slab_member(cube, (0, 0))
 
     def test_ellipsoid_boundary(self):
-        e = Ellipsoid(LatticeBasis(RMatrix.identity(2).scale(2)))
-        assert e.member(RVector([Fraction(1, 2), 0]))
-        assert not e.member(RVector([Fraction(1, 2), Fraction(1, 100)]))
+        e = Ellipsoid(LatticeBasis(RMatrix.diagonal([Fraction(1, 2)] * 2)))
+        assert e.quad((2, 0)) == 1 and e.quad((0, -2)) == 1
+        assert e.quad((2, 1)) == Fraction(5, 4) and e.quad((1, 1)) == Fraction(1, 2)
 
     def test_theorem5_style_body(self):
         a = RVector([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
@@ -68,6 +69,40 @@ class TestMember:
         for _ in range(50):
             x = [rng.randint(-2, 2) for _ in range(4)]
             assert body.contains(x) == body.contains([-v for v in x])
+
+
+def reference_quad(e, x):
+    """|A x|^2 entry by entry in Fractions, on the Fraction view of A."""
+    return norm_sq([sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in e.A.rows])
+
+
+class TestQuadMatchesReference:
+    """quad(x), on A's integer rows, is the Fraction |A x|^2 at integer points."""
+
+    def assert_matches(self, e, rng):
+        for x in integer_points(rng, e.dim, 12):
+            q = e.quad(x)
+            assert type(q) is Fraction and q == reference_quad(e, x)
+
+    def test_generated_ellipsoids(self):
+        rng = random.Random(611)
+        for n in range(1, 6):
+            for seed in range(4):
+                self.assert_matches(gen_ellipsoid(n, seed), rng)
+
+    def test_axes_and_lengths_over_mixed_denominators(self):
+        rng = random.Random(612)
+        for n in range(1, 6):
+            for _ in range(3):
+                rot = rational_rotation(rng, n) if n > 1 else RMatrix.identity(1)
+                lengths = sorted(Fraction(rng.randint(1, 60), rng.randint(1, 17)) for _ in range(n))
+                e = Ellipsoid.from_axes([rot.column(i) for i in range(n)], lengths)
+                assert e.A.den > 1
+                self.assert_matches(e, rng)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InvalidParams, match="dimension mismatch"):
+            gen_ellipsoid(3, 1).quad((1, 0))
 
 
 class TestMinkowskiOracle:
@@ -429,10 +464,10 @@ class TestWellRound:
         e = Ellipsoid(LatticeBasis(RMatrix.diagonal([Fraction(1, 10), 10])))
         result = well_round(e)
         assert result.branch == "integer-point"
-        assert e.member(RVector(result.point))
+        assert e.quad(result.point) <= 1
 
     def test_integer_point_outside_ellipsoid_raises(self, monkeypatch):
-        monkeypatch.setattr(Ellipsoid, "member", lambda self, x: False)
+        monkeypatch.setattr(Ellipsoid, "quad", lambda self, x: Fraction(2))
         with pytest.raises(InternalContradiction):
             well_round(Ellipsoid(LatticeBasis(RMatrix.identity(3))))
 
@@ -449,7 +484,7 @@ class TestWellRound:
         rng = random.Random(34)
         for _ in range(100):
             x = RVector([Fraction(rng.randint(-30, 30), 7) for _ in range(n)])
-            assert b.matvec(x).norm_sq() >= result.min_gain_sq * x.norm_sq()
+            assert norm_sq(b.matvec(x)) >= result.min_gain_sq * norm_sq(x)
 
     def test_transform_orientation(self):
         a = RMatrix([[3, 100], [0, 5]])
@@ -459,7 +494,7 @@ class TestWellRound:
             pytest.skip("left branch")
         # A U is exactly the rounded form matrix: x = U y maps E' back to E
         assert a.matmul(result.transform.U) == result.rounded.A
-        y = RVector([1, -2])
+        y = (1, -2)
         assert e.quad(result.transform.apply(y)) == result.rounded.quad(y)
 
 
@@ -522,7 +557,7 @@ class TestAxisExtract:
             check_reduction_conditions(RMatrix.diagonal([2, 1, 2, 4]))
         )
         assert lengths == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 1]
-        assert axes == [RVector.unit(4, i) for i in (3, 0, 2, 1)]
+        assert axes == [unit(4, i) for i in (3, 0, 2, 1)]
         assert norms_sq == [16, 4, 4, 1]
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -533,7 +568,7 @@ class TestAxisExtract:
             for _ in range(20):
                 y = RVector([rng.randint(-50, 50) for _ in range(n)])
                 form = sum((w * ax.dot(y) ** 2 for ax, w in zip(axes, norms_sq)), Fraction(0))
-                assert form == reduced.B.matvec(y).norm_sq()
+                assert form == norm_sq(reduced.B.matvec(y))
             assert all(abs(e) <= 1 for ax in axes for e in ax)
             product = Fraction(1)
             for l in lengths:
@@ -560,14 +595,14 @@ def reference_axis_form(b):
     for k in range(n):
         v = b.column(k)
         for j in range(k):
-            mu[k][j] = b.column(k).dot(bhat[j]) / bhat[j].norm_sq()
-            v = v - bhat[j].scale(mu[k][j])
+            mu[k][j] = b.column(k).dot(bhat[j]) / norm_sq(bhat[j])
+            v = sub(v, scale(bhat[j], mu[k][j]))
         bhat.append(v)
     axes = [RVector([mu[j][i] if j > i else int(i == j) for j in range(n)]) for i in range(n)]
-    lengths = [sqrt_upper(1 / v.norm_sq(), 64) for v in bhat]
+    lengths = [sqrt_upper(1 / norm_sq(v), 64) for v in bhat]
     order = sorted(range(n), key=lambda i: lengths[i])
     return ([axes[i] for i in order], [lengths[i] for i in order],
-            [bhat[i].norm_sq() for i in order])
+            [norm_sq(bhat[i]) for i in order])
 
 
 def assert_axes_match_reference(e):
@@ -611,7 +646,7 @@ class TestAxisExtractMatchesReference:
         e = Ellipsoid(LatticeBasis(RMatrix.diagonal([2, 8, 4])))
         assert_axes_match_reference(e)
         axes, lengths, _ = axis_extract(well_round(e).cert)
-        assert axes == [RVector.unit(3, 2), RVector.unit(3, 1), RVector.unit(3, 0)]
+        assert axes == [unit(3, 2), unit(3, 1), unit(3, 0)]
         assert lengths == [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]
 
     def test_repeated_eigenvalues(self):

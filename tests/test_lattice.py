@@ -28,7 +28,8 @@ from balancelat.lattice import (
 from balancelat.linalg import RMatrix, RVector, determinant, solve_linear
 from balancelat.rationals import floor_frac
 from balancelat.reduce_to_nbp import svp_embedding_basis
-from test_linalg import reference_gram_schmidt
+from linalg_helpers import integer_points, norm_sq, scale_matrix, unit
+from test_linalg import ref_matvec, reference_gram_schmidt
 
 
 def rand_int_basis(rng, n, span=30):
@@ -60,7 +61,7 @@ def box_bounds(basis, search_bound=None):
     whenever the optimum keeps the promise.
     """
     n = basis.n
-    inv_cols = [solve_linear(basis.B, RVector.unit(n, j)) for j in range(n)]
+    inv_cols = [solve_linear(basis.B, unit(n, j)) for j in range(n)]
     v0 = min(basis.B.column(j).inf_norm() for j in range(n))
     if search_bound is not None:
         v0 = min(v0, Fraction(search_bound))
@@ -74,7 +75,7 @@ def box_minimum(basis, search_bound=None):
     for y in itertools.product(*(range(-b, b + 1) for b in bounds)):
         if any(y):
             v = basis.B.matvec(RVector(y))
-            keys.append((v.inf_norm(), v.norm_sq(), y))
+            keys.append((v.inf_norm(), norm_sq(v), y))
     return min(keys, default=None)
 
 
@@ -92,7 +93,7 @@ def reference_lll(basis):
 
     def recompute_gs():
         bhat, mu = reference_gram_schmidt(RMatrix.from_columns([RVector(c) for c in cols]))
-        norms = [bhat.column(i).norm_sq() for i in range(n)]
+        norms = [norm_sq(bhat.column(i)) for i in range(n)]
         return [[mu[j, i] for j in range(n)] for i in range(n)], norms
 
     mu_of, norms = recompute_gs()
@@ -182,9 +183,9 @@ class TestLllMatchesReference:
         rng = random.Random(35)
         basis = rand_int_basis(rng, 5)
         reduced, transform, _ = lll_reduce(basis)
-        scaled, scaled_transform, _ = lll_reduce(LatticeBasis(basis.B.scale(Fraction(1, 7))))
+        scaled, scaled_transform, _ = lll_reduce(LatticeBasis(scale_matrix(basis.B, Fraction(1, 7))))
         assert scaled_transform.U == transform.U
-        assert scaled.B == reduced.B.scale(Fraction(1, 7))
+        assert scaled.B == scale_matrix(reduced.B, Fraction(1, 7))
 
 
 class TestLllReduce:
@@ -242,7 +243,7 @@ class TestLllReduce:
     def test_gram_schmidt_of_another_basis_differs_from_b_times_u(self, monkeypatch):
         # the loop reduces 2B; the output is reduced, but it is not B U
         original = lattice.gram_schmidt
-        monkeypatch.setattr(lattice, "gram_schmidt", lambda m: original(m.scale(2)))
+        monkeypatch.setattr(lattice, "gram_schmidt", lambda m: original(scale_matrix(m, 2)))
         with pytest.raises(InternalContradiction, match="differs from the input basis times U"):
             lll_reduce(LatticeBasis(RMatrix([[1, 100], [0, 1]])))
 
@@ -316,9 +317,29 @@ class TestUnimodularTransform:
         u = RMatrix([[2, 1], [1, 1]])
         uinv = RMatrix([[1, -1], [-1, 2]])
         t = UnimodularTransform(u, uinv)
-        x = RVector([3, -4])
-        assert t.apply(x) == RVector([2, -1])
-        assert t.Uinv.matvec(t.apply(x)) == x
+        assert t.apply((3, -4)) == (2, -1)
+        assert t.Uinv.matvec(RVector(t.apply((3, -4)))) == RVector([3, -4])
+
+
+class TestApplyMatchesReference:
+    """apply(y), on U's integer rows, is the Fraction U y, and U^-1 takes it back."""
+
+    def test_lll_transforms(self):
+        rng = random.Random(613)
+        for n in range(1, 6):
+            draws = [rand_int_basis, rand_rational_basis] + [skewed_basis] * (n > 1)
+            for draw in draws:
+                _, t, _ = lll_reduce(draw(rng, n))
+                for y in integer_points(rng, n, 12):
+                    x = t.apply(y)
+                    assert type(x) is tuple and all(type(v) is int for v in x)
+                    assert RVector(x) == ref_matvec(t.U, RVector(y))
+                    assert ref_matvec(t.Uinv, RVector(x)) == RVector(y)
+
+    def test_dimension_mismatch(self):
+        t = UnimodularTransform(RMatrix.identity(2), RMatrix.identity(2))
+        with pytest.raises(InvalidParams, match="dimension mismatch"):
+            t.apply((1, 2, 3))
 
 
 class TestMinGain:
@@ -339,7 +360,7 @@ class TestMinGain:
                 x = RVector(
                     [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(3)]
                 )
-                assert reduced.B.matvec(x).norm_sq() >= gain_sq * x.norm_sq()
+                assert norm_sq(reduced.B.matvec(x)) >= gain_sq * norm_sq(x)
 
     def test_short_column_rejected(self):
         basis = LatticeBasis(RMatrix.diagonal([Fraction(1, 2), 4]))
