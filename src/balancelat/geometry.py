@@ -238,7 +238,7 @@ class Ellipsoid:
         return Ellipsoid(LatticeBasis(RMatrix.diagonal([1 / l for l in lengths]).matmul(vt)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class WellRoundResult:
     """Outcome of well_round: an integer point, or a rounded ellipsoid."""
 
@@ -246,7 +246,6 @@ class WellRoundResult:
     point: Optional[tuple[int, ...]] = None
     transform: Optional[UnimodularTransform] = None
     rounded: Optional[Ellipsoid] = None
-    min_gain_sq: Optional[Fraction] = None
     cert: Optional[LllCertificate] = None
 
 
@@ -272,8 +271,8 @@ def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
             if ellipsoid.quad(p) > 1:
                 raise InternalContradiction("a reduced column of norm <= 1 maps outside E")
             return WellRoundResult("integer-point", point=p)
-    return WellRoundResult("rounded", transform=transform, rounded=Ellipsoid(reduced),
-                           min_gain_sq=lll_min_gain(reduced, cert), cert=cert)
+    lll_min_gain(reduced, cert)  # raises unless the 2^(-3n) certificate holds
+    return WellRoundResult("rounded", transform=transform, rounded=Ellipsoid(reduced), cert=cert)
 
 
 def axis_extract(cert: LllCertificate) -> tuple[list[RVector], list[Fraction], list[Fraction]]:

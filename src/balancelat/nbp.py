@@ -84,11 +84,6 @@ class NbpInstance:
     def n(self) -> int:
         return len(self.ints)
 
-    @property
-    def a(self) -> RVector:
-        """The entries as exact Fractions."""
-        return RVector(Fraction(p, self.den) for p in self.ints)
-
     @staticmethod
     def from_values(values: Iterable) -> "NbpInstance":
         ints, den = common_denominator_ints(RVector(values))  # RVector type-checks outside input

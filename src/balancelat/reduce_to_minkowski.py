@@ -10,7 +10,9 @@ ellipsoid (Gram-Schmidt axes, which need not be orthogonal), to realize an
 approximate Minkowski oracle, reporting a certified dilation factor rho*.
 The balancing layers take each vector as an NbpInstance, so they read its
 integers over its common denominator; truncation, the inflated vectors, the
-summed instance and every check are integer arithmetic.
+summed instance and every check are integer arithmetic.  Each layer checks
+its own per-vector bounds and returns only the balancing point x, the one
+thing its caller reads.
 """
 
 from __future__ import annotations
@@ -28,20 +30,12 @@ from .oracles import NbpDeltaOracle
 from .rationals import frac, lcm_of, nth_root_upper, sqrt_upper
 
 
-@dataclass
-class MultiBalanceResult:
-    x: tuple[int, ...]
-    bounds: list[Fraction]  # per-vector exact bounds 2 n^2 delta_i
-    scales: list[Fraction]  # a~_i = scales[i] * multiples[i]
-    multiples: list[list[int]]
-
-
 def multi_vector_balance(
     vectors: Sequence[NbpInstance],
     deltas: Sequence[Fraction],
     oracle: NbpDeltaOracle,
-) -> MultiBalanceResult:
-    """Balance several vectors at once: |<a_i, x>| <= 2 n^2 delta_i for all i.
+) -> tuple[int, ...]:
+    """Balance several vectors at once: x with |<a_i, x>| <= 2 n^2 delta_i for all i.
 
     Each a_i is truncated to the grid 2 n delta_i, scaled by prod_{j<i}
     delta_j, and summed; one oracle call on (half of) the sum balances them
@@ -94,11 +88,10 @@ def multi_vector_balance(
             raise InternalContradiction(
                 f"divisibility invariant failed for vector {i}: <a~_i, x> = {scale * inner}"
             )
-    bounds = [2 * n * n * d for d in deltas]
-    for i, (v, bound) in enumerate(zip(vectors, bounds)):
-        if abs(instance_inner(v, x)) > bound:
+    for i, (v, d) in enumerate(zip(vectors, deltas)):
+        if abs(instance_inner(v, x)) > 2 * n * n * d:
             raise InternalContradiction(f"final bound failed for vector {i}")
-    return MultiBalanceResult(x, bounds, scales, multiples)
+    return x
 
 
 def _range_levels(Q: int) -> int:
@@ -108,21 +101,13 @@ def _range_levels(Q: int) -> int:
     return Q.bit_length() - 1
 
 
-@dataclass
-class RangeBalanceResult:
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    bounds: list[Fraction]  # per-vector exact bounds delta_i Q 2 (n log Q)^2
-    inner_dim: int
-
-
 def extended_range_balance(
     vectors: Sequence[NbpInstance],
     deltas: Sequence[Fraction],
     Q: int,
     oracle: NbpDeltaOracle,
-) -> RangeBalanceResult:
-    """Balance with coefficients in {-Q..Q}: |<a_i, x>| <= delta_i Q 2 (n log Q)^2.
+) -> tuple[int, ...]:
+    """Balance with coefficients in {-Q..Q}: x with |<a_i, x>| <= delta_i Q 2 (n log Q)^2.
 
     Replicates each coordinate at scales 2^-1 .. 2^-log(Q), balances the
     inflated instance with signs, and recombines x_j = Q sum_l 2^-l y_{jl}.
@@ -147,7 +132,7 @@ def extended_range_balance(
         )
         for v in vectors
     ]
-    y = multi_vector_balance(inflated, deltas, oracle).x
+    y = multi_vector_balance(inflated, deltas, oracle)
     x = []
     for j in range(n):
         acc = 0
@@ -159,7 +144,6 @@ def extended_range_balance(
         raise InternalContradiction("recombined vector vanished with nonzero y")
     if max(abs(v) for v in x) > Q:
         raise InternalContradiction("recombined coefficient exceeds Q")
-    bounds = []
     for i, (v, b) in enumerate(zip(vectors, inflated)):
         inner_x = instance_inner(v, x)
         # holds for every y: Q <b_i, y> = sum_j a_ij sum_l (Q >> l) y_jl = sum_j a_ij x_j
@@ -167,11 +151,9 @@ def extended_range_balance(
             raise InternalContradiction(
                 f"recombination identity failed for vector {i}"
             )
-        bound = frac(deltas[i]) * Q * 2 * inner_dim**2
-        if abs(inner_x) > bound:
+        if abs(inner_x) > frac(deltas[i]) * Q * 2 * inner_dim**2:
             raise InternalContradiction(f"range-extended bound failed for vector {i}")
-        bounds.append(bound)
-    return RangeBalanceResult(x, y, bounds, inner_dim)
+    return x
 
 
 @dataclass(frozen=True)
@@ -209,26 +191,19 @@ class GeneralizedInstance:
         )
 
 
-@dataclass
-class GeneralizedResult:
-    x: tuple[int, ...]
-    bounds: list[Fraction]
-    deltas: list[Fraction]
-    Q: int
-
-
 def generalized_nbp(
     gi: GeneralizedInstance,
     oracle: NbpDeltaOracle,
     Q_override: Optional[int] = None,
-) -> GeneralizedResult:
+) -> tuple[int, ...]:
     """Balance scaled vectors with integer coefficients (generalized form).
 
     Picks Q (default 2^(4n)), sets delta_i = lambda_i * R with R a certified
     rational upper bound on (f(n log Q) / prod lambda)^(1/n), so that
     prod delta_i >= f(n log Q) holds exactly; each delta_i must land in
-    (0, 1/2] or the reduction refuses (PreconditionFailed).  The exact bound
-    per vector is 2 (n log Q)^2 Q delta_i.
+    (0, 1/2] or the reduction refuses (PreconditionFailed).  The returned x
+    has |x|_inf <= Q and meets the exact bound 2 (n log Q)^2 Q delta_i per
+    vector, checked by extended_range_balance.
     """
     n = gi.n
     k = len(gi.vectors)
@@ -247,16 +222,14 @@ def generalized_nbp(
         )
     if any(d <= 0 for d in deltas):
         raise PreconditionFailed("computed delta_i is not positive")
-    result = extended_range_balance(gi.vectors, deltas, Q, oracle)
-    return GeneralizedResult(result.x, result.bounds, deltas, Q)
+    return extended_range_balance(gi.vectors, deltas, Q, oracle)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinkowskiFromNbpResult:
     branch: str  # "integer-point" | "pipeline"
     x: tuple[int, ...]
     rho_star: Fraction  # certified: x in rho_star * E exactly
-    rho_star_sq: Fraction  # the exact quadratic-form value at x
 
 
 def minkowski_from_nbp(
@@ -289,11 +262,11 @@ def minkowski_from_nbp(
     rounded = well_round(ellipsoid)
     if rounded.branch == "integer-point":
         x = rounded.point
-        return MinkowskiFromNbpResult("integer-point", x, Fraction(1), ellipsoid.quad(x))
+        return MinkowskiFromNbpResult("integer-point", x, Fraction(1))
 
     axes, lengths, norms_sq = axis_extract(rounded.cert)
     gi = GeneralizedInstance.create(axes, lengths)
-    y = generalized_nbp(gi, oracle, Q_override).x
+    y = generalized_nbp(gi, oracle, Q_override)
 
     # the axis form is the rounded ellipsoid's quadratic form, checked before un-transforming
     axis_sq = sum(w * sum(map(mul, ax, y)) ** 2 for ax, w in zip(axes, norms_sq))
@@ -303,5 +276,4 @@ def minkowski_from_nbp(
     x = rounded.transform.apply(y)
     if not any(x):
         raise InternalContradiction("unimodular image of a nonzero vector vanished")
-    q = ellipsoid.quad(x)
-    return MinkowskiFromNbpResult("pipeline", x, sqrt_upper(q, 64), q)
+    return MinkowskiFromNbpResult("pipeline", x, sqrt_upper(ellipsoid.quad(x), 64))

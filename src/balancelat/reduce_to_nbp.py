@@ -1,19 +1,23 @@
 """Solving number balancing with Minkowski or SVP oracles.
 
 The two entry constructions build a cube-slab body (whose volume argument
-guarantees a Minkowski point) or a determinant-1 lattice embedding; the
-self-reduction then halves the coefficient range round by round using the
-small-coefficient representation trick, tracking an exact error bound
-through every round.  All oracle replies are re-verified before use.
+guarantees a Minkowski point) or a determinant-1 lattice embedding, and
+claim the bound of minkowski_bound or svp_bound; the bounded oracles built
+on them guarantee the same formulas.  The self-reduction then halves the
+coefficient range round by round using the small-coefficient
+representation trick, tracking an exact error bound through every round.
+All oracle replies are re-verified before use.  Each entry point returns
+what its callers read: a ReductionResult (solution, claimed bound,
+formula), or for one halving round the solution and the branch taken.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     IncompatibleDimension,
@@ -30,18 +34,27 @@ from .oracles import BoundedNbpOracle, MinkowskiOracle, SvpInfOracle
 from .rationals import common_denominator_ints, frac
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReductionResult:
     """A verified solution together with its exact tracked bound."""
 
     solution: NbpSolution
     claimed_bound: Fraction
     formula: str
-    details: dict = field(default_factory=dict)
 
     @property
     def bound_satisfied(self) -> bool:
         return self.solution.error <= self.claimed_bound
+
+
+def minkowski_bound(n: int, k: int, rho: Fraction) -> Fraction:
+    """rho n (rho/(k+1))^(n-1): the Minkowski route's bound at dimension n."""
+    return rho * n * Fraction(rho, k + 1) ** (n - 1)
+
+
+def svp_bound(n: int, k: int, rho: Fraction) -> Fraction:
+    """2 n k rho (rho/k)^n: the SVP route's bound at dimension n."""
+    return 2 * n * k * rho * Fraction(rho, k) ** n
 
 
 def balancing_body(inst: NbpInstance, k: int, rho) -> CubeSlabBody:
@@ -63,20 +76,14 @@ def nbp_via_minkowski(inst: NbpInstance, k: int, oracle: MinkowskiOracle) -> Red
     """Balance via one Minkowski oracle call on the cube-slab body.
 
     The returned point lies in the rho-dilated body (verified), hence
-    |x|_inf <= k and |<a,x>| <= rho * n (rho/(k+1))^(n-1); at rho = 1 this is
-    the plain n (1/(k+1))^(n-1) bound.
+    |x|_inf <= k and |<a,x>| <= minkowski_bound(n, k, rho); at rho = 1 this
+    is the plain n (1/(k+1))^(n-1) bound.
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
-    body = balancing_body(inst, k, oracle.rho)
-    x = oracle.find(body)
-    bound = oracle.rho * body.slab_bound
-    solution = verify(inst, x, k)
+    x = oracle.find(balancing_body(inst, k, oracle.rho))
     return ReductionResult(
-        solution,
-        bound,
-        "minkowski-to-nbp",
-        details={"rho": oracle.rho, "delta": body.slab_bound, "k": k},
+        verify(inst, x, k), minkowski_bound(inst.n, k, oracle.rho), "minkowski-to-nbp"
     )
 
 
@@ -97,24 +104,18 @@ def svp_embedding_basis(inst: NbpInstance, k: int, rho) -> LatticeBasis:
 def nbp_via_svp(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> ReductionResult:
     """Balance via one max-norm SVP oracle call on the det-1 embedding.
 
-    When rho (rho/k)^n >= 1/2 the claimed bound 2nk rho (rho/k)^n is >= 1 and
-    x = e_1 already satisfies it; otherwise the oracle's short vector has a
-    zero last coordinate, and its first n lattice coefficients balance a.
+    When rho (rho/k)^n >= 1/2 the claimed bound svp_bound(n, k, rho) =
+    2nk rho (rho/k)^n is >= 1 and x = e_1 already satisfies it, without an
+    oracle call; otherwise the oracle's short vector has a zero last
+    coordinate, and its first n lattice coefficients balance a.
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
     rho = oracle.rho
     n = inst.n
-    bound = 2 * n * k * rho * (rho / k) ** n
-    trivial = rho * (rho / k) ** n >= Fraction(1, 2)
-    if trivial:
-        x = (1,) + (0,) * (n - 1)
-        return ReductionResult(
-            verify(inst, x, k),
-            bound,
-            "svp-to-nbp",
-            details={"rho": rho, "k": k, "branch": "trivial"},
-        )
+    bound = svp_bound(n, k, rho)
+    if rho * (rho / k) ** n >= Fraction(1, 2):
+        return ReductionResult(verify(inst, (1,) + (0,) * (n - 1), k), bound, "svp-to-nbp")
     basis = svp_embedding_basis(inst, k, rho)
     if basis.det != 1:
         raise InternalContradiction("the SVP embedding basis does not have determinant 1")
@@ -131,37 +132,24 @@ def nbp_via_svp(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> ReductionRes
         raise InternalContradiction(
             f"recovered error {solution.error} exceeds the proven bound {bound}"
         )
-    return ReductionResult(
-        solution,
-        bound,
-        "svp-to-nbp",
-        details={"rho": rho, "k": k, "branch": "embedding"},
-    )
+    return ReductionResult(solution, bound, "svp-to-nbp")
 
 
-def represent_small_coeffs(
-    alphas: Sequence[Fraction],
-    r: int,
-    j: int,
-    slack: Optional[Fraction] = None,
-) -> list[int]:
+def represent_small_coeffs(alphas: Sequence, r: int, j: int) -> list[int]:
     """Coefficients lambda_i with |lambda_i| <= max(r-1, k-r) representing j*beta.
 
     beta = alpha_r + ... + alpha_k.  For |j| < r the representation
     j*beta = sum_{i>=r} j alpha_i is exact; for |j| >= r the identity
     r*beta = sum_{i<r} (-i) alpha_i + sum_{i>=r} (r-i) alpha_i + S with
-    S = sum_i i*alpha_i leaves residual exactly |S| (<= slack when given).
-    Negative j by symmetry.
+    S = sum_i i*alpha_i leaves residual exactly |S|.  Negative j by
+    symmetry.  Only k = len(alphas) is read: the coefficients do not depend
+    on the alphas' values.
     """
     k = len(alphas)
     if not 0 < r < k:
         raise ParameterOutOfRange(f"need 0 < r < k, got r={r}, k={k}")
     if abs(j) > k:
         raise ParameterOutOfRange(f"need |j| <= k, got j={j}")
-    if slack is not None:
-        s = sum((Fraction(i + 1) * alphas[i] for i in range(k)), Fraction(0))
-        if abs(s) > slack:
-            raise ParameterOutOfRange(f"|sum i*alpha_i| = {abs(s)} exceeds slack {slack}")
     sign = -1 if j < 0 else 1
     jj = abs(j)
     if jj < r:
@@ -171,9 +159,9 @@ def represent_small_coeffs(
     return [sign * v for v in lam]
 
 
-@dataclass
+@dataclass(frozen=True)
 class HalveOutcome:
-    result: ReductionResult
+    solution: NbpSolution
     branch: str  # "small-coefficients" | "small-block-value" | "recombined"
 
 
@@ -186,7 +174,10 @@ def halve_coefficients(
     the oracle, and either exits early (a block already has small
     coefficients, or a block value b_l is itself tiny) or balances the block
     values and recombines through the small-coefficient representation.
-    The exact tracked bound is 2 sqrt(n) g(sqrt(n)) for all branches.
+    The exact tracked bound is 2 sqrt(n) g(sqrt(n)) for all branches; the
+    recombined branch re-checks it, and the early exits meet it by the
+    oracle's own guarantee on one block.  Returns the verified solution and
+    the branch taken.
     """
     if not 0 < r < k:
         raise ParameterOutOfRange(f"need 0 < r < k, got r={r}, k={k}")
@@ -200,10 +191,8 @@ def halve_coefficients(
     g_m = oracle.guarantee(m)
     bound = 2 * m * g_m
 
-    def outcome(branch: str, x: Sequence[int], **details) -> HalveOutcome:
-        solution = verify(inst, x, out_k)
-        details = {"k": k, "r": r, **details}
-        return HalveOutcome(ReductionResult(solution, bound, "halve-coefficients", details), branch)
+    def outcome(branch: str, x: Sequence[int]) -> HalveOutcome:
+        return HalveOutcome(verify(inst, x, out_k), branch)
 
     block_vectors: list[tuple[int, ...]] = []
     for block in range(m):
@@ -212,7 +201,7 @@ def halve_coefficients(
         x_sub = oracle.solve(sub)
         x_full = (0,) * lo + x_sub + (0,) * (n - lo - m)
         if max(abs(v) for v in x_sub) <= r - 1:
-            return outcome("small-coefficients", x_full, block=block)
+            return outcome("small-coefficients", x_full)
         block_vectors.append(x_sub)
 
     # x_l = sum_i i * x_{l,i} with disjoint {-1,0,1} layers x_{l,i} = the signs
@@ -226,15 +215,14 @@ def halve_coefficients(
         sums.append(layer_sums)
     # b_l = alpha_{l,r} + ... + alpha_{l,k}, the value of the layers of magnitude >= r
     b_ints = [sum(layer_sums[r - 1 :]) for layer_sums in sums]
-    b_values = [Fraction(b, inst.den) for b in b_ints]
 
-    for block, b in enumerate(b_values):
-        if abs(b) <= g_m:
+    for block, b in enumerate(b_ints):
+        if abs(Fraction(b, inst.den)) <= g_m:
             combined = [0] * n
             for i, v in enumerate(block_vectors[block], block * m):
                 if abs(v) >= r:
                     combined[i] = 1 if v > 0 else -1
-            return outcome("small-block-value", combined, block=block)
+            return outcome("small-block-value", combined)
 
     # balance the block values; they satisfy |b_l| <= m, so scale into [-1,1]
     b_inst = NbpInstance.from_ints(b_ints, inst.den * m)
@@ -251,8 +239,8 @@ def halve_coefficients(
         raise InternalContradiction(
             "recombined vector vanished although all block values were large"
         )
-    recombined = outcome("recombined", x, block_errors=b_values)
-    error = recombined.result.solution.error
+    recombined = outcome("recombined", x)
+    error = recombined.solution.error
     if error > bound:
         raise InternalContradiction(f"recombined error {error} exceeds tracked bound {bound}")
     return recombined
@@ -283,98 +271,54 @@ def composed_guarantee(base: Callable[[int], Fraction], rounds: int) -> Callable
     return g
 
 
-def full_self_reduction(
-    inst: NbpInstance,
-    k: int,
-    oracle: BoundedNbpOracle,
-    r_schedule: Optional[Sequence[int]] = None,
-) -> ReductionResult:
+def full_self_reduction(inst: NbpInstance, k: int, oracle: BoundedNbpOracle) -> ReductionResult:
     """Iterate the halving rounds until coefficients lie in {-1, 0, 1}.
 
-    The default schedule takes r = ceil(k_i/2) each round; an explicit
-    r_schedule may spread the descent over more rounds (each must satisfy
-    0 < r_i < k_i and the last round must land on coefficient bound 1),
-    which keeps the innermost oracle dimension small.  Requires
-    n^(2^-i) integral for every round i.  Every intermediate oracle reply is
-    re-verified against its own tracked guarantee, and the result carries the
-    exact composed bound; the paper's closed form 2^(-n^(1/(3k))) is reported
-    (not asserted) when its k <= log n / (6 log log n) precondition holds.
+    The rounds follow default_halving_schedule(k), r = ceil(k_i/2) each
+    round.  Requires n^(2^-i) integral for every round i, which the composed
+    bound checks before any oracle call.  Every intermediate oracle reply is
+    re-verified against its own tracked guarantee, and the result claims the
+    exact composed bound.  The outermost round calls halve_coefficients
+    directly; the inner rounds are bounded oracles wrapped around it.
     """
     if k < 1:
         raise ParameterOutOfRange("k must be >= 1")
-    schedule = list(r_schedule) if r_schedule is not None else default_halving_schedule(k)
-    cur = k
+    schedule = default_halving_schedule(k)
+    bound = composed_guarantee(oracle.guarantee, len(schedule))(inst.n)
+    if not schedule:
+        return ReductionResult(verify(inst, oracle.solve(inst), 1), bound, "full-self-reduction")
+
     ks = [k]
     for r in schedule:
-        if not 0 < r < cur:
-            raise ParameterOutOfRange(f"round r={r} invalid for coefficient bound {cur}")
-        cur = max(r - 1, cur - r)
-        ks.append(cur)
-    if cur != 1:
-        raise ParameterOutOfRange(f"schedule ends at coefficient bound {cur}, not 1")
-
-    dims = [inst.n]
-    for _ in schedule:
-        m = isqrt(dims[-1])
-        if m * m != dims[-1]:
-            raise IncompatibleDimension(
-                f"dimension {dims[-1]} is not a perfect square for the requested rounds"
-            )
-        dims.append(m)
-
-    closed_form = None
-    if k >= 1 and inst.n > 2:
-        log_n = math.log2(inst.n)
-        if log_n > 1 and math.log2(log_n) > 0 and k <= log_n / (6 * math.log2(log_n)):
-            closed_form = f"2^(-n^(1/{3 * k}))"
-
-    details = {
-        "rounds": [
-            {"k": ks[i], "r": schedule[i], "inner_dim": dims[i + 1]}
-            for i in range(len(schedule))
-        ],
-        "paper_closed_form": closed_form,
-    }
-
-    if not schedule:
-        x = oracle.solve(inst)
-        return ReductionResult(
-            verify(inst, x, 1), oracle.guarantee(inst.n), "full-self-reduction", details
-        )
-
+        ks.append(max(r - 1, ks[-1] - r))
     level = oracle
     for i, r in enumerate(schedule[:-1]):
-        k_i, cap = ks[i], ks[i + 1]
         inner = level
 
-        def solver(sub: NbpInstance, _k=k_i, _r=r, _inner=inner) -> tuple[int, ...]:
-            return halve_coefficients(sub, _k, _r, _inner).result.solution.x
+        def solver(sub: NbpInstance, _k=ks[i], _r=r, _inner=inner) -> tuple[int, ...]:
+            return halve_coefficients(sub, _k, _r, _inner).solution.x
 
         level = BoundedNbpOracle(
-            k=cap,
+            k=ks[i + 1],
             guarantee=composed_guarantee(oracle.guarantee, i + 1),
             solver=solver,
             name=f"halved({oracle.name}, round {i + 1})",
         )
 
     outcome = halve_coefficients(inst, ks[-2], schedule[-1], level)
-    result = outcome.result
-    result.formula = "full-self-reduction"
-    result.details.update(details)
-    result.claimed_bound = composed_guarantee(oracle.guarantee, len(schedule))(inst.n)
-    return result
+    return ReductionResult(outcome.solution, bound, "full-self-reduction")
 
 
 def minkowski_bounded_oracle(k: int, oracle: MinkowskiOracle) -> BoundedNbpOracle:
-    """Bounded balancing oracle realized by cube-slab Minkowski calls."""
+    """Bounded balancing oracle realized by cube-slab Minkowski calls.
+
+    It guarantees minkowski_bound(d, k, rho), the bound nbp_via_minkowski
+    claims at dimension d.
+    """
     rho = oracle.rho
-
-    def guarantee(d: int) -> Fraction:
-        return rho * d * (rho / Fraction(k + 1)) ** (d - 1)
-
     return BoundedNbpOracle(
         k=k,
-        guarantee=guarantee,
+        guarantee=lambda d: minkowski_bound(d, k, rho),
         solver=lambda sub: nbp_via_minkowski(sub, k, oracle).solution.x,
         name=f"minkowski-bounded(k={k}, rho={rho})",
     )
@@ -387,16 +331,12 @@ def svp_bounded_oracle(
 
     ``oracle_family(dim)`` supplies the oracle for lattice dimension ``dim``
     (= instance dimension + 1), since approximate oracles claim a
-    dimension-dependent rho.
+    dimension-dependent rho.  It guarantees svp_bound(d, k, rho), the bound
+    nbp_via_svp claims at dimension d with that oracle's rho.
     """
-
-    def guarantee(d: int) -> Fraction:
-        rho = oracle_family(d + 1).rho
-        return 2 * d * k * rho * (rho / k) ** d
-
     return BoundedNbpOracle(
         k=k,
-        guarantee=guarantee,
+        guarantee=lambda d: svp_bound(d, k, oracle_family(d + 1).rho),
         solver=lambda sub: nbp_via_svp(sub, k, oracle_family(sub.n + 1)).solution.x,
         name=f"svp-bounded(k={k})",
     )
@@ -407,7 +347,8 @@ def _fallback_threshold(n: int) -> float:
 
     The raw expression is < 1 for every desk-scale n, which would send even a
     rho = 1 exact oracle to the Karmarkar-Karp fallback; the floor keeps the
-    reduction path live whenever rho < 2.
+    reduction path live whenever rho < 2.  The raw expression passes 2 only
+    once log n > 96 log log n, so the cutoff is 2 at every n a machine holds.
     """
     if n <= 4:
         return 2.0
@@ -425,19 +366,14 @@ def nbp_full_pipeline(
     ``bounded(k)`` is the balancing oracle with coefficients in {-k..k} that
     a rho-approximate Minkowski or max-norm SVP oracle realizes
     (minkowski_bounded_oracle, svp_bounded_oracle); the self-reduction runs
-    it at k = max(1, ceil(3 rho)).  At large rho Karmarkar-Karp answers
-    instead, with the trivial bound 1.
+    it at k = max(1, ceil(3 rho)).  At rho >= _fallback_threshold(n)
+    Karmarkar-Karp answers instead, with the trivial bound 1; the exact
+    oracles have rho = 1, while the LLL oracle's rho = 2^ceil(n/4) is >= 2
+    at every n, so ``--oracle lll --full`` always takes the fallback.  rho is
+    compared with the cutoff exactly (a Fraction against a float compares
+    their exact values), so a rho past the float range takes it too.
     """
-    if float(rho) >= _fallback_threshold(inst.n):
-        sol = karmarkar_karp(inst)
-        return ReductionResult(
-            sol,
-            Fraction(1),
-            "karmarkar-karp-fallback",
-            details={"rho": rho, "reason": "rho above threshold"},
-        )
+    if rho >= _fallback_threshold(inst.n):
+        return ReductionResult(karmarkar_karp(inst), Fraction(1), "karmarkar-karp-fallback")
     k = max(1, math.ceil(3 * rho))
-    result = full_self_reduction(inst, k, bounded(k))
-    result.details["k"] = k
-    result.details["rho"] = rho
-    return result
+    return full_self_reduction(inst, k, bounded(k))

@@ -11,13 +11,14 @@ from fractions import Fraction
 from balancelat.geometry import CubeSlabBody
 from balancelat.linalg import RVector
 from balancelat.nbp import NbpInstance
+from linalg_helpers import entries
 
 
 def slab_member(body, x):
     """x lies in the open box (-r, r)^n and |<a, x>| <= the slab bound, in Fractions."""
     x = RVector(x)
     return (all(abs(e) < body.box_radius for e in x)
-            and abs(body.inst.a.dot(x)) <= body.slab_bound)
+            and abs(entries(body.inst).dot(x)) <= body.slab_bound)
 
 
 def open_cube(n, radius):

@@ -2,8 +2,9 @@
 
 The library evaluates points, forms and transforms on integer tuples and
 integer rows; the Fraction vector arithmetic below is what the tests still
-check against.  ``discretized`` rebuilds the truncated, scaled vectors a~_i
-of a ``MultiBalanceResult`` from its integer multiples.
+check against.  ``entries`` reads an instance's integers over their
+denominator back as Fractions, and ``discretized`` builds the truncated,
+scaled vectors a~_i of multi-vector balancing from its inputs.
 """
 
 from fractions import Fraction
@@ -39,9 +40,26 @@ def scale_matrix(m: RMatrix, c) -> RMatrix:
     return RMatrix([[Fraction(c) * e for e in r] for r in m.rows])
 
 
-def discretized_vectors(result) -> list[RVector]:
-    """The truncated, scaled vectors a~_i = scales[i] * multiples[i]."""
-    return [RVector(s * e for e in m) for m, s in zip(result.multiples, result.scales)]
+def entries(inst) -> RVector:
+    """The entries ints[i] / den of an NbpInstance as exact Fractions."""
+    return RVector(Fraction(p, inst.den) for p in inst.ints)
+
+
+def _truncate(value: Fraction, grid: Fraction) -> Fraction:
+    """value rounded toward zero to a multiple of grid."""
+    q = abs(value) / grid
+    out = (q.numerator // q.denominator) * grid
+    return -out if value < 0 else out
+
+
+def discretized(vectors, deltas) -> list[RVector]:
+    """a~_i = prod_{j<i} delta_j * a_i truncated to the grid 2 n delta_i."""
+    n = vectors[0].dim
+    out, prefix = [], Fraction(1)
+    for v, d in zip(vectors, deltas):
+        out.append(RVector([prefix * _truncate(e, 2 * n * d) for e in v]))
+        prefix *= d
+    return out
 
 
 def integer_points(rng, n: int, count: int):

@@ -25,6 +25,7 @@ from balancelat.serialize import (
     instance_from_doc,
     instance_to_doc,
 )
+from linalg_helpers import entries
 
 
 @pytest.fixture
@@ -72,12 +73,12 @@ class TestGenerators:
         a = gen_nbp(6, 9, 30)
         b = gen_nbp(6, 9, 30)
         assert a == b
-        assert all(0 <= e <= 1 for e in a.a)
+        assert all(0 <= e <= 1 for e in entries(a))
 
     def test_nbp_signed(self):
         inst = gen_nbp(8, 3, 30, signed=True)
-        assert all(-1 <= e <= 1 for e in inst.a)
-        assert any(e < 0 for e in inst.a)
+        assert all(-1 <= e <= 1 for e in entries(inst))
+        assert any(e < 0 for e in entries(inst))
 
     def test_basis_full_rank(self):
         basis = gen_basis(4, 2)

@@ -36,6 +36,7 @@ from balancelat.geometry import CubeSlabBody
 from balancelat.linalg import RVector
 from balancelat.rationals import common_denominator_ints
 from body_helpers import slab_member
+from linalg_helpers import entries
 
 
 def dyadic_instance(rng, n, bits=30, signed=True):
@@ -148,7 +149,7 @@ def reference_pigeonhole(inst, N=None):
 
 def reference_kk(inst):
     heap = []
-    for i, ai in enumerate(inst.a):
+    for i, ai in enumerate(entries(inst)):
         vec = [0] * inst.n
         vec[i] = 1 if ai >= 0 else -1
         heapq.heappush(heap, (-abs(ai), i, abs(ai), vec))
@@ -223,7 +224,7 @@ class TestIntegerForm:
         rng = random.Random(61)
         for _ in range(200):
             inst = mixed_instance(rng, rng.randint(1, 12))
-            ints, den = common_denominator_ints(inst.a)
+            ints, den = common_denominator_ints(entries(inst))
             assert inst.ints == tuple(ints) and inst.den == den
 
     def test_restrict_equals_from_values(self):
@@ -232,8 +233,8 @@ class TestIntegerForm:
             inst = mixed_instance(rng, rng.randint(1, 12))
             idx = [rng.randrange(inst.n) for _ in range(rng.randint(1, inst.n))]
             sub = inst.restrict(idx)
-            ref = NbpInstance.from_values([inst.a[i] for i in idx])
-            assert (sub.n, sub.a, sub.ints, sub.den) == (ref.n, ref.a, ref.ints, ref.den)
+            ref = NbpInstance.from_values([entries(inst)[i] for i in idx])
+            assert (sub.n, entries(sub), sub.ints, sub.den) == (ref.n, entries(ref), ref.ints, ref.den)
 
     def test_restrict_reduces_by_the_gcd(self):
         inst = NbpInstance.from_values([Fraction(1, 3), Fraction(1, 4), Fraction(-1, 2)])
@@ -249,7 +250,7 @@ class TestIntegerForm:
             ints = [rng.randint(-den, den) for _ in range(rng.randint(1, 8))]
             got = NbpInstance.from_ints(ints, den)
             ref = NbpInstance.from_values([Fraction(p, den) for p in ints])
-            assert (got.n, got.a, got.ints, got.den) == (ref.n, ref.a, ref.ints, ref.den)
+            assert (got.n, entries(got), got.ints, got.den) == (ref.n, entries(ref), ref.ints, ref.den)
 
     def test_inner_products_equal_the_fraction_sum(self):
         rng = random.Random(64)
@@ -258,7 +259,7 @@ class TestIntegerForm:
             k = rng.randint(1, 5)
             x = [rng.randint(-k, k) for _ in range(inst.n)]
             x[rng.randrange(inst.n)] = k  # nonzero
-            textbook = sum((ai * xi for ai, xi in zip(inst.a, x)), Fraction(0))
+            textbook = sum((ai * xi for ai, xi in zip(entries(inst), x)), Fraction(0))
             assert instance_inner(inst, x) == textbook
             assert verify(inst, x, k).error == abs(textbook)
 
@@ -311,14 +312,14 @@ class TestIntegerForm:
                 wide.restrict(range(len(ints))),
             )
             assert len(set(forms)) == 1 and len({hash(f) for f in forms}) == 1
-            assert NbpInstance.from_values(forms[0].a) == forms[0]
+            assert NbpInstance.from_values(entries(forms[0])) == forms[0]
 
     def test_slab_member_equals_the_fraction_test(self):
         rng = random.Random(66)
         for i in range(300):
             inst = mixed_instance(rng, rng.randint(1, 6))
             x = [rng.randint(-4, 4) for _ in range(inst.n)]
-            inner = abs(inst.a.dot(RVector(x)))
+            inner = abs(entries(inst).dot(RVector(x)))
             # on the slab's edge, just inside it, and anywhere
             bound = (inner, inner + Fraction(1, 10**9), Fraction(rng.randint(0, 20), 7))[i % 3]
             body = CubeSlabBody(inst, bound, rng.choice((3, Fraction(5, 2))))
@@ -439,7 +440,7 @@ class TestPigeonhole:
         assert sol.error <= Fraction(8, 15)
         # independent check: recompute all 16 candidate sums and their best gap
         sums = sorted(
-            sum((inst.a[j] for j in range(4) if (t >> j) & 1), Fraction(0))
+            sum((entries(inst)[j] for j in range(4) if (t >> j) & 1), Fraction(0))
             for t in range(16)
         )
         min_gap = min(b - a for a, b in zip(sums, sums[1:]))

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from balancelat.reduce_to_minkowski import (
     minkowski_from_nbp,
     multi_vector_balance,
 )
-from linalg_helpers import add, discretized_vectors
+from linalg_helpers import add, discretized, entries
 from oracle_helpers import adversarial_delta_oracle, claimed_delta_oracle
 
 
@@ -48,32 +49,21 @@ def paper_oracle():
 # entry on Fractions.
 
 
-def _reference_truncate(value, grid):
-    q = abs(value) / grid
-    out = (q.numerator // q.denominator) * grid
-    return -out if value < 0 else out
-
-
 def reference_multi_vector_balance(vectors, deltas, oracle):
     n = vectors[0].dim
-    discretized, prefix = [], Fraction(1)
-    for v, d in zip(vectors, deltas):
-        grid = 2 * n * d
-        discretized.append(RVector([prefix * _reference_truncate(e, grid) for e in v]))
-        prefix *= d
-    c = discretized[0]
-    for d in discretized[1:]:
+    truncated = discretized(vectors, deltas)
+    c = truncated[0]
+    for d in truncated[1:]:
         c = add(c, d)
     x = oracle.solve(NbpInstance.from_values([e / 2 for e in c]))
     xv = RVector(x)
-    for d in discretized:
+    for d in truncated:
         if d.dot(xv) != 0:
             raise InternalContradiction("divisibility invariant failed")
-    bounds = [2 * n * n * d for d in deltas]
-    for v, bound in zip(vectors, bounds):
-        if abs(v.dot(xv)) > bound:
+    for v, d in zip(vectors, deltas):
+        if abs(v.dot(xv)) > 2 * n * n * d:
             raise InternalContradiction("final bound failed")
-    return x, bounds, discretized
+    return x
 
 
 def reference_extended_range_balance(vectors, deltas, Q, oracle):
@@ -81,15 +71,15 @@ def reference_extended_range_balance(vectors, deltas, Q, oracle):
     n = vectors[0].dim
     inflated = [RVector([v[j] / 2**level for j in range(n) for level in range(1, levels + 1)])
                 for v in vectors]
-    y, _, discretized = reference_multi_vector_balance(inflated, deltas, oracle)
+    y = reference_multi_vector_balance(inflated, deltas, oracle)
     x = tuple(sum((Q >> level) * y[j * levels + level - 1] for level in range(1, levels + 1))
               for j in range(n))
-    bounds = []
     for v, b, d in zip(vectors, inflated, deltas):
         if v.dot(RVector(x)) != Q * b.dot(RVector(y)):
             raise InternalContradiction("recombination identity failed")
-        bounds.append(d * Q * 2 * (n * levels) ** 2)
-    return x, y, bounds, discretized
+        if abs(v.dot(RVector(x))) > d * Q * 2 * (n * levels) ** 2:
+            raise InternalContradiction("range-extended bound failed")
+    return x, y, inflated
 
 
 def multi_cases():
@@ -126,36 +116,43 @@ def range_cases():
                     yield [rand_unit_vector(rng, n) for _ in range(k)], [root] * k, Q
 
 
+def kept_balances(monkeypatch):
+    """Record (vectors, deltas, x) of every multi_vector_balance call the
+    reductions make, as (Fraction vectors, deltas, sign vector)."""
+    kept = []
+    balance = multi_vector_balance
+
+    def kept_balance(vectors, deltas, oracle):
+        x = balance(vectors, deltas, oracle)
+        kept.append(([entries(v) for v in vectors], deltas, x))
+        return x
+
+    monkeypatch.setattr(reduce_to_minkowski, "multi_vector_balance", kept_balance)
+    return kept
+
+
 class TestIntegerLayersMatchReference:
     def test_multi_vector_balance(self):
         nonzero = 0
         for vectors, deltas in multi_cases():
             oracle = mitm_delta_oracle()
-            result = multi_vector_balance(instances(vectors), deltas, oracle)
-            x, bounds, discretized = reference_multi_vector_balance(vectors, deltas, oracle)
-            assert (result.x, result.bounds, discretized_vectors(result)) == (x, bounds, discretized)
-            nonzero += any(v != 0 for v in discretized[0])
+            x = multi_vector_balance(instances(vectors), deltas, oracle)
+            assert x == reference_multi_vector_balance(vectors, deltas, oracle)
+            nonzero += any(v != 0 for v in discretized(vectors, deltas)[0])
         assert nonzero >= 12
 
     def test_extended_range_balance(self, monkeypatch):
-        inner = []
-        balance = multi_vector_balance
-
-        def kept_balance(*args):
-            inner.append(balance(*args))
-            return inner[-1]
-
-        monkeypatch.setattr(reduce_to_minkowski, "multi_vector_balance", kept_balance)
+        kept = kept_balances(monkeypatch)
         nonzero_at_4096 = 0
         for vectors, deltas, Q in range_cases():
             oracle = mitm_delta_oracle()
-            inner.clear()
-            result = extended_range_balance(instances(vectors), deltas, Q, oracle)
-            x, y, bounds, discretized = reference_extended_range_balance(vectors, deltas, Q, oracle)
-            assert (result.x, result.y, result.bounds) == (x, y, bounds)
-            assert discretized_vectors(inner[0]) == discretized
+            kept.clear()
+            x = extended_range_balance(instances(vectors), deltas, Q, oracle)
+            ref_x, ref_y, inflated = reference_extended_range_balance(vectors, deltas, Q, oracle)
+            [(inner_vectors, inner_deltas, y)] = kept
+            assert (x, y, inner_vectors, inner_deltas) == (ref_x, ref_y, inflated, deltas)
             if Q == 4096:
-                nonzero_at_4096 += any(v != 0 for d in discretized for v in d)
+                nonzero_at_4096 += any(v != 0 for d in discretized(inflated, deltas) for v in d)
         assert nonzero_at_4096 >= 4
 
 
@@ -166,31 +163,30 @@ class TestMultiVectorBalance:
         a = rand_unit_vector(rng, n)
         oracle = mitm_delta_oracle()
         delta = oracle.delta(n)
-        result = multi_vector_balance(instances([a]), [delta], oracle)
-        assert any(result.x)
-        assert max(abs(v) for v in result.x) <= 1
-        assert abs(a.dot(RVector(result.x))) <= 2 * n * n * delta
+        x = multi_vector_balance(instances([a]), [delta], oracle)
+        assert any(x)
+        assert max(abs(v) for v in x) <= 1
+        assert abs(a.dot(RVector(x))) <= 2 * n * n * delta
 
     def test_two_vectors_n9(self):
         rng = random.Random(62)
         n = 9
         vectors = [rand_unit_vector(rng, n) for _ in range(2)]
         deltas = [Fraction(1, 4), Fraction(1, 2)]
-        result = multi_vector_balance(instances(vectors), deltas, mitm_delta_oracle())
-        for v, d, bound in zip(vectors, deltas, result.bounds):
-            assert bound == 2 * n * n * d
-            assert abs(v.dot(RVector(result.x))) <= bound
+        x = multi_vector_balance(instances(vectors), deltas, mitm_delta_oracle())
+        for v, d in zip(vectors, deltas):
+            assert abs(v.dot(RVector(x))) <= 2 * n * n * d
         # the divisibility invariant is re-verified internally; double-check
-        for disc in discretized_vectors(result):
-            assert disc.dot(RVector(result.x)) == 0
+        for disc in discretized(vectors, deltas):
+            assert disc.dot(RVector(x)) == 0
 
     def test_duplicate_entries_still_bounded(self):
         n = 9
         vals = [Fraction(1, 3)] * 2 + [Fraction(i, 11) for i in range(2, 9)]
         a = RVector(vals)
         oracle = mitm_delta_oracle()
-        result = multi_vector_balance(instances([a]), [Fraction(1, 4)], oracle)
-        assert abs(a.dot(RVector(result.x))) <= 2 * n * n * Fraction(1, 4)
+        x = multi_vector_balance(instances([a]), [Fraction(1, 4)], oracle)
+        assert abs(a.dot(RVector(x))) <= 2 * n * n * Fraction(1, 4)
 
     def test_precondition_checks(self):
         rng = random.Random(63)
@@ -205,37 +201,43 @@ class TestMultiVectorBalance:
 
 
 class TestExtendedRangeBalance:
-    def test_q2_degenerates_to_signs(self):
+    def test_q2_degenerates_to_signs(self, monkeypatch):
+        kept = kept_balances(monkeypatch)
         rng = random.Random(64)
         n = 4
         vectors = [rand_unit_vector(rng, n)]
-        result = extended_range_balance(instances(vectors), [Fraction(1, 2)], 2, paper_oracle())
-        assert result.inner_dim == n
-        assert result.x == result.y  # x_j = 2 * (y_j1 / 2)
+        x = extended_range_balance(instances(vectors), [Fraction(1, 2)], 2, paper_oracle())
+        [(inflated, _, y)] = kept
+        assert inflated == [RVector([e / 2 for e in vectors[0]])]  # one level, n entries
+        assert x == y  # x_j = 2 * (y_j1 / 2)
 
-    def test_recombination_arithmetic(self):
+    def test_recombination_arithmetic(self, monkeypatch):
+        kept = kept_balances(monkeypatch)
         rng = random.Random(65)
         n, Q = 3, 4
         vectors = [rand_unit_vector(rng, n)]
-        result = extended_range_balance(instances(vectors), [Fraction(1, 2)], Q, paper_oracle())
+        x = extended_range_balance(instances(vectors), [Fraction(1, 2)], Q, paper_oracle())
+        [(_, _, y)] = kept
         levels = 2
         for j in range(n):
             acc = sum(
-                (Q >> level) * result.y[j * levels + level - 1]
+                (Q >> level) * y[j * levels + level - 1]
                 for level in range(1, levels + 1)
             )
-            assert result.x[j] == acc
-        assert max(abs(v) for v in result.x) <= Q
+            assert x[j] == acc
+        assert max(abs(v) for v in x) <= Q
 
-    def test_q256_exact_mitm(self):
+    def test_q256_exact_mitm(self, monkeypatch):
+        kept = kept_balances(monkeypatch)
         rng = random.Random(66)
         n, Q = 2, 2**8
         vectors = [rand_unit_vector(rng, n) for _ in range(2)]
         deltas = [Fraction(1, 32), Fraction(1, 16)]
-        result = extended_range_balance(instances(vectors), deltas, Q, mitm_delta_oracle())
-        assert result.inner_dim == 16
+        x = extended_range_balance(instances(vectors), deltas, Q, mitm_delta_oracle())
+        [(inflated, _, y)] = kept
+        assert [v.dim for v in inflated] == [16, 16]  # n log Q
         for v, d in zip(vectors, deltas):
-            assert abs(v.dot(RVector(result.x))) <= d * Q * 2 * 16**2
+            assert abs(v.dot(RVector(x))) <= d * Q * 2 * 16**2
 
     def test_q_must_be_power_of_two(self):
         with pytest.raises(PreconditionFailed):
@@ -272,7 +274,7 @@ class TestChecksStillRaise:
 
     def test_recombined_range_and_bound(self, monkeypatch):
         def balanced(y):
-            return lambda vectors, deltas, oracle: SimpleNamespace(x=y)
+            return lambda vectors, deltas, oracle: y
 
         vectors, deltas = instances([[Fraction(1, 2), 0]]), [Fraction(1, 2**20)]
         monkeypatch.setattr(reduce_to_minkowski, "multi_vector_balance", balanced((5, 5, 0, 0)))
@@ -288,9 +290,8 @@ class TestChecksStillRaise:
     def test_unimodular_image_vanished(self, monkeypatch):
         # a transform that maps the balanced point to 0 is not unimodular
         def collapsed(ellipsoid):
-            result = well_round(ellipsoid)
-            result.transform = SimpleNamespace(apply=lambda y: (0,) * len(y))
-            return result
+            return replace(well_round(ellipsoid),
+                           transform=SimpleNamespace(apply=lambda y: (0,) * len(y)))
 
         monkeypatch.setattr(reduce_to_minkowski, "well_round", collapsed)
         with pytest.raises(InternalContradiction, match="unimodular image"):
@@ -304,18 +305,25 @@ class TestGeneralizedNbp:
         gi = GeneralizedInstance.create(
             [rand_unit_vector(rng, n) for _ in range(n)], [1, 1]
         )
-        result = generalized_nbp(gi, mitm_delta_oracle(), Q_override=2**8)
-        assert any(result.x)
+        oracle = mitm_delta_oracle()
+        x = generalized_nbp(gi, oracle, Q_override=2**8)
+        assert any(x)
         inner_dim = n * 8
-        for v, d, bound in zip(gi.vectors, result.deltas, result.bounds):
-            assert bound == 2 * inner_dim**2 * result.Q * d
-            assert abs(instance_inner(v, result.x)) <= bound
+        # delta_i = lambda_i R, R the 64-bit upper k-th root of f(n log Q) / prod lambda_i
+        # over the k vectors, and prod lambda_i = 1 here
+        root = nth_root_upper(oracle.delta(inner_dim), len(gi.vectors), bits=64)
+        for v, lam in zip(gi.vectors, gi.lambdas):
+            assert abs(instance_inner(v, x)) <= 2 * inner_dim**2 * 2**8 * lam * root
 
-    def test_single_vector_small_q(self):
+    def test_single_vector_small_q(self, monkeypatch):
+        kept = kept_balances(monkeypatch)
         gi = GeneralizedInstance.create([RVector([Fraction(1, 3)])], [1])
-        result = generalized_nbp(gi, paper_oracle())  # n = 1 -> Q = 16
-        assert result.Q == 16
-        assert any(result.x)
+        x = generalized_nbp(gi, paper_oracle())  # n = 1 -> Q = 16
+        [(inflated, deltas, y)] = kept
+        assert inflated[0].dim == 4  # log Q = 4 levels
+        assert deltas == [nth_root_upper(Fraction(1, 2**4), 1, bits=64)] == [Fraction(1, 16)]
+        assert any(x)
+        assert max(abs(v) for v in x) <= 16
 
     def test_weak_oracle_rejected(self):
         rng = random.Random(68)
@@ -338,7 +346,7 @@ class TestMinkowskiFromNbp:
         result = minkowski_from_nbp(e, mitm_delta_oracle())
         assert result.branch == "integer-point"
         assert result.rho_star == 1
-        assert result.rho_star_sq <= 1
+        assert e.quad(result.x) <= 1
 
     def test_pipeline_branch_n2(self):
         # axes (3/5, 4/5), (-4/5, 3/5); lengths 5/7 and 7/5 leave no integer
@@ -351,8 +359,7 @@ class TestMinkowskiFromNbp:
         assert result.branch == "pipeline"
         assert any(result.x)
         # certified membership in rho* E, exactly
-        assert result.rho_star_sq == e.quad(result.x)
-        assert result.rho_star_sq <= result.rho_star**2
+        assert e.quad(result.x) <= result.rho_star**2
 
     def test_volume_hypothesis_checked(self):
         e = Ellipsoid(LatticeBasis(RMatrix.diagonal([2, 2])))  # prod lambda = 1/4 < 1
@@ -376,22 +383,16 @@ class TestMinkowskiFromNbp:
         # on the axis form; at Q = 256 (the default at n = 2) every truncated
         # entry is 0.  At n = 3 the default Q is 4096, and the oracle's MITM
         # runs on the instance's 9 nonzero entries of 36
-        balanced = []
-        balance = multi_vector_balance
-
-        def kept_balance(*args):
-            balanced.append(balance(*args))
-            return balanced[-1]
-
-        monkeypatch.setattr(reduce_to_minkowski, "multi_vector_balance", kept_balance)
+        kept = kept_balances(monkeypatch)
         e = gen_ellipsoid(n, seed)
         result = minkowski_from_nbp(e, mitm_delta_oracle(), Q_override=Q)
         assert result.branch == "pipeline"
-        (inner,) = balanced
-        assert any(v != 0 for disc in discretized_vectors(inner) for v in disc)
-        for disc in discretized_vectors(inner):
-            assert disc.dot(RVector(inner.x)) == 0
-        assert e.quad(result.x) == result.rho_star_sq <= result.rho_star**2
+        [(inflated, deltas, y)] = kept
+        truncated = discretized(inflated, deltas)
+        assert any(v != 0 for disc in truncated for v in disc)
+        for disc in truncated:
+            assert disc.dot(RVector(y)) == 0
+        assert e.quad(result.x) <= result.rho_star**2
         assert (result.x, result.rho_star) == (x, rho_star)
 
     def test_axis_form_reuses_the_lll_certificate(self, monkeypatch):

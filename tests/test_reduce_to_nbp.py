@@ -32,6 +32,7 @@ from balancelat.reduce_to_nbp import (
     default_halving_schedule,
     full_self_reduction,
     halve_coefficients,
+    minkowski_bound,
     minkowski_bounded_oracle,
     nbp_full_pipeline,
     nbp_via_minkowski,
@@ -41,6 +42,7 @@ from balancelat.reduce_to_nbp import (
     svp_embedding_basis,
 )
 from body_helpers import slab_member
+from linalg_helpers import entries
 from oracle_helpers import mitm_bounded_oracle
 
 
@@ -175,12 +177,18 @@ class TestNbpViaSvp:
             nbp_via_svp(inst, 3, oracle)
 
     def test_trivial_branch_threshold(self):
+        # rho (rho/k)^n = 2 >= 1/2 at k = 2, n = 1: e_1 answers, and the
+        # oracle's solver is never called
         inst = NbpInstance.from_values([Fraction(1, 3)])
         oracle = exact_svp_oracle()
-        oracle.rho = Fraction(2)  # rho (rho/k)^n = 2 >= 1/2 at k = 2, n = 1
+        oracle.rho = Fraction(2)
+        calls = []
+        solve = oracle.solver
+        oracle.solver = lambda basis: calls.append(basis) or solve(basis)
         result = nbp_via_svp(inst, 2, oracle)
-        assert result.details["branch"] == "trivial"
+        assert calls == []
         assert result.solution.x == (1,)
+        assert result.claimed_bound == 8  # 2 n k rho (rho/k)^n
 
     def test_formula_evaluation(self):
         # 2 n k rho (rho/k)^n at n=9, k=3, rho=1
@@ -220,22 +228,20 @@ class TestRepresentSmallCoeffs:
             j = rng.randint(-k, k)
             alphas = [Fraction(rng.randint(-40, 40), 8) for _ in range(k)]
             s = sum(Fraction(i + 1) * alphas[i] for i in range(k))
-            lam = represent_small_coeffs(alphas, r, j, slack=abs(s))
+            lam = represent_small_coeffs(alphas, r, j)
             beta = sum(alphas[r - 1 :], Fraction(0))
             residual = abs(j * beta - sum(l * a for l, a in zip(lam, alphas)))
             assert max(abs(v) for v in lam) <= max(r - 1, k - r)
             if abs(j) < r:
                 assert residual == 0
             else:
-                assert residual == abs(s)  # exactly one use of the relation
+                assert residual == abs(s)  # exactly one use of the relation: |S| is the slack
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterOutOfRange):
             represent_small_coeffs([Fraction(1)] * 3, r=3, j=1)
         with pytest.raises(ParameterOutOfRange):
             represent_small_coeffs([Fraction(1)] * 3, r=1, j=4)
-        with pytest.raises(ParameterOutOfRange):
-            represent_small_coeffs([Fraction(1), Fraction(1)], r=1, j=1, slack=Fraction(1))
 
 
 class TestHalveCoefficients:
@@ -244,10 +250,10 @@ class TestHalveCoefficients:
         inst = dyadic_instance(rng, 16, bits=24)
         oracle = mitm_bounded_oracle(2)
         outcome = halve_coefficients(inst, 2, 1, oracle)
-        sol = outcome.result.solution
+        sol = outcome.solution
         assert any(sol.x)
         assert max(abs(v) for v in sol.x) <= 1
-        assert sol.error <= outcome.result.claimed_bound == 8 * oracle.guarantee(4)
+        assert sol.error <= 2 * 4 * oracle.guarantee(4)  # 2 sqrt(n) g(sqrt(n))
 
     def test_requires_perfect_square(self):
         rng = random.Random(47)
@@ -269,7 +275,7 @@ class TestHalveCoefficients:
         )
         outcome = halve_coefficients(inst, 3, 2, stub)
         assert outcome.branch == "small-coefficients"
-        assert outcome.result.solution.x == (1, 0, 0, 0)
+        assert outcome.solution.x == (1, 0, 0, 0)
 
     def test_small_block_value_early_exit(self):
         # lexicographic exact optima hug -k, so equal entries give a zero
@@ -280,7 +286,7 @@ class TestHalveCoefficients:
         oracle = mitm_bounded_oracle(3)
         outcome = halve_coefficients(inst, 3, 2, oracle)
         assert outcome.branch == "small-block-value"
-        assert max(abs(v) for v in outcome.result.solution.x) <= 1
+        assert max(abs(v) for v in outcome.solution.x) <= 1
 
 
 class TestFullSelfReduction:
@@ -306,25 +312,23 @@ class TestFullSelfReduction:
         assert max(abs(v) for v in result.solution.x) <= 1
         assert result.solution.error <= result.claimed_bound
 
-    def test_k3_two_round_schedule(self):
+    def test_k4_two_round_schedule(self):
+        # the default schedule for k = 4 is [2, 1]: the inner round takes
+        # coefficients 4 -> 2 on the blocks of 4, over the oracle on blocks of
+        # 2, and the outer round takes 2 -> 1 on n = 16
         rng = random.Random(50)
         inst = dyadic_instance(rng, 16, bits=20)
-        result = full_self_reduction(inst, 3, mitm_bounded_oracle(3), r_schedule=(1, 1))
+        oracle = mitm_bounded_oracle(4)
+        result = full_self_reduction(inst, 4, oracle)
         assert max(abs(v) for v in result.solution.x) <= 1
+        assert result.claimed_bound == 2 * 4 * (2 * 2 * oracle.guarantee(2))
         assert result.solution.error <= result.claimed_bound
-        assert [r["r"] for r in result.details["rounds"]] == [1, 1]
 
     def test_incompatible_dimension(self):
         rng = random.Random(51)
         inst = dyadic_instance(rng, 12, bits=10)
         with pytest.raises(IncompatibleDimension):
             full_self_reduction(inst, 2, mitm_bounded_oracle(2))
-
-    def test_bad_schedule(self):
-        rng = random.Random(52)
-        inst = dyadic_instance(rng, 16, bits=10)
-        with pytest.raises(ParameterOutOfRange):
-            full_self_reduction(inst, 3, mitm_bounded_oracle(3), r_schedule=(2, 1))
 
 
 class TestFullPipelines:
@@ -334,7 +338,9 @@ class TestFullPipelines:
         oracle = exact_minkowski_oracle()
         result = nbp_full_pipeline(inst, oracle.rho, lambda k: minkowski_bounded_oracle(k, oracle))
         assert result.formula == "full-self-reduction"
-        assert result.details["k"] == 3
+        # k = ceil(3 rho) = 3, one round: 2 sqrt(n) g(sqrt(n)) with g the k = 3 bound
+        assert result.claimed_bound == 2 * 4 * minkowski_bound(4, 3, Fraction(1))
+        assert result.claimed_bound == 2 * 4 * 4 * Fraction(1, 4) ** 3
         assert any(result.solution.x)
         assert max(abs(v) for v in result.solution.x) <= 1
         assert result.solution.error <= result.claimed_bound
@@ -346,6 +352,18 @@ class TestFullPipelines:
         oracle.rho = Fraction(16)
         result = nbp_full_pipeline(inst, oracle.rho, lambda k: minkowski_bounded_oracle(k, oracle))
         assert result.formula == "karmarkar-karp-fallback"
+
+    def test_rho_past_the_float_range_falls_back(self):
+        # 2^1100 has no float; the cutoff comparison is exact, so the
+        # bounded oracle is never built
+        inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
+
+        def no_oracle(k):
+            raise AssertionError("the self-reduction ran")
+
+        result = nbp_full_pipeline(inst, Fraction(2**1100), no_oracle)
+        assert result.formula == "karmarkar-karp-fallback"
+        assert (result.solution, result.claimed_bound) == (nbp.karmarkar_karp(inst), 1)
 
     def test_svp_full_exact(self):
         rng = random.Random(55)
@@ -369,10 +387,10 @@ def reference_halve(inst, k, r, oracle):
     """halve_coefficients with full-length {-1,0,1} layers and Fraction sums,
     the way the paper states it; returns (branch, x)."""
     n, m = inst.n, isqrt(inst.n)
-    inner = lambda x: sum((ai * xi for ai, xi in zip(inst.a, x)), Fraction(0))
+    inner = lambda x: sum((ai * xi for ai, xi in zip(entries(inst), x)), Fraction(0))
     blocks = []
     for lo in range(0, n, m):
-        x_sub = oracle.solve(NbpInstance.from_values(inst.a[lo : lo + m]))
+        x_sub = oracle.solve(NbpInstance.from_values(entries(inst)[lo : lo + m]))
         x_full = (0,) * lo + x_sub + (0,) * (n - lo - m)
         if max(map(abs, x_sub)) <= r - 1:
             return "small-coefficients", x_full
@@ -413,7 +431,7 @@ def test_halve_coefficients_matches_the_fraction_layers():
         oracle = mitm_bounded_oracle(k)
         outcome = halve_coefficients(inst, k, r, oracle)
         branch, x = reference_halve(inst, k, r, oracle)
-        assert (outcome.branch, outcome.result.solution.x) == (branch, x)
+        assert (outcome.branch, outcome.solution.x) == (branch, x)
         branches.add(branch)
     assert branches == {"small-coefficients", "small-block-value", "recombined"}
 
