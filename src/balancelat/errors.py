@@ -6,43 +6,16 @@ class BalanceLatError(Exception):
 
 
 class RankDeficient(BalanceLatError):
-    """A matrix that must be full rank is not."""
-
-
-class Singular(BalanceLatError):
-    """A linear system has a singular coefficient matrix."""
-
-
-class ZeroVector(BalanceLatError):
-    """A candidate solution vector is identically zero."""
-
-
-class CoefficientOutOfRange(BalanceLatError):
-    """A solution coefficient exceeds its declared bound."""
+    """A matrix that must be full rank is not, or a linear system is singular."""
 
 
 class BudgetExceeded(BalanceLatError):
     """An enumeration would visit more nodes than the configured budget."""
 
 
-class DimensionTooSmall(BalanceLatError):
-    """The instance dimension cannot host the requested construction."""
-
-
-class NotPerfectSquare(BalanceLatError):
-    """The block construction needs a perfect-square dimension."""
-
-
-class IncompatibleDimension(BalanceLatError):
-    """The dimension does not support the requested number of halving rounds."""
-
-
-class ParameterOutOfRange(BalanceLatError):
-    """A parameter violates its declared range."""
-
-
 class PreconditionFailed(BalanceLatError):
-    """A checked precondition of an operation does not hold."""
+    """A checked precondition of an operation does not hold, such as a
+    dimension too small or not a perfect square."""
 
 
 class NotFound(BalanceLatError):
@@ -58,4 +31,4 @@ class InternalContradiction(BalanceLatError):
 
 
 class InvalidParams(BalanceLatError):
-    """Malformed CLI parameters or input documents."""
+    """Malformed CLI parameters, input documents, solutions or parameters out of range."""

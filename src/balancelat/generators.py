@@ -44,10 +44,10 @@ def gen_basis(n: int, seed: int, span: int = 99) -> LatticeBasis:
             pass
 
 
-def _random_rotation(stream: SeededStream, n: int, sweeps: int = 2) -> RMatrix:
-    """Exactly orthogonal rational matrix from circle-point Givens rotations."""
+def _random_rotation(stream: SeededStream, n: int) -> RMatrix:
+    """Exactly orthogonal rational matrix from two sweeps of circle-point Givens rotations."""
     rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for _ in range(sweeps):
+    for _ in range(2):
         for p in range(n):
             for q in range(p + 1, n):
                 u = Fraction(stream.next_int(-128, 128), 256)
@@ -60,20 +60,21 @@ def _random_rotation(stream: SeededStream, n: int, sweeps: int = 2) -> RMatrix:
     return RMatrix(rows)
 
 
-def gen_ellipsoid(n: int, seed: int, length_bits: int = 8) -> Ellipsoid:
+def gen_ellipsoid(n: int, seed: int) -> Ellipsoid:
     """Random rational ellipsoid with |det A| <= 1 by construction.
 
-    Axis lengths are dyadic in [1/2, 2] except the last, which is bumped to a
-    dyadic upper bound of the reciprocal of the rest; the axes come from an
-    exactly orthogonal rational rotation, so |det A| = 1 / prod(lengths) exactly.
+    Axis lengths are multiples of 2^-9 in [1/2, 3/2) except the last, which
+    is bumped to a dyadic upper bound of the reciprocal of the rest; the axes
+    come from an exactly orthogonal rational rotation, so |det A| =
+    1 / prod(lengths) exactly.
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
     stream = SeededStream(seed)
-    scale = 1 << length_bits
+    scale = 1 << 8
     lengths = []
     for _ in range(n - 1):
-        lengths.append(Fraction(scale + stream.next_bits(length_bits + 1), 2 * scale) * 1)
+        lengths.append(Fraction(scale + stream.next_bits(9), 2 * scale))
     product = Fraction(1)
     for l in lengths:
         product *= l

@@ -112,7 +112,7 @@ class CubeSlabBody:
         return (lo if lo > -m else -m), (hi if hi < m else m)
 
 
-def minkowski_exact_oracle(body: CubeSlabBody, budget: int | None = None) -> tuple[int, ...]:
+def minkowski_exact_oracle(body: CubeSlabBody) -> tuple[int, ...]:
     """Lexicographically smallest nonzero integer point of the cube-slab body.
 
     Realizes an exact (rho = 1) Minkowski oracle by an iterative depth-first
@@ -129,12 +129,12 @@ def minkowski_exact_oracle(body: CubeSlabBody, budget: int | None = None) -> tup
     completion, the zero tail excluded after the all-zero head.  The point
     is confirmed with ``body.contains``; a refusal is InternalContradiction.
 
-    ``budget`` (default ``enumeration_budget()``) caps the nodes: expanded
-    head nodes, the root included, and tail probes, one per head leaf.
-    BudgetExceeded says where the search stood.  Raises NotFound when the
+    ``enumeration_budget()`` caps the nodes: expanded head nodes, the root
+    included, and tail probes, one per head leaf.  BudgetExceeded says where
+    the search stood.  Raises NotFound when the
     body holds no nonzero integer point (e.g. when its volume bound fails).
     """
-    limit = enumeration_budget(budget)
+    limit = enumeration_budget()
     n, m = body.dim, body.int_box_limit()
     w = body.inst.ints
     t = 0
@@ -234,8 +234,8 @@ class Ellipsoid:
             for j in range(i, n):
                 if abs(axes[i].dot(axes[j]) - int(i == j)) > tol:
                     raise InvalidParams("axes are not orthonormal within tolerance")
-        vt = RMatrix.from_columns(list(axes)).transpose()
-        return Ellipsoid(LatticeBasis(RMatrix.diagonal([1 / l for l in lengths]).matmul(vt)))
+        rows = [[e / l for e in ax] for ax, l in zip(axes, lengths)]  # row i of diag(1/lambda) V^T
+        return Ellipsoid(LatticeBasis(RMatrix(rows)))
 
 
 @dataclass(frozen=True)

@@ -213,11 +213,7 @@ def lll_min_gain(basis: LatticeBasis, cert: LllCertificate) -> Fraction:
     return Fraction(1, 2 ** (3 * n))
 
 
-def svp_exact_linf(
-    basis: LatticeBasis,
-    search_bound: Fraction | None = None,
-    budget: int | None = None,
-) -> tuple[int, ...]:
+def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction | None = None) -> tuple[int, ...]:
     """Exact shortest nonzero lattice vector in the max norm.
 
     Returns the coefficient vector y (w.r.t. the *input* basis) minimizing
@@ -259,12 +255,12 @@ def svp_exact_linf(
     ``search_bound``, when given, must be a promised attainable max norm
     (e.g. 1 for a determinant <= 1 lattice, by Minkowski's theorem); NotFound
     is raised if the promise fails, and a negative bound is refused.
-    ``budget`` caps the visited nodes, leaves included; BudgetExceeded
-    reports where the search stood.
+    ``enumeration_budget()`` caps the visited nodes, leaves included;
+    BudgetExceeded reports where the search stood.
     """
     if search_bound is not None and frac(search_bound) < 0:
         raise InvalidParams("search bound must be >= 0")
-    limit = enumeration_budget(budget)
+    limit = enumeration_budget()
     n = basis.n
     reduced, transform, cert = lll_reduce(basis)
 

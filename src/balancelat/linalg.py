@@ -19,9 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import InvalidParams, RankDeficient, Singular
+from .errors import InvalidParams, RankDeficient
 from .rationals import common_denominator_ints, frac, lcm_of
 
 
@@ -147,9 +147,6 @@ class RMatrix:
         den = self.den
         return RVector(Fraction(row[j], den) for row in self.ints)
 
-    def transpose(self) -> "RMatrix":
-        return RMatrix.from_ints(zip(*self.ints), self.den)
-
     def matvec(self, v: RVector) -> RVector:
         if v.dim != self.ncols:
             raise ValueError("dimension mismatch")
@@ -167,22 +164,6 @@ class RMatrix:
     @staticmethod
     def identity(n: int) -> "RMatrix":
         return RMatrix.from_ints([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_columns(cols: Sequence[RVector]) -> "RMatrix":
-        if not cols:
-            return RMatrix([])
-        n = cols[0].dim
-        if any(c.dim != n for c in cols):
-            raise ValueError("dimension mismatch")
-        return RMatrix([[c[i] for c in cols] for i in range(n)])
-
-    @staticmethod
-    def diagonal(values) -> "RMatrix":
-        vals, den = common_denominator_ints([frac(v) for v in values])
-        n = len(vals)
-        return RMatrix.from_ints([[v if i == j else 0 for j in range(n)] for i, v in enumerate(vals)],
-                                 den)
 
 
 def gram_schmidt(basis: RMatrix) -> tuple[list[list[int]], int, list[int], list[list[int]]]:
@@ -257,7 +238,7 @@ def determinant(m: RMatrix) -> Fraction:
 
 
 def solve_linear(m: RMatrix, v: RVector) -> RVector:
-    """Solve m * x = v exactly; raises Singular when det(m) = 0.
+    """Solve m * x = v exactly; raises RankDeficient when det(m) = 0.
 
     With m = A / den and v = w / dv, Bareiss triangularizes [A | den w];
     its last pivot D is +-det A, so every D x_i dv is an integer and back
@@ -271,7 +252,7 @@ def solve_linear(m: RMatrix, v: RVector) -> RVector:
     w, dv = common_denominator_ints(v.entries)
     a = [list(row) + [m.den * wi] for row, wi in zip(m.ints, w)]
     if _bareiss(a, n) == 0 or a[n - 1][n - 1] == 0:
-        raise Singular("coefficient matrix is singular")
+        raise RankDeficient("coefficient matrix is singular")
     D = a[n - 1][n - 1]
     x = [0] * n  # x[i] = D times the solution of A x = den w
     for i in range(n - 1, -1, -1):

@@ -25,14 +25,7 @@ from math import gcd
 from operator import mul, sub
 from typing import Iterable, Sequence
 
-from .errors import (
-    BudgetExceeded,
-    CoefficientOutOfRange,
-    DimensionTooSmall,
-    InternalContradiction,
-    InvalidParams,
-    ZeroVector,
-)
+from .errors import BudgetExceeded, InternalContradiction, InvalidParams, PreconditionFailed
 from .linalg import RVector
 from .rationals import common_denominator_ints
 
@@ -43,10 +36,8 @@ BUDGET_ENV = "BALANCELAT_BUDGET"
 TAIL_TABLE = 3**6
 
 
-def enumeration_budget(override: int | None = None) -> int:
-    """The node budget of an enumeration: the override, else $BALANCELAT_BUDGET, else 10^8."""
-    if override is not None:
-        return override
+def enumeration_budget() -> int:
+    """The node budget of an enumeration: $BALANCELAT_BUDGET, else 10^8."""
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
@@ -109,19 +100,26 @@ class NbpSolution:
 
 
 def verify(inst: NbpInstance, x: Sequence[int], k: int) -> NbpSolution:
-    """Recompute the error of x exactly and validate the solution contract."""
+    """Recompute the error of x exactly and validate the solution contract.
+
+    Every entry must be an integer in value: one with int(v) != v raises
+    InvalidParams, and is never truncated.
+    """
+    x = tuple(x)
     xs = tuple(int(v) for v in x)
+    if xs != x:
+        raise InvalidParams("solution entries must be integers")
     if len(xs) != inst.n:
         raise InvalidParams("solution dimension mismatch")
     if all(v == 0 for v in xs):
-        raise ZeroVector("solution vector is zero")
+        raise InvalidParams("solution vector is zero")
     if any(abs(v) > k for v in xs):
-        raise CoefficientOutOfRange(f"|x|_inf exceeds declared bound {k}")
+        raise InvalidParams(f"|x|_inf exceeds declared bound {k}")
     error = abs(Fraction(sum(map(mul, inst.ints, xs)), inst.den))
     return NbpSolution(xs, k, error)
 
 
-def brute_force_min(inst: NbpInstance, k: int, budget: int | None = None) -> NbpSolution:
+def brute_force_min(inst: NbpInstance, k: int) -> NbpSolution:
     """True minimum of |<a,x>| over x in {-k..k}^n \\ {0} by full enumeration.
 
     Returns the lexicographically smallest minimizer.  The search runs over
@@ -135,7 +133,7 @@ def brute_force_min(inst: NbpInstance, k: int, budget: int | None = None) -> Nbp
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
-    limit = enumeration_budget(budget)
+    limit = enumeration_budget()
     if (2 * k + 1) ** inst.n > limit:
         raise BudgetExceeded(f"(2k+1)^n = {(2 * k + 1) ** inst.n} exceeds budget {limit}")
     ints, n = inst.ints, inst.n
@@ -247,7 +245,7 @@ def _closest_pairs(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, set]:
     return best, pairs
 
 
-def mitm_min(inst: NbpInstance, k: int, budget: int | None = None) -> NbpSolution:
+def mitm_min(inst: NbpInstance, k: int) -> NbpSolution:
     """Exact minimum by meet-in-the-middle; agrees with brute_force_min.
 
     The search runs on the support S = {i : a_i != 0}.  The left half of S
@@ -267,7 +265,7 @@ def mitm_min(inst: NbpInstance, k: int, budget: int | None = None) -> NbpSolutio
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
-    limit = enumeration_budget(budget)
+    limit = enumeration_budget()
     support = [i for i, a in enumerate(inst.ints) if a]
     nl = (len(support) + 1) // 2
     if (2 * k + 1) ** nl > limit:
@@ -334,7 +332,7 @@ def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
         raise BudgetExceeded(f"N + 1 = {N + 1} pigeons exceeds budget {limit}")
     m = N.bit_length()  # = ceil(log2(N+1)) for N >= 1
     if m > inst.n:
-        raise DimensionTooSmall(f"need {m} coordinates, instance has {inst.n}")
+        raise PreconditionFailed(f"need {m} coordinates, instance has {inst.n}")
     ints = inst.ints
     if not any(ints[:m]):
         # every pigeon sum is 0, so (sum, t) order is t order and the first

@@ -73,8 +73,8 @@ def format_decimal_dyadic(p: int, q: int, bits: int) -> str:
     return f"{sign}{digits[:-bits]}.{digits[-bits:]}"
 
 
-def format_scientific(x: Fraction, sig: int = 6) -> str:
-    """Display-only scientific notation; never fed back into computation."""
+def format_scientific(x: Fraction) -> str:
+    """Display-only scientific notation to 6 significant digits; never fed back into computation."""
     if x == 0:
         return "0.0e+0"
     num, den = abs(x.numerator), x.denominator
@@ -85,12 +85,12 @@ def format_scientific(x: Fraction, sig: int = 6) -> str:
     while num * 10**max(0, -(exp + 1)) >= den * 10**max(0, exp + 1):
         exp += 1
     mant = Fraction(num, den) / Fraction(10) ** exp
-    mant_scaled = round(mant * 10 ** (sig - 1))
-    if mant_scaled >= 10**sig:  # rounding bumped the mantissa past 10
+    mant_scaled = round(mant * 10**5)
+    if mant_scaled >= 10**6:  # rounding bumped the mantissa past 10
         mant_scaled //= 10
         exp += 1
     digits = str(mant_scaled)
-    body = f"{digits[0]}.{digits[1:].ljust(sig - 1, '0')}"
+    body = f"{digits[0]}.{digits[1:].ljust(5, '0')}"
     sign = "-" if x < 0 else ""
     return f"{sign}{body}e{exp:+d}"
 

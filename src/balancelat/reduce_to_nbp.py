@@ -19,13 +19,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Sequence
 
-from .errors import (
-    IncompatibleDimension,
-    InternalContradiction,
-    InvalidParams,
-    NotPerfectSquare,
-    ParameterOutOfRange,
-)
+from .errors import InternalContradiction, InvalidParams, PreconditionFailed
 from .geometry import CubeSlabBody
 from .lattice import LatticeBasis
 from .linalg import RMatrix
@@ -135,21 +129,19 @@ def nbp_via_svp(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> ReductionRes
     return ReductionResult(solution, bound, "svp-to-nbp")
 
 
-def represent_small_coeffs(alphas: Sequence, r: int, j: int) -> list[int]:
-    """Coefficients lambda_i with |lambda_i| <= max(r-1, k-r) representing j*beta.
+def represent_small_coeffs(k: int, r: int, j: int) -> list[int]:
+    """Coefficients lambda_1..lambda_k, |lambda_i| <= max(r-1, k-r), representing j*beta.
 
-    beta = alpha_r + ... + alpha_k.  For |j| < r the representation
-    j*beta = sum_{i>=r} j alpha_i is exact; for |j| >= r the identity
-    r*beta = sum_{i<r} (-i) alpha_i + sum_{i>=r} (r-i) alpha_i + S with
-    S = sum_i i*alpha_i leaves residual exactly |S|.  Negative j by
-    symmetry.  Only k = len(alphas) is read: the coefficients do not depend
-    on the alphas' values.
+    beta = alpha_r + ... + alpha_k for any alpha_1..alpha_k.  For |j| < r
+    the representation j*beta = sum_{i>=r} j alpha_i is exact; for |j| >= r
+    the identity r*beta = sum_{i<r} (-i) alpha_i + sum_{i>=r} (r-i) alpha_i
+    + S with S = sum_i i*alpha_i leaves residual exactly |S|.  Negative j by
+    symmetry.  The coefficients do not depend on the alphas' values.
     """
-    k = len(alphas)
     if not 0 < r < k:
-        raise ParameterOutOfRange(f"need 0 < r < k, got r={r}, k={k}")
+        raise InvalidParams(f"need 0 < r < k, got r={r}, k={k}")
     if abs(j) > k:
-        raise ParameterOutOfRange(f"need |j| <= k, got j={j}")
+        raise InvalidParams(f"need |j| <= k, got j={j}")
     sign = -1 if j < 0 else 1
     jj = abs(j)
     if jj < r:
@@ -180,13 +172,13 @@ def halve_coefficients(
     the branch taken.
     """
     if not 0 < r < k:
-        raise ParameterOutOfRange(f"need 0 < r < k, got r={r}, k={k}")
+        raise InvalidParams(f"need 0 < r < k, got r={r}, k={k}")
     if oracle.k != k:
         raise InvalidParams("oracle coefficient bound does not match k")
     n = inst.n
     m = isqrt(n)
     if m * m != n:
-        raise NotPerfectSquare(f"n = {n} is not a perfect square")
+        raise PreconditionFailed(f"n = {n} is not a perfect square")
     out_k = max(r - 1, k - r)
     g_m = oracle.guarantee(m)
     bound = 2 * m * g_m
@@ -231,7 +223,7 @@ def halve_coefficients(
     for block in range(m):
         if y[block] == 0:
             continue
-        lam = represent_small_coeffs(sums[block], r, y[block])  # alpha_l scaled by den
+        lam = represent_small_coeffs(k, r, y[block])
         for i, v in enumerate(block_vectors[block], block * m):
             if v:
                 x[i] = lam[abs(v) - 1] * (1 if v > 0 else -1)
@@ -265,7 +257,7 @@ def composed_guarantee(base: Callable[[int], Fraction], rounds: int) -> Callable
             return base(d)
         m = isqrt(d)
         if m * m != d:
-            raise IncompatibleDimension(f"dimension {d} is not a perfect square")
+            raise PreconditionFailed(f"dimension {d} is not a perfect square")
         return 2 * m * g(m, level - 1)
 
     return g
@@ -276,37 +268,29 @@ def full_self_reduction(inst: NbpInstance, k: int, oracle: BoundedNbpOracle) -> 
 
     The rounds follow default_halving_schedule(k), r = ceil(k_i/2) each
     round.  Requires n^(2^-i) integral for every round i, which the composed
-    bound checks before any oracle call.  Every intermediate oracle reply is
-    re-verified against its own tracked guarantee, and the result claims the
-    exact composed bound.  The outermost round calls halve_coefficients
-    directly; the inner rounds are bounded oracles wrapped around it.
+    bound checks before any oracle call.  Each round is a bounded oracle
+    wrapped around halve_coefficients on the round below, so every oracle
+    reply, the outermost included, is re-verified against its own tracked
+    guarantee, and the result claims the exact composed bound.
     """
     if k < 1:
-        raise ParameterOutOfRange("k must be >= 1")
+        raise InvalidParams("k must be >= 1")
     schedule = default_halving_schedule(k)
     bound = composed_guarantee(oracle.guarantee, len(schedule))(inst.n)
-    if not schedule:
-        return ReductionResult(verify(inst, oracle.solve(inst), 1), bound, "full-self-reduction")
+    level, cur = oracle, k
+    for i, r in enumerate(schedule, 1):
 
-    ks = [k]
-    for r in schedule:
-        ks.append(max(r - 1, ks[-1] - r))
-    level = oracle
-    for i, r in enumerate(schedule[:-1]):
-        inner = level
-
-        def solver(sub: NbpInstance, _k=ks[i], _r=r, _inner=inner) -> tuple[int, ...]:
+        def solver(sub: NbpInstance, _k=cur, _r=r, _inner=level) -> tuple[int, ...]:
             return halve_coefficients(sub, _k, _r, _inner).solution.x
 
+        cur = max(r - 1, cur - r)
         level = BoundedNbpOracle(
-            k=ks[i + 1],
-            guarantee=composed_guarantee(oracle.guarantee, i + 1),
+            k=cur,
+            guarantee=composed_guarantee(oracle.guarantee, i),
             solver=solver,
-            name=f"halved({oracle.name}, round {i + 1})",
+            name=f"halved({oracle.name}, round {i})",
         )
-
-    outcome = halve_coefficients(inst, ks[-2], schedule[-1], level)
-    return ReductionResult(outcome.solution, bound, "full-self-reduction")
+    return ReductionResult(verify(inst, level.solve(inst), 1), bound, "full-self-reduction")
 
 
 def minkowski_bounded_oracle(k: int, oracle: MinkowskiOracle) -> BoundedNbpOracle:
@@ -342,18 +326,12 @@ def svp_bounded_oracle(
     )
 
 
-def _fallback_threshold(n: int) -> float:
-    """Large-rho cutoff: the paper's log n / (48 log log n), floored at 2.
-
-    The raw expression is < 1 for every desk-scale n, which would send even a
-    rho = 1 exact oracle to the Karmarkar-Karp fallback; the floor keeps the
-    reduction path live whenever rho < 2.  The raw expression passes 2 only
-    once log n > 96 log log n, so the cutoff is 2 at every n a machine holds.
-    """
-    if n <= 4:
-        return 2.0
-    log_n = math.log2(n)
-    return max(2.0, log_n / (48 * math.log2(max(2.0, log_n))))
+# Large-rho cutoff of nbp_full_pipeline.  The paper's is log n / (48 log log n),
+# which is < 1 for every desk-scale n and would send even a rho = 1 exact oracle
+# to the Karmarkar-Karp fallback; floored at 2 it keeps the reduction path live
+# whenever rho < 2.  The raw expression first passes 2 at log2 n = 950, so the
+# cutoff is the constant 2 at every n a machine holds.
+FALLBACK_RHO = 2
 
 
 def nbp_full_pipeline(
@@ -366,14 +344,12 @@ def nbp_full_pipeline(
     ``bounded(k)`` is the balancing oracle with coefficients in {-k..k} that
     a rho-approximate Minkowski or max-norm SVP oracle realizes
     (minkowski_bounded_oracle, svp_bounded_oracle); the self-reduction runs
-    it at k = max(1, ceil(3 rho)).  At rho >= _fallback_threshold(n)
-    Karmarkar-Karp answers instead, with the trivial bound 1; the exact
-    oracles have rho = 1, while the LLL oracle's rho = 2^ceil(n/4) is >= 2
-    at every n, so ``--oracle lll --full`` always takes the fallback.  rho is
-    compared with the cutoff exactly (a Fraction against a float compares
-    their exact values), so a rho past the float range takes it too.
+    it at k = max(1, ceil(3 rho)).  At rho >= FALLBACK_RHO Karmarkar-Karp
+    answers instead, with the trivial bound 1; the exact oracles have
+    rho = 1, while the LLL oracle's rho = 2^ceil(n/4) is >= 2 at every n,
+    so ``--oracle lll --full`` always takes the fallback.
     """
-    if rho >= _fallback_threshold(inst.n):
+    if rho >= FALLBACK_RHO:
         return ReductionResult(karmarkar_karp(inst), Fraction(1), "karmarkar-karp-fallback")
     k = max(1, math.ceil(3 * rho))
     return full_self_reduction(inst, k, bounded(k))

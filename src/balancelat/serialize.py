@@ -87,14 +87,14 @@ def basis_from_doc(doc: dict) -> LatticeBasis:
     try:
         n = json_int(doc["n"], "n", "basis")
         cols = [
-            RVector([parse_rational(s) for s in json_list(col, "each column", "basis")])
+            [parse_rational(s) for s in json_list(col, "each column", "basis")]
             for col in json_list(doc["columns"], "columns", "basis")
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed basis document: {exc}") from exc
-    if len(cols) != n or any(c.dim != n for c in cols):
+    if len(cols) != n or any(len(c) != n for c in cols):
         raise InvalidParams("basis shape disagrees with n")
-    return LatticeBasis(RMatrix.from_columns(cols))
+    return LatticeBasis(RMatrix(zip(*cols)))
 
 
 def transform_to_doc(t: UnimodularTransform) -> dict:

@@ -2,9 +2,10 @@
 
 The library evaluates points, forms and transforms on integer tuples and
 integer rows; the Fraction vector arithmetic below is what the tests still
-check against.  ``entries`` reads an instance's integers over their
-denominator back as Fractions, and ``discretized`` builds the truncated,
-scaled vectors a~_i of multi-vector balancing from its inputs.
+check against, and ``diagonal``, ``from_columns`` and ``transpose`` build
+the matrices they feed it.  ``entries`` reads an instance's integers over
+their denominator back as Fractions, and ``discretized`` builds the
+truncated, scaled vectors a~_i of multi-vector balancing from its inputs.
 """
 
 from fractions import Fraction
@@ -38,6 +39,22 @@ def norm_sq(v) -> Fraction:
 def scale_matrix(m: RMatrix, c) -> RMatrix:
     """c m, entry by entry on the Fraction view."""
     return RMatrix([[Fraction(c) * e for e in r] for r in m.rows])
+
+
+def diagonal(values) -> RMatrix:
+    """The square matrix with the given diagonal."""
+    n = len(values)
+    return RMatrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def from_columns(cols) -> RMatrix:
+    """The matrix whose columns are the given vectors, of one dimension."""
+    assert len({len(c) for c in cols}) <= 1
+    return RMatrix(zip(*cols))
+
+
+def transpose(m: RMatrix) -> RMatrix:
+    return RMatrix(zip(*m.rows))
 
 
 def entries(inst) -> RVector:

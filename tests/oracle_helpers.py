@@ -11,17 +11,17 @@ from balancelat.nbp import mitm_min
 from balancelat.oracles import BoundedNbpOracle, NbpDeltaOracle, mitm_exact_guarantee
 
 
-def mitm_bounded_oracle(k: int, budget: int | None = None) -> BoundedNbpOracle:
+def mitm_bounded_oracle(k: int) -> BoundedNbpOracle:
     return BoundedNbpOracle(
         k=k,
         guarantee=mitm_exact_guarantee(k),
-        solver=lambda inst: mitm_min(inst, k, budget).x,
+        solver=lambda inst: mitm_min(inst, k).x,
         name=f"exact-mitm(k={k})",
     )
 
 
 def claimed_delta_oracle(
-    delta: Callable[[int], Fraction], budget: int | None = None, name: str = "claimed-mitm"
+    delta: Callable[[int], Fraction], name: str = "claimed-mitm"
 ) -> NbpDeltaOracle:
     """Exact solver with a caller-supplied claimed guarantee.
 
@@ -31,7 +31,7 @@ def claimed_delta_oracle(
     """
     return NbpDeltaOracle(
         delta=delta,
-        solver=lambda inst: mitm_min(inst, 1, budget).x,
+        solver=lambda inst: mitm_min(inst, 1).x,
         name=name,
     )
 

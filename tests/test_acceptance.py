@@ -157,7 +157,7 @@ def test_criterion_06_lemma4_exhaustive():
                             )
                             alphas[k - 1] = -partial / k
                         s = sum(Fraction(i + 1) * alphas[i] for i in range(k))
-                        lam = represent_small_coeffs(alphas, r, j)
+                        lam = represent_small_coeffs(k, r, j)
                         assert max(abs(v) for v in lam) <= cap if lam else True
                         beta = sum(alphas[r - 1:], Fraction(0))
                         residual = abs(

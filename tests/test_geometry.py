@@ -26,7 +26,7 @@ from balancelat.linalg import RMatrix, RVector, determinant
 from balancelat.nbp import NbpInstance, mitm_min
 from balancelat.rationals import sqrt_upper
 from body_helpers import open_cube, slab_member
-from linalg_helpers import integer_points, norm_sq, scale, sub, unit
+from linalg_helpers import diagonal, integer_points, norm_sq, scale, sub, transpose, unit
 
 
 def rational_rotation(rng, n):
@@ -50,7 +50,7 @@ class TestMember:
         assert cube.contains((0, 0)) and slab_member(cube, (0, 0))
 
     def test_ellipsoid_boundary(self):
-        e = Ellipsoid(LatticeBasis(RMatrix.diagonal([Fraction(1, 2)] * 2)))
+        e = Ellipsoid(LatticeBasis(diagonal([Fraction(1, 2)] * 2)))
         assert e.quad((2, 0)) == 1 and e.quad((0, -2)) == 1
         assert e.quad((2, 1)) == Fraction(5, 4) and e.quad((1, 1)) == Fraction(1, 2)
 
@@ -197,10 +197,12 @@ def searched(body):
     least budget that it does not exceed, found by bisection."""
 
     def run(budget):
-        try:
-            return minkowski_exact_oracle(body, budget=budget)
-        except NotFound:
-            return None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("BALANCELAT_BUDGET", str(budget))
+            try:
+                return minkowski_exact_oracle(body)
+            except NotFound:
+                return None
 
     lo, hi = 0, 1  # every search exceeds budget 0
     while True:
@@ -316,34 +318,38 @@ class TestMinkowskiBudget:
         inst = NbpInstance.from_values(a)
         return CubeSlabBody(inst, Fraction(6, 4**5), Fraction(4))
 
-    def test_passes_at_exactly_the_nodes_it_needs(self):
+    def test_passes_at_exactly_the_nodes_it_needs(self, monkeypatch):
         point, nodes = reference_minkowski(self.body())
         assert point is not None and nodes > 1
-        assert minkowski_exact_oracle(self.body(), budget=nodes) == point
+        monkeypatch.setenv("BALANCELAT_BUDGET", str(nodes))
+        assert minkowski_exact_oracle(self.body()) == point
 
-    def test_one_node_short_names_where_it_stopped(self):
+    def test_one_node_short_names_where_it_stopped(self, monkeypatch):
         _, nodes = reference_minkowski(self.body())
+        monkeypatch.setenv("BALANCELAT_BUDGET", str(nodes - 1))
         with pytest.raises(BudgetExceeded) as info:
-            minkowski_exact_oracle(self.body(), budget=nodes - 1)
+            minkowski_exact_oracle(self.body())
         message = str(info.value)
         assert message.startswith(
             f"Minkowski enumeration exceeded budget: {nodes} nodes visited, "
             f"limit {nodes - 1}, dimension 6, depth ")
         assert 0 <= int(message.rsplit(" ", 1)[1]) < 6
 
-    def test_budget_runs_out_on_a_tail_probe(self):
+    def test_budget_runs_out_on_a_tail_probe(self, monkeypatch):
         # m = 3 and 7^2 <= MINKOWSKI_TAIL_TABLE < 7^3 leave a head of 4
         # coordinates; a search ends on the probe that finds its point, so
         # one node short it stops there, at depth 4
         assert 7**2 <= MINKOWSKI_TAIL_TABLE < 7**3
         _, nodes = reference_minkowski(self.body())
+        monkeypatch.setenv("BALANCELAT_BUDGET", str(nodes - 1))
         with pytest.raises(BudgetExceeded, match=f"^Minkowski enumeration exceeded budget: "
                            f"{nodes} nodes visited, limit {nodes - 1}, dimension 6, depth 4$"):
-            minkowski_exact_oracle(self.body(), budget=nodes - 1)
+            minkowski_exact_oracle(self.body())
 
-    def test_budget_counts_nodes_not_the_box(self):
+    def test_budget_counts_nodes_not_the_box(self, monkeypatch):
         # the box holds 7^6 points, more than the budget; the pruned search needs fewer nodes
-        assert minkowski_exact_oracle(self.body(), budget=7**5)
+        monkeypatch.setenv("BALANCELAT_BUDGET", str(7**5))
+        assert minkowski_exact_oracle(self.body())
 
     def test_environment_budget(self, monkeypatch):
         monkeypatch.setenv("BALANCELAT_BUDGET", "1")
@@ -461,7 +467,7 @@ class TestWellRound:
         assert sorted(abs(v) for v in result.point) == [0, 0, 1]
 
     def test_short_axis_gives_integer_point(self):
-        e = Ellipsoid(LatticeBasis(RMatrix.diagonal([Fraction(1, 10), 10])))
+        e = Ellipsoid(LatticeBasis(diagonal([Fraction(1, 10), 10])))
         result = well_round(e)
         assert result.branch == "integer-point"
         assert e.quad(result.point) <= 1
@@ -520,7 +526,7 @@ class TestAxisExtract:
 
     def test_diagonal(self):
         axes, lengths, norms_sq = axis_extract(
-            check_reduction_conditions(RMatrix.diagonal([2, Fraction(1, 2)]))
+            check_reduction_conditions(diagonal([2, Fraction(1, 2)]))
         )
         assert lengths == [Fraction(1, 2), 2]
         assert norms_sq == [4, Fraction(1, 4)]
@@ -542,20 +548,20 @@ class TestAxisExtract:
         rng = random.Random(35)
         for _ in range(3):
             rot = rational_rotation(rng, 3)
-            diag = RMatrix.diagonal([Fraction(rng.randint(9, 40), rng.randint(1, 4))
+            diag = diagonal([Fraction(rng.randint(9, 40), rng.randint(1, 4))
                                      for _ in range(3)])
-            result = well_round(Ellipsoid(LatticeBasis(diag.matmul(rot.transpose()))))
+            result = well_round(Ellipsoid(LatticeBasis(diag.matmul(transpose(rot)))))
             axes, _, norms_sq = axis_extract(result.cert)
             recon = [[sum(w * ax[i] * ax[j] for ax, w in zip(axes, norms_sq)) for j in range(3)]
                      for i in range(3)]
             b = result.rounded.A
-            assert RMatrix(recon) == b.transpose().matmul(b)
+            assert RMatrix(recon) == transpose(b).matmul(b)
 
     def test_lengths_sorted_ascending(self):
         # Gram-Schmidt lengths 1/2, 1, 1/2, 1/4: the three lists move together,
         # and the tie keeps the Gram-Schmidt order
         axes, lengths, norms_sq = axis_extract(
-            check_reduction_conditions(RMatrix.diagonal([2, 1, 2, 4]))
+            check_reduction_conditions(diagonal([2, 1, 2, 4]))
         )
         assert lengths == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 1]
         assert axes == [unit(4, i) for i in (3, 0, 2, 1)]
@@ -635,16 +641,16 @@ class TestAxisExtractMatchesReference:
         rng = random.Random(36)
         for n in (2, 3, 3, 4):
             rot = rational_rotation(rng, n)
-            diag = RMatrix.diagonal(
+            diag = diagonal(
                 [Fraction(rng.randint(9, 40), rng.randint(1, 4)) for _ in range(n)]
             )
-            a = diag.matmul(rot.transpose())
+            a = diag.matmul(transpose(rot))
             assert_axes_match_reference(Ellipsoid(LatticeBasis(a)))
 
     def test_diagonal_needs_no_rotation(self):
         # orthogonal columns: the axes are coordinate axes of B' (LLL swaps the
         # last two columns), in ascending length
-        e = Ellipsoid(LatticeBasis(RMatrix.diagonal([2, 8, 4])))
+        e = Ellipsoid(LatticeBasis(diagonal([2, 8, 4])))
         assert_axes_match_reference(e)
         axes, lengths, _ = axis_extract(well_round(e).cert)
         assert axes == [unit(3, 2), unit(3, 1), unit(3, 0)]
@@ -655,6 +661,6 @@ class TestAxisExtractMatchesReference:
         rng = random.Random(37)
         for lengths in ([2, 2, 1], [1, 1, 1], [3, 1, 3, 1]):
             rot = rational_rotation(rng, len(lengths))
-            diag = RMatrix.diagonal([Fraction(3, l) for l in lengths])
-            a = diag.matmul(rot.transpose())
+            diag = diagonal([Fraction(3, l) for l in lengths])
+            a = diag.matmul(transpose(rot))
             assert_axes_match_reference(Ellipsoid(LatticeBasis(a)))

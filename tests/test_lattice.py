@@ -28,7 +28,7 @@ from balancelat.lattice import (
 from balancelat.linalg import RMatrix, RVector, determinant, solve_linear
 from balancelat.rationals import floor_frac
 from balancelat.reduce_to_nbp import svp_embedding_basis
-from linalg_helpers import integer_points, norm_sq, scale_matrix, unit
+from linalg_helpers import diagonal, from_columns, integer_points, norm_sq, scale_matrix, unit
 from test_linalg import ref_matvec, reference_gram_schmidt
 
 
@@ -92,7 +92,7 @@ def reference_lll(basis):
     uinv_rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
     def recompute_gs():
-        bhat, mu = reference_gram_schmidt(RMatrix.from_columns([RVector(c) for c in cols]))
+        bhat, mu = reference_gram_schmidt(from_columns(cols))
         norms = [norm_sq(bhat.column(i)) for i in range(n)]
         return [[mu[j, i] for j in range(n)] for i in range(n)], norms
 
@@ -116,8 +116,8 @@ def reference_lll(basis):
             uinv_rows[k], uinv_rows[k - 1] = uinv_rows[k - 1], uinv_rows[k]
             mu_of, norms = recompute_gs()
             k = max(k - 1, 1)
-    reduced = RMatrix.from_columns([RVector(c) for c in cols])
-    u = RMatrix.from_columns([RVector(c) for c in u_cols])
+    reduced = from_columns(cols)
+    u = from_columns(u_cols)
     return reduced, u, RMatrix(uinv_rows)
 
 
@@ -263,7 +263,7 @@ class TestReductionCertificate:
 
     @staticmethod
     def flags(columns):
-        cert = check_reduction_conditions(RMatrix.from_columns([RVector(c) for c in columns]))
+        cert = check_reduction_conditions(from_columns(columns))
         return cert.size_reduced, cert.lovasz_ok
 
     def test_size_reduction_bound(self):
@@ -363,7 +363,7 @@ class TestMinGain:
                 assert norm_sq(reduced.B.matvec(x)) >= gain_sq * norm_sq(x)
 
     def test_short_column_rejected(self):
-        basis = LatticeBasis(RMatrix.diagonal([Fraction(1, 2), 4]))
+        basis = LatticeBasis(diagonal([Fraction(1, 2), 4]))
         with pytest.raises(PreconditionFailed):
             lll_min_gain(basis, check_reduction_conditions(basis.B))
 
@@ -397,7 +397,7 @@ class TestSvpExactLinf:
         assert svp_exact_linf(LatticeBasis(RMatrix.identity(3))) == (-1, 0, 0)
 
     def test_scaled_identity(self):
-        basis = LatticeBasis(RMatrix.diagonal([Fraction(1, 3), Fraction(1, 3)]))
+        basis = LatticeBasis(diagonal([Fraction(1, 3), Fraction(1, 3)]))
         y = svp_exact_linf(basis)
         assert basis.B.matvec(RVector(y)).inf_norm() == Fraction(1, 3)
 
@@ -432,7 +432,7 @@ class TestSvpExactLinf:
             assert val <= box_min
 
     def test_unattainable_promise_raises(self):
-        basis = LatticeBasis(RMatrix.diagonal([5, 5]))
+        basis = LatticeBasis(diagonal([5, 5]))
         with pytest.raises(NotFound):
             svp_exact_linf(basis, search_bound=1)
 
@@ -464,16 +464,19 @@ class TestSvpExactLinf:
         # max norm 3 is the minimum, attained by +-(3,0,0) and +-(0,3,0)
         # (|v|^2 = 9) and by (1,1,3) (|v|^2 = 11); their input coefficients
         # are (-1,1,0), (1,-1,0), (1,0,0), (-1,0,0) and (0,0,1)
-        basis = LatticeBasis(RMatrix.from_columns(
+        basis = LatticeBasis(from_columns(
             [RVector([0, 3, 0]), RVector([3, 3, 0]), RVector([1, 1, 3])]
         ))
         assert box_minimum(basis) == (3, 9, (-1, 0, 0))
         assert svp_exact_linf(basis) == (-1, 0, 0)
 
     def assert_visits(self, basis, nodes, search_bound=None):
-        svp_exact_linf(basis, search_bound=search_bound, budget=nodes)
-        with pytest.raises(BudgetExceeded, match=f"exceeded budget: {nodes} nodes visited,"):
-            svp_exact_linf(basis, search_bound=search_bound, budget=nodes - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("BALANCELAT_BUDGET", str(nodes))
+            svp_exact_linf(basis, search_bound=search_bound)
+            mp.setenv("BALANCELAT_BUDGET", str(nodes - 1))
+            with pytest.raises(BudgetExceeded, match=f"exceeded budget: {nodes} nodes visited,"):
+                svp_exact_linf(basis, search_bound=search_bound)
 
     def test_search_radius_stays_clamped(self):
         # the identity lattice at n = 6 visits 2255 nodes; an ell-2 ball that
@@ -509,9 +512,10 @@ class TestSvpExactLinf:
         with pytest.raises(NotFound):
             svp_exact_linf(basis, search_bound=0)
 
-    def test_budget_message_reports_the_search(self):
+    def test_budget_message_reports_the_search(self, monkeypatch):
+        monkeypatch.setenv("BALANCELAT_BUDGET", "100")
         with pytest.raises(BudgetExceeded) as info:
-            svp_exact_linf(LatticeBasis(RMatrix.identity(6)), budget=100)
+            svp_exact_linf(LatticeBasis(RMatrix.identity(6)))
         message = str(info.value)
         assert "exceeded budget" in message
         assert "101 nodes visited, limit 100, dimension 6, search radius^2 6" in message
@@ -526,7 +530,7 @@ class TestMembership:
         assert lattice_membership(basis, x) == y
 
     def test_non_member(self):
-        basis = LatticeBasis(RMatrix.diagonal([2, 2]))
+        basis = LatticeBasis(diagonal([2, 2]))
         assert lattice_membership(basis, RVector([1, 1])) is None
 
 

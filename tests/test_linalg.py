@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balancelat.errors import InvalidParams, RankDeficient, Singular
+from balancelat.errors import InvalidParams, RankDeficient
 from balancelat.linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
-from linalg_helpers import norm_sq, scale, scale_matrix, sub
+from linalg_helpers import diagonal, from_columns, norm_sq, scale, scale_matrix, sub
 
 
 def rand_fraction(rng, span=9, den=8):
@@ -60,7 +60,7 @@ def reference_gram_schmidt(basis: RMatrix) -> tuple[RMatrix, RMatrix]:
         if not any(v):
             raise RankDeficient(f"column {j} is dependent on earlier columns")
         hat.append(v)
-    return RMatrix.from_columns(hat), RMatrix(mu)
+    return from_columns(hat), RMatrix(mu)
 
 
 def assert_matches_reference_gs(b: RMatrix) -> None:
@@ -160,7 +160,7 @@ class TestDeterminant:
         assert determinant(RMatrix.identity(3)) == 1
 
     def test_diagonal_product(self):
-        assert determinant(RMatrix.diagonal([Fraction(1, 3), Fraction(1, 3), 9])) == 1
+        assert determinant(diagonal([Fraction(1, 3), Fraction(1, 3), 9])) == 1
 
     def test_against_cofactor_oracle(self):
         rng = random.Random(402)
@@ -213,7 +213,7 @@ class TestSolveLinear:
 
     def test_singular_raises(self):
         m = RMatrix([[1, 2], [2, 4]])
-        with pytest.raises(Singular):
+        with pytest.raises(RankDeficient, match="coefficient matrix is singular"):
             solve_linear(m, RVector([1, 1]))
 
 
@@ -230,10 +230,6 @@ def ref_matmul(a: RMatrix, b: RMatrix) -> RMatrix:
 
 def ref_matvec(m: RMatrix, v: RVector) -> RVector:
     return RVector(sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in m.rows)
-
-
-def ref_transpose(m: RMatrix) -> RMatrix:
-    return RMatrix(zip(*m.rows))
 
 
 class TestMatmul:
@@ -299,7 +295,7 @@ def test_solve_roundtrip_or_singular(rows, rhs):
     v = RVector(rhs)
     try:
         x = solve_linear(m, v)
-    except Singular:
+    except RankDeficient:
         assert determinant(m) == 0
         return
     assert m.matvec(x) == v
@@ -328,7 +324,6 @@ class TestIntegerForm:
             f = rand_fraction(rng, 40, 30)
             assert a.matmul(b) == ref_matmul(a, b)
             assert a.matvec(v) == ref_matvec(a, v)
-            assert a.transpose() == ref_transpose(a)
 
     def test_determinant_and_solve_on_mixed_denominators(self):
         rng = random.Random(410)

@@ -15,11 +15,9 @@ from balancelat import nbp
 from balancelat.cli import main
 from balancelat.errors import (
     BudgetExceeded,
-    CoefficientOutOfRange,
-    DimensionTooSmall,
     InternalContradiction,
     InvalidParams,
-    ZeroVector,
+    PreconditionFailed,
 )
 from balancelat.nbp import (
     NbpInstance,
@@ -194,7 +192,7 @@ class TestVerify:
 
     def test_zero_vector_rejected(self):
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 2)])
-        with pytest.raises(ZeroVector):
+        with pytest.raises(InvalidParams, match="solution vector is zero"):
             verify(inst, (0, 0), 1)
 
     def test_exact_inner_product(self):
@@ -204,8 +202,19 @@ class TestVerify:
 
     def test_out_of_range_coefficient(self):
         inst = NbpInstance.from_values([Fraction(1, 2)])
-        with pytest.raises(CoefficientOutOfRange):
+        with pytest.raises(InvalidParams, match=r"exceeds declared bound 1"):
             verify(inst, (2,), 1)
+
+    @pytest.mark.parametrize("x", [[Fraction(1, 2), 1], [1.9, 0], ["1", 0]])
+    def test_non_integer_entry_is_refused_not_truncated(self, x):
+        # int() would read these as (0, 1), (1, 0) and (1, 0)
+        inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])
+        with pytest.raises(InvalidParams, match="solution entries must be integers"):
+            verify(inst, x, 1)
+
+    def test_integer_valued_entries_are_accepted(self):
+        inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])
+        assert verify(inst, [Fraction(1), -1.0], 1) == verify(inst, (1, -1), 1)
 
 
 def mixed_instance(rng, n):
@@ -371,10 +380,11 @@ class TestBruteForce:
                 best = (err, x)
         assert (sol.error, sol.x) == best
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("BALANCELAT_BUDGET", "1000")
         inst = NbpInstance.from_values([Fraction(1, 2)] * 30)
         with pytest.raises(BudgetExceeded):
-            brute_force_min(inst, 1, budget=1000)
+            brute_force_min(inst, 1)
 
 
     def test_search_without_nonzero_leaf_raises(self):
@@ -472,7 +482,7 @@ class TestPigeonhole:
 
     def test_dimension_too_small(self):
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])
-        with pytest.raises(DimensionTooSmall):
+        with pytest.raises(PreconditionFailed, match="need 7 coordinates, instance has 2"):
             pigeonhole_solve(inst, 100)
 
     def test_pigeons_over_the_budget_are_refused(self, monkeypatch, tmp_path, capsys):
@@ -654,7 +664,7 @@ class TestMitmOnSupport:
         expected = NbpSolution((-k, 0, -k, 0, 0, -k), k, Fraction(0))
         assert mitm_min(inst, k) == reference_mitm(inst, k) == brute_force_min(inst, k) == expected
 
-    def test_budget_counts_the_support(self):
+    def test_budget_counts_the_support(self, monkeypatch):
         # 8 nonzero entries of 20 need 3^4 = 81 half sums; the full
         # coordinates would need 3^10
         rng = random.Random(44)
@@ -662,9 +672,11 @@ class TestMitmOnSupport:
         for i in rng.sample(range(20), 8):
             values[i] = Fraction(rng.randint(1, 2**12), 2**12) * rng.choice((-1, 1))
         inst = NbpInstance.from_values(values)
-        assert mitm_min(inst, 1, budget=81) == first_zero_sum_on_support(inst, 1)
+        monkeypatch.setenv("BALANCELAT_BUDGET", "81")
+        assert mitm_min(inst, 1) == first_zero_sum_on_support(inst, 1)
+        monkeypatch.setenv("BALANCELAT_BUDGET", "80")
         with pytest.raises(BudgetExceeded, match=r"\|S\| = 8"):
-            mitm_min(inst, 1, budget=80)
+            mitm_min(inst, 1)
 
     def test_halves_cover_only_the_support(self, monkeypatch):
         covered = []

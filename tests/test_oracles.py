@@ -16,10 +16,11 @@ from balancelat.nbp import NbpInstance
 from balancelat.oracles import BoundedNbpOracle, MinkowskiOracle, NbpDeltaOracle, SvpInfOracle
 from balancelat.reduce_to_nbp import balancing_body
 from body_helpers import open_cube
+from linalg_helpers import diagonal
 
 INST = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)])
 BOUND = Fraction(1, 3)  # claimed for every dimension
-EVEN_LATTICE = LatticeBasis(RMatrix.diagonal([2, 2]))  # 2Z^2, det 4
+EVEN_LATTICE = LatticeBasis(diagonal([2, 2]))  # 2Z^2, det 4
 UNIT_CUBE = open_cube(2, Fraction(3, 2))  # [-1, 1]^2; its 2-dilation holds [-2, 2]^2
 # a = (1/2, 1/2, 1/5), k = 1, rho = 1: (1, -1, 0) balances a exactly and lies in the body
 HALVES = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 2), Fraction(1, 5)])

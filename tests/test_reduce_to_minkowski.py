@@ -27,7 +27,7 @@ from balancelat.reduce_to_minkowski import (
     minkowski_from_nbp,
     multi_vector_balance,
 )
-from linalg_helpers import add, discretized, entries
+from linalg_helpers import add, diagonal, discretized, entries
 from oracle_helpers import adversarial_delta_oracle, claimed_delta_oracle
 
 
@@ -362,7 +362,7 @@ class TestMinkowskiFromNbp:
         assert e.quad(result.x) <= result.rho_star**2
 
     def test_volume_hypothesis_checked(self):
-        e = Ellipsoid(LatticeBasis(RMatrix.diagonal([2, 2])))  # prod lambda = 1/4 < 1
+        e = Ellipsoid(LatticeBasis(diagonal([2, 2])))  # prod lambda = 1/4 < 1
         with pytest.raises(PreconditionFailed):
             minkowski_from_nbp(e, mitm_delta_oracle())
 

@@ -9,12 +9,9 @@ import pytest
 from balancelat import geometry, linalg, nbp, oracles, rationals, reduce_to_nbp
 from balancelat.cli import main
 from balancelat.errors import (
-    IncompatibleDimension,
     InternalContradiction,
     InvalidParams,
-    NotPerfectSquare,
     OracleContractViolation,
-    ParameterOutOfRange,
     PreconditionFailed,
 )
 from balancelat.generators import gen_nbp
@@ -22,12 +19,14 @@ from balancelat.lattice import LatticeBasis
 from balancelat.linalg import RMatrix, RVector, determinant
 from balancelat.nbp import NbpInstance, brute_force_min, verify
 from balancelat.oracles import (
+    BoundedNbpOracle,
     adversarial_minkowski_oracle,
     exact_minkowski_oracle,
     exact_svp_oracle,
     lll_svp_oracle,
 )
 from balancelat.reduce_to_nbp import (
+    HalveOutcome,
     balancing_body,
     default_halving_schedule,
     full_self_reduction,
@@ -42,7 +41,7 @@ from balancelat.reduce_to_nbp import (
     svp_embedding_basis,
 )
 from body_helpers import slab_member
-from linalg_helpers import entries
+from linalg_helpers import diagonal, entries
 from oracle_helpers import mitm_bounded_oracle
 
 
@@ -152,7 +151,7 @@ class TestNbpViaSvp:
 
     def test_embedding_determinant_checked(self, monkeypatch):
         # a faulty embedding: a real basis, but of determinant 2
-        det2 = LatticeBasis(RMatrix.diagonal([2, 1, 1]))
+        det2 = LatticeBasis(diagonal([2, 1, 1]))
         monkeypatch.setattr(reduce_to_nbp, "svp_embedding_basis", lambda inst, k, rho: det2)
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])
         with pytest.raises(InternalContradiction, match="does not have determinant 1"):
@@ -160,7 +159,7 @@ class TestNbpViaSvp:
 
     def test_exact_oracle_refuses_determinant_above_one(self):
         with pytest.raises(PreconditionFailed, match="requires det <= 1"):
-            exact_svp_oracle().find(LatticeBasis(RMatrix.diagonal([2, 1, 1])))
+            exact_svp_oracle().find(LatticeBasis(diagonal([2, 1, 1])))
 
     # Faulty oracle replies, past the handle's own re-verification: each
     # reaches one of nbp_via_svp's checks on a = (1/2, 1/3), k = 3, where
@@ -207,7 +206,7 @@ class TestNbpViaSvp:
 class TestRepresentSmallCoeffs:
     def test_paper_identity_case(self):
         alphas = [Fraction(-5), Fraction(1), Fraction(1)]  # sum i*alpha_i = 0
-        lam = represent_small_coeffs(alphas, r=2, j=2)
+        lam = represent_small_coeffs(3, r=2, j=2)
         assert lam == [-1, 0, -1]
         beta = alphas[1] + alphas[2]
         assert sum(l * a for l, a in zip(lam, alphas)) == 2 * beta == 4
@@ -215,7 +214,7 @@ class TestRepresentSmallCoeffs:
 
     def test_small_j_is_exact(self):
         alphas = [Fraction(-5), Fraction(1), Fraction(1)]
-        lam = represent_small_coeffs(alphas, r=2, j=1)
+        lam = represent_small_coeffs(3, r=2, j=1)
         assert lam == [0, 1, 1]
         beta = alphas[1] + alphas[2]
         assert sum(l * a for l, a in zip(lam, alphas)) == beta
@@ -228,7 +227,7 @@ class TestRepresentSmallCoeffs:
             j = rng.randint(-k, k)
             alphas = [Fraction(rng.randint(-40, 40), 8) for _ in range(k)]
             s = sum(Fraction(i + 1) * alphas[i] for i in range(k))
-            lam = represent_small_coeffs(alphas, r, j)
+            lam = represent_small_coeffs(k, r, j)
             beta = sum(alphas[r - 1 :], Fraction(0))
             residual = abs(j * beta - sum(l * a for l, a in zip(lam, alphas)))
             assert max(abs(v) for v in lam) <= max(r - 1, k - r)
@@ -238,10 +237,10 @@ class TestRepresentSmallCoeffs:
                 assert residual == abs(s)  # exactly one use of the relation: |S| is the slack
 
     def test_parameter_validation(self):
-        with pytest.raises(ParameterOutOfRange):
-            represent_small_coeffs([Fraction(1)] * 3, r=3, j=1)
-        with pytest.raises(ParameterOutOfRange):
-            represent_small_coeffs([Fraction(1)] * 3, r=1, j=4)
+        with pytest.raises(InvalidParams, match=r"need 0 < r < k, got r=3, k=3"):
+            represent_small_coeffs(3, r=3, j=1)
+        with pytest.raises(InvalidParams, match=r"need \|j\| <= k, got j=4"):
+            represent_small_coeffs(3, r=1, j=4)
 
 
 class TestHalveCoefficients:
@@ -258,7 +257,7 @@ class TestHalveCoefficients:
     def test_requires_perfect_square(self):
         rng = random.Random(47)
         inst = dyadic_instance(rng, 6, bits=10)
-        with pytest.raises(NotPerfectSquare):
+        with pytest.raises(PreconditionFailed, match="n = 6 is not a perfect square"):
             halve_coefficients(inst, 2, 1, mitm_bounded_oracle(2))
 
     def test_small_coefficient_early_exit(self):
@@ -324,10 +323,23 @@ class TestFullSelfReduction:
         assert result.claimed_bound == 2 * 4 * (2 * 2 * oracle.guarantee(2))
         assert result.solution.error <= result.claimed_bound
 
+    def test_the_outermost_round_is_checked_against_the_composed_bound(self, monkeypatch):
+        # every round, the outermost included, is a checked bounded oracle: a
+        # round whose reply breaks the composed bound 2 * 4 * 2^-4 is refused
+        inst = NbpInstance.from_values([Fraction(3, 4)] + [Fraction(1, 8)] * 15)
+        e1 = lambda sub: (1,) + (0,) * (sub.n - 1)
+        oracle = BoundedNbpOracle(k=2, guarantee=lambda d: Fraction(1, 2**d), solver=e1,
+                                  name="tiny")
+        monkeypatch.setattr(reduce_to_nbp, "halve_coefficients",
+                            lambda sub, k, r, inner: HalveOutcome(verify(sub, e1(sub), 1), "stub"))
+        with pytest.raises(OracleContractViolation, match=r"^halved\(tiny, round 1\): error 3/4 "
+                           r"exceeds the claimed bound 1/2 at n=16$"):
+            full_self_reduction(inst, 2, oracle)
+
     def test_incompatible_dimension(self):
         rng = random.Random(51)
         inst = dyadic_instance(rng, 12, bits=10)
-        with pytest.raises(IncompatibleDimension):
+        with pytest.raises(PreconditionFailed, match="dimension 12 is not a perfect square"):
             full_self_reduction(inst, 2, mitm_bounded_oracle(2))
 
 
@@ -407,7 +419,7 @@ def reference_halve(inst, k, r, oracle):
     x = [0] * n
     for lv, j in zip(layers, y):
         if j:
-            lam = represent_small_coeffs(list(map(inner, lv)), r, j)
+            lam = represent_small_coeffs(k, r, j)
             for coeff, layer in zip(lam, lv):
                 x = [xi + coeff * v for xi, v in zip(x, layer)]
     return "recombined", tuple(x)
@@ -449,7 +461,7 @@ def test_faulty_recombination_is_caught(monkeypatch, coeff, message):
     oracle = mitm_bounded_oracle(k)
     assert halve_coefficients(inst, k, r, oracle).branch == "recombined"
     monkeypatch.setattr(
-        reduce_to_nbp, "represent_small_coeffs", lambda alphas, r, j: [coeff] * len(alphas)
+        reduce_to_nbp, "represent_small_coeffs", lambda k, r, j: [coeff] * k
     )
     with pytest.raises(InternalContradiction, match=message):
         halve_coefficients(inst, k, r, oracle)

@@ -4,9 +4,11 @@
 Copies the repository (without .git) to a temporary directory.  Then, one
 site at a time, it replaces a ``raise InternalContradiction(...)`` or
 ``raise OracleContractViolation(...)`` statement of the copy's src/ by
-``pass`` and runs the suite on the copy with ``-x``.  A mutant that the suite
-still passes is a survivor: no test reaches that check.  The working tree is
-never edited.  Standard library only.
+``pass`` and runs the suite on the copy with ``-x``: first the test files
+whose source imports the mutated module, then the rest, so that most
+mutants fail early.  A mutant that the suite still passes is a survivor: no
+test reaches that check.  The working tree is never edited.  Standard
+library only.
 
     python3 tools/check_survivors.py
 
@@ -56,10 +58,33 @@ def mutate(source: bytes, node: ast.Raise) -> bytes:
     return source[:start] + b"pass" + b"\n" * (node.end_lineno - node.lineno) + source[end:]
 
 
-def suite_passes(copy: Path) -> str:
-    """'pass', 'fail' or 'timeout' for the Tier-1 suite run on the copy with -x."""
+def imported_modules(path: Path) -> set[str]:
+    """The balancelat modules that the source at path imports by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("balancelat.")}
+        elif isinstance(node, ast.ImportFrom) and node.module == "balancelat":
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("balancelat."):
+            found.add(node.module.split(".")[1])
+    return found
+
+
+def test_order(tests: Path, module: str) -> list[Path]:
+    """Every test file under tests: those that import module first, test_<module>.py
+    leading them, then the rest."""
+    files = sorted(tests.rglob("test_*.py"))
+    return sorted(files, key=lambda f: (module not in imported_modules(f),
+                                        f.stem != f"test_{module}"))
+
+
+def suite_passes(copy: Path, files: list[Path] | None = None) -> str:
+    """'pass', 'fail' or 'timeout' for the Tier-1 suite run on the copy with -x,
+    over the test files in the given order (default: pytest's own)."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    cmd += [str(f) for f in files or []]
     try:
         done = subprocess.run(cmd, cwd=copy, env=env, timeout=TIMEOUT,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -82,7 +107,7 @@ def main() -> int:
             original = path.read_bytes()
             path.write_bytes(mutate(original, node))
             try:
-                outcome = suite_passes(copy)
+                outcome = suite_passes(copy, test_order(copy / "tests", path.stem))
             finally:
                 path.write_bytes(original)
             if outcome == "pass":
