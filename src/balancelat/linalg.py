@@ -10,19 +10,19 @@ solve are Bareiss elimination with fraction-free back substitution.
 Fractions are built only for a vector result or a Fraction view.  An integer
 point is a plain int tuple, not an RVector: the ellipsoid form and the
 unimodular transform evaluate it on a matrix's ``ints`` directly.  RVector
-keeps what the library runs on it: documents' vectors, the axis form, the
+keeps what the library runs on it: a document's axes, the axis form, the
 SVP oracle's reply, and ``matvec`` / ``solve_linear`` across them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable
 
 from .errors import InvalidParams, RankDeficient
-from .rationals import common_denominator_ints, frac, lcm_of
+from .rationals import common_denominator_ints, frac
 
 
 class RVector:
@@ -85,7 +85,7 @@ class RMatrix:
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         data = [[frac(e) for e in row] for row in rows]
-        den = lcm_of(e.denominator for row in data for e in row)
+        den = lcm(*(e.denominator for row in data for e in row))
         # den is the lcm of lowest-terms denominators, so the form is in lowest terms
         self._set([[e.numerator * (den // e.denominator) for e in row] for row in data], den)
 

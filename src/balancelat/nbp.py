@@ -3,9 +3,10 @@
 An instance is a vector a in [-1,1]^n; a solution is a nonzero integer vector
 x with |x_i| <= k whose quality is the exact rational |<a,x>|.  An instance
 is its entries as integers over one denominator, in lowest terms: outside
-values are scaled once (from_values), and from_ints and restrict reduce a
-pair by its gcd.  Every solver, verify and instance_inner works on them,
-and so do the cube-slab body and the balancing layers that take instances.
+values are scaled once (from_values, or a document's entry strings in
+serialize), and from_ints and restrict reduce a pair by its gcd.  Every
+solver, verify and instance_inner works on them, and so do the cube-slab
+body and the balancing layers that take instances.
 The exact solvers (full enumeration and meet-in-the-middle) break ties by
 returning the lexicographically smallest witness, so they are directly
 comparable and safe to parallelize with a deterministic reduce.
@@ -102,11 +103,15 @@ class NbpSolution:
 def verify(inst: NbpInstance, x: Sequence[int], k: int) -> NbpSolution:
     """Recompute the error of x exactly and validate the solution contract.
 
-    Every entry must be an integer in value: one with int(v) != v raises
-    InvalidParams, and is never truncated.
+    Every entry must be an integer in value: one with int(v) != v, or that
+    int() refuses (NaN, an infinity, None), raises InvalidParams, and is
+    never truncated.
     """
     x = tuple(x)
-    xs = tuple(int(v) for v in x)
+    try:
+        xs = tuple(int(v) for v in x)
+    except (TypeError, ValueError, OverflowError):
+        xs = None
     if xs != x:
         raise InvalidParams("solution entries must be integers")
     if len(xs) != inst.n:

@@ -32,9 +32,13 @@ from .nbp import NbpInstance, instance_inner, karmarkar_karp, mitm_min, pigeonho
 
 def _integer_reply(name: str, reply: Sequence) -> tuple[int, ...]:
     """An oracle's reply as ints; a reply with an entry that is not an
-    integer raises OracleContractViolation naming the oracle."""
+    integer (NaN, an infinity and None included) raises
+    OracleContractViolation naming the oracle."""
     reply = tuple(reply)
-    x = tuple(int(v) for v in reply)
+    try:
+        x = tuple(int(v) for v in reply)
+    except (TypeError, ValueError, OverflowError):
+        x = None
     if x != reply:
         raise OracleContractViolation(f"{name}: reply entries must be integers")
     return x

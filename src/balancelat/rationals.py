@@ -12,14 +12,20 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from .errors import InvalidParams
 
 Rational = Fraction
 
 MAX_EXPONENT = 10_000  # decimal exponents allowed in parsed rationals
-_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z")
+# CPython's Fraction string grammar: sign, digits with single "_" separators,
+# then "/q", or a decimal part and an exponent; blanks around it.
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL = re.compile(
+    rf"\s*([-+]?)(?=\d|\.\d)(\d*|{_DIGITS})"
+    rf"(?:/({_DIGITS})|(?:\.(\d*|{_DIGITS}))?(?:[eE]([-+]?{_DIGITS}))?)\s*"
+)
 
 
 def frac(value) -> Fraction:
@@ -33,21 +39,54 @@ def frac(value) -> Fraction:
     raise InvalidParams(f"cannot interpret {value!r} as an exact rational")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", integer, or exact decimal strings ("0.125", "-3.5e-2").
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse "p/q", integer, or exact decimal strings ("0.125", "-3.5e-2")
+    into an integer pair (p, q), q >= 1, not reduced; the grammar is
+    Fraction's.  A non-string raises TypeError.
 
-    Exponents beyond +-MAX_EXPONENT are refused before parsing, because
-    Fraction would compute 10**exp for them.
+    Exponents beyond +-MAX_EXPONENT are refused before any 10**exp is
+    computed, and q = 0 or a digit run past CPython's int() limit raises
+    InvalidParams.
     """
-    exp = _EXPONENT.search(text)
-    if exp is not None:
-        digits = exp.group(1).replace("_", "").lstrip("0")
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise InvalidParams(f"not an exact rational: {text!r}")
+    sign, num, den, dec, exp = m.groups()
+    if exp:
+        digits = exp.lstrip("+-").replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
             raise InvalidParams(f"exponent of {text[:40]!r} exceeds {MAX_EXPONENT} in magnitude")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        p, q = int(num or "0"), 1
+        if den:
+            q = int(den)
+        if dec:
+            dec = dec.replace("_", "")
+            q = 10 ** len(dec)
+            p = p * q + int(dec)
+        if exp:
+            e = int(exp)
+            if e >= 0:
+                p *= 10**e
+            else:
+                q *= 10**-e
+    except ValueError as exc:  # a digit run past CPython's int() limit
         raise InvalidParams(f"not an exact rational: {text!r}") from exc
+    if q == 0:
+        raise InvalidParams(f"not an exact rational: {text!r}")
+    return (-p if sign == "-" else p), q
+
+
+def parse_rational(text: str) -> Fraction:
+    """The Fraction of an entry string; see parse_ratio."""
+    return Fraction(*parse_ratio(text))
+
+
+def parse_over_lcm(rows) -> tuple[list[list[int]], int]:
+    """Rows of entry strings as integer rows over the lcm of every denominator (not reduced)."""
+    pairs = [[parse_ratio(t) for t in row] for row in rows]
+    den = lcm(*(q for row in pairs for _, q in row))
+    return [[p * (den // q) for p, q in row] for row in pairs], den
 
 
 def format_rational(x: Fraction) -> str:
@@ -153,15 +192,8 @@ def nth_root_upper(x: Fraction, n: int, bits: int = 64) -> Fraction:
     return r
 
 
-def lcm_of(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
 def common_denominator_ints(fracs) -> tuple[list[int], int]:
     """Scale a list of Fractions to integers over one common denominator."""
     fracs = list(fracs)
-    den = lcm_of(f.denominator for f in fracs) if fracs else 1
+    den = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den

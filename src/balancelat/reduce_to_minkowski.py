@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -27,7 +28,7 @@ from .geometry import Ellipsoid, axis_extract, well_round
 from .linalg import RVector
 from .nbp import NbpInstance, instance_inner
 from .oracles import NbpDeltaOracle
-from .rationals import frac, lcm_of, nth_root_upper, sqrt_upper
+from .rationals import frac, nth_root_upper, sqrt_upper
 
 
 def multi_vector_balance(
@@ -76,7 +77,7 @@ def multi_vector_balance(
         multiples.append([e * q // step if e >= 0 else -(-e * q // step) for e in v.ints])
         scales.append(prefix * grid)
         prefix *= d
-    L = lcm_of(s.denominator for s in scales)
+    L = lcm(*(s.denominator for s in scales))
     weights = [s.numerator * (L // s.denominator) for s in scales]
     c = [sum(map(mul, weights, column)) for column in zip(*multiples)]
     # |c| < 2 entrywise, so half of it is a valid instance

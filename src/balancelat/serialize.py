@@ -2,7 +2,9 @@
 
 Exact rationals serialize as "p/q" strings ("p" when the denominator is 1);
 generated dyadic instance entries serialize as exact terminating decimals.
-Nothing here ever rounds: parse(format(x)) == x for every value.
+Nothing here ever rounds: parse(format(x)) == x for every value.  Instances,
+bases and an ellipsoid's A are read as integers over the lcm of their
+entries' denominators (rationals.parse_over_lcm), with no Fraction per entry.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .geometry import Ellipsoid
 from .lattice import LatticeBasis, UnimodularTransform
 from .linalg import RMatrix, RVector
 from .nbp import NbpInstance, NbpSolution
-from .rationals import format_decimal_dyadic, format_rational, parse_rational
+from .rationals import format_decimal_dyadic, format_rational, parse_over_lcm, parse_rational
 
 
 def json_int(v, field: str, kind: str) -> int:
@@ -46,12 +48,12 @@ def instance_to_doc(inst: NbpInstance, precision_bits: int = 30) -> dict:
 def instance_from_doc(doc: dict) -> NbpInstance:
     try:
         n = json_int(doc["n"], "n", "instance")
-        values = [parse_rational(s) for s in json_list(doc["a"], "a", "instance")]
+        (ints,), den = parse_over_lcm([json_list(doc["a"], "a", "instance")])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed instance document: {exc}") from exc
-    if len(values) != n:
+    if len(ints) != n:
         raise InvalidParams("instance length disagrees with n")
-    return NbpInstance.from_values(values)
+    return NbpInstance.from_ints(ints, den)
 
 
 def solution_to_doc(sol: NbpSolution) -> dict:
@@ -86,15 +88,13 @@ def basis_to_doc(basis: LatticeBasis) -> dict:
 def basis_from_doc(doc: dict) -> LatticeBasis:
     try:
         n = json_int(doc["n"], "n", "basis")
-        cols = [
-            [parse_rational(s) for s in json_list(col, "each column", "basis")]
-            for col in json_list(doc["columns"], "columns", "basis")
-        ]
+        cols, den = parse_over_lcm(json_list(col, "each column", "basis")
+                                   for col in json_list(doc["columns"], "columns", "basis"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed basis document: {exc}") from exc
     if len(cols) != n or any(len(c) != n for c in cols):
         raise InvalidParams("basis shape disagrees with n")
-    return LatticeBasis(RMatrix(zip(*cols)))
+    return LatticeBasis(RMatrix.from_ints(zip(*cols), den))
 
 
 def transform_to_doc(t: UnimodularTransform) -> dict:
@@ -115,8 +115,9 @@ def ellipsoid_from_doc(doc: dict) -> Ellipsoid:
         if n < 1:
             raise InvalidParams("ellipsoid dimension must be >= 1")
         if "A" in doc:
-            a = RMatrix([[parse_rational(v) for v in json_list(row, "each row of A", "ellipsoid")]
-                         for row in json_list(doc["A"], "A", "ellipsoid")])
+            rows, den = parse_over_lcm(json_list(row, "each row of A", "ellipsoid")
+                                       for row in json_list(doc["A"], "A", "ellipsoid"))
+            a = RMatrix.from_ints(rows, den)
             if a.nrows != n:
                 raise InvalidParams("ellipsoid shape disagrees with n")
             return Ellipsoid(LatticeBasis(a))

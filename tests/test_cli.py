@@ -14,7 +14,9 @@ from balancelat import cli
 from balancelat.cli import CALLS, main
 from balancelat.errors import InvalidParams
 from balancelat.generators import gen_basis, gen_ellipsoid, gen_nbp
-from balancelat.linalg import RMatrix, determinant
+from balancelat.geometry import Ellipsoid
+from balancelat.lattice import LatticeBasis
+from balancelat.linalg import RMatrix, RVector, determinant
 from balancelat.nbp import NbpInstance
 from balancelat.rng import SeededStream, splitmix64
 from balancelat.serialize import (
@@ -24,6 +26,7 @@ from balancelat.serialize import (
     ellipsoid_to_doc,
     instance_from_doc,
     instance_to_doc,
+    solution_from_doc,
 )
 from linalg_helpers import entries
 
@@ -183,6 +186,46 @@ class TestSerialize:
         assert ellipsoid_from_doc(doc).A == RMatrix.identity(2)
 
 
+# entries in non-canonical forms; each reader must build what Fraction(s.strip()) gives
+LOOSE = ["2/4", "0.50", "+1", "1e-1", " 1/3 ", "-2.5e-1"]
+LOOSE_MATRIX = [["2/4", "0.50", "+1"], ["1e-1", " 1/3 ", "0"], ["0", "0", "-3.0e0"]]
+
+
+def fractions_of(rows):
+    return [[Fraction(s.strip()) for s in row] for row in rows]
+
+
+class TestLooseEntries:
+    def test_instance(self):
+        inst = instance_from_doc({"n": 6, "precision_bits": 30, "a": LOOSE})
+        expected = NbpInstance.from_values(fractions_of([LOOSE])[0])
+        assert inst == expected and (inst.ints, inst.den) == (expected.ints, expected.den)
+
+    def test_basis(self):
+        basis = basis_from_doc({"n": 3, "columns": LOOSE_MATRIX})
+        expected = LatticeBasis(RMatrix(zip(*fractions_of(LOOSE_MATRIX))))
+        assert basis == expected and (basis.B.ints, basis.B.den) == (expected.B.ints, expected.B.den)
+        assert basis.det == expected.det
+
+    def test_ellipsoid_matrix(self):
+        e = ellipsoid_from_doc({"n": 3, "A": LOOSE_MATRIX})
+        expected = Ellipsoid(LatticeBasis(RMatrix(fractions_of(LOOSE_MATRIX))))
+        assert (e.A.ints, e.A.den) == (expected.A.ints, expected.A.den) and e.det == expected.det
+
+    def test_ellipsoid_axes_and_lengths(self):
+        # the axes (3/5, 4/5) and (-4/5, 3/5) with lengths 1/2 and 2
+        axes, lengths = [["6/10", "0.80"], ["-8e-1", "+3/5"]], [" 1/2 ", "2.0"]
+        e = ellipsoid_from_doc({"n": 2, "axes": axes, "lengths": lengths})
+        expected = Ellipsoid.from_axes([RVector(ax) for ax in fractions_of(axes)],
+                                       fractions_of([lengths])[0])
+        assert (e.A.ints, e.A.den) == (expected.A.ints, expected.A.den)
+
+    @pytest.mark.parametrize("text", LOOSE)
+    def test_solution_error(self, text):
+        x, k, error = solution_from_doc({"x": [1, 0], "k": 1, "error": text})
+        assert (x, k, error) == ([1, 0], 1, Fraction(text.strip()))
+
+
 TO_MINKOWSKI = ["reduce", "to-minkowski", "--oracle", "kk"]
 # (case id, command, input document, message on standard error)
 BAD_DOCUMENTS = [
@@ -247,6 +290,21 @@ BAD_DOCUMENTS = [
      "malformed ellipsoid document: lengths must be a list"),
     ("ellipsoid-axes-dimension-0", TO_MINKOWSKI, {"n": 0, "axes": [], "lengths": []},
      "ellipsoid dimension must be >= 1"),
+    # entries: out of range, q = 0, not a string, and digit runs past int()'s 4 300-digit limit
+    ("instance-entry-above-one", ["solve", "--algo", "kk"],
+     {"n": 2, "precision_bits": 30, "a": ["0.5", "3/2"]}, "entries must lie in [-1, 1]"),
+    ("instance-entry-zero-denominator", ["solve", "--algo", "kk"],
+     {"n": 1, "precision_bits": 30, "a": ["1/0"]}, "not an exact rational: '1/0'"),
+    ("instance-entry-not-a-string", ["solve", "--algo", "kk"],
+     {"n": 1, "precision_bits": 30, "a": [0.5]}, "malformed instance document"),
+    ("instance-entry-5000-digits", ["solve", "--algo", "kk"],
+     {"n": 1, "precision_bits": 30, "a": ["0." + "1" * 5000]}, "not an exact rational"),
+    ("basis-entry-5000-digits", ["lll"], {"n": 1, "columns": [["1" * 5000]]},
+     "not an exact rational"),
+    ("ellipsoid-entry-5000-digits", TO_MINKOWSKI, {"n": 1, "A": [["1/" + "1" * 5000]]},
+     "not an exact rational"),
+    ("ellipsoid-length-5000-digits", TO_MINKOWSKI,
+     {"n": 1, "axes": [["1"]], "lengths": ["1" * 5000]}, "not an exact rational"),
 ]
 
 
@@ -567,6 +625,16 @@ class TestCliCommands:
         assert main(["verify", "--instance", str(inst), "--solution", str(sol)]) == 3
         captured = capsys.readouterr()
         assert "malformed solution document" in captured.err and captured.out == ""
+
+    def test_5000_digit_solution_error_exit_code(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"n": 1, "precision_bits": 2, "a": ["0.5"]}))
+        sol = tmp_path / "s.json"
+        sol.write_text(json.dumps({"x": [1], "k": 1, "error": "1" * 5000}))
+        assert main(["verify", "--instance", str(inst), "--solution", str(sol)]) == 3
+        captured = capsys.readouterr()
+        assert "not an exact rational" in captured.err and captured.out == ""
+        assert "Traceback" not in captured.err
 
     def test_directory_input_exit_code(self, tmp_path, capsys):
         assert main(["lll", "--input", str(tmp_path)]) == 3

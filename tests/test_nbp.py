@@ -205,9 +205,11 @@ class TestVerify:
         with pytest.raises(InvalidParams, match=r"exceeds declared bound 1"):
             verify(inst, (2,), 1)
 
-    @pytest.mark.parametrize("x", [[Fraction(1, 2), 1], [1.9, 0], ["1", 0]])
+    @pytest.mark.parametrize("x", [[Fraction(1, 2), 1], [1.9, 0], ["1", 0], [float("nan"), 1],
+                                   [float("inf"), 1], [float("-inf"), 1], [None, 1]])
     def test_non_integer_entry_is_refused_not_truncated(self, x):
-        # int() would read these as (0, 1), (1, 0) and (1, 0)
+        # int() would read the first three as (0, 1), (1, 0) and (1, 0), and
+        # raises ValueError on NaN, OverflowError on an infinity, TypeError on None
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])
         with pytest.raises(InvalidParams, match="solution entries must be integers"):
             verify(inst, x, 1)

@@ -85,6 +85,12 @@ VIOLATIONS = [
     ("delta-non-integer", "stub-delta", halves_delta_call, (1.7, -1.2, 0)),
     ("minkowski-non-integer", "stub-minkowski", halves_minkowski_call,
      (Fraction(3, 2), Fraction(-3, 2), 0.9)),
+    # replies on which int() itself fails: ValueError, OverflowError, TypeError
+    ("delta-nan", "stub-delta", halves_delta_call, (float("nan"), -1, 0)),
+    ("minkowski-inf", "stub-minkowski", halves_minkowski_call, (1, float("inf"), 0)),
+    ("bounded-minus-inf", "stub-bounded", nbp_call(bounded), (float("-inf"), -1, 0)),
+    ("delta-none", "stub-delta", halves_delta_call, (1, None, 0)),
+    ("minkowski-half", "stub-minkowski", halves_minkowski_call, (Fraction(1, 2), -1, 0)),
 ]
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from balancelat.errors import InvalidParams
 from balancelat.rationals import (
+    MAX_EXPONENT,
     common_denominator_ints,
     floor_frac,
     floor_sqrt_div,
@@ -14,6 +16,8 @@ from balancelat.rationals import (
     format_scientific,
     iroot_floor,
     nth_root_upper,
+    parse_over_lcm,
+    parse_ratio,
     parse_rational,
     sqrt_lower,
     sqrt_upper,
@@ -58,6 +62,103 @@ class TestParsing:
         for p, q in ((1, 8), (1, 3)):
             with pytest.raises(InvalidParams, match="not a multiple"):
                 format_decimal_dyadic(p, q, 2)
+
+
+def reference_rational(text):
+    """The grammar before the integer reader: a cap on the exponent's digits,
+    then Fraction(text.strip()); a non-string raises TypeError."""
+    exp = re.search(r"[eE][-+]?(\d[\d_]*)\s*\Z", text)
+    if exp is not None:
+        digits = exp.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise InvalidParams("exponent")
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidParams("not an exact rational") from exc
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except InvalidParams:
+        return "refused"
+    except TypeError:
+        return "not a string"
+
+
+def read_ratio(text):
+    p, q = parse_ratio(text)
+    assert type(p) is int and type(q) is int and q >= 1
+    return Fraction(p, q)
+
+
+def assert_same_as_reference(text):
+    expected = outcome(reference_rational, text)
+    assert outcome(read_ratio, text) == expected
+    assert outcome(parse_rational, text) == expected
+
+
+DIFFERENTIAL = [
+    # signs
+    "1", "+1", "-1", "+-1", "-+1", "--1", "- 1", "-0", "+0.0",
+    # decimal points and exponents
+    ".5", "5.", "-.5", "+5.", ".", "-.", "1E-3", "1e+3", "-2.5e-2", "2.5E2", ".5e1", "5.e1",
+    "1e", "e5", "1e+", "1.5e-0", "0e0",
+    # underscores: single separators between digits only
+    "1_000", "1__0", "_1", "1_", "1_000.000_1", "1._5", "1.5_", "1e1_0", "1e_1", "1/1_0",
+    "1_0/3", "1/_3",
+    # fractions
+    "1/2", "-3/7", "2/4", "+6/8", "1/0", "0/0", "-1/0_0", "1/2/3", "1.5/2", "1/2e3", "1/-2",
+    # Unicode digits and what is not a decimal digit
+    "\u0661\u0662", "\u0661/\u0662", "\u06f5.\u06f5", "\uff11\uff12", "\u00bd", "\u00b2",
+    # surrounding whitespace, and whitespace inside
+    " 1/3 ", "\t0.5\n", "\u20031\u2003", "1 /3", "1/ 3", "1 . 5", "1 e5", "", " ", "\n",
+    # not numbers
+    "inf", "nan", "0x10", "one half", "1.d", "1,5",
+    # exponents at and past the cap, and zero-padded ones
+    "1e10000", "1e10001", "1e-10000", "1e-10001", "-7.5E+1_000_000", "1e0_000_1",
+    "1e" + "0" * 50 + "1", "1e" + "0" * 5000 + "1", "1e" + "9" * 5000,
+    # digit runs past CPython's int() limit, and long runs under it in each part
+    "1" * 5000, "0." + "1" * 5000, "1/" + "1" * 5000, "1" * 4000 + "." + "1" * 4000,
+    # non-strings
+    1, 1.5, True, None, [1], Fraction(1, 2),
+]
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL, ids=range(len(DIFFERENTIAL)))
+def test_reader_matches_the_fraction_grammar(text):
+    assert_same_as_reference(text)
+
+
+digit_runs = st.text("0123456789_\u0661", min_size=0, max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.text("0123456789_./eE+- \t\u0661", max_size=12),
+    st.builds(lambda *parts: "".join(parts),
+              st.sampled_from(["", " ", "+", "-", "+-"]), digit_runs,
+              st.sampled_from(["", "/", ".", "e", "E-", ".", "/"]), digit_runs,
+              st.sampled_from(["", "e", "e+", "E-", " "]), st.text("0123_", max_size=6),
+              st.sampled_from(["", " ", "\n"])),
+))
+def test_reader_matches_the_fraction_grammar_on_random_strings(text):
+    assert_same_as_reference(text)
+
+
+def test_reader_keeps_the_pair_unreduced():
+    assert parse_ratio("2/4") == (2, 4)
+    assert parse_ratio("-0.50") == (-50, 100)
+    assert parse_ratio("1.5e-2") == (15, 1000)
+    assert parse_ratio("1.5e2") == (1500, 10)
+
+
+def test_rows_over_the_lcm():
+    # "0.25" is read as 25/100, so the lcm is over 2, 100, 3 and 1
+    rows, den = parse_over_lcm([["1/2", "0.25"], ["-1/3", "2"]])
+    assert den == 300 and rows == [[150, 75], [-100, 600]]
+    assert parse_over_lcm([]) == ([], 1)
 
 
 @settings(max_examples=200, deadline=None)

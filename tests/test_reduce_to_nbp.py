@@ -468,19 +468,24 @@ def test_faulty_recombination_is_caught(monkeypatch, coeff, message):
 
 
 def test_instance_integers_are_computed_only_from_outside_values(monkeypatch, tmp_path, capsys):
-    """Entries are scaled to integers only where outside values come in,
-    NbpInstance.from_values.  Over one `reduce to-nbp --oracle exact-mink
-    --full` run at n = 36 that is the input instance, once: the body,
-    restrict, the solvers, verify and instance_inner read the stored pair.
-    Over a rounded-branch `reduce to-minkowski --oracle pigeonhole` run the
-    balancing layers and the bodies make no call of their own."""
-    original = rationals.common_denominator_ints
+    """Entries are scaled to integers only where outside values come in:
+    a document's entry strings (parse_over_lcm) or outside Fractions
+    (common_denominator_ints, from NbpInstance.from_values).  Over one
+    `reduce to-nbp --oracle exact-mink --full` run at n = 36 that is the
+    input document, once: the body, restrict, the solvers, verify and
+    instance_inner read the stored pair.  Over a rounded-branch `reduce
+    to-minkowski --oracle pigeonhole` run the balancing layers and the
+    bodies make no call of their own."""
+    originals = {rationals.common_denominator_ints, rationals.parse_over_lcm}
     callers, seen = [], []
 
-    def counted(*args):
-        frame = sys._getframe(1)
-        callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
-        return original(*args)
+    def counting(original):
+        def counted(*args):
+            frame = sys._getframe(1)
+            callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+            return original(*args)
+
+        return counted
 
     def count(owner, name):
         wrapped = getattr(owner, name)
@@ -498,9 +503,10 @@ def test_instance_integers_are_computed_only_from_outside_values(monkeypatch, tm
     e = tmp_path / "e.json"
     e.write_text(capsys.readouterr().out)
     for name, module in list(sys.modules.items()):
-        bound = getattr(module, "common_denominator_ints", None)
-        if name.startswith("balancelat") and bound is original:
-            monkeypatch.setattr(module, "common_denominator_ints", counted)
+        for helper in ("common_denominator_ints", "parse_over_lcm"):
+            bound = getattr(module, helper, None)
+            if name.startswith("balancelat") and bound in originals:
+                monkeypatch.setattr(module, helper, counting(bound))
     count(NbpInstance, "__init__")
     count(NbpInstance, "restrict")
     count(NbpInstance, "from_ints")
@@ -510,11 +516,11 @@ def test_instance_integers_are_computed_only_from_outside_values(monkeypatch, tm
                 count(module, name)
     code = main(["reduce", "to-nbp", "--oracle", "exact-mink", "--full", "--input", str(f)])
     assert code == 0, capsys.readouterr().err
-    assert callers == [("balancelat.nbp", "from_values")]
+    assert callers == [("balancelat.serialize", "instance_from_doc")]
     assert seen.count("restrict") == 6  # one round of sqrt(36) blocks
-    # every instance passes the one constructor: the input, the six blocks
-    # and the block-value instance, the last seven through from_ints
-    assert seen.count("from_ints") == 7 and seen.count("__init__") == 8
+    # every instance passes the one constructor through from_ints: the
+    # input, the six blocks and the block-value instance
+    assert seen.count("from_ints") == 8 and seen.count("__init__") == 8
     assert seen.count("instance_inner") >= 6 and seen.count("verify") >= 1
 
     callers.clear()
