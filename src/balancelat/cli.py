@@ -62,10 +62,13 @@ EXIT_INVALID = 3
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidParams(f"input {path!r} is not UTF-8 text: {exc}") from None
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -243,6 +246,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sizes = sorted(int(s) for s in args.sizes.split(",") if s)
     except ValueError:
         raise InvalidParams(f"--sizes takes comma-separated integers, got {args.sizes!r}") from None
+    if not sizes:
+        raise InvalidParams(f"--sizes needs at least one dimension, got {args.sizes!r}")
     if args.seeds < 1:
         raise InvalidParams(f"--seeds must be >= 1, got {args.seeds}")
     if args.k < 1:

@@ -8,7 +8,11 @@ Fraction algorithms, so they return the same bases and witnesses.  Both read
 the integral Gram-Schmidt data d_i and lam_kj (de Weger 1987; Cohen, Alg.
 2.6.7): LLL keeps them up to date, and the SVP search weighs each node by the
 integer d_l |pi_l(p)|^2 of its partial vector p, so its operands stay near
-the size of the d_i.  The reduction certificate (size-reduced and the Lovasz
+the size of the d_i.  It prunes each level by the l2 ball around the cube
+of its max-norm radius and by a max-norm cut on the same coordinate; the
+radius is one integer, so neither test needs a Fraction, and neither loses
+a vector that ties or beats the optimum (``svp_exact_linf``).  The
+reduction certificate (size-reduced and the Lovasz
 condition |bhat_i|^2 <= 2 |bhat_{i+1}|^2) is then re-derived from a fresh
 integral Gram-Schmidt of the output basis as literal integer inequalities,
 and the unimodular transform, tracked alongside the swaps and size
@@ -213,6 +217,26 @@ def lll_min_gain(basis: LatticeBasis, cert: LllCertificate) -> Fraction:
     return Fraction(1, 2 ** (3 * n))
 
 
+def gram_schmidt_vectors(
+    cols: Sequence[Sequence[int]], d: Sequence[int], lam: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The integer vectors w_l = d_l chat_l of integer columns c_l with integral
+    Gram-Schmidt data d, lam (``linalg.gram_schmidt``), chat_l the Gram-Schmidt
+    vector of c_l.
+
+    Fraction-free: from u = c_l, u <- (d_{i+1} u - lam[l][i] w_i) / d_i for
+    i < l keeps u = d_{i+1} (c_l - sum_{j <= i} mu_lj chat_j), which is
+    integral, so every division is exact and u ends as w_l.
+    """
+    w: list[list[int]] = []
+    for l, u in enumerate(cols):
+        for i in range(l):
+            di, di1, li = d[i], d[i + 1], lam[l][i]
+            u = [(di1 * a - li * b) // di for a, b in zip(u, w[i])]
+        w.append(list(u))
+    return w
+
+
 def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction | None = None) -> tuple[int, ...]:
     """Exact shortest nonzero lattice vector in the max norm.
 
@@ -221,36 +245,45 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction | None = None) ->
     lexicographically on y.
 
     The search runs over an LLL-reduced basis B' = B U (Fincke-Pohst 1985,
-    Schnorr-Euchner 1994).  Level l fixes y'_l given y'_{l+1..n}; the
+    Schnorr-Euchner 1994).  Level l fixes y'_l given y'_{l+1..n}.  The
     Gram-Schmidt data of B' turn |B' y'|^2 into a sum of per-level squares,
-    so the integers y'_l that keep the partial sum within the radius form an
-    interval around a centre.  The radius^2 starts at n v0^2, where v0 is the
-    smallest max norm among the reduced columns (capped by ``search_bound``),
-    and is clamped to min(n v0^2, n best^2) once a nonzero vector of max
-    norm ``best`` has been seen.  The clamp loses nothing: every vector with
-    max norm <= m has |v|_2^2 <= n m^2, and the optimum's max norm is at most
-    every ``best`` seen and at most v0 (the reduced columns are lattice
-    vectors; if the optimum misses a smaller ``search_bound``, the result is
-    NotFound anyway).  So every vector that ties or beats the optimum lies
-    inside the ball at every point of the search, and the minimum of the key
-    (max norm, |v|_2^2, U y') over the ball is the minimum over the whole
-    lattice, whatever order the ball is visited in.
+    so the integers y'_l that keep the partial sum within a ball form an
+    interval around a centre; a max-norm cut narrows that interval to the
+    part whose vectors can still lie in the cube.  Both are sized by one
+    integer m, F times a max norm (F = the reduced basis's denominator): it
+    starts at F v0, floored, where v0 is the smallest max norm among the
+    reduced columns, capped by ``search_bound``, and drops to F best once a
+    nonzero vector of smaller max norm ``best`` has been seen.  Every vector
+    that ties or beats the optimum has F |v|_inf <= m at every point of the
+    search: F |v|_inf is an integer, so flooring F v0 loses none, the
+    reduced columns are lattice vectors, and if the optimum misses a smaller
+    ``search_bound`` the result is NotFound anyway.  Such a vector lies in
+    the ball |v|_2^2 <= n (m/F)^2 and passes every level's cut (below).  So
+    the minimum of the key (max norm, |v|_2^2, U y') over ball and cuts is
+    the minimum over the whole lattice, whatever order they are visited in.
 
-    Each level visits its interval in zig-zag order, by distance from the
-    centre, so short vectors come early and the radius shrinks sooner; a
-    candidate outside the current radius ends its level, since the rest lie
-    farther out.  All arithmetic is on integers, from the integral
-    Gram-Schmidt data of the LLL certificate (de Weger 1987; Cohen, Alg.
-    2.6.7).  A node at level l with partial vector p = sum_{j >= l} y'_j c_j,
-    c_j = F b'_j, has the integer weight W_l = d_l |pi_l(p)|^2 (the Gram
-    determinant of c_0..c_{l-1}, p), and d_{l+1} W_l = d_l W_{l+1} + T_l^2
-    for T_l = d_{l+1} y'_l + sum_{j > l} lam[j][l] y'_j.  With R = n (F m)^2
-    for the radius's max norm m, the ball test W_l <= R d_l reads
-    T_l^2 <= R d_l d_{l+1} - d_l W_{l+1}, which gives the level's interval and
-    its zig-zag by |T_l|: each test is the textbook one times a positive
-    integer.  p is carried down the levels, so a leaf costs O(n) integer
-    operations, and U y' is formed only for a leaf that ties or beats the
-    incumbent on (max norm, |v|_2^2).
+    All arithmetic is on integers, from the integral Gram-Schmidt data of the
+    LLL certificate (de Weger 1987; Cohen, Alg. 2.6.7).  A node at level l
+    with partial vector p = sum_{j >= l} y'_j c_j, c_j = F b'_j, has the
+    integer weight W_l = d_l |pi_l(p)|^2 (the Gram determinant of
+    c_0..c_{l-1}, p), and d_{l+1} W_l = d_l W_{l+1} + T_l^2 for
+    T_l = d_{l+1} y'_l + sum_{j > l} lam[j][l] y'_j.  The ball test
+    W_l <= n m^2 d_l reads T_l^2 <= n m^2 d_l d_{l+1} - d_l W_{l+1}: the
+    textbook test times a positive integer.  The cut: T_l = <c, w_l> for
+    every completion c = p + sum_{j < l} y'_j c_j = F B' y' of the node,
+    where w_l = d_l chat_l is the integer vector of ``gram_schmidt_vectors``
+    (chat_l is orthogonal to c_j for j < l), so |T_l| <= |c|_inf |w_l|_1,
+    and |T_l| <= m |w_l|_1 for every completion with |c|_inf <= m.  The
+    interval is |T_l| <= min(floor sqrt(n m^2 d_l d_{l+1} - d_l W_{l+1}),
+    m |w_l|_1); the caps and cuts are recomputed only when m drops.
+
+    Each level visits its interval in zig-zag order, by |T_l|, that is by
+    distance from the centre, so short vectors come early and m drops
+    sooner; a candidate outside the current ball or cut ends its level, since
+    the rest have a larger |T_l|.  p is carried down the levels, so a leaf
+    costs O(n) integer operations, and U y' is formed only for a leaf that
+    ties or beats the incumbent on (max norm, |v|_2^2).  The w_l cost
+    O(n^3) integer operations once per call.
 
     ``search_bound``, when given, must be a promised attainable max norm
     (e.g. 1 for a determinant <= 1 lattice, by Minkowski's theorem); NotFound
@@ -269,35 +302,37 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction | None = None) ->
     # lam_col[l][j] = lam[j][l] for j > l; y'_j = 0 for j <= l on entering level l
     lam_col = [[lam[j][l] if j > l else 0 for j in range(n)] for l in range(n)]
     u_rows = transform.U.ints
-    col_inf = Fraction(min(max(map(abs, c)) for c in cols), F)
-    v0 = col_inf if search_bound is None else min(col_inf, frac(search_bound))
+    norms_1 = [sum(map(abs, w)) for w in gram_schmidt_vectors(cols, d, lam)]
+    m = min(max(map(abs, c)) for c in cols)  # F times the smallest column max norm
+    if search_bound is not None:
+        m = min(m, floor_frac(F * frac(search_bound)))
 
-    def level_caps(R: Fraction) -> list[int]:
-        # floor(R d_l d_{l+1}): T_l^2 <= it - d_l W_{l+1} is exactly W_l <= R d_l
-        return [floor_frac(R * d[l] * d[l + 1]) for l in range(n)]
+    def bounds(m: int) -> tuple[list[int], list[int]]:
+        # caps n m^2 d_l d_{l+1}: T_l^2 <= cap_l - d_l W_{l+1} is W_l <= n m^2 d_l;
+        # cuts m |w_l|_1 >= |T_l| for every completion c with |c|_inf <= m
+        return [n * m * m * d[l] * d[l + 1] for l in range(n)], [m * w for w in norms_1]
 
-    R = n * (F * v0) ** 2
-    cap = level_caps(R)
+    cap, cut = bounds(m)
     best: tuple | None = None  # (F |v|_inf, F^2 |v|_2^2, U y') of the incumbent
     nodes = 1  # the root
     y = [0] * n
 
     def exceeded() -> BudgetExceeded:
-        bound = v0 if best is None else min(v0, Fraction(best[0], F))
-        radius_sq = n * bound * bound
+        radius_sq = n * Fraction(m, F) ** 2
         return BudgetExceeded(
             f"SVP enumeration exceeded budget: {nodes} nodes visited, limit {limit}, "
             f"dimension {n}, search radius^2 {format_rational(radius_sq)}"
         )
 
     def visit(level: int, weight: int, partial: list[int]) -> None:
-        nonlocal best, nodes, R, cap
+        nonlocal best, nodes, m, cap, cut
         s = sum(map(mul, lam_col[level], y))
         dn = d[level + 1]
         dw = d[level] * weight  # d_l W_{l+1}
-        # |T| <= t, the largest t with t^2 <= cap - d_l W_{l+1}; at 0 bits
-        # sqrt_lower is the exact floor square root of an integer
-        t = int(sqrt_lower(cap[level] - dw, 0))
+        # |T| <= t: the largest t with t^2 <= cap - d_l W_{l+1}, at most the cut;
+        # at 0 bits sqrt_lower is the exact floor square root of an integer
+        t = min(int(sqrt_lower(cap[level] - dw, 0)), cut[level])
+        m_entry = m
         lo, hi = -((t + s) // dn), (t - s) // dn
         left = -s // dn  # floor of the centre -s/d_{l+1}; left <= hi and left + 1 >= lo
         right = left + 1
@@ -310,7 +345,9 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction | None = None) ->
             else:
                 break
             T = dn * yv + s
-            if T * T > cap[level] - dw:  # the radius shrank; later candidates lie farther out
+            # |T| <= t passes both tests until m drops; then a failing candidate
+            # ends the level, since later ones have a larger |T|
+            if m < m_entry and (T * T > cap[level] - dw or abs(T) > cut[level]):
                 break
             nodes += 1
             if nodes > limit:
@@ -329,8 +366,9 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction | None = None) ->
             key = (inf, nsq, tuple(sum(u * yj for u, yj in zip(row, y)) for row in u_rows))
             if best is None or key < best:
                 best = key
-                R = min(R, n * inf * inf)
-                cap = level_caps(R)
+                if inf < m:
+                    m = inf
+                    cap, cut = bounds(m)
         y[level] = 0
 
     if nodes > limit:

@@ -10,6 +10,7 @@ entries' denominators (rationals.parse_over_lcm), with no Fraction per entry.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .errors import InvalidParams
@@ -34,6 +35,12 @@ def json_list(v, field: str, kind: str) -> list:
     return v
 
 
+def malformed(kind: str, exc: Exception) -> InvalidParams:
+    """The error for a document a reader could not read; a KeyError names its field."""
+    detail = f"missing field {exc.args[0]}" if isinstance(exc, KeyError) else exc
+    return InvalidParams(f"malformed {kind} document: {detail}")
+
+
 def instance_to_doc(inst: NbpInstance, precision_bits: int = 30) -> dict:
     """Each entry as a decimal when it is a multiple of 2^-precision_bits, else as "p/q"."""
     den, entries = inst.den, []
@@ -50,7 +57,7 @@ def instance_from_doc(doc: dict) -> NbpInstance:
         n = json_int(doc["n"], "n", "instance")
         (ints,), den = parse_over_lcm([json_list(doc["a"], "a", "instance")])
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParams(f"malformed instance document: {exc}") from exc
+        raise malformed("instance", exc) from exc
     if len(ints) != n:
         raise InvalidParams("instance length disagrees with n")
     return NbpInstance.from_ints(ints, den)
@@ -72,7 +79,7 @@ def solution_from_doc(doc: dict) -> tuple[list[int], int, Fraction]:
             parse_rational(doc["error"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParams(f"malformed solution document: {exc}") from exc
+        raise malformed("solution", exc) from exc
 
 
 def basis_to_doc(basis: LatticeBasis) -> dict:
@@ -91,7 +98,7 @@ def basis_from_doc(doc: dict) -> LatticeBasis:
         cols, den = parse_over_lcm(json_list(col, "each column", "basis")
                                    for col in json_list(doc["columns"], "columns", "basis"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParams(f"malformed basis document: {exc}") from exc
+        raise malformed("basis", exc) from exc
     if len(cols) != n or any(len(c) != n for c in cols):
         raise InvalidParams("basis shape disagrees with n")
     return LatticeBasis(RMatrix.from_ints(zip(*cols), den))
@@ -130,7 +137,7 @@ def ellipsoid_from_doc(doc: dict) -> Ellipsoid:
                 for ax in json_list(doc["axes"], "axes", "ellipsoid")]
         return Ellipsoid.from_axes(axes, lengths)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParams(f"malformed ellipsoid document: {exc}") from exc
+        raise malformed("ellipsoid", exc) from exc
 
 
 def dumps(doc: dict) -> str:
@@ -142,3 +149,9 @@ def loads(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidParams(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past CPython's int() digit limit
+        raise InvalidParams(
+            f"not valid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise InvalidParams("not valid JSON: arrays or objects nested too deeply") from exc

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -305,6 +306,23 @@ BAD_DOCUMENTS = [
      "not an exact rational"),
     ("ellipsoid-length-5000-digits", TO_MINKOWSKI,
      {"n": 1, "axes": [["1"]], "lengths": ["1" * 5000]}, "not an exact rational"),
+    # a missing field is named
+    ("instance-missing-n", ["solve", "--algo", "kk"], {"precision_bits": 30, "a": ["0.5"]},
+     "malformed instance document: missing field n"),
+    ("basis-missing-columns", ["lll"], {"n": 1}, "malformed basis document: missing field columns"),
+    ("ellipsoid-missing-n", TO_MINKOWSKI, {"A": [["1"]]},
+     "malformed ellipsoid document: missing field n"),
+]
+
+# (case id, bytes of the input file, message on standard error): text that
+# json.loads or the UTF-8 decoder cannot read at all
+BAD_TEXTS = [
+    ("array-nested-200000-deep", b"[" * 200_000 + b"]" * 200_000,
+     "not valid JSON: arrays or objects nested too deeply"),
+    ("bare-5000-digit-integer", b"1" * 5000, "not valid JSON: an integer has more than"),
+    ("5000-digit-integer-field", b'{"n": 1, "precision_bits": ' + b"1" * 5000 + b', "a": ["0.5"]}',
+     "not valid JSON: an integer has more than"),
+    ("not-utf-8", b'{"n": 1, "precision_bits": 30, "a": ["0.5"]}\xff', "is not UTF-8 text"),
 ]
 
 
@@ -542,6 +560,12 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert "--sizes" in captured.err and captured.out == ""
 
+    def test_bench_no_sizes_exit_code(self, capsys):
+        assert main(["bench", "--sizes", ",,", "--seeds", "1", "--algos", "kk"]) == 3
+        captured = capsys.readouterr()
+        assert "--sizes needs at least one dimension, got ',,'" in captured.err
+        assert captured.out == ""
+
     def test_bench_unknown_algorithm_exit_code(self, capsys):
         assert main(["bench", "--sizes", "6", "--seeds", "1", "--algos", "kk,nope"]) == 3
         captured = capsys.readouterr()
@@ -608,6 +632,22 @@ class TestCliCommands:
         assert main(command + ["--input", str(f)]) == 3
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("raw, message", [b[1:] for b in BAD_TEXTS],
+                             ids=[b[0] for b in BAD_TEXTS])
+    def test_unreadable_text_exit_code(self, raw, message, tmp_path, capsys):
+        f = tmp_path / "doc.json"
+        f.write_bytes(raw)
+        assert main(["solve", "--algo", "kk", "--input", str(f)]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_standard_input_not_utf8_exit_code(self, monkeypatch, capsys):
+        raw = b'{"n": 1, "precision_bits": 30, "a": ["0.5"]}\xff'
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        assert main(["solve", "--algo", "kk", "--input", "-"]) == 3
+        captured = capsys.readouterr()
+        assert "input '-' is not UTF-8 text" in captured.err and captured.out == ""
 
     # x = e_1 with k = 1 and error 1/2 verifies; each row spoils one field
     @pytest.mark.parametrize("x, k", [

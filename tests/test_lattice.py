@@ -20,12 +20,13 @@ from balancelat.lattice import (
     LllCertificate,
     UnimodularTransform,
     check_reduction_conditions,
+    gram_schmidt_vectors,
     lattice_membership,
     lll_min_gain,
     lll_reduce,
     svp_exact_linf,
 )
-from balancelat.linalg import RMatrix, RVector, determinant, solve_linear
+from balancelat.linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
 from balancelat.rationals import floor_frac
 from balancelat.reduce_to_nbp import svp_embedding_basis
 from linalg_helpers import diagonal, from_columns, integer_points, norm_sq, scale_matrix, unit
@@ -387,6 +388,34 @@ class TestMinGain:
             lll_min_gain(basis, LllCertificate(4, (1, 4, 15), zero, True, True))
 
 
+# scaled and permuted cubes c Z^n, bare and behind a unimodular shear: every
+# optimum is tied 2n ways or more, so the witness rests on the tie-break
+_SHEAR = RMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+TIE_HEAVY_BASES = [LatticeBasis(m) for m in (
+    diagonal([Fraction(3, 2)] * 3),
+    scale_matrix(RMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), Fraction(2, 3)),
+    scale_matrix(_SHEAR, 2),
+    RMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]).matmul(scale_matrix(_SHEAR, Fraction(5, 3))),
+    diagonal([2, 2, 3]),
+)]
+
+
+class TestGramSchmidtVectors:
+    def test_integer_vectors_are_d_times_the_reference(self):
+        # w_l = d_l bhat_l of the columns c_j = F b_j, entry by entry
+        rng = random.Random(28)
+        bases = [rand_int_basis(rng, n, span=9).B for n in (1, 2, 4, 6)]
+        bases += [rand_rational_basis(rng, n).B for n in (3, 5)]
+        bases += [svp_embedding_basis(gen_nbp(5, 1, signed=True), 3, 1).B]
+        for b in bases:
+            cols, _, d, lam = gram_schmidt(b)
+            bhat, _ = reference_gram_schmidt(from_columns(cols))
+            w = gram_schmidt_vectors(cols, d, lam)
+            for l in range(b.ncols):
+                assert w[l] == [d[l] * e for e in bhat.column(l)]
+                assert all(type(e) is int for e in w[l])
+
+
 class TestSvpExactLinf:
     def test_identity_lattice(self):
         for n in range(1, 9):
@@ -451,7 +480,7 @@ class TestSvpExactLinf:
                         ) <= 5000:
                             break
                     bases.append(LatticeBasis(m))
-        for basis in bases:
+        for basis in bases + TIE_HEAVY_BASES:
             for bound in (None, Fraction(1), Fraction(5, 2)):
                 expected = box_minimum(basis, bound)
                 if expected is None or (bound is not None and expected[0] > bound):
@@ -459,6 +488,36 @@ class TestSvpExactLinf:
                         svp_exact_linf(basis, search_bound=bound)
                 else:
                     assert svp_exact_linf(basis, search_bound=bound) == expected[2]
+
+    def test_fractional_search_bounds_match_box_minimum(self):
+        # bounds just above and just below each optimum, off the grid 1/F of
+        # the reduced basis: the search starts from m = floor(F v0) < F v0, and
+        # a bound below the optimum still raises NotFound
+        rng = random.Random(27)
+        bases = [rand_int_basis(rng, 3, span=4) for _ in range(4)]
+        bases += [LatticeBasis(RMatrix([[Fraction(rng.randint(-4, 4), rng.choice((2, 3)))
+                                         for _ in range(3)] for _ in range(3)]))
+                  for _ in range(6)]
+        # near-singular draws give boxes too large to scan quickly
+        bases = [b for b in bases if b.det != 0
+                 and math.prod(2 * c + 1 for c in box_bounds(b)) <= 5000] + TIE_HEAVY_BASES
+        assert len(bases) >= 10
+        outcomes = set()
+        for basis in bases:
+            optimum = box_minimum(basis)[0]
+            scale = lll_reduce(basis)[0].B.den
+            for bound in (optimum + Fraction(1, 101), optimum - Fraction(1, 101),
+                          optimum + Fraction(50, 101)):
+                assert (scale * bound).denominator != 1
+                expected = box_minimum(basis, bound)
+                if expected is None or expected[0] > bound:
+                    outcomes.add("NotFound")
+                    with pytest.raises(NotFound):
+                        svp_exact_linf(basis, search_bound=bound)
+                else:
+                    outcomes.add("found")
+                    assert svp_exact_linf(basis, search_bound=bound) == expected[2]
+        assert outcomes == {"NotFound", "found"}
 
     def test_ties_break_by_norm_then_input_coefficients(self):
         # max norm 3 is the minimum, attained by +-(3,0,0) and +-(0,3,0)
@@ -479,15 +538,32 @@ class TestSvpExactLinf:
                 svp_exact_linf(basis, search_bound=search_bound)
 
     def test_search_radius_stays_clamped(self):
-        # the identity lattice at n = 6 visits 2255 nodes; an ell-2 ball that
-        # grows past n v0^2 once the first leaf is seen needs 12855
-        self.assert_visits(LatticeBasis(RMatrix.identity(6)), 2255)
+        # the identity lattice at n = 6 visits 1093 nodes with the max-norm
+        # cut; the ell-2 ball of radius^2 n v0^2 alone visited 2255, and a
+        # ball that grows past n v0^2 once the first leaf is seen needs 12855
+        self.assert_visits(LatticeBasis(RMatrix.identity(6)), 1093)
 
-    @pytest.mark.parametrize("n, k, nodes", [(7, 2, 1085), (5, 3, 25), (6, 3, 54)])
+    @pytest.mark.parametrize("n, k, nodes", [(7, 2, 839), (5, 3, 15), (6, 3, 48)])
     def test_node_counts_on_det_one_embeddings_are_pinned(self, n, k, nodes):
-        # the exact count pins the visit order: every node, in the same order
+        # the exact count pins the visit order: every node, in the same order;
+        # the ell-2 ball without the max-norm cut visited 1085, 25 and 54
         basis = svp_embedding_basis(gen_nbp(n, 1, signed=True), k, 1)
         self.assert_visits(basis, nodes, search_bound=1)
+
+    @pytest.mark.parametrize("rows, nodes, witness", [
+        # the next candidate lies inside the shrunk ball but outside the cut
+        ([[-10, -4, -4], [1, 6, -10], [2, -1, -2]], 12, (-1, 1, 1)),
+        # the next candidate lies outside the shrunk ball
+        ([[16, 19, 14, -11, 0], [20, 16, 4, 7, 7], [-6, 11, -2, 10, 4],
+          [4, -10, 18, 18, -4], [-1, 11, -4, 6, -19]], 106, (0, 0, 0, -1, -1)),
+    ], ids=["cut", "ball"])
+    def test_a_level_ends_when_m_drops_inside_it(self, rows, nodes, witness):
+        # m starts at the smallest max norm of a reduced column and drops while
+        # levels above the leaf are part-way through their intervals; the
+        # first candidate that fails the shrunk ball or cut ends its level
+        basis = LatticeBasis(RMatrix(rows))
+        self.assert_visits(basis, nodes)
+        assert svp_exact_linf(basis) == witness
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
