@@ -243,7 +243,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        sizes = sorted(int(s) for s in args.sizes.split(",") if s)
+        sizes = sorted({int(s) for s in args.sizes.split(",") if s})
     except ValueError:
         raise InvalidParams(f"--sizes takes comma-separated integers, got {args.sizes!r}") from None
     if not sizes:
@@ -252,7 +252,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InvalidParams(f"--seeds must be >= 1, got {args.seeds}")
     if args.k < 1:
         raise InvalidParams(f"--k must be >= 1, got {args.k}")
-    algos = sorted(a for a in args.algos.split(",") if a)
+    algos = sorted({a for a in args.algos.split(",") if a})
     unknown = [a for a in algos if a not in CALLS["bench"]]
     if unknown:
         raise InvalidParams(f"unknown bench algorithm {unknown[0]!r}")

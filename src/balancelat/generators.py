@@ -1,10 +1,19 @@
-"""Seeded generation of balancing instances, lattice bases, and ellipsoids."""
+"""Seeded generation of balancing instances, lattice bases, and ellipsoids.
+
+Bases and ellipsoids are built on integers.  An ellipsoid's axes come from a
+rotation R / D kept as integer rows R over one denominator D: each Givens
+step is an exact integer rotation over a Pythagorean triple, and the result
+is checked as R^T R = D^2 I before A is assembled over one common
+denominator.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
-from .errors import InvalidParams, RankDeficient
+from .errors import InternalContradiction, InvalidParams, RankDeficient
 from .geometry import Ellipsoid
 from .lattice import LatticeBasis
 from .linalg import RMatrix
@@ -39,25 +48,48 @@ def gen_basis(n: int, seed: int, span: int = 99) -> LatticeBasis:
     while True:
         rows = [[stream.next_int(-span, span) for _ in range(n)] for _ in range(n)]
         try:
-            return LatticeBasis(RMatrix(rows))
+            return LatticeBasis(RMatrix.from_ints(rows))
         except RankDeficient:
             pass
 
 
-def _random_rotation(stream: SeededStream, n: int) -> RMatrix:
-    """Exactly orthogonal rational matrix from two sweeps of circle-point Givens rotations."""
-    rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+def _random_rotation(stream: SeededStream, n: int) -> tuple[list[list[int]], int]:
+    """Integer rows R over a denominator D with R / D exactly orthogonal.
+
+    Two sweeps of circle-point Givens rotations: the step with u = k/256 on
+    columns p < q is (1/g) [[a, -b], [b, a]] with a = 2^16 - k^2, b = 2^9 k
+    and g = 2^16 + k^2, all divided by gcd(a, b).  Since a^2 + b^2 = g^2 the
+    step is exact on integers: columns p and q become a and b combinations,
+    the others are multiplied by g, and D is the product of the g's.
+    """
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    den = 1
     for _ in range(2):
         for p in range(n):
             for q in range(p + 1, n):
-                u = Fraction(stream.next_int(-128, 128), 256)
-                c = (1 - u * u) / (1 + u * u)
-                s = 2 * u / (1 + u * u)
-                for i in range(n):
-                    vp, vq = rows[i][p], rows[i][q]
-                    rows[i][p] = c * vp - s * vq
-                    rows[i][q] = s * vp + c * vq
-    return RMatrix(rows)
+                k = stream.next_int(-128, 128)
+                a, b = 65536 - k * k, 512 * k
+                h = gcd(a, b)
+                a, b, g = a // h, b // h, (65536 + k * k) // h
+                if g == 1:  # k = 0: the identity
+                    continue
+                den *= g
+                for row in rows:
+                    vp, vq = row[p], row[q]
+                    row[:] = [g * e for e in row]  # the columns besides p and q, over D g
+                    row[p] = a * vp - b * vq
+                    row[q] = b * vp + a * vq
+    return rows, den
+
+
+def _check_orthogonal(rows: list[list[int]], den: int) -> None:
+    """Refuses (InternalContradiction) unless R^T R = D^2 I exactly."""
+    cols = list(zip(*rows))
+    den_sq = den * den
+    for i, ci in enumerate(cols):
+        for j in range(i, len(cols)):
+            if sum(map(mul, ci, cols[j])) != (den_sq if i == j else 0):
+                raise InternalContradiction("the Givens rotation is not exactly orthogonal")
 
 
 def gen_ellipsoid(n: int, seed: int) -> Ellipsoid:
@@ -65,8 +97,10 @@ def gen_ellipsoid(n: int, seed: int) -> Ellipsoid:
 
     Axis lengths are multiples of 2^-9 in [1/2, 3/2) except the last, which
     is bumped to a dyadic upper bound of the reciprocal of the rest; the axes
-    come from an exactly orthogonal rational rotation, so |det A| =
-    1 / prod(lengths) exactly.
+    are the columns of an exactly orthogonal rotation R / D (checked as
+    R^T R = D^2 I on integers), so |det A| = 1 / prod(lengths) exactly.
+    Row i of A = diag(1/lambda) (R / D)^T is R's column i over D lambda_i,
+    built on integers over one common denominator.
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
@@ -83,6 +117,12 @@ def gen_ellipsoid(n: int, seed: int) -> Ellipsoid:
     last = Fraction(-((-inv.numerator * scale) // inv.denominator), scale)
     lengths.append(last)
     lengths.sort()
-    rotation = _random_rotation(stream, n)
-    axes = [rotation.column(i) for i in range(n)]
-    return Ellipsoid.from_axes(axes, lengths)
+    rotation, den = _random_rotation(stream, n)
+    _check_orthogonal(rotation, den)
+    # column i of R / (D p_i / q_i) over the common denominator D lcm(p)
+    nums = lcm(*(l.numerator for l in lengths))
+    rows = [
+        [e * (l.denominator * (nums // l.numerator)) for e in col]
+        for col, l in zip(zip(*rotation), lengths)
+    ]
+    return Ellipsoid(LatticeBasis(RMatrix.from_ints(rows, den * nums)))

@@ -6,11 +6,15 @@ check against, and ``diagonal``, ``from_columns`` and ``transpose`` build
 the matrices they feed it.  ``entries`` reads an instance's integers over
 their denominator back as Fractions, and ``discretized`` builds the
 truncated, scaled vectors a~_i of multi-vector balancing from its inputs.
+``fraction_rotation`` and ``reference_gen_ellipsoid`` are gen_ellipsoid's
+construction in Fractions, the reference its integer rotation must equal.
 """
 
 from fractions import Fraction
 
+from balancelat.geometry import Ellipsoid
 from balancelat.linalg import RMatrix, RVector
+from balancelat.rng import SeededStream
 
 
 def add(u: RVector, v: RVector) -> RVector:
@@ -85,3 +89,36 @@ def integer_points(rng, n: int, count: int):
     yield tuple(rng.choice((-1, 1)) * rng.randint(2**40, 2**90) for _ in range(n))
     for _ in range(count):
         yield tuple(rng.randint(-50, 50) for _ in range(n))
+
+
+def fraction_rotation(stream: SeededStream, n: int) -> RMatrix:
+    """The Fraction form of gen_ellipsoid's rotation: the same two sweeps of
+    circle-point Givens steps, c = (1 - u^2)/(1 + u^2) and s = 2u/(1 + u^2)
+    for u = k/256, on Fraction rows."""
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(2):
+        for p in range(n):
+            for q in range(p + 1, n):
+                u = Fraction(stream.next_int(-128, 128), 256)
+                c = (1 - u * u) / (1 + u * u)
+                s = 2 * u / (1 + u * u)
+                for row in rows:
+                    vp, vq = row[p], row[q]
+                    row[p] = c * vp - s * vq
+                    row[q] = s * vp + c * vq
+    return RMatrix(rows)
+
+
+def reference_gen_ellipsoid(n: int, seed: int) -> Ellipsoid:
+    """gen_ellipsoid in Fractions: the same draws, the rotation's columns as
+    axes, and Ellipsoid.from_axes with its 2^-20 orthonormality check."""
+    stream = SeededStream(seed)
+    lengths = [Fraction(256 + stream.next_bits(9), 512) for _ in range(n - 1)]
+    product = Fraction(1)
+    for l in lengths:
+        product *= l
+    inv = 1 / product
+    lengths.append(Fraction(-((-inv.numerator * 256) // inv.denominator), 256))
+    lengths.sort()
+    rot = fraction_rotation(stream, n)
+    return Ellipsoid.from_axes([rot.column(i) for i in range(n)], lengths)

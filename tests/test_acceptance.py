@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from balancelat import reduce_to_minkowski
 from balancelat.errors import PreconditionFailed
-from balancelat.generators import _random_rotation, gen_basis, gen_ellipsoid, gen_nbp
+from balancelat.generators import gen_basis, gen_ellipsoid, gen_nbp
 from balancelat.geometry import Ellipsoid, well_round
 from balancelat.lattice import lll_min_gain, lll_reduce
 from balancelat.linalg import RVector, determinant
@@ -41,7 +41,7 @@ from balancelat.reduce_to_nbp import (
     svp_embedding_basis,
 )
 from balancelat.rng import SeededStream
-from linalg_helpers import discretized, entries, norm_sq
+from linalg_helpers import discretized, entries, fraction_rotation, norm_sq
 from oracle_helpers import claimed_delta_oracle, mitm_bounded_oracle
 
 # criterion 12 regression constant, frozen at bring-up (max observed
@@ -312,7 +312,7 @@ def _pipeline_ellipsoids():
         RVector([Fraction(3, 5), Fraction(4, 5)]),
     ]
     cases.append((2, Ellipsoid.from_axes(axes2, [Fraction(5, 7), Fraction(7, 5)])))
-    rot = _random_rotation(SeededStream(90001), 3)
+    rot = fraction_rotation(SeededStream(90001), 3)
     axes3 = [rot.column(i) for i in range(3)]
     cases.append((3, Ellipsoid.from_axes(axes3, [Fraction(2, 3), Fraction(1), Fraction(3, 2)])))
     cases.append((2, gen_ellipsoid(2, seed=5010)))

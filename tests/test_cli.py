@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import balancelat
-from balancelat import cli
+from balancelat import cli, generators
 from balancelat.cli import CALLS, main
-from balancelat.errors import InvalidParams
+from balancelat.errors import InternalContradiction, InvalidParams
 from balancelat.generators import gen_basis, gen_ellipsoid, gen_nbp
 from balancelat.geometry import Ellipsoid
 from balancelat.lattice import LatticeBasis
@@ -29,7 +29,7 @@ from balancelat.serialize import (
     instance_to_doc,
     solution_from_doc,
 )
-from linalg_helpers import entries
+from linalg_helpers import entries, reference_gen_ellipsoid
 
 
 @pytest.fixture
@@ -100,6 +100,29 @@ class TestGenerators:
             e = gen_ellipsoid(3, seed)
             assert e.det == determinant(e.A)
             assert 0 < abs(e.det) <= 1
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_ellipsoid_matches_the_fraction_reference(self, n):
+        # the integer rotation gives exactly the A and det of Givens steps on
+        # Fractions followed by from_axes, on the seeds' extremes too
+        for seed in [*range(28), -7, 2**64 - 1]:
+            e, ref = gen_ellipsoid(n, seed), reference_gen_ellipsoid(n, seed)
+            assert (e.A.ints, e.A.den, e.det) == (ref.A.ints, ref.A.den, ref.det)
+
+    @pytest.mark.parametrize("tamper", ["entry", "denominator"])
+    def test_ellipsoid_refuses_a_rotation_that_is_not_orthogonal(self, tamper, monkeypatch):
+        rotation = generators._random_rotation
+
+        def tampered(stream, n):
+            rows, den = rotation(stream, n)
+            if tamper == "entry":
+                rows[1][2] += 1
+                return rows, den
+            return rows, 2 * den  # orthogonal columns, but not of norm 1
+
+        monkeypatch.setattr(generators, "_random_rotation", tampered)
+        with pytest.raises(InternalContradiction, match="not exactly orthogonal"):
+            gen_ellipsoid(3, 5)
 
 
 class TestSerialize:
@@ -799,6 +822,9 @@ GOLDEN = [
     ("bench --sizes 6,7 --seeds 2 --algos reduce-mink --adversarial", 2,
      "f8969f1e2f49d9d14d35fee91b1f9ae2a7eec8b0e2bc3fe37b2e7a4c26a8a8fc"),
     ("bench --sizes 8,10 --seeds 1 --algos brute-force,kk,mitm,pigeonhole --k 2", 0,
+     "22fd33250a4c5de7b9f77436354c3ccd74de89f6c5ea194d5b1af839171b18b7"),
+    # a repeated size or algorithm runs its cells once: the same report as above
+    ("bench --sizes 10,8,10 --seeds 1 --algos kk,brute-force,kk,mitm,pigeonhole,mitm --k 2", 0,
      "22fd33250a4c5de7b9f77436354c3ccd74de89f6c5ea194d5b1af839171b18b7"),
     ("solve --algo pigeonhole --pigeons 100 --input {nbp8}", 0,
      "be477480af37ced94f57a21725920b9211dd1525f37b574986fbddb527a08c97"),

@@ -9,16 +9,19 @@ temporary directory, then for each seed runs
 
 once in each copy, one run at a time: on an odd seed the change runs first,
 on an even seed the parent.  It prints the medians and quartiles (inclusive
-method) of every end-to-end metric for both sides, the number of pairs in
-which the change had the higher ``ops_per_s``, and every run.  Standard
-library only; nothing is written into the repository except the ``--out``
-file.
+method) of every end-to-end metric for both sides, for each metric the
+number of pairs in which the change was better in that metric's direction
+(``better`` in BENCHMARK.json), and every run.  Standard library only;
+nothing is written into the repository except the ``--out`` file.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload to-nbp --seeds 21-30 \\
         --out BENCH_N.json
 
 ``--workload`` may be given more than once; each workload gets the whole
-seed range, and the claim is made on the first.  Exits 1 when a run fails.
+seed range, and the claim is made on the first, for the metric named by
+``--metric`` (default ``ops_per_s``).  The claim's ``gain`` is the relative
+change of the medians, negative when a lower-is-better metric falls.
+Exits 1 when a run fails.
 """
 
 from __future__ import annotations
@@ -35,7 +38,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-METRICS = ("ops_per_s", "op_ms_p50", "op_ms_p90", "pass_rate", "peak_rss_mb", "setup_s")
+# each end-to-end metric and the direction in which it is better, "higher" or "lower"
+BETTER = {m["name"]: m["better"]
+          for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+METRICS = tuple(BETTER)
 
 
 def git(*args: str) -> bytes:
@@ -87,8 +93,11 @@ def summarise(runs: list[dict], workload: str) -> dict:
             entry[f"{s}_median"] = round(median, 4)
             entry[f"{s}_quartiles"] = [round(q, 4) for q in quartiles]
         out[metric] = entry
-    parent = {r["seed"]: r["ops_per_s"] for r in side["parent"]}
-    out["ops_per_s_change_wins"] = sum(r["ops_per_s"] > parent[r["seed"]] for r in side["change"])
+    for metric in METRICS:
+        sign = 1 if BETTER[metric] == "higher" else -1
+        parent = {r["seed"]: r[metric] for r in side["parent"]}
+        out[f"{metric}_change_wins"] = sum(
+            sign * (r[metric] - parent[r["seed"]]) > 0 for r in side["change"])
     return out
 
 
@@ -103,6 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, action="append")
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, inclusive")
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--metric", choices=METRICS, default="ops_per_s",
+                        help="the claimed metric, on the first workload")
     parser.add_argument("--out", type=Path, help="also write the summary to this file")
     args = parser.parse_args(argv)
 
@@ -122,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
 
     workloads = {w: summarise(runs, w) for w in args.workload}
     claimed = workloads[args.workload[0]]
-    ops = claimed["ops_per_s"]
+    metric = claimed[args.metric]
     seeds = f"{args.seeds.start}-{args.seeds.stop - 1}"
     summary = {
         "parent_commit": parent_sha,
@@ -135,13 +146,13 @@ def main(argv: list[str] | None = None) -> int:
                   + ", ".join(args.workload),
         "claim": {
             "workload": args.workload[0],
-            "metric": "ops_per_s",
-            "parent_median": ops["parent_median"],
-            "change_median": ops["change_median"],
-            "gain": round(ops["change_median"] / ops["parent_median"] - 1, 3),
-            "change_wins": claimed["ops_per_s_change_wins"],
+            "metric": args.metric,
+            "parent_median": metric["parent_median"],
+            "change_median": metric["change_median"],
+            "gain": round(metric["change_median"] / metric["parent_median"] - 1, 3),
+            "change_wins": claimed[f"{args.metric}_change_wins"],
             "pairs": claimed["pairs"],
-            "parent_iqr": round(ops["parent_quartiles"][1] - ops["parent_quartiles"][0], 4),
+            "parent_iqr": round(metric["parent_quartiles"][1] - metric["parent_quartiles"][0], 4),
         },
         "workloads": workloads,
         "runs": runs,
