@@ -100,28 +100,30 @@ class NbpSolution:
     error: Fraction
 
 
-def verify(inst: NbpInstance, x: Sequence[int], k: int) -> NbpSolution:
-    """Recompute the error of x exactly and validate the solution contract.
-
-    Every entry must be an integer in value: one with int(v) != v, or that
-    int() refuses (NaN, an infinity, None), raises InvalidParams, and is
-    never truncated.
-    """
+def integer_entries(x: Iterable) -> tuple[int, ...] | None:
+    """x as ints, or None if an entry is not an integer in value (int() refuses
+    NaN, an infinity and None); nothing is truncated."""
     x = tuple(x)
     try:
         xs = tuple(int(v) for v in x)
     except (TypeError, ValueError, OverflowError):
-        xs = None
-    if xs != x:
+        return None
+    return xs if xs == x else None
+
+
+def verify(inst: NbpInstance, x: Sequence[int], k: int) -> NbpSolution:
+    """Recompute the error of x exactly and validate the solution contract:
+    n integer entries (integer_entries), not all zero, |x|_inf <= k."""
+    xs = integer_entries(x)
+    if xs is None:
         raise InvalidParams("solution entries must be integers")
     if len(xs) != inst.n:
         raise InvalidParams("solution dimension mismatch")
-    if all(v == 0 for v in xs):
+    if not any(xs):
         raise InvalidParams("solution vector is zero")
     if any(abs(v) > k for v in xs):
         raise InvalidParams(f"|x|_inf exceeds declared bound {k}")
-    error = abs(Fraction(sum(map(mul, inst.ints, xs)), inst.den))
-    return NbpSolution(xs, k, error)
+    return NbpSolution(xs, k, abs(instance_inner(inst, xs)))
 
 
 def brute_force_min(inst: NbpInstance, k: int) -> NbpSolution:

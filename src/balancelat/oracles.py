@@ -5,16 +5,19 @@ re-verified against the claim with exact arithmetic: a reply with an entry
 that is not an integer, or one that breaks the claim, raises
 OracleContractViolation rather than silently degrading downstream bounds.
 A Minkowski oracle is asked about one kind of body, the cube-slab body of
-the balancing reduction.  The factories wire the exact enumeration oracles
-from the geometry and lattice modules, the LLL-approximate SVP oracle, and
-an adversarial Minkowski oracle that the CLI's ``bench --adversarial`` runs
-to show the failure path.
+the balancing reduction; an SVP handle replies in lattice coefficients.
+The factories wire the exact enumeration oracles from the geometry and
+lattice modules, the LLL-approximate SVP oracle, and an adversarial
+Minkowski oracle that the CLI's ``bench --adversarial`` runs to show the
+failure path.
 
 The two balancing handles share one reply check (a sign-vector oracle is
-the k = 1 case of the bounded one).  The four handle types still stay
-separate classes, each with its own ``find``/``solve``, because the
-benchmark's tracer wraps those four methods by name; merging them waits
-until the library owns its work counters.
+the k = 1 case of the bounded one): nbp.verify, then the claimed bound.
+It computes the reply's error once and returns the checked NbpSolution,
+which callers read instead of verifying x again.  The four handle types
+still stay separate classes, each with its own ``find``/``solve``, because
+the benchmark's tracer wraps those four methods by name; merging them
+waits until the library owns its work counters.
 """
 
 from __future__ import annotations
@@ -23,23 +26,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import OracleContractViolation, PreconditionFailed
+from .errors import InvalidParams, OracleContractViolation, PreconditionFailed
 from .geometry import CubeSlabBody, minkowski_exact_oracle
 from .lattice import LatticeBasis, lattice_membership, lll_reduce, svp_exact_linf
 from .linalg import RVector
-from .nbp import NbpInstance, instance_inner, karmarkar_karp, mitm_min, pigeonhole_solve
+from .nbp import (NbpInstance, NbpSolution, integer_entries, karmarkar_karp, mitm_min,
+                  pigeonhole_solve, verify)
 
 
 def _integer_reply(name: str, reply: Sequence) -> tuple[int, ...]:
-    """An oracle's reply as ints; a reply with an entry that is not an
-    integer (NaN, an infinity and None included) raises
-    OracleContractViolation naming the oracle."""
-    reply = tuple(reply)
-    try:
-        x = tuple(int(v) for v in reply)
-    except (TypeError, ValueError, OverflowError):
-        x = None
-    if x != reply:
+    """An oracle's reply as ints (integer_entries), else OracleContractViolation."""
+    x = integer_entries(reply)
+    if x is None:
         raise OracleContractViolation(f"{name}: reply entries must be integers")
     return x
 
@@ -74,7 +72,7 @@ class SvpInfOracle:
     solver: Callable[[LatticeBasis], RVector]
     name: str = "svp-linf"
 
-    def find(self, basis: LatticeBasis) -> tuple[RVector, tuple[int, ...]]:
+    def find(self, basis: LatticeBasis) -> tuple[int, ...]:
         x = self.solver(basis)
         if x.dim != basis.n:
             raise OracleContractViolation(f"{self.name}: dimension mismatch")
@@ -87,7 +85,7 @@ class SvpInfOracle:
             raise OracleContractViolation(
                 f"{self.name}: max norm {x.inf_norm()} exceeds rho = {self.rho}"
             )
-        return x, coeffs
+        return coeffs
 
 
 def _checked_balance(
@@ -96,27 +94,22 @@ def _checked_balance(
     reply: Sequence[int],
     k: int,
     bound: Callable[[int], Fraction],
-) -> tuple[int, ...]:
-    """Re-verify a balancing oracle's reply x to ``inst``.
+) -> NbpSolution:
+    """Re-verify a balancing oracle's reply x to ``inst``; return it checked.
 
-    x must have n integer coefficients in {-k..k}, not all zero, and
-    |<a, x>| <= bound(n); a reply that breaks any of these raises
-    OracleContractViolation naming the oracle.
+    x must meet verify(inst, x, k), and |<a, x>| <= bound(n); a reply that
+    breaks either raises OracleContractViolation naming the oracle.
     """
-    x = _integer_reply(name, reply)
-    if len(x) != inst.n:
-        raise OracleContractViolation(f"{name}: dimension mismatch")
-    if not any(x):
-        raise OracleContractViolation(f"{name}: returned the zero vector")
-    if max(abs(v) for v in x) > k:
-        raise OracleContractViolation(f"{name}: coefficient exceeds {k}")
-    err = abs(instance_inner(inst, x))
+    try:
+        sol = verify(inst, reply, k)
+    except InvalidParams as exc:
+        raise OracleContractViolation(f"{name}: {exc}") from None
     claimed = bound(inst.n)
-    if err > claimed:
+    if sol.error > claimed:
         raise OracleContractViolation(
-            f"{name}: error {err} exceeds the claimed bound {claimed} at n={inst.n}"
+            f"{name}: error {sol.error} exceeds the claimed bound {claimed} at n={inst.n}"
         )
-    return x
+    return sol
 
 
 @dataclass
@@ -128,7 +121,7 @@ class BoundedNbpOracle:
     solver: Callable[[NbpInstance], Sequence[int]]
     name: str = "bounded-nbp"
 
-    def solve(self, inst: NbpInstance) -> tuple[int, ...]:
+    def solve(self, inst: NbpInstance) -> NbpSolution:
         return _checked_balance(self.name, inst, self.solver(inst), self.k, self.guarantee)
 
 
@@ -140,7 +133,7 @@ class NbpDeltaOracle:
     solver: Callable[[NbpInstance], Sequence[int]]
     name: str = "nbp-delta"
 
-    def solve(self, inst: NbpInstance) -> tuple[int, ...]:
+    def solve(self, inst: NbpInstance) -> NbpSolution:
         return _checked_balance(self.name, inst, self.solver(inst), 1, self.delta)
 
 

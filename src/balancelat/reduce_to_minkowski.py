@@ -81,7 +81,7 @@ def multi_vector_balance(
     weights = [s.numerator * (L // s.denominator) for s in scales]
     c = [sum(map(mul, weights, column)) for column in zip(*multiples)]
     # |c| < 2 entrywise, so half of it is a valid instance
-    x = oracle.solve(NbpInstance.from_ints(c, 2 * L))
+    x = oracle.solve(NbpInstance.from_ints(c, 2 * L)).x
 
     for i, (m, scale) in enumerate(zip(multiples, scales)):
         inner = sum(map(mul, m, x))

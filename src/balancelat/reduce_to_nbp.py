@@ -6,7 +6,8 @@ claim the bound of minkowski_bound or svp_bound; the bounded oracles built
 on them guarantee the same formulas.  The self-reduction then halves the
 coefficient range round by round using the small-coefficient
 representation trick, tracking an exact error bound through every round.
-All oracle replies are re-verified before use.  Each entry point returns
+Every oracle reply is re-verified once: a balancing handle returns the
+NbpSolution it checked, and callers read it.  Each entry point returns
 what its callers read: a ReductionResult (solution, claimed bound,
 formula), or for one halving round the solution and the branch taken.
 """
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import InternalContradiction, InvalidParams, PreconditionFailed
 from .geometry import CubeSlabBody
@@ -113,7 +114,7 @@ def nbp_via_svp(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> ReductionRes
     basis = svp_embedding_basis(inst, k, rho)
     if basis.det != 1:
         raise InternalContradiction("the SVP embedding basis does not have determinant 1")
-    vec, coeffs = oracle.find(basis)
+    coeffs = oracle.find(basis)
     if coeffs[n] != 0:
         raise InternalContradiction(
             "y_{n+1} != 0 below the trivial threshold; treating as an oracle fault"
@@ -167,9 +168,10 @@ def halve_coefficients(
     coefficients, or a block value b_l is itself tiny) or balances the block
     values and recombines through the small-coefficient representation.
     The exact tracked bound is 2 sqrt(n) g(sqrt(n)) for all branches; the
-    recombined branch re-checks it, and the early exits meet it by the
-    oracle's own guarantee on one block.  Returns the verified solution and
-    the branch taken.
+    recombined branch verifies x and re-checks it, and the early exits meet
+    it by the oracle's own guarantee on one block, whose checked reply
+    gives their exact error: the block's, or |b_l| = |<a, x>|.  Returns the
+    solution and the branch taken.
     """
     if not 0 < r < k:
         raise InvalidParams(f"need 0 < r < k, got r={r}, k={k}")
@@ -183,17 +185,14 @@ def halve_coefficients(
     g_m = oracle.guarantee(m)
     bound = 2 * m * g_m
 
-    def outcome(branch: str, x: Sequence[int]) -> HalveOutcome:
-        return HalveOutcome(verify(inst, x, out_k), branch)
-
     block_vectors: list[tuple[int, ...]] = []
     for block in range(m):
         lo = block * m
-        sub = inst.restrict(range(lo, lo + m))
-        x_sub = oracle.solve(sub)
-        x_full = (0,) * lo + x_sub + (0,) * (n - lo - m)
+        block_sol = oracle.solve(inst.restrict(range(lo, lo + m)))
+        x_sub = block_sol.x
         if max(abs(v) for v in x_sub) <= r - 1:
-            return outcome("small-coefficients", x_full)
+            x_full = (0,) * lo + x_sub + (0,) * (n - lo - m)
+            return HalveOutcome(NbpSolution(x_full, out_k, block_sol.error), "small-coefficients")
         block_vectors.append(x_sub)
 
     # x_l = sum_i i * x_{l,i} with disjoint {-1,0,1} layers x_{l,i} = the signs
@@ -209,16 +208,18 @@ def halve_coefficients(
     b_ints = [sum(layer_sums[r - 1 :]) for layer_sums in sums]
 
     for block, b in enumerate(b_ints):
-        if abs(Fraction(b, inst.den)) <= g_m:
+        b_value = abs(Fraction(b, inst.den))
+        if b_value <= g_m:
+            # nonzero: a block with every |v| < r took the first exit
             combined = [0] * n
             for i, v in enumerate(block_vectors[block], block * m):
                 if abs(v) >= r:
                     combined[i] = 1 if v > 0 else -1
-            return outcome("small-block-value", combined)
+            return HalveOutcome(NbpSolution(tuple(combined), out_k, b_value), "small-block-value")
 
     # balance the block values; they satisfy |b_l| <= m, so scale into [-1,1]
     b_inst = NbpInstance.from_ints(b_ints, inst.den * m)
-    y = oracle.solve(b_inst)
+    y = oracle.solve(b_inst).x
     x = [0] * n
     for block in range(m):
         if y[block] == 0:
@@ -231,11 +232,10 @@ def halve_coefficients(
         raise InternalContradiction(
             "recombined vector vanished although all block values were large"
         )
-    recombined = outcome("recombined", x)
-    error = recombined.solution.error
-    if error > bound:
-        raise InternalContradiction(f"recombined error {error} exceeds tracked bound {bound}")
-    return recombined
+    sol = verify(inst, x, out_k)
+    if sol.error > bound:
+        raise InternalContradiction(f"recombined error {sol.error} exceeds tracked bound {bound}")
+    return HalveOutcome(sol, "recombined")
 
 
 def default_halving_schedule(k: int) -> list[int]:
@@ -271,10 +271,13 @@ def full_self_reduction(inst: NbpInstance, k: int, oracle: BoundedNbpOracle) -> 
     bound checks before any oracle call.  Each round is a bounded oracle
     wrapped around halve_coefficients on the round below, so every oracle
     reply, the outermost included, is re-verified against its own tracked
-    guarantee, and the result claims the exact composed bound.
+    guarantee, and the outermost reply, of coefficient bound 1, claims the
+    exact composed bound.
     """
     if k < 1:
         raise InvalidParams("k must be >= 1")
+    if oracle.k != k:
+        raise InvalidParams("oracle coefficient bound does not match k")
     schedule = default_halving_schedule(k)
     bound = composed_guarantee(oracle.guarantee, len(schedule))(inst.n)
     level, cur = oracle, k
@@ -290,20 +293,20 @@ def full_self_reduction(inst: NbpInstance, k: int, oracle: BoundedNbpOracle) -> 
             solver=solver,
             name=f"halved({oracle.name}, round {i})",
         )
-    return ReductionResult(verify(inst, level.solve(inst), 1), bound, "full-self-reduction")
+    return ReductionResult(level.solve(inst), bound, "full-self-reduction")
 
 
 def minkowski_bounded_oracle(k: int, oracle: MinkowskiOracle) -> BoundedNbpOracle:
     """Bounded balancing oracle realized by cube-slab Minkowski calls.
 
     It guarantees minkowski_bound(d, k, rho), the bound nbp_via_minkowski
-    claims at dimension d.
+    claims at dimension d, and checks that route's one oracle call's reply.
     """
     rho = oracle.rho
     return BoundedNbpOracle(
         k=k,
         guarantee=lambda d: minkowski_bound(d, k, rho),
-        solver=lambda sub: nbp_via_minkowski(sub, k, oracle).solution.x,
+        solver=lambda sub: oracle.find(balancing_body(sub, k, rho)),
         name=f"minkowski-bounded(k={k}, rho={rho})",
     )
 

@@ -12,7 +12,7 @@ import pytest
 from balancelat.errors import OracleContractViolation
 from balancelat.lattice import LatticeBasis
 from balancelat.linalg import RMatrix, RVector
-from balancelat.nbp import NbpInstance
+from balancelat.nbp import NbpInstance, NbpSolution
 from balancelat.oracles import BoundedNbpOracle, MinkowskiOracle, NbpDeltaOracle, SvpInfOracle
 from balancelat.reduce_to_nbp import balancing_body
 from body_helpers import open_cube
@@ -104,16 +104,17 @@ def test_reply_violation_names_the_oracle(name, call, reply):
 
 def test_replies_at_the_limits_are_accepted():
     # every clause is <=: coefficients at k, error equal to the bound, max norm rho
-    assert bounded((2, -2, 0)).solve(INST) == (2, -2, 0)
-    assert bounded((0, 0, -1)).solve(INST) == (0, 0, -1)
-    assert delta((1, -1, 0)).solve(INST) == (1, -1, 0)
-    assert delta((0, 0, 1)).solve(INST) == (0, 0, 1)
-    assert svp((2, -2)).find(EVEN_LATTICE) == (RVector([2, -2]), (1, -1))
+    # the balancing handles return the solution they checked
+    assert bounded((2, -2, 0)).solve(INST) == NbpSolution((2, -2, 0), 2, Fraction(0))
+    assert bounded((0, 0, -1)).solve(INST) == NbpSolution((0, 0, -1), 2, BOUND)
+    assert delta((1, -1, 0)).solve(INST) == NbpSolution((1, -1, 0), 1, Fraction(0))
+    assert delta((0, 0, 1)).solve(INST) == NbpSolution((0, 0, 1), 1, BOUND)
+    assert svp((2, -2)).find(EVEN_LATTICE) == (1, -1)
     assert minkowski((2, -2)).find(UNIT_CUBE) == (2, -2)
 
 
 def test_integer_and_integral_fraction_replies_are_accepted_as_ints():
     for reply in ((1, -1, 0), (Fraction(1), Fraction(-1), Fraction(0))):
-        for x in (halves_delta_call(reply), halves_minkowski_call(reply),
-                  bounded(reply).solve(HALVES)):
+        for x in (halves_delta_call(reply).x, halves_minkowski_call(reply),
+                  bounded(reply).solve(HALVES).x):
             assert x == (1, -1, 0) and all(type(v) is int for v in x)

@@ -55,7 +55,7 @@ def reference_multi_vector_balance(vectors, deltas, oracle):
     c = truncated[0]
     for d in truncated[1:]:
         c = add(c, d)
-    x = oracle.solve(NbpInstance.from_values([e / 2 for e in c]))
+    x = oracle.solve(NbpInstance.from_values([e / 2 for e in c])).x
     xv = RVector(x)
     for d in truncated:
         if d.dot(xv) != 0:
@@ -253,8 +253,8 @@ class TestExtendedRangeBalance:
 
 
 def unchecked_oracle(x):
-    """An oracle handle claiming delta = 1/8 that returns x as it is, unchecked."""
-    return SimpleNamespace(delta=lambda d: Fraction(1, 8), solve=lambda inst: x)
+    """An oracle handle claiming delta = 1/8 that returns x as its solution, unchecked."""
+    return SimpleNamespace(delta=lambda d: Fraction(1, 8), solve=lambda inst: SimpleNamespace(x=x))
 
 
 class TestChecksStillRaise:

@@ -170,7 +170,7 @@ class TestNbpViaSvp:
         ((3, 3, 0), "exceeds the proven bound 4/3"),  # error 1/2 * 3 + 1/3 * 3 = 5/2
     ])
     def test_faulty_replies_are_caught(self, coeffs, message):
-        oracle = SimpleNamespace(rho=Fraction(1), find=lambda basis: (None, coeffs))
+        oracle = SimpleNamespace(rho=Fraction(1), find=lambda basis: coeffs)
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])
         with pytest.raises(InternalContradiction, match=message):
             nbp_via_svp(inst, 3, oracle)
@@ -336,6 +336,18 @@ class TestFullSelfReduction:
                            r"exceeds the claimed bound 1/2 at n=16$"):
             full_self_reduction(inst, 2, oracle)
 
+    def test_oracle_bound_must_match_k_before_any_call(self):
+        # a k = 3 oracle cannot answer a k = 1 reduction, which has no round
+        # to bring its replies down to signs
+        calls = []
+        oracle = BoundedNbpOracle(k=3, guarantee=lambda d: Fraction(1),
+                                  solver=lambda sub: calls.append(sub) or (3,) + (0,) * (sub.n - 1),
+                                  name="k3")
+        inst = NbpInstance.from_values([Fraction(1, 2)] * 4)
+        with pytest.raises(InvalidParams, match="oracle coefficient bound does not match k"):
+            full_self_reduction(inst, 1, oracle)
+        assert calls == []
+
     def test_incompatible_dimension(self):
         rng = random.Random(51)
         inst = dyadic_instance(rng, 12, bits=10)
@@ -356,6 +368,7 @@ class TestFullPipelines:
         assert any(result.solution.x)
         assert max(abs(v) for v in result.solution.x) <= 1
         assert result.solution.error <= result.claimed_bound
+        assert result.solution == verify(inst, result.solution.x, 1)
 
     def test_minkowski_large_rho_falls_back(self):
         rng = random.Random(54)
@@ -386,6 +399,7 @@ class TestFullPipelines:
         assert result.formula == "full-self-reduction"
         assert max(abs(v) for v in result.solution.x) <= 1
         assert result.solution.error <= result.claimed_bound
+        assert result.solution == verify(inst, result.solution.x, 1)
 
     def test_theorem5_bound_dominates_2_to_minus_n(self):
         # with k = 3 rho: n (rho/(3rho+1))^(n-1) <= n 3^-(n-1) <= 2^-n
@@ -402,7 +416,7 @@ def reference_halve(inst, k, r, oracle):
     inner = lambda x: sum((ai * xi for ai, xi in zip(entries(inst), x)), Fraction(0))
     blocks = []
     for lo in range(0, n, m):
-        x_sub = oracle.solve(NbpInstance.from_values(entries(inst)[lo : lo + m]))
+        x_sub = oracle.solve(NbpInstance.from_values(entries(inst)[lo : lo + m])).x
         x_full = (0,) * lo + x_sub + (0,) * (n - lo - m)
         if max(map(abs, x_sub)) <= r - 1:
             return "small-coefficients", x_full
@@ -415,7 +429,7 @@ def reference_halve(inst, k, r, oracle):
     for lv, b in zip(layers, b_values):
         if abs(b) <= oracle.guarantee(m):
             return "small-block-value", tuple(map(sum, zip(*lv[r - 1 :])))
-    y = oracle.solve(NbpInstance.from_values([b / m for b in b_values]))
+    y = oracle.solve(NbpInstance.from_values([b / m for b in b_values])).x
     x = [0] * n
     for lv, j in zip(layers, y):
         if j:
@@ -444,6 +458,8 @@ def test_halve_coefficients_matches_the_fraction_layers():
         outcome = halve_coefficients(inst, k, r, oracle)
         branch, x = reference_halve(inst, k, r, oracle)
         assert (outcome.branch, outcome.solution.x) == (branch, x)
+        # each branch's error, early exits included, is the verified one
+        assert outcome.solution == verify(inst, x, max(r - 1, k - r))
         branches.add(branch)
     assert branches == {"small-coefficients", "small-block-value", "recombined"}
 
@@ -530,6 +546,54 @@ def test_instance_integers_are_computed_only_from_outside_values(monkeypatch, tm
     assert ("balancelat.nbp", "from_values") in callers
     layers = ("balancelat.reduce_to_minkowski", "balancelat.geometry")
     assert not [c for c in callers if c[0] in layers]
+
+
+def test_each_balancing_reply_is_checked_once(monkeypatch, tmp_path, capsys):
+    """Over one `reduce to-nbp --oracle exact-mink --full` run at n = 36 the
+    bounded Minkowski handle asks the oracle directly, never through
+    nbp_via_minkowski, and one exact error is computed (verify, through
+    instance_inner) per checked handle reply, plus one per recombined
+    halving round: no caller re-verifies a handle's checked solution."""
+    seen, replies, branches = [], [], []
+    original_verify, original_inner = nbp.verify, nbp.instance_inner
+    original_solve = oracles.BoundedNbpOracle.solve
+    original_halve = reduce_to_nbp.halve_coefficients
+
+    def counted(name, original):
+        def wrapper(*args):
+            seen.append(name)
+            return original(*args)
+
+        return wrapper
+
+    def counted_solve(self, inst):
+        sol = original_solve(self, inst)
+        replies.append(self.name)
+        return sol
+
+    def counted_halve(*args):
+        outcome = original_halve(*args)
+        branches.append(outcome.branch)
+        return outcome
+
+    assert main(["gen", "nbp", "--n", "36", "--seed", "5"]) == 0
+    f = tmp_path / "i.json"
+    f.write_text(capsys.readouterr().out)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("balancelat") and getattr(module, "verify", None) is original_verify:
+            monkeypatch.setattr(module, "verify", counted("verify", original_verify))
+    monkeypatch.setattr(nbp, "instance_inner", counted("instance_inner", original_inner))
+    monkeypatch.setattr(reduce_to_nbp, "nbp_via_minkowski",
+                        counted("nbp_via_minkowski", reduce_to_nbp.nbp_via_minkowski))
+    monkeypatch.setattr(oracles.BoundedNbpOracle, "solve", counted_solve)
+    monkeypatch.setattr(reduce_to_nbp, "halve_coefficients", counted_halve)
+    code = main(["reduce", "to-nbp", "--oracle", "exact-mink", "--full", "--input", str(f)])
+    assert code == 0, capsys.readouterr().err
+    assert "nbp_via_minkowski" not in seen
+    assert replies[-1] == "halved(minkowski-bounded(k=3, rho=1), round 1)"
+    assert replies.count("minkowski-bounded(k=3, rho=1)") == len(replies) - 1 >= 6
+    checked = len(replies) + branches.count("recombined")
+    assert seen.count("verify") == seen.count("instance_inner") == checked
 
 
 def test_minkowski_points_are_tested_on_integers(monkeypatch, tmp_path, capsys):
