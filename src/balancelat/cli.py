@@ -135,10 +135,12 @@ CALLS: dict[str, dict[str, Callable]] = {
             inst, Fraction(1), lambda k: minkowski_bounded_oracle(k, exact_minkowski_oracle())
         ),
         "exact-svp": lambda inst, a: nbp_full_pipeline(
-            inst, Fraction(1), lambda k: svp_bounded_oracle(k, lambda dim: exact_svp_oracle())
+            inst, Fraction(1), lambda k: svp_bounded_oracle(k, exact_svp_oracle())
         ),
         "lll": lambda inst, a: nbp_full_pipeline(
-            inst, lll_svp_rho(inst.n + 1), lambda k: svp_bounded_oracle(k, lll_svp_oracle)
+            inst,
+            lll_svp_rho(inst.n + 1),
+            lambda k: svp_bounded_oracle(k, lll_svp_oracle(inst.n + 1)),
         ),
     },
     "to-minkowski": {

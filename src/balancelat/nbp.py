@@ -100,22 +100,20 @@ class NbpSolution:
     error: Fraction
 
 
-def integer_entries(x: Iterable) -> tuple[int, ...] | None:
-    """x as ints, or None if an entry is not an integer in value (int() refuses
-    NaN, an infinity and None); nothing is truncated."""
+def verify(inst: NbpInstance, x: Sequence[int], k: int) -> NbpSolution:
+    """Recompute the error of x exactly and validate the solution contract:
+    n entries that are integers in value, not all zero, |x|_inf <= k.
+
+    This is the one balancing contract: every handle's reply and every
+    solution document is read by it.  Entries come back as ints; int()
+    refuses NaN, an infinity and None, and a non-integral value is refused,
+    never truncated."""
     x = tuple(x)
     try:
         xs = tuple(int(v) for v in x)
     except (TypeError, ValueError, OverflowError):
-        return None
-    return xs if xs == x else None
-
-
-def verify(inst: NbpInstance, x: Sequence[int], k: int) -> NbpSolution:
-    """Recompute the error of x exactly and validate the solution contract:
-    n integer entries (integer_entries), not all zero, |x|_inf <= k."""
-    xs = integer_entries(x)
-    if xs is None:
+        xs = None
+    if xs != x:
         raise InvalidParams("solution entries must be integers")
     if len(xs) != inst.n:
         raise InvalidParams("solution dimension mismatch")
@@ -315,12 +313,12 @@ def mitm_min(inst: NbpInstance, k: int) -> NbpSolution:
     return verify(inst, x, k)
 
 
-def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
+def pigeonhole_solve(inst: NbpInstance, N: int) -> NbpSolution:
     """Polynomially many pigeons: subset sums of binary encodings of 0..N.
 
     The N+1 candidate sums over the first m = ceil(log2(N+1)) coordinates all
     lie in [-m, m], so two of them differ by at most 2m/N; their encoding
-    difference is the returned sign vector.  Default N = n^3.
+    difference is the returned sign vector.
 
     Pigeon t is the int (sum_t << w) + t with w = m + 1, so sorted ints are
     in (sum, t) order.  The pigeons are built one bit of t at a time, from
@@ -330,8 +328,6 @@ def pigeonhole_solve(inst: NbpInstance, N: int | None = None) -> NbpSolution:
     are all 0 that pair is t = 0, 1, and e_1 is returned without pigeons.
     More than enumeration_budget() pigeons are refused up front.
     """
-    if N is None:
-        N = inst.n**3
     if N < 1:
         raise InvalidParams("pigeon count must be >= 1")
     limit = enumeration_budget()

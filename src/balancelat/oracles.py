@@ -3,21 +3,25 @@
 Each handle carries its claimed guarantee parameters, and every call is
 re-verified against the claim with exact arithmetic: a reply with an entry
 that is not an integer, or one that breaks the claim, raises
-OracleContractViolation rather than silently degrading downstream bounds.
-A Minkowski oracle is asked about one kind of body, the cube-slab body of
-the balancing reduction; an SVP handle replies in lattice coefficients.
-The factories wire the exact enumeration oracles from the geometry and
-lattice modules, the LLL-approximate SVP oracle, and an adversarial
-Minkowski oracle that the CLI's ``bench --adversarial`` runs to show the
-failure path.
+OracleContractViolation naming the oracle, rather than silently degrading
+downstream bounds.  A Minkowski oracle is asked about one kind of body, the
+cube-slab body of the balancing reduction; an SVP handle replies in lattice
+coefficients.  The factories wire the exact enumeration oracles from the
+geometry and lattice modules, the LLL-approximate SVP oracle, and an
+adversarial Minkowski oracle that the CLI's ``bench --adversarial`` runs to
+show the failure path.
 
-The two balancing handles share one reply check (a sign-vector oracle is
-the k = 1 case of the bounded one): nbp.verify, then the claimed bound.
-It computes the reply's error once and returns the checked NbpSolution,
-which callers read instead of verifying x again.  The four handle types
-still stay separate classes, each with its own ``find``/``solve``, because
-the benchmark's tracer wraps those four methods by name; merging them
-waits until the library owns its work counters.
+Every balancing-point reply is read once, by nbp.verify, in one check:
+verify at the coefficient bound, then the claimed error bound.  The
+balancing handles check at (k, guarantee(n)); a sign-vector oracle is the
+k = 1 case.  A Minkowski handle checks at the dilated body's box limit and
+slab bound: on an integer point, an open-box coordinate is one with
+|x_i| <= ceil(r) - 1, so this is exactly membership in the dilated body.
+Each handle returns the checked NbpSolution, which callers read instead of
+verifying x again.  The four handle types stay separate classes, each with
+its own ``find``/``solve``, because the benchmark's tracer wraps those four
+methods by name; merging them waits until the library owns its work
+counters.
 """
 
 from __future__ import annotations
@@ -30,38 +34,44 @@ from .errors import InvalidParams, OracleContractViolation, PreconditionFailed
 from .geometry import CubeSlabBody, minkowski_exact_oracle
 from .lattice import LatticeBasis, lattice_membership, lll_reduce, svp_exact_linf
 from .linalg import RVector
-from .nbp import (NbpInstance, NbpSolution, integer_entries, karmarkar_karp, mitm_min,
-                  pigeonhole_solve, verify)
+from .nbp import NbpInstance, NbpSolution, karmarkar_karp, mitm_min, pigeonhole_solve, verify
 
 
-def _integer_reply(name: str, reply: Sequence) -> tuple[int, ...]:
-    """An oracle's reply as ints (integer_entries), else OracleContractViolation."""
-    x = integer_entries(reply)
-    if x is None:
-        raise OracleContractViolation(f"{name}: reply entries must be integers")
-    return x
+def _checked_balance(
+    name: str, inst: NbpInstance, reply: Sequence[int], k: int, claimed: Fraction
+) -> NbpSolution:
+    """Re-verify a balancing reply x to ``inst``; return it checked.
+
+    x must meet verify(inst, x, k), and |<a, x>| <= claimed; a reply that
+    breaks either raises OracleContractViolation naming the oracle.
+    """
+    try:
+        sol = verify(inst, reply, k)
+    except InvalidParams as exc:
+        raise OracleContractViolation(f"{name}: {exc}") from None
+    if sol.error > claimed:
+        raise OracleContractViolation(
+            f"{name}: error {sol.error} exceeds the claimed bound {claimed} at n={inst.n}"
+        )
+    return sol
 
 
 @dataclass
 class MinkowskiOracle:
-    """rho-approximate Minkowski oracle: finds points of (rho K) cap Z^n \\ {0}."""
+    """rho-approximate Minkowski oracle: finds points of (rho K) cap Z^n \\ {0}.
+
+    The reply is checked as a balancing solution of the body's instance,
+    with the dilated body's box limit and slab bound as k and claimed bound.
+    """
 
     rho: Fraction
     solver: Callable[[CubeSlabBody], Sequence[int]]
-    name: str = "minkowski"
+    name: str
 
-    def find(self, body: CubeSlabBody) -> tuple[int, ...]:
-        x = _integer_reply(self.name, self.solver(body))
-        if len(x) != body.dim:
-            raise OracleContractViolation(f"{self.name}: dimension mismatch")
-        if not any(x):
-            raise OracleContractViolation(f"{self.name}: returned the zero vector")
+    def find(self, body: CubeSlabBody) -> NbpSolution:
         dilated = body if self.rho == 1 else body.dilate(self.rho)
-        if not dilated.contains(x):
-            raise OracleContractViolation(
-                f"{self.name}: point is not in the {self.rho}-dilated body"
-            )
-        return x
+        return _checked_balance(self.name, body.inst, self.solver(body),
+                                dilated.int_box_limit(), dilated.slab_bound)
 
 
 @dataclass
@@ -70,7 +80,7 @@ class SvpInfOracle:
 
     rho: Fraction
     solver: Callable[[LatticeBasis], RVector]
-    name: str = "svp-linf"
+    name: str
 
     def find(self, basis: LatticeBasis) -> tuple[int, ...]:
         x = self.solver(basis)
@@ -88,30 +98,6 @@ class SvpInfOracle:
         return coeffs
 
 
-def _checked_balance(
-    name: str,
-    inst: NbpInstance,
-    reply: Sequence[int],
-    k: int,
-    bound: Callable[[int], Fraction],
-) -> NbpSolution:
-    """Re-verify a balancing oracle's reply x to ``inst``; return it checked.
-
-    x must meet verify(inst, x, k), and |<a, x>| <= bound(n); a reply that
-    breaks either raises OracleContractViolation naming the oracle.
-    """
-    try:
-        sol = verify(inst, reply, k)
-    except InvalidParams as exc:
-        raise OracleContractViolation(f"{name}: {exc}") from None
-    claimed = bound(inst.n)
-    if sol.error > claimed:
-        raise OracleContractViolation(
-            f"{name}: error {sol.error} exceeds the claimed bound {claimed} at n={inst.n}"
-        )
-    return sol
-
-
 @dataclass
 class BoundedNbpOracle:
     """Balancing oracle with coefficients in {-k..k} and a per-dimension guarantee."""
@@ -119,10 +105,11 @@ class BoundedNbpOracle:
     k: int
     guarantee: Callable[[int], Fraction]
     solver: Callable[[NbpInstance], Sequence[int]]
-    name: str = "bounded-nbp"
+    name: str
 
     def solve(self, inst: NbpInstance) -> NbpSolution:
-        return _checked_balance(self.name, inst, self.solver(inst), self.k, self.guarantee)
+        return _checked_balance(self.name, inst, self.solver(inst), self.k,
+                                self.guarantee(inst.n))
 
 
 @dataclass
@@ -131,10 +118,10 @@ class NbpDeltaOracle:
 
     delta: Callable[[int], Fraction]
     solver: Callable[[NbpInstance], Sequence[int]]
-    name: str = "nbp-delta"
+    name: str
 
     def solve(self, inst: NbpInstance) -> NbpSolution:
-        return _checked_balance(self.name, inst, self.solver(inst), 1, self.delta)
+        return _checked_balance(self.name, inst, self.solver(inst), 1, self.delta(inst.n))
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def sqrt_upper(x: Fraction, bits: int) -> Fraction:
     return r
 
 
-def nth_root_upper(x: Fraction, n: int, bits: int = 64) -> Fraction:
+def nth_root_upper(x: Fraction, n: int, bits: int) -> Fraction:
     """Dyadic r >= x^(1/n) with r - x^(1/n) <= 2^-bits (x >= 0)."""
     if x < 0:
         raise InvalidParams("nth_root_upper of a negative rational")

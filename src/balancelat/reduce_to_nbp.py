@@ -6,10 +6,12 @@ claim the bound of minkowski_bound or svp_bound; the bounded oracles built
 on them guarantee the same formulas.  The self-reduction then halves the
 coefficient range round by round using the small-coefficient
 representation trick, tracking an exact error bound through every round.
-Every oracle reply is re-verified once: a balancing handle returns the
-NbpSolution it checked, and callers read it.  Each entry point returns
-what its callers read: a ReductionResult (solution, claimed bound,
-formula), or for one halving round the solution and the branch taken.
+Every balancing-point reply is read once, by nbp.verify, in the handle or
+route that owns the claim, and callers read the NbpSolution it returns;
+the bounded handles ask the oracle's solver directly, since their check is
+the single-call route's.  Each entry point returns a ReductionResult
+(solution, claimed bound, formula), or for one halving round the solution
+and the branch taken.
 """
 
 from __future__ import annotations
@@ -56,29 +58,28 @@ def balancing_body(inst: NbpInstance, k: int, rho) -> CubeSlabBody:
     """The cube-slab body whose Minkowski point balances a with coefficients <= k.
 
     K = {x in (-(k+1)/rho, (k+1)/rho)^n : |<a,x>| <= delta} with
-    delta = n (rho/(k+1))^(n-1); slicing the cube along <a, x> shows
-    vol(K) >= 2^n.
+    delta = minkowski_bound(n, k, rho) / rho = n (rho/(k+1))^(n-1); slicing
+    the cube along <a, x> shows vol(K) >= 2^n.
     """
     rho = frac(rho)
     if rho <= 0:
         raise InvalidParams("rho must be positive")
-    n = inst.n
-    delta = n * (rho / (k + 1)) ** (n - 1)
-    return CubeSlabBody(inst, delta, Fraction(k + 1) / rho)
+    return CubeSlabBody(inst, minkowski_bound(inst.n, k, rho) / rho, Fraction(k + 1) / rho)
 
 
 def nbp_via_minkowski(inst: NbpInstance, k: int, oracle: MinkowskiOracle) -> ReductionResult:
     """Balance via one Minkowski oracle call on the cube-slab body.
 
-    The returned point lies in the rho-dilated body (verified), hence
-    |x|_inf <= k and |<a,x>| <= minkowski_bound(n, k, rho); at rho = 1 this
-    is the plain n (1/(k+1))^(n-1) bound.
+    The oracle's handle checks the point in the rho-dilated body, that is
+    |x|_inf <= k and |<a,x>| <= minkowski_bound(n, k, rho), and returns it
+    as the solution; at rho = 1 this is the plain n (1/(k+1))^(n-1) bound.
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
-    x = oracle.find(balancing_body(inst, k, oracle.rho))
     return ReductionResult(
-        verify(inst, x, k), minkowski_bound(inst.n, k, oracle.rho), "minkowski-to-nbp"
+        oracle.find(balancing_body(inst, k, oracle.rho)),
+        minkowski_bound(inst.n, k, oracle.rho),
+        "minkowski-to-nbp",
     )
 
 
@@ -96,21 +97,18 @@ def svp_embedding_basis(inst: NbpInstance, k: int, rho) -> LatticeBasis:
     return LatticeBasis(RMatrix.from_ints(rows, den))
 
 
-def nbp_via_svp(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> ReductionResult:
-    """Balance via one max-norm SVP oracle call on the det-1 embedding.
+def _svp_point(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> tuple[int, ...]:
+    """The point y of one max-norm SVP oracle call, for its caller to verify.
 
     When rho (rho/k)^n >= 1/2 the claimed bound svp_bound(n, k, rho) =
-    2nk rho (rho/k)^n is >= 1 and x = e_1 already satisfies it, without an
+    2nk rho (rho/k)^n is >= 1 and y = e_1 already satisfies it, without an
     oracle call; otherwise the oracle's short vector has a zero last
-    coordinate, and its first n lattice coefficients balance a.
+    coordinate, and its first n lattice coefficients y balance a.
     """
-    if k < 1:
-        raise InvalidParams("coefficient bound must be >= 1")
     rho = oracle.rho
     n = inst.n
-    bound = svp_bound(n, k, rho)
     if rho * (rho / k) ** n >= Fraction(1, 2):
-        return ReductionResult(verify(inst, (1,) + (0,) * (n - 1), k), bound, "svp-to-nbp")
+        return (1,) + (0,) * (n - 1)
     basis = svp_embedding_basis(inst, k, rho)
     if basis.det != 1:
         raise InternalContradiction("the SVP embedding basis does not have determinant 1")
@@ -122,7 +120,16 @@ def nbp_via_svp(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> ReductionRes
     y = coeffs[:n]
     if not any(y):
         raise InternalContradiction("recovered coefficient vector is zero")
-    solution = verify(inst, y, k)
+    return y
+
+
+def nbp_via_svp(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> ReductionResult:
+    """Balance via one max-norm SVP oracle call on the det-1 embedding
+    (_svp_point); an error above svp_bound is an InternalContradiction."""
+    if k < 1:
+        raise InvalidParams("coefficient bound must be >= 1")
+    bound = svp_bound(inst.n, k, oracle.rho)
+    solution = verify(inst, _svp_point(inst, k, oracle), k)
     if solution.error > bound:
         raise InternalContradiction(
             f"recovered error {solution.error} exceeds the proven bound {bound}"
@@ -300,31 +307,30 @@ def minkowski_bounded_oracle(k: int, oracle: MinkowskiOracle) -> BoundedNbpOracl
     """Bounded balancing oracle realized by cube-slab Minkowski calls.
 
     It guarantees minkowski_bound(d, k, rho), the bound nbp_via_minkowski
-    claims at dimension d, and checks that route's one oracle call's reply.
+    claims at dimension d.  balancing_body(sub, k, rho).dilate(rho) has box
+    limit k and slab bound minkowski_bound(d, k, rho), so this handle's
+    check is MinkowskiOracle.find's, and it asks the oracle's solver directly.
     """
     rho = oracle.rho
     return BoundedNbpOracle(
         k=k,
         guarantee=lambda d: minkowski_bound(d, k, rho),
-        solver=lambda sub: oracle.find(balancing_body(sub, k, rho)),
+        solver=lambda sub: oracle.solver(balancing_body(sub, k, rho)),
         name=f"minkowski-bounded(k={k}, rho={rho})",
     )
 
 
-def svp_bounded_oracle(
-    k: int, oracle_family: Callable[[int], SvpInfOracle]
-) -> BoundedNbpOracle:
+def svp_bounded_oracle(k: int, oracle: SvpInfOracle) -> BoundedNbpOracle:
     """Bounded balancing oracle realized by det-1 SVP embeddings.
 
-    ``oracle_family(dim)`` supplies the oracle for lattice dimension ``dim``
-    (= instance dimension + 1), since approximate oracles claim a
-    dimension-dependent rho.  It guarantees svp_bound(d, k, rho), the bound
-    nbp_via_svp claims at dimension d with that oracle's rho.
+    It guarantees svp_bound(d, k, rho), the bound nbp_via_svp claims at
+    dimension d, and checks nbp_via_svp's point (_svp_point) once: a reply
+    over the bound is its OracleContractViolation.
     """
     return BoundedNbpOracle(
         k=k,
-        guarantee=lambda d: svp_bound(d, k, oracle_family(d + 1).rho),
-        solver=lambda sub: nbp_via_svp(sub, k, oracle_family(sub.n + 1)).solution.x,
+        guarantee=lambda d: svp_bound(d, k, oracle.rho),
+        solver=lambda sub: _svp_point(sub, k, oracle),
         name=f"svp-bounded(k={k})",
     )
 

@@ -122,9 +122,7 @@ def reference_mitm(inst, k):
     raise InternalContradiction("optimal error lost between passes")
 
 
-def reference_pigeonhole(inst, N=None):
-    if N is None:
-        N = inst.n**3
+def reference_pigeonhole(inst, N):
     m = N.bit_length()
     ints, den = inst.ints, inst.den
     sums = [0] * (N + 1)
@@ -467,7 +465,7 @@ class TestPigeonhole:
     def test_default_pigeons(self):
         rng = random.Random(14)
         inst = dyadic_instance(rng, 16, bits=30)
-        sol = pigeonhole_solve(inst)
+        sol = pigeonhole_solve(inst, inst.n**3)
         assert sol.error <= pigeonhole_bound(16**3)
 
     def test_matches_reference(self):
@@ -480,7 +478,7 @@ class TestPigeonhole:
 
     def test_default_pigeons_match_reference(self):
         inst = dyadic_instance(random.Random(25), 16, bits=30)
-        assert pigeonhole_solve(inst) == reference_pigeonhole(inst)
+        assert pigeonhole_solve(inst, inst.n**3) == reference_pigeonhole(inst, inst.n**3)
 
     def test_dimension_too_small(self):
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)])

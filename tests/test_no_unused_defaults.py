@@ -1,4 +1,4 @@
-"""Tooling guard: every defaulted parameter of the library is set by some caller.
+"""Tooling guard: every default of the library is a real choice of the program.
 
 A parameter with a default that no library or benchmark call ever passes is
 a knob only the tests turn: it widens what the tests must cover without
@@ -10,6 +10,12 @@ closures are exempt: their defaults bind loop variables.  A call that
 spreads ``*args`` passes every position, and one that spreads ``**kwargs``
 every keyword.  The scan matches names, not objects, as test_no_dead_members
 does.
+
+The other way round, a dataclass field default that every library and
+benchmark construction overrides is a value no program path uses: it only
+lets a test leave the field out.  So each field default of a module-level
+dataclass must be left unset by some construction of that class there.
+Fields with ``init=False`` are not constructor arguments and are exempt.
 """
 
 import ast
@@ -72,15 +78,47 @@ def is_passed(call_list, fn_name: str, index, param: str) -> bool:
     return False
 
 
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    targets = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+    return any(getattr(t, "id", None) == "dataclass" for t in targets)
+
+
+def defaulted_fields(source: str, module: str):
+    """(id, class name, positional index, field name) of each field default of
+    a module-level dataclass in source; init=False fields are skipped."""
+    tree = ast.parse(source)
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        if not is_dataclass(cls):
+            continue
+        fields = [node for node in cls.body
+                  if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        init_fields = [f for f in fields if not (
+            isinstance(f.value, ast.Call) and any(
+                k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+                for k in f.value.keywords))]
+        for index, f in enumerate(init_fields):
+            if f.value is not None:
+                name = f.target.id
+                yield f"{module}.{cls.name}.{name}", cls.name, index, name
+
+
+def is_left_unset(call_list, cls_name: str, index: int, field: str) -> bool:
+    """Some construction of cls_name passes the field neither by position nor by keyword."""
+    return any(not (field in keywords or spread or npos > index or starred)
+               for name, npos, keywords, starred, spread in call_list if name == cls_name)
+
+
 PARAMETERS = [p for path in LIBRARY
               for p in defaulted_parameters(path.read_text(), path.stem)]
 CALLS = [c for path in CALLERS for c in calls(path.read_text())]
+FIELDS = [f for path in LIBRARY for f in defaulted_fields(path.read_text(), path.stem)]
 
 
 def test_parameters_are_listed():
     ids = {pid for pid, *_ in PARAMETERS}
     assert {"generators.gen_nbp(precision_bits)", "linalg.RMatrix.from_ints(den)",
-            "nbp.pigeonhole_solve(N)", "lattice.svp_exact_linf(search_bound)"} <= ids
+            "reduce_to_minkowski.generalized_nbp(Q_override)",
+            "lattice.svp_exact_linf(search_bound)"} <= ids
 
 
 def test_scanner_reads_positions_keywords_and_spreads():
@@ -111,4 +149,35 @@ def test_defaulted_parameter_has_a_caller_that_sets_it(pid, fn_name, index, para
     assert is_passed(CALLS, fn_name, index, param), (
         f"{pid} is never passed in src/balancelat or perfbench/; only tests set it, "
         "so drop the parameter and keep its default"
+    )
+
+
+def test_fields_are_listed():
+    assert "geometry.WellRoundResult.point" in {fid for fid, *_ in FIELDS}
+
+
+def test_scanner_reads_dataclass_fields_and_constructions():
+    fields = list(defaulted_fields(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    a: int\n"
+        "    d: int = field(init=False)\n"
+        "    b: str = 'x'\n"
+        "    c: int = field(default=0)\n"
+        "class Plain:\n"
+        "    e: int = 1\n", "mod"))
+    assert fields == [("mod.D.b", "D", 1, "b"), ("mod.D.c", "D", 2, "c")]
+    found = list(calls("D(1, 'y')\nD(1, c=2)\n"))
+    assert not is_left_unset(found[:1], "D", 1, "b")
+    assert is_left_unset(found, "D", 1, "b")
+    assert is_left_unset(found[:1], "D", 2, "c") and not is_left_unset(found[1:], "D", 2, "c")
+    assert not is_left_unset(found, "Unbuilt", 0, "b")
+
+
+@pytest.mark.parametrize("fid, cls_name, index, field", FIELDS, ids=[f[0] for f in FIELDS])
+def test_dataclass_default_is_kept_by_some_construction(fid, cls_name, index, field):
+    assert is_left_unset(CALLS, cls_name, index, field), (
+        f"{fid} is set by every construction in src/balancelat and perfbench/; "
+        "its default only lets tests leave it out, so make the field required"
     )

@@ -5,16 +5,18 @@ contract, so no other clause can catch it: the handle must refuse the reply
 with OracleContractViolation and name the oracle in the message.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from balancelat.errors import OracleContractViolation
+from balancelat.generators import gen_nbp
 from balancelat.lattice import LatticeBasis
 from balancelat.linalg import RMatrix, RVector
 from balancelat.nbp import NbpInstance, NbpSolution
 from balancelat.oracles import BoundedNbpOracle, MinkowskiOracle, NbpDeltaOracle, SvpInfOracle
-from balancelat.reduce_to_nbp import balancing_body
+from balancelat.reduce_to_nbp import balancing_body, minkowski_bound, minkowski_bounded_oracle
 from body_helpers import open_cube
 from linalg_helpers import diagonal
 
@@ -103,18 +105,66 @@ def test_reply_violation_names_the_oracle(name, call, reply):
 
 
 def test_replies_at_the_limits_are_accepted():
-    # every clause is <=: coefficients at k, error equal to the bound, max norm rho
-    # the balancing handles return the solution they checked
+    # every clause is <=: coefficients at k, error equal to the bound, max norm rho;
+    # the balancing and Minkowski handles return the solution they checked
     assert bounded((2, -2, 0)).solve(INST) == NbpSolution((2, -2, 0), 2, Fraction(0))
     assert bounded((0, 0, -1)).solve(INST) == NbpSolution((0, 0, -1), 2, BOUND)
     assert delta((1, -1, 0)).solve(INST) == NbpSolution((1, -1, 0), 1, Fraction(0))
     assert delta((0, 0, 1)).solve(INST) == NbpSolution((0, 0, 1), 1, BOUND)
     assert svp((2, -2)).find(EVEN_LATTICE) == (1, -1)
-    assert minkowski((2, -2)).find(UNIT_CUBE) == (2, -2)
+    # the 2-dilated UNIT_CUBE has box limit 2 and slab bound 4 on a = (1, 1)
+    assert minkowski((2, -2)).find(UNIT_CUBE) == NbpSolution((2, -2), 2, Fraction(0))
+    assert minkowski((2, 2)).find(UNIT_CUBE) == NbpSolution((2, 2), 2, Fraction(4))
 
 
 def test_integer_and_integral_fraction_replies_are_accepted_as_ints():
     for reply in ((1, -1, 0), (Fraction(1), Fraction(-1), Fraction(0))):
-        for x in (halves_delta_call(reply).x, halves_minkowski_call(reply),
+        for x in (halves_delta_call(reply).x, halves_minkowski_call(reply).x,
                   bounded(reply).solve(HALVES).x):
             assert x == (1, -1, 0) and all(type(v) is int for v in x)
+
+
+def checked_or_refused(call):
+    """The handle's checked solution, or None when it refuses the reply."""
+    try:
+        return call()
+    except OracleContractViolation:
+        return None
+
+
+@pytest.mark.parametrize("rho", [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 7)],
+                         ids=str)
+def test_minkowski_handle_check_is_the_bounded_check(rho):
+    """balancing_body(inst, k, rho).dilate(rho) has box limit k and slab bound
+    minkowski_bound(n, k, rho), so MinkowskiOracle.find on the body and
+    minkowski_bounded_oracle's solve on the instance accept the same replies
+    and return equal solutions: the bounded route needs one check per reply.
+    On an integer reply of the right length, acceptance is membership in the
+    dilated body."""
+    rng = random.Random(29)
+    minkowski_replies = [v[3] for v in VIOLATIONS if v[1] == "stub-minkowski"]
+    for n in range(1, 7):
+        for k in range(1, 5):
+            bound = minkowski_bound(n, k, rho)
+            insts = [gen_nbp(n, seed=100 * n + 10 * k + i, signed=bool(i)) for i in range(2)]
+            if bound <= k:  # a_1 = bound / k puts (k, 0, ..., 0) at the bound
+                insts.append(NbpInstance.from_values([bound / k] + [0] * (n - 1)))
+            for inst in insts:
+                body = balancing_body(inst, k, rho)
+                dilated = body.dilate(rho)
+                assert (dilated.int_box_limit(), dilated.slab_bound) == (k, bound)
+                replies = minkowski_replies + [(k,) + (0,) * (n - 1),
+                                               tuple(rng.choice((-k, k)) for _ in range(n))]
+                replies += [tuple(rng.randint(-k - 1, k + 1) for _ in range(n))
+                            for _ in range(20)]
+                reply = None  # the stub answers the loop's current reply
+                oracle = MinkowskiOracle(rho, lambda b: reply, "stub-minkowski")
+                handle = minkowski_bounded_oracle(k, oracle)
+                for reply in replies:
+                    found = checked_or_refused(lambda: oracle.find(body))
+                    solved = checked_or_refused(lambda: handle.solve(inst))
+                    assert found == solved, (n, k, reply)
+                    if len(reply) == n and all(type(v) is int for v in reply) and any(reply):
+                        assert (found is not None) == dilated.contains(reply), (n, k, reply)
+                    if found is not None:
+                        assert found.x == reply and found.error <= bound

@@ -393,9 +393,8 @@ class TestFullPipelines:
     def test_svp_full_exact(self):
         rng = random.Random(55)
         inst = dyadic_instance(rng, 16, bits=20)
-        result = nbp_full_pipeline(
-            inst, Fraction(1), lambda k: svp_bounded_oracle(k, lambda dim: exact_svp_oracle())
-        )
+        oracle = exact_svp_oracle()
+        result = nbp_full_pipeline(inst, oracle.rho, lambda k: svp_bounded_oracle(k, oracle))
         assert result.formula == "full-self-reduction"
         assert max(abs(v) for v in result.solution.x) <= 1
         assert result.solution.error <= result.claimed_bound
@@ -548,12 +547,17 @@ def test_instance_integers_are_computed_only_from_outside_values(monkeypatch, tm
     assert not [c for c in callers if c[0] in layers]
 
 
-def test_each_balancing_reply_is_checked_once(monkeypatch, tmp_path, capsys):
-    """Over one `reduce to-nbp --oracle exact-mink --full` run at n = 36 the
-    bounded Minkowski handle asks the oracle directly, never through
-    nbp_via_minkowski, and one exact error is computed (verify, through
-    instance_inner) per checked handle reply, plus one per recombined
-    halving round: no caller re-verifies a handle's checked solution."""
+@pytest.mark.parametrize("oracle, n, handle, single_call, blocks", [
+    ("exact-mink", 36, "minkowski-bounded(k=3, rho=1)", "nbp_via_minkowski", 6),
+    ("exact-svp", 16, "svp-bounded(k=3)", "nbp_via_svp", 1),  # block 1 exits early
+], ids=["exact-mink", "exact-svp"])
+def test_each_balancing_reply_is_checked_once(monkeypatch, tmp_path, capsys,
+                                              oracle, n, handle, single_call, blocks):
+    """Over one `reduce to-nbp --oracle ... --full` run (gen seed 5) the
+    bounded handle asks the oracle's solver directly, never through the
+    single-call route or MinkowskiOracle.find, and one exact error is
+    computed (verify, through instance_inner) per checked handle reply,
+    plus one per recombined halving round: no reply is verified twice."""
     seen, replies, branches = [], [], []
     original_verify, original_inner = nbp.verify, nbp.instance_inner
     original_solve = oracles.BoundedNbpOracle.solve
@@ -576,22 +580,25 @@ def test_each_balancing_reply_is_checked_once(monkeypatch, tmp_path, capsys):
         branches.append(outcome.branch)
         return outcome
 
-    assert main(["gen", "nbp", "--n", "36", "--seed", "5"]) == 0
+    assert main(["gen", "nbp", "--n", str(n), "--seed", "5"]) == 0
     f = tmp_path / "i.json"
     f.write_text(capsys.readouterr().out)
     for name, module in list(sys.modules.items()):
         if name.startswith("balancelat") and getattr(module, "verify", None) is original_verify:
             monkeypatch.setattr(module, "verify", counted("verify", original_verify))
     monkeypatch.setattr(nbp, "instance_inner", counted("instance_inner", original_inner))
-    monkeypatch.setattr(reduce_to_nbp, "nbp_via_minkowski",
-                        counted("nbp_via_minkowski", reduce_to_nbp.nbp_via_minkowski))
+    for route in ("nbp_via_minkowski", "nbp_via_svp"):
+        monkeypatch.setattr(reduce_to_nbp, route,
+                            counted(route, getattr(reduce_to_nbp, route)))
+    monkeypatch.setattr(oracles.MinkowskiOracle, "find",
+                        counted("MinkowskiOracle.find", oracles.MinkowskiOracle.find))
     monkeypatch.setattr(oracles.BoundedNbpOracle, "solve", counted_solve)
     monkeypatch.setattr(reduce_to_nbp, "halve_coefficients", counted_halve)
-    code = main(["reduce", "to-nbp", "--oracle", "exact-mink", "--full", "--input", str(f)])
+    code = main(["reduce", "to-nbp", "--oracle", oracle, "--full", "--input", str(f)])
     assert code == 0, capsys.readouterr().err
-    assert "nbp_via_minkowski" not in seen
-    assert replies[-1] == "halved(minkowski-bounded(k=3, rho=1), round 1)"
-    assert replies.count("minkowski-bounded(k=3, rho=1)") == len(replies) - 1 >= 6
+    assert single_call not in seen and "MinkowskiOracle.find" not in seen
+    assert replies[-1] == f"halved({handle}, round 1)"
+    assert replies.count(handle) == len(replies) - 1 >= blocks
     checked = len(replies) + branches.count("recombined")
     assert seen.count("verify") == seen.count("instance_inner") == checked
 
@@ -599,7 +606,8 @@ def test_each_balancing_reply_is_checked_once(monkeypatch, tmp_path, capsys):
 def test_minkowski_points_are_tested_on_integers(monkeypatch, tmp_path, capsys):
     """The exact Minkowski search confirms its leaves, and MinkowskiOracle.find
     re-checks the reply, on the point's integers: over one `reduce to-nbp
-    --oracle exact-mink --full` run at n = 36 neither builds an RVector."""
+    --oracle exact-mink --full` run at n = 36 and one single-call `--k 2`
+    run at n = 9, which goes through find, neither builds an RVector."""
     guarded = {geometry.minkowski_exact_oracle.__code__, oracles.MinkowskiOracle.find.__code__}
     original_init, original_find = RVector.__init__, oracles.MinkowskiOracle.find
     inside, finds = [], []
@@ -617,14 +625,18 @@ def test_minkowski_points_are_tested_on_integers(monkeypatch, tmp_path, capsys):
         finds.append(body.dim)
         return original_find(self, body)
 
-    assert main(["gen", "nbp", "--n", "36", "--seed", "5"]) == 0
-    f = tmp_path / "i.json"
-    f.write_text(capsys.readouterr().out)
+    paths = {}
+    for n in (36, 9):
+        assert main(["gen", "nbp", "--n", str(n), "--seed", "5"]) == 0
+        paths[n] = tmp_path / f"i{n}.json"
+        paths[n].write_text(capsys.readouterr().out)
     monkeypatch.setattr(RVector, "__init__", counted_init)
     monkeypatch.setattr(oracles.MinkowskiOracle, "find", counted_find)
-    code = main(["reduce", "to-nbp", "--oracle", "exact-mink", "--full", "--input", str(f)])
-    assert code == 0, capsys.readouterr().err
-    assert finds and inside == []
+    for n, flags in ((36, ["--full"]), (9, ["--k", "2"])):
+        code = main(["reduce", "to-nbp", "--oracle", "exact-mink", *flags,
+                     "--input", str(paths[n])])
+        assert code == 0, capsys.readouterr().err
+    assert finds == [9] and inside == []
 
 
 def test_each_basis_is_eliminated_once(monkeypatch, tmp_path, capsys):
