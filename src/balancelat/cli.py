@@ -41,7 +41,6 @@ from .oracles import (
     exact_svp_oracle,
     kk_delta_oracle,
     lll_svp_oracle,
-    lll_svp_rho,
     mitm_delta_oracle,
     pigeonhole_delta_oracle,
 )
@@ -132,15 +131,13 @@ CALLS: dict[str, dict[str, Callable]] = {
     },
     "to-nbp --full": {
         "exact-mink": lambda inst, a: nbp_full_pipeline(
-            inst, Fraction(1), lambda k: minkowski_bounded_oracle(k, exact_minkowski_oracle())
+            inst, exact_minkowski_oracle(), minkowski_bounded_oracle
         ),
         "exact-svp": lambda inst, a: nbp_full_pipeline(
-            inst, Fraction(1), lambda k: svp_bounded_oracle(k, exact_svp_oracle())
+            inst, exact_svp_oracle(), svp_bounded_oracle
         ),
         "lll": lambda inst, a: nbp_full_pipeline(
-            inst,
-            lll_svp_rho(inst.n + 1),
-            lambda k: svp_bounded_oracle(k, lll_svp_oracle(inst.n + 1)),
+            inst, lll_svp_oracle(inst.n + 1), svp_bounded_oracle
         ),
     },
     "to-minkowski": {
@@ -255,6 +252,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise InvalidParams(f"--k must be >= 1, got {args.k}")
     algos = sorted({a for a in args.algos.split(",") if a})
+    if not algos:
+        raise InvalidParams(f"--algos needs at least one algorithm, got {args.algos!r}")
     unknown = [a for a in algos if a not in CALLS["bench"]]
     if unknown:
         raise InvalidParams(f"unknown bench algorithm {unknown[0]!r}")

@@ -34,7 +34,15 @@ from .errors import InvalidParams, OracleContractViolation, PreconditionFailed
 from .geometry import CubeSlabBody, minkowski_exact_oracle
 from .lattice import LatticeBasis, lattice_membership, lll_reduce, svp_exact_linf
 from .linalg import RVector
-from .nbp import NbpInstance, NbpSolution, karmarkar_karp, mitm_min, pigeonhole_solve, verify
+from .nbp import (
+    NbpInstance,
+    NbpSolution,
+    karmarkar_karp,
+    mitm_min,
+    pigeonhole_bound,
+    pigeonhole_solve,
+    verify,
+)
 
 
 def _checked_balance(
@@ -147,20 +155,18 @@ def exact_svp_oracle() -> SvpInfOracle:
     return SvpInfOracle(rho=Fraction(1), solver=solve, name="exact-svp-linf")
 
 
-def lll_svp_rho(dim: int) -> Fraction:
-    """Claimed rho of the LLL oracle: 2^ceil((dim-1)/4) >= 2^((dim-1)/4)."""
-    return Fraction(2 ** ((dim - 1 + 3) // 4))
-
-
 def lll_svp_oracle(dim: int) -> SvpInfOracle:
-    """Approximate oracle: LLL-reduce, return the best reduced basis column."""
+    """Approximate oracle: LLL-reduce, return the best reduced basis column.
+
+    Its claimed rho is 2^ceil((dim-1)/4) >= 2^((dim-1)/4).
+    """
 
     def solve(basis: LatticeBasis) -> RVector:
         reduced, _, _ = lll_reduce(basis)
         cols = [reduced.B.column(j) for j in range(reduced.n)]
         return min(cols, key=lambda c: c.inf_norm())
 
-    return SvpInfOracle(rho=lll_svp_rho(dim), solver=solve, name="lll-svp-linf")
+    return SvpInfOracle(rho=Fraction(2 ** ((dim - 1 + 3) // 4)), solver=solve, name="lll-svp-linf")
 
 
 def mitm_exact_guarantee(k: int) -> Callable[[int], Fraction]:
@@ -186,14 +192,9 @@ def kk_delta_oracle() -> NbpDeltaOracle:
 
 
 def pigeonhole_delta_oracle() -> NbpDeltaOracle:
-    """Pigeonhole over N = d^3 subsets, which guarantees 2 bitlen(N) / N."""
-
-    def delta(d: int) -> Fraction:
-        n_pigeons = d**3
-        return Fraction(2 * n_pigeons.bit_length(), n_pigeons)
-
+    """Pigeonhole over N = d^3 subsets, which guarantees pigeonhole_bound(N)."""
     return NbpDeltaOracle(
-        delta=delta,
+        delta=lambda d: pigeonhole_bound(d**3),
         solver=lambda inst: pigeonhole_solve(inst, inst.n**3).x,
         name="pigeonhole-delta",
     )

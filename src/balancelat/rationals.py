@@ -16,8 +16,6 @@ from math import isqrt, lcm
 
 from .errors import InvalidParams
 
-Rational = Fraction
-
 MAX_EXPONENT = 10_000  # decimal exponents allowed in parsed rationals
 # CPython's Fraction string grammar: sign, digits with single "_" separators,
 # then "/q", or a decimal part and an exponent; blanks around it.

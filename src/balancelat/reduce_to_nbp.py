@@ -6,6 +6,10 @@ claim the bound of minkowski_bound or svp_bound; the bounded oracles built
 on them guarantee the same formulas.  The self-reduction then halves the
 coefficient range round by round using the small-coefficient
 representation trick, tracking an exact error bound through every round.
+It reads k, rho and each round's bound from the oracle handles: the
+pipeline reads rho from the approximate oracle and builds the bounded
+handle at k = max(1, ceil(3 rho)), each round reads k from the handle
+below it, and each round's handle guarantees round_bound over that handle.
 Every balancing-point reply is read once, by nbp.verify, in the handle or
 route that owns the claim, and callers read the NbpSolution it returns;
 the bounded handles ask the oracle's solver directly, since their check is
@@ -165,32 +169,35 @@ class HalveOutcome:
     branch: str  # "small-coefficients" | "small-block-value" | "recombined"
 
 
-def halve_coefficients(
-    inst: NbpInstance, k: int, r: int, oracle: BoundedNbpOracle
-) -> HalveOutcome:
-    """One block round: coefficients {-k..k} down to max(r-1, k-r).
+def round_bound(d: int, oracle: BoundedNbpOracle) -> Fraction:
+    """2 sqrt(d) g(sqrt(d)), g the oracle's guarantee: one halving round's bound at d."""
+    m = isqrt(d)
+    if m * m != d:
+        raise PreconditionFailed(f"dimension {d} is not a perfect square")
+    return 2 * m * oracle.guarantee(m)
+
+
+def halve_coefficients(inst: NbpInstance, r: int, oracle: BoundedNbpOracle) -> HalveOutcome:
+    """One block round: coefficients {-k..k}, k = oracle.k, down to max(r-1, k-r).
 
     Splits [n] into sqrt(n) blocks of size sqrt(n), balances each block with
     the oracle, and either exits early (a block already has small
     coefficients, or a block value b_l is itself tiny) or balances the block
     values and recombines through the small-coefficient representation.
-    The exact tracked bound is 2 sqrt(n) g(sqrt(n)) for all branches; the
+    The exact tracked bound is round_bound(n, oracle) for all branches; the
     recombined branch verifies x and re-checks it, and the early exits meet
     it by the oracle's own guarantee on one block, whose checked reply
     gives their exact error: the block's, or |b_l| = |<a, x>|.  Returns the
     solution and the branch taken.
     """
+    k = oracle.k
     if not 0 < r < k:
         raise InvalidParams(f"need 0 < r < k, got r={r}, k={k}")
-    if oracle.k != k:
-        raise InvalidParams("oracle coefficient bound does not match k")
     n = inst.n
+    bound = round_bound(n, oracle)
     m = isqrt(n)
-    if m * m != n:
-        raise PreconditionFailed(f"n = {n} is not a perfect square")
-    out_k = max(r - 1, k - r)
     g_m = oracle.guarantee(m)
-    bound = 2 * m * g_m
+    out_k = max(r - 1, k - r)
 
     block_vectors: list[tuple[int, ...]] = []
     for block in range(m):
@@ -256,50 +263,31 @@ def default_halving_schedule(k: int) -> list[int]:
     return schedule
 
 
-def composed_guarantee(base: Callable[[int], Fraction], rounds: int) -> Callable[[int], Fraction]:
-    """g_{i+1}(d) = 2 sqrt(d) g_i(sqrt(d)), iterated ``rounds`` times."""
-
-    def g(d: int, level: int = rounds) -> Fraction:
-        if level == 0:
-            return base(d)
-        m = isqrt(d)
-        if m * m != d:
-            raise PreconditionFailed(f"dimension {d} is not a perfect square")
-        return 2 * m * g(m, level - 1)
-
-    return g
-
-
-def full_self_reduction(inst: NbpInstance, k: int, oracle: BoundedNbpOracle) -> ReductionResult:
+def full_self_reduction(inst: NbpInstance, oracle: BoundedNbpOracle) -> ReductionResult:
     """Iterate the halving rounds until coefficients lie in {-1, 0, 1}.
 
-    The rounds follow default_halving_schedule(k), r = ceil(k_i/2) each
-    round.  Requires n^(2^-i) integral for every round i, which the composed
-    bound checks before any oracle call.  Each round is a bounded oracle
-    wrapped around halve_coefficients on the round below, so every oracle
-    reply, the outermost included, is re-verified against its own tracked
-    guarantee, and the outermost reply, of coefficient bound 1, claims the
-    exact composed bound.
+    The rounds follow default_halving_schedule(oracle.k), r = ceil(k_i/2)
+    each round.  Each round is a bounded oracle wrapped around
+    halve_coefficients on the round below, whose guarantee is round_bound
+    over that round: so every oracle reply, the outermost included, is
+    re-verified against its own tracked guarantee, and the outermost reply,
+    of coefficient bound 1, claims the composed bound.  Reading that bound
+    at n first requires n^(2^-i) integral for every round i, before any
+    oracle call.
     """
-    if k < 1:
-        raise InvalidParams("k must be >= 1")
-    if oracle.k != k:
-        raise InvalidParams("oracle coefficient bound does not match k")
-    schedule = default_halving_schedule(k)
-    bound = composed_guarantee(oracle.guarantee, len(schedule))(inst.n)
-    level, cur = oracle, k
-    for i, r in enumerate(schedule, 1):
+    level = oracle
+    for i, r in enumerate(default_halving_schedule(oracle.k), 1):
 
-        def solver(sub: NbpInstance, _k=cur, _r=r, _inner=level) -> tuple[int, ...]:
-            return halve_coefficients(sub, _k, _r, _inner).solution.x
+        def solver(sub: NbpInstance, _r=r, _inner=level) -> tuple[int, ...]:
+            return halve_coefficients(sub, _r, _inner).solution.x
 
-        cur = max(r - 1, cur - r)
         level = BoundedNbpOracle(
-            k=cur,
-            guarantee=composed_guarantee(oracle.guarantee, i),
+            k=max(r - 1, level.k - r),
+            guarantee=lambda d, _inner=level: round_bound(d, _inner),
             solver=solver,
             name=f"halved({oracle.name}, round {i})",
         )
+    bound = level.guarantee(inst.n)
     return ReductionResult(level.solve(inst), bound, "full-self-reduction")
 
 
@@ -345,20 +333,20 @@ FALLBACK_RHO = 2
 
 def nbp_full_pipeline(
     inst: NbpInstance,
-    rho: Fraction,
-    bounded: Callable[[int], BoundedNbpOracle],
+    oracle: MinkowskiOracle | SvpInfOracle,
+    bounded: Callable[[int, MinkowskiOracle | SvpInfOracle], BoundedNbpOracle],
 ) -> ReductionResult:
     """Full pipeline: rho-approximate oracle -> bounded oracle -> sign vector.
 
-    ``bounded(k)`` is the balancing oracle with coefficients in {-k..k} that
-    a rho-approximate Minkowski or max-norm SVP oracle realizes
-    (minkowski_bounded_oracle, svp_bounded_oracle); the self-reduction runs
-    it at k = max(1, ceil(3 rho)).  At rho >= FALLBACK_RHO Karmarkar-Karp
-    answers instead, with the trivial bound 1; the exact oracles have
-    rho = 1, while the LLL oracle's rho = 2^ceil(n/4) is >= 2 at every n,
-    so ``--oracle lll --full`` always takes the fallback.
+    ``bounded(k, oracle)`` is the balancing oracle with coefficients in
+    {-k..k} that the rho-approximate Minkowski or max-norm SVP oracle
+    realizes (minkowski_bounded_oracle, svp_bounded_oracle); the
+    self-reduction runs it at k = max(1, ceil(3 rho)), rho = oracle.rho.
+    At rho >= FALLBACK_RHO Karmarkar-Karp answers instead, with the trivial
+    bound 1; the exact oracles have rho = 1, while the LLL oracle's
+    rho = 2^ceil(n/4) is >= 2 at every n, so ``--oracle lll --full`` always
+    takes the fallback.
     """
-    if rho >= FALLBACK_RHO:
+    if oracle.rho >= FALLBACK_RHO:
         return ReductionResult(karmarkar_karp(inst), Fraction(1), "karmarkar-karp-fallback")
-    k = max(1, math.ceil(3 * rho))
-    return full_self_reduction(inst, k, bounded(k))
+    return full_self_reduction(inst, bounded(max(1, math.ceil(3 * oracle.rho)), oracle))

@@ -174,7 +174,7 @@ def test_criterion_07_halving_rounds():
         start = time.monotonic()
         inst16 = gen_nbp(16, seed=161, precision_bits=30, signed=True)
         oracle2 = mitm_bounded_oracle(2)
-        r16 = full_self_reduction(inst16, 2, oracle2)
+        r16 = full_self_reduction(inst16, oracle2)
         assert any(r16.solution.x)
         assert max(abs(v) for v in r16.solution.x) <= 1
         assert r16.claimed_bound == 2 * 4 * oracle2.guarantee(4)
@@ -183,7 +183,7 @@ def test_criterion_07_halving_rounds():
         inst256 = gen_nbp(256, seed=256, precision_bits=30, signed=True)
         oracle4 = mitm_bounded_oracle(4)
         assert default_halving_schedule(4) == [2, 1]
-        r256 = full_self_reduction(inst256, 4, oracle4)
+        r256 = full_self_reduction(inst256, oracle4)
         assert any(r256.solution.x)
         assert max(abs(v) for v in r256.solution.x) <= 1
         # per-round bounds are enforced by oracle re-verification inside;

@@ -1,13 +1,21 @@
-"""Property test: a bad document never escapes the CLI as a traceback.
+"""Property tests: a bad document or flag value never escapes the CLI as a
+traceback.
 
-Each example takes a valid seeded document of one command, mutates one
-field (or the whole document), and runs ``cli.main`` in process on it.
-Whatever the mutation, the command must exit 0, 2 or 3 without raising,
-and an exit 3 must come with exactly one stderr line that starts
-``error: ``.  The mutations are the kinds of bad input the CLI has to
-refuse: a wrong type, a huge or negative integer, deep nesting, odd
-strings ("1/0", "nan", 5 000 digits, Unicode digits), a missing key, a
-top level that is not an object, and bytes that are not UTF-8.
+Each document example takes a valid seeded document of one command, mutates
+one field (or the whole document), and runs ``cli.main`` in process on it.
+Each flag example runs one command, ``gen`` and ``bench`` included, on
+valid seeded documents, with flag values drawn in and out of range: integers
+for the integer flags (a value that is not one is argparse's usage error),
+and lists with empty, repeated, unknown or out-of-range items for
+``--sizes`` and ``--algos``.
+Whatever the input, the command must exit 0, 2 or 3 without raising, and an
+exit 3 must come with exactly one stderr line that starts ``error: ``.  The
+mutations are the kinds of bad input the CLI has to refuse: a wrong type, a
+huge or negative integer, deep nesting, odd strings ("1/0", "nan", 5 000
+digits, Unicode digits), a missing key, a top level that is not an object,
+and bytes that are not UTF-8.  The flag values stay small enough that every
+run ends well inside the deadline: n <= 16 for instances, n <= 4 for
+ellipsoids, and ``--Q`` from a short list, never the paper's 2^(4n).
 """
 
 import contextlib
@@ -58,6 +66,16 @@ def documents() -> dict:
     }
 
 
+@functools.cache
+def sized_documents() -> dict:
+    """Valid seeded instances at n <= 16 and ellipsoids at n <= 4, by slot name."""
+    docs = {f"instance-{n}": _generate("gen", "nbp", "--n", str(n), "--seed", "5", "--signed")
+            for n in (1, 2, 4, 9, 16)}
+    docs.update({f"ellipsoid-{n}": _generate("gen", "ellipsoid", "--n", str(n), "--seed", "3")
+                 for n in (1, 2, 3, 4)})
+    return docs
+
+
 # (argv with each document slot named by its kind, the slot the mutation hits)
 COMMANDS = [
     (["solve", "--algo", "mitm", "--input", "instance"], "instance"),
@@ -71,6 +89,28 @@ COMMANDS = [
     (["reduce", "to-minkowski", "--oracle", "mitm", "--Q", "16", "--input", "ellipsoid"],
      "ellipsoid"),
 ]
+
+
+def _run(argv: list[str], files: dict[str, bytes]) -> tuple[int, str]:
+    """cli.main on argv, each file slot replaced by a path holding its bytes,
+    with output to a scratch file; returns (exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"out": os.path.join(tmp, "out.json")}
+        for slot, data in files.items():
+            paths[slot] = os.path.join(tmp, f"{slot.lstrip('@')}.json")
+            with open(paths[slot], "wb") as fh:
+                fh.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([paths.get(a, a) for a in argv] + ["--out", paths["out"]])
+    return code, err.getvalue()
+
+
+def _assert_exit_and_message(code: int, err: str) -> None:
+    assert code in (0, 2, 3)
+    if code == 3:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err[:300]
 
 
 def _locations(value, path=()):
@@ -129,16 +169,64 @@ def mutated_cases(draw):
 def test_a_mutated_document_exits_with_a_code_and_one_line(monkeypatch, case):
     monkeypatch.setenv("BALANCELAT_BUDGET", "20000")  # the same for every example
     argv, slot, data = case
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = {"out": os.path.join(tmp, "out.json")}
-        for kind, doc in documents().items():
-            paths[kind] = os.path.join(tmp, f"{kind}.json")
-            with open(paths[kind], "wb") as fh:
-                fh.write(data if kind == slot else json.dumps(doc).encode("utf-8"))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([paths.get(a, a) for a in argv] + ["--out", paths["out"]])
-    assert code in (0, 2, 3)
-    if code == 3:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()[:300]
+    files = {kind: json.dumps(doc).encode("utf-8") for kind, doc in documents().items()}
+    _assert_exit_and_message(*_run(argv, {**files, slot: data}))
+
+
+def _ints(*values: int) -> list[str]:
+    return [str(v) for v in values]
+
+
+# each list leads with a valid value, which hypothesis draws most often, so
+# that a command with several flags still often runs to its end
+SEEDS = _ints(7, -1, 0, 1, 2**64 + 3)
+K = _ints(1, -2, 0, 2, 3)
+BITS = _ints(30, -3, 0, 1, 2, 64, 20_000)
+SIZES = ["4", "", ",", "0", "-4", "1", "2", "16", "1,4,9", "16,-1", "2,,3", "9,9"]
+ALGOS = ["kk", "", ",", ",,", "nope", "kk,nope", "mitm,pigeonhole", "brute-force,reduce-mink",
+         "kk,mitm,pigeonhole,brute-force,reduce-mink"]
+
+# (argv with a document slot named "@instance" or "@ellipsoid", {flag: values});
+# a None value leaves the flag out, so its default runs, and True gives a switch
+FLAG_COMMANDS = [
+    (["gen", "nbp"], {"--n": _ints(9, -1, 0, 1, 2, 16), "--seed": SEEDS,
+                      "--precision-bits": [None] + BITS, "--signed": [None, True]}),
+    (["gen", "basis"], {"--n": _ints(4, -1, 0, 1, 2, 6), "--seed": SEEDS,
+                        "--span": [None] + _ints(-1, 0, 1, 2, 99, 10**6)}),
+    (["gen", "ellipsoid"], {"--n": _ints(3, -1, 0, 1, 2, 4), "--seed": SEEDS}),
+    (["solve", "--input", "@instance"], {
+        "--algo": ["brute-force", "mitm", "pigeonhole", "kk"], "--k": [None] + K,
+        "--pigeons": [None] + _ints(-1, 0, 1, 2, 64, 4096)}),
+    (["reduce", "to-nbp", "--input", "@instance"], {
+        "--oracle": ["exact-mink", "exact-svp", "lll"], "--k": [None] + K}),
+    (["reduce", "to-minkowski", "--input", "@ellipsoid"], {
+        "--oracle": ["mitm", "kk", "pigeonhole"],
+        "--Q": _ints(16, -4, 0, 1, 2, 3, 4, 6, 8)}),
+    (["bench"], {"--sizes": SIZES, "--seeds": [None] + _ints(1, -1, 0, 2), "--algos": ALGOS,
+                 "--k": [None] + K, "--precision-bits": [None] + BITS}),
+]
+
+
+@st.composite
+def flag_cases(draw):
+    """(argv, document files by slot) for one command with drawn flag values."""
+    prefix, flags = draw(st.sampled_from(FLAG_COMMANDS))
+    argv = list(prefix)
+    for flag, values in flags.items():
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv += [flag] if value is True else [flag, value]
+    files = {}
+    for kind, sizes in (("instance", (1, 2, 4, 9, 16)), ("ellipsoid", (1, 2, 3, 4))):
+        if f"@{kind}" in argv:
+            doc = sized_documents()[f"{kind}-{draw(st.sampled_from(sizes))}"]
+            files[f"@{kind}"] = json.dumps(doc).encode("utf-8")
+    return argv, files
+
+
+@settings(max_examples=150, deadline=3000, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(flag_cases())
+def test_a_flag_value_exits_with_a_code_and_one_line(monkeypatch, case):
+    monkeypatch.setenv("BALANCELAT_BUDGET", "20000")
+    _assert_exit_and_message(*_run(*case))

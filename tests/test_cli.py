@@ -589,6 +589,13 @@ class TestCliCommands:
         assert "--sizes needs at least one dimension, got ',,'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("algos", [",", "", ",,"])
+    def test_bench_no_algorithms_exit_code(self, algos, capsys):
+        assert main(["bench", "--sizes", "4", "--seeds", "1", "--algos", algos]) == 3
+        captured = capsys.readouterr()
+        assert f"--algos needs at least one algorithm, got {algos!r}" in captured.err
+        assert captured.out == ""
+
     def test_bench_unknown_algorithm_exit_code(self, capsys):
         assert main(["bench", "--sizes", "6", "--seeds", "1", "--algos", "kk,nope"]) == 3
         captured = capsys.readouterr()

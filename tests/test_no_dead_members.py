@@ -1,6 +1,11 @@
-"""Tooling guard: every public member of the exact vector, matrix, ellipsoid and
-transform types, of the balancing instance and of the reduction records has a
-reader.
+"""Tooling guard: every module-level name of the library, and every public
+member of the exact vector, matrix, ellipsoid and transform types, of the
+balancing instance and of the reduction records, has a reader.
+
+A module-level function, class or constant of src/balancelat must be read,
+as a loaded name or an attribute, somewhere in src/balancelat outside its
+own definition, or in perfbench/.  An import is not a read, so the
+package's ``__init__`` re-exports do not keep a name alive.
 
 A method that only tests call belongs in a test-side reference
 (``linalg_helpers``), not in src/, and a record field that only tests read
@@ -16,6 +21,7 @@ types: a reference to a same-named member of another class also counts.
 
 import ast
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,9 +35,8 @@ from balancelat.reduce_to_minkowski import MinkowskiFromNbpResult
 from balancelat.reduce_to_nbp import HalveOutcome, ReductionResult
 
 REPO = Path(__file__).resolve().parent.parent
-MODULES = sorted(Path(balancelat.__file__).parent.glob("*.py")) + sorted(
-    (REPO / "perfbench").glob("*.py")
-)
+LIBRARY = sorted(Path(balancelat.__file__).parent.glob("*.py"))
+MODULES = LIBRARY + sorted((REPO / "perfbench").glob("*.py"))
 CLASSES = [RVector, RMatrix, Ellipsoid, UnimodularTransform, NbpInstance,
            NbpSolution, ReductionResult, HalveOutcome, WellRoundResult, MinkowskiFromNbpResult]
 
@@ -142,4 +147,60 @@ def test_member_has_a_library_caller(owner, name, kind):
     assert is_referenced(LIBRARY_REFS, owner, name, kind), (
         f"{owner}.{name} is not read in src/balancelat or perfbench/ outside its own "
         "definition; move it to a test-side reference or stop computing it"
+    )
+
+
+def name_reads(node: ast.AST) -> Counter:
+    """How often each name is read under node, as a loaded name or an attribute."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found[sub.attr] += 1
+    return found
+
+
+def module_names(tree: ast.Module):
+    """(name, definition) of each module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets
+                        if isinstance(t, ast.Name) and not t.id.startswith("__"))
+
+
+def unread_names(sources: dict[str, str], library: list[str]) -> list[str]:
+    """module.name of each module-level name of the library modules that no
+    source reads outside the name's own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((name_reads(tree) for tree in trees.values()), Counter())
+    return [f"{module}.{name}" for module in library
+            for name, node in module_names(trees[module])
+            if reads[name] <= name_reads(node)[name]]
+
+
+def test_unread_module_names_are_found():
+    sources = {
+        "lib": "from math import isqrt\n"
+               "Alias = int\n"
+               "LIMIT = 3\n"
+               "def walk(n):\n"
+               "    return walk(n - 1) if n > LIMIT else isqrt(n)\n"
+               "def used():\n"
+               "    return 1\n",
+        "__init__": "from .lib import Alias, walk, used\n__all__ = ['Alias', 'walk']\n",
+        "bench": "import lib\nlib.used()\n",
+    }
+    assert unread_names(sources, ["lib", "__init__"]) == ["lib.Alias", "lib.walk"]
+
+
+def test_every_module_name_has_a_reader():
+    sources = {f"{path.parent.name}.{path.stem}": path.read_text() for path in MODULES}
+    unread = unread_names(sources, [f"balancelat.{path.stem}" for path in LIBRARY])
+    assert unread == [], (
+        f"{unread} are not read in src/balancelat outside their own definition or in "
+        "perfbench/; delete them"
     )

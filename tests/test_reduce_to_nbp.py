@@ -20,6 +20,7 @@ from balancelat.linalg import RMatrix, RVector, determinant
 from balancelat.nbp import NbpInstance, brute_force_min, verify
 from balancelat.oracles import (
     BoundedNbpOracle,
+    MinkowskiOracle,
     adversarial_minkowski_oracle,
     exact_minkowski_oracle,
     exact_svp_oracle,
@@ -248,7 +249,7 @@ class TestHalveCoefficients:
         rng = random.Random(46)
         inst = dyadic_instance(rng, 16, bits=24)
         oracle = mitm_bounded_oracle(2)
-        outcome = halve_coefficients(inst, 2, 1, oracle)
+        outcome = halve_coefficients(inst, 1, oracle)
         sol = outcome.solution
         assert any(sol.x)
         assert max(abs(v) for v in sol.x) <= 1
@@ -257,8 +258,8 @@ class TestHalveCoefficients:
     def test_requires_perfect_square(self):
         rng = random.Random(47)
         inst = dyadic_instance(rng, 6, bits=10)
-        with pytest.raises(PreconditionFailed, match="n = 6 is not a perfect square"):
-            halve_coefficients(inst, 2, 1, mitm_bounded_oracle(2))
+        with pytest.raises(PreconditionFailed, match="dimension 6 is not a perfect square"):
+            halve_coefficients(inst, 1, mitm_bounded_oracle(2))
 
     def test_small_coefficient_early_exit(self):
         # a stub oracle that answers with sign vectors triggers the first
@@ -272,7 +273,7 @@ class TestHalveCoefficients:
             solver=lambda sub: (1,) + (0,) * (sub.n - 1),
             name="stub-signs",
         )
-        outcome = halve_coefficients(inst, 3, 2, stub)
+        outcome = halve_coefficients(inst, 2, stub)
         assert outcome.branch == "small-coefficients"
         assert outcome.solution.x == (1, 0, 0, 0)
 
@@ -283,7 +284,7 @@ class TestHalveCoefficients:
             [Fraction(1, 2), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
         )
         oracle = mitm_bounded_oracle(3)
-        outcome = halve_coefficients(inst, 3, 2, oracle)
+        outcome = halve_coefficients(inst, 2, oracle)
         assert outcome.branch == "small-block-value"
         assert max(abs(v) for v in outcome.solution.x) <= 1
 
@@ -300,14 +301,14 @@ class TestFullSelfReduction:
         rng = random.Random(48)
         inst = dyadic_instance(rng, 9, bits=16)
         oracle = mitm_bounded_oracle(1)
-        result = full_self_reduction(inst, 1, oracle)
+        result = full_self_reduction(inst, oracle)
         assert result.solution.error <= oracle.guarantee(9)
         assert max(abs(v) for v in result.solution.x) <= 1
 
     def test_k2_one_round(self):
         rng = random.Random(49)
         inst = dyadic_instance(rng, 16, bits=20)
-        result = full_self_reduction(inst, 2, mitm_bounded_oracle(2))
+        result = full_self_reduction(inst, mitm_bounded_oracle(2))
         assert max(abs(v) for v in result.solution.x) <= 1
         assert result.solution.error <= result.claimed_bound
 
@@ -318,7 +319,7 @@ class TestFullSelfReduction:
         rng = random.Random(50)
         inst = dyadic_instance(rng, 16, bits=20)
         oracle = mitm_bounded_oracle(4)
-        result = full_self_reduction(inst, 4, oracle)
+        result = full_self_reduction(inst, oracle)
         assert max(abs(v) for v in result.solution.x) <= 1
         assert result.claimed_bound == 2 * 4 * (2 * 2 * oracle.guarantee(2))
         assert result.solution.error <= result.claimed_bound
@@ -331,28 +332,16 @@ class TestFullSelfReduction:
         oracle = BoundedNbpOracle(k=2, guarantee=lambda d: Fraction(1, 2**d), solver=e1,
                                   name="tiny")
         monkeypatch.setattr(reduce_to_nbp, "halve_coefficients",
-                            lambda sub, k, r, inner: HalveOutcome(verify(sub, e1(sub), 1), "stub"))
+                            lambda sub, r, inner: HalveOutcome(verify(sub, e1(sub), 1), "stub"))
         with pytest.raises(OracleContractViolation, match=r"^halved\(tiny, round 1\): error 3/4 "
                            r"exceeds the claimed bound 1/2 at n=16$"):
-            full_self_reduction(inst, 2, oracle)
-
-    def test_oracle_bound_must_match_k_before_any_call(self):
-        # a k = 3 oracle cannot answer a k = 1 reduction, which has no round
-        # to bring its replies down to signs
-        calls = []
-        oracle = BoundedNbpOracle(k=3, guarantee=lambda d: Fraction(1),
-                                  solver=lambda sub: calls.append(sub) or (3,) + (0,) * (sub.n - 1),
-                                  name="k3")
-        inst = NbpInstance.from_values([Fraction(1, 2)] * 4)
-        with pytest.raises(InvalidParams, match="oracle coefficient bound does not match k"):
-            full_self_reduction(inst, 1, oracle)
-        assert calls == []
+            full_self_reduction(inst, oracle)
 
     def test_incompatible_dimension(self):
         rng = random.Random(51)
         inst = dyadic_instance(rng, 12, bits=10)
         with pytest.raises(PreconditionFailed, match="dimension 12 is not a perfect square"):
-            full_self_reduction(inst, 2, mitm_bounded_oracle(2))
+            full_self_reduction(inst, mitm_bounded_oracle(2))
 
 
 class TestFullPipelines:
@@ -360,7 +349,7 @@ class TestFullPipelines:
         rng = random.Random(53)
         inst = dyadic_instance(rng, 16, bits=20)
         oracle = exact_minkowski_oracle()
-        result = nbp_full_pipeline(inst, oracle.rho, lambda k: minkowski_bounded_oracle(k, oracle))
+        result = nbp_full_pipeline(inst, oracle, minkowski_bounded_oracle)
         assert result.formula == "full-self-reduction"
         # k = ceil(3 rho) = 3, one round: 2 sqrt(n) g(sqrt(n)) with g the k = 3 bound
         assert result.claimed_bound == 2 * 4 * minkowski_bound(4, 3, Fraction(1))
@@ -375,26 +364,48 @@ class TestFullPipelines:
         inst = dyadic_instance(rng, 16, bits=12)
         oracle = exact_minkowski_oracle()
         oracle.rho = Fraction(16)
-        result = nbp_full_pipeline(inst, oracle.rho, lambda k: minkowski_bounded_oracle(k, oracle))
+        result = nbp_full_pipeline(inst, oracle, minkowski_bounded_oracle)
         assert result.formula == "karmarkar-karp-fallback"
 
     def test_rho_past_the_float_range_falls_back(self):
         # 2^1100 has no float; the cutoff comparison is exact, so the
         # bounded oracle is never built
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
+        oracle = exact_minkowski_oracle()
+        oracle.rho = Fraction(2**1100)
 
-        def no_oracle(k):
+        def no_oracle(k, oracle):
             raise AssertionError("the self-reduction ran")
 
-        result = nbp_full_pipeline(inst, Fraction(2**1100), no_oracle)
+        result = nbp_full_pipeline(inst, oracle, no_oracle)
         assert result.formula == "karmarkar-karp-fallback"
         assert (result.solution, result.claimed_bound) == (nbp.karmarkar_karp(inst), 1)
+
+    @pytest.mark.parametrize("n", [16, 81])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_minkowski_two_rounds(self, n, seed):
+        # rho = 3/2 gives k = ceil(9/2) = 5 and the schedule [3, 1]: 5 -> 2 -> 1.
+        # The exact point lies in K, inside rho K, so the exact search is a
+        # sound rho = 3/2 oracle
+        oracle = MinkowskiOracle(rho=Fraction(3, 2), solver=geometry.minkowski_exact_oracle,
+                                 name="exact-as-rho-3/2")
+        assert default_halving_schedule(5) == [3, 1]
+        inst = gen_nbp(n, seed, 30, True)
+        result = nbp_full_pipeline(inst, oracle, minkowski_bounded_oracle)
+        assert result.formula == "full-self-reduction"
+        assert set(result.solution.x) <= {-1, 0, 1} and any(result.solution.x)
+        assert result.solution == verify(inst, result.solution.x, 1)
+        assert result.solution.error <= result.claimed_bound
+        if n == 16:
+            # round 2 at n = 16 over round 1 at 4 over the k = 5 handle at 2
+            assert result.claimed_bound == 2 * 4 * 2 * 2 * minkowski_bound(2, 5, Fraction(3, 2))
+            assert result.claimed_bound == 24
 
     def test_svp_full_exact(self):
         rng = random.Random(55)
         inst = dyadic_instance(rng, 16, bits=20)
         oracle = exact_svp_oracle()
-        result = nbp_full_pipeline(inst, oracle.rho, lambda k: svp_bounded_oracle(k, oracle))
+        result = nbp_full_pipeline(inst, oracle, svp_bounded_oracle)
         assert result.formula == "full-self-reduction"
         assert max(abs(v) for v in result.solution.x) <= 1
         assert result.solution.error <= result.claimed_bound
@@ -454,7 +465,7 @@ def test_halve_coefficients_matches_the_fraction_layers():
     for seed in range(40):
         inst, k, r = random_halving_case(seed)
         oracle = mitm_bounded_oracle(k)
-        outcome = halve_coefficients(inst, k, r, oracle)
+        outcome = halve_coefficients(inst, r, oracle)
         branch, x = reference_halve(inst, k, r, oracle)
         assert (outcome.branch, outcome.solution.x) == (branch, x)
         # each branch's error, early exits included, is the verified one
@@ -474,12 +485,12 @@ def test_faulty_recombination_is_caught(monkeypatch, coeff, message):
     inst, k, r = random_halving_case(37)
     assert max(r - 1, k - r) == 3
     oracle = mitm_bounded_oracle(k)
-    assert halve_coefficients(inst, k, r, oracle).branch == "recombined"
+    assert halve_coefficients(inst, r, oracle).branch == "recombined"
     monkeypatch.setattr(
         reduce_to_nbp, "represent_small_coeffs", lambda k, r, j: [coeff] * k
     )
     with pytest.raises(InternalContradiction, match=message):
-        halve_coefficients(inst, k, r, oracle)
+        halve_coefficients(inst, r, oracle)
 
 
 def test_instance_integers_are_computed_only_from_outside_values(monkeypatch, tmp_path, capsys):
