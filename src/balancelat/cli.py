@@ -5,10 +5,15 @@ recorded with --timing so reports stay byte-reproducible by default.
 Exit codes: 0 success, 2 an exact bound comparison failed, 3 invalid input
 (a malformed document, an unreadable path) or a usage error.
 
-The argument parser is built once, at import, as PARSER; every main call
-parses into a fresh Namespace, so nothing carries over between calls in one
-process.  The subcommands' choices come from CALLS, which maps each name a
-command accepts to the call it makes.
+The argument parser is built once, at import, as PARSER, the one grammar.
+main parses at the leaf: it looks up argv's command words in LEAVES, which
+holds PARSER's own leaf subparsers, and parses the rest of argv with that
+leaf alone, so each call pays one parse instead of one per level.  PARSER is
+the fallback and parses any argv that names no leaf or that the leaf leaves
+partly unrecognised, so every usage message and exit code is PARSER's.  Every
+main call parses into a fresh Namespace, so nothing carries over between
+calls in one process.  The subcommands' choices come from CALLS, which maps
+each name a command accepts to the call it makes.
 """
 
 from __future__ import annotations
@@ -313,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Number balancing, lattice reduction, and oracle reductions "
         "in exact rational arithmetic",
     )
+    # each dest names the missing word in PARSER's "arguments are required" error
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", parents=[writes],
@@ -379,12 +385,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _leaves(
+    parser: argparse.ArgumentParser, words: tuple[str, ...] = ()
+) -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """Each leaf parser under parser, keyed by the command words that select it."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {key: leaf for word, sub in action.choices.items()
+                    for key, leaf in _leaves(sub, (*words, word)).items()}
+    return {words: parser}
+
+
 PARSER = build_parser()
+# ("gen",), ("solve",), ..., ("reduce", "to-nbp"), ("reduce", "to-minkowski")
+LEAVES = _leaves(PARSER)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the leaf its command words name, or else by PARSER.
+
+    PARSER's nested dispatch hands that leaf the same words, after one parse
+    per level, so the leaf's --help and errors are the ones PARSER prints.
+    PARSER reports words the leaf leaves unrecognised with its own usage, so
+    such an argv goes to PARSER, as does one that names no leaf.
+    """
+    for depth in (1, 2):
+        leaf = LEAVES.get(tuple(argv[:depth]))
+        if leaf is not None:
+            args, extra = leaf.parse_known_args(argv[depth:])
+            if not extra:
+                return args
+            break
+    return PARSER.parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:

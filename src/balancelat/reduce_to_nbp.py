@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Callable
 
@@ -48,11 +49,15 @@ class ReductionResult:
         return self.solution.error <= self.claimed_bound
 
 
+# Both bounds are pure and asked for many times per (n, k, rho), once per
+# reply and once per body or threshold test; each is one Fraction power.
+@lru_cache(maxsize=256)
 def minkowski_bound(n: int, k: int, rho: Fraction) -> Fraction:
     """rho n (rho/(k+1))^(n-1): the Minkowski route's bound at dimension n."""
     return rho * n * Fraction(rho, k + 1) ** (n - 1)
 
 
+@lru_cache(maxsize=256)
 def svp_bound(n: int, k: int, rho: Fraction) -> Fraction:
     """2 n k rho (rho/k)^n: the SVP route's bound at dimension n."""
     return 2 * n * k * rho * Fraction(rho, k) ** n
@@ -104,14 +109,15 @@ def svp_embedding_basis(inst: NbpInstance, k: int, rho) -> LatticeBasis:
 def _svp_point(inst: NbpInstance, k: int, oracle: SvpInfOracle) -> tuple[int, ...]:
     """The point y of one max-norm SVP oracle call, for its caller to verify.
 
-    When rho (rho/k)^n >= 1/2 the claimed bound svp_bound(n, k, rho) =
-    2nk rho (rho/k)^n is >= 1 and y = e_1 already satisfies it, without an
-    oracle call; otherwise the oracle's short vector has a zero last
-    coordinate, and its first n lattice coefficients y balance a.
+    When rho (rho/k)^n >= 1/2, that is svp_bound(n, k, rho) =
+    2nk rho (rho/k)^n >= nk, the claimed bound is >= 1 and y = e_1 already
+    satisfies it, without an oracle call; otherwise the oracle's short
+    vector has a zero last coordinate, and its first n lattice coefficients
+    y balance a.
     """
     rho = oracle.rho
     n = inst.n
-    if rho * (rho / k) ** n >= Fraction(1, 2):
+    if svp_bound(n, k, rho) >= n * k:
         return (1,) + (0,) * (n - 1)
     basis = svp_embedding_basis(inst, k, rho)
     if basis.det != 1:

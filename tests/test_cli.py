@@ -880,3 +880,59 @@ def test_golden_cli_report(line, code, digest, golden_inputs, capsys):
     argv = [arg.format(**golden_inputs) for arg in line.split()]
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# argv on which main, which parses at the leaf, must print and exit exactly as
+# PARSER's nested dispatch does; {name} stands for a GOLDEN_INPUTS document
+ARGV_TABLE = [
+    "--help",
+    "reduce --help",
+    *(f"{c} --help" for c in SUBCOMMANDS if c != "reduce"),
+    "",
+    "reduce",
+    "reduce to-nbp --input {nbp9}",  # no --oracle
+    "solve --algo nope --input {nbp8}",
+    "solve --algo kk --k x --input {nbp8}",
+    "reduce to-nbp --ora exact-svp --inp {nbp9}",
+    "reduce to-nbp --o lll --input {nbp9}",  # ambiguous: --oracle or --out
+    "reduce to-nbp --oracle exact-svp --k=2 --input {nbp9}",
+    "reduce to-nbp --oracle exact-svp --full --k 1 --input {nbp9}",
+    "reduce to-minkowski --oracle pigeonhole --input {rounded-ellipsoid}",
+    "solve --algo kk --input {nbp8} extra",
+    "reduce to-minkowski --oracle kk --precision-bits 80 --input {point-ellipsoid}",
+    "solve extra",  # the leaf's missing --algo is reported before the extra word
+    "--input {nbp8} solve --algo kk",
+    "frobnicate",
+]
+
+
+def outcome(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("line", ARGV_TABLE)
+def test_leaf_dispatch_matches_the_nested_parse(line, golden_inputs, capsys, monkeypatch):
+    argv = [arg.format(**golden_inputs) for arg in line.split()]
+    at_the_leaf = outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_parse", cli.PARSER.parse_args)
+    assert at_the_leaf == outcome(argv, capsys)
+
+
+@pytest.mark.parametrize("argv, dest", [([], "command"), (["reduce"], "direction")])
+def test_a_missing_command_word_is_named_by_its_dest(argv, dest, capsys):
+    assert main(argv) == 3
+    assert capsys.readouterr().err.endswith(
+        f"error: the following arguments are required: {dest}\n")
+
+
+def test_extra_words_are_reported_with_the_top_level_usage(golden_inputs, capsys):
+    assert main(["solve", "--algo", "kk", "--input", golden_inputs["nbp8"], "extra"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: balancelat [-h]")
+    assert err.endswith("balancelat: error: unrecognized arguments: extra\n")
+
+
+def test_every_leaf_is_in_the_dispatch_table():
+    assert set(cli.LEAVES) == {tuple(c.split()) for c in SUBCOMMANDS if c != "reduce"}

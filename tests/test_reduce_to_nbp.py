@@ -190,6 +190,19 @@ class TestNbpViaSvp:
         assert result.solution.x == (1,)
         assert result.claimed_bound == 8  # 2 n k rho (rho/k)^n
 
+    @pytest.mark.parametrize("values, asked", [([Fraction(1, 3)], False),
+                                               ([Fraction(1, 2), Fraction(1, 3)], True)])
+    def test_trivial_branch_at_the_threshold(self, values, asked):
+        # at rho = 1, k = 2, rho (rho/k)^n is exactly 1/2 for n = 1, so e_1
+        # answers, and 1/4 for n = 2, so the oracle is asked
+        oracle = exact_svp_oracle()
+        calls = []
+        solve = oracle.solver
+        oracle.solver = lambda basis: calls.append(basis) or solve(basis)
+        result = nbp_via_svp(NbpInstance.from_values(values), 2, oracle)
+        assert bool(calls) == asked
+        assert result.solution.error <= result.claimed_bound
+
     def test_formula_evaluation(self):
         # 2 n k rho (rho/k)^n at n=9, k=3, rho=1
         n, k = 9, 3

@@ -102,8 +102,12 @@ def summarise(runs: list[dict], workload: str) -> dict:
 
 
 def parse_seeds(text: str) -> range:
+    """"A-B" or "A" as an inclusive range; an empty one is a usage error."""
     first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} names no seed")
+    return seeds
 
 
 def main(argv: list[str] | None = None) -> int:
