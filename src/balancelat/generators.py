@@ -10,7 +10,7 @@ denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import InternalContradiction, InvalidParams, RankDeficient
@@ -21,10 +21,8 @@ from .nbp import NbpInstance
 from .rng import SeededStream
 
 
-def gen_nbp(
-    n: int, seed: int, precision_bits: int = 30, signed: bool = False
-) -> NbpInstance:
-    """Uniform dyadic entries: [0,1] by default, [-1,1] with signed=True."""
+def gen_nbp(n: int, seed: int, precision_bits: int, signed: bool) -> NbpInstance:
+    """Uniform dyadic entries in [0,1], or in [-1,1] when signed."""
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if precision_bits < 1:
@@ -38,7 +36,7 @@ def gen_nbp(
     return NbpInstance.from_values(values)
 
 
-def gen_basis(n: int, seed: int, span: int = 99) -> LatticeBasis:
+def gen_basis(n: int, seed: int, span: int) -> LatticeBasis:
     """Random integer basis, resampled deterministically until full rank."""
     if n < 1:
         raise InvalidParams("n must be >= 1")
@@ -109,11 +107,9 @@ def gen_ellipsoid(n: int, seed: int) -> Ellipsoid:
     lengths = []
     for _ in range(n - 1):
         lengths.append(Fraction(scale + stream.next_bits(9), 2 * scale))
-    product = Fraction(1)
-    for l in lengths:
-        product *= l
-    # smallest dyadic >= 1/product, so the volume hypothesis holds exactly
-    inv = 1 / product
+    # smallest dyadic >= 1/prod, so the volume hypothesis holds exactly; at
+    # n = 1 the product is empty and start keeps it a Fraction
+    inv = 1 / prod(lengths, start=Fraction(1))
     last = Fraction(-((-inv.numerator * scale) // inv.denominator), scale)
     lengths.append(last)
     lengths.sort()

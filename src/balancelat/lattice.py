@@ -237,7 +237,7 @@ def gram_schmidt_vectors(
     return w
 
 
-def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction | None = None) -> tuple[int, ...]:
+def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction) -> tuple[int, ...]:
     """Exact shortest nonzero lattice vector in the max norm.
 
     Returns the coefficient vector y (w.r.t. the *input* basis) minimizing
@@ -251,12 +251,12 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction | None = None) ->
     interval around a centre; a max-norm cut narrows that interval to the
     part whose vectors can still lie in the cube.  Both are sized by one
     integer m, F times a max norm (F = the reduced basis's denominator): it
-    starts at F v0, floored, where v0 is the smallest max norm among the
-    reduced columns, capped by ``search_bound``, and drops to F best once a
+    starts at the floor of F min(v0, ``search_bound``), where v0 is the
+    smallest max norm among the reduced columns, and drops to F best once a
     nonzero vector of smaller max norm ``best`` has been seen.  Every vector
     that ties or beats the optimum has F |v|_inf <= m at every point of the
-    search: F |v|_inf is an integer, so flooring F v0 loses none, the
-    reduced columns are lattice vectors, and if the optimum misses a smaller
+    search: F |v|_inf is an integer, so flooring loses none, the reduced
+    columns are lattice vectors, and if the optimum misses a smaller
     ``search_bound`` the result is NotFound anyway.  Such a vector lies in
     the ball |v|_2^2 <= n (m/F)^2 and passes every level's cut (below).  So
     the minimum of the key (max norm, |v|_2^2, U y') over ball and cuts is
@@ -285,13 +285,15 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction | None = None) ->
     ties or beats the incumbent on (max norm, |v|_2^2).  The w_l cost
     O(n^3) integer operations once per call.
 
-    ``search_bound``, when given, must be a promised attainable max norm
-    (e.g. 1 for a determinant <= 1 lattice, by Minkowski's theorem); NotFound
-    is raised if the promise fails, and a negative bound is refused.
-    ``enumeration_budget()`` caps the visited nodes, leaves included;
+    ``search_bound`` is always given: a promised attainable max norm (e.g. 1
+    for a determinant <= 1 lattice, by Minkowski's theorem).  NotFound is
+    raised if the promise fails, and a negative bound is refused.  A bound
+    at or above v0 promises nothing and leaves the search as it is without
+    one.  ``enumeration_budget()`` caps the visited nodes, leaves included;
     BudgetExceeded reports where the search stood.
     """
-    if search_bound is not None and frac(search_bound) < 0:
+    search_bound = frac(search_bound)
+    if search_bound < 0:
         raise InvalidParams("search bound must be >= 0")
     limit = enumeration_budget()
     n = basis.n
@@ -303,9 +305,8 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction | None = None) ->
     lam_col = [[lam[j][l] if j > l else 0 for j in range(n)] for l in range(n)]
     u_rows = transform.U.ints
     norms_1 = [sum(map(abs, w)) for w in gram_schmidt_vectors(cols, d, lam)]
-    m = min(max(map(abs, c)) for c in cols)  # F times the smallest column max norm
-    if search_bound is not None:
-        m = min(m, floor_frac(F * frac(search_bound)))
+    # F times the smallest column max norm, capped by F search_bound
+    m = min(min(max(map(abs, c)) for c in cols), floor_frac(F * search_bound))
 
     def bounds(m: int) -> tuple[list[int], list[int]]:
         # caps n m^2 d_l d_{l+1}: T_l^2 <= cap_l - d_l W_{l+1} is W_l <= n m^2 d_l;
@@ -371,10 +372,8 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction | None = None) ->
                     cap, cut = bounds(m)
         y[level] = 0
 
-    if nodes > limit:
-        raise exceeded()
     visit(n - 1, 0, [0] * n)
-    if best is None or (search_bound is not None and Fraction(best[0], F) > frac(search_bound)):
+    if best is None or Fraction(best[0], F) > search_bound:
         raise NotFound("no nonzero lattice vector within the promised bound")
     return best[2]
 

@@ -27,13 +27,11 @@ _RATIONAL = re.compile(
 
 
 def frac(value) -> Fraction:
-    """Coerce ints, strings, or Fractions to a Fraction."""
+    """Coerce an int or a Fraction to a Fraction; strings are read by parse_ratio."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
     raise InvalidParams(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -61,9 +61,7 @@ def multi_vector_balance(
     deltas = [frac(d) for d in deltas]
     if any(d <= 0 or d > Fraction(1, 2) for d in deltas):
         raise PreconditionFailed("every delta_i must lie in (0, 1/2]")
-    product = Fraction(1)
-    for d in deltas:
-        product *= d
+    product = prod(deltas)
     if product < oracle.delta(n):
         raise PreconditionFailed(
             f"prod delta_i = {product} < oracle guarantee {oracle.delta(n)}"
@@ -115,17 +113,11 @@ def extended_range_balance(
     The recombination identity <a_i, x> = Q <b_i, y> is exact and re-verified;
     x vanishes only if y does (signed sums of distinct powers of two).  With
     a_i = ints / den, entry (j, l) of b_i is (e_j << (log Q - l)) / (den << log Q),
-    built as an instance without Fractions.
+    built as an instance without Fractions.  An empty family, vectors of
+    different dimensions and a delta_i outside (0, 1/2] are refused by
+    multi_vector_balance, on the inflated family.
     """
     levels = _range_levels(Q)
-    k = len(vectors)
-    if k == 0:
-        raise InvalidParams("need at least one vector")
-    n = vectors[0].n
-    if any(v.n != n for v in vectors):
-        raise InvalidParams("vectors must share one dimension")
-    inner_dim = n * levels
-
     inflated = [
         NbpInstance.from_ints(
             [e << (levels - level) for e in v.ints for level in range(1, levels + 1)],
@@ -134,6 +126,8 @@ def extended_range_balance(
         for v in vectors
     ]
     y = multi_vector_balance(inflated, deltas, oracle)
+    n = vectors[0].n
+    inner_dim = n * levels
     x = []
     for j in range(n):
         acc = 0
@@ -174,10 +168,7 @@ class GeneralizedInstance:
             raise InvalidParams("lambdas must be positive")
         if list(self.lambdas) != sorted(self.lambdas):
             raise InvalidParams("lambdas must be ascending")
-        product = Fraction(1)
-        for l in self.lambdas:
-            product *= l
-        if product < 1:
+        if prod(self.lambdas) < 1:
             raise PreconditionFailed("prod lambda_i must be >= 1")
 
     @property
@@ -195,13 +186,13 @@ class GeneralizedInstance:
 def generalized_nbp(
     gi: GeneralizedInstance,
     oracle: NbpDeltaOracle,
-    Q_override: Optional[int] = None,
+    Q_override: Optional[int],
 ) -> tuple[int, ...]:
     """Balance scaled vectors with integer coefficients (generalized form).
 
-    Picks Q (default 2^(4n)), sets delta_i = lambda_i * R with R a certified
-    rational upper bound on (f(n log Q) / prod lambda)^(1/n), so that
-    prod delta_i >= f(n log Q) holds exactly; each delta_i must land in
+    Picks Q (Q_override, or 2^(4n) when it is None), sets delta_i = lambda_i * R
+    with R a certified rational upper bound on (f(n log Q) / prod lambda)^(1/n),
+    so that prod delta_i >= f(n log Q) holds exactly; each delta_i must land in
     (0, 1/2] or the reduction refuses (PreconditionFailed).  The returned x
     has |x|_inf <= Q and meets the exact bound 2 (n log Q)^2 Q delta_i per
     vector, checked by extended_range_balance.
@@ -212,17 +203,12 @@ def generalized_nbp(
     levels = _range_levels(Q)
     inner_dim = n * levels
     f_inner = oracle.delta(inner_dim)
-    lambda_product = Fraction(1)
-    for l in gi.lambdas:
-        lambda_product *= l
-    root = nth_root_upper(f_inner / lambda_product, k, bits=64)
+    root = nth_root_upper(f_inner / prod(gi.lambdas), k, bits=64)
     deltas = [l * root for l in gi.lambdas]
     if any(d > Fraction(1, 2) for d in deltas):
         raise PreconditionFailed(
             "computed delta_i exceeds 1/2; oracle guarantee too weak at this scale"
         )
-    if any(d <= 0 for d in deltas):
-        raise PreconditionFailed("computed delta_i is not positive")
     return extended_range_balance(gi.vectors, deltas, Q, oracle)
 
 
@@ -236,12 +222,12 @@ class MinkowskiFromNbpResult:
 def minkowski_from_nbp(
     ellipsoid: Ellipsoid,
     oracle: NbpDeltaOracle,
-    Q_override: Optional[int] = None,
+    Q_override: Optional[int],
 ) -> MinkowskiFromNbpResult:
     """Find a nonzero integer point of rho* E using a balancing oracle.
 
     Requires prod lambda_i >= 1, checked exactly as |det A| <= 1, and a
-    ``Q_override``, when given, that is a power of two >= 2; both are
+    ``Q_override``, unless None, that is a power of two >= 2; both are
     checked before either branch is taken.  Well-round first: an integer
     point of E ends it with rho* = 1; otherwise read the axis form of the
     rounded ellipsoid E' = {y : |B' y|^2 <= 1} off its LLL certificate

@@ -41,7 +41,7 @@ def malformed(kind: str, exc: Exception) -> InvalidParams:
     return InvalidParams(f"malformed {kind} document: {detail}")
 
 
-def instance_to_doc(inst: NbpInstance, precision_bits: int = 30) -> dict:
+def instance_to_doc(inst: NbpInstance, precision_bits: int) -> dict:
     """Each entry as a decimal when it is a multiple of 2^-precision_bits, else as "p/q"."""
     den, entries = inst.den, []
     for p in inst.ints:

@@ -93,7 +93,7 @@ def test_criterion_03_pigeonhole_bound():
             bound = pigeonhole_bound(pigeons)
             assert bound == Fraction(2 * pigeons.bit_length(), pigeons)
             for seed in range(20):
-                inst = gen_nbp(n, seed=3000 + seed, precision_bits=30)
+                inst = gen_nbp(n, seed=3000 + seed, precision_bits=30, signed=False)
                 assert pigeonhole_solve(inst, pigeons).error <= bound
         elapsed = time.monotonic() - start
         assert elapsed < 30, f"took {elapsed:.1f}s"

@@ -19,6 +19,7 @@ from balancelat.geometry import Ellipsoid
 from balancelat.lattice import LatticeBasis
 from balancelat.linalg import RMatrix, RVector, determinant
 from balancelat.nbp import NbpInstance
+from balancelat.oracles import adversarial_minkowski_oracle
 from balancelat.rng import SeededStream, splitmix64
 from balancelat.serialize import (
     basis_from_doc,
@@ -74,8 +75,8 @@ class TestRng:
 
 class TestGenerators:
     def test_nbp_deterministic(self):
-        a = gen_nbp(6, 9, 30)
-        b = gen_nbp(6, 9, 30)
+        a = gen_nbp(6, 9, 30, signed=False)
+        b = gen_nbp(6, 9, 30, signed=False)
         assert a == b
         assert all(0 <= e <= 1 for e in entries(a))
 
@@ -85,7 +86,7 @@ class TestGenerators:
         assert any(e < 0 for e in entries(inst))
 
     def test_basis_full_rank(self):
-        basis = gen_basis(4, 2)
+        basis = gen_basis(4, 2, 99)
         assert determinant(basis.B) != 0
 
     def test_basis_span_below_one_raises(self, bounded_draws):
@@ -167,7 +168,7 @@ class TestSerialize:
         assert instance_from_doc(doc) == inst
 
     def test_basis_roundtrip(self):
-        basis = gen_basis(3, 5)
+        basis = gen_basis(3, 5, 99)
         assert basis_from_doc(basis_to_doc(basis)).B == basis.B
 
     def test_ellipsoid_roundtrip(self):
@@ -491,6 +492,28 @@ class TestCliCommands:
         )
         assert code == 2
         assert "bound-violation" in out
+
+    def test_bench_budget_exceeded_status(self, capsys, monkeypatch):
+        # brute force's 3^10 table and MITM's 3^5 half table both pass 100 entries
+        monkeypatch.setenv("BALANCELAT_BUDGET", "100")
+        code, out = self.run(
+            capsys, "bench", "--sizes", "10", "--seeds", "1", "--algos", "brute-force,mitm",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == ["10,0,brute-force,,,,,,budget-exceeded",
+                                        "10,0,mitm,,,,,,budget-exceeded"]
+
+    def test_oracle_contract_violation_exit_code(self, tmp_path, capsys, monkeypatch):
+        # exit 2: the reply e_1 fails the exact comparison with the declared bound
+        f = tmp_path / "i.json"
+        f.write_text(self.run(capsys, "gen", "nbp", "--n", "6", "--seed", "3", "--signed")[1])
+        monkeypatch.setattr(cli, "exact_minkowski_oracle", adversarial_minkowski_oracle)
+        code = main(["reduce", "to-nbp", "--oracle", "exact-mink", "--k", "1", "--input", str(f)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "bound violation: adversarial-minkowski: |x|_inf exceeds declared bound 1\n"
+        )
 
     def test_invalid_input_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.json"

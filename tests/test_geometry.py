@@ -513,7 +513,7 @@ def seeded_bases(n):
                      for _ in range(n)])
         if determinant(m) != 0:
             break
-    return [lll_reduce(b)[::2] for b in (gen_basis(n, 400 + n), LatticeBasis(m))]
+    return [lll_reduce(b)[::2] for b in (gen_basis(n, 400 + n, 99), LatticeBasis(m))]
 
 
 def pivot(axis):

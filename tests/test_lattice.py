@@ -406,7 +406,7 @@ class TestGramSchmidtVectors:
         rng = random.Random(28)
         bases = [rand_int_basis(rng, n, span=9).B for n in (1, 2, 4, 6)]
         bases += [rand_rational_basis(rng, n).B for n in (3, 5)]
-        bases += [svp_embedding_basis(gen_nbp(5, 1, signed=True), 3, 1).B]
+        bases += [svp_embedding_basis(gen_nbp(5, 1, 30, signed=True), 3, 1).B]
         for b in bases:
             cols, _, d, lam = gram_schmidt(b)
             bhat, _ = reference_gram_schmidt(from_columns(cols))
@@ -416,18 +416,24 @@ class TestGramSchmidtVectors:
                 assert all(type(e) is int for e in w[l])
 
 
+# A search bound above the smallest max norm of a reduced column of every
+# basis searched here: it promises nothing, so the search starts from the
+# reduced columns and visits the nodes it would visit with no bound at all.
+NO_PROMISE = Fraction(10**6)
+
+
 class TestSvpExactLinf:
     def test_identity_lattice(self):
         for n in range(1, 9):
-            y = svp_exact_linf(LatticeBasis(RMatrix.identity(n)))
+            y = svp_exact_linf(LatticeBasis(RMatrix.identity(n)), NO_PROMISE)
             v = RMatrix.identity(n).matvec(RVector(y))
             assert v.inf_norm() == 1
         # tie-break: minimal Euclidean norm then lexicographic
-        assert svp_exact_linf(LatticeBasis(RMatrix.identity(3))) == (-1, 0, 0)
+        assert svp_exact_linf(LatticeBasis(RMatrix.identity(3)), NO_PROMISE) == (-1, 0, 0)
 
     def test_scaled_identity(self):
         basis = LatticeBasis(diagonal([Fraction(1, 3), Fraction(1, 3)]))
-        y = svp_exact_linf(basis)
+        y = svp_exact_linf(basis, NO_PROMISE)
         assert basis.B.matvec(RVector(y)).inf_norm() == Fraction(1, 3)
 
     def test_theorem9_style_matrix(self):
@@ -450,7 +456,7 @@ class TestSvpExactLinf:
         rng = random.Random(24)
         for _ in range(5):
             basis = rand_int_basis(rng, 3, span=5)
-            y = svp_exact_linf(basis)
+            y = svp_exact_linf(basis, NO_PROMISE)
             val = basis.B.matvec(RVector(y)).inf_norm()
             reduced, _, _ = lll_reduce(basis)
             box_min = min(
@@ -481,9 +487,9 @@ class TestSvpExactLinf:
                             break
                     bases.append(LatticeBasis(m))
         for basis in bases + TIE_HEAVY_BASES:
-            for bound in (None, Fraction(1), Fraction(5, 2)):
+            for bound in (NO_PROMISE, Fraction(1), Fraction(5, 2)):
                 expected = box_minimum(basis, bound)
-                if expected is None or (bound is not None and expected[0] > bound):
+                if expected is None or expected[0] > bound:
                     with pytest.raises(NotFound):
                         svp_exact_linf(basis, search_bound=bound)
                 else:
@@ -527,9 +533,9 @@ class TestSvpExactLinf:
             [RVector([0, 3, 0]), RVector([3, 3, 0]), RVector([1, 1, 3])]
         ))
         assert box_minimum(basis) == (3, 9, (-1, 0, 0))
-        assert svp_exact_linf(basis) == (-1, 0, 0)
+        assert svp_exact_linf(basis, NO_PROMISE) == (-1, 0, 0)
 
-    def assert_visits(self, basis, nodes, search_bound=None):
+    def assert_visits(self, basis, nodes, search_bound=NO_PROMISE):
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("BALANCELAT_BUDGET", str(nodes))
             svp_exact_linf(basis, search_bound=search_bound)
@@ -547,7 +553,7 @@ class TestSvpExactLinf:
     def test_node_counts_on_det_one_embeddings_are_pinned(self, n, k, nodes):
         # the exact count pins the visit order: every node, in the same order;
         # the ell-2 ball without the max-norm cut visited 1085, 25 and 54
-        basis = svp_embedding_basis(gen_nbp(n, 1, signed=True), k, 1)
+        basis = svp_embedding_basis(gen_nbp(n, 1, 30, signed=True), k, 1)
         self.assert_visits(basis, nodes, search_bound=1)
 
     @pytest.mark.parametrize("rows, nodes, witness", [
@@ -563,14 +569,14 @@ class TestSvpExactLinf:
         # first candidate that fails the shrunk ball or cut ends its level
         basis = LatticeBasis(RMatrix(rows))
         self.assert_visits(basis, nodes)
-        assert svp_exact_linf(basis) == witness
+        assert svp_exact_linf(basis, NO_PROMISE) == witness
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_det_one_embeddings_match_box_minimum(self, n, k):
         # a diagonal block with one dense last row, as nbp_via_svp builds it
         for seed in (1, 2, 3):
-            basis = svp_embedding_basis(gen_nbp(n, seed, signed=True), k, 1)
+            basis = svp_embedding_basis(gen_nbp(n, seed, 30, signed=True), k, 1)
             expected = box_minimum(basis, 1)
             assert expected[0] <= 1  # Minkowski: det 1 promises max norm <= 1
             assert svp_exact_linf(basis, search_bound=1) == expected[2]
@@ -591,7 +597,7 @@ class TestSvpExactLinf:
     def test_budget_message_reports_the_search(self, monkeypatch):
         monkeypatch.setenv("BALANCELAT_BUDGET", "100")
         with pytest.raises(BudgetExceeded) as info:
-            svp_exact_linf(LatticeBasis(RMatrix.identity(6)))
+            svp_exact_linf(LatticeBasis(RMatrix.identity(6)), NO_PROMISE)
         message = str(info.value)
         assert "exceeded budget" in message
         assert "101 nodes visited, limit 100, dimension 6, search radius^2 6" in message

@@ -11,11 +11,12 @@ spreads ``*args`` passes every position, and one that spreads ``**kwargs``
 every keyword.  The scan matches names, not objects, as test_no_dead_members
 does.
 
-The other way round, a dataclass field default that every library and
-benchmark construction overrides is a value no program path uses: it only
-lets a test leave the field out.  So each field default of a module-level
-dataclass must be left unset by some construction of that class there.
-Fields with ``init=False`` are not constructor arguments and are exempt.
+The other way round, a default that every library and benchmark call
+overrides is a value no program path uses: it only lets a test leave the
+argument out.  So each such parameter must also be left unset by some call
+there, and each field default of a module-level dataclass must be left unset
+by some construction of that class there.  Fields with ``init=False`` are not
+constructor arguments and are exempt.
 """
 
 import ast
@@ -78,6 +79,12 @@ def is_passed(call_list, fn_name: str, index, param: str) -> bool:
     return False
 
 
+def is_left_unset(call_list, fn_name: str, index, param: str) -> bool:
+    """Some call of fn_name, a function or a dataclass to construct, does not pass param."""
+    return any(not is_passed([call], fn_name, index, param)
+               for call in call_list if call[0] == fn_name)
+
+
 def is_dataclass(cls: ast.ClassDef) -> bool:
     targets = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
     return any(getattr(t, "id", None) == "dataclass" for t in targets)
@@ -102,12 +109,6 @@ def defaulted_fields(source: str, module: str):
                 yield f"{module}.{cls.name}.{name}", cls.name, index, name
 
 
-def is_left_unset(call_list, cls_name: str, index: int, field: str) -> bool:
-    """Some construction of cls_name passes the field neither by position nor by keyword."""
-    return any(not (field in keywords or spread or npos > index or starred)
-               for name, npos, keywords, starred, spread in call_list if name == cls_name)
-
-
 PARAMETERS = [p for path in LIBRARY
               for p in defaulted_parameters(path.read_text(), path.stem)]
 CALLS = [c for path in CALLERS for c in calls(path.read_text())]
@@ -116,9 +117,7 @@ FIELDS = [f for path in LIBRARY for f in defaulted_fields(path.read_text(), path
 
 def test_parameters_are_listed():
     ids = {pid for pid, *_ in PARAMETERS}
-    assert {"generators.gen_nbp(precision_bits)", "linalg.RMatrix.from_ints(den)",
-            "reduce_to_minkowski.generalized_nbp(Q_override)",
-            "lattice.svp_exact_linf(search_bound)"} <= ids
+    assert {"cli.main(argv)", "linalg.RMatrix.from_ints(den)"} <= ids
 
 
 def test_scanner_reads_positions_keywords_and_spreads():
@@ -141,6 +140,9 @@ def test_scanner_reads_positions_keywords_and_spreads():
     assert not is_passed(found, "f", None, "c")
     assert is_passed(found, "m", 0, "d")
     assert is_passed(found, "s", 0, "e")  # s(**opts)
+    assert is_left_unset(found, "f", 1, "b") and not is_left_unset(found[3:], "f", 1, "b")
+    assert not is_left_unset(found, "s", 0, "e")  # s(**opts)
+    assert not is_left_unset(found, "g", 0, "h")  # never called
 
 
 @pytest.mark.parametrize("pid, fn_name, index, param", PARAMETERS,
@@ -149,6 +151,15 @@ def test_defaulted_parameter_has_a_caller_that_sets_it(pid, fn_name, index, para
     assert is_passed(CALLS, fn_name, index, param), (
         f"{pid} is never passed in src/balancelat or perfbench/; only tests set it, "
         "so drop the parameter and keep its default"
+    )
+
+
+@pytest.mark.parametrize("pid, fn_name, index, param", PARAMETERS,
+                         ids=[p[0] for p in PARAMETERS])
+def test_defaulted_parameter_has_a_caller_that_leaves_it_unset(pid, fn_name, index, param):
+    assert is_left_unset(CALLS, fn_name, index, param), (
+        f"{pid} is set by every call in src/balancelat and perfbench/; "
+        "its default only lets tests leave it out, so make the parameter required"
     )
 
 

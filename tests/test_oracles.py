@@ -146,7 +146,8 @@ def test_minkowski_handle_check_is_the_bounded_check(rho):
     for n in range(1, 7):
         for k in range(1, 5):
             bound = minkowski_bound(n, k, rho)
-            insts = [gen_nbp(n, seed=100 * n + 10 * k + i, signed=bool(i)) for i in range(2)]
+            insts = [gen_nbp(n, seed=100 * n + 10 * k + i, precision_bits=30, signed=bool(i))
+                     for i in range(2)]
             if bound <= k:  # a_1 = bound / k puts (k, 0, ..., 0) at the bound
                 insts.append(NbpInstance.from_values([bound / k] + [0] * (n - 1)))
             for inst in insts:

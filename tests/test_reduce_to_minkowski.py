@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -199,6 +200,19 @@ class TestMultiVectorBalance:
         with pytest.raises(PreconditionFailed):
             multi_vector_balance(instances([[1]]), [Fraction(1, 2)], oracle)  # dim 1
 
+    @pytest.mark.parametrize("vectors, deltas, error, message", [
+        ([], [], InvalidParams, "need matching nonempty vectors and deltas"),
+        ([[0, 0]], [Fraction(1, 2)] * 2, InvalidParams,
+         "need matching nonempty vectors and deltas"),
+        ([[0, 0], [0, 0, 0]], [Fraction(1, 2)] * 2, InvalidParams,
+         "vectors must share one dimension"),
+        ([[1]], [Fraction(1, 2)], PreconditionFailed,
+         "multi-vector balancing needs dimension >= 2"),
+    ], ids=["empty", "unmatched", "dimensions", "dimension-1"])
+    def test_refusals_are_pinned(self, vectors, deltas, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            multi_vector_balance(instances(vectors), deltas, mitm_delta_oracle())
+
 
 class TestExtendedRangeBalance:
     def test_q2_degenerates_to_signs(self, monkeypatch):
@@ -247,9 +261,14 @@ class TestExtendedRangeBalance:
 
     @pytest.mark.parametrize("length", [3, 5])
     def test_vectors_must_share_one_dimension(self, length):
+        # refused by multi_vector_balance: the inflated vectors differ in dimension too
         vectors = instances([[Fraction(1, 2)] * 4, [Fraction(1, 3)] * length])
         with pytest.raises(InvalidParams, match="share one dimension"):
             extended_range_balance(vectors, [Fraction(1, 2)] * 2, 4, paper_oracle())
+
+    def test_empty_family_is_refused_by_the_inflated_balance(self):
+        with pytest.raises(InvalidParams, match="need matching nonempty vectors and deltas"):
+            extended_range_balance([], [], 4, paper_oracle())
 
 
 def unchecked_oracle(x):
@@ -295,7 +314,7 @@ class TestChecksStillRaise:
 
         monkeypatch.setattr(reduce_to_minkowski, "well_round", collapsed)
         with pytest.raises(InternalContradiction, match="unimodular image"):
-            minkowski_from_nbp(gen_ellipsoid(2, 16), mitm_delta_oracle())
+            minkowski_from_nbp(gen_ellipsoid(2, 16), mitm_delta_oracle(), Q_override=None)
 
 
 class TestGeneralizedNbp:
@@ -318,7 +337,7 @@ class TestGeneralizedNbp:
     def test_single_vector_small_q(self, monkeypatch):
         kept = kept_balances(monkeypatch)
         gi = GeneralizedInstance.create([RVector([Fraction(1, 3)])], [1])
-        x = generalized_nbp(gi, paper_oracle())  # n = 1 -> Q = 16
+        x = generalized_nbp(gi, paper_oracle(), Q_override=None)  # n = 1 -> Q = 16
         [(inflated, deltas, y)] = kept
         assert inflated[0].dim == 4  # log Q = 4 levels
         assert deltas == [nth_root_upper(Fraction(1, 2**4), 1, bits=64)] == [Fraction(1, 16)]
@@ -334,16 +353,35 @@ class TestGeneralizedNbp:
             generalized_nbp(gi, kk_delta_oracle(), Q_override=2**8)
 
     def test_descending_lambdas_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidParams, match="ascending"):
             GeneralizedInstance.create(
                 [RVector([0, 0]), RVector([0, 0])], [2, 1]
             )
+
+    @pytest.mark.parametrize("vectors, lambdas, error, message", [
+        ([], [], InvalidParams, "need matching vectors and lambdas"),
+        ([[0, 0]], [1, 1], InvalidParams, "need matching vectors and lambdas"),
+        ([[0, 0], [0]], [1, 1], InvalidParams, "vectors must share one dimension"),
+        ([[0, 0]], [0], InvalidParams, "lambdas must be positive"),
+        ([[0, 0], [0, 0]], [Fraction(1, 4), 1], PreconditionFailed,
+         "prod lambda_i must be >= 1"),
+    ], ids=["empty", "unmatched", "dimensions", "lambda-0", "product-below-1"])
+    def test_instance_refusals_are_pinned(self, vectors, lambdas, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            GeneralizedInstance.create([RVector(v) for v in vectors], lambdas)
+
+    def test_zero_delta_claim_is_refused_by_the_balance(self):
+        # f = 0 makes every delta_i 0; multi_vector_balance refuses it
+        gi = GeneralizedInstance.create([RVector([Fraction(1, 2), 0])] * 2, [1, 1])
+        message = re.escape("every delta_i must lie in (0, 1/2]")
+        with pytest.raises(PreconditionFailed, match=message):
+            generalized_nbp(gi, claimed_delta_oracle(lambda d: Fraction(0)), Q_override=2**8)
 
 
 class TestMinkowskiFromNbp:
     def test_unit_ball_left_branch(self):
         e = Ellipsoid(LatticeBasis(RMatrix.identity(2)))
-        result = minkowski_from_nbp(e, mitm_delta_oracle())
+        result = minkowski_from_nbp(e, mitm_delta_oracle(), Q_override=None)
         assert result.branch == "integer-point"
         assert result.rho_star == 1
         assert e.quad(result.x) <= 1
@@ -364,13 +402,13 @@ class TestMinkowskiFromNbp:
     def test_volume_hypothesis_checked(self):
         e = Ellipsoid(LatticeBasis(diagonal([2, 2])))  # prod lambda = 1/4 < 1
         with pytest.raises(PreconditionFailed):
-            minkowski_from_nbp(e, mitm_delta_oracle())
+            minkowski_from_nbp(e, mitm_delta_oracle(), Q_override=None)
 
     def test_adversarial_oracle_is_caught_on_the_rounded_branch(self):
         e = gen_ellipsoid(2, 16)
         assert well_round(e).branch == "rounded"
         with pytest.raises(OracleContractViolation, match="adversarial-delta"):
-            minkowski_from_nbp(e, adversarial_delta_oracle())
+            minkowski_from_nbp(e, adversarial_delta_oracle(), Q_override=None)
 
     @pytest.mark.parametrize("n, seed, Q, x, rho_star", [
         (2, 16, 4096, (-511, -511), Fraction(15400235740020933061073, 2**64)),
@@ -406,7 +444,7 @@ class TestMinkowskiFromNbp:
         for name, module in list(sys.modules.items()):
             if name.startswith("balancelat") and getattr(module, "gram_schmidt", None) is original:
                 monkeypatch.setattr(module, "gram_schmidt", counted)
-        result = minkowski_from_nbp(gen_ellipsoid(2, 16), mitm_delta_oracle())
+        result = minkowski_from_nbp(gen_ellipsoid(2, 16), mitm_delta_oracle(), Q_override=None)
         assert result.branch == "pipeline"
         assert len(calls) == 2  # the LLL set-up and the certificate
 
@@ -419,4 +457,4 @@ class TestMinkowskiFromNbp:
 
         monkeypatch.setattr(reduce_to_minkowski, "axis_extract", doubled)
         with pytest.raises(InternalContradiction, match="axis form"):
-            minkowski_from_nbp(gen_ellipsoid(2, 16), mitm_delta_oracle())
+            minkowski_from_nbp(gen_ellipsoid(2, 16), mitm_delta_oracle(), Q_override=None)

@@ -119,7 +119,8 @@ class TestExactRoutesAgree:
         for n in range(2, 7):
             for k in (1, 2, 3):
                 for seed in range(5):
-                    inst = gen_nbp(n, seed=9000 + 100 * n + 10 * k + seed, signed=True)
+                    inst = gen_nbp(n, seed=9000 + 100 * n + 10 * k + seed,
+                                   precision_bits=30, signed=True)
                     optimum = brute_force_min(inst, k).error
                     svp = nbp_via_svp(inst, k, svp_oracle)
                     mink = nbp_via_minkowski(inst, k, mink_oracle)
