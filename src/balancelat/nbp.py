@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
@@ -32,8 +32,10 @@ from .rationals import common_denominator_ints
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV = "BALANCELAT_BUDGET"
-# brute_force_min: the most tail sums one leaf of its recursion scans.  The
-# Minkowski search has its own, smaller bound, geometry.MINKOWSKI_TAIL_TABLE.
+# brute_force_min: the most tail sums its recursion tabulates.  A leaf bisects
+# a sorted copy of them and scans them only when it improves the incumbent.
+# The Minkowski search has its own, smaller bound,
+# geometry.MINKOWSKI_TAIL_TABLE.
 TAIL_TABLE = 3**6
 
 
@@ -131,10 +133,11 @@ def brute_force_min(inst: NbpInstance, k: int) -> NbpSolution:
     integer-scaled entries with interval pruning; pruning only discards
     subtrees that are provably >= the incumbent, and equal-error leaves found
     later lose ties anyway, so the lexicographic contract is preserved.  The
-    recursion stops t coordinates early, with (2k+1)^t <= TAIL_TABLE: each
-    of its leaves scans the tail's sums in lexicographic order (_half_sums),
-    first for any tail that beats the incumbent and only then for the first
-    smallest |s + tail|.
+    recursion stops t coordinates early, with (2k+1)^t <= TAIL_TABLE, and
+    tabulates the tail's sums in lexicographic order (_half_sums).  Each leaf
+    asks a sorted copy of its row, by one bisect, whether any tail beats the
+    incumbent; only a leaf that does scans the row in lexicographic order for
+    the first smallest |s + tail|.
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
@@ -151,6 +154,7 @@ def brute_force_min(inst: NbpInstance, k: int) -> NbpSolution:
     # negative leading entry, so only sign patterns with first nonzero < 0
     # are enumerated: after an all-zero prefix, the table's first half.
     tables = (table[: len(table) // 2], table)
+    ordered = tuple(sorted(row) for row in tables)
     # suffix[i] = k * sum of |a_j| for j >= i, scaled
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -167,9 +171,12 @@ def brute_force_min(inst: NbpInstance, k: int) -> NbpSolution:
         if i == head:
             row = tables[nonzero_seen]
             if best[0] is not None:
-                # a tail beats the incumbent exactly when lo < tail < hi
+                # a tail beats the incumbent exactly when lo < tail < hi, so
+                # exactly when the least sorted tail above lo lies below hi
                 lo, hi = -s - best[0], best[0] - s
-                if not [v for v in row if lo < v < hi]:
+                sums = ordered[nonzero_seen]
+                j = bisect_right(sums, lo)
+                if j == len(sums) or sums[j] >= hi:
                     return
             errs = [abs(s + v) for v in row]
             if errs:

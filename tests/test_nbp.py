@@ -696,6 +696,77 @@ class TestMitmOnSupport:
             assert covered == ([] if support == 0 else [(support + 1) // 2, support // 2])
 
 
+def head_leaf_instances(seed, n, k):
+    """Tie-heavy, zero-entry and random 30-bit instances of dimension n, and
+    entries j/R with R about (2k+1)^n / (nk): there the sums are dense near
+    0, so the optimum is a few units but rarely 0, and often reached from
+    more than one head."""
+    rng = random.Random(seed)
+    span = (2 * k + 1) ** n // (n * k)
+    for _ in range(4):
+        yield NbpInstance.from_values([Fraction(rng.randint(-span, span), span) for _ in range(n)])
+    yield NbpInstance.from_values([Fraction(rng.randint(1, 4), 4)] * n)
+    pairs = [Fraction(rng.randint(1, 4), 4) * rng.choice((-1, 1)) for _ in range(n // 2)]
+    values = pairs + [-v for v in pairs] + [Fraction(1, 3)] * (n % 2)
+    rng.shuffle(values)
+    yield NbpInstance.from_values(values)
+    for bits in (2, 3, 5):
+        yield NbpInstance.from_values(
+            [Fraction(rng.randint(-(2**bits), 2**bits), 2**bits) for _ in range(n)]
+        )
+    values = [Fraction(rng.randint(-8, 8), 8) for _ in range(n)]
+    values[rng.randrange(n)] = 0
+    yield NbpInstance.from_values(values)
+    for _ in range(2):
+        yield dyadic_instance(rng, n)
+
+
+class TestBruteForceHeadLeaves:
+    """brute_force_min where its recursion has a head above the tail table,
+    so the leaves' sorted-row test decides which leaves scan the row."""
+
+    @pytest.mark.parametrize("k, n", [(1, 9), (1, 10), (1, 11), (2, 7), (2, 8), (3, 6), (3, 7)])
+    def test_matches_reference(self, k, n):
+        for inst in head_leaf_instances(70 + 10 * k + n, n, k):
+            assert brute_force_min(inst, k) == reference_brute_force(inst, k)
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_matches_mitm_reference(self, n):
+        rng = random.Random(90 + n)
+        for inst in (dyadic_instance(rng, n), dyadic_instance(rng, n, bits=4)):
+            assert brute_force_min(inst, 1) == reference_mitm(inst, 1)
+
+    def test_optimum_needs_the_all_zero_head(self):
+        # every nonzero head is at least 1/4 from 0 and every tail within
+        # 6/2^20 of it, so only the restricted row of the zero head reaches
+        # the optimum
+        rng = random.Random(95)
+        tail = [Fraction(rng.randint(1, 2**10), 2**30) * rng.choice((-1, 1)) for _ in range(6)]
+        inst = NbpInstance.from_values([1, Fraction(3, 4), Fraction(1, 2)] + tail)
+        sol = brute_force_min(inst, 1)
+        assert sol == reference_brute_force(inst, 1) == reference_mitm(inst, 1)
+        assert sol.x[:3] == (0, 0, 0) and sol.x[3:] < (0,) * 6
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_tail_when_one_coordinate_outgrows_the_table(self, n):
+        # 2k+1 = 731 > TAIL_TABLE, so t = 0 and every coordinate is head
+        k = 365
+        assert 2 * k + 1 > nbp.TAIL_TABLE
+        inst = NbpInstance.from_values([Fraction(1, 3), Fraction(-2, 7)][:n])
+        assert brute_force_min(inst, k) == mitm_min(inst, k)
+
+    def test_shares_no_table_code_with_mitm(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("brute force called MITM's table code")
+
+        monkeypatch.setattr(nbp, "_sorted_half", refuse)
+        monkeypatch.setattr(nbp, "_closest_pairs", refuse)
+        rng = random.Random(96)
+        for n in (7, 8, 9):
+            for inst in (dyadic_instance(rng, n), small_int_instance(rng, n)):
+                assert brute_force_min(inst, 1) == reference_brute_force(inst, 1)
+
+
 def pigeon_counts(n):
     """N = 1, 2^j - 1, 2^j and n^3, those that n coordinates can hold."""
     counts = {1, n**3} | {2**j - 1 for j in range(1, n + 1)} | {2**j for j in range(n)}
