@@ -10,8 +10,9 @@ body and the balancing layers that take instances.
 The exact solvers (full enumeration and meet-in-the-middle) break ties by
 returning the lexicographically smallest witness, so they are directly
 comparable and safe to parallelize with a deterministic reduce.
-Meet-in-the-middle searches only the nonzero entries; brute force
-enumerates every coordinate and stays the independent check.
+Meet-in-the-middle searches only the nonzero entries, on plain sorted
+sums with one point of each +-pair; brute force enumerates every
+coordinate and stays the independent check.
 """
 
 from __future__ import annotations
@@ -215,9 +216,9 @@ def _sorted_half(ints: Sequence[int], k: int, b: int) -> list[int]:
     i < 2^b is the index of x in lex order (as in _half_sums), so equal sums
     sit in lex order of x.  Coordinates are added last to first, each as the
     new leading digit of i: a level is 2k+1 shifted copies of the sorted
-    level below, and one sort merges these runs in linear time.  mitm_min
-    builds its two halves with it, and geometry.minkowski_exact_oracle its
-    tail table.
+    level below, and one sort merges these runs in linear time.  It builds
+    the tail table of geometry.minkowski_exact_oracle, which needs each
+    sum's index.
     """
     level, width = [0], 1
     for a in reversed(ints):
@@ -228,14 +229,63 @@ def _sorted_half(ints: Sequence[int], k: int, b: int) -> list[int]:
     return level
 
 
+def _shifted(level: list[int], a: int, vs: range) -> list[int]:
+    """s + v * a for v in vs and s in level: one run per v if level is sorted."""
+    return [s + d for d in [v * a for v in vs] for s in level]
+
+
+def _magnitudes(ints: Sequence[int], k: int) -> list[int]:
+    """|<a, x>| for the x in {-k..k}^m whose first nonzero entry is negative,
+    sorted: one of each +-pair of nonzero points.
+
+    Coordinates are added last to first.  A level, the sums of a suffix's
+    whole cube, is 2k+1 shifted copies of the sorted level below, and one
+    sort merges these runs in linear time.  x = (v, rest) leads negative
+    when v < 0, or when v = 0 and rest does, so each coordinate adds the
+    v < 0 copies of the level below; the level of all m coordinates is
+    never built.
+    """
+    lead, level = [], [0]
+    for j in range(len(ints) - 1, -1, -1):
+        low = _shifted(level, ints[j], range(-k, 0))
+        lead += low
+        level = sorted(low + level + _shifted(level, ints[j], range(1, k + 1))) if j else None
+    return sorted(map(abs, lead))
+
+
+def _lex_first(ints: Sequence[int], k: int, targets: set) -> tuple[int, ...]:
+    """The lexicographically first x in {-k..k}^m with <a, x> in targets.
+
+    The last m // 2 coordinates are the tail, and a dict maps each tail sum
+    to the first tail that has it.  The heads are walked in lex order, and
+    each finds its first tail through the shorter of the targets (one dict
+    lookup each) and the distinct tail sums (one set lookup each, in order
+    of first index).  So a head reads at most min(|targets|, |tail|) sums
+    and the walk at most (2k+1)^m.  No such x is InternalContradiction.
+    """
+    head = len(ints) - len(ints) // 2
+    first: dict[int, int] = {}
+    for j, s in enumerate(_half_sums(ints[head:], k)):
+        first.setdefault(s, j)
+    by_target = len(targets) < len(first)
+    for i, h in enumerate(_half_sums(ints[:head], k)):
+        if by_target:
+            j = min((first[u - h] for u in targets if u - h in first), default=None)
+        else:
+            j = next((j for s, j in first.items() if h + s in targets), None)
+        if j is not None:
+            return _decode(i, head, k) + _decode(j, len(ints) - head, k)
+    raise InternalContradiction("optimal error lost between passes")
+
+
 def _closest_pairs(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, set]:
     """min |x - y| over x in xs and y in ys, both sorted and nonempty, and
-    the distinct value pairs (x, y) at that gap, by one merge.
+    the distinct x that reach it, by one merge.
 
-    The walk meets every such pair, at the first copies of x and y.  It
-    stops at gap 0, where the pairs are the values common to both lists.
+    The walk meets every pair at that gap, at the first copies of x and y.
+    It stops at gap 0, where the x are the values common to both lists.
     """
-    best, pairs = abs(xs[0] - ys[0]) + 1, set()
+    best, found = abs(xs[0] - ys[0]) + 1, set()
     rest = iter(ys)
     y = next(rest)
     try:
@@ -243,37 +293,44 @@ def _closest_pairs(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, set]:
             while y < x:
                 if x - y <= best:
                     if x - y < best:
-                        best, pairs = x - y, set()
-                    pairs.add((x, y))
+                        best, found = x - y, set()
+                    found.add(x)
                 y = next(rest)
             if y - x <= best:
                 if y == x:
-                    return 0, {(v, v) for v in set(xs).intersection(ys)}
+                    return 0, set(xs).intersection(ys)
                 if y - x < best:
-                    best, pairs = y - x, set()
-                pairs.add((x, y))
+                    best, found = y - x, set()
+                found.add(x)
     except StopIteration:  # the ys ran out below x: no later x comes closer
         pass
-    return best, pairs
+    return best, found
 
 
 def mitm_min(inst: NbpInstance, k: int) -> NbpSolution:
     """Exact minimum by meet-in-the-middle; agrees with brute_force_min.
 
-    The search runs on the support S = {i : a_i != 0}.  The left half of S
-    (ceil(|S|/2) coordinates) is one sorted list of packed (<a, x> << b) + i,
-    the right half the same for -<a, y> (_sorted_half).  The first entry of
-    a value, found by bisect, is its lexicographically smallest half, and
-    the smallest pair of indices over the optimal value pairs is the
-    lexicographically smallest optimal point of S.
+    The search runs on the support S = {i : a_i != 0}, split into a left
+    half of ceil(|S|/2) coordinates and a right half.  Minimizers come in
+    +-pairs, so the lexicographically smallest one has a zero left half or
+    one whose first nonzero entry is negative.  Each half is one sorted list
+    of plain ints, the magnitudes |<a, x>| of one point of each +-pair
+    (_magnitudes).  A half's sums are symmetric, so the best error of a
+    left sum u is the distance of |u| to the right list and 0, the sum of
+    the zero right half.
 
     If some a_i is 0, the optimum is 0 and the optimal x are the nonzero
     (x_Z, y) with <a_S, y> = 0.  The constraint leaves x_Z free, so the
     smallest x has x_Z = -k and y the smallest zero-sum point of {-k..k}^S,
-    y = 0 included: the value pairs are the values common to both lists.
-    Otherwise one merge of the nonzero left sums with the negated right sums
-    gives the optimum and its value pairs; the zero left half meets the
-    nonzero right halves nearest to 0, the neighbours of the zero right half.
+    y = 0 included: the optimal magnitudes are 0 and those common to both
+    lists.  Otherwise one merge of the two lists gives the optimum and the
+    left magnitudes that reach it, and the zero left half meets the right
+    list's least nonzero half.
+
+    The witness is the lex-first left half whose sum is +-an optimal
+    magnitude (_lex_first over the whole half: halves that lead negative
+    come before 0, and 0 before the rest), then the lex-first right half
+    that completes its sum u to the optimum.
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
@@ -288,34 +345,21 @@ def mitm_min(inst: NbpInstance, k: int) -> NbpSolution:
     if not support:
         return verify(inst, x, k)
     ints = [inst.ints[i] for i in support]
-    b = ((2 * k + 1) ** nl).bit_length()
-    left = _sorted_half(ints[:nl], k, b)
-    right = _sorted_half([-a for a in ints[nl:]], k, b)
     if len(support) < inst.n:
-        # the right half is the shorter one
-        pairs = {(v, v) for v in {p >> b for p in right}.intersection(p >> b for p in left)}
+        # one list at a time: the left one is only a set of distinct values
+        best, found = 0, set(_magnitudes(ints[:nl], k)).intersection(_magnitudes(ints[nl:], k))
+        found.add(0)
     else:
-        zl, zr = len(left) // 2, len(right) // 2  # the zero vectors: every digit is k
-        xs = [p >> b for p in left]
-        del xs[bisect_left(left, zl)]  # x = 0 is no answer
-        best, pairs = _closest_pairs(xs, [p >> b for p in right])
-        # the zero left half against the nonzero right halves: those nearest to
-        # 0 sit next to the zero right half, and the halves come in +-pairs
-        z = bisect_left(right, zr)
-        gap = min((abs(p >> b) for p in right[max(z - 1, 0):z] + right[z + 1:z + 2]),
-                  default=None)
-        if gap is not None and gap <= best:
-            if gap < best:
-                best, pairs = gap, set()
-            pairs |= {(0, gap), (0, -gap)}
-        if not pairs:
-            raise InternalContradiction("optimal error lost between passes")
-    mask = (1 << b) - 1
-    i, j = min(
-        (left[bisect_left(left, u << b)] & mask, right[bisect_left(right, w << b)] & mask)
-        for u, w in pairs
-    )
-    for pos, v in zip(support, _decode(i, nl, k) + _decode(j, len(support) - nl, k)):
+        left, right = _magnitudes(ints[:nl], k), _magnitudes(ints[nl:], k)
+        right.insert(0, 0)  # the zero right half
+        best, found = _closest_pairs(left, right)
+        # the zero left half, against the least nonzero right half; on a tie a
+        # left half that leads negative and reaches best comes first in lex order
+        if len(right) > 1 and right[1] < best:
+            best, found = right[1], {0}
+    head = _lex_first(ints[:nl], k, found.union([-v for v in found]))
+    u = sum(map(mul, ints[:nl], head))
+    for pos, v in zip(support, head + _lex_first(ints[nl:], k, {best - u, -best - u})):
         x[pos] = v
     return verify(inst, x, k)
 

@@ -612,6 +612,84 @@ class TestTieHeavy:
         assert sol == NbpSolution((1,) + (0,) * (n - 1), 1, 0)
 
 
+def leads_negative(x):
+    return next((v < 0 for v in x if v), False)
+
+
+class CountedSet(set):
+    """A set that counts the values read from it: each one iterated and
+    each membership test."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads = 0
+
+    def __contains__(self, v):
+        self.reads += 1
+        return super().__contains__(v)
+
+    def __iter__(self):
+        for v in super().__iter__():
+            self.reads += 1
+            yield v
+
+
+class TestMitmTables:
+    """The sign-normalised half lists and the lex-first witness lookup."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_magnitudes_match_reference(self, k):
+        # one |sum| per +-pair of nonzero points: those whose first nonzero
+        # entry is negative, with equal-magnitude and zero entries
+        rng = random.Random(50 + k)
+        for m in range(1, 7):
+            a = rng.randint(1, 9)
+            cases = [[rng.randint(-99, 99) for _ in range(m)], [a] * m,
+                     [a * (-1) ** j for j in range(m)],
+                     [rng.choice((-a, a, 2 * a, 0)) for _ in range(m)]]
+            for ints in cases:
+                expected = sorted(abs(s) for s, x in _reference_half_sums(ints, k)
+                                  if leads_negative(x))
+                assert nbp._magnitudes(ints, k) == expected
+        assert nbp._magnitudes([], k) == []
+
+    @pytest.mark.parametrize("case", ["all-halves-n22", "zero-entry-den1000-n23", "den5-k2-n14"])
+    def test_tie_heavy_witness_reads_one_pass_per_half(self, monkeypatch, case):
+        # each lookup reads at most (2k+1)^m sums, m its half's coordinates:
+        # a target it iterates or a sum it tests against the targets
+        reads = []
+        original = nbp._lex_first
+
+        def counted(ints, k, targets):
+            targets = CountedSet(targets)
+            x = original(ints, k, targets)
+            reads.append((len(ints), targets.reads))
+            return x
+
+        monkeypatch.setattr(nbp, "_lex_first", counted)
+        rng = random.Random(55)
+        if case == "all-halves-n22":
+            inst, k = NbpInstance.from_values([Fraction(1, 2)] * 22), 1
+        elif case == "zero-entry-den1000-n23":
+            values = [Fraction(rng.randint(-1000, 1000), 1000) for _ in range(23)]
+            values[11] = 0
+            inst, k = NbpInstance.from_values(values), 1
+        else:
+            inst, k = NbpInstance.from_values([Fraction(rng.randint(-5, 5), 5) for _ in range(14)]), 2
+        assert mitm_min(inst, k) == reference_mitm(inst, k)
+        support = sum(1 for a in inst.ints if a)
+        assert [m for m, _ in reads] == [(support + 1) // 2, support // 2]
+        assert all(0 < r <= (2 * k + 1) ** m for m, r in reads)
+
+    def test_lex_first_reads_the_shorter_side_per_head(self):
+        # the only hit is the last point, (1, ..., 1), so all 27 heads are
+        # walked; each reads at most min(|targets|, 7 distinct tail sums)
+        for targets in ({6}, {6, *range(100, 100 + 3**6)}):
+            counted = CountedSet(targets)
+            assert nbp._lex_first([1] * 6, 1, counted) == (1,) * 6
+            assert counted.reads <= 3**3 * min(len(targets), 7)
+
+
 def zero_entry_instances(seed, k):
     """Instances with zero entries: all zero, one nonzero entry, a support
     whose only zero sum in {-k..k}^S is y = 0, and random mixes."""
@@ -679,14 +757,16 @@ class TestMitmOnSupport:
             mitm_min(inst, 1)
 
     def test_halves_cover_only_the_support(self, monkeypatch):
+        # the left list is built on ceil(|S|/2) coordinates, then the right
+        # one on the rest, with or without zero entries
         covered = []
-        original = nbp._sorted_half
+        original = nbp._magnitudes
 
-        def counted(ints, k, b):
+        def counted(ints, k):
             covered.append(len(ints))
-            return original(ints, k, b)
+            return original(ints, k)
 
-        monkeypatch.setattr(nbp, "_sorted_half", counted)
+        monkeypatch.setattr(nbp, "_magnitudes", counted)
         assert mitm_min(NbpInstance.from_values([0] * 12), 1).x == (-1,) * 12
         assert covered == []
         for inst in zero_entry_instances(45, 2):
@@ -694,6 +774,13 @@ class TestMitmOnSupport:
             assert mitm_min(inst, 2) == first_zero_sum_on_support(inst, 2)
             support = sum(1 for a in inst.ints if a)
             assert covered == ([] if support == 0 else [(support + 1) // 2, support // 2])
+        rng = random.Random(46)
+        for n in range(1, 8):
+            covered.clear()
+            inst = dyadic_instance(rng, n, bits=8)
+            assert 0 not in inst.ints
+            assert mitm_min(inst, 2) == reference_mitm(inst, 2)
+            assert covered == [(n + 1) // 2, n // 2]
 
 
 def head_leaf_instances(seed, n, k):
@@ -759,8 +846,8 @@ class TestBruteForceHeadLeaves:
         def refuse(*args):
             raise AssertionError("brute force called MITM's table code")
 
-        monkeypatch.setattr(nbp, "_sorted_half", refuse)
-        monkeypatch.setattr(nbp, "_closest_pairs", refuse)
+        for name in ("_sorted_half", "_shifted", "_magnitudes", "_closest_pairs", "_lex_first"):
+            monkeypatch.setattr(nbp, name, refuse)
         rng = random.Random(96)
         for n in (7, 8, 9):
             for inst in (dyadic_instance(rng, n), small_int_instance(rng, n)):
