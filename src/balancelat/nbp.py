@@ -12,7 +12,10 @@ returning the lexicographically smallest witness, so they are directly
 comparable and safe to parallelize with a deterministic reduce.
 Meet-in-the-middle searches only the nonzero entries, on plain sorted
 sums with one point of each +-pair; brute force enumerates every
-coordinate and stays the independent check.
+coordinate and stays the independent check.  Pigeonhole returns the first
+closest pair of its N + 1 pigeons in (sum, t) order without building them:
+a meet-in-the-middle over the pigeons' differences finds the gap, and one
+DP over the bits of the two pigeons finds the pair.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
 from math import gcd
-from operator import mul, sub
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, InternalContradiction, InvalidParams, PreconditionFailed
@@ -364,20 +366,69 @@ def mitm_min(inst: NbpInstance, k: int) -> NbpSolution:
     return verify(inst, x, k)
 
 
+def _capped(ints: Sequence[int], bound: int) -> tuple[list[int], list[int], list[int]]:
+    """<a, x> for the x in {-1, 0, 1}^m, x_j on ints[j], split by P(x), the
+    bit mask of x's +1 entries, against bound < 2^m: the sums with
+    P(x) = bound, those with P(x) < bound, and all of them.
+
+    Bits are added low to high.  The new top digit decides the comparison
+    when its P bit differs from bound's bit, and leaves it as it was when
+    they agree, so each level is shifted runs of the sorted lists below, and
+    one sort merges them.
+    """
+    eq, lt, cube = [0], [], [0]
+    for j, a in enumerate(ints):
+        if bound >> j & 1:
+            lt = sorted(_shifted(cube, a, range(-1, 1)) + _shifted(lt, a, range(1, 2)))
+            eq = _shifted(eq, a, range(1, 2))
+        else:
+            lt = sorted(_shifted(lt, a, range(-1, 1)))
+            eq = sorted(_shifted(eq, a, range(-1, 1)))
+        cube = sorted(_shifted(cube, a, range(-1, 2)))
+    return eq, lt, cube
+
+
 def pigeonhole_solve(inst: NbpInstance, N: int) -> NbpSolution:
     """Polynomially many pigeons: subset sums of binary encodings of 0..N.
 
     The N+1 candidate sums over the first m = ceil(log2(N+1)) coordinates all
     lie in [-m, m], so two of them differ by at most 2m/N; their encoding
-    difference is the returned sign vector.
+    difference is the returned sign vector.  The answer is the first pair at
+    the smallest gap g of the pigeons in (sum, t) order, found without
+    building the pigeons.
 
-    Pigeon t is the int (sum_t << w) + t with w = m + 1, so sorted ints are
-    in (sum, t) order.  The pigeons are built one bit of t at a time, from
-    the top bit down, and sorted after each bit: the pigeons so far plus a
-    shifted copy, so each sort merges two sorted runs.  The pair is the
-    first smallest adjacent gap of that order.  When the first m entries
-    are all 0 that pair is t = 0, 1, and e_1 is returned without pigeons.
-    More than enumeration_budget() pigeons are refused up front.
+    Pigeons t_lo and t_hi differ by x = bits(t_hi) - bits(t_lo) in
+    {-1, 0, 1}^m.  With P(x) and Q(x) the bit masks of x's +1 and -1
+    entries, t_hi = P(x) + C and t_lo = Q(x) + C for a common mask C, so
+    some pair realises x exactly when P(x) <= N and Q(x) <= N, and g is the
+    least |<a, x>| over realisable x != 0.  That is a meet-in-the-middle
+    search: the low h = m // 2 bits against the high ones.  A high half with
+    P and Q below N's high bits takes every low half, and is merged
+    (_closest_pairs) on magnitudes, one of each +-pair; one with P equal to
+    them takes the low halves with P at most N's low bits, and the halves
+    with Q equal to them are the negations of these.  The zero high half
+    takes the nonzero low halves.  (_capped builds each list.)
+
+    If g > 0 all sums are distinct, so no sum lies strictly between two at
+    gap g: every such pair is adjacent, and the first is the one of least
+    lower sum.  If g = 0 the first pair is the two least t of the least sum
+    that two pigeons share.  Either way it is the lexicographic minimum of
+    (s(t_lo), t_lo, t_hi) over the pairs with s(t_hi) - s(t_lo) = g, and
+    t_hi > t_lo when g = 0.  One DP from the top bit down finds it over bit
+    pairs (bit of t_lo, bit of t_hi).  A cell is (partial gap, t_lo still
+    equal to N's top bits, t_hi too, t_lo = t_hi so far) and keeps the least
+    packed key (s(t_lo) << 2m) + (t_lo << m) + t_hi of the partial pigeons:
+    every completion adds the same to each key of a cell, so the least key
+    wins.  A cell is kept only if its partial gap can still reach g: in the
+    high bits, if the high bits left can complete it to a high sum that met
+    g in the search, and in the low bits, if the bits left can complete it
+    to g.  Each test runs on the half of its part next to where its set
+    starts, so the sets, like the cells, stay within the distinct partial
+    sums, however many x reach g.
+
+    When the first m entries are all 0 the pair is t = 0, 1, and e_1 is
+    returned without a search.  More than enumeration_budget() pigeons are
+    refused up front.
     """
     if N < 1:
         raise InvalidParams("pigeon count must be >= 1")
@@ -392,25 +443,59 @@ def pigeonhole_solve(inst: NbpInstance, N: int) -> NbpSolution:
         # every pigeon sum is 0, so (sum, t) order is t order and the first
         # pair at the smallest gap is t = 0, 1
         return verify(inst, [1] + [0] * (inst.n - 1), 1)
-    w, half = m + 1, 1 << m
-    packed, top = [0], 0
+    h, top = m // 2, ints[m - 1]
+    eq_lo, lt_lo, cube_lo = _capped(ints[:h], N & ((1 << h) - 1))
+    # N's top bit is 1, so the high halves below N's high bits have top digit
+    # 0 and any rest, or +1 and P of the rest below the rest of N's; those
+    # with top digit -1 are their negations
+    eq_hi, lt_hi, cube_hi = _capped(ints[h : m - 1], (N >> h) - (1 << (m - 1 - h)))
+    low = cube_lo[bisect_left(cube_lo, 0) :]  # x_lo = 0's 0, then every |nonzero sum|
+    # each +-pair of nonzero free high halves at least once; + 1 skips x_hi = 0
+    free = sorted([abs(top + v) for v in lt_hi] + cube_hi[bisect_left(cube_hi, 0) + 1 :])
+    # P equal to N's high bits: the negated high sums, so the merge's gap is |u + v|
+    meets = [_closest_pairs([-top - v for v in reversed(eq_hi)], sorted(eq_lo + lt_lo))]
+    if free:
+        meets.append(_closest_pairs(free, low))
+    if len(low) > 1:
+        meets.append((low[1], {0}))
+    g = min(best for best, _ in meets)
+    high = {s * v for best, found in meets if best == g for v in found for s in (1, -1)}
+
+    # reach[j]: the partial gaps over bits >= j that bits h..j-1 complete to a
+    # matched high sum (j >= h), or that bits 0..j-1 complete to g (j < h, and
+    # j = 0 when h = 0)
+    reach: dict[int, set] = {}
+    for level, start, stop in ((high, h, (m + h + 1) // 2), ({g}, 0, h // 2)):
+        reach[start] = level
+        for j in range(start, stop):
+            level = {d + v for d in level for v in (-ints[j], 0, ints[j])}
+            reach[j + 1] = level
+    cells = {(True, True, g == 0): {0: 0}}
     for j in range(m - 1, -1, -1):
-        # packed holds the t <= N with bits 0..j clear, and top the largest
-        # of them; each t gains bit j, except top when bit j of N is 0
-        step = (ints[j] << w) + (1 << j)
-        shifted = [p + step for p in packed]
-        if N >> j & 1:
-            top += step
-        else:
-            del shifted[bisect_left(shifted, top + step)]
-        packed += shifted
-        packed.sort()
-    # Adjacent differences are (gap << w) + (t2 - t1) with |t2 - t1| < half,
-    # so a difference is below limit exactly when its gap is the smallest.
-    diffs = list(map(sub, packed[1:], packed))
-    limit = ((min(diffs) + half) >> w << w) + half
-    idx = next(compress(count(), map(limit.__gt__, diffs)))  # the first smallest gap
-    t_lo, t_hi = packed[idx] % half, packed[idx + 1] % half
+        a, bit, keep = ints[j], N >> j & 1, reach.get(j)
+        nxt: dict[tuple, dict] = {}
+        for (lo_tight, hi_tight, tied), row in cells.items():
+            for p, q in ((0, 0), (1, 1), (0, 1), (1, 0)):
+                # tied and p > q only prunes: at gap 0 a pair's swap is a pair too, and
+                # the one with t_lo < t_hi has the less key
+                if lo_tight and p > bit or hi_tight and q > bit or tied and p > q:
+                    continue
+                flags = (lo_tight and p == bit, hi_tight and q == bit, tied and p == q)
+                out = nxt.setdefault(flags, {})
+                delta, step = (q - p) * a, (p * a << 2 * m) + (p << m + j) + (q << j)
+                for d, key in row.items():
+                    d += delta
+                    if keep is None or d in keep:
+                        key += step
+                        if key < out.get(d, key + 1):
+                            out[d] = key
+        cells = nxt
+    keys = [row[g] for (_, _, tied), row in cells.items() if not tied and g in row]
+    if not keys:
+        raise InternalContradiction("smallest pigeon gap lost between passes")
+    key = min(keys)
+    mask = (1 << m) - 1
+    t_lo, t_hi = key >> m & mask, key & mask
     x = [((t_hi >> j) & 1) - ((t_lo >> j) & 1) for j in range(m)] + [0] * (inst.n - m)
     return verify(inst, x, 1)
 

@@ -3,6 +3,7 @@ import heapq
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 from types import SimpleNamespace
@@ -30,6 +31,7 @@ from balancelat.nbp import (
     pigeonhole_solve,
     verify,
 )
+from balancelat.generators import gen_nbp
 from balancelat.geometry import CubeSlabBody
 from balancelat.linalg import RVector
 from balancelat.rationals import common_denominator_ints
@@ -891,6 +893,85 @@ class TestPigeonholeZeroPrefix:
         for N in pigeon_counts(n):
             inst = NbpInstance.from_values([0] * n)
             assert pigeonhole_solve(inst, N) == reference_pigeonhole(inst, N)
+
+
+def digit_state_instances(seed, n):
+    """30-bit, k/4 and zero-entry instances of dimension n, signed and unsigned."""
+    rng = random.Random(seed)
+    for signed in (True, False):
+        lo = -1 if signed else 0
+        yield dyadic_instance(rng, n, bits=30, signed=signed)
+        yield NbpInstance.from_values([Fraction(rng.randint(4 * lo, 4), 4) for _ in range(n)])
+        values = [Fraction(rng.randint(64 * lo, 64), 64) for _ in range(n)]
+        for i in rng.sample(range(n), n // 2):
+            values[i] = 0
+        yield NbpInstance.from_values(values)
+
+
+class TestPigeonholeDigitStates:
+    """pigeonhole_solve against its reference for pigeon counts of every shape.
+
+    The search splits the m bits into a low and a high half and branches on
+    how the masks of a difference compare with each half of N, so every N
+    up to 2^7 is tried: each pattern of N's halves, tight and below, occurs.
+    """
+
+    def test_every_count_up_to_2_to_the_7(self):
+        instances = list(digit_state_instances(70, 8))
+        for N in range(1, 2**7 + 1):
+            for inst in instances:
+                assert pigeonhole_solve(inst, N) == reference_pigeonhole(inst, N)
+
+    @pytest.mark.parametrize("N", [2**16 - 1, 40_000])
+    def test_tie_heavy_m16(self, N):
+        rng = random.Random(N)
+        for span in (1, 3):
+            values = [Fraction(rng.randint(-span, span), span) for _ in range(18)]
+            inst = NbpInstance.from_values(values)
+            assert pigeonhole_solve(inst, N) == reference_pigeonhole(inst, N)
+
+    def test_tie_heavy_witness(self):
+        # entries drawn from {-4..4}/4, none 0 among the first 20: the least
+        # sum two pigeons share is the sum of the negative entries plus one
+        # of the two entries 1/4, so the pair is those two pigeons, not a
+        # zero coordinate.  The witness is the one the sorted pigeons gave;
+        # sorting 2^20 reference pigeons is too slow here.
+        values = [-4, -3, -2, -3, 1, 1, 4, 2, 3, 2, 3, 4, 1, 4, 4, 3, -2, 2, 2, -3, 2, 0, -2, -1]
+        inst = NbpInstance.from_values([Fraction(v, 4) for v in values])
+        expected = NbpSolution((0, 0, 0, 0, -1, 1) + (0,) * 18, 1, Fraction(0))
+        assert pigeonhole_solve(inst, 2**20 - 1) == expected
+
+    def test_default_count_at_n64_stays_small(self):
+        # the sorted pigeons held 262 145 packed ints here, a 25 MB peak
+        inst = gen_nbp(64, 5, 30, False)
+        tracemalloc.start()
+        try:
+            pigeonhole_solve(inst, 64**3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12_000_000
+
+    def test_gap_lost_between_passes_raises(self, monkeypatch):
+        # a merge that claims a cancellation the instance lacks, with no value
+        # to show for it, leaves the pair search empty
+        monkeypatch.setattr(nbp, "_closest_pairs", lambda xs, ys: (0, set()))
+        with pytest.raises(InternalContradiction, match="lost between passes"):
+            pigeonhole_solve(NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3)]), 3)
+
+
+@st.composite
+def pigeonhole_cases(draw):
+    values = draw(st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=16),
+                           min_size=1, max_size=10))
+    return NbpInstance.from_values(values), draw(st.integers(1, 2 ** len(values) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pigeonhole_cases())
+def test_pigeonhole_matches_reference_property(case):
+    inst, N = case
+    assert pigeonhole_solve(inst, N) == reference_pigeonhole(inst, N)
 
 
 @settings(max_examples=30, deadline=None)
