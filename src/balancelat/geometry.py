@@ -1,19 +1,21 @@
-"""The cube-slab body, ellipsoids, the exact Minkowski oracle, and ellipsoid
-well-rounding with the axis form read off its LLL certificate.
+"""The cube-slab body, its lexicographic walk, ellipsoids, the exact
+Minkowski oracle, and ellipsoid well-rounding with the axis form read off
+its LLL certificate.
 
 The cube-slab body is the one body that the reduction from balancing to
 Minkowski's problem asks about: the open cube (-r, r)^n cut by the slab
 |<a, x>| <= delta, built on an NbpInstance.  It tests integer points on the
-instance's integers.  The integer-point search carries the integer partial
+instance's integers.  One walk (cube_slab_walk) searches it, in
+lexicographic order, for integer points: it carries the integer partial
 sum of the prefix over those integers and asks the body for the range of
 values the next coordinate may take: box cap slab, in closed form.  A range
-only drops values that provably admit no member.  The search stops t
-coordinates early, with (2m+1)^t <= MINKOWSKI_TAIL_TABLE for the box's
-integer limit m: one sorted table of the tail's sums (Horowitz and
-Sahni's meet-in-the-middle) answers each head leaf with at most two
-bisects.  The head is visited in ascending order and each leaf takes its
-smallest fitting tail, so the search returns the lexicographically
-smallest point.
+only drops values that provably admit no member, and the body's symmetry
+keeps the walk to the points whose first nonzero entry is negative.  The
+walk stops t coordinates early: one sorted table of the tail's sums
+(Horowitz and Sahni's meet-in-the-middle) answers each head leaf with at
+most two bisects and one min over the tails that fit.  The exact Minkowski
+oracle is the walk that returns its first point; nbp.brute_force_min is
+the walk that shrinks the slab to just below each point it finds.
 
 An ellipsoid is built on a LatticeBasis, so it reads det A and eliminates
 nothing; its form |A x|^2 is evaluated at integer tuples on A's integer
@@ -39,7 +41,7 @@ from .errors import (
 )
 from .lattice import LatticeBasis, LllCertificate, UnimodularTransform, lll_min_gain, lll_reduce
 from .linalg import RMatrix, RVector
-from .nbp import NbpInstance, _decode, _sorted_half, enumeration_budget
+from .nbp import NbpInstance, _decode, enumeration_budget
 from .rationals import frac, sqrt_upper
 
 MINKOWSKI_TAIL_TABLE = 3**5  # minkowski_exact_oracle: the most tail sums its sorted table holds
@@ -112,33 +114,55 @@ class CubeSlabBody:
         return (lo if lo > -m else -m), (hi if hi < m else m)
 
 
-def minkowski_exact_oracle(body: CubeSlabBody) -> tuple[int, ...]:
-    """Lexicographically smallest nonzero integer point of the cube-slab body.
+def _sorted_half(ints: Sequence[int], k: int, b: int) -> list[int]:
+    """The packed ints (<a, x> << b) + i for x in {-k..k}^m, sorted.
 
-    Realizes an exact (rho = 1) Minkowski oracle by an iterative depth-first
-    search over the head, the first n - t coordinates, with (2m+1)^t <=
-    MINKOWSKI_TAIL_TABLE for the box's integer limit m.  The integer partial
-    sum over the instance's integers is carried down the levels; each
-    expanded head node makes one ``body.prefix_feasible`` call for the range
-    of its coordinate and visits that range in ascending order.  The tail's
-    sums are one sorted table of packed (sum << b) + index (_sorted_half,
-    built once per call).  At a head leaf with partial sum s, a bisect finds
-    the first tail with s + tail >= -body.slab_reach and, if that one fits,
-    a second the end of those with |s + tail| <= body.slab_reach; the
-    smallest index among them is the leaf's lexicographically smallest
-    completion, the zero tail excluded after the all-zero head.  The point
-    is confirmed with ``body.contains``; a refusal is InternalContradiction.
+    i < 2^b is the index of x in lex order (nbp._decode reads it back), so
+    equal sums sit in lex order of x.  Coordinates are added last to first,
+    each as the new leading digit of i: a level is 2k+1 shifted copies of
+    the sorted level below, and one sort merges these runs in linear time.
+    """
+    level, width = [0], 1
+    for a in reversed(ints):
+        steps = [((v * a) << b) + (v + k) * width for v in range(-k, k + 1)]
+        level = [p + d for d in steps for p in level]
+        level.sort()
+        width *= 2 * k + 1
+    return level
 
-    ``enumeration_budget()`` caps the nodes: expanded head nodes, the root
-    included, and tail probes, one per head leaf.  BudgetExceeded says where
-    the search stood.  Raises NotFound when the
-    body holds no nonzero integer point (e.g. when its volume bound fails).
+
+def cube_slab_walk(body: CubeSlabBody, table_cap: int, balance: bool) -> Optional[tuple[int, ...]]:
+    """The lexicographic walk of the body's nonzero integer points that lead
+    negative: the one search of the exact Minkowski oracle and of brute force.
+
+    A depth-first search over the head, the first n - t coordinates, with
+    (2m+1)^t <= table_cap for the box's integer limit m, carries the integer
+    partial sum down the levels.  Each expanded head node makes one
+    ``body.prefix_feasible`` call and visits that range in ascending order;
+    after an all-zero prefix (a flag carried down) it stops at 0, as the
+    body is symmetric.  The tail is one sorted table of packed
+    (sum << b) + index (_sorted_half).  At a head leaf with partial sum s,
+    bisects find the tails with |s + tail| <= slab_reach, after the all-zero
+    head only those below the zero tail's index, which lead negative.  One
+    ``min`` over them picks the leaf's point, which ``body.contains``
+    confirms (a refusal is InternalContradiction).  Its key is the rule:
+
+    - balance False (Minkowski): the smallest index, the leaf's
+      lexicographically smallest completion, which the walk returns.
+    - balance True (balancing): the smallest (e, index), e = |s + tail|.
+      The walk returns the point when e = 0, and otherwise goes on with the
+      slab shrunk to (e - 1) / den, so every later point is strictly
+      better; its last point is the lexicographically smallest minimizer.
+
+    Returns None when the walk finds no point.  ``enumeration_budget()``
+    caps the nodes: expanded head nodes, the root included, and tail
+    probes, one per head leaf; BudgetExceeded says where the search stood.
     """
     limit = enumeration_budget()
-    n, m = body.dim, body.int_box_limit()
-    w = body.inst.ints
+    inst, n, m = body.inst, body.dim, body.int_box_limit()
+    w = inst.ints
     t = 0
-    while t < n and (2 * m + 1) ** (t + 1) <= MINKOWSKI_TAIL_TABLE:
+    while t < n and (2 * m + 1) ** (t + 1) <= table_cap:
         t += 1
     head = n - t
     size = (2 * m + 1) ** t
@@ -149,6 +173,8 @@ def minkowski_exact_oracle(body: CubeSlabBody) -> tuple[int, ...]:
     x = [0] * n  # the path; x[d] runs up to top[d]
     top = [0] * head
     sums = [0] * (head + 1)  # sums[d] = sum_{i < d} x_i w_i
+    lead = [False] * (head + 1)  # lead[d]: some x_i with i < d is nonzero
+    found = None
     nodes = 0
     depth = 0
     while True:
@@ -162,30 +188,53 @@ def minkowski_exact_oracle(body: CubeSlabBody) -> tuple[int, ...]:
             s = sums[head]
             lo, end = bisect_left(table, (-reach - s) << b), (reach - s + 1) << b
             if lo < len(table) and table[lo] < end:  # some tail fits the slab
-                tails = [p & mask for p in table[lo:bisect_left(table, end, lo)]
-                         if p != zero or any(x[:head])]  # the zero point is no answer
-                if tails:
-                    x[head:] = _decode(min(tails), t, m)
+                cap = size if lead[head] else zero
+                fits = [p for p in table[lo:bisect_left(table, end, lo)] if p & mask < cap]
+                if fits:
+                    e, i = min((abs(s + (p >> b)) if balance else 0, p & mask) for p in fits)
+                    x[head:] = _decode(i, t, m)
                     if not body.contains(x):
                         raise InternalContradiction("a tail table completion is not in the body")
-                    return tuple(x)
+                    found = tuple(x)
+                    if e == 0:  # always so under the Minkowski rule
+                        return found
+                    body = CubeSlabBody(inst, Fraction(e - 1, inst.den), body.box_radius)
+                    reach = body.slab_reach
             if depth == 0:
-                raise NotFound("no nonzero integer point in the body")
+                return found
             depth -= 1
             x[depth] += 1
         else:
-            x[depth], top[depth] = body.prefix_feasible(sums[depth], depth)
+            x[depth], hi = body.prefix_feasible(sums[depth], depth)
+            top[depth] = hi if lead[depth] or hi < 0 else 0
         while True:  # move to the next node to visit
             v = x[depth]
             if v > top[depth]:
                 if depth == 0:
-                    raise NotFound("no nonzero integer point in the body")
+                    return found
                 depth -= 1
                 x[depth] += 1
             else:
                 sums[depth + 1] = sums[depth] + v * w[depth]
+                lead[depth + 1] = lead[depth] or v != 0
                 depth += 1
                 break
+
+
+def minkowski_exact_oracle(body: CubeSlabBody) -> tuple[int, ...]:
+    """Lexicographically smallest nonzero integer point of the cube-slab body.
+
+    Realizes an exact (rho = 1) Minkowski oracle: cube_slab_walk under its
+    Minkowski rule, with a tail table of at most MINKOWSKI_TAIL_TABLE sums.
+    The body is symmetric, so that point leads negative and the walk, which
+    visits only such points, finds it first.  Raises NotFound when the body
+    holds no nonzero integer point (e.g. when its volume bound fails), and
+    BudgetExceeded when the walk passes ``enumeration_budget()`` nodes.
+    """
+    x = cube_slab_walk(body, MINKOWSKI_TAIL_TABLE, False)
+    if x is None:
+        raise NotFound("no nonzero integer point in the body")
+    return x
 
 
 class Ellipsoid:

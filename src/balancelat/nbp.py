@@ -11,18 +11,20 @@ The exact solvers (full enumeration and meet-in-the-middle) break ties by
 returning the lexicographically smallest witness, so they are directly
 comparable and safe to parallelize with a deterministic reduce.
 Meet-in-the-middle searches only the nonzero entries, on plain sorted
-sums with one point of each +-pair; brute force enumerates every
-coordinate and stays the independent check.  Pigeonhole returns the first
-closest pair of its N + 1 pigeons in (sum, t) order without building them:
-a meet-in-the-middle over the pigeons' differences finds the gap, and one
-DP over the bits of the two pigeons finds the pair.
+sums with one point of each +-pair.  Brute force enumerates every
+coordinate and shares no table code with it: it is the exact Minkowski
+search of the cube-slab body (geometry.cube_slab_walk), run with a slab
+that shrinks to just below each point it finds.  Pigeonhole returns the
+first closest pair of its N + 1 pigeons in (sum, t) order without
+building them: a meet-in-the-middle over the pigeons' differences finds
+the gap, and one DP over the bits of the two pigeons finds the pair.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -35,9 +37,8 @@ from .rationals import common_denominator_ints
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV = "BALANCELAT_BUDGET"
-# brute_force_min: the most tail sums its recursion tabulates.  A leaf bisects
-# a sorted copy of them and scans them only when it improves the incumbent.
-# The Minkowski search has its own, smaller bound,
+# brute_force_min: the most tail sums the walk's sorted table holds.  The
+# Minkowski search runs the same walk with its own, smaller bound,
 # geometry.MINKOWSKI_TAIL_TABLE.
 TAIL_TABLE = 3**6
 
@@ -132,70 +133,31 @@ def verify(inst: NbpInstance, x: Sequence[int], k: int) -> NbpSolution:
 def brute_force_min(inst: NbpInstance, k: int) -> NbpSolution:
     """True minimum of |<a,x>| over x in {-k..k}^n \\ {0} by full enumeration.
 
-    Returns the lexicographically smallest minimizer.  The search runs over
-    integer-scaled entries with interval pruning; pruning only discards
-    subtrees that are provably >= the incumbent, and equal-error leaves found
-    later lose ties anyway, so the lexicographic contract is preserved.  The
-    recursion stops t coordinates early, with (2k+1)^t <= TAIL_TABLE, and
-    tabulates the tail's sums in lexicographic order (_half_sums).  Each leaf
-    asks a sorted copy of its row, by one bisect, whether any tail beats the
-    incumbent; only a leaf that does scans the row in lexicographic order for
-    the first smallest |s + tail|.
+    Returns the lexicographically smallest minimizer.  This is the paper's
+    first reduction run as a search: the exact Minkowski search on the
+    cube-slab body (-(k+1), k+1)^n cut by |<a, x>| <= kn, which cuts
+    nothing, with the slab shrinking to just below each point found
+    (geometry.cube_slab_walk under its balancing rule, with a tail table of
+    at most TAIL_TABLE sums).  The body is symmetric, so the walk visits
+    only the points whose first nonzero entry is negative, and among them
+    the lexicographically smallest minimizer comes first.
+
+    The box rule (2k+1)^n <= enumeration_budget() is the one that refuses.
+    At depth d the walk visits at most ((2k+1)^d + 1) / 2 prefixes, the
+    all-zero one and those that lead negative: the cut halves the head, so
+    the walk's nodes never pass (2k+1)^n.
     """
     if k < 1:
         raise InvalidParams("coefficient bound must be >= 1")
     limit = enumeration_budget()
     if (2 * k + 1) ** inst.n > limit:
         raise BudgetExceeded(f"(2k+1)^n = {(2 * k + 1) ** inst.n} exceeds budget {limit}")
-    ints, n = inst.ints, inst.n
-    t = 0
-    while t < n and (2 * k + 1) ** (t + 1) <= TAIL_TABLE:
-        t += 1
-    head = n - t
-    table = _half_sums(ints[head:], k)
-    # Minimizers come in +-pairs and the lexicographically smallest one has a
-    # negative leading entry, so only sign patterns with first nonzero < 0
-    # are enumerated: after an all-zero prefix, the table's first half.
-    tables = (table[: len(table) // 2], table)
-    ordered = tuple(sorted(row) for row in tables)
-    # suffix[i] = k * sum of |a_j| for j >= i, scaled
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + k * abs(ints[i])
+    from .geometry import CubeSlabBody, cube_slab_walk  # geometry imports this module
 
-    best: list = [None, None]  # [error_int, witness]
-    prefix = [0] * head
-
-    def descend(i: int, s: int, nonzero_seen: bool) -> None:
-        if best[0] is not None and abs(s) - suffix[i] >= best[0]:
-            # nothing below can beat the incumbent, and equal-error leaves
-            # found later lose the lexicographic tie anyway
-            return
-        if i == head:
-            row = tables[nonzero_seen]
-            if best[0] is not None:
-                # a tail beats the incumbent exactly when lo < tail < hi, so
-                # exactly when the least sorted tail above lo lies below hi
-                lo, hi = -s - best[0], best[0] - s
-                sums = ordered[nonzero_seen]
-                j = bisect_right(sums, lo)
-                if j == len(sums) or sums[j] >= hi:
-                    return
-            errs = [abs(s + v) for v in row]
-            if errs:
-                best[0] = min(errs)
-                best[1] = tuple(prefix) + _decode(errs.index(best[0]), t, k)
-            return
-        ai = ints[i]
-        for v in range(-k, (k if nonzero_seen else 0) + 1):
-            prefix[i] = v
-            descend(i + 1, s + v * ai, nonzero_seen or v != 0)
-        prefix[i] = 0
-
-    descend(0, 0, False)
-    if best[1] is None:
+    x = cube_slab_walk(CubeSlabBody(inst, k * inst.n, k + 1), TAIL_TABLE, True)
+    if x is None:
         raise InternalContradiction("the enumeration reached no nonzero leaf")
-    return verify(inst, best[1], k)
+    return verify(inst, x, k)
 
 
 def _half_sums(ints: Sequence[int], k: int) -> list[int]:
@@ -210,25 +172,6 @@ def _half_sums(ints: Sequence[int], k: int) -> list[int]:
 def _decode(index: int, m: int, k: int) -> tuple[int, ...]:
     """The x in {-k..k}^m at position index of _half_sums."""
     return tuple((index // (2 * k + 1) ** (m - 1 - j)) % (2 * k + 1) - k for j in range(m))
-
-
-def _sorted_half(ints: Sequence[int], k: int, b: int) -> list[int]:
-    """The packed ints (<a, x> << b) + i for x in {-k..k}^m, sorted.
-
-    i < 2^b is the index of x in lex order (as in _half_sums), so equal sums
-    sit in lex order of x.  Coordinates are added last to first, each as the
-    new leading digit of i: a level is 2k+1 shifted copies of the sorted
-    level below, and one sort merges these runs in linear time.  It builds
-    the tail table of geometry.minkowski_exact_oracle, which needs each
-    sum's index.
-    """
-    level, width = [0], 1
-    for a in reversed(ints):
-        steps = [((v * a) << b) + (v + k) * width for v in range(-k, k + 1)]
-        level = [p + d for d in steps for p in level]
-        level.sort()
-        width *= 2 * k + 1
-    return level
 
 
 def _shifted(level: list[int], a: int, vs: range) -> list[int]:

@@ -146,11 +146,14 @@ def reference_minkowski(body, prune=True):
     Tries every value of [-m, m] at each level and keeps a child when the
     cube-slab prefix test (re-summing the prefix) admits it; with
     prune=False it admits every child, a search by the predicate alone.
-    Leaves take the Fraction test ``slab_member``.  Returns (point or None,
-    nodes).  The nodes are counted as the library counts them: the head is
-    the first n - t coordinates, for the largest t <= n with (2m+1)^t <=
-    MINKOWSKI_TAIL_TABLE, and a node is a head node whose children are
-    tried or a head leaf reached (where the library probes its tail table).
+    Leaves take the Fraction test ``slab_member``.  The body is symmetric,
+    so its first point leads negative: the pruned search, like the
+    library's, tries at most 0 after an all-zero prefix.  Returns (point
+    or None, nodes).  The nodes are counted as the library counts them: the
+    head is the first n - t coordinates, for the largest t <= n with
+    (2m+1)^t <= MINKOWSKI_TAIL_TABLE, and a node is a head node whose
+    children are tried or a head leaf reached (where the library probes its
+    tail table).
     """
     n = body.dim
     m = body.int_box_limit()
@@ -180,7 +183,7 @@ def reference_minkowski(body, prune=True):
         if depth == n:
             x = tuple(prefix)
             return x if any(x) and slab_member(body, x) else None
-        for v in range(-m, m + 1):
+        for v in range(-m, (m if not prune or any(prefix[:depth]) else 0) + 1):
             prefix[depth] = v
             if feasible(depth + 1):
                 found = descend(depth + 1)
@@ -297,6 +300,14 @@ class TestContains:
                 for x in points:
                     assert dilated.contains(x) == slab_member(dilated, x), (
                         body.inst, dilated.slab_bound, dilated.box_radius, x)
+
+    def test_slab_bodies_are_symmetric(self):
+        # the searches visit only points that lead negative, which is sound
+        # only because x and -x are members together
+        rng = random.Random(39)
+        for body in slab_draws(1):
+            for x in box_points(body.dim, body.int_box_limit() + 1, rng):
+                assert body.contains(x) == body.contains(tuple(-v for v in x)), (body.inst, x)
 
     @pytest.mark.parametrize("rho", [0, -1, Fraction(-1, 2)])
     def test_dilation_must_be_positive(self, rho):

@@ -32,7 +32,7 @@ from balancelat.nbp import (
     verify,
 )
 from balancelat.generators import gen_nbp
-from balancelat.geometry import CubeSlabBody
+from balancelat.geometry import CubeSlabBody, minkowski_exact_oracle
 from balancelat.linalg import RVector
 from balancelat.rationals import common_denominator_ints
 from body_helpers import slab_member
@@ -567,6 +567,14 @@ def tie_heavy_instances(seed):
             )
 
 
+def assert_minkowski_point(inst, k):
+    """brute_force_min's witness is the exact Minkowski oracle's point of the
+    cube-slab body whose slab is the optimum: the two leaf rules of one walk
+    find the same point."""
+    sol = brute_force_min(inst, k)
+    assert sol.x == minkowski_exact_oracle(CubeSlabBody(inst, sol.error, k + 1)), (inst, k)
+
+
 class TestTieHeavy:
     """Every exact solver against its reference where ties are everywhere."""
 
@@ -576,6 +584,12 @@ class TestTieHeavy:
             if (2 * k + 1) ** inst.n <= 10**5:
                 assert brute_force_min(inst, k) == reference_brute_force(inst, k)
             assert mitm_min(inst, k) == reference_mitm(inst, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_brute_force_is_the_minkowski_point_at_the_optimum(self, k):
+        for inst in tie_heavy_instances(30 + k):
+            if (2 * k + 1) ** inst.n <= 10**5:
+                assert_minkowski_point(inst, k)
 
     def test_pigeonhole_matches_reference(self):
         rng = random.Random(33)
@@ -819,6 +833,11 @@ class TestBruteForceHeadLeaves:
         for inst in head_leaf_instances(70 + 10 * k + n, n, k):
             assert brute_force_min(inst, k) == reference_brute_force(inst, k)
 
+    @pytest.mark.parametrize("k, n", [(1, 9), (1, 10), (1, 11), (2, 7), (2, 8), (3, 6), (3, 7)])
+    def test_is_the_minkowski_point_at_the_optimum(self, k, n):
+        for inst in head_leaf_instances(70 + 10 * k + n, n, k):
+            assert_minkowski_point(inst, k)
+
     @pytest.mark.parametrize("n", [12, 13])
     def test_matches_mitm_reference(self, n):
         rng = random.Random(90 + n)
@@ -844,11 +863,22 @@ class TestBruteForceHeadLeaves:
         inst = NbpInstance.from_values([Fraction(1, 3), Fraction(-2, 7)][:n])
         assert brute_force_min(inst, k) == mitm_min(inst, k)
 
+    @pytest.mark.parametrize("k, n", [(1, 6), (365, 1), (365, 2)])
+    def test_walk_admits_what_the_box_rule_admits(self, monkeypatch, k, n):
+        # (2k+1)^n is the least budget the box rule admits; the walk visits at
+        # most ((2k+1)^d + 1)/2 prefixes at depth d, so it never needs more.
+        # k = 1, n = 6 is all tail; k = 365 leaves no tail
+        rng = random.Random(97 + n)
+        inst = dyadic_instance(rng, n)
+        expected = reference_brute_force(inst, k) if k == 1 else mitm_min(inst, k)
+        monkeypatch.setenv("BALANCELAT_BUDGET", str((2 * k + 1) ** n))
+        assert brute_force_min(inst, k) == expected
+
     def test_shares_no_table_code_with_mitm(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("brute force called MITM's table code")
 
-        for name in ("_sorted_half", "_shifted", "_magnitudes", "_closest_pairs", "_lex_first"):
+        for name in ("_shifted", "_magnitudes", "_closest_pairs", "_lex_first"):
             monkeypatch.setattr(nbp, name, refuse)
         rng = random.Random(96)
         for n in (7, 8, 9):
