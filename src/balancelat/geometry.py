@@ -11,11 +11,12 @@ sum of the prefix over those integers and asks the body for the range of
 values the next coordinate may take: box cap slab, in closed form.  A range
 only drops values that provably admit no member, and the body's symmetry
 keeps the walk to the points whose first nonzero entry is negative.  The
-walk stops t coordinates early: one sorted table of the tail's sums
-(Horowitz and Sahni's meet-in-the-middle) answers each head leaf with at
-most two bisects and one min over the tails that fit.  The exact Minkowski
-oracle is the walk that returns its first point; nbp.brute_force_min is
-the walk that shrinks the slab to just below each point it finds.
+walk stops t coordinates early, for a t that grows with the nodes spent:
+one sorted table of the tail's sums (Horowitz and Sahni's
+meet-in-the-middle) answers each head leaf with at most two bisects and
+one min over the tails that fit.  The exact Minkowski oracle is the walk
+that returns its first point; nbp.brute_force_min is the walk that shrinks
+the slab to just below each point it finds.
 
 An ellipsoid is built on a LatticeBasis, so it reads det A and eliminates
 nothing; its form |A x|^2 is evaluated at integer tuples on A's integer
@@ -43,8 +44,6 @@ from .lattice import LatticeBasis, LllCertificate, UnimodularTransform, lll_min_
 from .linalg import RMatrix, RVector
 from .nbp import NbpInstance, _decode, enumeration_budget
 from .rationals import frac, sqrt_upper
-
-MINKOWSKI_TAIL_TABLE = 3**5  # minkowski_exact_oracle: the most tail sums its sorted table holds
 
 
 class CubeSlabBody:
@@ -131,16 +130,15 @@ def _sorted_half(ints: Sequence[int], k: int, b: int) -> list[int]:
     return level
 
 
-def cube_slab_walk(body: CubeSlabBody, table_cap: int, balance: bool) -> Optional[tuple[int, ...]]:
+def cube_slab_walk(body: CubeSlabBody, balance: bool) -> Optional[tuple[int, ...]]:
     """The lexicographic walk of the body's nonzero integer points that lead
     negative: the one search of the exact Minkowski oracle and of brute force.
 
-    A depth-first search over the head, the first n - t coordinates, with
-    (2m+1)^t <= table_cap for the box's integer limit m, carries the integer
-    partial sum down the levels.  Each expanded head node makes one
-    ``body.prefix_feasible`` call and visits that range in ascending order;
-    after an all-zero prefix (a flag carried down) it stops at 0, as the
-    body is symmetric.  The tail is one sorted table of packed
+    A depth-first search over the head, the first n - t coordinates, carries
+    the integer partial sum down the levels.  Each expanded head node makes
+    one ``body.prefix_feasible`` call and visits that range in ascending
+    order; after an all-zero prefix (a flag carried down) it stops at 0, as
+    the body is symmetric.  The tail is one sorted table of packed
     (sum << b) + index (_sorted_half).  At a head leaf with partial sum s,
     bisects find the tails with |s + tail| <= slab_reach, after the all-zero
     head only those below the zero tail's index, which lead negative.  One
@@ -154,6 +152,13 @@ def cube_slab_walk(body: CubeSlabBody, table_cap: int, balance: bool) -> Optiona
       slab shrunk to (e - 1) / den, so every later point is strictly
       better; its last point is the lexicographically smallest minimizer.
 
+    The walk starts at t = 0, a one-entry table.  On leaving a node at
+    depth head - 1, all of whose children it has probed, once it has spent
+    (2m+1)^(t+1) nodes since the last build (m the box's integer limit), it
+    builds the table one coordinate longer and goes on: the next sibling is
+    a head leaf.  The order stays lexicographic and the slab only shrinks,
+    so t changes no point found, and no table outgrows the nodes spent.
+
     Returns None when the walk finds no point.  ``enumeration_budget()``
     caps the nodes: expanded head nodes, the root included, and tail
     probes, one per head leaf; BudgetExceeded says where the search stood.
@@ -161,19 +166,14 @@ def cube_slab_walk(body: CubeSlabBody, table_cap: int, balance: bool) -> Optiona
     limit = enumeration_budget()
     inst, n, m = body.inst, body.dim, body.int_box_limit()
     w = inst.ints
-    t = 0
-    while t < n and (2 * m + 1) ** (t + 1) <= table_cap:
-        t += 1
-    head = n - t
-    size = (2 * m + 1) ** t
-    b = size.bit_length()
-    mask, zero = (1 << b) - 1, size // 2  # the zero tail: every digit is m
-    table = _sorted_half(w[head:], m, b)
+    head, built = n, 0  # t = n - head tail coordinates; nodes spent at the last build
+    size, b, table = 1, 1, [0]  # the table holds size = (2m+1)^t packed sums
+    mask, zero = 1, 0  # the zero tail: every digit is m
     reach = body.slab_reach
     x = [0] * n  # the path; x[d] runs up to top[d]
-    top = [0] * head
-    sums = [0] * (head + 1)  # sums[d] = sum_{i < d} x_i w_i
-    lead = [False] * (head + 1)  # lead[d]: some x_i with i < d is nonzero
+    top = [0] * n
+    sums = [0] * (n + 1)  # sums[d] = sum_{i < d} x_i w_i
+    lead = [False] * (n + 1)  # lead[d]: some x_i with i < d is nonzero
     found = None
     nodes = 0
     depth = 0
@@ -182,7 +182,7 @@ def cube_slab_walk(body: CubeSlabBody, table_cap: int, balance: bool) -> Optiona
         if nodes > limit:
             raise BudgetExceeded(
                 f"Minkowski enumeration exceeded budget: {nodes} nodes visited, "
-                f"limit {limit}, dimension {n}, depth {depth}"
+                f"limit {limit}, dimension {n}, depth {depth}, tail length {n - head}"
             )
         if depth == head:  # a tail probe
             s = sums[head]
@@ -192,7 +192,7 @@ def cube_slab_walk(body: CubeSlabBody, table_cap: int, balance: bool) -> Optiona
                 fits = [p for p in table[lo:bisect_left(table, end, lo)] if p & mask < cap]
                 if fits:
                     e, i = min((abs(s + (p >> b)) if balance else 0, p & mask) for p in fits)
-                    x[head:] = _decode(i, t, m)
+                    x[head:] = _decode(i, n - head, m)
                     if not body.contains(x):
                         raise InternalContradiction("a tail table completion is not in the body")
                     found = tuple(x)
@@ -212,6 +212,11 @@ def cube_slab_walk(body: CubeSlabBody, table_cap: int, balance: bool) -> Optiona
             if v > top[depth]:
                 if depth == 0:
                     return found
+                if depth == head - 1 and nodes - built >= size * (2 * m + 1):  # grow the table
+                    head, built, size = depth, nodes, size * (2 * m + 1)
+                    b = size.bit_length()
+                    mask, zero = (1 << b) - 1, size // 2
+                    table = _sorted_half(w[head:], m, b)
                 depth -= 1
                 x[depth] += 1
             else:
@@ -225,13 +230,12 @@ def minkowski_exact_oracle(body: CubeSlabBody) -> tuple[int, ...]:
     """Lexicographically smallest nonzero integer point of the cube-slab body.
 
     Realizes an exact (rho = 1) Minkowski oracle: cube_slab_walk under its
-    Minkowski rule, with a tail table of at most MINKOWSKI_TAIL_TABLE sums.
-    The body is symmetric, so that point leads negative and the walk, which
-    visits only such points, finds it first.  Raises NotFound when the body
+    Minkowski rule.  The body is symmetric, so that point leads negative and
+    the walk, which visits only such points, finds it first.  Raises NotFound when the body
     holds no nonzero integer point (e.g. when its volume bound fails), and
     BudgetExceeded when the walk passes ``enumeration_budget()`` nodes.
     """
-    x = cube_slab_walk(body, MINKOWSKI_TAIL_TABLE, False)
+    x = cube_slab_walk(body, False)
     if x is None:
         raise NotFound("no nonzero integer point in the body")
     return x

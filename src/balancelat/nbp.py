@@ -37,10 +37,6 @@ from .rationals import common_denominator_ints
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV = "BALANCELAT_BUDGET"
-# brute_force_min: the most tail sums the walk's sorted table holds.  The
-# Minkowski search runs the same walk with its own, smaller bound,
-# geometry.MINKOWSKI_TAIL_TABLE.
-TAIL_TABLE = 3**6
 
 
 def enumeration_budget() -> int:
@@ -137,10 +133,10 @@ def brute_force_min(inst: NbpInstance, k: int) -> NbpSolution:
     first reduction run as a search: the exact Minkowski search on the
     cube-slab body (-(k+1), k+1)^n cut by |<a, x>| <= kn, which cuts
     nothing, with the slab shrinking to just below each point found
-    (geometry.cube_slab_walk under its balancing rule, with a tail table of
-    at most TAIL_TABLE sums).  The body is symmetric, so the walk visits
-    only the points whose first nonzero entry is negative, and among them
-    the lexicographically smallest minimizer comes first.
+    (geometry.cube_slab_walk under its balancing rule).  The body is
+    symmetric, so the walk visits only the points whose first nonzero entry
+    is negative, and among them the lexicographically smallest minimizer
+    comes first.
 
     The box rule (2k+1)^n <= enumeration_budget() is the one that refuses.
     At depth d the walk visits at most ((2k+1)^d + 1) / 2 prefixes, the
@@ -154,7 +150,7 @@ def brute_force_min(inst: NbpInstance, k: int) -> NbpSolution:
         raise BudgetExceeded(f"(2k+1)^n = {(2 * k + 1) ** inst.n} exceeds budget {limit}")
     from .geometry import CubeSlabBody, cube_slab_walk  # geometry imports this module
 
-    x = cube_slab_walk(CubeSlabBody(inst, k * inst.n, k + 1), TAIL_TABLE, True)
+    x = cube_slab_walk(CubeSlabBody(inst, k * inst.n, k + 1), True)
     if x is None:
         raise InternalContradiction("the enumeration reached no nonzero leaf")
     return verify(inst, x, k)

@@ -3,11 +3,13 @@
 ``slab_member`` is the body's membership test over exact Fractions, against
 which the library's integer test ``contains`` and the pruned Minkowski
 search are checked.  ``open_cube`` builds a plain cube as a cube-slab body.
+``count_builds`` records the tail tables the cube-slab walk builds.
 """
 
 import math
 from fractions import Fraction
 
+from balancelat import geometry
 from balancelat.geometry import CubeSlabBody
 from balancelat.linalg import RVector
 from balancelat.nbp import NbpInstance
@@ -30,3 +32,17 @@ def open_cube(n, radius):
     """
     radius = Fraction(radius)
     return CubeSlabBody(NbpInstance.from_values([1] * n), n * (math.ceil(radius) - 1), radius)
+
+
+def count_builds(monkeypatch):
+    """The walk's tail-table builds from here on, as (t, sums) per ``_sorted_half`` call."""
+    builds = []
+    original = geometry._sorted_half
+
+    def counted(ints, k, b):
+        table = original(ints, k, b)
+        builds.append((len(ints), len(table)))
+        return table
+
+    monkeypatch.setattr(geometry, "_sorted_half", counted)
+    return builds

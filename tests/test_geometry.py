@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +15,6 @@ from balancelat.errors import (
 )
 from balancelat.generators import gen_basis, gen_ellipsoid
 from balancelat.geometry import (
-    MINKOWSKI_TAIL_TABLE,
     CubeSlabBody,
     Ellipsoid,
     axis_extract,
@@ -25,7 +25,7 @@ from balancelat.lattice import LatticeBasis, check_reduction_conditions, lll_min
 from balancelat.linalg import RMatrix, RVector, determinant
 from balancelat.nbp import NbpInstance, mitm_min
 from balancelat.rationals import sqrt_upper
-from body_helpers import open_cube, slab_member
+from body_helpers import count_builds, open_cube, slab_member
 from linalg_helpers import diagonal, integer_points, norm_sq, scale, sub, transpose, unit
 
 
@@ -149,18 +149,17 @@ def reference_minkowski(body, prune=True):
     Leaves take the Fraction test ``slab_member``.  The body is symmetric,
     so its first point leads negative: the pruned search, like the
     library's, tries at most 0 after an all-zero prefix.  Returns (point
-    or None, nodes).  The nodes are counted as the library counts them: the
-    head is the first n - t coordinates, for the largest t <= n with
-    (2m+1)^t <= MINKOWSKI_TAIL_TABLE, and a node is a head node whose
-    children are tried or a head leaf reached (where the library probes its
-    tail table).
+    or None, nodes).  The nodes are counted as the library counts them,
+    under its growth rule for the tail table: the head starts as all n
+    coordinates, and on returning from a node at depth head - 1, once
+    (2m+1)^(t+1) nodes have been spent since the last growth (t = n - head),
+    the head gives its last coordinate to the tail.  A node is a head node
+    whose children are tried or a head leaf reached (where the library
+    probes its tail table).
     """
     n = body.dim
     m = body.int_box_limit()
-    t = 0
-    while t < n and (2 * m + 1) ** (t + 1) <= MINKOWSKI_TAIL_TABLE:
-        t += 1
-    head = n - t
+    head, built = [n], [0]  # the current head and the nodes spent at the last growth
     prefix = [0] * n
     nodes = [0]
     ints, den = body.inst.ints, body.inst.den
@@ -178,7 +177,7 @@ def reference_minkowski(body, prune=True):
         return abs(s) * sd <= rhs + sd * suffix[depth]
 
     def descend(depth):
-        if depth <= head:
+        if depth <= head[0]:
             nodes[0] += 1
         if depth == n:
             x = tuple(prefix)
@@ -189,6 +188,9 @@ def reference_minkowski(body, prune=True):
                 found = descend(depth + 1)
                 if found is not None:
                     return found
+                grown = (2 * m + 1) ** (n - head[0] + 1)
+                if depth + 2 == head[0] and nodes[0] - built[0] >= grown:
+                    head[0], built[0] = depth + 1, nodes[0]
         prefix[depth] = 0
         return None
 
@@ -267,9 +269,10 @@ class TestMinkowskiMatchesReference:
             a = RVector([Fraction(rng.randint(-9, 9), 10) for _ in range(n)])
             slab = CubeSlabBody(NbpInstance.from_values(a), Fraction(1, 10), radius)
             assert searched(slab)[0] == reference_minkowski(slab, prune=False)[0]
-        # 3^3 tails fit the table, so the root is the one head leaf and its probe the one node
+        # the walk starts with every coordinate in the head, so its first
+        # leaf, the fourth node, holds the first point
         cube = open_cube(3, Fraction(3, 2))
-        assert searched(cube) == reference_minkowski(cube) == ((-1, -1, -1), 1)
+        assert searched(cube) == reference_minkowski(cube) == ((-1, -1, -1), 4)
 
 
 def box_points(n, m, rng, cap=50):
@@ -340,22 +343,24 @@ class TestMinkowskiBudget:
         monkeypatch.setenv("BALANCELAT_BUDGET", str(nodes - 1))
         with pytest.raises(BudgetExceeded) as info:
             minkowski_exact_oracle(self.body())
-        message = str(info.value)
-        assert message.startswith(
+        stop = re.fullmatch(
             f"Minkowski enumeration exceeded budget: {nodes} nodes visited, "
-            f"limit {nodes - 1}, dimension 6, depth ")
-        assert 0 <= int(message.rsplit(" ", 1)[1]) < 6
+            f"limit {nodes - 1}, dimension 6, depth (\\d+), tail length (\\d+)", str(info.value))
+        depth, tail = map(int, stop.groups())
+        assert 0 <= depth <= 6 - tail and 0 <= tail < 6
 
     def test_budget_runs_out_on_a_tail_probe(self, monkeypatch):
-        # m = 3 and 7^2 <= MINKOWSKI_TAIL_TABLE < 7^3 leave a head of 4
-        # coordinates; a search ends on the probe that finds its point, so
-        # one node short it stops there, at depth 4
-        assert 7**2 <= MINKOWSKI_TAIL_TABLE < 7**3
+        # m = 3: the walk grows its table once, to 7 sums, and a search ends
+        # on the probe that finds its point, so one node short it stops
+        # there, at depth 5 with a tail of 1
+        builds = count_builds(monkeypatch)
         _, nodes = reference_minkowski(self.body())
         monkeypatch.setenv("BALANCELAT_BUDGET", str(nodes - 1))
         with pytest.raises(BudgetExceeded, match=f"^Minkowski enumeration exceeded budget: "
-                           f"{nodes} nodes visited, limit {nodes - 1}, dimension 6, depth 4$"):
+                           f"{nodes} nodes visited, limit {nodes - 1}, dimension 6, depth 5, "
+                           f"tail length 1$"):
             minkowski_exact_oracle(self.body())
+        assert builds == [(1, 7)]
 
     def test_budget_counts_nodes_not_the_box(self, monkeypatch):
         # the box holds 7^6 points, more than the budget; the pruned search needs fewer nodes
@@ -366,6 +371,26 @@ class TestMinkowskiBudget:
         monkeypatch.setenv("BALANCELAT_BUDGET", "1")
         with pytest.raises(BudgetExceeded, match="2 nodes visited, limit 1, dimension 6"):
             minkowski_exact_oracle(self.body())
+
+    def test_a_block_of_the_n256_full_reduction(self, monkeypatch):
+        # the costliest of the 17 block calls that `reduce to-nbp --full
+        # --oracle exact-mink` makes on `gen nbp --n 256 --seed 3 --signed`:
+        # 16 entries at box limit 3.  A table fixed at 3^5 sums left it a
+        # head of 14 levels and several seconds of search; the grown table
+        # ends it at 142 548 nodes
+        ints = (-277110002, -513047667, -198382025, -42232256, -472025104, 451530243,
+                468325520, 295113576, 153425402, -499586132, 285813504, -466719823,
+                82550444, -335378114, 253064449, -116792521)
+        body = CubeSlabBody(NbpInstance.from_ints(ints, 2**29), Fraction(1, 2**26), 4)
+        assert body.int_box_limit() == 3
+        nodes = 142_548
+        monkeypatch.setenv("BALANCELAT_BUDGET", str(nodes))
+        assert minkowski_exact_oracle(body) == (
+            -3, -3, -3, -3, -1, -1, -2, -1, -2, 1, 0, -1, -3, 2, -2, 1)
+        monkeypatch.setenv("BALANCELAT_BUDGET", str(nodes - 1))
+        with pytest.raises(BudgetExceeded, match=f"^Minkowski enumeration exceeded budget: "
+                           f"{nodes} nodes visited, limit {nodes - 1}, dimension 16, "):
+            minkowski_exact_oracle(body)
 
 
 def matches_reference(body):
@@ -381,32 +406,55 @@ def slab_body(values, bound, radius):
     return CubeSlabBody(NbpInstance.from_values(values), Fraction(bound), Fraction(radius))
 
 
+def search_point(body):
+    """minkowski_exact_oracle's point, or None on NotFound."""
+    try:
+        return minkowski_exact_oracle(body)
+    except NotFound:
+        return None
+
+
 class TestMinkowskiTailTable:
-    """The edges of the split between the searched head and the tail table."""
+    """The edges of the split between the searched head and the tail table,
+    which grows with the nodes the walk spends."""
 
-    def test_whole_point_in_the_table(self):
-        # m = 1 and n <= 5: the head is empty, the root's probe is the one node
-        rng = random.Random(37)
-        for n in range(1, 6):
-            a = [Fraction(rng.randint(-63, 63), 64) for _ in range(n)]
-            body = slab_body(a, Fraction(1, 16), 2)
-            assert searched(body)[1] == 1
-            matches_reference(body)
+    def test_the_head_keeps_its_first_coordinate(self, monkeypatch):
+        # m = 1 and entries 1/2 + 3^j / (3^n 2^8), which no nonzero point
+        # cancels: the walk searches the whole box, so every table it may
+        # build it builds, and about half of the coordinates stay in the
+        # head.  The root is never a probe: at n = 1 the table never grows
+        builds = count_builds(monkeypatch)
+        for n, tails in enumerate(([], [1], [1], [1, 2], [1, 2], [1, 2, 3], [1, 2, 3],
+                                   [1, 2, 3, 4]), 1):
+            builds.clear()
+            values = [Fraction(1, 2) + Fraction(3**j, 3**n * 2**8) for j in range(n)]
+            body = slab_body(values, Fraction(1, 3**n * 2**9), 2)
+            assert search_point(body) is None
+            assert [t for t, _ in builds] == tails
+            assert matches_reference(body) is None
 
-    def test_no_tail_when_the_box_is_wide(self):
-        # 2m + 1 = 399 > MINKOWSKI_TAIL_TABLE: t = 0, every head leaf is a whole point
-        assert 399 > MINKOWSKI_TAIL_TABLE
+    def test_no_tail_when_the_box_is_wide(self, monkeypatch):
+        # 2m + 1 = 399: a table of one coordinate would hold more sums than
+        # the walk spends nodes, so it never grows and every head leaf is a
+        # whole point
+        builds = count_builds(monkeypatch)
         body = slab_body([Fraction(1, 3), Fraction(1, 2)], Fraction(1, 6), 200)
         assert body.int_box_limit() == 199
         assert matches_reference(body) == (-199, 133)
         body = slab_body([Fraction(1, 3)], Fraction(1, 6), 200)
         assert matches_reference(body) is None
+        assert builds == []
 
-    def test_zero_head_with_only_the_zero_tail(self):
-        # m = 1, n = 7: a head of 2, and tails whose nonzero sums all exceed
-        # the slab bound; the zero head's probe must skip the zero tail
+    def test_zero_head_with_only_the_zero_tail(self, monkeypatch):
+        # m = 1, n = 7: tails whose nonzero sums all exceed the slab bound;
+        # the last probe, at the zero head, must skip the zero tail, after
+        # the table has grown twice
+        builds = count_builds(monkeypatch)
         values = [Fraction(1, 2), Fraction(1, 3)] + [Fraction(1, 2**j) for j in range(3, 8)]
-        assert matches_reference(slab_body(values, Fraction(1, 2**9), 2)) is None
+        body = slab_body(values, Fraction(1, 2**9), 2)
+        assert search_point(body) is None
+        assert builds == [(1, 3), (2, 9)]
+        assert matches_reference(body) is None
 
     def test_zero_head_with_a_nonzero_tail(self):
         # no tail cancels a nonzero head, so the answer's head is zero
@@ -414,51 +462,73 @@ class TestMinkowskiTailTable:
         body = slab_body(values, Fraction(1, 2**7), 2)
         assert matches_reference(body) == (0, 0, -1, 1, 1, 1, 1)
 
-    def test_zero_entries_inside_the_tail(self):
+    def test_zero_entries_inside_the_tail(self, monkeypatch):
+        # a zero among the last two entries; at slab bounds 0 and 1/64 most
+        # walks grow their table past it
+        builds = count_builds(monkeypatch)
         rng = random.Random(38)
+        covered = 0
         for _ in range(20):
-            n = rng.randint(4, 8)
+            n = rng.randint(5, 8)
             a = [Fraction(rng.randint(-31, 31), 32) for _ in range(n)]
-            for i in rng.sample(range(max(n - 5, 0), n), 2):
-                a[i] = Fraction(0)
-            matches_reference(slab_body(a, Fraction(rng.randint(0, 4), 64), 2))
+            a[rng.randrange(n - 2, n)] = Fraction(0)
+            body = slab_body(a, Fraction(rng.randint(0, 1), 64), 2)
+            builds.clear()
+            search_point(body)
+            t = max((t for t, _ in builds), default=0)
+            covered += not all(a[n - t:])
+            matches_reference(body)
+        assert covered >= 10
 
-    def test_box_limit_zero(self):
+    def test_box_limit_zero(self, monkeypatch):
+        # 2m + 1 = 1: each table holds the one zero tail, and the walk grows
+        # it once it leaves the last head node
+        builds = count_builds(monkeypatch)
         body = slab_body([Fraction(1, 2)] * 4, 1, 1)
         assert body.int_box_limit() == 0
         with pytest.raises(NotFound):
             minkowski_exact_oracle(body)
-        assert searched(body) == reference_minkowski(body) == (None, 1)
+        assert builds == [(1, 1)]
+        assert searched(body) == reference_minkowski(body) == (None, 5)
 
-    def test_degenerate_bodies_hold_no_point(self):
-        # a negative slab bound or a box radius <= 0: every tail sum lies
-        # below the slab's window, or the table is empty
-        for bound, radius in ((-1, 2), (-1, 1), (1, 0), (1, Fraction(-3, 2))):
-            assert matches_reference(slab_body([Fraction(1, 2)] * 3, bound, radius)) is None
+    def test_degenerate_bodies_hold_no_point(self, monkeypatch):
+        # a negative slab bound: every probe's window is empty, in a walk
+        # that grows its table three times
+        builds = count_builds(monkeypatch)
+        body = slab_body([Fraction(1, 2)] * 5 + [1], Fraction(-1, 2), 2)
+        assert search_point(body) is None
+        assert builds == [(1, 3), (2, 9), (3, 27)]
+        assert matches_reference(body) is None
+        # a box radius <= 0, or a slab that ends the walk before any leaf:
+        # the walk stops at the root, or one level below it
+        for bound, radius, nodes in ((-1, 2, 2), (-1, 1, 1), (1, 0, 1), (1, Fraction(-3, 2), 1)):
+            body = slab_body([Fraction(1, 2)] * 3, bound, radius)
+            assert searched(body) == reference_minkowski(body) == (None, nodes)
 
-    def test_table_built_at_most_once_per_search(self, monkeypatch):
-        built = []
-        original = geometry._sorted_half
-
-        def counted(ints, k, b):
-            built.append(len(ints))
-            return original(ints, k, b)
-
-        monkeypatch.setattr(geometry, "_sorted_half", counted)
+    def test_each_build_grows_the_table_within_the_nodes_spent(self, monkeypatch):
+        # per search, t rises by one from build to build, and the sums built,
+        # the one-entry table at t = 0 included, never pass the nodes plus one
+        builds = count_builds(monkeypatch)
+        grown = 0
         for body in slab_draws(1):
-            built.clear()
-            try:
-                minkowski_exact_oracle(body)
-            except NotFound:
-                pass
-            assert len(built) <= 1
+            builds.clear()
+            point = search_point(body)
+            ts = [t for t, _ in builds]
+            assert ts == list(range(1, len(ts) + 1))
+            point_, nodes = reference_minkowski(body)
+            assert point == point_
+            assert 1 + sum(sums for _, sums in builds) <= nodes + 1
+            grown += len(ts) >= 2
+        assert grown >= 20
 
     def test_wrong_table_completion_is_a_contradiction(self, monkeypatch):
-        # min |<a, x>| over the box is 1/6 > 1/10: no point, until the table
-        # reads one nonzero tail's sum as 0
-        body = slab_body([Fraction(1, 2), Fraction(1, 3)], Fraction(1, 10), 2)
+        # min |<a, x>| over the box is above 1/10^4: no point, until each
+        # table reads one nonzero tail's sum as 0
+        body = slab_body([Fraction(1, p) for p in (2, 3, 5, 7, 11)], Fraction(1, 10**4), 2)
+        builds = count_builds(monkeypatch)
         with pytest.raises(NotFound):
             minkowski_exact_oracle(body)
+        assert builds == [(1, 3), (2, 9)]
         original = geometry._sorted_half
 
         def one_wrong_sum(ints, k, b):

@@ -35,7 +35,7 @@ from balancelat.generators import gen_nbp
 from balancelat.geometry import CubeSlabBody, minkowski_exact_oracle
 from balancelat.linalg import RVector
 from balancelat.rationals import common_denominator_ints
-from body_helpers import slab_member
+from body_helpers import count_builds, slab_member
 from linalg_helpers import entries
 
 
@@ -856,12 +856,31 @@ class TestBruteForceHeadLeaves:
         assert sol.x[:3] == (0, 0, 0) and sol.x[3:] < (0,) * 6
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_no_tail_when_one_coordinate_outgrows_the_table(self, n):
-        # 2k+1 = 731 > TAIL_TABLE, so t = 0 and every coordinate is head
+    def test_no_tail_when_one_coordinate_outgrows_the_table(self, monkeypatch, n):
+        # 2k+1 = 731: there is no tail until the walk has spent 731 nodes
+        # and left a node at depth n - 1.  At n = 1 that node is the root,
+        # so every coordinate stays in the head; at n = 2 the table grows
+        # once, late in the walk
         k = 365
-        assert 2 * k + 1 > nbp.TAIL_TABLE
+        builds = count_builds(monkeypatch)
         inst = NbpInstance.from_values([Fraction(1, 3), Fraction(-2, 7)][:n])
         assert brute_force_min(inst, k) == mitm_min(inst, k)
+        assert builds == [(1, 731)] * (n - 1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_mitm_where_the_table_grows(self, monkeypatch, k):
+        # 30-bit entries, n = 10-16, at the least budget the box rule
+        # admits: each walk grows its table at least twice, one coordinate
+        # at a time, and ends on MITM's lexicographically smallest minimizer
+        builds = count_builds(monkeypatch)
+        rng = random.Random(98 + k)
+        for n in range(10, 17):
+            inst = dyadic_instance(rng, n)
+            builds.clear()
+            monkeypatch.setenv("BALANCELAT_BUDGET", str((2 * k + 1) ** n))
+            assert brute_force_min(inst, k) == mitm_min(inst, k)
+            ts = [t for t, _ in builds]
+            assert len(ts) >= 2 and ts == list(range(1, len(ts) + 1))
 
     @pytest.mark.parametrize("k, n", [(1, 6), (365, 1), (365, 2)])
     def test_walk_admits_what_the_box_rule_admits(self, monkeypatch, k, n):
