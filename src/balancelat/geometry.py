@@ -135,15 +135,14 @@ def cube_slab_walk(body: CubeSlabBody, balance: bool) -> Optional[tuple[int, ...
     negative: the one search of the exact Minkowski oracle and of brute force.
 
     A depth-first search over the head, the first n - t coordinates, carries
-    the integer partial sum down the levels.  Each expanded head node makes
-    one ``body.prefix_feasible`` call and visits that range in ascending
-    order; after an all-zero prefix (a flag carried down) it stops at 0, as
-    the body is symmetric.  The tail is one sorted table of packed
-    (sum << b) + index (_sorted_half).  At a head leaf with partial sum s,
-    bisects find the tails with |s + tail| <= slab_reach, after the all-zero
-    head only those below the zero tail's index, which lead negative.  One
-    ``min`` over them picks the leaf's point, which ``body.contains``
-    confirms (a refusal is InternalContradiction).  Its key is the rule:
+    the integer partial sum down; each expanded head node visits its
+    ``body.prefix_feasible`` range in ascending order, stopping at 0 after
+    an all-zero prefix (a flag), as the body is symmetric.  The tail is one
+    sorted table of packed (sum << b) + index (_sorted_half).  At a head
+    leaf with partial sum s, bisects find the tails with |s + tail| <=
+    slab_reach, after the all-zero head only those below the zero tail's
+    index, which lead negative.  One ``min`` over them picks the leaf's
+    point, which ``body.contains`` confirms.  Its key is the rule:
 
     - balance False (Minkowski): the smallest index, the leaf's
       lexicographically smallest completion, which the walk returns.
@@ -152,20 +151,20 @@ def cube_slab_walk(body: CubeSlabBody, balance: bool) -> Optional[tuple[int, ...
       slab shrunk to (e - 1) / den, so every later point is strictly
       better; its last point is the lexicographically smallest minimizer.
 
-    The walk starts at t = 0, a one-entry table.  On leaving a node at
-    depth head - 1, all of whose children it has probed, once it has spent
-    (2m+1)^(t+1) nodes since the last build (m the box's integer limit), it
-    builds the table one coordinate longer and goes on: the next sibling is
-    a head leaf.  The order stays lexicographic and the slab only shrinks,
-    so t changes no point found, and no table outgrows the nodes spent.
+    The walk starts at t = 0, a one-entry table.  Leaving a node at depth
+    head - 1 with (2m+1)^(t+1) nodes spent since the last build (m the box's
+    integer limit), it builds the table one coordinate longer and goes on,
+    in the same lexicographic order.  No table outgrows the nodes spent, so
+    the tables' memory, like their build time, is O(nodes).
 
-    Returns None when the walk finds no point.  ``enumeration_budget()``
-    caps the nodes: expanded head nodes, the root included, and tail
-    probes, one per head leaf; BudgetExceeded says where the search stood.
+    Returns None when no point is found.  ``enumeration_budget()`` caps the
+    nodes: expanded head nodes, the root included, and one tail probe per
+    head leaf.  BudgetExceeded, also raised when a table build runs out of
+    memory, says where the search stood; InternalContradiction, that a
+    leaf's point failed ``body.contains``.
     """
     limit = enumeration_budget()
-    inst, n, m = body.inst, body.dim, body.int_box_limit()
-    w = inst.ints
+    inst, w, n, m = body.inst, body.inst.ints, body.dim, body.int_box_limit()
     head, built = n, 0  # t = n - head tail coordinates; nodes spent at the last build
     size, b, table = 1, 1, [0]  # the table holds size = (2m+1)^t packed sums
     mask, zero = 1, 0  # the zero tail: every digit is m
@@ -174,16 +173,15 @@ def cube_slab_walk(body: CubeSlabBody, balance: bool) -> Optional[tuple[int, ...
     top = [0] * n
     sums = [0] * (n + 1)  # sums[d] = sum_{i < d} x_i w_i
     lead = [False] * (n + 1)  # lead[d]: some x_i with i < d is nonzero
-    found = None
-    nodes = 0
-    depth = 0
+    found, nodes, depth = None, 0, 0
+
+    def refused(why: str) -> BudgetExceeded:  # where the search stood
+        return BudgetExceeded(f"Minkowski enumeration {why}: {nodes} nodes visited, limit "
+                              f"{limit}, dimension {n}, depth {depth}, tail length {n - head}")
     while True:
         nodes += 1
         if nodes > limit:
-            raise BudgetExceeded(
-                f"Minkowski enumeration exceeded budget: {nodes} nodes visited, "
-                f"limit {limit}, dimension {n}, depth {depth}, tail length {n - head}"
-            )
+            raise refused("exceeded budget")
         if depth == head:  # a tail probe
             s = sums[head]
             lo, end = bisect_left(table, (-reach - s) << b), (reach - s + 1) << b
@@ -215,8 +213,11 @@ def cube_slab_walk(body: CubeSlabBody, balance: bool) -> Optional[tuple[int, ...
                 if depth == head - 1 and nodes - built >= size * (2 * m + 1):  # grow the table
                     head, built, size = depth, nodes, size * (2 * m + 1)
                     b = size.bit_length()
-                    mask, zero = (1 << b) - 1, size // 2
-                    table = _sorted_half(w[head:], m, b)
+                    mask, zero, table = (1 << b) - 1, size // 2, None  # free the old table
+                    try:
+                        table = _sorted_half(w[head:], m, b)
+                    except MemoryError:
+                        raise refused(f"ran out of memory for {size} tail sums") from None
                 depth -= 1
                 x[depth] += 1
             else:
@@ -230,10 +231,9 @@ def minkowski_exact_oracle(body: CubeSlabBody) -> tuple[int, ...]:
     """Lexicographically smallest nonzero integer point of the cube-slab body.
 
     Realizes an exact (rho = 1) Minkowski oracle: cube_slab_walk under its
-    Minkowski rule.  The body is symmetric, so that point leads negative and
-    the walk, which visits only such points, finds it first.  Raises NotFound when the body
-    holds no nonzero integer point (e.g. when its volume bound fails), and
-    BudgetExceeded when the walk passes ``enumeration_budget()`` nodes.
+    Minkowski rule, which finds that point first, as it leads negative.
+    Raises NotFound when the body holds no nonzero integer point (e.g. when
+    its volume bound fails), and BudgetExceeded as the walk does.
     """
     x = cube_slab_walk(body, False)
     if x is None:

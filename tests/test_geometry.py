@@ -362,6 +362,20 @@ class TestMinkowskiBudget:
             minkowski_exact_oracle(self.body())
         assert builds == [(1, 7)]
 
+    def test_a_table_that_does_not_fit_is_refused(self, monkeypatch):
+        # the walk's one build, of 7 sums, runs out of memory: a refusal that
+        # says where the search stood, with the tail length it was building
+        def no_memory(ints, k, b):
+            raise MemoryError
+
+        monkeypatch.setattr(geometry, "_sorted_half", no_memory)
+        monkeypatch.delenv("BALANCELAT_BUDGET", raising=False)
+        with pytest.raises(BudgetExceeded, match="^Minkowski enumeration ran out of memory for "
+                           "7 tail sums: [0-9]+ nodes visited, limit 100000000, dimension 6, "
+                           "depth 5, tail length 1$") as info:
+            minkowski_exact_oracle(self.body())
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
     def test_budget_counts_nodes_not_the_box(self, monkeypatch):
         # the box holds 7^6 points, more than the budget; the pruned search needs fewer nodes
         monkeypatch.setenv("BALANCELAT_BUDGET", str(7**5))
@@ -479,6 +493,15 @@ class TestMinkowskiTailTable:
             covered += not all(a[n - t:])
             matches_reference(body)
         assert covered >= 10
+        # two zeros among the last five entries, at slab bounds up to 4/64:
+        # a zero entry puts its unit vector in the body, so each walk ends on
+        # a point
+        for _ in range(20):
+            n = rng.randint(4, 8)
+            a = [Fraction(rng.randint(-31, 31), 32) for _ in range(n)]
+            for i in rng.sample(range(max(n - 5, 0), n), 2):
+                a[i] = Fraction(0)
+            assert matches_reference(slab_body(a, Fraction(rng.randint(0, 4), 64), 2))
 
     def test_box_limit_zero(self, monkeypatch):
         # 2m + 1 = 1: each table holds the one zero tail, and the walk grows

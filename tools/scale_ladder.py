@@ -1,31 +1,39 @@
 #!/usr/bin/env python3
-"""A scaling ladder: CLI pipelines timed at sizes past the benchmark corpus.
+"""A scaling ladder: searches timed at sizes past the benchmark corpus.
 
-Each ladder is one pipeline on ``gen nbp --signed`` documents of growing n,
-and each of its rungs is one child process
+Each ladder is one search at growing n, and each of its rungs is one child
+process run from the sources under ``--src`` (default: this checkout's
+src/), one child at a time.  The ladders are
 
-    python -m balancelat.cli reduce to-nbp ... --input <document>
+- ``reduce to-nbp --full --oracle O`` for O in exact-mink and exact-svp, on
+  ``gen nbp --n n --seed 3 --signed`` at n = 16, 64, 144, 256 and 400;
+- ``reduce to-nbp --oracle exact-mink --k 2`` on ``gen nbp --n n --seed 0
+  --signed`` at n = 12, 16, 20 and 24;
+- ``minkowski_exact_oracle`` on a cube-slab body that holds no point, at
+  n = 20, 24, 28 and 32: the open cube (-2, 2)^n cut by the slab
+  <a, x> = 0 for a = ``gen_nbp(n, 0, 4n, signed)``, whose 4n-bit entries
+  no point of {-1, 0, 1}^n cancels (the walk says so up to n = 28).  The
+  walk searches the whole box, so its nodes and its tail table grow with
+  n up to the default budget.
 
-run from the sources under ``--src`` (default: this checkout's src/), one
-child at a time.  The ladders are
+The ``--oracle lll`` pipeline has no ladder: with ``--full`` it always
+answers through the Karmarkar–Karp fallback, so its rungs time process
+start only.
 
-- ``to-nbp --full --oracle O`` for O in exact-mink, exact-svp and lll, at
-  n = 16, 64, 144, 256 and 400 (gen seed 3);
-- ``to-nbp --oracle exact-mink --k 2`` at n = 12, 16, 20 and 24 (gen seed 0).
-
-Each rung has a wall limit (``--wall`` seconds; the child is killed when it
-passes it) and an address-space limit (``--memory`` MB, set by
+Each rung has a wall limit (WALL_S seconds; the child is killed when it
+passes it) and an address-space limit (MEMORY_MB, set by
 ``resource.setrlimit(RLIMIT_AS)`` in the child before it starts), so a
 rung that runs out of either ends instead of holding the machine.  For each
 rung the tool records the wall time, the child's ``ru_maxrss``, its exit
 code and the sha256 of its report.  A ladder stops at its first rung that
-does not exit 0: over the wall or memory limit, or refused (exit 3, such as
-a search over $BALANCELAT_BUDGET, which the child inherits).  The documents
-are written, by the same sources, into a temporary directory; nothing is
-written into the repository except the ``--out`` file.  Standard library only.
+does not exit 0: over the wall limit, or refused (exit 3, such as a search
+over $BALANCELAT_BUDGET, which the child inherits, or a tail table that
+does not fit in MEMORY_MB).  The documents are written, by the same
+sources, into a temporary directory; nothing is written into the
+repository except the ``--out`` file.  Standard library only.
 
     python3 tools/scale_ladder.py --out ladder.json
-    python3 tools/scale_ladder.py --src /path/to/parent/src --wall 120 --out parent.json
+    python3 tools/scale_ladder.py --src /path/to/parent/src --out parent.json
     python3 tools/scale_ladder.py --rungs 1     # the smallest rung of each ladder
 """
 
@@ -44,16 +52,26 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FULL_SIZES = (16, 64, 144, 256, 400)
-K2_SIZES = (12, 16, 20, 24)
-# each ladder: its name, the gen seed of its documents, the sizes, and the argv before --input
-LADDERS = [
-    *((f"to-nbp --full --oracle {oracle}", 3, FULL_SIZES,
-       ["reduce", "to-nbp", "--full", "--oracle", oracle])
-      for oracle in ("exact-mink", "exact-svp", "lll")),
-    ("to-nbp --oracle exact-mink --k 2", 0, K2_SIZES,
-     ["reduce", "to-nbp", "--oracle", "exact-mink", "--k", "2"]),
-]
+WALL_S = 120.0  # the wall limit of one rung, seconds
+MEMORY_MB = 1024  # the address-space limit of one rung
+# the no-point ladder's child: prints the oracle's point or NotFound's
+# message, and exits 3 on a refusal, as the CLI does
+NO_POINT = """\
+import sys
+from balancelat.errors import BalanceLatError, NotFound
+from balancelat.generators import gen_nbp
+from balancelat.geometry import CubeSlabBody, minkowski_exact_oracle
+
+n = int(sys.argv[1])
+body = CubeSlabBody(gen_nbp(n, 0, 4 * n, True), 0, 2)
+try:
+    print(minkowski_exact_oracle(body))
+except NotFound as exc:
+    print(exc)
+except BalanceLatError as exc:
+    print(f"error: {exc}", file=sys.stderr)
+    sys.exit(3)
+"""
 
 
 def cli(argv: list[str]) -> list[str]:
@@ -64,24 +82,53 @@ def child_env(src: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(src)}
 
 
-def run_rung(src: Path, argv: list[str], wall: float, memory_mb: int, workdir: Path) -> dict:
+def pipeline(seed: int, argv: list[str]):
+    """The rungs of ``reduce to-nbp`` on ``gen nbp --seed <seed> --signed`` documents."""
+
+    def command(src: Path, n: int, workdir: Path) -> list[str]:
+        doc = workdir / f"nbp-n{n}-seed{seed}.json"
+        if not doc.exists():
+            subprocess.run(cli(["gen", "nbp", "--n", str(n), "--seed", str(seed), "--signed",
+                                "--out", str(doc)]),
+                           env=child_env(src), check=True, capture_output=True)
+        return cli([*argv, "--input", str(doc)])
+
+    return command
+
+
+def no_point(src: Path, n: int, workdir: Path) -> list[str]:
+    return [sys.executable, "-c", NO_POINT, str(n)]
+
+
+# each ladder: its name, its sizes, and the command of its rung at size n
+LADDERS = [
+    *((f"to-nbp --full --oracle {oracle}", (16, 64, 144, 256, 400),
+       pipeline(3, ["reduce", "to-nbp", "--full", "--oracle", oracle]))
+      for oracle in ("exact-mink", "exact-svp")),
+    ("to-nbp --oracle exact-mink --k 2", (12, 16, 20, 24),
+     pipeline(0, ["reduce", "to-nbp", "--oracle", "exact-mink", "--k", "2"])),
+    ("minkowski_exact_oracle, a body with no point", (20, 24, 28, 32), no_point),
+]
+
+
+def run_rung(src: Path, command: list[str], workdir: Path) -> dict:
     """One child under the two limits: its wall time, ru_maxrss, exit code and report digest."""
 
     def limit_memory() -> None:  # runs in the child, before it starts Python
-        size = memory_mb * 2**20
+        size = MEMORY_MB * 2**20
         resource.setrlimit(resource.RLIMIT_AS, (size, size))
 
     report, errors = workdir / "report", workdir / "stderr"
     with report.open("wb") as out, errors.open("wb") as err:
         start = time.perf_counter()
-        child = subprocess.Popen(cli(argv), env=child_env(src), stdout=out, stderr=err,
+        child = subprocess.Popen(command, env=child_env(src), stdout=out, stderr=err,
                                  preexec_fn=limit_memory)
         timed_out = False
         while True:
             pid, status, usage = os.wait4(child.pid, os.WNOHANG)
             if pid:
                 break
-            if time.perf_counter() - start > wall:
+            if time.perf_counter() - start > WALL_S:
                 child.kill()
                 pid, status, usage = os.wait4(child.pid, 0)
                 timed_out = True
@@ -100,20 +147,14 @@ def run_rung(src: Path, argv: list[str], wall: float, memory_mb: int, workdir: P
     }
 
 
-def climb(src: Path, ladder: tuple, rungs: int, wall: float, memory_mb: int,
-          workdir: Path) -> list[dict]:
+def climb(src: Path, ladder: tuple, rungs: int, workdir: Path) -> list[dict]:
     """The ladder's first ``rungs`` rungs, up to and including its first that fails."""
-    name, seed, sizes, argv = ladder
+    name, sizes, command = ladder
     steps = []
     for n in sizes[:rungs]:
-        doc = workdir / f"nbp-n{n}-seed{seed}.json"
-        if not doc.exists():
-            subprocess.run(cli(["gen", "nbp", "--n", str(n), "--seed", str(seed), "--signed",
-                                "--out", str(doc)]),
-                           env=child_env(src), check=True, capture_output=True)
-        step = {"n": n, **run_rung(src, [*argv, "--input", str(doc)], wall, memory_mb, workdir)}
+        step = {"n": n, **run_rung(src, command(src, n, workdir), workdir)}
         steps.append(step)
-        print(f"{name:36} n={n:<4} {step['wall_s']:9.3f} s {step['maxrss_mb']:7.1f} MB "
+        print(f"{name:46} n={n:<4} {step['wall_s']:9.3f} s {step['maxrss_mb']:7.1f} MB "
               f"exit {step['exit']}{' (wall limit)' if step['timed_out'] else ''}",
               file=sys.stderr)
         if step["exit"] != 0:
@@ -125,26 +166,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the sources to run (a directory holding balancelat/)")
-    parser.add_argument("--wall", type=float, default=60.0, help="wall limit per rung, seconds")
-    parser.add_argument("--memory", type=int, default=1024, help="address-space limit per rung, MB")
-    parser.add_argument("--rungs", type=int, default=max(len(FULL_SIZES), len(K2_SIZES)),
+    parser.add_argument("--rungs", type=int, default=max(len(ladder[1]) for ladder in LADDERS),
                         help="climb at most this many rungs of each ladder")
     parser.add_argument("--out", type=Path, help="also write the JSON to this file")
     args = parser.parse_args(argv)
     src = args.src.resolve()
     if not (src / "balancelat" / "cli.py").is_file():
         parser.error(f"no balancelat sources under {src}")
-    if args.rungs < 1 or args.wall <= 0 or args.memory < 1:
-        parser.error("--rungs, --wall and --memory must be positive")
+    if args.rungs < 1:
+        parser.error("--rungs must be positive")
 
     with tempfile.TemporaryDirectory(prefix="scale_ladder_") as tmp:
-        ladders = {ladder[0]: climb(src, ladder, args.rungs, args.wall, args.memory, Path(tmp))
-                   for ladder in LADDERS}
+        ladders = {ladder[0]: climb(src, ladder, args.rungs, Path(tmp)) for ladder in LADDERS}
     summary = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "wall_limit_s": args.wall,
-        "memory_limit_mb": args.memory,
+        "wall_limit_s": WALL_S,
+        "memory_limit_mb": MEMORY_MB,
         "budget": os.environ.get("BALANCELAT_BUDGET", "default"),
         "ladders": ladders,
     }
