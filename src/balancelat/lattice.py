@@ -258,9 +258,13 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction) -> tuple[int, ..
     search: F |v|_inf is an integer, so flooring loses none, the reduced
     columns are lattice vectors, and if the optimum misses a smaller
     ``search_bound`` the result is NotFound anyway.  Such a vector lies in
-    the ball |v|_2^2 <= n (m/F)^2 and passes every level's cut (below).  So
-    the minimum of the key (max norm, |v|_2^2, U y') over ball and cuts is
-    the minimum over the whole lattice, whatever order they are visited in.
+    the ball |v|_2^2 <= n (m/F)^2 and passes every level's cut (below).
+    Ball and cut are symmetric under v -> -v, so the walk visits one vector
+    of each +-pair: while no y'_j above level l is nonzero (``lead``), the
+    centre is 0 and the level keeps y'_l <= 0.  As v and -v tie on max norm
+    and |v|_2^2, the minimum of the key (max norm, |v|_2^2, min(U y', -U y'))
+    over the half walk, in any order, is the minimum of (max norm, |v|_2^2,
+    U y') over the whole lattice.
 
     All arithmetic is on integers, from the integral Gram-Schmidt data of the
     LLL certificate (de Weger 1987; Cohen, Alg. 2.6.7).  A node at level l
@@ -325,16 +329,16 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction) -> tuple[int, ..
             f"dimension {n}, search radius^2 {format_rational(radius_sq)}"
         )
 
-    def visit(level: int, weight: int, partial: list[int]) -> None:
+    def visit(level: int, weight: int, partial: list[int], lead: bool) -> None:
         nonlocal best, nodes, m, cap, cut
-        s = sum(map(mul, lam_col[level], y))
+        s = sum(map(mul, lam_col[level], y))  # 0 unless lead
         dn = d[level + 1]
         dw = d[level] * weight  # d_l W_{l+1}
         # |T| <= t: the largest t with t^2 <= cap - d_l W_{l+1}, at most the cut;
         # at 0 bits sqrt_lower is the exact floor square root of an integer
         t = min(int(sqrt_lower(cap[level] - dw, 0)), cut[level])
         m_entry = m
-        lo, hi = -((t + s) // dn), (t - s) // dn
+        lo, hi = -((t + s) // dn), ((t - s) // dn if lead else 0)  # y'_l <= 0 unless lead
         left = -s // dn  # floor of the centre -s/d_{l+1}; left <= hi and left + 1 >= lo
         right = left + 1
         col = cols[level]
@@ -354,9 +358,9 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction) -> tuple[int, ..
             if nodes > limit:
                 raise exceeded()
             y[level] = yv
-            v = [a + yv * b for a, b in zip(partial, col)]
+            v = [a + yv * b for a, b in zip(partial, col)] if yv else partial
             if level:
-                visit(level - 1, (dw + T * T) // dn, v)
+                visit(level - 1, (dw + T * T) // dn, v, lead or yv != 0)
                 continue
             inf = max(map(abs, v))
             if inf == 0 or (best is not None and inf > best[0]):
@@ -364,7 +368,8 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction) -> tuple[int, ..
             nsq = (dw + T * T) // dn  # W_0 = |v|^2, as d_0 = 1
             if best is not None and (inf, nsq) > best[:2]:
                 continue
-            key = (inf, nsq, tuple(sum(u * yj for u, yj in zip(row, y)) for row in u_rows))
+            uy = tuple(sum(map(mul, row, y)) for row in u_rows)
+            key = (inf, nsq, min(uy, tuple(-e for e in uy)))  # -v ties v on (inf, nsq)
             if best is None or key < best:
                 best = key
                 if inf < m:
@@ -372,7 +377,7 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction) -> tuple[int, ..
                     cap, cut = bounds(m)
         y[level] = 0
 
-    visit(n - 1, 0, [0] * n)
+    visit(n - 1, 0, [0] * n, False)
     if best is None or Fraction(best[0], F) > search_bound:
         raise NotFound("no nonzero lattice vector within the promised bound")
     return best[2]

@@ -535,6 +535,16 @@ class TestSvpExactLinf:
         assert box_minimum(basis) == (3, 9, (-1, 0, 0))
         assert svp_exact_linf(basis, NO_PROMISE) == (-1, 0, 0)
 
+    def test_the_witness_may_be_the_sign_the_walk_skips(self):
+        # the optimum is +-(1, 1) = +-(b_1 - b_0), unique up to sign.  The walk
+        # keeps the top nonzero y'_j below 0, so of the pair it visits only
+        # y' = U^-1 (1, -1) = (-1, 0), whose U y' = (1, -1) is lexicographically
+        # larger than its negative; the key's min(U y', -U y') returns (-1, 1)
+        basis = LatticeBasis(RMatrix([[2, 3], [-3, -2]]))
+        assert box_minimum(basis) == (1, 2, (-1, 1))
+        assert lll_reduce(basis)[1].Uinv.matvec(RVector([1, -1])) == RVector([-1, 0])
+        assert svp_exact_linf(basis, NO_PROMISE) == (-1, 1)
+
     def assert_visits(self, basis, nodes, search_bound=NO_PROMISE):
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("BALANCELAT_BUDGET", str(nodes))
@@ -544,24 +554,26 @@ class TestSvpExactLinf:
                 svp_exact_linf(basis, search_bound=search_bound)
 
     def test_search_radius_stays_clamped(self):
-        # the identity lattice at n = 6 visits 1093 nodes with the max-norm
-        # cut; the ell-2 ball of radius^2 n v0^2 alone visited 2255, and a
-        # ball that grows past n v0^2 once the first leaf is seen needs 12855
-        self.assert_visits(LatticeBasis(RMatrix.identity(6)), 1093)
+        # the identity lattice at n = 6 visits 550 nodes with the max-norm cut,
+        # one vector of each +-pair; walking both signs it visited 1093, the
+        # ell-2 ball of radius^2 n v0^2 alone 2255, and a ball that grows past
+        # n v0^2 once the first leaf is seen 12855
+        self.assert_visits(LatticeBasis(RMatrix.identity(6)), 550)
 
-    @pytest.mark.parametrize("n, k, nodes", [(7, 2, 839), (5, 3, 15), (6, 3, 48)])
+    @pytest.mark.parametrize("n, k, nodes", [(7, 2, 424), (5, 3, 11), (6, 3, 28)])
     def test_node_counts_on_det_one_embeddings_are_pinned(self, n, k, nodes):
         # the exact count pins the visit order: every node, in the same order;
-        # the ell-2 ball without the max-norm cut visited 1085, 25 and 54
+        # walking both signs of each +-pair visited 839, 15 and 48, and the
+        # ell-2 ball without the max-norm cut (both signs) 1085, 25 and 54
         basis = svp_embedding_basis(gen_nbp(n, 1, 30, signed=True), k, 1)
         self.assert_visits(basis, nodes, search_bound=1)
 
     @pytest.mark.parametrize("rows, nodes, witness", [
         # the next candidate lies inside the shrunk ball but outside the cut
-        ([[-10, -4, -4], [1, 6, -10], [2, -1, -2]], 12, (-1, 1, 1)),
+        ([[-10, -4, -4], [1, 6, -10], [2, -1, -2]], 8, (-1, 1, 1)),
         # the next candidate lies outside the shrunk ball
         ([[16, 19, 14, -11, 0], [20, 16, 4, 7, 7], [-6, 11, -2, 10, 4],
-          [4, -10, 18, 18, -4], [-1, 11, -4, 6, -19]], 106, (0, 0, 0, -1, -1)),
+          [4, -10, 18, 18, -4], [-1, 11, -4, 6, -19]], 61, (0, 0, 0, -1, -1)),
     ], ids=["cut", "ball"])
     def test_a_level_ends_when_m_drops_inside_it(self, rows, nodes, witness):
         # m starts at the smallest max norm of a reduced column and drops while

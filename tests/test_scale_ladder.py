@@ -22,7 +22,7 @@ SMALLEST = {name: sizes[0] for name, sizes, _ in SCALE_LADDER.LADDERS}
 
 
 def test_smallest_rung_of_each_ladder(tmp_path, capsys):
-    # four children of about 0.1-0.2 s each, and the three documents they read
+    # five children of about 0.1-0.2 s each, and the four documents they read
     out = tmp_path / "ladder.json"
     assert SCALE_LADDER.main(["--rungs", "1", "--out", str(out)]) == 0
     ladders = json.loads(out.read_text())["ladders"]

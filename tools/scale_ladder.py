@@ -9,6 +9,9 @@ src/), one child at a time.  The ladders are
   ``gen nbp --n n --seed 3 --signed`` at n = 16, 64, 144, 256 and 400;
 - ``reduce to-nbp --oracle exact-mink --k 2`` on ``gen nbp --n n --seed 0
   --signed`` at n = 12, 16, 20 and 24;
+- ``reduce to-nbp --oracle exact-svp --k 2`` on ``gen nbp --n n --seed 1
+  --signed`` at n = 7, 10, 13 and 16: the op class of the ``lattice``
+  benchmark workload whose exact SVP searches are its slowest, scaled up;
 - ``minkowski_exact_oracle`` on a cube-slab body that holds no point, at
   n = 20, 24, 28 and 32: the open cube (-2, 2)^n cut by the slab
   <a, x> = 0 for a = ``gen_nbp(n, 0, 4n, signed)``, whose 4n-bit entries
@@ -107,6 +110,8 @@ LADDERS = [
       for oracle in ("exact-mink", "exact-svp")),
     ("to-nbp --oracle exact-mink --k 2", (12, 16, 20, 24),
      pipeline(0, ["reduce", "to-nbp", "--oracle", "exact-mink", "--k", "2"])),
+    ("to-nbp --oracle exact-svp --k 2", (7, 10, 13, 16),
+     pipeline(1, ["reduce", "to-nbp", "--oracle", "exact-svp", "--k", "2"])),
     ("minkowski_exact_oracle, a body with no point", (20, 24, 28, 32), no_point),
 ]
 
