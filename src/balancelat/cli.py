@@ -51,14 +51,7 @@ from .oracles import (
 )
 from .rationals import format_rational, format_scientific
 from .reduce_to_minkowski import minkowski_from_nbp
-from .reduce_to_nbp import (
-    ReductionResult,
-    minkowski_bounded_oracle,
-    nbp_full_pipeline,
-    nbp_via_minkowski,
-    nbp_via_svp,
-    svp_bounded_oracle,
-)
+from .reduce_to_nbp import ReductionResult, nbp_full_pipeline, nbp_via_minkowski, nbp_via_svp
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 2
@@ -135,15 +128,9 @@ CALLS: dict[str, dict[str, Callable]] = {
         "lll": lambda inst, a: nbp_via_svp(inst, a.k, lll_svp_oracle(inst.n + 1)),
     },
     "to-nbp --full": {
-        "exact-mink": lambda inst, a: nbp_full_pipeline(
-            inst, exact_minkowski_oracle(), minkowski_bounded_oracle
-        ),
-        "exact-svp": lambda inst, a: nbp_full_pipeline(
-            inst, exact_svp_oracle(), svp_bounded_oracle
-        ),
-        "lll": lambda inst, a: nbp_full_pipeline(
-            inst, lll_svp_oracle(inst.n + 1), svp_bounded_oracle
-        ),
+        "exact-mink": lambda inst, a: nbp_full_pipeline(inst, exact_minkowski_oracle()),
+        "exact-svp": lambda inst, a: nbp_full_pipeline(inst, exact_svp_oracle()),
+        "lll": lambda inst, a: nbp_full_pipeline(inst, lll_svp_oracle(inst.n + 1)),
     },
     "to-minkowski": {
         "mitm": mitm_delta_oracle,

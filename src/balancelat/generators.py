@@ -14,7 +14,6 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import InternalContradiction, InvalidParams, RankDeficient
-from .geometry import Ellipsoid
 from .lattice import LatticeBasis
 from .linalg import RMatrix
 from .nbp import NbpInstance
@@ -90,7 +89,7 @@ def _check_orthogonal(rows: list[list[int]], den: int) -> None:
                 raise InternalContradiction("the Givens rotation is not exactly orthogonal")
 
 
-def gen_ellipsoid(n: int, seed: int) -> Ellipsoid:
+def gen_ellipsoid(n: int, seed: int) -> LatticeBasis:
     """Random rational ellipsoid with |det A| <= 1 by construction.
 
     Axis lengths are multiples of 2^-9 in [1/2, 3/2) except the last, which
@@ -121,4 +120,4 @@ def gen_ellipsoid(n: int, seed: int) -> Ellipsoid:
         [e * (l.denominator * (nums // l.numerator)) for e in col]
         for col, l in zip(zip(*rotation), lengths)
     ]
-    return Ellipsoid(LatticeBasis(RMatrix.from_ints(rows, den * nums)))
+    return LatticeBasis(RMatrix.from_ints(rows, den * nums))

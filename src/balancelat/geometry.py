@@ -18,10 +18,12 @@ one min over the tails that fit.  The exact Minkowski oracle is the walk
 that returns its first point; nbp.brute_force_min is the walk that shrinks
 the slab to just below each point it finds.
 
-An ellipsoid is built on a LatticeBasis, so it reads det A and eliminates
-nothing; its form |A x|^2 is evaluated at integer tuples on A's integer
-rows.  The reduction from Minkowski's problem to balancing well-rounds it
-and builds no body.
+An ellipsoid E = {x : |A x|^2 <= 1} is held as the LatticeBasis of A's
+columns: its integer points are the coefficient vectors of the lattice
+vectors of norm at most 1.  The basis carries det A, and its form
+LatticeBasis.quad evaluates |A x|^2 at integer tuples on A's integer rows.
+The reduction from Minkowski's problem to balancing well-rounds it and
+builds no body.
 """
 
 from __future__ import annotations
@@ -241,54 +243,26 @@ def minkowski_exact_oracle(body: CubeSlabBody) -> tuple[int, ...]:
     return x
 
 
-class Ellipsoid:
-    """E = {x : |A x|_2^2 <= 1} for A = basis.B, square and full rank.
+def ellipsoid_from_axes(axes: Sequence[RVector], lengths: Sequence[Fraction]) -> LatticeBasis:
+    """The ellipsoid with axes a_i and lengths lambda_i: A = diag(1/lambda) V^T.
 
-    An integer point x lies in E when quad(x) <= 1, the exact quadratic
-    form evaluated on A's integer rows.  ``det`` is the basis's det A; with
-    axis lengths lambda_i, prod lambda_i = 1 / |det A|.
+    Refuses (InvalidParams), before any division, axes that are not n
+    vectors of dimension n for n lengths, a length <= 0, and axes that
+    are not orthonormal within 2^-20.
     """
-
-    def __init__(self, basis: LatticeBasis) -> None:
-        self.basis = basis
-        self.A = basis.B
-        self.det = basis.det
-
-    @property
-    def dim(self) -> int:
-        return self.A.ncols
-
-    def quad(self, x: Sequence[int]) -> Fraction:
-        """The exact value |A x|_2^2 at the integer point x.
-
-        With A = ints / den it is sum_r (ints_r . x)^2 / den^2: integer
-        arithmetic and one Fraction.
-        """
-        if len(x) != self.dim:
-            raise InvalidParams("dimension mismatch")
-        return Fraction(sum(sum(map(mul, row, x)) ** 2 for row in self.A.ints), self.A.den**2)
-
-    @staticmethod
-    def from_axes(axes: Sequence[RVector], lengths: Sequence[Fraction]) -> "Ellipsoid":
-        """The ellipsoid with axes a_i and lengths lambda_i: A = diag(1/lambda) V^T.
-
-        Refuses (InvalidParams), before any division, axes that are not n
-        vectors of dimension n for n lengths, a length <= 0, and axes that
-        are not orthonormal within 2^-20.
-        """
-        lengths = [frac(l) for l in lengths]
-        n = len(lengths)
-        if len(axes) != n or any(ax.dim != n for ax in axes):
-            raise InvalidParams("axis form needs n axes of dimension n for n lengths")
-        if any(l <= 0 for l in lengths):
-            raise InvalidParams("axis lengths must be positive")
-        tol = Fraction(1, 2**20)
-        for i in range(n):
-            for j in range(i, n):
-                if abs(axes[i].dot(axes[j]) - int(i == j)) > tol:
-                    raise InvalidParams("axes are not orthonormal within tolerance")
-        rows = [[e / l for e in ax] for ax, l in zip(axes, lengths)]  # row i of diag(1/lambda) V^T
-        return Ellipsoid(LatticeBasis(RMatrix(rows)))
+    lengths = [frac(l) for l in lengths]
+    n = len(lengths)
+    if len(axes) != n or any(ax.dim != n for ax in axes):
+        raise InvalidParams("axis form needs n axes of dimension n for n lengths")
+    if any(l <= 0 for l in lengths):
+        raise InvalidParams("axis lengths must be positive")
+    tol = Fraction(1, 2**20)
+    for i in range(n):
+        for j in range(i, n):
+            if abs(axes[i].dot(axes[j]) - int(i == j)) > tol:
+                raise InvalidParams("axes are not orthonormal within tolerance")
+    rows = [[e / l for e in ax] for ax, l in zip(axes, lengths)]  # row i of diag(1/lambda) V^T
+    return LatticeBasis(RMatrix(rows))
 
 
 @dataclass(frozen=True)
@@ -298,25 +272,26 @@ class WellRoundResult:
     branch: str
     point: Optional[tuple[int, ...]] = None
     transform: Optional[UnimodularTransform] = None
-    rounded: Optional[Ellipsoid] = None
+    rounded: Optional[LatticeBasis] = None
     cert: Optional[LllCertificate] = None
 
 
-def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
+def well_round(ellipsoid: LatticeBasis) -> WellRoundResult:
     """Either an integer point of E, or a unimodular rounding of E.
 
-    LLL-reduces the basis of E, the columns of A, to AU.  A reduced column
-    of norm <= 1 yields the integer point U e_i (branch "integer-point").
-    Otherwise all reduced columns have norm > 1 and E' = {y : |(AU) y|^2 <= 1}
-    together with the 2^(-3n) quadratic-form certificate bounds every point
-    of E' by |y|_2^2 <= 2^(3n) (branch "rounded").  The transform is LLL's
+    E = {x : |A x|^2 <= 1} is the basis of A's columns; LLL reduces it to
+    AU.  A reduced column of norm <= 1 yields the integer point U e_i (branch
+    "integer-point").  Otherwise all reduced columns have norm > 1 and E' =
+    {y : |(AU) y|^2 <= 1} together with the 2^(-3n) quadratic-form
+    certificate bounds every point of E' by |y|_2^2 <= 2^(3n) (branch
+    "rounded").  The transform is LLL's
     own: x = U y, transform.apply, maps E' back to E.  The rounded branch
     also carries the LLL certificate of AU, from which axis_extract reads the
-    axis form of E'.  E' is built on the reduced basis, so nothing is
+    axis form of E'.  E' is the reduced basis itself, so nothing is
     eliminated here.
     """
-    n = ellipsoid.dim
-    reduced, transform, cert = lll_reduce(ellipsoid.basis)
+    n = ellipsoid.n
+    reduced, transform, cert = lll_reduce(ellipsoid)
     b = reduced.B
     for i in range(n):
         if sum(row[i] ** 2 for row in b.ints) <= b.den**2:
@@ -325,7 +300,7 @@ def well_round(ellipsoid: Ellipsoid) -> WellRoundResult:
                 raise InternalContradiction("a reduced column of norm <= 1 maps outside E")
             return WellRoundResult("integer-point", point=p)
     lll_min_gain(reduced, cert)  # raises unless the 2^(-3n) certificate holds
-    return WellRoundResult("rounded", transform=transform, rounded=Ellipsoid(reduced), cert=cert)
+    return WellRoundResult("rounded", transform=transform, rounded=reduced, cert=cert)
 
 
 def axis_extract(cert: LllCertificate) -> tuple[list[RVector], list[Fraction], list[Fraction]]:

@@ -25,6 +25,7 @@ determinant check reads its ``det``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
 from .nbp import enumeration_budget
-from .rationals import floor_frac, format_rational, frac, sqrt_lower
+from .rationals import format_rational, frac, sqrt_lower
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,16 @@ class LatticeBasis:
     @property
     def n(self) -> int:
         return self.B.ncols
+
+    def quad(self, x: Sequence[int]) -> Fraction:
+        """The exact value |B x|_2^2 at the integer point x.
+
+        With B = ints / den it is sum_r (ints_r . x)^2 / den^2: integer
+        arithmetic and one Fraction.
+        """
+        if len(x) != self.n:
+            raise InvalidParams("dimension mismatch")
+        return Fraction(sum(sum(map(mul, row, x)) ** 2 for row in self.B.ints), self.B.den**2)
 
 
 @dataclass(frozen=True)
@@ -310,7 +321,7 @@ def svp_exact_linf(basis: LatticeBasis, search_bound: Fraction) -> tuple[int, ..
     u_rows = transform.U.ints
     norms_1 = [sum(map(abs, w)) for w in gram_schmidt_vectors(cols, d, lam)]
     # F times the smallest column max norm, capped by F search_bound
-    m = min(min(max(map(abs, c)) for c in cols), floor_frac(F * search_bound))
+    m = min(min(max(map(abs, c)) for c in cols), math.floor(F * search_bound))
 
     def bounds(m: int) -> tuple[list[int], list[int]]:
         # caps n m^2 d_l d_{l+1}: T_l^2 <= cap_l - d_l W_{l+1} is W_l <= n m^2 d_l;

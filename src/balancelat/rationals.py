@@ -130,10 +130,6 @@ def format_scientific(x: Fraction) -> str:
     return f"{sign}{body}e{exp:+d}"
 
 
-def floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def iroot_floor(value: int, n: int) -> int:
     """Largest integer m with m**n <= value (value >= 0, n >= 1)."""
     if value < 0 or n < 1:
@@ -151,18 +147,13 @@ def iroot_floor(value: int, n: int) -> int:
     return lo
 
 
-def floor_sqrt_div(p: int, q: int, bits: int) -> int:
-    """floor(2^bits sqrt(p) / q) for integers p >= 0 and q >= 1, coprime or not."""
-    if p < 0 or q < 1:
-        raise InvalidParams("sqrt of a negative rational")
-    # floor(floor(y) / q) = floor(y / q) for an integer q >= 1
-    return isqrt(p << (2 * bits)) // q
-
-
 def sqrt_lower(x: Fraction, bits: int) -> Fraction:
     """Dyadic r <= sqrt(x) with sqrt(x) - r <= 2^-bits."""
-    # sqrt(p/q) = sqrt(p q) / q
-    return Fraction(floor_sqrt_div(x.numerator * x.denominator, x.denominator, bits), 1 << bits)
+    p, q = x.numerator, x.denominator
+    if p < 0:
+        raise InvalidParams("sqrt of a negative rational")
+    # sqrt(p/q) = sqrt(p q) / q, and floor(floor(y) / q) = floor(y / q) for an integer q >= 1
+    return Fraction(isqrt(p * q << (2 * bits)) // q, 1 << bits)
 
 
 def sqrt_upper(x: Fraction, bits: int) -> Fraction:

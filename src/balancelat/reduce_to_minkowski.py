@@ -24,7 +24,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InternalContradiction, InvalidParams, PreconditionFailed
-from .geometry import Ellipsoid, axis_extract, well_round
+from .geometry import axis_extract, well_round
+from .lattice import LatticeBasis
 from .linalg import RVector
 from .nbp import NbpInstance, instance_inner
 from .oracles import NbpDeltaOracle
@@ -220,7 +221,7 @@ class MinkowskiFromNbpResult:
 
 
 def minkowski_from_nbp(
-    ellipsoid: Ellipsoid,
+    ellipsoid: LatticeBasis,
     oracle: NbpDeltaOracle,
     Q_override: Optional[int],
 ) -> MinkowskiFromNbpResult:
@@ -237,7 +238,7 @@ def minkowski_from_nbp(
     is a certified dyadic upper bound with rho*^2 >= the exact
     quadratic-form value of the returned point in the *original* ellipsoid.
     Points are integer tuples throughout: y is the balancer's, both forms
-    and x = U y are evaluated on integer rows (Ellipsoid.quad,
+    and x = U y are evaluated on integer rows (LatticeBasis.quad,
     UnimodularTransform.apply).
     """
     if abs(ellipsoid.det) > 1:

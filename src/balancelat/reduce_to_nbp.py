@@ -8,8 +8,10 @@ coefficient range round by round using the small-coefficient
 representation trick, tracking an exact error bound through every round.
 It reads k, rho and each round's bound from the oracle handles: the
 pipeline reads rho from the approximate oracle and builds the bounded
-handle at k = max(1, ceil(3 rho)), each round reads k from the handle
-below it, and each round's handle guarantees round_bound over that handle.
+handle of its kind (a body handle for a Minkowski oracle, an embedding
+handle for an SVP one) at k = max(1, ceil(3 rho)), each round reads k from
+the handle below it, and each round's handle guarantees round_bound over
+that handle.
 Every balancing-point reply is read once, by nbp.verify, in the handle or
 route that owns the claim, and callers read the NbpSolution it returns;
 the bounded handles ask the oracle's solver directly, since their check is
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable
 
 from .errors import InternalContradiction, InvalidParams, PreconditionFailed
 from .geometry import CubeSlabBody
@@ -337,17 +338,13 @@ def svp_bounded_oracle(k: int, oracle: SvpInfOracle) -> BoundedNbpOracle:
 FALLBACK_RHO = 2
 
 
-def nbp_full_pipeline(
-    inst: NbpInstance,
-    oracle: MinkowskiOracle | SvpInfOracle,
-    bounded: Callable[[int, MinkowskiOracle | SvpInfOracle], BoundedNbpOracle],
-) -> ReductionResult:
+def nbp_full_pipeline(inst: NbpInstance, oracle: MinkowskiOracle | SvpInfOracle) -> ReductionResult:
     """Full pipeline: rho-approximate oracle -> bounded oracle -> sign vector.
 
-    ``bounded(k, oracle)`` is the balancing oracle with coefficients in
-    {-k..k} that the rho-approximate Minkowski or max-norm SVP oracle
-    realizes (minkowski_bounded_oracle, svp_bounded_oracle); the
-    self-reduction runs it at k = max(1, ceil(3 rho)), rho = oracle.rho.
+    The bounded handle is the balancing oracle with coefficients in {-k..k}
+    that the oracle realizes: minkowski_bounded_oracle for a Minkowski
+    oracle, svp_bounded_oracle for a max-norm SVP one.  The self-reduction
+    runs it at k = max(1, ceil(3 rho)), rho = oracle.rho.
     At rho >= FALLBACK_RHO Karmarkar-Karp answers instead, with the trivial
     bound 1; the exact oracles have rho = 1, while the LLL oracle's
     rho = 2^ceil(n/4) is >= 2 at every n, so ``--oracle lll --full`` always
@@ -355,4 +352,5 @@ def nbp_full_pipeline(
     """
     if oracle.rho >= FALLBACK_RHO:
         return ReductionResult(karmarkar_karp(inst), Fraction(1), "karmarkar-karp-fallback")
+    bounded = minkowski_bounded_oracle if isinstance(oracle, MinkowskiOracle) else svp_bounded_oracle
     return full_self_reduction(inst, bounded(max(1, math.ceil(3 * oracle.rho)), oracle))

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InvalidParams
-from .geometry import Ellipsoid
+from .geometry import ellipsoid_from_axes
 from .lattice import LatticeBasis, UnimodularTransform
 from .linalg import RMatrix, RVector
 from .nbp import NbpInstance, NbpSolution
@@ -111,12 +111,13 @@ def transform_to_doc(t: UnimodularTransform) -> dict:
     }
 
 
-def ellipsoid_to_doc(e: Ellipsoid) -> dict:
-    return {"n": e.dim, "A": [[format_rational(v) for v in row] for row in e.A.rows]}
+def ellipsoid_to_doc(e: LatticeBasis) -> dict:
+    return {"n": e.n, "A": [[format_rational(v) for v in row] for row in e.B.rows]}
 
 
-def ellipsoid_from_doc(doc: dict) -> Ellipsoid:
-    """The ellipsoid of the document's A; ``axes`` and ``lengths`` are read only without A."""
+def ellipsoid_from_doc(doc: dict) -> LatticeBasis:
+    """The ellipsoid of the document's A, as the basis of A's columns; ``axes``
+    and ``lengths`` are read only without A."""
     try:
         n = json_int(doc["n"], "n", "ellipsoid")
         if n < 1:
@@ -127,7 +128,7 @@ def ellipsoid_from_doc(doc: dict) -> Ellipsoid:
             a = RMatrix.from_ints(rows, den)
             if a.nrows != n:
                 raise InvalidParams("ellipsoid shape disagrees with n")
-            return Ellipsoid(LatticeBasis(a))
+            return LatticeBasis(a)
         if "axes" not in doc or "lengths" not in doc:
             raise InvalidParams("ellipsoid document needs A or axes+lengths")
         lengths = [parse_rational(v) for v in json_list(doc["lengths"], "lengths", "ellipsoid")]
@@ -135,7 +136,7 @@ def ellipsoid_from_doc(doc: dict) -> Ellipsoid:
             raise InvalidParams("ellipsoid shape disagrees with n")
         axes = [RVector([parse_rational(v) for v in json_list(ax, "each axis", "ellipsoid")])
                 for ax in json_list(doc["axes"], "axes", "ellipsoid")]
-        return Ellipsoid.from_axes(axes, lengths)
+        return ellipsoid_from_axes(axes, lengths)
     except (KeyError, TypeError, ValueError) as exc:
         raise malformed("ellipsoid", exc) from exc
 

@@ -12,7 +12,8 @@ construction in Fractions, the reference its integer rotation must equal.
 
 from fractions import Fraction
 
-from balancelat.geometry import Ellipsoid
+from balancelat.geometry import ellipsoid_from_axes
+from balancelat.lattice import LatticeBasis
 from balancelat.linalg import RMatrix, RVector
 from balancelat.rng import SeededStream
 
@@ -109,9 +110,9 @@ def fraction_rotation(stream: SeededStream, n: int) -> RMatrix:
     return RMatrix(rows)
 
 
-def reference_gen_ellipsoid(n: int, seed: int) -> Ellipsoid:
+def reference_gen_ellipsoid(n: int, seed: int) -> LatticeBasis:
     """gen_ellipsoid in Fractions: the same draws, the rotation's columns as
-    axes, and Ellipsoid.from_axes with its 2^-20 orthonormality check."""
+    axes, and ellipsoid_from_axes with its 2^-20 orthonormality check."""
     stream = SeededStream(seed)
     lengths = [Fraction(256 + stream.next_bits(9), 512) for _ in range(n - 1)]
     product = Fraction(1)
@@ -121,4 +122,4 @@ def reference_gen_ellipsoid(n: int, seed: int) -> Ellipsoid:
     lengths.append(Fraction(-((-inv.numerator * 256) // inv.denominator), 256))
     lengths.sort()
     rot = fraction_rotation(stream, n)
-    return Ellipsoid.from_axes([rot.column(i) for i in range(n)], lengths)
+    return ellipsoid_from_axes([rot.column(i) for i in range(n)], lengths)

@@ -15,7 +15,7 @@ from balancelat import cli, generators
 from balancelat.cli import CALLS, main
 from balancelat.errors import InternalContradiction, InvalidParams
 from balancelat.generators import gen_basis, gen_ellipsoid, gen_nbp
-from balancelat.geometry import Ellipsoid
+from balancelat.geometry import ellipsoid_from_axes
 from balancelat.lattice import LatticeBasis
 from balancelat.linalg import RMatrix, RVector, determinant
 from balancelat.nbp import NbpInstance
@@ -99,7 +99,7 @@ class TestGenerators:
         # prod(lengths) >= 1 reads |det A| <= 1; det is the one elimination's value
         for seed in range(5):
             e = gen_ellipsoid(3, seed)
-            assert e.det == determinant(e.A)
+            assert e.det == determinant(e.B)
             assert 0 < abs(e.det) <= 1
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -108,7 +108,7 @@ class TestGenerators:
         # Fractions followed by from_axes, on the seeds' extremes too
         for seed in [*range(28), -7, 2**64 - 1]:
             e, ref = gen_ellipsoid(n, seed), reference_gen_ellipsoid(n, seed)
-            assert (e.A.ints, e.A.den, e.det) == (ref.A.ints, ref.A.den, ref.det)
+            assert (e.B.ints, e.B.den, e.det) == (ref.B.ints, ref.B.den, ref.det)
 
     @pytest.mark.parametrize("tamper", ["entry", "denominator"])
     def test_ellipsoid_refuses_a_rotation_that_is_not_orthogonal(self, tamper, monkeypatch):
@@ -176,7 +176,7 @@ class TestSerialize:
         doc = ellipsoid_to_doc(e)
         assert sorted(doc) == ["A", "n"]
         back = ellipsoid_from_doc(doc)
-        assert back.A == e.A and back.det == e.det
+        assert back.B == e.B and back.det == e.det
 
     # the A strings `gen ellipsoid` wrote when it also wrote the axis form
     GEN_ELLIPSOID_A = {
@@ -204,11 +204,11 @@ class TestSerialize:
         # axes (3/5, 4/5), (-4/5, 3/5) with lengths 1/2 and 2
         axes, lengths = [["3/5", "4/5"], ["-4/5", "3/5"]], ["1/2", "2"]
         e = ellipsoid_from_doc({"n": 2, "axes": axes, "lengths": lengths})
-        assert e.A == RMatrix([[Fraction(6, 5), Fraction(8, 5)], [Fraction(-2, 5), Fraction(3, 10)]])
+        assert e.B == RMatrix([[Fraction(6, 5), Fraction(8, 5)], [Fraction(-2, 5), Fraction(3, 10)]])
         # beside A, the axes are not read, so axes that are not orthonormal pass
         doc = {"n": 2, "A": [["1", "0"], ["0", "1"]], "axes": [["1", "1"], ["1", "1"]],
                "lengths": ["0", "1"]}
-        assert ellipsoid_from_doc(doc).A == RMatrix.identity(2)
+        assert ellipsoid_from_doc(doc).B == RMatrix.identity(2)
 
 
 # entries in non-canonical forms; each reader must build what Fraction(s.strip()) gives
@@ -234,16 +234,16 @@ class TestLooseEntries:
 
     def test_ellipsoid_matrix(self):
         e = ellipsoid_from_doc({"n": 3, "A": LOOSE_MATRIX})
-        expected = Ellipsoid(LatticeBasis(RMatrix(fractions_of(LOOSE_MATRIX))))
-        assert (e.A.ints, e.A.den) == (expected.A.ints, expected.A.den) and e.det == expected.det
+        expected = LatticeBasis(RMatrix(fractions_of(LOOSE_MATRIX)))
+        assert (e.B.ints, e.B.den) == (expected.B.ints, expected.B.den) and e.det == expected.det
 
     def test_ellipsoid_axes_and_lengths(self):
         # the axes (3/5, 4/5) and (-4/5, 3/5) with lengths 1/2 and 2
         axes, lengths = [["6/10", "0.80"], ["-8e-1", "+3/5"]], [" 1/2 ", "2.0"]
         e = ellipsoid_from_doc({"n": 2, "axes": axes, "lengths": lengths})
-        expected = Ellipsoid.from_axes([RVector(ax) for ax in fractions_of(axes)],
+        expected = ellipsoid_from_axes([RVector(ax) for ax in fractions_of(axes)],
                                        fractions_of([lengths])[0])
-        assert (e.A.ints, e.A.den) == (expected.A.ints, expected.A.den)
+        assert (e.B.ints, e.B.den) == (expected.B.ints, expected.B.den)
 
     @pytest.mark.parametrize("text", LOOSE)
     def test_solution_error(self, text):

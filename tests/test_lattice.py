@@ -27,7 +27,6 @@ from balancelat.lattice import (
     svp_exact_linf,
 )
 from balancelat.linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
-from balancelat.rationals import floor_frac
 from balancelat.reduce_to_nbp import svp_embedding_basis
 from linalg_helpers import diagonal, from_columns, integer_points, norm_sq, scale_matrix, unit
 from test_linalg import ref_matvec, reference_gram_schmidt
@@ -66,7 +65,7 @@ def box_bounds(basis, search_bound=None):
     v0 = min(basis.B.column(j).inf_norm() for j in range(n))
     if search_bound is not None:
         v0 = min(v0, Fraction(search_bound))
-    return [floor_frac(v0 * sum(abs(c[i]) for c in inv_cols)) for i in range(n)]
+    return [math.floor(v0 * sum(abs(c[i]) for c in inv_cols)) for i in range(n)]
 
 
 def box_minimum(basis, search_bound=None):
@@ -101,7 +100,7 @@ def reference_lll(basis):
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            r = floor_frac(mu_of[k][j] + Fraction(1, 2))
+            r = math.floor(mu_of[k][j] + Fraction(1, 2))
             if r != 0:
                 cols[k] = [a - r * b for a, b in zip(cols[k], cols[j])]
                 u_cols[k] = [a - r * b for a, b in zip(u_cols[k], u_cols[j])]

@@ -27,8 +27,8 @@ from pathlib import Path
 import pytest
 
 import balancelat
-from balancelat.geometry import Ellipsoid, WellRoundResult
-from balancelat.lattice import UnimodularTransform
+from balancelat.geometry import WellRoundResult
+from balancelat.lattice import LatticeBasis, UnimodularTransform
 from balancelat.linalg import RMatrix, RVector
 from balancelat.nbp import NbpInstance, NbpSolution
 from balancelat.reduce_to_minkowski import MinkowskiFromNbpResult
@@ -37,7 +37,7 @@ from balancelat.reduce_to_nbp import HalveOutcome, ReductionResult
 REPO = Path(__file__).resolve().parent.parent
 LIBRARY = sorted(Path(balancelat.__file__).parent.glob("*.py"))
 MODULES = LIBRARY + sorted((REPO / "perfbench").glob("*.py"))
-CLASSES = [RVector, RMatrix, Ellipsoid, UnimodularTransform, NbpInstance,
+CLASSES = [RVector, RMatrix, LatticeBasis, UnimodularTransform, NbpInstance,
            NbpSolution, ReductionResult, HalveOutcome, WellRoundResult, MinkowskiFromNbpResult]
 
 
@@ -103,7 +103,7 @@ LIBRARY_REFS = [ref for path in MODULES for ref in references(path.read_text())]
 def test_members_are_listed():
     ids = {f"{owner}.{name}" for owner, name, _ in MEMBERS}
     assert {"RVector.dot", "RMatrix.matvec", "RMatrix.rows", "RMatrix.identity",
-            "RMatrix.from_ints", "Ellipsoid.quad", "Ellipsoid.dim",
+            "RMatrix.from_ints", "LatticeBasis.quad", "LatticeBasis.n",
             "UnimodularTransform.apply", "NbpInstance.ints", "NbpInstance.restrict",
             "NbpSolution.coeff_bound", "ReductionResult.formula",
             "ReductionResult.bound_satisfied", "HalveOutcome.branch",

@@ -33,12 +33,10 @@ from balancelat.reduce_to_nbp import (
     full_self_reduction,
     halve_coefficients,
     minkowski_bound,
-    minkowski_bounded_oracle,
     nbp_full_pipeline,
     nbp_via_minkowski,
     nbp_via_svp,
     represent_small_coeffs,
-    svp_bounded_oracle,
     svp_embedding_basis,
 )
 from body_helpers import slab_member
@@ -363,7 +361,7 @@ class TestFullPipelines:
         rng = random.Random(53)
         inst = dyadic_instance(rng, 16, bits=20)
         oracle = exact_minkowski_oracle()
-        result = nbp_full_pipeline(inst, oracle, minkowski_bounded_oracle)
+        result = nbp_full_pipeline(inst, oracle)
         assert result.formula == "full-self-reduction"
         # k = ceil(3 rho) = 3, one round: 2 sqrt(n) g(sqrt(n)) with g the k = 3 bound
         assert result.claimed_bound == 2 * 4 * minkowski_bound(4, 3, Fraction(1))
@@ -378,10 +376,10 @@ class TestFullPipelines:
         inst = dyadic_instance(rng, 16, bits=12)
         oracle = exact_minkowski_oracle()
         oracle.rho = Fraction(16)
-        result = nbp_full_pipeline(inst, oracle, minkowski_bounded_oracle)
+        result = nbp_full_pipeline(inst, oracle)
         assert result.formula == "karmarkar-karp-fallback"
 
-    def test_rho_past_the_float_range_falls_back(self):
+    def test_rho_past_the_float_range_falls_back(self, monkeypatch):
         # 2^1100 has no float; the cutoff comparison is exact, so the
         # bounded oracle is never built
         inst = NbpInstance.from_values([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
@@ -391,7 +389,8 @@ class TestFullPipelines:
         def no_oracle(k, oracle):
             raise AssertionError("the self-reduction ran")
 
-        result = nbp_full_pipeline(inst, oracle, no_oracle)
+        monkeypatch.setattr(reduce_to_nbp, "minkowski_bounded_oracle", no_oracle)
+        result = nbp_full_pipeline(inst, oracle)
         assert result.formula == "karmarkar-karp-fallback"
         assert (result.solution, result.claimed_bound) == (nbp.karmarkar_karp(inst), 1)
 
@@ -405,7 +404,7 @@ class TestFullPipelines:
                                  name="exact-as-rho-3/2")
         assert default_halving_schedule(5) == [3, 1]
         inst = gen_nbp(n, seed, 30, True)
-        result = nbp_full_pipeline(inst, oracle, minkowski_bounded_oracle)
+        result = nbp_full_pipeline(inst, oracle)
         assert result.formula == "full-self-reduction"
         assert set(result.solution.x) <= {-1, 0, 1} and any(result.solution.x)
         assert result.solution == verify(inst, result.solution.x, 1)
@@ -415,11 +414,35 @@ class TestFullPipelines:
             assert result.claimed_bound == 2 * 4 * 2 * 2 * minkowski_bound(2, 5, Fraction(3, 2))
             assert result.claimed_bound == 24
 
+    @pytest.mark.parametrize("make, built, refused", [
+        (exact_minkowski_oracle, "minkowski_bounded_oracle", "svp_bounded_oracle"),
+        (exact_svp_oracle, "svp_bounded_oracle", "minkowski_bounded_oracle"),
+    ])
+    def test_the_oracle_picks_its_bounded_handle(self, make, built, refused, monkeypatch):
+        # a Minkowski oracle is bounded by cube-slab calls, an SVP oracle by
+        # det-1 embeddings; the other factory is never asked
+        calls = []
+        factory = getattr(reduce_to_nbp, built)
+
+        def counted(k, oracle):
+            calls.append(k)
+            return factory(k, oracle)
+
+        def wrong(k, oracle):
+            raise AssertionError(f"{refused} was built")
+
+        monkeypatch.setattr(reduce_to_nbp, built, counted)
+        monkeypatch.setattr(reduce_to_nbp, refused, wrong)
+        inst = dyadic_instance(random.Random(56), 4, bits=12)
+        result = nbp_full_pipeline(inst, make())
+        assert result.formula == "full-self-reduction" and calls == [3]
+        assert result.solution == verify(inst, result.solution.x, 1)
+
     def test_svp_full_exact(self):
         rng = random.Random(55)
         inst = dyadic_instance(rng, 16, bits=20)
         oracle = exact_svp_oracle()
-        result = nbp_full_pipeline(inst, oracle, svp_bounded_oracle)
+        result = nbp_full_pipeline(inst, oracle)
         assert result.formula == "full-self-reduction"
         assert max(abs(v) for v in result.solution.x) <= 1
         assert result.solution.error <= result.claimed_bound
