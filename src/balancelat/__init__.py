@@ -1,109 +1,1 @@
 """Number balancing, lattice reduction, and oracle reductions over exact rationals."""
-
-from .errors import BalanceLatError
-from .geometry import (
-    CubeSlabBody,
-    axis_extract,
-    ellipsoid_from_axes,
-    minkowski_exact_oracle,
-    well_round,
-)
-from .lattice import (
-    LatticeBasis,
-    LllCertificate,
-    UnimodularTransform,
-    lll_min_gain,
-    lll_reduce,
-    svp_exact_linf,
-)
-from .linalg import RMatrix, RVector, determinant, gram_schmidt, solve_linear
-from .nbp import (
-    NbpInstance,
-    NbpSolution,
-    brute_force_min,
-    karmarkar_karp,
-    mitm_min,
-    pigeonhole_solve,
-    verify,
-)
-from .oracles import (
-    BoundedNbpOracle,
-    MinkowskiOracle,
-    NbpDeltaOracle,
-    SvpInfOracle,
-    exact_minkowski_oracle,
-    exact_svp_oracle,
-    lll_svp_oracle,
-    mitm_delta_oracle,
-)
-from .rationals import frac, format_rational, parse_rational
-from .reduce_to_minkowski import (
-    GeneralizedInstance,
-    extended_range_balance,
-    generalized_nbp,
-    minkowski_from_nbp,
-    multi_vector_balance,
-)
-from .reduce_to_nbp import (
-    ReductionResult,
-    full_self_reduction,
-    halve_coefficients,
-    minkowski_bounded_oracle,
-    nbp_full_pipeline,
-    nbp_via_minkowski,
-    nbp_via_svp,
-    represent_small_coeffs,
-    svp_bounded_oracle,
-)
-
-__all__ = [
-    "BalanceLatError",
-    "BoundedNbpOracle",
-    "CubeSlabBody",
-    "GeneralizedInstance",
-    "LatticeBasis",
-    "LllCertificate",
-    "MinkowskiOracle",
-    "NbpDeltaOracle",
-    "NbpInstance",
-    "NbpSolution",
-    "RMatrix",
-    "RVector",
-    "ReductionResult",
-    "SvpInfOracle",
-    "UnimodularTransform",
-    "axis_extract",
-    "brute_force_min",
-    "determinant",
-    "ellipsoid_from_axes",
-    "exact_minkowski_oracle",
-    "exact_svp_oracle",
-    "extended_range_balance",
-    "frac",
-    "format_rational",
-    "full_self_reduction",
-    "generalized_nbp",
-    "gram_schmidt",
-    "halve_coefficients",
-    "karmarkar_karp",
-    "lll_min_gain",
-    "lll_reduce",
-    "lll_svp_oracle",
-    "minkowski_bounded_oracle",
-    "minkowski_exact_oracle",
-    "minkowski_from_nbp",
-    "mitm_delta_oracle",
-    "mitm_min",
-    "multi_vector_balance",
-    "nbp_full_pipeline",
-    "nbp_via_minkowski",
-    "nbp_via_svp",
-    "parse_rational",
-    "pigeonhole_solve",
-    "represent_small_coeffs",
-    "solve_linear",
-    "svp_bounded_oracle",
-    "svp_exact_linf",
-    "verify",
-    "well_round",
-]

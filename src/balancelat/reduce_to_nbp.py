@@ -216,17 +216,12 @@ def halve_coefficients(inst: NbpInstance, r: int, oracle: BoundedNbpOracle) -> H
             return HalveOutcome(NbpSolution(x_full, out_k, block_sol.error), "small-coefficients")
         block_vectors.append(x_sub)
 
-    # x_l = sum_i i * x_{l,i} with disjoint {-1,0,1} layers x_{l,i} = the signs
-    # of x_l's entries of magnitude i; alpha_{l,i} = <a, x_{l,i}> = sums[l][i-1] / den
-    sums: list[list[int]] = []
-    for block, x_sub in enumerate(block_vectors):
-        layer_sums = [0] * k
-        for p, v in zip(inst.ints[block * m : (block + 1) * m], x_sub):
-            if v:
-                layer_sums[abs(v) - 1] += p if v > 0 else -p
-        sums.append(layer_sums)
-    # b_l = alpha_{l,r} + ... + alpha_{l,k}, the value of the layers of magnitude >= r
-    b_ints = [sum(layer_sums[r - 1 :]) for layer_sums in sums]
+    # x_l = sum_i i * x_{l,i} with disjoint {-1,0,1} layers x_{l,i} = the signs of
+    # x_l's entries of magnitude i; b_l = <a, x_{l,r} + ... + x_{l,k}> * den, the
+    # value of the layers of magnitude >= r
+    b_ints = [sum(p if v > 0 else -p
+                  for p, v in zip(inst.ints[block * m : (block + 1) * m], x_sub) if abs(v) >= r)
+              for block, x_sub in enumerate(block_vectors)]
 
     for block, b in enumerate(b_ints):
         b_value = abs(Fraction(b, inst.den))

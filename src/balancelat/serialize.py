@@ -126,7 +126,7 @@ def ellipsoid_from_doc(doc: dict) -> LatticeBasis:
             rows, den = parse_over_lcm(json_list(row, "each row of A", "ellipsoid")
                                        for row in json_list(doc["A"], "A", "ellipsoid"))
             a = RMatrix.from_ints(rows, den)
-            if a.nrows != n:
+            if a.nrows != n or a.ncols != n:
                 raise InvalidParams("ellipsoid shape disagrees with n")
             return LatticeBasis(a)
         if "axes" not in doc or "lengths" not in doc:

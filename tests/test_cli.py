@@ -264,6 +264,11 @@ BAD_DOCUMENTS = [
      "malformed ellipsoid document: ragged rows"),
     ("ellipsoid-dimension-0", TO_MINKOWSKI, {"n": 0, "A": []},
      "ellipsoid dimension must be >= 1"),
+    # rows of A of some other length than n disagree with n, as too few rows do
+    ("ellipsoid-rows-longer-than-n", TO_MINKOWSKI,
+     {"n": 2, "A": [["1", "0", "0"], ["0", "1", "0"]]}, "ellipsoid shape disagrees with n"),
+    ("ellipsoid-empty-row", TO_MINKOWSKI, {"n": 1, "A": [[]]},
+     "ellipsoid shape disagrees with n"),
     ("basis-dimension-0", ["lll"], {"n": 0, "columns": []}, "basis dimension must be >= 1"),
     # a JSON n that is not an integer is refused, not truncated to one
     ("instance-n-fractional", ["solve", "--algo", "kk"],

@@ -4,8 +4,8 @@ balancing instance and of the reduction records, has a reader.
 
 A module-level function, class or constant of src/balancelat must be read,
 as a loaded name or an attribute, somewhere in src/balancelat outside its
-own definition, or in perfbench/.  An import is not a read, so the
-package's ``__init__`` re-exports do not keep a name alive.
+own definition, or in perfbench/.  An import is not a read.  Every name a
+module of src/balancelat imports is read in that module, as a loaded name.
 
 A method that only tests call belongs in a test-side reference
 (``linalg_helpers``), not in src/, and a record field that only tests read
@@ -204,3 +204,32 @@ def test_every_module_name_has_a_reader():
         f"{unread} are not read in src/balancelat outside their own definition or in "
         "perfbench/; delete them"
     )
+
+
+def unread_imports(source: str) -> list[str]:
+    """Each name source binds by an import and never reads as a loaded name,
+    annotations included; ``from __future__ import annotations`` is exempt."""
+    tree = ast.parse(source)
+    reads = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")]
+    bound = [alias.asname or alias.name.split(".")[0] for node in imports for alias in node.names]
+    return [name for name in bound if name not in reads]
+
+
+def test_unread_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import json as js\n"
+              "from math import isqrt, floor\n"
+              "from .lib import Alias, walk\n"
+              "__all__ = ['walk']\n"
+              "def f(n: Alias) -> int:\n"
+              "    return isqrt(n) + os.sep.count('/')\n")
+    assert unread_imports(source) == ["js", "floor", "walk"]
+
+
+def test_every_import_is_read():
+    unread = {path.name: names for path in LIBRARY if (names := unread_imports(path.read_text()))}
+    assert unread == {}, f"{unread} are imported and never read; drop the imports"
