@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 from .errors import InternalContradiction, InvalidParams, PreconditionFailed
 from .geometry import axis_extract, well_round
 from .lattice import LatticeBasis
-from .linalg import RVector
 from .nbp import NbpInstance, instance_inner
 from .oracles import NbpDeltaOracle
 from .rationals import frac, nth_root_upper, sqrt_upper
@@ -152,65 +151,47 @@ def extended_range_balance(
     return x
 
 
-@dataclass(frozen=True)
-class GeneralizedInstance:
-    """Vectors a_1..a_k in [-1,1]^n with scales 0 < lambda_1 <= ... <= lambda_k."""
-
-    vectors: tuple[NbpInstance, ...]
-    lambdas: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.vectors or len(self.vectors) != len(self.lambdas):
-            raise InvalidParams("need matching vectors and lambdas")
-        n = self.vectors[0].n
-        if any(v.n != n for v in self.vectors):
-            raise InvalidParams("vectors must share one dimension")
-        if any(l <= 0 for l in self.lambdas):
-            raise InvalidParams("lambdas must be positive")
-        if list(self.lambdas) != sorted(self.lambdas):
-            raise InvalidParams("lambdas must be ascending")
-        if prod(self.lambdas) < 1:
-            raise PreconditionFailed("prod lambda_i must be >= 1")
-
-    @property
-    def n(self) -> int:
-        return self.vectors[0].n
-
-    @staticmethod
-    def create(vectors: Sequence[RVector], lambdas: Sequence) -> "GeneralizedInstance":
-        """The instance of the vectors' entries; each must lie in [-1, 1]."""
-        return GeneralizedInstance(
-            tuple(NbpInstance.from_values(v) for v in vectors), tuple(frac(l) for l in lambdas)
-        )
-
-
 def generalized_nbp(
-    gi: GeneralizedInstance,
+    vectors: Sequence[NbpInstance],
+    lambdas: Sequence[Fraction],
     oracle: NbpDeltaOracle,
     Q_override: Optional[int],
 ) -> tuple[int, ...]:
     """Balance scaled vectors with integer coefficients (generalized form).
 
-    Picks Q (Q_override, or 2^(4n) when it is None), sets delta_i = lambda_i * R
-    with R a certified rational upper bound on (f(n log Q) / prod lambda)^(1/n),
-    so that prod delta_i >= f(n log Q) holds exactly; each delta_i must land in
-    (0, 1/2] or the reduction refuses (PreconditionFailed).  The returned x
+    The vectors a_1..a_k share one dimension n, with scales 0 < lambda_1 <=
+    ... <= lambda_k and prod lambda_i >= 1.  Picks Q (Q_override, or 2^(4n)
+    when it is None), sets delta_i = lambda_i * R with R a certified rational
+    upper bound on (f(n log Q) / prod lambda)^(1/k), so that prod delta_i >=
+    f(n log Q) holds exactly; each delta_i must land in (0, 1/2] or the
+    reduction refuses (PreconditionFailed).  The returned x
     has |x|_inf <= Q and meets the exact bound 2 (n log Q)^2 Q delta_i per
     vector, checked by extended_range_balance.
     """
-    n = gi.n
-    k = len(gi.vectors)
+    k = len(vectors)
+    if k == 0 or k != len(lambdas):
+        raise InvalidParams("need matching vectors and lambdas")
+    n = vectors[0].n
+    if any(v.n != n for v in vectors):
+        raise InvalidParams("vectors must share one dimension")
+    if any(l <= 0 for l in lambdas):
+        raise InvalidParams("lambdas must be positive")
+    if list(lambdas) != sorted(lambdas):
+        raise InvalidParams("lambdas must be ascending")
+    product = prod(lambdas)
+    if product < 1:
+        raise PreconditionFailed("prod lambda_i must be >= 1")
     Q = Q_override if Q_override is not None else 2 ** (4 * n)
     levels = _range_levels(Q)
     inner_dim = n * levels
     f_inner = oracle.delta(inner_dim)
-    root = nth_root_upper(f_inner / prod(gi.lambdas), k, bits=64)
-    deltas = [l * root for l in gi.lambdas]
+    root = nth_root_upper(f_inner / product, k, bits=64)
+    deltas = [l * root for l in lambdas]
     if any(d > Fraction(1, 2) for d in deltas):
         raise PreconditionFailed(
             "computed delta_i exceeds 1/2; oracle guarantee too weak at this scale"
         )
-    return extended_range_balance(gi.vectors, deltas, Q, oracle)
+    return extended_range_balance(vectors, deltas, Q, oracle)
 
 
 @dataclass(frozen=True)
@@ -253,8 +234,7 @@ def minkowski_from_nbp(
         return MinkowskiFromNbpResult("integer-point", x, Fraction(1))
 
     axes, lengths, norms_sq = axis_extract(rounded.cert)
-    gi = GeneralizedInstance.create(axes, lengths)
-    y = generalized_nbp(gi, oracle, Q_override)
+    y = generalized_nbp([NbpInstance.from_values(ax) for ax in axes], lengths, oracle, Q_override)
 
     # the axis form is the rounded ellipsoid's quadratic form, checked before un-transforming
     axis_sq = sum(w * sum(map(mul, ax, y)) ** 2 for ax, w in zip(axes, norms_sq))

@@ -16,8 +16,8 @@ Every balancing-point reply is read once, by nbp.verify, in the handle or
 route that owns the claim, and callers read the NbpSolution it returns;
 the bounded handles ask the oracle's solver directly, since their check is
 the single-call route's.  Each entry point returns a ReductionResult
-(solution, claimed bound, formula), or for one halving round the solution
-and the branch taken.
+(solution, claimed bound, formula); one halving round returns only its
+point and the branch taken, and its round's handle is the point's check.
 """
 
 from __future__ import annotations
@@ -172,7 +172,9 @@ def represent_small_coeffs(k: int, r: int, j: int) -> list[int]:
 
 @dataclass(frozen=True)
 class HalveOutcome:
-    solution: NbpSolution
+    """One halving round's point, unchecked, and the branch that built it."""
+
+    x: tuple[int, ...]
     branch: str  # "small-coefficients" | "small-block-value" | "recombined"
 
 
@@ -191,29 +193,26 @@ def halve_coefficients(inst: NbpInstance, r: int, oracle: BoundedNbpOracle) -> H
     the oracle, and either exits early (a block already has small
     coefficients, or a block value b_l is itself tiny) or balances the block
     values and recombines through the small-coefficient representation.
-    The exact tracked bound is round_bound(n, oracle) for all branches; the
-    recombined branch verifies x and re-checks it, and the early exits meet
-    it by the oracle's own guarantee on one block, whose checked reply
-    gives their exact error: the block's, or |b_l| = |<a, x>|.  Returns the
-    solution and the branch taken.
+    Every branch's x meets coefficient bound max(r-1, k-r) and the tracked
+    bound round_bound(n, oracle): the early exits by the oracle's own
+    guarantee on one block, the recombined branch by the paper's argument.
+    Returns x unchecked, with the branch taken; the round's bounded handle
+    (full_self_reduction) verifies it against that bound.
     """
     k = oracle.k
     if not 0 < r < k:
         raise InvalidParams(f"need 0 < r < k, got r={r}, k={k}")
     n = inst.n
-    bound = round_bound(n, oracle)
+    round_bound(n, oracle)  # refuses a non-square n before any oracle call
     m = isqrt(n)
     g_m = oracle.guarantee(m)
-    out_k = max(r - 1, k - r)
 
     block_vectors: list[tuple[int, ...]] = []
     for block in range(m):
         lo = block * m
-        block_sol = oracle.solve(inst.restrict(range(lo, lo + m)))
-        x_sub = block_sol.x
+        x_sub = oracle.solve(inst.restrict(range(lo, lo + m))).x
         if max(abs(v) for v in x_sub) <= r - 1:
-            x_full = (0,) * lo + x_sub + (0,) * (n - lo - m)
-            return HalveOutcome(NbpSolution(x_full, out_k, block_sol.error), "small-coefficients")
+            return HalveOutcome((0,) * lo + x_sub + (0,) * (n - lo - m), "small-coefficients")
         block_vectors.append(x_sub)
 
     # x_l = sum_i i * x_{l,i} with disjoint {-1,0,1} layers x_{l,i} = the signs of
@@ -224,14 +223,13 @@ def halve_coefficients(inst: NbpInstance, r: int, oracle: BoundedNbpOracle) -> H
               for block, x_sub in enumerate(block_vectors)]
 
     for block, b in enumerate(b_ints):
-        b_value = abs(Fraction(b, inst.den))
-        if b_value <= g_m:
+        if abs(Fraction(b, inst.den)) <= g_m:
             # nonzero: a block with every |v| < r took the first exit
             combined = [0] * n
             for i, v in enumerate(block_vectors[block], block * m):
                 if abs(v) >= r:
                     combined[i] = 1 if v > 0 else -1
-            return HalveOutcome(NbpSolution(tuple(combined), out_k, b_value), "small-block-value")
+            return HalveOutcome(tuple(combined), "small-block-value")
 
     # balance the block values; they satisfy |b_l| <= m, so scale into [-1,1]
     b_inst = NbpInstance.from_ints(b_ints, inst.den * m)
@@ -248,10 +246,7 @@ def halve_coefficients(inst: NbpInstance, r: int, oracle: BoundedNbpOracle) -> H
         raise InternalContradiction(
             "recombined vector vanished although all block values were large"
         )
-    sol = verify(inst, x, out_k)
-    if sol.error > bound:
-        raise InternalContradiction(f"recombined error {sol.error} exceeds tracked bound {bound}")
-    return HalveOutcome(sol, "recombined")
+    return HalveOutcome(tuple(x), "recombined")
 
 
 def default_halving_schedule(k: int) -> list[int]:
@@ -271,9 +266,10 @@ def full_self_reduction(inst: NbpInstance, oracle: BoundedNbpOracle) -> Reductio
     The rounds follow default_halving_schedule(oracle.k), r = ceil(k_i/2)
     each round.  Each round is a bounded oracle wrapped around
     halve_coefficients on the round below, whose guarantee is round_bound
-    over that round: so every oracle reply, the outermost included, is
-    re-verified against its own tracked guarantee, and the outermost reply,
-    of coefficient bound 1, claims the composed bound.  Reading that bound
+    over that round; the round returns its point x and the handle is its
+    one check, so every oracle reply, the outermost included, is verified
+    once against its own tracked guarantee, and the outermost reply, of
+    coefficient bound 1, claims the composed bound.  Reading that bound
     at n first requires n^(2^-i) integral for every round i, before any
     oracle call.
     """
@@ -281,7 +277,7 @@ def full_self_reduction(inst: NbpInstance, oracle: BoundedNbpOracle) -> Reductio
     for i, r in enumerate(default_halving_schedule(oracle.k), 1):
 
         def solver(sub: NbpInstance, _r=r, _inner=level) -> tuple[int, ...]:
-            return halve_coefficients(sub, _r, _inner).solution.x
+            return halve_coefficients(sub, _r, _inner).x
 
         level = BoundedNbpOracle(
             k=max(r - 1, level.k - r),

@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,26 @@ def test_summarise_counts_wins_in_each_metrics_direction():
     assert summary["peak_rss_mb_change_wins"] == 0
     assert summary["ops_per_s"]["change_median"] == 102.5
     assert summary["ops_per_s"]["parent_quartiles"] == [100.0, 100.0]
+
+
+def test_a_claim_is_made_only_when_asked():
+    runs = [run("parent", 1, 100.0, 0.50), run("change", 1, 110.0, 0.45),
+            run("parent", 2, 100.0, 0.50), run("change", 2, 90.0, 0.55)]
+    workloads = {"w": BENCH_PAIRS.summarise(runs, "w")}
+    assert BENCH_PAIRS.claim(workloads, "w", None) is None
+    assert BENCH_PAIRS.claim(workloads, "w", "op_ms_p50") == {
+        "workload": "w", "metric": "op_ms_p50", "parent_median": 0.5, "change_median": 0.5,
+        "gain": 0.0, "change_wins": 1, "pairs": 2, "parent_iqr": 0.0,
+    }
+    assert BENCH_PAIRS.claim(workloads, "w", "ops_per_s")["change_wins"] == 1
+
+
+def test_without_claim_the_summary_claims_nothing(monkeypatch, capsys):
+    # git, the checkouts and the runs are stubbed; --claim has no default
+    monkeypatch.setattr(BENCH_PAIRS, "git", lambda *args: b"parent-sha\n")
+    monkeypatch.setattr(BENCH_PAIRS, "extract_parent", lambda rev, dest: None)
+    monkeypatch.setattr(BENCH_PAIRS, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(BENCH_PAIRS, "run_once", lambda *args: {
+        **dict.fromkeys(BENCH_PAIRS.METRICS, 1.0), "attempted": 1, "failed": 0, "correct": True})
+    assert BENCH_PAIRS.main(["--parent", "HEAD", "--workload", "w", "--seeds", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["claim"] is None

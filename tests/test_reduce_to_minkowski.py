@@ -22,7 +22,6 @@ from balancelat.nbp import NbpInstance, instance_inner
 from balancelat.oracles import kk_delta_oracle, mitm_delta_oracle
 from balancelat.rationals import nth_root_upper
 from balancelat.reduce_to_minkowski import (
-    GeneralizedInstance,
     extended_range_balance,
     generalized_nbp,
     minkowski_from_nbp,
@@ -321,23 +320,21 @@ class TestGeneralizedNbp:
     def test_boundary_product_one(self):
         rng = random.Random(67)
         n = 2
-        gi = GeneralizedInstance.create(
-            [rand_unit_vector(rng, n) for _ in range(n)], [1, 1]
-        )
+        vectors, lambdas = instances(rand_unit_vector(rng, n) for _ in range(n)), [1, 1]
         oracle = mitm_delta_oracle()
-        x = generalized_nbp(gi, oracle, Q_override=2**8)
+        x = generalized_nbp(vectors, lambdas, oracle, Q_override=2**8)
         assert any(x)
         inner_dim = n * 8
         # delta_i = lambda_i R, R the 64-bit upper k-th root of f(n log Q) / prod lambda_i
         # over the k vectors, and prod lambda_i = 1 here
-        root = nth_root_upper(oracle.delta(inner_dim), len(gi.vectors), bits=64)
-        for v, lam in zip(gi.vectors, gi.lambdas):
+        root = nth_root_upper(oracle.delta(inner_dim), len(vectors), bits=64)
+        for v, lam in zip(vectors, lambdas):
             assert abs(instance_inner(v, x)) <= 2 * inner_dim**2 * 2**8 * lam * root
 
     def test_single_vector_small_q(self, monkeypatch):
         kept = kept_balances(monkeypatch)
-        gi = GeneralizedInstance.create([RVector([Fraction(1, 3)])], [1])
-        x = generalized_nbp(gi, paper_oracle(), Q_override=None)  # n = 1 -> Q = 16
+        vectors = instances([[Fraction(1, 3)]])
+        x = generalized_nbp(vectors, [1], paper_oracle(), Q_override=None)  # n = 1 -> Q = 16
         [(inflated, deltas, y)] = kept
         assert inflated[0].dim == 4  # log Q = 4 levels
         assert deltas == [nth_root_upper(Fraction(1, 2**4), 1, bits=64)] == [Fraction(1, 16)]
@@ -346,17 +343,14 @@ class TestGeneralizedNbp:
 
     def test_weak_oracle_rejected(self):
         rng = random.Random(68)
-        gi = GeneralizedInstance.create(
-            [rand_unit_vector(rng, 2) for _ in range(2)], [1, 1]
-        )
+        vectors = instances(rand_unit_vector(rng, 2) for _ in range(2))
         with pytest.raises(PreconditionFailed):
-            generalized_nbp(gi, kk_delta_oracle(), Q_override=2**8)
+            generalized_nbp(vectors, [1, 1], kk_delta_oracle(), Q_override=2**8)
 
     def test_descending_lambdas_rejected(self):
         with pytest.raises(InvalidParams, match="ascending"):
-            GeneralizedInstance.create(
-                [RVector([0, 0]), RVector([0, 0])], [2, 1]
-            )
+            generalized_nbp(instances([[0, 0], [0, 0]]), [2, 1], mitm_delta_oracle(),
+                            Q_override=None)
 
     @pytest.mark.parametrize("vectors, lambdas, error, message", [
         ([], [], InvalidParams, "need matching vectors and lambdas"),
@@ -368,14 +362,15 @@ class TestGeneralizedNbp:
     ], ids=["empty", "unmatched", "dimensions", "lambda-0", "product-below-1"])
     def test_instance_refusals_are_pinned(self, vectors, lambdas, error, message):
         with pytest.raises(error, match=re.escape(message)):
-            GeneralizedInstance.create([RVector(v) for v in vectors], lambdas)
+            generalized_nbp(instances(vectors), lambdas, mitm_delta_oracle(), Q_override=None)
 
     def test_zero_delta_claim_is_refused_by_the_balance(self):
         # f = 0 makes every delta_i 0; multi_vector_balance refuses it
-        gi = GeneralizedInstance.create([RVector([Fraction(1, 2), 0])] * 2, [1, 1])
+        vectors = instances([[Fraction(1, 2), 0]] * 2)
         message = re.escape("every delta_i must lie in (0, 1/2]")
         with pytest.raises(PreconditionFailed, match=message):
-            generalized_nbp(gi, claimed_delta_oracle(lambda d: Fraction(0)), Q_override=2**8)
+            generalized_nbp(vectors, [1, 1], claimed_delta_oracle(lambda d: Fraction(0)),
+                            Q_override=2**8)
 
 
 class TestMinkowskiFromNbp:

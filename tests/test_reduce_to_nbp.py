@@ -37,6 +37,7 @@ from balancelat.reduce_to_nbp import (
     nbp_via_minkowski,
     nbp_via_svp,
     represent_small_coeffs,
+    round_bound,
     svp_embedding_basis,
 )
 from body_helpers import slab_member
@@ -262,10 +263,8 @@ class TestHalveCoefficients:
         inst = dyadic_instance(rng, 16, bits=24)
         oracle = mitm_bounded_oracle(2)
         outcome = halve_coefficients(inst, 1, oracle)
-        sol = outcome.solution
-        assert any(sol.x)
-        assert max(abs(v) for v in sol.x) <= 1
-        assert sol.error <= 2 * 4 * oracle.guarantee(4)  # 2 sqrt(n) g(sqrt(n))
+        # coefficients 2 -> 1, and 2 sqrt(n) g(sqrt(n))
+        assert verify(inst, outcome.x, 1).error <= 2 * 4 * oracle.guarantee(4)
 
     def test_requires_perfect_square(self):
         rng = random.Random(47)
@@ -286,8 +285,8 @@ class TestHalveCoefficients:
             name="stub-signs",
         )
         outcome = halve_coefficients(inst, 2, stub)
-        assert outcome.branch == "small-coefficients"
-        assert outcome.solution.x == (1, 0, 0, 0)
+        assert (outcome.branch, outcome.x) == ("small-coefficients", (1, 0, 0, 0))
+        assert verify(inst, outcome.x, 1).error <= round_bound(4, stub)
 
     def test_small_block_value_early_exit(self):
         # lexicographic exact optima hug -k, so equal entries give a zero
@@ -298,7 +297,7 @@ class TestHalveCoefficients:
         oracle = mitm_bounded_oracle(3)
         outcome = halve_coefficients(inst, 2, oracle)
         assert outcome.branch == "small-block-value"
-        assert max(abs(v) for v in outcome.solution.x) <= 1
+        assert verify(inst, outcome.x, 1).error <= round_bound(4, oracle)
 
 
 class TestFullSelfReduction:
@@ -344,7 +343,7 @@ class TestFullSelfReduction:
         oracle = BoundedNbpOracle(k=2, guarantee=lambda d: Fraction(1, 2**d), solver=e1,
                                   name="tiny")
         monkeypatch.setattr(reduce_to_nbp, "halve_coefficients",
-                            lambda sub, r, inner: HalveOutcome(verify(sub, e1(sub), 1), "stub"))
+                            lambda sub, r, inner: HalveOutcome(e1(sub), "stub"))
         with pytest.raises(OracleContractViolation, match=r"^halved\(tiny, round 1\): error 3/4 "
                            r"exceeds the claimed bound 1/2 at n=16$"):
             full_self_reduction(inst, oracle)
@@ -504,30 +503,33 @@ def test_halve_coefficients_matches_the_fraction_layers():
         oracle = mitm_bounded_oracle(k)
         outcome = halve_coefficients(inst, r, oracle)
         branch, x = reference_halve(inst, k, r, oracle)
-        assert (outcome.branch, outcome.solution.x) == (branch, x)
-        # each branch's error, early exits included, is the verified one
-        assert outcome.solution == verify(inst, x, max(r - 1, k - r))
+        assert (outcome.branch, outcome.x) == (branch, x)
+        # each branch, early exits included, meets the round's coefficient and error bounds
+        assert verify(inst, x, max(r - 1, k - r)).error <= round_bound(inst.n, oracle)
         branches.add(branch)
     assert branches == {"small-coefficients", "small-block-value", "recombined"}
 
 
-@pytest.mark.parametrize("coeff, message", [
-    pytest.param(0, "recombined vector vanished", id="zero"),
-    pytest.param(3, "recombined error 867/256 exceeds tracked bound", id="full-magnitude"),
+@pytest.mark.parametrize("coeff, error, message", [
+    pytest.param(0, InternalContradiction, "recombined vector vanished", id="zero"),
+    pytest.param(3, OracleContractViolation, r"^halved\(exact-mitm\(k=4\), round 1\): "
+                 r"error 867/256 exceeds the claimed bound 16/39 at n=16$", id="full-magnitude"),
 ])
-def test_faulty_recombination_is_caught(monkeypatch, coeff, message):
+def test_faulty_recombination_is_caught(monkeypatch, coeff, error, message):
     # case 37 (n = 16, k = 4, r = 1) takes the recombined branch; a lower layer
-    # that returns zero coefficients, or coefficients of full magnitude
-    # out_k = 3 that keep |x|_inf <= out_k, reaches each of the two checks
+    # that returns zero coefficients is refused by halve_coefficients itself,
+    # and one of full magnitude out_k = 3, which keeps |x|_inf <= out_k, by
+    # the round's handle, driven here as a one-round schedule [r]
     inst, k, r = random_halving_case(37)
     assert max(r - 1, k - r) == 3
     oracle = mitm_bounded_oracle(k)
     assert halve_coefficients(inst, r, oracle).branch == "recombined"
+    monkeypatch.setattr(reduce_to_nbp, "default_halving_schedule", lambda k: [r])
     monkeypatch.setattr(
         reduce_to_nbp, "represent_small_coeffs", lambda k, r, j: [coeff] * k
     )
-    with pytest.raises(InternalContradiction, match=message):
-        halve_coefficients(inst, r, oracle)
+    with pytest.raises(error, match=message):
+        full_self_reduction(inst, oracle)
 
 
 def test_instance_integers_are_computed_only_from_outside_values(monkeypatch, tmp_path, capsys):
@@ -604,12 +606,11 @@ def test_each_balancing_reply_is_checked_once(monkeypatch, tmp_path, capsys,
     """Over one `reduce to-nbp --oracle ... --full` run (gen seed 5) the
     bounded handle asks the oracle's solver directly, never through the
     single-call route or MinkowskiOracle.find, and one exact error is
-    computed (verify, through instance_inner) per checked handle reply,
-    plus one per recombined halving round: no reply is verified twice."""
-    seen, replies, branches = [], [], []
+    computed (verify, through instance_inner) per checked handle reply: no
+    reply is verified twice."""
+    seen, replies = [], []
     original_verify, original_inner = nbp.verify, nbp.instance_inner
     original_solve = oracles.BoundedNbpOracle.solve
-    original_halve = reduce_to_nbp.halve_coefficients
 
     def counted(name, original):
         def wrapper(*args):
@@ -622,11 +623,6 @@ def test_each_balancing_reply_is_checked_once(monkeypatch, tmp_path, capsys,
         sol = original_solve(self, inst)
         replies.append(self.name)
         return sol
-
-    def counted_halve(*args):
-        outcome = original_halve(*args)
-        branches.append(outcome.branch)
-        return outcome
 
     assert main(["gen", "nbp", "--n", str(n), "--seed", "5"]) == 0
     f = tmp_path / "i.json"
@@ -641,14 +637,12 @@ def test_each_balancing_reply_is_checked_once(monkeypatch, tmp_path, capsys,
     monkeypatch.setattr(oracles.MinkowskiOracle, "find",
                         counted("MinkowskiOracle.find", oracles.MinkowskiOracle.find))
     monkeypatch.setattr(oracles.BoundedNbpOracle, "solve", counted_solve)
-    monkeypatch.setattr(reduce_to_nbp, "halve_coefficients", counted_halve)
     code = main(["reduce", "to-nbp", "--oracle", oracle, "--full", "--input", str(f)])
     assert code == 0, capsys.readouterr().err
     assert single_call not in seen and "MinkowskiOracle.find" not in seen
     assert replies[-1] == f"halved({handle}, round 1)"
     assert replies.count(handle) == len(replies) - 1 >= blocks
-    checked = len(replies) + branches.count("recombined")
-    assert seen.count("verify") == seen.count("instance_inner") == checked
+    assert seen.count("verify") == seen.count("instance_inner") == len(replies)
 
 
 def test_minkowski_points_are_tested_on_integers(monkeypatch, tmp_path, capsys):

@@ -18,10 +18,10 @@ nothing is written into the repository except the ``--out`` file.
         --out BENCH_N.json
 
 ``--workload`` may be given more than once; each workload gets the whole
-seed range, and the claim is made on the first, for the metric named by
-``--metric`` (default ``ops_per_s``).  The claim's ``gain`` is the relative
-change of the medians, negative when a lower-is-better metric falls.
-Exits 1 when a run fails.
+seed range.  ``claim`` is null unless ``--claim METRIC`` names a gain to
+claim; the claim is then made on the first workload, for that metric, and
+its ``gain`` is the relative change of the medians, negative when a
+lower-is-better metric falls.  Exits 1 when a run fails.
 """
 
 from __future__ import annotations
@@ -101,6 +101,24 @@ def summarise(runs: list[dict], workload: str) -> dict:
     return out
 
 
+def claim(workloads: dict, workload: str, metric: str | None) -> dict | None:
+    """The claimed gain of ``metric`` on ``workload``'s summary; None when none is claimed."""
+    if metric is None:
+        return None
+    summary = workloads[workload]
+    entry = summary[metric]
+    return {
+        "workload": workload,
+        "metric": metric,
+        "parent_median": entry["parent_median"],
+        "change_median": entry["change_median"],
+        "gain": round(entry["change_median"] / entry["parent_median"] - 1, 3),
+        "change_wins": summary[f"{metric}_change_wins"],
+        "pairs": summary["pairs"],
+        "parent_iqr": round(entry["parent_quartiles"][1] - entry["parent_quartiles"][0], 4),
+    }
+
+
 def parse_seeds(text: str) -> range:
     """"A-B" or "A" as an inclusive range; an empty one is a usage error."""
     first, _, last = text.partition("-")
@@ -116,8 +134,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, action="append")
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, inclusive")
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--metric", choices=METRICS, default="ops_per_s",
-                        help="the claimed metric, on the first workload")
+    parser.add_argument("--claim", choices=METRICS,
+                        help="claim a gain in this metric, on the first workload")
     parser.add_argument("--out", type=Path, help="also write the summary to this file")
     args = parser.parse_args(argv)
 
@@ -136,8 +154,6 @@ def main(argv: list[str] | None = None) -> int:
                     print(json.dumps(runs[-1]), file=sys.stderr)
 
     workloads = {w: summarise(runs, w) for w in args.workload}
-    claimed = workloads[args.workload[0]]
-    metric = claimed[args.metric]
     seeds = f"{args.seeds.start}-{args.seeds.stop - 1}"
     summary = {
         "parent_commit": parent_sha,
@@ -148,16 +164,7 @@ def main(argv: list[str] | None = None) -> int:
                   "alternating which side runs first (odd seed: change first); medians and "
                   f"quartiles (inclusive method); seeds {seeds} on each of "
                   + ", ".join(args.workload),
-        "claim": {
-            "workload": args.workload[0],
-            "metric": args.metric,
-            "parent_median": metric["parent_median"],
-            "change_median": metric["change_median"],
-            "gain": round(metric["change_median"] / metric["parent_median"] - 1, 3),
-            "change_wins": claimed[f"{args.metric}_change_wins"],
-            "pairs": claimed["pairs"],
-            "parent_iqr": round(metric["parent_quartiles"][1] - metric["parent_quartiles"][0], 4),
-        },
+        "claim": claim(workloads, args.workload[0], args.claim),
         "workloads": workloads,
         "runs": runs,
     }
