@@ -5,7 +5,10 @@ precision, always normalized (positive denominator, gcd 1).  This module adds
 the parsing/formatting conventions used in the JSON interfaces and the
 certified square/n-th root approximations needed when a bound like 2^(-3n/2)
 or f(m)^(1/n) is irrational.  Every approximation here is one-sided, so a
-comparison done with it stays a sound inequality over the rationals.
+comparison done with it stays a sound inequality over the rationals.  The
+roots are computed on integers: the floor of 2^bits times the root (isqrt,
+or iroot_floor's Newton iteration), then at most one step up, decided by
+one integer comparison.
 """
 
 from __future__ import annotations
@@ -131,20 +134,23 @@ def format_scientific(x: Fraction) -> str:
 
 
 def iroot_floor(value: int, n: int) -> int:
-    """Largest integer m with m**n <= value (value >= 0, n >= 1)."""
+    """Largest integer m with m**n <= value (value >= 0, n >= 1).
+
+    Newton's iteration from above: start at 2^ceil(bits / n) > value^(1/n)
+    and step m <- ((n-1) m + value // m^(n-1)) // n.  By AM-GM a step never
+    goes below the root, and it strictly lowers any m with m^n > value, so
+    the first step that does not lower m ends at the root.
+    """
     if value < 0 or n < 1:
         raise InvalidParams("iroot_floor needs value >= 0 and n >= 1")
     if value in (0, 1) or n == 1:
         return value
-    hi = 1 << (value.bit_length() // n + 1)
-    lo = 0
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid**n <= value:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    m = 1 << -(-value.bit_length() // n)
+    while True:
+        step = ((n - 1) * m + value // m ** (n - 1)) // n
+        if step >= m:
+            return m
+        m = step
 
 
 def sqrt_lower(x: Fraction, bits: int) -> Fraction:
@@ -157,26 +163,33 @@ def sqrt_lower(x: Fraction, bits: int) -> Fraction:
 
 
 def sqrt_upper(x: Fraction, bits: int) -> Fraction:
-    """Dyadic r >= sqrt(x) with r - sqrt(x) <= 2^-bits."""
+    """Dyadic r >= sqrt(x) with r - sqrt(x) <= 2^-bits.
+
+    sqrt_lower's m / 2^bits with m = floor(2^bits sqrt(x)), stepped once to
+    (m + 1) / 2^bits unless m^2 q = p 4^bits, that is unless it is exact.
+    """
     r = sqrt_lower(x, bits)
-    step = Fraction(1, 1 << bits)
-    while r * r < x:
-        r += step
+    m = r.numerator * ((1 << bits) // r.denominator)
+    if m * m * x.denominator < x.numerator << (2 * bits):
+        return Fraction(m + 1, 1 << bits)
     return r
 
 
 def nth_root_upper(x: Fraction, n: int, bits: int) -> Fraction:
-    """Dyadic r >= x^(1/n) with r - x^(1/n) <= 2^-bits (x >= 0)."""
-    if x < 0:
+    """Dyadic r >= x^(1/n) with r - x^(1/n) <= 2^-bits (x >= 0).
+
+    With x = p / q, m = iroot_floor(floor(p 2^(n bits) / q), n) is
+    floor(2^bits x^(1/n)), so r is m / 2^bits when m^n q = p 2^(n bits)
+    and (m + 1) / 2^bits otherwise.
+    """
+    p, q = x.numerator, x.denominator
+    if p < 0:
         raise InvalidParams("nth_root_upper of a negative rational")
-    if x == 0:
-        return Fraction(0)
-    scale = 1 << bits
-    m = iroot_floor(x.numerator * scale**n // x.denominator, n)
-    r = Fraction(m, scale)
-    while r**n < x:
-        r += Fraction(1, scale)
-    return r
+    scaled = p << (n * bits)
+    m = iroot_floor(scaled // q, n)
+    if m**n * q < scaled:
+        m += 1
+    return Fraction(m, 1 << bits)
 
 
 def common_denominator_ints(fracs) -> tuple[list[int], int]:

@@ -9,10 +9,13 @@ well-rounding, whose LLL certificate yields the axis form of the rounded
 ellipsoid (Gram-Schmidt axes, which need not be orthogonal), to realize an
 approximate Minkowski oracle, reporting a certified dilation factor rho*.
 The balancing layers take each vector as an NbpInstance, so they read its
-integers over its common denominator; truncation, the inflated vectors, the
-summed instance and every check are integer arithmetic.  Each layer checks
-its own per-vector bounds and returns only the balancing point x, the one
-thing its caller reads.
+integers over its common denominator, and they read the scales lambda_i,
+the root and the delta_i as integer pairs, with each product over the
+product of the denominators; the truncation, the inflated vectors, the
+summed instance, the grid and scales are integer products, and every check
+is a cross-multiplication; the delta_i enter each layer as Fractions.  Each
+layer checks its own per-vector bounds and returns only the balancing point
+x, the one thing its caller reads.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional, Sequence
 from .errors import InternalContradiction, InvalidParams, PreconditionFailed
 from .geometry import axis_extract, well_round
 from .lattice import LatticeBasis
-from .nbp import NbpInstance, instance_inner
+from .nbp import NbpInstance
 from .oracles import NbpDeltaOracle
 from .rationals import frac, nth_root_upper, sqrt_upper
 
@@ -43,12 +46,15 @@ def multi_vector_balance(
     all.  The proof's chain forces <a~_i, x> = 0 exactly for every i, which
     is re-verified, as is each final bound.
 
-    Everything runs on integers.  With a_i = ints / den and grid p / q, the
-    truncation toward zero (which keeps signed entries inside [-1, 1], as
-    the divisibility argument needs) is m = sign * (|e| q // (p den)), and
-    a~_i = scale_i * m_i with scale_i = prod_{j<i} delta_j * grid_i != 0, so
-    <a~_i, x> = 0 exactly when <m_i, x> = 0.  The sum c is taken over the
-    scales' common denominator L, and the instance is c / 2L.
+    Everything runs on integers.  Each delta_i is read as its pair p_i / q_i,
+    and a_i = ints / den.  The truncation toward zero (which keeps signed
+    entries inside [-1, 1], as the divisibility argument needs) is m = sign *
+    (|e| q_i // (2 n p_i den)), and a~_i = scale_i * m_i with scale_i =
+    prod_{j<i} delta_j * 2 n delta_i = w_i / T over the one common
+    denominator T = prod_j q_j, w_i = 2 n p_0 ... p_i q_{i+1} ... q_{k-1}
+    != 0, so <a~_i, x> = 0 exactly when <m_i, x> = 0.  The instance is c / 2T
+    with c = sum_i w_i m_i, and every bound is compared by
+    cross-multiplication.
     """
     k = len(vectors)
     if k == 0 or k != len(deltas):
@@ -58,37 +64,38 @@ def multi_vector_balance(
         raise InvalidParams("vectors must share one dimension")
     if n < 2:
         raise PreconditionFailed("multi-vector balancing needs dimension >= 2")
-    deltas = [frac(d) for d in deltas]
-    if any(d <= 0 or d > Fraction(1, 2) for d in deltas):
+    pairs = [(d.numerator, d.denominator) for d in map(frac, deltas)]
+    if any(p <= 0 or 2 * p > q for p, q in pairs):
         raise PreconditionFailed("every delta_i must lie in (0, 1/2]")
-    product = prod(deltas)
-    if product < oracle.delta(n):
+    guarantee = oracle.delta(n)
+    product, T = prod(p for p, _ in pairs), prod(q for _, q in pairs)
+    if product * guarantee.denominator < guarantee.numerator * T:
         raise PreconditionFailed(
-            f"prod delta_i = {product} < oracle guarantee {oracle.delta(n)}"
+            f"prod delta_i = {Fraction(product, T)} < oracle guarantee {guarantee}"
         )
 
-    multiples, scales = [], []
-    prefix = Fraction(1)
-    for v, d in zip(vectors, deltas):
-        grid = 2 * n * d
-        q, step = grid.denominator, grid.numerator * v.den
+    multiples, weights = [], []
+    prefix, rest = 2 * n, T
+    for v, (p, q) in zip(vectors, pairs):
+        step = 2 * n * p * v.den
         multiples.append([e * q // step if e >= 0 else -(-e * q // step) for e in v.ints])
-        scales.append(prefix * grid)
-        prefix *= d
-    L = lcm(*(s.denominator for s in scales))
-    weights = [s.numerator * (L // s.denominator) for s in scales]
+        prefix *= p
+        rest //= q
+        weights.append(prefix * rest)
     c = [sum(map(mul, weights, column)) for column in zip(*multiples)]
-    # |c| < 2 entrywise, so half of it is a valid instance
-    x = oracle.solve(NbpInstance.from_ints(c, 2 * L)).x
+    # |c| < 2T entrywise, so c / 2T is a valid instance
+    x = oracle.solve(NbpInstance.from_ints(c, 2 * T)).x
 
-    for i, (m, scale) in enumerate(zip(multiples, scales)):
+    for i, (m, w) in enumerate(zip(multiples, weights)):
         inner = sum(map(mul, m, x))
         if inner != 0:
             raise InternalContradiction(
-                f"divisibility invariant failed for vector {i}: <a~_i, x> = {scale * inner}"
+                f"divisibility invariant failed for vector {i}: "
+                f"<a~_i, x> = {Fraction(w * inner, T)}"
             )
-    for i, (v, d) in enumerate(zip(vectors, deltas)):
-        if abs(instance_inner(v, x)) > 2 * n * n * d:
+    for i, (v, (p, q)) in enumerate(zip(vectors, pairs)):
+        # |<a_i, x>| = |<ints, x>| / den against 2 n^2 p_i / q_i
+        if abs(sum(map(mul, v.ints, x))) * q > 2 * n * n * p * v.den:
             raise InternalContradiction(f"final bound failed for vector {i}")
     return x
 
@@ -113,9 +120,10 @@ def extended_range_balance(
     The recombination identity <a_i, x> = Q <b_i, y> is exact and re-verified;
     x vanishes only if y does (signed sums of distinct powers of two).  With
     a_i = ints / den, entry (j, l) of b_i is (e_j << (log Q - l)) / (den << log Q),
-    built as an instance without Fractions.  An empty family, vectors of
-    different dimensions and a delta_i outside (0, 1/2] are refused by
-    multi_vector_balance, on the inflated family.
+    built as an instance without Fractions, and the identity and each bound
+    are compared on integers, each delta_i read as its integer pair.
+    An empty family, vectors of different dimensions and a delta_i outside
+    (0, 1/2] are refused by multi_vector_balance, on the inflated family.
     """
     levels = _range_levels(Q)
     inflated = [
@@ -139,14 +147,14 @@ def extended_range_balance(
         raise InternalContradiction("recombined vector vanished with nonzero y")
     if max(abs(v) for v in x) > Q:
         raise InternalContradiction("recombined coefficient exceeds Q")
-    for i, (v, b) in enumerate(zip(vectors, inflated)):
-        inner_x = instance_inner(v, x)
+    for i, (v, b, d) in enumerate(zip(vectors, inflated, map(frac, deltas))):
+        inner_x = sum(map(mul, v.ints, x))  # <a_i, x> = inner_x / v.den
         # holds for every y: Q <b_i, y> = sum_j a_ij sum_l (Q >> l) y_jl = sum_j a_ij x_j
-        if inner_x != Q * instance_inner(b, y):
+        if inner_x * b.den != Q * sum(map(mul, b.ints, y)) * v.den:
             raise InternalContradiction(
                 f"recombination identity failed for vector {i}"
             )
-        if abs(inner_x) > frac(deltas[i]) * Q * 2 * inner_dim**2:
+        if abs(inner_x) * d.denominator > d.numerator * Q * 2 * inner_dim**2 * v.den:
             raise InternalContradiction(f"range-extended bound failed for vector {i}")
     return x
 
@@ -167,6 +175,12 @@ def generalized_nbp(
     reduction refuses (PreconditionFailed).  The returned x
     has |x|_inf <= Q and meets the exact bound 2 (n log Q)^2 Q delta_i per
     vector, checked by extended_range_balance.
+
+    Each lambda_i is read as its integer pair p_i / q_i: the order is
+    checked by cross-multiplication, prod lambda_i >= 1 as prod p_i >=
+    prod q_i, R = r / s is nth_root_upper of f prod q_i / prod p_i, and
+    delta_i = p_i r / (q_i s) is compared with 1/2 on integers and handed
+    on as a Fraction.
     """
     k = len(vectors)
     if k == 0 or k != len(lambdas):
@@ -174,24 +188,24 @@ def generalized_nbp(
     n = vectors[0].n
     if any(v.n != n for v in vectors):
         raise InvalidParams("vectors must share one dimension")
-    if any(l <= 0 for l in lambdas):
+    pairs = [(l.numerator, l.denominator) for l in lambdas]
+    if any(p <= 0 for p, _ in pairs):
         raise InvalidParams("lambdas must be positive")
-    if list(lambdas) != sorted(lambdas):
+    if any(p * s > r * q for (p, q), (r, s) in zip(pairs, pairs[1:])):
         raise InvalidParams("lambdas must be ascending")
-    product = prod(lambdas)
-    if product < 1:
+    product, T = prod(p for p, _ in pairs), prod(q for _, q in pairs)
+    if product < T:
         raise PreconditionFailed("prod lambda_i must be >= 1")
     Q = Q_override if Q_override is not None else 2 ** (4 * n)
-    levels = _range_levels(Q)
-    inner_dim = n * levels
-    f_inner = oracle.delta(inner_dim)
-    root = nth_root_upper(f_inner / product, k, bits=64)
-    deltas = [l * root for l in lambdas]
-    if any(d > Fraction(1, 2) for d in deltas):
+    f = oracle.delta(n * _range_levels(Q))
+    # R >= (f / prod lambda)^(1/k), with prod lambda = product / T
+    root = nth_root_upper(Fraction(f.numerator * T, f.denominator * product), k, bits=64)
+    r, s = root.numerator, root.denominator
+    if any(2 * p * r > q * s for p, q in pairs):  # delta_i = lambda_i R > 1/2
         raise PreconditionFailed(
             "computed delta_i exceeds 1/2; oracle guarantee too weak at this scale"
         )
-    return extended_range_balance(vectors, deltas, Q, oracle)
+    return extended_range_balance(vectors, [Fraction(p * r, q * s) for p, q in pairs], Q, oracle)
 
 
 @dataclass(frozen=True)
@@ -220,7 +234,9 @@ def minkowski_from_nbp(
     quadratic-form value of the returned point in the *original* ellipsoid.
     Points are integer tuples throughout: y is the balancer's, both forms
     and x = U y are evaluated on integer rows (LatticeBasis.quad,
-    UnimodularTransform.apply).
+    UnimodularTransform.apply); the axis form is read on the axis
+    instances' integers, and the two forms are compared by
+    cross-multiplication.
     """
     if abs(ellipsoid.det) > 1:
         raise PreconditionFailed(
@@ -234,11 +250,16 @@ def minkowski_from_nbp(
         return MinkowskiFromNbpResult("integer-point", x, Fraction(1))
 
     axes, lengths, norms_sq = axis_extract(rounded.cert)
-    y = generalized_nbp([NbpInstance.from_values(ax) for ax in axes], lengths, oracle, Q_override)
+    vectors = [NbpInstance.from_values(ax) for ax in axes]
+    y = generalized_nbp(vectors, lengths, oracle, Q_override)
 
-    # the axis form is the rounded ellipsoid's quadratic form, checked before un-transforming
-    axis_sq = sum(w * sum(map(mul, ax, y)) ** 2 for ax, w in zip(axes, norms_sq))
-    if axis_sq != rounded.rounded.quad(y):
+    # the axis form is the rounded ellipsoid's quadratic form, checked before
+    # un-transforming: term i is w_i (<ints_i, y> / den_i)^2, all over their lcm M
+    terms = [(w.numerator * sum(map(mul, v.ints, y)) ** 2, w.denominator * v.den**2)
+             for v, w in zip(vectors, norms_sq)]
+    M = lcm(*(t for _, t in terms))
+    form = rounded.rounded.quad(y)
+    if sum(p * (M // t) for p, t in terms) * form.denominator != form.numerator * M:
         raise InternalContradiction("the axis form differs from the rounded ellipsoid")
 
     x = rounded.transform.apply(y)

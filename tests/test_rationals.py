@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -224,6 +225,104 @@ def test_nth_root_upper_is_sound(x, n):
     step = Fraction(1, 2**32)
     if r >= 2 * step:
         assert (r - 2 * step) ** n < x
+
+
+# The root helpers as they were, kept as the references of the closed forms:
+# iroot_floor bisected over bits/n, and each upper root stepped up by 2^-bits
+# until its power reached x.
+
+
+def reference_iroot_floor(value, n):
+    if value in (0, 1) or n == 1:
+        return value
+    hi = 1 << (value.bit_length() // n + 1)
+    lo = 0
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if mid**n <= value:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def reference_sqrt_upper(x, bits):
+    r = sqrt_lower(x, bits)
+    step = Fraction(1, 1 << bits)
+    while r * r < x:
+        r += step
+    return r
+
+
+def reference_nth_root_upper(x, n, bits):
+    if x == 0:
+        return Fraction(0)
+    scale = 1 << bits
+    m = reference_iroot_floor(x.numerator * scale**n // x.denominator, n)
+    r = Fraction(m, scale)
+    while r**n < x:
+        r += Fraction(1, scale)
+    return r
+
+
+def edge_values():
+    """0, 1, 2, the n-th powers of a few bases up to 4 000 bits and their
+    neighbours, and 4 000-bit values with no structure, for n = 1..7."""
+    rng = random.Random(71)
+    for n in range(1, 8):
+        yield from ((v, n) for v in (0, 1, 2, 3))
+        for base in (2, 3, 10, 2**64 - 1, rng.getrandbits(4000 // n) | 1):
+            power = base**n
+            yield from ((v, n) for v in (power - 1, power, power + 1))
+        yield from ((rng.getrandbits(4000), n) for _ in range(3))
+
+
+@pytest.mark.parametrize("value, n", list(edge_values()))
+def test_iroot_floor_matches_the_bisection(value, n):
+    m = iroot_floor(value, n)
+    assert m == reference_iroot_floor(value, n)
+    assert m**n <= value < (m + 1) ** n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 10**40), st.integers(0, 2**4000)), st.integers(1, 12))
+def test_iroot_floor_matches_the_bisection_on_random_values(value, n):
+    assert iroot_floor(value, n) == reference_iroot_floor(value, n)
+
+
+def upper_root_cases():
+    """Rationals that are exact squares and cubes on the 2^-bits grid, just
+    off them, and 4 000-bit numerators and denominators."""
+    rng = random.Random(72)
+    yield Fraction(0), 64
+    yield Fraction(1), 64
+    for bits in (0, 1, 8, 64):
+        for m in (1, 3, 2**40 + 1):
+            for shift in (-1, 0, 1):
+                yield Fraction(m * m, 1 << (2 * bits)) + Fraction(shift, 2**200), bits
+                yield Fraction(m**3, 1 << (3 * bits)) + Fraction(shift, 2**200), bits
+    for _ in range(6):
+        yield Fraction(rng.getrandbits(4000), rng.getrandbits(4000) | 1), 64
+
+
+@pytest.mark.parametrize("x, bits", list(upper_root_cases()))
+def test_upper_roots_match_the_stepping_loops(x, bits):
+    assert sqrt_upper(x, bits) == reference_sqrt_upper(x, bits)
+    for n in range(1, 5):
+        assert nth_root_upper(x, n, bits) == reference_nth_root_upper(x, n, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(nonneg, nonneg.map(lambda y: y * y), nonneg.map(lambda y: y**3)),
+       st.integers(1, 6), st.integers(0, 64))
+def test_upper_roots_match_the_stepping_loops_on_random_values(x, n, bits):
+    assert sqrt_upper(x, bits) == reference_sqrt_upper(x, bits)
+    assert nth_root_upper(x, n, bits) == reference_nth_root_upper(x, n, bits)
+
+
+def test_nth_root_of_a_negative_rational_is_refused():
+    with pytest.raises(InvalidParams, match="nth_root_upper of a negative rational"):
+        nth_root_upper(Fraction(-1, 3), 2, 8)
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import ceil, floor, prod
 from types import SimpleNamespace
 
 import pytest
@@ -82,6 +83,54 @@ def reference_extended_range_balance(vectors, deltas, Q, oracle):
     return x, y, inflated
 
 
+def reference_generalized_nbp(vectors, lambdas, oracle, Q):
+    """generalized_nbp's Fraction form: the root R and each delta_i = lambda_i R
+    as Fractions, then the Fraction range extension; returns (x, deltas)."""
+    levels = Q.bit_length() - 1
+    root = nth_root_upper(oracle.delta(vectors[0].dim * levels) / prod(lambdas), len(vectors),
+                          bits=64)
+    deltas = [l * root for l in lambdas]
+    if any(d > Fraction(1, 2) for d in deltas):
+        raise PreconditionFailed("computed delta_i exceeds 1/2")
+    x, _, _ = reference_extended_range_balance(vectors, deltas, Q, oracle)
+    return x, deltas
+
+
+def recording_oracle(seen):
+    """The exact MITM delta oracle, keeping every instance it is asked to balance."""
+    mitm = mitm_delta_oracle()
+    return replace(mitm, solver=lambda inst: seen.append(inst) or mitm.solver(inst))
+
+
+def odd_fraction(rng, low, high, used):
+    """A random Fraction in [low, high] whose denominator is odd (so not
+    dyadic), at least 3 and not in used; the denominator is added to used.
+    An odd q >= 2 / (high - low) leaves at least two multiples of 1/q to draw."""
+    least = max(3, ceil(2 / (high - low)))
+    while True:
+        q = rng.randrange(least, 100 * least) | 1
+        d = Fraction(rng.randint(ceil(low * q), floor(high * q)), q)
+        if d.denominator > 1 and d.denominator not in used:
+            used.add(d.denominator)
+            return d
+
+
+def unequal_deltas(rng, k, guarantee):
+    """k deltas in (0, 1/2] with unequal odd denominators and prod delta_i at or
+    just above guarantee: k - 1 of them in [1/4, 1/2], and the last the least
+    multiple of 1/q at or above guarantee / (the product of the others), for
+    an odd q."""
+    for _ in range(100):
+        used = set()
+        deltas = [odd_fraction(rng, Fraction(1, 4), Fraction(1, 2), used) for _ in range(k - 1)]
+        rest = guarantee / prod(deltas)
+        if rest <= Fraction(5, 11):
+            deltas.append(odd_fraction(rng, rest, rest * Fraction(11, 10), used))
+            rng.shuffle(deltas)
+            return deltas
+    raise AssertionError(f"no {k} deltas in (0, 1/2] reach {guarantee}")
+
+
 def multi_cases():
     """(vectors, deltas) for multi_vector_balance with the exact MITM oracle:
     1-3 vectors, n = 9-12, the first grid below 1 and some entries negative
@@ -154,6 +203,116 @@ class TestIntegerLayersMatchReference:
             if Q == 4096:
                 nonzero_at_4096 += any(v != 0 for d in discretized(inflated, deltas) for v in d)
         assert nonzero_at_4096 >= 4
+
+
+class TestIntegerLayersOnUnequalDenominators:
+    """The integer layers equal their Fraction references on deltas and scales
+    whose denominators are odd and differ, and at each refusal's boundary."""
+
+    def test_multi_vector_balance(self):
+        rng = random.Random(401)
+        nonzero = 0
+        for case in range(20):
+            n, k = 11 + case % 3, 1 + case % 3
+            vectors = [rand_unit_vector(rng, n) for _ in range(k)]
+            deltas = unequal_deltas(rng, k, mitm_delta_oracle().delta(n))
+            seen, ref_seen = [], []
+            x = multi_vector_balance(instances(vectors), deltas, recording_oracle(seen))
+            assert x == reference_multi_vector_balance(vectors, deltas, recording_oracle(ref_seen))
+            assert seen == ref_seen
+            nonzero += any(v != 0 for d in discretized(vectors, deltas) for v in d)
+        assert nonzero >= 10
+
+    @pytest.mark.parametrize("n, Q", [(4, 4), (2, 16), (3, 16), (2, 256), (4, 16)])
+    def test_extended_range_balance(self, monkeypatch, n, Q):
+        kept = kept_balances(monkeypatch)
+        rng = random.Random(402 + n * Q)
+        inner_dim = n * (Q.bit_length() - 1)
+        for k in (1, 2, 3):
+            vectors = [rand_unit_vector(rng, n) for _ in range(k)]
+            deltas = unequal_deltas(rng, k, mitm_delta_oracle().delta(inner_dim))
+            kept.clear()
+            x = extended_range_balance(instances(vectors), deltas, Q, mitm_delta_oracle())
+            ref_x, ref_y, inflated = reference_extended_range_balance(
+                vectors, deltas, Q, mitm_delta_oracle())
+            [(inner_vectors, inner_deltas, y)] = kept
+            assert (x, y, inner_vectors, inner_deltas) == (ref_x, ref_y, inflated, deltas)
+
+    @pytest.mark.parametrize("n, Q", [(2, 16), (3, 16), (2, 256)])
+    def test_generalized_nbp(self, monkeypatch, n, Q):
+        kept = kept_balances(monkeypatch)
+        rng = random.Random(403 + n * Q)
+        for k in (1, 2, 3):
+            while True:
+                used = set()
+                lambdas = sorted(odd_fraction(rng, Fraction(1, 2), Fraction(3), used)
+                                 for _ in range(k))
+                if prod(lambdas) >= 1:
+                    break
+            vectors = [rand_unit_vector(rng, n) for _ in range(k)]
+            kept.clear()
+            x = generalized_nbp(instances(vectors), lambdas, mitm_delta_oracle(), Q_override=Q)
+            [(_, deltas, _)] = kept
+            assert (x, deltas) == reference_generalized_nbp(vectors, lambdas,
+                                                            mitm_delta_oracle(), Q)
+
+    @pytest.mark.parametrize("deltas", [[Fraction(1, 2)], [Fraction(1, 2)] * 3,
+                                        [Fraction(1, 3), Fraction(1, 2)]])
+    def test_delta_one_half_is_accepted(self, deltas):
+        vectors = [rand_unit_vector(random.Random(404), 9) for _ in deltas]
+        oracle = mitm_delta_oracle()
+        x = multi_vector_balance(instances(vectors), deltas, oracle)
+        assert x == reference_multi_vector_balance(vectors, deltas, oracle)
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 2) + Fraction(1, 3 * 10**40), Fraction(0),
+                                       Fraction(-1, 3), Fraction(7, 13)])
+    def test_delta_outside_the_range_is_refused(self, delta):
+        vectors = instances([rand_unit_vector(random.Random(405), 9)] * 2)
+        with pytest.raises(PreconditionFailed,
+                           match=re.escape("every delta_i must lie in (0, 1/2]")):
+            multi_vector_balance(vectors, [Fraction(1, 3), delta], mitm_delta_oracle())
+
+    def test_product_equal_to_the_guarantee_is_accepted(self):
+        n = 9
+        oracle = mitm_delta_oracle()
+        deltas = [Fraction(1, 3), Fraction(3, 7), 7 * oracle.delta(n)]  # 7 * 18/511
+        assert prod(deltas) == oracle.delta(n) and deltas[2] == Fraction(18, 73)
+        vectors = [rand_unit_vector(random.Random(406), n) for _ in deltas]
+        x = multi_vector_balance(instances(vectors), deltas, oracle)
+        assert x == reference_multi_vector_balance(vectors, deltas, oracle)
+
+    def test_product_just_below_the_guarantee_is_refused(self):
+        n = 9
+        deltas = [Fraction(1, 3), Fraction(3, 7), Fraction(18, 73) - Fraction(1, 10**30)]
+        vectors = instances(rand_unit_vector(random.Random(406), n) for _ in deltas)
+        message = f"prod delta_i = {prod(deltas)} < oracle guarantee 18/511"
+        with pytest.raises(PreconditionFailed, match=re.escape(message)):
+            multi_vector_balance(vectors, deltas, mitm_delta_oracle())
+
+    def test_computed_delta_one_half_is_accepted(self):
+        # f = 1/2 and one vector with lambda = 1: R = 1/2 exactly, so delta = 1/2
+        vectors = [rand_unit_vector(random.Random(407), 2)]
+        oracle = claimed_delta_oracle(lambda d: Fraction(1, 2))
+        x = generalized_nbp(instances(vectors), [1], oracle, Q_override=4)
+        assert x == reference_generalized_nbp(vectors, [1], oracle, 4)[0]
+
+    def test_computed_delta_just_above_one_half_is_refused(self):
+        # R is rounded up to the 2^-64 grid: 1/2 + 2^-64 > 1/2
+        vectors = instances([rand_unit_vector(random.Random(407), 2)])
+        oracle = claimed_delta_oracle(lambda d: Fraction(1, 2) + Fraction(1, 2**70))
+        message = "computed delta_i exceeds 1/2; oracle guarantee too weak at this scale"
+        with pytest.raises(PreconditionFailed, match=re.escape(message)):
+            generalized_nbp(vectors, [1], oracle, Q_override=4)
+
+    def test_lambda_product_one_is_accepted_and_just_below_refused(self):
+        vectors = [rand_unit_vector(random.Random(408), 2) for _ in range(2)]
+        oracle = mitm_delta_oracle()
+        lambdas = [Fraction(3, 7), Fraction(7, 3)]
+        x = generalized_nbp(instances(vectors), lambdas, oracle, Q_override=256)
+        assert x == reference_generalized_nbp(vectors, lambdas, oracle, 256)[0]
+        lambdas[1] -= Fraction(1, 10**30)
+        with pytest.raises(PreconditionFailed, match=re.escape("prod lambda_i must be >= 1")):
+            generalized_nbp(instances(vectors), lambdas, oracle, Q_override=256)
 
 
 class TestMultiVectorBalance:
@@ -395,8 +554,10 @@ class TestMinkowskiFromNbp:
         assert e.quad(result.x) <= result.rho_star**2
 
     def test_volume_hypothesis_checked(self):
-        e = LatticeBasis(diagonal([2, 2]))  # prod lambda = 1/4 < 1
-        with pytest.raises(PreconditionFailed):
+        # prod lambda = 1/4 < 1; without this check generalized_nbp would refuse
+        # the axis lengths later, with a message of its own
+        e = LatticeBasis(diagonal([2, 2]))
+        with pytest.raises(PreconditionFailed, match="the volume hypothesis fails"):
             minkowski_from_nbp(e, mitm_delta_oracle(), Q_override=None)
 
     def test_adversarial_oracle_is_caught_on_the_rounded_branch(self):

@@ -18,17 +18,18 @@ def load_tool():
 
 
 SCALE_LADDER = load_tool()
-SMALLEST = {name: sizes[0] for name, sizes, _ in SCALE_LADDER.LADDERS}
+SMALLEST = {name: (key, sizes[0]) for name, key, sizes, _ in SCALE_LADDER.LADDERS}
 
 
 def test_smallest_rung_of_each_ladder(tmp_path, capsys):
-    # five children of about 0.1-0.2 s each, and the four documents they read
+    # six children of about 0.1-0.2 s each, and the five documents they read
     out = tmp_path / "ladder.json"
     assert SCALE_LADDER.main(["--rungs", "1", "--out", str(out)]) == 0
     ladders = json.loads(out.read_text())["ladders"]
     assert list(ladders) == list(SMALLEST)
     for name, (step,) in ladders.items():
-        assert step["n"] == SMALLEST[name]
+        key, size = SMALLEST[name]
+        assert step[key] == size
         assert step["exit"] == 0 and not step["timed_out"], (name, step)
         assert step["maxrss_mb"] > 0 and 0 < step["wall_s"] < 60
         assert len(step["report_sha256"]) == 64

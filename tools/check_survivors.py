@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Which proof-backed checks in src/ does the Tier-1 suite reach?
+"""Which checks and refusals in src/ does the Tier-1 suite reach?
 
 Copies the repository (without .git) to a temporary directory.  Then, one
-site at a time, it replaces a ``raise InternalContradiction(...)`` or
-``raise OracleContractViolation(...)`` statement of the copy's src/ by
-``pass`` and runs the suite on the copy with ``-x``: first the test files
-whose source imports the mutated module, then the rest, so that most
-mutants fail early.  A mutant that the suite still passes is a survivor: no
-test reaches that check.  The working tree is never edited.  Standard
-library only.
+site at a time, it replaces a ``raise InternalContradiction(...)``,
+``raise OracleContractViolation(...)`` or ``raise PreconditionFailed(...)``
+statement of the copy's src/ by ``pass`` and runs the suite on the copy
+with ``-x``: first the test files whose source imports the mutated module,
+then the rest, so that most mutants fail early.  A mutant that the suite
+still passes is a survivor: no test reaches that check.  The working tree
+is never edited.  Standard library only.
 
     python3 tools/check_survivors.py
 
@@ -31,7 +31,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CHECKS = {"InternalContradiction", "OracleContractViolation"}
+CHECKS = {"InternalContradiction", "OracleContractViolation", "PreconditionFailed"}
 TIMEOUT = 300  # seconds; one unmutated Tier-1 run takes about 22
 LABELS = {"pass": "SURVIVED", "fail": "killed", "timeout": "killed (timeout)"}
 # Survivors known and argued for: (enclosing function, message prefix).  The

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """A scaling ladder: searches timed at sizes past the benchmark corpus.
 
-Each ladder is one search at growing n, and each of its rungs is one child
-process run from the sources under ``--src`` (default: this checkout's
-src/), one child at a time.  The ladders are
+Each ladder is one search at a growing size, and each of its rungs is one
+child process run from the sources under ``--src`` (default: this
+checkout's src/), one child at a time.  The ladders are
 
 - ``reduce to-nbp --full --oracle O`` for O in exact-mink and exact-svp, on
   ``gen nbp --n n --seed 3 --signed`` at n = 16, 64, 144, 256 and 400;
@@ -17,7 +17,12 @@ src/), one child at a time.  The ladders are
   <a, x> = 0 for a = ``gen_nbp(n, 0, 4n, signed)``, whose 4n-bit entries
   no point of {-1, 0, 1}^n cancels (the walk says so up to n = 28).  The
   walk searches the whole box, so its nodes and its tail table grow with
-  n up to the default budget.
+  n up to the default budget;
+- ``reduce to-minkowski --oracle mitm --Q Q`` on ``gen ellipsoid --n 3
+  --seed 41``, which well-rounds to the balancing branch, at Q = 16, 256,
+  4096 and 65536: the balanced instance has n log Q entries, and the MITM
+  search runs on those that do not truncate to 0.  This ladder's rungs
+  are sized by Q, not n.
 
 The ``--oracle lll`` pipeline has no ladder: with ``--full`` it always
 answers through the Karmarkar–Karp fallback, so its rungs time process
@@ -85,34 +90,46 @@ def child_env(src: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(src)}
 
 
+def generated(src: Path, workdir: Path, kind: str, n: int, seed: int, *flags: str) -> Path:
+    """The document ``gen <kind> --n <n> --seed <seed> <flags>`` written by src, once per run."""
+    doc = workdir / f"{kind}-n{n}-seed{seed}.json"
+    if not doc.exists():
+        subprocess.run(cli(["gen", kind, "--n", str(n), "--seed", str(seed), *flags,
+                            "--out", str(doc)]),
+                       env=child_env(src), check=True, capture_output=True)
+    return doc
+
+
 def pipeline(seed: int, argv: list[str]):
     """The rungs of ``reduce to-nbp`` on ``gen nbp --seed <seed> --signed`` documents."""
 
     def command(src: Path, n: int, workdir: Path) -> list[str]:
-        doc = workdir / f"nbp-n{n}-seed{seed}.json"
-        if not doc.exists():
-            subprocess.run(cli(["gen", "nbp", "--n", str(n), "--seed", str(seed), "--signed",
-                                "--out", str(doc)]),
-                           env=child_env(src), check=True, capture_output=True)
-        return cli([*argv, "--input", str(doc)])
+        return cli([*argv, "--input", str(generated(src, workdir, "nbp", n, seed, "--signed"))])
 
     return command
+
+
+def to_minkowski(src: Path, Q: int, workdir: Path) -> list[str]:
+    doc = generated(src, workdir, "ellipsoid", 3, 41)
+    return cli(["reduce", "to-minkowski", "--oracle", "mitm", "--Q", str(Q), "--input", str(doc)])
 
 
 def no_point(src: Path, n: int, workdir: Path) -> list[str]:
     return [sys.executable, "-c", NO_POINT, str(n)]
 
 
-# each ladder: its name, its sizes, and the command of its rung at size n
+# each ladder: its name, what sizes its rungs ("n" or "Q"), its sizes, and
+# the command of its rung at a size
 LADDERS = [
-    *((f"to-nbp --full --oracle {oracle}", (16, 64, 144, 256, 400),
+    *((f"to-nbp --full --oracle {oracle}", "n", (16, 64, 144, 256, 400),
        pipeline(3, ["reduce", "to-nbp", "--full", "--oracle", oracle]))
       for oracle in ("exact-mink", "exact-svp")),
-    ("to-nbp --oracle exact-mink --k 2", (12, 16, 20, 24),
+    ("to-nbp --oracle exact-mink --k 2", "n", (12, 16, 20, 24),
      pipeline(0, ["reduce", "to-nbp", "--oracle", "exact-mink", "--k", "2"])),
-    ("to-nbp --oracle exact-svp --k 2", (7, 10, 13, 16),
+    ("to-nbp --oracle exact-svp --k 2", "n", (7, 10, 13, 16),
      pipeline(1, ["reduce", "to-nbp", "--oracle", "exact-svp", "--k", "2"])),
-    ("minkowski_exact_oracle, a body with no point", (20, 24, 28, 32), no_point),
+    ("minkowski_exact_oracle, a body with no point", "n", (20, 24, 28, 32), no_point),
+    ("to-minkowski --oracle mitm --Q Q", "Q", (16, 256, 4096, 65536), to_minkowski),
 ]
 
 
@@ -154,12 +171,12 @@ def run_rung(src: Path, command: list[str], workdir: Path) -> dict:
 
 def climb(src: Path, ladder: tuple, rungs: int, workdir: Path) -> list[dict]:
     """The ladder's first ``rungs`` rungs, up to and including its first that fails."""
-    name, sizes, command = ladder
+    name, key, sizes, command = ladder
     steps = []
-    for n in sizes[:rungs]:
-        step = {"n": n, **run_rung(src, command(src, n, workdir), workdir)}
+    for size in sizes[:rungs]:
+        step = {key: size, **run_rung(src, command(src, size, workdir), workdir)}
         steps.append(step)
-        print(f"{name:46} n={n:<4} {step['wall_s']:9.3f} s {step['maxrss_mb']:7.1f} MB "
+        print(f"{name:46} {key}={size:<5} {step['wall_s']:9.3f} s {step['maxrss_mb']:7.1f} MB "
               f"exit {step['exit']}{' (wall limit)' if step['timed_out'] else ''}",
               file=sys.stderr)
         if step["exit"] != 0:
@@ -171,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the sources to run (a directory holding balancelat/)")
-    parser.add_argument("--rungs", type=int, default=max(len(ladder[1]) for ladder in LADDERS),
+    parser.add_argument("--rungs", type=int, default=max(len(ladder[2]) for ladder in LADDERS),
                         help="climb at most this many rungs of each ladder")
     parser.add_argument("--out", type=Path, help="also write the JSON to this file")
     args = parser.parse_args(argv)
